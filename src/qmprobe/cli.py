@@ -40,9 +40,12 @@ defect: certified interval around D(phi) = sup |phi(g) + phi(h) - phi(g h)|.
 The lower bound comes from scanning ball(R)^2 with the three-term
 expression, and, for homogeneous phi, from phi-bar of commutators
 (phi-bar([g, h]) <= D(phi)).  The report stores the witness pair
-realizing the lower bound; the upper bound is structural (0 for
-homomorphisms, 2 (|w| - 1) for a counting quasimorphism on w, summed
-through combinations, doubled by homogenization).""",
+realizing the lower bound.  The upper bound is the probe's
+claimed_upper when given, checked against the lower bound; otherwise
+it is structural: 0 for homomorphisms, summed with |coefficients|
+through combinations and doubled by homogenization.  A Brooks counting
+quasimorphism has no stored bound, so without claimed_upper any phi
+built from one reports no upper bound.""",
     "aker-cert": """\
 aker-cert: approximate-subgroup certificate for
 Aker(phi, D*) = { g : |phi-bar(g)| <= 2 D* } inside ball(R).

@@ -43,6 +43,7 @@ from typing import Optional
 from .errors import ConfigError
 from .exact import ExactReal, ZERO
 from .groups import DEFAULT_BALL_CAP, GroupElement, GroupModel
+from .novikov import DEFAULT_CELL_CAP
 from .paths import path_from_letters
 from .quasimorphisms import (
     BrooksQM,
@@ -502,7 +503,9 @@ def _validate_probe(exp: Experiment, probe: ProbeSpec) -> None:
             slack=slack,
             defect=defect,
             extract=_get_bool(raw, "extract", where, default=True),
-            cell_cap=_get_int(raw, "cell_cap", where, default=50_000, minimum=1),
+            cell_cap=_get_int(
+                raw, "cell_cap", where, default=DEFAULT_CELL_CAP, minimum=1
+            ),
         )
         return
 

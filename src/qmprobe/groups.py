@@ -198,8 +198,18 @@ class GroupElement:
         return len(self.free) + sum(abs(x) for x in self.ab)
 
     def distance(self, other: "GroupElement") -> int:
+        """|g^-1 h|: the free words cancel down to their common prefix,
+        so it is |u| + |v| - 2 (common prefix) + sum |delta ab|."""
         self._check(other)
-        return (self.inverse() * other).length()
+        u, v = self.free, other.free
+        common = 0
+        for x, y in zip(u, v):
+            if x != y:
+                break
+            common += 1
+        return len(u) + len(v) - 2 * common + sum(
+            abs(x - y) for x, y in zip(self.ab, other.ab)
+        )
 
     def letters(self) -> tuple[Generator, ...]:
         """Canonical spelling: free letters in word order, then each

@@ -9,15 +9,26 @@ stands for exact equality, covering rational inconsistency; a positive
 modulus witnesses a divisibility failure.
 
 The elimination is a diagonalization by unimodular row and column
-operations, picking the entry of least absolute value as pivot and
-reducing with floored division until the pivot's row and column are
-clean.  Row operations accumulate into the functional candidates,
-column operations into the back-substitution map.
+operations, reducing with floored division until the pivot's row and
+column are clean.  Row operations accumulate into the functional
+candidates, column operations into the back-substitution map.
+
+Pivot rule: the nonzero entry (i, j) in an active row and an active
+column that minimizes (|a_ij|, i, j).  It is served from a heap of
+(|a|, i, j) keys, each packed into one integer to keep the heap small,
+pushed on every nonzero write.  Keys are invalidated lazily: one is
+live only while its row and column are active and the matrix still
+holds that absolute value there, and stale keys are dropped when they
+reach the top.  Every live entry was pushed by its latest write, so
+the first live key on top is exactly the rule's minimum.  The heap is
+rebuilt from the live entries whenever stale keys outnumber them,
+which bounds its size by twice the active nonzeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Mapping, Sequence
 
 
@@ -91,8 +102,8 @@ def solve_integer_system(
     keys = list(order)
     nrows, ncols = len(keys), len(columns)
 
-    rows: dict[int, dict[int, int]] = {i: {} for i in range(nrows)}
-    colrows: dict[int, set[int]] = {j: set() for j in range(ncols)}
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
+    colrows: list[set[int]] = [set() for _ in range(ncols)]
     for j, col in enumerate(columns):
         for k, v in col.items():
             if v:
@@ -104,7 +115,7 @@ def solve_integer_system(
         b[order[k]] = v
     # row i of the cumulated unimodular row transform, sparse over
     # original row indices
-    U: dict[int, dict[int, int]] = {i: {i: 1} for i in range(nrows)}
+    U: list[dict[int, int]] = [{i: 1} for i in range(nrows)]
     # column j of the cumulated column transform: original index -> coeff
     V: list[dict[int, int]] = [{j: 1} for j in range(ncols)]
 
@@ -112,12 +123,35 @@ def solve_integer_system(
     active_cols = set(range(ncols))
     pivots: list[tuple[int, int]] = []
 
+    def entry(a: int, i: int, j: int) -> int:
+        # orders like the tuple (a, i, j), since i < nrows and j < ncols
+        return (a * nrows + i) * ncols + j
+
+    heap = [entry(abs(v), i, j) for i, row in enumerate(rows) for j, v in row.items()]
+    heapify(heap)
+    # nonzeros in the matrix; all but the finished pivots lie in active
+    # rows and columns, since a finished pivot's row and column are clean
+    nnz = len(heap)
+
     def write(i: int, j: int, v: int) -> None:
+        nonlocal nnz, heap
+        row = rows[i]
         if v:
-            rows[i][j] = v
-            colrows[j].add(i)
-        else:
-            rows[i].pop(j, None)
+            if j not in row:
+                nnz += 1
+                colrows[j].add(i)
+            row[j] = v
+            heappush(heap, entry(abs(v), i, j))
+            if len(heap) > 2 * (nnz - len(pivots)):
+                heap = [
+                    entry(abs(a), r, c)
+                    for r in active_rows
+                    for c, a in rows[r].items()
+                    if c in active_cols
+                ]
+                heapify(heap)
+        elif row.pop(j, None) is not None:
+            nnz -= 1
             colrows[j].discard(i)
 
     def row_op(target: int, source: int, q: int) -> None:
@@ -146,18 +180,13 @@ def solve_integer_system(
                 vt.pop(k, None)
 
     def find_pivot() -> tuple[int, int] | None:
-        best = None
-        best_abs = 0
-        for i in sorted(active_rows):
-            for j in sorted(rows[i]):
-                if j not in active_cols:
-                    continue
-                a = abs(rows[i][j])
-                if best is None or a < best_abs:
-                    best, best_abs = (i, j), a
-                    if a == 1:
-                        return best
-        return best
+        while heap:
+            rest, j = divmod(heap[0], ncols)
+            a, i = divmod(rest, nrows)
+            if i in active_rows and j in active_cols and abs(rows[i].get(j, 0)) == a:
+                return i, j
+            heappop(heap)
+        return None
 
     while True:
         found = find_pivot()
@@ -199,5 +228,6 @@ def solve_integer_system(
         if x:
             for orig, coeff in V[j].items():
                 y[orig] += coeff * x
-    assert check_solution(columns, rhs, y)
+    if not check_solution(columns, rhs, y):
+        raise RuntimeError("integer solution failed its replay")
     return y

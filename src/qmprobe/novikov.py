@@ -567,7 +567,8 @@ def windowed_boundary_solve(
     rhs = dict(z.terms)
     outcome = solve_integer_system(columns, rhs)
     if isinstance(outcome, UnsatCertificate):
-        assert check_unsat_certificate(columns, rhs, outcome)
+        if not check_unsat_certificate(columns, rhs, outcome):
+            raise RuntimeError("unsat certificate failed its replay")
         return BoundarySolveResult(
             "unsat", window, floor, radius, tuple(faces), None, None, outcome
         )
@@ -699,10 +700,12 @@ def keep_negative_and_extract_path(
         g = g * c
         down.append(g)
     down.reverse()  # entry_end ... end
-    assert down[0] == entry_end
+    if down[0] != entry_end:
+        raise RuntimeError("end ray does not return to its entry vertex")
     vertices.extend(down[1:])
     path = Path(tuple(vertices))
-    assert path.origin == cycle.start and path.terminus == cycle.end
+    if path.origin != cycle.start or path.terminus != cycle.end:
+        raise RuntimeError("extracted path does not join the cycle's endpoints")
     mn = exact_min(cx.qm.homogeneous_value(v) for v in path.vertices)
     bound = -cx.defect
     return ExtractionResult(path, mn, bound, mn >= bound, tuple(support))

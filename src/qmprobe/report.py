@@ -145,6 +145,8 @@ def load_report(text: str) -> dict:
         report = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReplayError(f"report is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ReplayError("report JSON is nested too deeply") from exc
     if not isinstance(report, dict) or "body" not in report:
         raise ReplayError("report has no body object")
     body = report["body"]

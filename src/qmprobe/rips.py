@@ -5,12 +5,16 @@ admits jumps of length at most n - 1.  Components come with a spanning
 forest certificate whose edges are genuine graph edges, built by a
 deterministic Kruskal pass over the sorted edge list; the component
 representative is the canonically smallest vertex.
+
+A profile takes one distance per pair and buckets the pairs below n_max
+by distance; one union-find sweep over the buckets counts every scale,
+and `components_from_edges` over the same pairs gives the forest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CapExceededError, ModelMismatchError
 from .groups import GroupElement
@@ -56,16 +60,6 @@ def _prepare_vertices(vertices: Iterable[GroupElement]) -> tuple[GroupElement, .
     return tuple(sorted(out, key=GroupElement.sort_key))
 
 
-def _distance_matrix(vertices: Sequence[GroupElement]) -> list[list[int]]:
-    n = len(vertices)
-    dist = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = vertices[i].distance(vertices[j])
-            dist[i][j] = dist[j][i] = d
-    return dist
-
-
 def build_rips(
     vertices: Iterable[GroupElement],
     scale: int,
@@ -84,29 +78,30 @@ def build_rips(
     return RipsGraph(verts, scale, tuple(edges))
 
 
+def _root(parent: list[int], x: int) -> int:
+    """Union-find root of x, compressing the path behind it."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
 def components_from_edges(
     nvertices: int, edges: Iterable[tuple[int, int]]
 ) -> ComponentCertificate:
     """Union-find over an explicit edge list; shared with the Novikov
     support-graph checks."""
     parent = list(range(nvertices))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     forest = []
     for i, j in sorted(edges):
-        ri, rj = find(i), find(j)
+        ri, rj = _root(parent, i), _root(parent, j)
         if ri != rj:
             # the smaller index stays the representative
             parent[max(ri, rj)] = min(ri, rj)
             forest.append((i, j))
-    ids = tuple(find(i) for i in range(nvertices))
+    ids = tuple(_root(parent, i) for i in range(nvertices))
     return ComponentCertificate(ids, tuple(forest))
 
 
@@ -116,13 +111,15 @@ def components(graph: RipsGraph) -> ComponentCertificate:
 
 @dataclass(frozen=True)
 class ConnectivityProfile:
-    """Component counts for scales 1..n_max and the first scale (if
-    any) at which the graph is connected.  Counts are non-increasing in
-    the scale because edge sets only grow."""
+    """Component counts for scales 1..n_max, the first scale (if any) at
+    which the graph is connected, and the spanning forest at that scale
+    as `components` certifies it.  Counts are non-increasing in the
+    scale because edge sets only grow."""
 
     scales: tuple[int, ...]
     counts: tuple[int, ...]
     threshold: int | None
+    forest: tuple[tuple[int, int], ...] | None
 
 
 def connectivity_profile(
@@ -133,22 +130,28 @@ def connectivity_profile(
     if n_max < 1:
         raise ValueError("n_max must be positive")
     verts = _prepare_vertices(vertices)
-    if len(verts) > vertex_cap:
-        raise CapExceededError("Rips vertex count", len(verts), vertex_cap)
-    dist = _distance_matrix(verts)
     nv = len(verts)
-    scales, counts = [], []
-    threshold = None
-    for n in range(1, n_max + 1):
-        edges = [
-            (i, j)
-            for i in range(nv)
-            for j in range(i + 1, nv)
-            if 0 < dist[i][j] < n
-        ]
-        cert = components_from_edges(nv, edges)
-        scales.append(n)
-        counts.append(cert.count)
-        if threshold is None and cert.count == 1:
-            threshold = n
-    return ConnectivityProfile(tuple(scales), tuple(counts), threshold)
+    if nv > vertex_cap:
+        raise CapExceededError("Rips vertex count", nv, vertex_cap)
+    # by_distance[d]: the pairs at distance d, an edge from scale d + 1
+    by_distance: list[list[tuple[int, int]]] = [[] for _ in range(n_max)]
+    for i, x in enumerate(verts):
+        for j in range(i + 1, nv):
+            d = x.distance(verts[j])
+            if d < n_max:
+                by_distance[d].append((i, j))
+    parent = list(range(nv))
+    count, counts = nv, []
+    for pairs in by_distance:
+        for i, j in pairs:
+            ri, rj = _root(parent, i), _root(parent, j)
+            if ri != rj:
+                parent[ri] = rj
+                count -= 1
+        counts.append(count)
+    threshold = counts.index(1) + 1 if 1 in counts else None
+    forest = None
+    if threshold is not None:
+        edges = [e for pairs in by_distance[:threshold] for e in pairs]
+        forest = components_from_edges(nv, edges).forest
+    return ConnectivityProfile(tuple(range(1, n_max + 1)), tuple(counts), threshold, forest)

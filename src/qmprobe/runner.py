@@ -40,7 +40,7 @@ from .report import (
     letter_payload,
     path_payload,
 )
-from .rips import build_rips, components, connectivity_profile
+from .rips import _prepare_vertices, connectivity_profile
 from .search import (
     NotFoundWithinBall,
     bounded_path_search,
@@ -142,20 +142,15 @@ def _run_aker_cert(exp: Experiment, probe: ProbeSpec) -> dict:
 
 def _run_rips_profile(exp: Experiment, probe: ProbeSpec) -> dict:
     s = probe.settings
-    graph = build_rips(s["vertices"], 1)
-    verts = graph.vertices
+    verts = _prepare_vertices(s["vertices"])
     profile = connectivity_profile(verts, s["n_max"])
-    forest = None
-    if profile.threshold is not None:
-        cert = components(build_rips(verts, profile.threshold))
-        forest = [list(edge) for edge in cert.forest]
     return {
         "vertices": [element_payload(v) for v in verts],
         "n_max": s["n_max"],
         "scales": list(profile.scales),
         "counts": list(profile.counts),
         "threshold": profile.threshold,
-        "forest_at_threshold": forest,
+        "forest_at_threshold": None if profile.forest is None else [list(e) for e in profile.forest],
     }
 
 

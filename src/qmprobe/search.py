@@ -326,7 +326,8 @@ def build_q_library(
                 )
                 continue
             q = down.concat(got).concat(up)
-            assert q.origin == identity and q.terminus == st
+            if q.origin != identity or q.terminus != st:
+                raise RuntimeError("q-library path does not join 1 to s t")
             flags = essential_flags(q, scaling)
             bad = None
             for i, flag in enumerate(flags[1:-1], start=1):
@@ -430,7 +431,8 @@ def height_and_peaks(
             count += 1
             if first < 0:
                 first = i
-    assert height is not None
+    if height is None:
+        raise RuntimeError("path has no essential vertex")
     return height, count, first
 
 
@@ -572,7 +574,8 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitnes
             current = current * step
             vertices.append(current)
     witness = Path(tuple(vertices))
-    assert witness.terminus == path.terminus
+    if witness.terminus != path.terminus:
+        raise RuntimeError("normalized kernel path changed its terminus")
     mn, mx = phi_extrema(qm, witness)
     if not (-3 <= mn and mx <= 3):
         raise RuntimeError(

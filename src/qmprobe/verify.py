@@ -36,7 +36,7 @@ from .report import (
     parse_letter,
     parse_path,
 )
-from .rips import build_rips, components_from_edges, connectivity_profile
+from .rips import _prepare_vertices, components_from_edges, connectivity_profile
 from .search import (
     NotFoundWithinBall,
     bounded_path_search,
@@ -280,10 +280,9 @@ def _check_rips_profile(exp: Experiment, spec: ProbeSpec, res: dict) -> list:
     problems: list = []
     model = exp.model
     vertices = tuple(_element(model, w) for w in res["vertices"])
-    probe = build_rips(vertices, 1)
     _expect(
         problems,
-        probe.vertices == vertices,
+        _prepare_vertices(vertices) == vertices,
         "vertex list is not in canonical deduplicated order",
     )
     profile = connectivity_profile(vertices, res["n_max"])
@@ -297,11 +296,13 @@ def _check_rips_profile(exp: Experiment, spec: ProbeSpec, res: dict) -> list:
     if not _expect(problems, forest is not None, "missing spanning forest at the threshold"):
         return problems
     edges = [tuple(e) for e in forest]
-    graph = build_rips(vertices, profile.threshold)
-    edge_set = set(graph.edges)
     _expect(
         problems,
-        all(e in edge_set for e in edges),
+        all(
+            0 <= i < j < len(vertices)
+            and 0 < vertices[i].distance(vertices[j]) < profile.threshold
+            for i, j in edges
+        ),
         "forest contains a pair that is not a Rips edge at the threshold",
     )
     _expect(problems, len(edges) == len(vertices) - 1, "forest has the wrong edge count")

@@ -103,6 +103,62 @@ def test_dropped_probe_fails_verification(tmp_path, capsys):
     assert "FAIL" in captured.out and "(report)" in captured.out
 
 
+RIPS_TRIANGLE = """\
+[group]
+free_rank = 2
+names = a b
+ball_cap = 8
+
+[probe tri]
+kind = rips-profile
+n_max = 4
+vertices = a, a^-1, b
+"""
+
+
+@pytest.mark.parametrize(
+    "forest, code",
+    [
+        ([[0, 1], [1, 2]], 0),  # another spanning tree of the same graph
+        ([[0, 1], [0, 3]], 4),  # index out of range
+        ([[0, 1], [1, 1]], 4),  # a loop
+        ([[0, 1], [0, 1]], 4),  # a repeated edge leaves a vertex out
+    ],
+)
+def test_verify_checks_each_rips_forest_edge(tmp_path, capsys, forest, code):
+    cfg = tmp_path / "tri.cfg"
+    cfg.write_text(RIPS_TRIANGLE, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    report = _read(out)
+    result = report["body"]["probes"][0]["result"]
+    # pairwise distance 2: the triangle joins at scale 3
+    assert result["threshold"] == 3
+    assert result["forest_at_threshold"] == [[0, 1], [0, 2]]
+    result["forest_at_threshold"] = forest
+    out.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == code
+    assert ("PASS tri" if code == 0 else "FAIL tri") in capsys.readouterr().out
+
+
+def test_verify_rejects_a_rips_forest_edge_beyond_the_threshold(tmp_path, capsys):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(RIPS_TRIANGLE.replace("a, a^-1, b", "1, a, a^3"), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    report = _read(out)
+    result = report["body"]["probes"][0]["result"]
+    assert result["threshold"] == 3
+    assert result["forest_at_threshold"] == [[0, 1], [1, 2]]
+    # d(1, a^3) = 3 is not below the threshold
+    result["forest_at_threshold"] = [[0, 1], [0, 2]]
+    out.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    assert "not a Rips edge" in capsys.readouterr().out
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", str(CONFIG_DIR / "cap_cells.cfg"), "--out", str(out)])
@@ -188,11 +244,27 @@ def test_verify_rejects_non_reports(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_deeply_nested_json_is_one_line_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["verify", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
 @pytest.mark.parametrize("kind", sorted(PROBE_KINDS))
 def test_explain_every_kind(capsys, kind):
     assert main(["explain", kind]) == 0
     out = capsys.readouterr().out
     assert kind in out.splitlines()[0]
+
+
+def test_explain_defect_matches_the_stored_bounds(capsys):
+    assert main(["explain", "defect"]) == 0
+    out = capsys.readouterr().out
+    assert "2 (|w| - 1)" not in out
+    assert "no stored bound" in out
 
 
 def test_module_entry_point(tmp_path):

@@ -144,3 +144,19 @@ def test_commutator_identity_for_commuting_pairs(f2z, f2):
 def test_model_mismatch_rejected(f2, z2):
     with pytest.raises(ModelMismatchError):
         f2.parse_element("a") * z2.parse_element("a")
+
+
+@pytest.mark.parametrize("name", ["f2", "z2", "f2z"])
+def test_distance_matches_inverse_product(request, name):
+    model = request.getfixturevalue(name)
+    ball = model.ball(3)
+    for g in ball[::3]:
+        for h in ball[::2]:
+            assert g.distance(h) == (g.inverse() * h).length()
+
+
+@given(data=st.data())
+def test_distance_matches_inverse_product_on_random_words(f2z, data):
+    g = data.draw(_random_words(f2z, 10))
+    h = data.draw(_random_words(f2z, 10))
+    assert g.distance(h) == (g.inverse() * h).length()

@@ -3,9 +3,11 @@ refusals come with a replayable functional certificate."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmprobe import intsolve
 from qmprobe.intsolve import (
     UnsatCertificate,
     check_solution,
@@ -141,3 +143,151 @@ def test_planted_solutions_are_found(seed, nrows, ncols):
     got = solve_integer_system(columns, rhs)
     assert isinstance(got, list), "a planted solution exists"
     assert check_solution(columns, rhs, got)
+
+
+def test_failed_solution_replay_raises(monkeypatch):
+    # the final replay is an explicit check, not an assert that -O strips
+    monkeypatch.setattr(intsolve, "check_solution", lambda *args: False)
+    with pytest.raises(RuntimeError):
+        solve_integer_system([{"x": 1}], {"x": 2})
+
+
+# -- the heap-served pivot against the full-scan rule --------------------
+
+
+def _full_scan_solve(columns, rhs):
+    """The elimination with its pivot found by rescanning every active
+    row for the least (|a|, row, col); the solver must agree with it on
+    every solution and every certificate."""
+    order = {}
+    for k in rhs:
+        order.setdefault(k, len(order))
+    for col in columns:
+        for k in col:
+            order.setdefault(k, len(order))
+    keys = list(order)
+    nrows, ncols = len(keys), len(columns)
+    rows = {i: {} for i in range(nrows)}
+    colrows = {j: set() for j in range(ncols)}
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            if v:
+                rows[order[k]][j] = v
+                colrows[j].add(order[k])
+    b = [0] * nrows
+    for k, v in rhs.items():
+        b[order[k]] = v
+    U = {i: {i: 1} for i in range(nrows)}
+    V = [{j: 1} for j in range(ncols)]
+    active_rows, active_cols = set(range(nrows)), set(range(ncols))
+    pivots = []
+
+    def write(i, j, v):
+        if v:
+            rows[i][j] = v
+            colrows[j].add(i)
+        else:
+            rows[i].pop(j, None)
+            colrows[j].discard(i)
+
+    def combine(target, source, q):
+        for k, v in source.items():
+            nv = target.get(k, 0) - q * v
+            if nv:
+                target[k] = nv
+            else:
+                target.pop(k, None)
+
+    def find_pivot():
+        best, best_abs = None, 0
+        for i in sorted(active_rows):
+            for j in sorted(rows[i]):
+                if j in active_cols and (best is None or abs(rows[i][j]) < best_abs):
+                    best, best_abs = (i, j), abs(rows[i][j])
+        return best
+
+    while (found := find_pivot()) is not None:
+        i, j = found
+        d = rows[i][j]
+        off_col = [r for r in sorted(colrows[j]) if r != i and r in active_rows]
+        off_row = [c for c in sorted(rows[i]) if c != j and c in active_cols]
+        if off_col:
+            for r in off_col:
+                q = rows[r][j] // d
+                if q:
+                    for c, v in list(rows[i].items()):
+                        write(r, c, rows[r].get(c, 0) - q * v)
+                    b[r] -= q * b[i]
+                    combine(U[r], U[i], q)
+        elif off_row:
+            for c in off_row:
+                q = rows[i][c] // d
+                if q:
+                    for r in sorted(colrows[j]):
+                        write(r, c, rows[r].get(c, 0) - q * rows[r][j])
+                    combine(V[c], V[j], q)
+        else:
+            pivots.append((i, j))
+            active_rows.discard(i)
+            active_cols.discard(j)
+
+    for i in sorted(active_rows):
+        if b[i]:
+            return UnsatCertificate({keys[k]: v for k, v in sorted(U[i].items())}, 0)
+    for i, j in pivots:
+        if b[i] % rows[i][j]:
+            return UnsatCertificate(
+                {keys[k]: v for k, v in sorted(U[i].items())}, abs(rows[i][j])
+            )
+    y = [0] * ncols
+    for i, j in pivots:
+        x = b[i] // rows[i][j]
+        for orig, coeff in V[j].items():
+            y[orig] += coeff * x
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    nrows=st.integers(1, 30),
+    ncols=st.integers(0, 30),
+    planted=st.booleans(),
+)
+def test_heap_pivots_match_the_full_scan(seed, nrows, ncols, planted):
+    rng = random.Random(seed)
+    columns = [
+        {rng.randrange(nrows): rng.choice((-9, -4, -2, -1, 1, 1, 2, 3, 6))
+         for _ in range(rng.randint(0, 4))}
+        for _ in range(ncols)
+    ]
+    if planted:
+        rhs = {}
+        for col in columns:
+            y = rng.randint(-4, 4)
+            for k, v in col.items():
+                rhs[k] = rhs.get(k, 0) + y * v
+        rhs = {k: v for k, v in rhs.items() if v}
+    else:
+        rhs = {rng.randrange(nrows): rng.randint(-7, 7) for _ in range(3)}
+    got = solve_integer_system(columns, rhs)
+    assert got == _full_scan_solve(columns, rhs)
+    if planted:
+        assert isinstance(got, list)
+
+
+def test_heap_pivots_match_on_both_verdicts():
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(200):
+        nrows = rng.randint(1, 40)
+        columns = [
+            {rng.randrange(nrows): rng.choice((-5, -2, -1, 1, 2, 3))
+             for _ in range(rng.randint(1, 5))}
+            for _ in range(rng.randint(1, 40))
+        ]
+        rhs = {rng.randrange(nrows): rng.randint(-5, 5) for _ in range(2)}
+        got = solve_integer_system(columns, rhs)
+        assert got == _full_scan_solve(columns, rhs)
+        verdicts.add(isinstance(got, list))
+    assert verdicts == {True, False}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmprobe.errors import CapExceededError, ModelMismatchError
+from qmprobe.groups import reduce_word
 from qmprobe.rips import (
     build_rips,
     components,
@@ -154,3 +155,47 @@ def test_profile_validates_inputs(f2):
         connectivity_profile([f2.identity()], 0)
     with pytest.raises(CapExceededError):
         connectivity_profile(f2.ball(2), 3, vertex_cap=5)
+
+
+# -- the one-pass profile against per-scale rebuilds ---------------------
+
+
+def _vertex_sets(model, max_len):
+    gens = st.sampled_from(model.generators())
+    words = st.lists(gens, max_size=max_len).map(lambda letters: reduce_word(model, letters))
+    return st.lists(words, min_size=1, max_size=12)
+
+
+def _check_against_rebuilds(vertices, n_max):
+    prof = connectivity_profile(vertices, n_max)
+    counts = tuple(components(build_rips(vertices, n)).count for n in range(1, n_max + 1))
+    assert prof.scales == tuple(range(1, n_max + 1))
+    assert prof.counts == counts
+    threshold = counts.index(1) + 1 if 1 in counts else None
+    assert prof.threshold == threshold
+    if threshold is None:
+        assert prof.forest is None
+    else:
+        assert prof.forest == components(build_rips(vertices, threshold)).forest
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_max=st.integers(1, 7))
+def test_profile_matches_rebuilds_in_f2(f2, data, n_max):
+    _check_against_rebuilds(data.draw(_vertex_sets(f2, 6)), n_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_max=st.integers(1, 7))
+def test_profile_matches_rebuilds_in_z2(z2, data, n_max):
+    _check_against_rebuilds(data.draw(_vertex_sets(z2, 6)), n_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_max=st.integers(1, 7))
+def test_profile_matches_rebuilds_in_f2z(f2z, data, n_max):
+    _check_against_rebuilds(data.draw(_vertex_sets(f2z, 6)), n_max)
+
+
+def test_profile_forest_on_a_ball_matches_rebuild(f2):
+    _check_against_rebuilds(f2.ball(3), 4)
