@@ -25,10 +25,8 @@ from .quasimorphisms import (
     DefectEstimate,
     HomogenizedQM,
     HomomorphismQM,
-    LevelSubset,
     certify_aker_approximate_subgroup,
     defect_lower_bound,
-    find_scaling_element,
 )
 from .rips import RipsGraph, build_rips, components, connectivity_profile
 from .search import (
@@ -47,7 +45,6 @@ from .novikov import (
     CayleyComplex,
     WindowedChain,
     build_zs_cycle,
-    geometric_series,
     keep_negative_and_extract_path,
     ray_cycle,
     windowed_boundary_solve,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import CapExceededError, ModelMismatchError
 
@@ -318,16 +318,3 @@ def _ball(model: GroupModel, radius: int) -> tuple[GroupElement, ...]:
         out.extend(nxt)
     return tuple(sorted(out, key=GroupElement.sort_key))
 
-
-@dataclass(frozen=True)
-class ApproximateSubset:
-    """A subset given by a membership predicate together with a finite
-    witness set X certifying approximate closure: for tested pairs
-    g, h in the subset, g*h lands in (subset)*X."""
-
-    description: str
-    member: Callable[[GroupElement], bool]
-    witness: tuple[GroupElement, ...]
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return self.member(g)

@@ -254,11 +254,6 @@ class WindowedChain:
             self.complex, self.dimension, {c: -k for c, k in self.terms.items()}, self.window
         )
 
-    def scale(self, k: int) -> "WindowedChain":
-        return WindowedChain(
-            self.complex, self.dimension, {c: k * v for c, v in self.terms.items()}, self.window
-        )
-
     def add(self, other: "WindowedChain") -> "WindowedChain":
         if other.complex is not self.complex:
             raise ModelMismatchError("chains over different complexes")
@@ -287,43 +282,6 @@ class WindowedChain:
                 _accumulate(terms, bcell, coeff * bcoeff)
         return WindowedChain(self.complex, self.dimension - 1, terms, window)
 
-    def multiply(self, other: "WindowedChain") -> "WindowedChain":
-        """Group-ring product of two 0-chains.  The result window is
-        min(W_u + m*_v, m*_u + W_v) - D with m* the minimum of the
-        recorded support values and the window: truncation error in one
-        factor enters the product shifted up by at least the other
-        factor's lowest level, minus the defect."""
-        if other.complex is not self.complex:
-            raise ModelMismatchError("chains over different complexes")
-        if self.dimension != 0 or other.dimension != 0:
-            raise ValueError("ring multiplication is defined for 0-chains")
-        cx = self.complex
-
-        def mstar(chain: WindowedChain) -> Optional[ExactReal]:
-            return _window_min(chain.support_min(), chain.window)
-
-        candidates = []
-        if self.window is not None:
-            shift = mstar(other)
-            candidates.append(None if shift is None else self.window + shift)
-        if other.window is not None:
-            shift = mstar(self)
-            candidates.append(None if shift is None else other.window + shift)
-        window: Optional[ExactReal] = None
-        for cand in candidates:
-            window = _window_min(window, cand)
-        if window is not None:
-            window = window - cx.defect
-            mu, mv = mstar(self), mstar(other)
-            if mu is not None and mv is not None and window <= mu + mv - cx.defect:
-                raise ValueError("empty result window")
-        terms: dict[Cell, int] = {}
-        for cu, ku in self.terms.items():
-            gu = cx.element(cu)
-            for cv, kv in other.terms.items():
-                _accumulate(terms, cx.vertex_cell(gu * cx.element(cv)), ku * kv)
-        return WindowedChain(cx, 0, terms, window)
-
     def equal_below(self, other: "WindowedChain", level: ExactReal) -> bool:
         for cell in set(self.terms) | set(other.terms):
             if self.complex.value(cell) < level and self.terms.get(cell, 0) != other.terms.get(
@@ -335,35 +293,6 @@ class WindowedChain:
     def __repr__(self) -> str:
         w = "inf" if self.window is None else str(self.window)
         return f"WindowedChain(dim={self.dimension}, terms={len(self.terms)}, window={w})"
-
-
-def chain_from_element(cx: CayleyComplex, g: GroupElement, coeff: int = 1) -> WindowedChain:
-    return WindowedChain(cx, 0, {cx.vertex_cell(g): coeff}, None)
-
-
-def geometric_series(
-    cx: CayleyComplex, g: GroupElement, window: ExactReal
-) -> WindowedChain:
-    """1 + g + g^2 + ... truncated below the window; needs
-    phi-bar(g) > 0 so the series satisfies the finiteness condition.
-    Since phi-bar(g^k) = k phi-bar(g) exactly, the series stops once
-    k phi-bar(g) reaches the window."""
-    phi = cx.qm.homogeneous_value(g)
-    if not phi > ZERO:
-        raise ValueError("geometric series needs positive phi-bar direction")
-    k_stop = (window / phi).floor() + 1
-    if k_stop < 0:
-        k_stop = 0
-    if k_stop > RAY_STEP_CAP:
-        raise CapExceededError("geometric series terms", k_stop, RAY_STEP_CAP)
-    terms: dict[Cell, int] = {}
-    current = cx.model.identity()
-    for _ in range(k_stop):
-        cell = cx.vertex_cell(current)
-        if cx.value(cell) < window:
-            _accumulate(terms, cell, 1)
-        current = current * g
-    return WindowedChain(cx, 0, terms, window)
 
 
 # -- ray cycles ----------------------------------------------------------

@@ -6,9 +6,7 @@ continues from the end of the first:
 
     p q = (g_0, ..., g_k, g_k h_0^-1 h_1, ..., g_k h_0^-1 h_n)
 
-Inversion reverses the vertex sequence, and powers iterate
-concatenation (negative powers invert first; the zeroth power is not
-defined).  `phi_extrema` reports the exact min and max of the
+Inversion reverses the vertex sequence.  `phi_extrema` reports the exact min and max of the
 homogeneous value over every vertex, the endpoints included.
 """
 
@@ -68,19 +66,6 @@ class Path:
 
     def invert(self) -> "Path":
         return Path(tuple(reversed(self.vertices)))
-
-    def power(self, n: int) -> "Path":
-        if n == 0:
-            raise ValueError("the zeroth power of a path is not defined")
-        base = self if n > 0 else self.invert()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out.concat(base)
-        return out
-
-    def translate(self, g: GroupElement) -> "Path":
-        """The left translate (g_0 -> g g_0, ...)."""
-        return Path(tuple(g * v for v in self.vertices))
 
 
 def path_from_letters(origin: GroupElement, letters: Iterable[Generator]) -> Path:

@@ -1,0 +1,1411 @@
+"""Probe kinds: one registry entry per kind.
+
+A `ProbeKind` in `KINDS` holds everything the pipeline knows about a
+kind:
+
+* `validate(exp, probe, where)` checks a `[probe NAME]` section against
+  the preconditions of the operation it will invoke and stores the
+  parsed values in `probe.settings`; `where` names the section in error
+  messages;
+* `run(exp, probe)` makes the library call and flattens the result into
+  a JSON-compatible payload carrying the full witness;
+* `check(exp, probe, result)` replays a recorded payload against the
+  echoed configuration and returns the problems found, none when it
+  replays;
+* `explain` is the text `qmprobe explain KIND` prints.
+
+`config`, `runner`, `verify` and `cli` dispatch through `KINDS` and hold
+no per-kind code.  The entries call the layer functions through this
+module's globals rather than storing them, so a wrapper installed on a
+module attribute (as the benchmark's tracer does) sees every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+from .errors import (
+    CapExceededError,
+    ConfigError,
+    ExtractionError,
+    QmprobeError,
+    ReplayError,
+)
+from .exact import ZERO, ExactReal, exact_max, exact_min
+from .groups import GroupElement, GroupModel, commutator
+from .intsolve import UnsatCertificate, check_unsat_certificate
+from .novikov import (
+    DEFAULT_CELL_CAP,
+    CayleyComplex,
+    WindowedChain,
+    _trimmed_boundary_column,
+    build_zs_cycle,
+    enumerate_faces,
+    keep_negative_and_extract_path,
+    ray_cycle,
+    windowed_boundary_solve,
+)
+from .paths import Path, path_from_letters, phi_extrema, straight_path
+from .quasimorphisms import (
+    Quasimorphism,
+    certify_aker_approximate_subgroup,
+    defect_lower_bound,
+)
+from .report import (
+    cell_payload,
+    chain_payload,
+    element_payload,
+    exact_payload,
+    letter_payload,
+    parse_cell,
+    parse_exact,
+    parse_letter,
+    parse_path,
+    path_payload,
+)
+from .rips import _prepare_vertices, components_from_edges, connectivity_profile
+from .search import (
+    NotFoundWithinBall,
+    _is_f2z_example,
+    bounded_path_search,
+    build_q_library,
+    compute_constants,
+    essential_flags,
+    f2z_kernel_path_normalize,
+    free_group_obstruction_probe,
+    height_and_peaks,
+    peak_reduction,
+    remove_inessential_backtracks,
+)
+
+
+@dataclass
+class ProbeSpec:
+    name: str
+    kind: str
+    raw: dict[str, str]
+    settings: dict[str, object] = field(default_factory=dict)
+
+
+@dataclass
+class Experiment:
+    raw_text: str
+    model: GroupModel
+    quasimorphisms: dict[str, Quasimorphism]
+    probes: list[ProbeSpec]
+    output_path: Optional[str]
+
+
+@dataclass(frozen=True)
+class ProbeKind:
+    validate: Callable[[Experiment, ProbeSpec, str], None]
+    run: Callable[[Experiment, ProbeSpec], dict]
+    check: Callable[[Experiment, ProbeSpec, dict], list]
+    explain: str
+
+
+def attempt(exp: Experiment, probe: ProbeSpec) -> tuple[str, Optional[str], Optional[dict]]:
+    """(status, error, result) of one run of a validated probe.  A cap
+    overrun is `cap-exceeded` and a failure `failed`, each with its
+    message and no result; `run` and `verify` both go through here, so a
+    recorded status can be reproduced."""
+    try:
+        return "ok", None, KINDS[probe.kind].run(exp, probe)
+    except CapExceededError as exc:
+        return "cap-exceeded", str(exc), None
+    except (QmprobeError, ValueError) as exc:
+        return "failed", str(exc), None
+
+
+# -- reading config keys -------------------------------------------------
+
+
+def get_int(raw: dict[str, str], key: str, where: str, default=None, minimum=None):
+    if key not in raw:
+        if default is not None:
+            return default
+        raise ConfigError(f"{where}: missing key {key!r}")
+    try:
+        value = int(raw[key])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {key} must be an integer") from exc
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: {key} must be at least {minimum}")
+    return value
+
+
+def get_exact(raw: dict[str, str], key: str, where: str, default=None):
+    if key not in raw:
+        if default is not None:
+            return default
+        raise ConfigError(f"{where}: missing key {key!r}")
+    try:
+        return ExactReal.parse(raw[key])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from exc
+
+
+def get_element(model, raw, key, where, default=None) -> GroupElement:
+    if key not in raw:
+        if default is not None:
+            return default
+        raise ConfigError(f"{where}: missing key {key!r}")
+    try:
+        return model.parse_element(raw[key])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from exc
+
+
+def get_bool(raw: dict[str, str], key: str, where: str, default: bool) -> bool:
+    if key not in raw:
+        return default
+    text = raw[key].strip().lower()
+    if text in ("yes", "true", "on", "1"):
+        return True
+    if text in ("no", "false", "off", "0"):
+        return False
+    raise ConfigError(f"{where}: {key} must be a boolean")
+
+
+# -- validation checks shared by several kinds ---------------------------
+
+
+def _need_qm(
+    exp: Experiment, probe: ProbeSpec, where: str, homogeneous: bool = True
+) -> Quasimorphism:
+    name = probe.raw.get("qm")
+    if name is None:
+        raise ConfigError(f"{where}: missing key 'qm'")
+    qm = exp.quasimorphisms.get(name)
+    if qm is None:
+        raise ConfigError(f"{where}: unknown quasimorphism {name!r}")
+    if homogeneous and not qm.is_homogeneous:
+        raise ConfigError(
+            f"{where}: this probe needs a homogeneous quasimorphism; "
+            "wrap the base in a homogenized block"
+        )
+    probe.settings["qm_name"] = name
+    return qm
+
+
+def _radius(
+    exp: Experiment, raw: dict[str, str], where: str, key: str = "radius", minimum: int = 0
+) -> int:
+    """A radius-like key: at least `minimum` and within the ball cap."""
+    value = get_int(raw, key, where, minimum=minimum)
+    if value > exp.model.ball_cap:
+        raise ConfigError(f"{where}: {key} exceeds the model ball cap")
+    return value
+
+
+def _scaling_in_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal, where: str) -> None:
+    value = qm.homogeneous_value(scaling)
+    if not (dstar * 4 / ExactReal(5) < value and value <= dstar):
+        raise ConfigError(
+            f"{where}: scaling element value {value} is not in (4 D*/5, D*]"
+        )
+
+
+def _letter_scaling(model: GroupModel, raw: dict[str, str], where: str) -> GroupElement:
+    scaling = get_element(model, raw, "scaling", where)
+    if scaling.length() != 1:
+        raise ConfigError(f"{where}: scaling must be a single generator letter")
+    return scaling
+
+
+def _positive_direction(qm: Quasimorphism, scaling: GroupElement, where: str) -> None:
+    if not qm.homogeneous_value(scaling) > ZERO:
+        raise ConfigError(f"{where}: scaling must have positive phi-bar")
+
+
+def _defect_bound(qm: Quasimorphism, raw: dict[str, str], where: str) -> ExactReal:
+    """The probe's `defect`, or the quasimorphism's structural bound."""
+    defect = get_exact(raw, "defect", where) if "defect" in raw else qm.defect_upper()
+    if defect is None:
+        raise ConfigError(
+            f"{where}: no defect bound available; set 'defect' explicitly"
+        )
+    if defect < ZERO:
+        raise ConfigError(f"{where}: defect must be non-negative")
+    return defect
+
+
+# -- replay helpers shared by several kinds ------------------------------
+
+
+def _qm(exp: Experiment, probe: ProbeSpec) -> Quasimorphism:
+    return exp.quasimorphisms[probe.settings["qm_name"]]
+
+
+def _expect(problems: list, cond: bool, message: str) -> bool:
+    if not cond:
+        problems.append(message)
+    return cond
+
+
+def _qm_of(exp: Experiment, res: dict) -> Quasimorphism:
+    qm = exp.quasimorphisms.get(res.get("qm"))
+    if qm is None:
+        raise ReplayError(f"payload references unknown quasimorphism {res.get('qm')!r}")
+    return qm
+
+
+def _element(model: GroupModel, payload: str) -> GroupElement:
+    try:
+        return model.parse_element(payload)
+    except ValueError as exc:
+        raise ReplayError(f"bad element payload {payload!r}: {exc}") from exc
+
+
+def _rederive(exp: Experiment, probe: ProbeSpec, res: dict, unchecked: tuple = ()) -> list:
+    """Re-runs the probe on the echoed config and compares its payload
+    with the recorded one key by key, except the keys in `unchecked`.
+    For kinds whose check would cost as much as the computation itself.
+
+    Payloads hold only dicts, lists, strings, ints, bools and None, so
+    the fresh one equals its own JSON round trip and is compared as it
+    is: encoding it would build one string per array element, which
+    for an aker certificate's exponent table raises the peak memory of
+    `verify` by more than the table itself."""
+    if not isinstance(res, dict):
+        raise TypeError("result is not an object")
+    fresh = KINDS[probe.kind].run(exp, probe)
+    return [
+        f"{key} does not replay"
+        for key in sorted(fresh.keys() | res.keys())
+        if key not in unchecked and fresh.get(key) != res.get(key)
+    ]
+
+
+# -- defect --------------------------------------------------------------
+
+
+def _validate_defect(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw = probe.raw
+    _need_qm(exp, probe, where)
+    probe.settings.update(
+        radius=_radius(exp, raw, where),
+        claimed_upper=(
+            get_exact(raw, "claimed_upper", where) if "claimed_upper" in raw else None
+        ),
+    )
+
+
+def _run_defect(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    est = defect_lower_bound(_qm(exp, probe), s["radius"], upper=s["claimed_upper"])
+    return {
+        "qm": s["qm_name"],
+        "radius": est.radius,
+        "lower": exact_payload(est.lower),
+        "upper": None if est.upper is None else exact_payload(est.upper),
+        "provenance": est.provenance,
+        "witness_kind": est.witness_kind,
+        "witness": [element_payload(g) for g in est.witness],
+        "witness_value": exact_payload(est.witness_value),
+    }
+
+
+def _check_defect(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+    problems: list = []
+    qm = _qm_of(exp, res)
+    model = exp.model
+    radius = res["radius"]
+    lower = parse_exact(res["lower"])
+    upper = parse_exact(res["upper"])
+    value = parse_exact(res["witness_value"])
+    g = _element(model, res["witness"][0])
+    h = _element(model, res["witness"][1])
+    _expect(
+        problems,
+        g.length() <= radius and h.length() <= radius,
+        "witness pair lies outside the scanned ball",
+    )
+    kind = res["witness_kind"]
+    if kind == "three-term":
+        replayed = abs(qm.value(g) + qm.value(h) - qm.value(g * h))
+    elif kind == "commutator":
+        replayed = qm.homogeneous_value(commutator(g, h))
+    else:
+        return [f"unknown witness kind {kind!r}"]
+    _expect(problems, replayed == value, "witness value does not replay")
+    _expect(problems, value == lower, "lower bound is not realized by its witness")
+    if upper is not None:
+        _expect(problems, lower <= upper, "upper bound sits below the certified lower bound")
+    return problems
+
+
+# -- aker-cert -----------------------------------------------------------
+
+
+def _validate_aker_cert(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw = probe.raw
+    qm = _need_qm(exp, probe, where)
+    dstar = get_exact(raw, "dstar", where)
+    if dstar < ZERO:
+        raise ConfigError(f"{where}: dstar must be non-negative")
+    radius = _radius(exp, raw, where)
+    scaling = None
+    if dstar > ZERO:
+        scaling = get_element(exp.model, raw, "scaling", where)
+        _scaling_in_window(qm, scaling, dstar, where)
+    probe.settings.update(dstar=dstar, radius=radius, scaling=scaling)
+
+
+def _run_aker_cert(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    cert = certify_aker_approximate_subgroup(
+        _qm(exp, probe), s["dstar"], s["scaling"], s["radius"]
+    )
+    return {
+        "qm": s["qm_name"],
+        "dstar": exact_payload(cert.dstar),
+        "radius": cert.radius,
+        "scaling": None if cert.scaling is None else element_payload(cert.scaling),
+        "witness": [element_payload(g) for g in cert.witness],
+        "members": [element_payload(g) for g in cert.members],
+        "exponents": list(cert.exponents),
+        "passed": cert.passed,
+        "counterexample": (
+            None
+            if cert.counterexample is None
+            else [element_payload(g) for g in cert.counterexample]
+        ),
+    }
+
+
+# -- rips-profile --------------------------------------------------------
+
+
+def _validate_rips_profile(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw, model = probe.raw, exp.model
+    n_max = get_int(raw, "n_max", where, minimum=1)
+    if "vertices" in raw:
+        try:
+            vertices = tuple(
+                model.parse_element(token.strip()) for token in raw["vertices"].split(",")
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{where}: vertices: {exc}") from exc
+    elif "ball_radius" in raw:
+        vertices = model.ball(_radius(exp, raw, where, "ball_radius"))
+    else:
+        raise ConfigError(f"{where}: needs 'vertices' or 'ball_radius'")
+    if not vertices:
+        raise ConfigError(f"{where}: vertex list is empty")
+    probe.settings.update(n_max=n_max, vertices=vertices)
+
+
+def _run_rips_profile(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    verts = _prepare_vertices(s["vertices"])
+    profile = connectivity_profile(verts, s["n_max"])
+    return {
+        "vertices": [element_payload(v) for v in verts],
+        "n_max": s["n_max"],
+        "scales": list(profile.scales),
+        "counts": list(profile.counts),
+        "threshold": profile.threshold,
+        "forest_at_threshold": None if profile.forest is None else [list(e) for e in profile.forest],
+    }
+
+
+def _check_rips_profile(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+    """Every field is re-derived except the forest, which is checked as
+    a witness: any spanning forest of Rips edges at the threshold will
+    do."""
+    problems = _rederive(exp, probe, res, unchecked=("forest_at_threshold",))
+    if problems:
+        return problems
+    vertices = _prepare_vertices(probe.settings["vertices"])
+    threshold = res["threshold"]
+    forest = res["forest_at_threshold"]
+    if threshold is None:
+        _expect(problems, forest is None, "no threshold, yet a forest is recorded")
+        return problems
+    if not _expect(problems, forest is not None, "missing spanning forest at the threshold"):
+        return problems
+    edges = [tuple(e) for e in forest]
+    _expect(
+        problems,
+        all(
+            0 <= i < j < len(vertices)
+            and 0 < vertices[i].distance(vertices[j]) < threshold
+            for i, j in edges
+        ),
+        "forest contains a pair that is not a Rips edge at the threshold",
+    )
+    _expect(problems, len(edges) == len(vertices) - 1, "forest has the wrong edge count")
+    _expect(
+        problems,
+        components_from_edges(len(vertices), edges).count == 1,
+        "forest does not connect the vertex set",
+    )
+    return problems
+
+
+# -- path-search ---------------------------------------------------------
+
+
+def _validate_path_search(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw, model = probe.raw, exp.model
+    _need_qm(exp, probe, where)
+    radius = _radius(exp, raw, where)
+    start = get_element(model, raw, "start", where)
+    target = get_element(model, raw, "target", where)
+    for label, g in (("start", start), ("target", target)):
+        if g.length() > radius:
+            raise ConfigError(f"{where}: {label} lies outside ball(radius)")
+    probe.settings.update(
+        radius=radius,
+        start=start,
+        target=target,
+        k=get_exact(raw, "k", where),
+        k_max=get_exact(raw, "k_max", where) if "k_max" in raw else None,
+    )
+
+
+def _run_path_search(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    got = bounded_path_search(
+        _qm(exp, probe), s["start"], s["target"], s["k"], s["radius"], s["k_max"]
+    )
+    out = {
+        "qm": s["qm_name"],
+        "start": element_payload(s["start"]),
+        "target": element_payload(s["target"]),
+        "k": exact_payload(s["k"]),
+        "k_max": None if s["k_max"] is None else exact_payload(s["k_max"]),
+        "radius": s["radius"],
+    }
+    if isinstance(got, NotFoundWithinBall):
+        out.update(
+            found=False,
+            explored=got.explored,
+            reason=got.reason,
+        )
+    else:
+        out.update(
+            found=True,
+            path=path_payload(got.path),
+            min_phi=exact_payload(got.min_phi),
+            max_phi=exact_payload(got.max_phi),
+        )
+    return out
+
+
+def _check_path_search(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+    problems: list = []
+    qm = _qm_of(exp, res)
+    model = exp.model
+    start = _element(model, res["start"])
+    target = _element(model, res["target"])
+    k = parse_exact(res["k"])
+    k_max = parse_exact(res["k_max"])
+    radius = res["radius"]
+    if res["found"]:
+        path = parse_path(model, res["path"])
+        _expect(problems, path.origin == start, "path does not start at the start element")
+        _expect(problems, path.terminus == target, "path does not end at the target")
+        _expect(
+            problems,
+            all(v.length() <= radius for v in path.vertices),
+            "path leaves the ball",
+        )
+        lo, hi = phi_extrema(qm, path)
+        _expect(problems, lo == parse_exact(res["min_phi"]), "minimum value does not replay")
+        _expect(problems, hi == parse_exact(res["max_phi"]), "maximum value does not replay")
+        _expect(problems, lo >= -k, "path dips below the floor -k")
+        if k_max is not None:
+            _expect(problems, hi <= k_max, "path exceeds the ceiling k_max")
+    else:
+        again = bounded_path_search(qm, start, target, k, radius, k_max)
+        ok = isinstance(again, NotFoundWithinBall)
+        _expect(problems, ok, "a path exists although the report claims none does")
+        if ok:
+            _expect(
+                problems,
+                again.explored == res["explored"] and again.reason == res["reason"],
+                "the failed search transcript does not replay",
+            )
+    return problems
+
+
+# -- q-library -----------------------------------------------------------
+
+
+def _validate_q_library(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw = probe.raw
+    qm = _need_qm(exp, probe, where)
+    dstar = get_exact(raw, "dstar", where)
+    kprime = get_exact(raw, "kprime", where)
+    if not dstar > ZERO:
+        raise ConfigError(f"{where}: dstar must be positive")
+    if not kprime > dstar + dstar:
+        raise ConfigError(f"{where}: kprime must exceed 2*dstar")
+    scaling = _letter_scaling(exp.model, raw, where)
+    _scaling_in_window(qm, scaling, dstar, where)
+    probe.settings.update(
+        dstar=dstar,
+        kprime=kprime,
+        scaling=scaling,
+        radius=_radius(exp, raw, where, minimum=1),
+        depth=get_int(raw, "depth", where, minimum=1) if "depth" in raw else None,
+    )
+
+
+def _bundle_payload(bundle) -> dict:
+    return {
+        "dstar": exact_payload(bundle.dstar),
+        "kprime": exact_payload(bundle.kprime),
+        "descent_depth": bundle.descent_depth,
+        "level_guard": exact_payload(bundle.level_guard),
+        "height_bound": exact_payload(bundle.height_bound),
+        "scaling_distance": bundle.scaling_distance,
+        "max_pair_value": exact_payload(bundle.max_pair_value),
+        "max_generator_value": exact_payload(bundle.max_generator_value),
+    }
+
+
+def _library(exp: Experiment, probe: ProbeSpec):
+    s = probe.settings
+    qm = _qm(exp, probe)
+    bundle = compute_constants(qm, s["dstar"], s["kprime"], s["scaling"])
+    return build_q_library(qm, bundle, s["scaling"], s["radius"], s["depth"])
+
+
+def _library_payload(exp: Experiment, library) -> dict:
+    model = exp.model
+    entries = []
+    for entry in library.entries:
+        entries.append(
+            {
+                "s": letter_payload(model, entry.pair[0]),
+                "t": letter_payload(model, entry.pair[1]),
+                "path": None if entry.path is None else path_payload(entry.path),
+                "min_phi": exact_payload(entry.min_phi),
+                "failure": entry.failure,
+            }
+        )
+    return {
+        "scaling": element_payload(library.scaling),
+        "radius": library.radius,
+        "depth": library.depth,
+        "complete": library.complete,
+        "bundle": _bundle_payload(library.bundle),
+        "entries": entries,
+    }
+
+
+def _run_q_library(exp: Experiment, probe: ProbeSpec) -> dict:
+    out = _library_payload(exp, _library(exp, probe))
+    out["qm"] = probe.settings["qm_name"]
+    return out
+
+
+def _check_library_payload(
+    exp: Experiment, qm: Quasimorphism, payload: dict
+) -> tuple[list, dict]:
+    """Replays a q-library payload; returns (problems, paths by pair)."""
+    problems: list = []
+    model = exp.model
+    scaling = _element(model, payload["scaling"])
+    b = payload["bundle"]
+    dstar = parse_exact(b["dstar"])
+    kprime = parse_exact(b["kprime"])
+    fresh = compute_constants(qm, dstar, kprime, scaling)
+    depth = payload["depth"]
+    guard = parse_exact(b["level_guard"])
+    _expect(problems, b["descent_depth"] == depth, "bundle depth disagrees with the library depth")
+    _expect(
+        problems,
+        parse_exact(b["height_bound"]) == fresh.height_bound
+        and b["scaling_distance"] == fresh.scaling_distance
+        and parse_exact(b["max_pair_value"]) == fresh.max_pair_value
+        and parse_exact(b["max_generator_value"]) == fresh.max_generator_value,
+        "derived constants do not replay",
+    )
+    _expect(problems, guard >= fresh.level_guard, "level guard sits below its defining maximum")
+    radius = payload["radius"]
+    c_letter = scaling.letters()[0]
+    identity = model.identity()
+    pairs = [(s, t) for s in model.generators() for t in model.generators()]
+    entries = payload["entries"]
+    if not _expect(problems, len(entries) == len(pairs), "entry count is not rank^2"):
+        return problems, {}
+    paths: dict = {}
+    min_values = []
+    complete = True
+    for entry, (s, t) in zip(entries, pairs):
+        ps = parse_letter(model, entry["s"])
+        pt = parse_letter(model, entry["t"])
+        label = f"({entry['s']}, {entry['t']})"
+        if not _expect(problems, (ps, pt) == (s, t), f"entry {label} out of canonical order"):
+            continue
+        if entry["failure"] is not None:
+            complete = False
+            continue
+        path = parse_path(model, entry["path"])
+        st = model.generator_element(s) * model.generator_element(t)
+        _expect(
+            problems,
+            path.origin == identity and path.terminus == st,
+            f"entry {label} does not run from 1 to st",
+        )
+        letters = path.edge_letters()
+        sandwich = (
+            len(letters) >= 2 * depth
+            and all(l == c_letter.inverted() for l in letters[:depth])
+            and all(l == c_letter for l in letters[-depth:])
+        )
+        _expect(problems, sandwich, f"entry {label} is not a c^-n ... c^n sandwich")
+        if not sandwich:
+            continue
+        bottom = path.vertices[depth]
+        a1 = path.vertices[len(path.vertices) - 1 - depth]
+        ceiling = (
+            exact_max([qm.homogeneous_value(bottom), qm.homogeneous_value(a1)])
+            + kprime
+        )
+        middle = path.vertices[depth : len(path.vertices) - depth]
+        _expect(
+            problems,
+            all(qm.homogeneous_value(v) <= ceiling for v in middle),
+            f"entry {label} exceeds the connecting ceiling",
+        )
+        _expect(
+            problems,
+            all(v.length() <= radius for v in middle),
+            f"entry {label} leaves the search ball",
+        )
+        flags = essential_flags(path, scaling)
+        _expect(
+            problems,
+            all(
+                qm.homogeneous_value(path.vertices[i]) < -dstar
+                for i in range(1, len(flags) - 1)
+                if flags[i]
+            ),
+            f"entry {label} has an interior essential vertex at or above -D*",
+        )
+        lo, _ = phi_extrema(qm, path)
+        _expect(problems, lo == parse_exact(entry["min_phi"]), f"entry {label} minimum does not replay")
+        _expect(problems, lo > -guard, f"entry {label} dips to the level guard")
+        min_values.append(lo)
+        paths[(s, t)] = path
+    _expect(problems, payload["complete"] == complete, "completeness flag does not match the entries")
+    if min_values:
+        needed = -exact_min(min_values) + 1
+        expected_guard = needed if needed > fresh.level_guard else fresh.level_guard
+        _expect(problems, guard == expected_guard, "raised level guard does not replay")
+    return problems, paths
+
+
+def _check_q_library(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+    problems, _ = _check_library_payload(exp, _qm_of(exp, res), res)
+    return problems
+
+
+# -- peak-reduce ---------------------------------------------------------
+
+
+def _validate_peak_reduce(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    _validate_q_library(exp, probe, where)
+    raw, model, s = probe.raw, exp.model, probe.settings
+    origin = get_element(model, raw, "origin", where, default=model.identity())
+    if "letters" not in raw:
+        raise ConfigError(f"{where}: missing key 'letters'")
+    try:
+        path = path_from_letters(origin, model.parse_word(raw["letters"]))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: letters: {exc}") from exc
+    qm = _qm(exp, probe)
+    two_dstar = s["dstar"] + s["dstar"]
+    for label, g in (("origin", path.origin), ("terminus", path.terminus)):
+        if not abs(qm.homogeneous_value(g)) <= two_dstar:
+            raise ConfigError(f"{where}: path {label} is outside Aker(phi, D*)")
+    s["path"] = path
+
+
+def _run_peak_reduce(exp: Experiment, probe: ProbeSpec) -> dict:
+    library = _library(exp, probe)
+    trace = peak_reduction(_qm(exp, probe), probe.settings["path"], library)
+    steps = []
+    for step in trace.steps:
+        steps.append(
+            {
+                "height": step.height,
+                "peaks": step.peak_count,
+                "index": step.peak_index,
+                "pair": [
+                    letter_payload(exp.model, step.pair[0]),
+                    letter_payload(exp.model, step.pair[1]),
+                ],
+                "min_phi": exact_payload(step.min_phi),
+                "path_after": path_payload(step.path_after),
+            }
+        )
+    return {
+        "qm": probe.settings["qm_name"],
+        "library": _library_payload(exp, library),
+        "initial": path_payload(trace.initial),
+        "steps": steps,
+        "final": path_payload(trace.final),
+        "final_height": trace.final_height,
+        "final_peaks": trace.final_peaks,
+        "reduced": path_payload(trace.reduced),
+        "max_reduced_phi": exact_payload(trace.max_reduced_phi),
+        "vertex_bound": exact_payload(trace.vertex_bound),
+    }
+
+
+def _check_peak_reduce(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+    qm = _qm_of(exp, res)
+    problems, paths = _check_library_payload(exp, qm, res["library"])
+    model = exp.model
+    scaling = _element(model, res["library"]["scaling"])
+    bundle = res["library"]["bundle"]
+    dstar = parse_exact(bundle["dstar"])
+    guard = parse_exact(bundle["level_guard"])
+    height_bound = parse_exact(bundle["height_bound"])
+    two_dstar = dstar + dstar
+    current = parse_path(model, res["initial"])
+    for endpoint in (current.origin, current.terminus):
+        _expect(
+            problems,
+            abs(qm.homogeneous_value(endpoint)) <= two_dstar,
+            "an endpoint sits outside Aker(phi, D*)",
+        )
+    previous_key = None
+    for i, step in enumerate(res["steps"]):
+        height, peaks, first = height_and_peaks(qm, current, scaling)
+        where = f"step {i}"
+        _expect(
+            problems,
+            step["height"] == height and step["peaks"] == peaks and step["index"] == first,
+            f"{where}: recorded peak data does not replay",
+        )
+        if previous_key is not None:
+            _expect(
+                problems,
+                (height, peaks) < previous_key,
+                f"{where}: (height, peak count) failed to decrease",
+            )
+        previous_key = (height, peaks)
+        if not (0 < first < len(current.vertices) - 1):
+            problems.append(f"{where}: first peak replays onto an endpoint")
+            break
+        s = parse_letter(model, step["pair"][0])
+        t = parse_letter(model, step["pair"][1])
+        v0 = current.vertices[first - 1]
+        s_here = (v0.inverse() * current.vertices[first]).letters()[0]
+        t_here = (
+            current.vertices[first].inverse() * current.vertices[first + 1]
+        ).letters()[0]
+        _expect(
+            problems,
+            (s, t) == (s_here, t_here),
+            f"{where}: recorded pair disagrees with the peak's edge letters",
+        )
+        q = paths.get((s, t))
+        if q is None:
+            problems.append(f"{where}: splice uses a pair missing from the library")
+            break
+        spliced = Path(
+            current.vertices[:first]
+            + tuple(v0 * w for w in q.vertices[1:])
+            + current.vertices[first + 2 :]
+        )
+        after = parse_path(model, step["path_after"])
+        if not _expect(problems, after == spliced, f"{where}: spliced path does not replay"):
+            break
+        lo, _ = phi_extrema(qm, after)
+        _expect(problems, lo == parse_exact(step["min_phi"]), f"{where}: minimum does not replay")
+        _expect(problems, lo > -guard, f"{where}: path dips to the level guard")
+        current = after
+    final = parse_path(model, res["final"])
+    _expect(problems, final == current, "final path is not the last spliced path")
+    height, peaks, _ = height_and_peaks(qm, current, scaling)
+    _expect(
+        problems,
+        res["final_height"] == height and res["final_peaks"] == peaks,
+        "final peak data does not replay",
+    )
+    _expect(problems, ExactReal(height) <= height_bound, "final height exceeds the bound M")
+    reduced = parse_path(model, res["reduced"])
+    _expect(
+        problems,
+        reduced == remove_inessential_backtracks(current, scaling),
+        "backtrack removal does not replay",
+    )
+    _, hi = phi_extrema(qm, reduced)
+    vertex_bound = parse_exact(res["vertex_bound"])
+    _expect(problems, hi == parse_exact(res["max_reduced_phi"]), "reduced maximum does not replay")
+    _expect(problems, vertex_bound == height_bound + two_dstar, "vertex bound is not M + 2 D*")
+    _expect(problems, hi <= vertex_bound, "reduced path exceeds M + 2 D*")
+    return problems
+
+
+# -- f2z-example ---------------------------------------------------------
+
+
+def _validate_f2z_example(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw, model = probe.raw, exp.model
+    qm = _need_qm(exp, probe, where, homogeneous=False)
+    if not _is_f2z_example(qm):
+        raise ConfigError(
+            f"{where}: needs the F_2 x Z model with phi = (1, 0, sqrt(2))"
+        )
+    start = get_element(model, raw, "start", where)
+    target = get_element(model, raw, "target", where)
+    for label, g in (("start", start), ("target", target)):
+        if qm.homogeneous_value(g) != ZERO:
+            raise ConfigError(f"{where}: {label} is not in the kernel of phi")
+    probe.settings.update(start=start, target=target)
+
+
+def _run_f2z_example(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    witness = f2z_kernel_path_normalize(
+        _qm(exp, probe), straight_path(s["start"], s["target"])
+    )
+    return {
+        "qm": s["qm_name"],
+        "start": element_payload(s["start"]),
+        "target": element_payload(s["target"]),
+        "path": path_payload(witness.path),
+        "min_phi": exact_payload(witness.min_phi),
+        "max_phi": exact_payload(witness.max_phi),
+    }
+
+
+def _check_f2z_example(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+    problems: list = []
+    qm = _qm_of(exp, res)
+    model = exp.model
+    start = _element(model, res["start"])
+    target = _element(model, res["target"])
+    for label, g in (("start", start), ("target", target)):
+        _expect(problems, qm.homogeneous_value(g) == ZERO, f"{label} is not in the kernel")
+    path = parse_path(model, res["path"])
+    _expect(
+        problems,
+        path.origin == start and path.terminus == target,
+        "path endpoints do not match",
+    )
+    lo, hi = phi_extrema(qm, path)
+    _expect(problems, lo == parse_exact(res["min_phi"]), "minimum does not replay")
+    _expect(problems, hi == parse_exact(res["max_phi"]), "maximum does not replay")
+    three = ExactReal(3)
+    _expect(problems, -three <= lo and hi <= three, "path leaves the band [-3, 3]")
+    return problems
+
+
+# -- free-obstruction ----------------------------------------------------
+
+
+def _validate_free_obstruction(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw, model = probe.raw, exp.model
+    qm = _need_qm(exp, probe, where)
+    if model.abelian_rank != 0:
+        raise ConfigError(f"{where}: needs a free group model")
+    x = get_element(model, raw, "x", where)
+    scaling = get_element(model, raw, "scaling", where)
+    if x * scaling == scaling * x:
+        raise ConfigError(f"{where}: x and scaling must not commute")
+    _positive_direction(qm, scaling, where)
+    dstar = get_exact(raw, "dstar", where)
+    if dstar < ZERO:
+        raise ConfigError(f"{where}: dstar must be non-negative")
+    probe.settings.update(
+        x=x,
+        scaling=scaling,
+        dstar=dstar,
+        max_depth=_radius(exp, raw, where, "max_depth", minimum=1),
+    )
+
+
+def _run_free_obstruction(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    qm = _qm(exp, probe)
+    runs = []
+    previous = None
+    increasing = True
+    for depth in range(1, s["max_depth"] + 1):
+        rep = free_group_obstruction_probe(qm, s["x"], s["scaling"], depth, s["dstar"])
+        if previous is not None and not rep.max_bound > previous:
+            increasing = False
+        previous = rep.max_bound
+        runs.append(
+            {
+                "depth": depth,
+                "geodesic": path_payload(rep.geodesic),
+                "bounds": [exact_payload(b) for b in rep.bounds],
+                "max_bound": exact_payload(rep.max_bound),
+            }
+        )
+    return {
+        "qm": s["qm_name"],
+        "x": element_payload(s["x"]),
+        "scaling": element_payload(s["scaling"]),
+        "dstar": exact_payload(s["dstar"]),
+        "max_depth": s["max_depth"],
+        "runs": runs,
+        "maxima_strictly_increasing": increasing,
+    }
+
+
+# -- novikov-solve -------------------------------------------------------
+
+
+def _validate_novikov_solve(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw, model = probe.raw, exp.model
+    qm = _need_qm(exp, probe, where)
+    scaling = _letter_scaling(model, raw, where)
+    _positive_direction(qm, scaling, where)
+    defect = _defect_bound(qm, raw, where)
+    radius = _radius(exp, raw, where)
+    slack = get_exact(raw, "slack", where, default=ZERO)
+    if slack < ZERO:
+        raise ConfigError(f"{where}: slack must be non-negative")
+    probe.settings.update(
+        start=get_element(model, raw, "start", where),
+        end=get_element(model, raw, "end", where),
+        scaling=scaling,
+        window=get_exact(raw, "window", where),
+        radius=radius,
+        slack=slack,
+        defect=defect,
+        extract=get_bool(raw, "extract", where, default=True),
+        cell_cap=get_int(raw, "cell_cap", where, default=DEFAULT_CELL_CAP, minimum=1),
+    )
+
+
+def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    cx = CayleyComplex(_qm(exp, probe), s["defect"])
+    connecting = straight_path(s["start"], s["end"])
+    cycle = ray_cycle(cx, s["start"], s["end"], connecting, s["scaling"], s["window"])
+    outcome = windowed_boundary_solve(
+        cx, cycle.chain, s["window"], s["radius"], s["slack"], s["cell_cap"]
+    )
+    out = {
+        "qm": s["qm_name"],
+        "start": element_payload(s["start"]),
+        "end": element_payload(s["end"]),
+        "scaling": element_payload(s["scaling"]),
+        "window": exact_payload(s["window"]),
+        "radius": s["radius"],
+        "slack": exact_payload(s["slack"]),
+        "defect": exact_payload(s["defect"]),
+        "connecting": path_payload(connecting),
+        "cycle": chain_payload(cx, cycle.chain),
+        "floor": exact_payload(outcome.floor),
+        "status": outcome.status,
+        "faces": [cell_payload(cx, f) for f in outcome.faces],
+        "coefficients": None,
+        "certificate": None,
+        "extraction": None,
+    }
+    if outcome.status == "sat":
+        out["coefficients"] = list(outcome.coefficients)
+        if s["extract"]:
+            try:
+                extraction = keep_negative_and_extract_path(cx, outcome.filling, cycle)
+                out["extraction"] = {
+                    "path": path_payload(extraction.path),
+                    "min_phi": exact_payload(extraction.min_phi),
+                    "bound": exact_payload(extraction.bound),
+                    "meets_bound": extraction.meets_bound,
+                }
+            except ExtractionError as exc:
+                out["extraction"] = {"error": str(exc)}
+    else:
+        cert = outcome.certificate
+        functional = sorted(
+            cert.functional.items(), key=lambda item: cx.cell_sort_key(item[0])
+        )
+        out["certificate"] = {
+            "modulus": cert.modulus,
+            "functional": [
+                [cell_payload(cx, cell), coeff] for cell, coeff in functional
+            ],
+        }
+    return out
+
+
+def _check_novikov_solve(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+    problems: list = []
+    qm = _qm_of(exp, res)
+    model = exp.model
+    defect = parse_exact(res["defect"])
+    cx = CayleyComplex(qm, defect)
+    start = _element(model, res["start"])
+    end = _element(model, res["end"])
+    scaling = _element(model, res["scaling"])
+    window = parse_exact(res["window"])
+    radius = res["radius"]
+    slack = parse_exact(res["slack"])
+    cell_cap = probe.settings["cell_cap"]
+    connecting = parse_path(model, res["connecting"])
+    _expect(
+        problems,
+        connecting.origin == start and connecting.terminus == end,
+        "connecting path endpoints do not match",
+    )
+    cycle = ray_cycle(cx, start, end, connecting, scaling, window)
+    if not _expect(
+        problems,
+        chain_payload(cx, cycle.chain) == res["cycle"],
+        "ray cycle chain does not replay",
+    ):
+        return problems
+    floor = parse_exact(res["floor"])
+    support_min = cycle.chain.support_min()
+    _expect(
+        problems,
+        support_min is not None and floor == support_min - slack,
+        "enumeration floor does not replay",
+    )
+    faces = enumerate_faces(cx, floor, window, radius, cell_cap)
+    if not _expect(
+        problems,
+        [cell_payload(cx, f) for f in faces] == res["faces"],
+        "face enumeration does not replay",
+    ):
+        return problems
+    rhs = dict(cycle.chain.terms)
+    if res["status"] == "sat":
+        coefficients = res["coefficients"]
+        if not _expect(
+            problems,
+            isinstance(coefficients, list) and len(coefficients) == len(faces),
+            "one coefficient per face is required",
+        ):
+            return problems
+        filling = WindowedChain(
+            cx, 2, {f: c for f, c in zip(faces, coefficients) if c}, None
+        )
+        _expect(
+            problems,
+            filling.boundary().equal_below(
+                cx.chain(1, rhs, window), window
+            ),
+            "boundary of the filling does not match the cycle below the window",
+        )
+        extraction = res["extraction"]
+        if extraction is not None and "error" not in extraction:
+            path = parse_path(model, extraction["path"])
+            _expect(
+                problems,
+                path.origin == start and path.terminus == end,
+                "extracted path endpoints do not match",
+            )
+            lo, _ = phi_extrema(qm, path)
+            bound = parse_exact(extraction["bound"])
+            _expect(problems, lo == parse_exact(extraction["min_phi"]), "extracted minimum does not replay")
+            _expect(problems, bound == -defect, "extraction bound is not -D")
+            _expect(
+                problems,
+                extraction["meets_bound"] == (lo >= bound),
+                "meets_bound flag does not replay",
+            )
+    elif res["status"] == "unsat":
+        cert = res["certificate"]
+        functional = {
+            parse_cell(cx, cell): int(coeff) for cell, coeff in cert["functional"]
+        }
+        columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
+        _expect(
+            problems,
+            check_unsat_certificate(
+                columns, rhs, UnsatCertificate(functional, int(cert["modulus"]))
+            ),
+            "infeasibility certificate does not annihilate the system",
+        )
+    else:
+        problems.append(f"unknown solve status {res['status']!r}")
+    return problems
+
+
+# -- zs-cycle ------------------------------------------------------------
+
+
+def _validate_zs_cycle(exp: Experiment, probe: ProbeSpec, where: str) -> None:
+    raw, model = probe.raw, exp.model
+    qm = _need_qm(exp, probe, where)
+    scaling = _letter_scaling(model, raw, where)
+    _positive_direction(qm, scaling, where)
+    if "s" not in raw:
+        raise ConfigError(f"{where}: missing key 's'")
+    try:
+        letters = model.parse_word(raw["s"])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: s: {exc}") from exc
+    if len(letters) != 1:
+        raise ConfigError(f"{where}: s must be a single generator letter")
+    radius = _radius(exp, raw, where, minimum=1)
+    depth = get_int(raw, "depth", where, minimum=1)
+    if radius < depth + 1:
+        raise ConfigError(
+            f"{where}: radius must be at least depth + 1 so that both "
+            "endpoints of the high path lie inside the search ball"
+        )
+    defect = _defect_bound(qm, raw, where)
+    probe.settings.update(
+        s=letters[0],
+        scaling=scaling,
+        depth=depth,
+        k=get_exact(raw, "k", where),
+        radius=radius,
+        defect=defect,
+    )
+
+
+def _run_zs_cycle(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    qm = _qm(exp, probe)
+    cx = CayleyComplex(qm, s["defect"])
+    scaling = s["scaling"]
+    depth = s["depth"]
+    phi_c = qm.homogeneous_value(scaling)
+    required = s["k"] + s["defect"] + 1
+    out = {
+        "qm": s["qm_name"],
+        "s": letter_payload(exp.model, s["s"]),
+        "scaling": element_payload(scaling),
+        "depth": depth,
+        "k": exact_payload(s["k"]),
+        "radius": s["radius"],
+        "defect": exact_payload(s["defect"]),
+        "threshold": {
+            "n_phi_c": exact_payload(phi_c * depth),
+            "required": exact_payload(required),
+            "satisfied": bool(phi_c * depth > required),
+        },
+    }
+    if s["s"] == scaling.letters()[0]:
+        zs = build_zs_cycle(cx, s["s"], scaling, depth, None)
+        out.update(
+            status="zero-by-convention",
+            high_path=None,
+            high_min=None,
+            chain=chain_payload(cx, zs.chain),
+        )
+        return out
+    top = scaling ** depth
+    target = exp.model.generator_element(s["s"]) * top
+    got = bounded_path_search(
+        qm, top, target, s["k"] - phi_c * depth, s["radius"]
+    )
+    if isinstance(got, NotFoundWithinBall):
+        out.update(
+            status="not-found",
+            high_path=None,
+            high_min=None,
+            chain=None,
+            explored=got.explored,
+            reason=got.reason,
+        )
+        return out
+    zs = build_zs_cycle(cx, s["s"], scaling, depth, got.path, k_bound=s["k"])
+    out.update(
+        status="ok",
+        high_path=path_payload(zs.high_path),
+        high_min=exact_payload(zs.high_min),
+        chain=chain_payload(cx, zs.chain),
+    )
+    return out
+
+
+def _check_zs_cycle(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+    problems: list = []
+    qm = _qm_of(exp, res)
+    model = exp.model
+    defect = parse_exact(res["defect"])
+    cx = CayleyComplex(qm, defect)
+    scaling = _element(model, res["scaling"])
+    letter = parse_letter(model, res["s"])
+    depth = res["depth"]
+    k = parse_exact(res["k"])
+    radius = res["radius"]
+    phi_c = qm.homogeneous_value(scaling)
+    threshold = res["threshold"]
+    _expect(
+        problems,
+        parse_exact(threshold["n_phi_c"]) == phi_c * depth
+        and parse_exact(threshold["required"]) == k + defect + 1
+        and threshold["satisfied"] == (phi_c * depth > k + defect + 1),
+        "threshold numbers do not replay",
+    )
+    status = res["status"]
+    if status == "zero-by-convention":
+        _expect(problems, letter == scaling.letters()[0], "only z_c is zero by convention")
+        _expect(problems, res["chain"]["terms"] == [], "conventionally zero cycle has terms")
+        return problems
+    top = scaling ** depth
+    target = model.generator_element(letter) * top
+    if status == "not-found":
+        again = bounded_path_search(qm, top, target, k - phi_c * depth, radius)
+        ok = isinstance(again, NotFoundWithinBall)
+        _expect(problems, ok, "a high path exists although the report claims none does")
+        if ok:
+            _expect(
+                problems,
+                again.explored == res["explored"] and again.reason == res["reason"],
+                "the failed search transcript does not replay",
+            )
+        return problems
+    if status != "ok":
+        return [f"unknown status {status!r}"]
+    high = parse_path(model, res["high_path"])
+    _expect(
+        problems,
+        high.origin == top and high.terminus == target,
+        "high path does not run from c^n to s c^n",
+    )
+    lo, _ = phi_extrema(qm, high)
+    _expect(problems, lo == parse_exact(res["high_min"]), "high path minimum does not replay")
+    _expect(problems, lo >= phi_c * depth - k, "high path dips below n phi(c) - K")
+    zs = build_zs_cycle(cx, letter, scaling, depth, high, k_bound=k)
+    _expect(problems, chain_payload(cx, zs.chain) == res["chain"], "cycle chain does not replay")
+    return problems
+
+
+# -- the registry --------------------------------------------------------
+
+
+KINDS: dict[str, ProbeKind] = {
+    "defect": ProbeKind(
+        _validate_defect,
+        _run_defect,
+        _check_defect,
+        """\
+defect: certified interval around D(phi) = sup |phi(g) + phi(h) - phi(g h)|.
+The lower bound comes from scanning ball(R)^2 with the three-term
+expression, and, for homogeneous phi, from phi-bar of commutators
+(phi-bar([g, h]) <= D(phi)).  The report stores the witness pair
+realizing the lower bound.  The upper bound is the probe's
+claimed_upper when given, checked against the lower bound; otherwise
+it is structural: 0 for homomorphisms, summed with |coefficients|
+through combinations and doubled by homogenization.  A Brooks counting
+quasimorphism has no stored bound, so without claimed_upper any phi
+built from one reports no upper bound.""",
+    ),
+    "aker-cert": ProbeKind(
+        _validate_aker_cert,
+        _run_aker_cert,
+        _rederive,
+        """\
+aker-cert: approximate-subgroup certificate for
+Aker(phi, D*) = { g : |phi-bar(g)| <= 2 D* } inside ball(R).
+With a scaling element c satisfying 4 D*/5 < phi-bar(c) <= D*, the
+witness set is X = { c^5, ..., c^-5 } (just {1} when D* = 0).  For each
+member pair (g, h) the certificate records the first exponent m in
+0, 1, -1, ..., 5, -5 with |phi-bar(g h c^m)| <= 2 D*.""",
+    ),
+    "rips-profile": ProbeKind(
+        _validate_rips_profile,
+        _run_rips_profile,
+        _check_rips_profile,
+        """\
+rips-profile: connectivity of the Rips graph on a finite vertex set,
+with an edge between distinct g, h whenever 0 < d(g, h) < n.  The
+profile lists the component count for n = 1, ..., n_max and the first
+scale with a single component; at that scale a spanning forest of
+explicit edges certifies connectivity.""",
+    ),
+    "path-search": ProbeKind(
+        _validate_path_search,
+        _run_path_search,
+        _check_path_search,
+        """\
+path-search: breadth-first search inside ball(R) over the admissible
+vertices -K <= phi-bar(v) <= K_max (no ceiling when K_max is absent).
+A found path is recorded with its exact phi-bar extrema; a failure
+records how many admissible vertices were exhausted.""",
+    ),
+    "q-library": ProbeKind(
+        _validate_q_library,
+        _run_q_library,
+        _check_q_library,
+        """\
+q-library: one replacement path per ordered generator pair (s, t),
+shaped q_{s,t} = (descent c^-n) . (connecting path) . (ascent c^n)
+from 1 to s t, with the connecting part searched inside ball(R) below
+max(phi-bar(c^-n), phi-bar(s t c^-n)) + K'.  The descent depth is
+n = floor((5 / (4 D*)) (K' + max_{s,t} phi-bar(s t) + D*)) + 3.
+Interior essential vertices (those not flanked by a pair of
+scaling-letter edges) must sit strictly below -D*.  The level guard is
+N = max(K' + 2 D* + 1, 1 - min phi-bar over the library), so every
+stored vertex satisfies phi-bar > -N.""",
+    ),
+    "peak-reduce": ProbeKind(
+        _validate_peak_reduce,
+        _run_peak_reduce,
+        _check_peak_reduce,
+        """\
+peak-reduce: height of a path is max floor(phi-bar) over its essential
+vertices.  While the height exceeds M = 3 D* + max_s |phi-bar(s)|, the
+first highest essential vertex v1 in v0 -> v1 -> v2 is replaced by the
+library path v0 q_{s,t}, where s, t spell the incoming and outgoing
+edges.  Each step strictly decreases (height, peak count)
+lexicographically and stays above -N.  Removing scaling-letter
+backtracks afterwards leaves every vertex with phi-bar <= M + 2 D*.""",
+    ),
+    "f2z-example": ProbeKind(
+        _validate_f2z_example,
+        _run_f2z_example,
+        _check_f2z_example,
+        """\
+f2z-example: the rank-2 free by rank-1 abelian model with phi sending
+the free generators to 1 and 0 and the central generator to sqrt(2).
+A straight path between kernel elements is corrected prefix by prefix:
+after each letter, insert the central power m = -floor(v / sqrt(2) + 1/2)
+where v is the current vertex value.  The corrected path stays inside
+-3 <= phi-bar <= 3, exactly.""",
+    ),
+    "free-obstruction": ProbeKind(
+        _validate_free_obstruction,
+        _run_free_obstruction,
+        _rederive,
+        """\
+free-obstruction: conjugation sends a geodesic for x to one for
+c^-n x c^n.  Each geodesic vertex v forces any path staying near the
+level set to spend at least
+max(0, (|phi-bar(v)| - 2 D*) / (max_s |phi-bar(s)| + D*)) steps at one
+Rips scale to clear it.  Strictly increasing maxima over n show that no
+single scale connects all the conjugates.""",
+    ),
+    "novikov-solve": ProbeKind(
+        _validate_novikov_solve,
+        _run_novikov_solve,
+        _check_novikov_solve,
+        """\
+novikov-solve: the ray cycle z = q + ray(end) - ray(start) glues a
+connecting path to two forward scaling rays, truncated below the
+window W (the ray on x stops once phi-bar provably exceeds W, after
+floor((W - phi-bar(x) + D) / phi-bar(c)) + 1 steps).  The probe solves
+the integer system boundary(y) = z over faces with values in
+[min z - slack, W) based in ball(R).  A solution is replayed as an
+exact filling below W; infeasibility is certified by a functional that
+annihilates every face boundary but not z (modulo m, or over Z when
+m = 0).  Keeping only the filling's faces at negative values and taking
+the boundary leaves a residual supported at phi-bar >= 0 whose support
+connects the rays; the extracted composite path from start to end is
+checked against min phi-bar >= -D.""",
+    ),
+    "zs-cycle": ProbeKind(
+        _validate_zs_cycle,
+        _run_zs_cycle,
+        _check_zs_cycle,
+        """\
+zs-cycle: for a generator s, z_s is the difference of two paths from
+c^n to s c^n: the down-up path through the identity (descend c^-n, step
+s, ascend c^n) and a high path with min phi-bar >= n phi-bar(c) - K.
+For s = c the two constructions coincide and z_c = 0 by convention.
+The cycle is exact (boundary zero with no window), and the regime of
+interest is n phi-bar(c) > K + D + 1, reported as a threshold check.""",
+    ),
+}

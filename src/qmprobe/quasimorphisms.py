@@ -30,13 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import ModelMismatchError
 from .exact import ExactReal, ZERO
-from .groups import (
-    ApproximateSubset,
-    Generator,
-    GroupElement,
-    GroupModel,
-    commutator,
-)
+from .groups import Generator, GroupElement, GroupModel, commutator
 
 
 class Quasimorphism:
@@ -274,53 +268,6 @@ class HomogenizedQM(Quasimorphism):
         return f"homogenized[{self.base.describe()}]"
 
 
-def evaluate(qm: Quasimorphism, g: GroupElement) -> ExactReal:
-    return qm.value(g)
-
-
-def homogenize_exact(qm: Quasimorphism, g: GroupElement) -> ExactReal:
-    """The exact homogeneous value phi-bar(g)."""
-    return qm.homogeneous_value(g)
-
-
-@dataclass(frozen=True)
-class Interval:
-    lo: ExactReal
-    hi: ExactReal
-
-    def __contains__(self, x: ExactReal) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def width(self) -> ExactReal:
-        return self.hi - self.lo
-
-
-def homogenize_numeric(
-    qm: Quasimorphism,
-    g: GroupElement,
-    n: int,
-    defect_upper: Optional[ExactReal] = None,
-) -> Interval:
-    """An exact interval containing phi-bar(g), from phi(g^n)/n and an
-    upper defect bound: |phi(g^n)/n - phi-bar(g)| <= D/n.
-
-    The bound must be supplied unless the variant knows one.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    ub = defect_upper if defect_upper is not None else qm.defect_upper()
-    if ub is None:
-        raise ValueError(
-            "no certified defect upper bound available; pass defect_upper explicitly"
-        )
-    if ub < ZERO:
-        raise ValueError("defect upper bound must be non-negative")
-    centre = qm.value(g ** n) / n
-    half = ub / n
-    return Interval(centre - half, centre + half)
-
-
 @dataclass(frozen=True)
 class DefectEstimate:
     """An exact interval [lower, upper] around the defect, with a
@@ -381,66 +328,6 @@ def defect_lower_bound(
     )
 
 
-@dataclass(frozen=True)
-class LevelSubset:
-    """Aker(phi, D*) = {g : |phi-bar(g)| <= 2 D*}, or the positive set
-    {g : phi-bar(g) > 0}."""
-
-    qm: Quasimorphism
-    mode: str  # "aker" | "positive"
-    dstar: Optional[ExactReal] = None
-
-    def __post_init__(self):
-        if self.mode not in ("aker", "positive"):
-            raise ValueError(f"unknown level subset mode {self.mode!r}")
-        if self.mode == "aker":
-            if self.dstar is None or self.dstar < ZERO:
-                raise ValueError("aker subset needs a non-negative D*")
-
-    def __contains__(self, g: GroupElement) -> bool:
-        v = self.qm.homogeneous_value(g)
-        if self.mode == "aker":
-            return abs(v) <= self.dstar + self.dstar
-        return v > ZERO
-
-
-def membership(subset: LevelSubset, g: GroupElement) -> bool:
-    return g in subset
-
-
-@dataclass(frozen=True)
-class ScalingElement:
-    """A commutator c = [g, h] with 4 D*/5 < phi-bar(c) <= D*, plus its
-    distance C = d(1, c) from the identity."""
-
-    element: GroupElement
-    pair: tuple[GroupElement, GroupElement]
-    value: ExactReal
-    distance: int
-
-
-def find_scaling_element(
-    qm: Quasimorphism, dstar: ExactReal, radius: int
-) -> Optional[ScalingElement]:
-    """First commutator of ball(radius)^2, in canonical pair order,
-    whose homogeneous value lands in (4 D*/5, D*].  Returns None when
-    the scan comes up empty (callers must treat that as evidence, not
-    as a theorem)."""
-    if dstar <= ZERO:
-        raise ValueError("find_scaling_element needs D* > 0")
-    lo = dstar * 4 / 5
-    ball = qm.model.ball(radius)
-    for g in ball:
-        for h in ball:
-            c = commutator(g, h)
-            v = qm.homogeneous_value(c)
-            if lo < v <= dstar:
-                return ScalingElement(
-                    element=c, pair=(g, h), value=v, distance=c.length()
-                )
-    return None
-
-
 # search order for the correcting exponent m: small magnitudes first
 _M_ORDER = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
 
@@ -454,7 +341,7 @@ class AkerCertificate:
     witness set {c^5, ..., c^-5} (just {1} when D* = 0 and the subset is
     an honest kernel)."""
 
-    subset: ApproximateSubset
+    witness: tuple[GroupElement, ...]
     dstar: ExactReal
     radius: int
     scaling: Optional[GroupElement]
@@ -473,9 +360,8 @@ def certify_aker_approximate_subgroup(
     if dstar < ZERO:
         raise ValueError("D* must be non-negative")
     model = qm.model
-    subset_pred = LevelSubset(qm, "aker", dstar)
-    members = tuple(g for g in model.ball(radius) if g in subset_pred)
     bound = dstar + dstar
+    members = tuple(g for g in model.ball(radius) if abs(qm.homogeneous_value(g)) <= bound)
 
     if dstar == ZERO:
         witness = (model.identity(),)
@@ -507,13 +393,8 @@ def certify_aker_approximate_subgroup(
                 break
             exponents.append(chosen)
 
-    subset = ApproximateSubset(
-        description=f"Aker({qm.describe()}, D*={dstar}) within ball({radius})",
-        member=lambda g: g in subset_pred,
-        witness=witness,
-    )
     return AkerCertificate(
-        subset=subset,
+        witness=witness,
         dstar=dstar,
         radius=radius,
         scaling=scaling,

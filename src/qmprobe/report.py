@@ -1,16 +1,17 @@
 """Report serialization.
 
 Reports are JSON files with two top-level objects: a `header` carrying
-run metadata (timestamps, timing, requested thread count) and a `body`
-carrying everything a verifier needs.  The determinism contract covers
-the body only: for a fixed config the body is byte-identical across
+run metadata (timestamp and elapsed time) and a `body` carrying
+everything a verifier needs.  The determinism contract covers the body
+only: for a fixed config the body is byte-identical across
 runs, which is why every exact value serializes as a canonical string
 ("p/q" or "p/q+r/s*sqrt(d)", never a float) and every collection is
 emitted in a canonical order.
 
 Paths serialize as an origin word plus edge letters; chains as sorted
-(cell, coefficient) lists.  Each payload has a matching parser so that
-verification can rebuild the objects without re-running any search.
+(cell, coefficient) lists.  Exact values, letters, paths and cells have
+matching parsers so that verification can rebuild the objects without
+re-running any search; recorded chains are compared as payloads.
 """
 
 from __future__ import annotations
@@ -113,23 +114,7 @@ def chain_payload(cx: CayleyComplex, chain: WindowedChain) -> dict:
     }
 
 
-def parse_chain(cx: CayleyComplex, payload: dict) -> WindowedChain:
-    try:
-        dimension = payload["dimension"]
-        window = parse_exact(payload["window"])
-        terms = {
-            parse_cell(cx, cell): int(coeff) for cell, coeff in payload["terms"]
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ReplayError(f"malformed chain payload: {exc}") from exc
-    return WindowedChain(cx, dimension, terms, window)
-
-
 # -- whole-report helpers ------------------------------------------------
-
-
-def canonical_body_text(body: dict) -> str:
-    return json.dumps(body, sort_keys=True, indent=2)
 
 
 def assemble(body: dict, header: dict) -> dict:

@@ -209,16 +209,6 @@ def compute_constants(
     )
 
 
-def path_bound_from_rips(qm: Quasimorphism, depth: int, dstar: ExactReal) -> ExactReal:
-    """The level bound K = n (max_s |phi-bar(s)| + D*) + 2 D* that an
-    n-step Rips jump sequence cannot escape."""
-    model = qm.model
-    maxgen = exact_max(
-        abs(qm.homogeneous_value(model.generator_element(g))) for g in model.generators()
-    )
-    return (maxgen + dstar) * depth + dstar + dstar
-
-
 # -- q-library -----------------------------------------------------------
 
 

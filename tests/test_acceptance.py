@@ -5,13 +5,15 @@ Every numeric claim is checked exactly; independent counting oracles
 appear inline so the checks do not lean on the code under test."""
 
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from qmprobe.cli import main
 from qmprobe.exact import ExactReal, ONE, ZERO, exact_max
 from qmprobe.novikov import (
     CayleyComplex,
@@ -24,8 +26,6 @@ from qmprobe.paths import path_from_letters, straight_path
 from qmprobe.quasimorphisms import (
     HomomorphismQM,
     certify_aker_approximate_subgroup,
-    evaluate,
-    homogenize_exact,
 )
 from qmprobe.rips import connectivity_profile
 from qmprobe.search import (
@@ -88,16 +88,16 @@ def test_criterion_1_exact_homogenization(f2, psi_ab):
         rng = random.Random(101)
         for _ in range(200):
             g = _random_reduced_word(rng, f2, 6)
-            base = homogenize_exact(psi_ab, g)
+            base = psi_ab.homogeneous_value(g)
             for n in range(-8, 9):
-                assert homogenize_exact(psi_ab, g ** n) == base * n
+                assert psi_ab.homogeneous_value(g ** n) == base * n
         comm = f2.parse_element("a b a^-1 b^-1")
         # oracle: the per-period gain of the count over concatenated
         # periods stabilizes at the homogeneous value
         d1 = _psi_ab_oracle(comm ** 2) - _psi_ab_oracle(comm)
         d2 = _psi_ab_oracle(comm ** 3) - _psi_ab_oracle(comm ** 2)
         assert d1 == d2 == 1
-        assert homogenize_exact(psi_ab, comm) == ONE
+        assert psi_ab.homogeneous_value(comm) == ONE
         elapsed = time.monotonic() - start
         assert elapsed < 10, f"took {elapsed:.1f}s, budget 10s"
 
@@ -116,7 +116,7 @@ def test_criterion_2_homogenization_within_defect(f2, psi_ab):
         assert d_bf == 1
         bound = ExactReal(d_bf)
         for g in f2.ball(6):
-            assert abs(evaluate(psi_ab, g) - homogenize_exact(psi_ab, g)) <= bound
+            assert abs(psi_ab.value(g) - psi_ab.homogeneous_value(g)) <= bound
         elapsed = time.monotonic() - start
         assert elapsed < 120, f"took {elapsed:.1f}s, budget 120s"
 
@@ -126,8 +126,8 @@ def test_criterion_3_aker_certificate(f2, psibar_ab):
         comm = f2.parse_element("a b a^-1 b^-1")
         cert = certify_aker_approximate_subgroup(psibar_ab, ONE, comm, 4)
         assert cert.passed and cert.counterexample is None
-        assert len(cert.subset.witness) == 11
-        assert cert.subset.witness == tuple(comm ** m for m in range(5, -6, -1))
+        assert len(cert.witness) == 11
+        assert cert.witness == tuple(comm ** m for m in range(5, -6, -1))
         two = ExactReal(2)
         expected_members = tuple(
             g for g in f2.ball(4) if abs(psibar_ab.homogeneous_value(g)) <= two
@@ -294,22 +294,19 @@ def test_criterion_8_peak_reduction(z2, z2_hom11):
 
 
 def test_criterion_9_report_determinism(tmp_path):
-    with criterion(9, "report bodies are byte-identical across thread counts"):
+    with criterion(9, "report bodies are byte-identical across processes and hash seeds"):
         for name in GOOD_CONFIGS:
             bodies = []
-            for threads in ("1", "8"):
-                out = tmp_path / f"{name}.{threads}.json"
-                code = main(
-                    [
-                        "run",
-                        str(CONFIG_DIR / name),
-                        "--out",
-                        str(out),
-                        "--threads",
-                        threads,
-                    ]
+            for seed in ("0", "1"):
+                out = tmp_path / f"{name}.{seed}.json"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "qmprobe", "run", str(CONFIG_DIR / name),
+                     "--out", str(out)],
+                    env={**os.environ, "PYTHONHASHSEED": seed},
+                    capture_output=True,
+                    text=True,
                 )
-                assert code == 0, name
+                assert proc.returncode == 0, (name, proc.stderr)
                 body = json.loads(out.read_text(encoding="utf-8"))["body"]
                 bodies.append(json.dumps(body, sort_keys=True))
             assert bodies[0] == bodies[1], name

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from qmprobe.cli import main
-from qmprobe.config import PROBE_KINDS
+from qmprobe.groups import GroupModel
+from qmprobe.probes import KINDS
 
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 GOOD_CONFIGS = [
@@ -41,38 +42,15 @@ def test_run_verify_round_trip(tmp_path, capsys, name):
         assert f"PASS {probe['name']}" in captured.out
 
 
-def test_corpus_covers_every_probe_kind(tmp_path):
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_corpus_covers_every_probe_kind(kind):
     kinds = set()
     for name in GOOD_CONFIGS + ["cap_cells.cfg", "window_too_small.cfg"]:
         text = (CONFIG_DIR / name).read_text(encoding="utf-8")
         for line in text.splitlines():
             if line.startswith("kind =") and "probe" not in line:
                 kinds.add(line.split("=", 1)[1].strip())
-    assert set(PROBE_KINDS) <= kinds
-
-
-def test_report_body_deterministic_across_threads(tmp_path, capsys):
-    one = tmp_path / "t1.json"
-    eight = tmp_path / "t8.json"
-    assert main(["run", str(CONFIG_DIR / "z2_lattice.cfg"), "--out", str(one)]) == 0
-    assert (
-        main(
-            [
-                "run",
-                str(CONFIG_DIR / "z2_lattice.cfg"),
-                "--out",
-                str(eight),
-                "--threads",
-                "8",
-            ]
-        )
-        == 0
-    )
-    body_one = _read(one)["body"]
-    body_eight = _read(eight)["body"]
-    assert json.dumps(body_one, sort_keys=True) == json.dumps(body_eight, sort_keys=True)
-    assert _read(one)["header"]["threads"] == 1
-    assert _read(eight)["header"]["threads"] == 8
+    assert kind in kinds
 
 
 def test_tampered_report_fails_verification(tmp_path, capsys):
@@ -159,6 +137,114 @@ def test_verify_rejects_a_rips_forest_edge_beyond_the_threshold(tmp_path, capsys
     assert "not a Rips edge" in capsys.readouterr().out
 
 
+def _probe(report, name):
+    return next(p for p in report["body"]["probes"] if p["name"] == name)
+
+
+def _verify_rewritten(out, report, capsys):
+    out.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["verify", str(out)])
+    return code, capsys.readouterr().out
+
+
+def _bump_first_exponent(res):
+    res["exponents"][0] += 1
+
+
+def _drop_last_member(res):
+    res["members"].pop()
+
+
+def _raise_a_bound(res):
+    res["runs"][2]["bounds"][11] = "2/1"
+
+
+@pytest.mark.parametrize(
+    "name, tamper, fragment",
+    [
+        ("aker", _bump_first_exponent, "exponents does not replay"),
+        ("aker", _drop_last_member, "members does not replay"),
+        ("conjugates", _raise_a_bound, "runs does not replay"),
+    ],
+)
+def test_verify_rederives_aker_and_obstruction_payloads(tmp_path, capsys, name, tamper, fragment):
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / "free_brooks.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    tamper(_probe(report, name)["result"])
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert f"FAIL {name}" in printed and fragment in printed
+
+
+def test_verify_rejects_rips_vertices_swapped_for_another_set(tmp_path, capsys):
+    cfg = tmp_path / "tri.cfg"
+    cfg.write_text(RIPS_TRIANGLE, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    report = _read(out)
+    result = report["body"]["probes"][0]["result"]
+    assert result["vertices"] == ["a", "a^-1", "b"]
+    # also canonical, with the same distances, profile and forest
+    result["vertices"] = ["a", "a^-1", "b^-1"]
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL tri" in printed and "vertices does not replay" in printed
+
+
+def test_verify_turns_a_cap_overrun_in_a_replay_into_a_fail(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(RIPS_TRIANGLE.replace("vertices = a, a^-1, b", "ball_radius = 7"), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    report = _read(out)
+    probe = report["body"]["probes"][0]
+    assert probe["status"] == "cap-exceeded"
+    # claim an ok profile over the 4,373 vertices of ball(7)
+    model = GroupModel(free_rank=2, generator_names=("a", "b"), ball_cap=8)
+    probe.update(status="ok", error=None, result={
+        "vertices": [g.word_str() for g in model.ball(7)],
+        "n_max": 4, "scales": [1, 2, 3, 4], "counts": [4373, 1, 1, 1],
+        "threshold": 2, "forest_at_threshold": [],
+    })
+    report["body"]["caps_hit"] = []
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL tri" in printed and "cap" in printed
+
+
+@pytest.mark.parametrize(
+    "config, name, status, error",
+    [
+        ("free_brooks.cfg", "aker", "failed", "made up"),
+        ("cap_cells.cfg", "fill-capped", "cap-exceeded", "solver 2-cells: requested 2, cap 20"),
+    ],
+)
+def test_verify_reruns_probes_recorded_as_not_ok(tmp_path, capsys, config, name, status, error):
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) in (0, 3)
+    report = _read(out)
+    _probe(report, name).update(status=status, error=error, result=None)
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert f"FAIL {name}" in printed and "does not reproduce" in printed
+
+
+def test_validation_value_error_is_a_one_line_config_error(tmp_path, capsys):
+    cfg = tmp_path / "surds.cfg"
+    cfg.write_text(
+        "[group]\nfree_rank = 2\nabelian_rank = 1\nnames = a b u\nball_cap = 8\n\n"
+        "[quasimorphism phi]\nkind = homomorphism\na = 1\nu = sqrt(2)\n\n"
+        "[probe k]\nkind = aker-cert\nqm = phi\ndstar = sqrt(3)\nradius = 2\nscaling = u\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "[probe k]" in err and "sqrt(3)" in err
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", str(CONFIG_DIR / "cap_cells.cfg"), "--out", str(out)])
@@ -169,7 +255,7 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert report["body"]["caps_hit"]
     statuses = {p["name"]: p["status"] for p in report["body"]["probes"]}
     assert statuses == {"fill-capped": "cap-exceeded", "corridor": "ok"}
-    # the report is still verifiable: the capped probe has nothing to replay
+    # the report still verifies: the capped probe caps again when re-run
     assert main(["verify", str(out)]) == 0
 
 
@@ -215,9 +301,11 @@ def test_usage_errors():
     assert err.value.code == 1
 
 
-def test_bad_thread_and_cap_flags(tmp_path, capsys):
+def test_bad_flags_are_usage_errors(tmp_path, capsys):
     cfg = str(CONFIG_DIR / "f2z_kernel.cfg")
-    assert main(["run", cfg, "--threads", "0"]) == 1
+    with pytest.raises(SystemExit) as err:
+        main(["run", cfg, "--threads", "1"])  # not an option
+    assert err.value.code == 1
     assert main(["run", cfg, "--ball-cap", "-2"]) == 1
     capsys.readouterr()
 
@@ -253,7 +341,7 @@ def test_verify_deeply_nested_json_is_one_line_error(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
-@pytest.mark.parametrize("kind", sorted(PROBE_KINDS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_explain_every_kind(capsys, kind):
     assert main(["explain", kind]) == 0
     out = capsys.readouterr().out

@@ -133,6 +133,12 @@ def test_ball_cap_override():
             + "[probe d]\nkind = defect\nqm = psibar\nradius = 2\nclaimed_upper = 1.5\n",
             "claimed_upper",
         ),
+        (
+            FREE_GROUP + PSIBAR
+            + "[probe o]\nkind = free-obstruction\nqm = psibar\nx = b\n"
+            + "scaling = a b a^-1 b^-1\ndstar = 1\nmax_depth = 100000000\n",
+            "max_depth exceeds the model ball cap",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -1,6 +1,6 @@
-"""The windowed chain complex: cells and boundaries, group-ring
-truncation windows, ray and z_s cycles, the windowed boundary solver,
-and keep-negative path extraction."""
+"""The windowed chain complex: cells and boundaries, truncation
+windows, ray and z_s cycles, the windowed boundary solver, and
+keep-negative path extraction."""
 
 import random
 
@@ -16,8 +16,6 @@ from qmprobe.novikov import (
     RayCycle,
     WindowedChain,
     build_zs_cycle,
-    chain_from_element,
-    geometric_series,
     keep_negative_and_extract_path,
     ray_cycle,
     windowed_boundary_solve,
@@ -172,7 +170,6 @@ def test_add_takes_window_minimum(z2, cx2):
     assert w.window == ExactReal(3)
     assert u.add(u.negate()).is_zero()
     assert u.subtract(u).is_zero()
-    assert u.scale(3).terms == {cx2.vertex_cell(z2.identity()): 3}
 
 
 def test_equal_below_ignores_cells_at_or_above_level(z2, cx2):
@@ -190,50 +187,6 @@ def test_chain_from_path_signs(z2, cx2):
     chain = cx2.chain_from_path(p)
     # a step by a^-1 traverses the positive a-edge backwards
     assert chain.terms == {cx2.edge_cell(z2.identity(), 0): -1}
-
-
-# -- group-ring windows -------------------------------------------------
-
-
-def test_geometric_series_telescopes(z2, cx2):
-    c = z2.parse_element("c")
-    window = ExactReal(5)
-    series = geometric_series(cx2, c, window)
-    assert len(series.terms) == 5  # 1, c, ..., c^4 sit below the window
-    one_minus_c = chain_from_element(cx2, z2.identity()).add(
-        chain_from_element(cx2, c, -1)
-    )
-    prod = one_minus_c.multiply(series)
-    assert prod.window == window
-    assert prod.equal_below(chain_from_element(cx2, z2.identity()), window)
-    assert prod.terms == {cx2.vertex_cell(z2.identity()): 1}
-
-
-def test_geometric_series_needs_positive_direction(z2, cx2):
-    with pytest.raises(ValueError):
-        geometric_series(cx2, z2.parse_element("c^-1"), ExactReal(3))
-
-
-def test_geometric_series_step_cap(z2, cx2):
-    with pytest.raises(CapExceededError):
-        geometric_series(cx2, z2.parse_element("c"), ExactReal(200_000))
-
-
-def test_multiply_empty_result_window_rejected(z2, cx2):
-    c5 = z2.parse_element("c c c c c")
-    # window 2 says nothing below the support at level 5: the product
-    # would carry no exact information at all
-    u = cx2.chain(0, {cx2.vertex_cell(c5): 1}, ExactReal(2))
-    v = chain_from_element(cx2, c5)
-    with pytest.raises(ValueError):
-        u.multiply(v)
-
-
-def test_multiply_requires_zero_chains(z2, cx2):
-    p = path_from_letters(z2.identity(), z2.parse_word("a"))
-    e = cx2.chain_from_path(p)
-    with pytest.raises(ValueError):
-        e.multiply(e)
 
 
 # -- ray cycles ---------------------------------------------------------

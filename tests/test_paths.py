@@ -105,28 +105,6 @@ def test_invert_reverses(f2):
     )
 
 
-def test_power_iterates_concatenation(f2):
-    p = path_from_letters(f2.identity(), f2.parse_word("a b"))
-    cube = p.power(3)
-    assert len(cube) == 6
-    assert cube.terminus == f2.parse_element("a b a b a b")
-    assert p.power(1) == p
-    assert p.power(-1) == p.invert()
-    back = p.power(-2)
-    assert back.origin == p.terminus
-    assert back.terminus == f2.parse_element("b^-1 a^-1")
-    with pytest.raises(ValueError):
-        p.power(0)
-
-
-def test_translate_moves_basepoint_keeping_letters(f2):
-    p = path_from_letters(f2.identity(), f2.parse_word("a b"))
-    g = f2.parse_element("b a")
-    t = p.translate(g)
-    assert t.origin == g
-    assert t.edge_letters() == p.edge_letters()
-
-
 # -- straight paths -----------------------------------------------------
 
 

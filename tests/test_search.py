@@ -25,7 +25,6 @@ from qmprobe.search import (
     f2z_kernel_path_normalize,
     free_group_obstruction_probe,
     height_and_peaks,
-    path_bound_from_rips,
     peak_reduction,
     remove_inessential_backtracks,
 )
@@ -141,13 +140,6 @@ def test_constants_validate_inputs(z2, z2_hom01):
     # phi-bar(a) = 0 is never inside the window
     with pytest.raises(ValueError):
         compute_constants(z2_hom01, ONE, ExactReal(3), z2.parse_element("a"))
-
-
-def test_path_bound_from_rips_formula(psibar_ab, z2_hom11):
-    # free generators all have phi-bar 0, so the bound is n D* + 2 D*
-    assert path_bound_from_rips(psibar_ab, 3, ONE) == ExactReal(5)
-    # in Z^2 with phi(a) = phi(c) = 1 the generator max is 1
-    assert path_bound_from_rips(z2_hom11, 2, ONE) == ExactReal(6)
 
 
 # -- essential vertices and backtracks ----------------------------------
