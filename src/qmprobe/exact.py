@@ -58,10 +58,6 @@ class ExactReal:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def sqrt_of(d: int) -> "ExactReal":
-        return ExactReal(0, 1, d)
-
-    @staticmethod
     def _coerce(x: Rationalish) -> "ExactReal":
         if isinstance(x, ExactReal):
             return x
@@ -70,10 +66,6 @@ class ExactReal:
         return NotImplemented  # type: ignore[return-value]
 
     # -- predicates --------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""

@@ -32,7 +32,7 @@ from .errors import (
     QmprobeError,
     ReplayError,
 )
-from .exact import ZERO, ExactReal, exact_max, exact_min
+from .exact import ZERO, ExactReal
 from .groups import GroupElement, GroupModel, commutator
 from .intsolve import UnsatCertificate, check_unsat_certificate
 from .novikov import (
@@ -46,7 +46,7 @@ from .novikov import (
     ray_cycle,
     windowed_boundary_solve,
 )
-from .paths import Path, path_from_letters, phi_extrema, straight_path
+from .paths import path_from_letters, phi_extrema, straight_path
 from .quasimorphisms import (
     Quasimorphism,
     certify_aker_approximate_subgroup,
@@ -60,7 +60,6 @@ from .report import (
     letter_payload,
     parse_cell,
     parse_exact,
-    parse_letter,
     parse_path,
     path_payload,
 )
@@ -71,12 +70,9 @@ from .search import (
     bounded_path_search,
     build_q_library,
     compute_constants,
-    essential_flags,
     f2z_kernel_path_normalize,
     free_group_obstruction_probe,
-    height_and_peaks,
     peak_reduction,
-    remove_inessential_backtracks,
 )
 
 
@@ -259,9 +255,16 @@ def _element(model: GroupModel, payload: str) -> GroupElement:
 
 
 def _rederive(exp: Experiment, probe: ProbeSpec, res: dict, unchecked: tuple = ()) -> list:
-    """Re-runs the probe on the echoed config and compares its payload
-    with the recorded one key by key, except the keys in `unchecked`.
-    For kinds whose check would cost as much as the computation itself.
+    """Re-runs the probe on the echoed config through `attempt` and
+    compares its payload with the recorded one key by key, except the
+    keys in `unchecked`; a re-run that is not `ok` is the one problem.
+
+    The rule: a kind is re-derived when replaying its witness would cost
+    as much as finding it (aker-cert, free-obstruction, q-library,
+    peak-reduce, zs-cycle, and rips-profile but for its forest), and
+    keeps a witness check when checking is cheaper than finding.  A
+    re-derived kind accepts only the canonical witness `run` emits,
+    which is well defined because the searches break ties canonically.
 
     Payloads hold only dicts, lists, strings, ints, bools and None, so
     the fresh one equals its own JSON round trip and is compared as it
@@ -270,7 +273,9 @@ def _rederive(exp: Experiment, probe: ProbeSpec, res: dict, unchecked: tuple = (
     `verify` by more than the table itself."""
     if not isinstance(res, dict):
         raise TypeError("result is not an object")
-    fresh = KINDS[probe.kind].run(exp, probe)
+    status, error, fresh = attempt(exp, probe)
+    if fresh is None:
+        return [f"re-run gives {status}: {error}"]
     return [
         f"{key} does not replay"
         for key in sorted(fresh.keys() | res.keys())
@@ -380,7 +385,7 @@ def _run_aker_cert(exp: Experiment, probe: ProbeSpec) -> dict:
 
 def _validate_rips_profile(exp: Experiment, probe: ProbeSpec, where: str) -> None:
     raw, model = probe.raw, exp.model
-    n_max = get_int(raw, "n_max", where, minimum=1)
+    n_max = _radius(exp, raw, where, "n_max", minimum=1)
     if "vertices" in raw:
         try:
             vertices = tuple(
@@ -604,109 +609,6 @@ def _run_q_library(exp: Experiment, probe: ProbeSpec) -> dict:
     return out
 
 
-def _check_library_payload(
-    exp: Experiment, qm: Quasimorphism, payload: dict
-) -> tuple[list, dict]:
-    """Replays a q-library payload; returns (problems, paths by pair)."""
-    problems: list = []
-    model = exp.model
-    scaling = _element(model, payload["scaling"])
-    b = payload["bundle"]
-    dstar = parse_exact(b["dstar"])
-    kprime = parse_exact(b["kprime"])
-    fresh = compute_constants(qm, dstar, kprime, scaling)
-    depth = payload["depth"]
-    guard = parse_exact(b["level_guard"])
-    _expect(problems, b["descent_depth"] == depth, "bundle depth disagrees with the library depth")
-    _expect(
-        problems,
-        parse_exact(b["height_bound"]) == fresh.height_bound
-        and b["scaling_distance"] == fresh.scaling_distance
-        and parse_exact(b["max_pair_value"]) == fresh.max_pair_value
-        and parse_exact(b["max_generator_value"]) == fresh.max_generator_value,
-        "derived constants do not replay",
-    )
-    _expect(problems, guard >= fresh.level_guard, "level guard sits below its defining maximum")
-    radius = payload["radius"]
-    c_letter = scaling.letters()[0]
-    identity = model.identity()
-    pairs = [(s, t) for s in model.generators() for t in model.generators()]
-    entries = payload["entries"]
-    if not _expect(problems, len(entries) == len(pairs), "entry count is not rank^2"):
-        return problems, {}
-    paths: dict = {}
-    min_values = []
-    complete = True
-    for entry, (s, t) in zip(entries, pairs):
-        ps = parse_letter(model, entry["s"])
-        pt = parse_letter(model, entry["t"])
-        label = f"({entry['s']}, {entry['t']})"
-        if not _expect(problems, (ps, pt) == (s, t), f"entry {label} out of canonical order"):
-            continue
-        if entry["failure"] is not None:
-            complete = False
-            continue
-        path = parse_path(model, entry["path"])
-        st = model.generator_element(s) * model.generator_element(t)
-        _expect(
-            problems,
-            path.origin == identity and path.terminus == st,
-            f"entry {label} does not run from 1 to st",
-        )
-        letters = path.edge_letters()
-        sandwich = (
-            len(letters) >= 2 * depth
-            and all(l == c_letter.inverted() for l in letters[:depth])
-            and all(l == c_letter for l in letters[-depth:])
-        )
-        _expect(problems, sandwich, f"entry {label} is not a c^-n ... c^n sandwich")
-        if not sandwich:
-            continue
-        bottom = path.vertices[depth]
-        a1 = path.vertices[len(path.vertices) - 1 - depth]
-        ceiling = (
-            exact_max([qm.homogeneous_value(bottom), qm.homogeneous_value(a1)])
-            + kprime
-        )
-        middle = path.vertices[depth : len(path.vertices) - depth]
-        _expect(
-            problems,
-            all(qm.homogeneous_value(v) <= ceiling for v in middle),
-            f"entry {label} exceeds the connecting ceiling",
-        )
-        _expect(
-            problems,
-            all(v.length() <= radius for v in middle),
-            f"entry {label} leaves the search ball",
-        )
-        flags = essential_flags(path, scaling)
-        _expect(
-            problems,
-            all(
-                qm.homogeneous_value(path.vertices[i]) < -dstar
-                for i in range(1, len(flags) - 1)
-                if flags[i]
-            ),
-            f"entry {label} has an interior essential vertex at or above -D*",
-        )
-        lo, _ = phi_extrema(qm, path)
-        _expect(problems, lo == parse_exact(entry["min_phi"]), f"entry {label} minimum does not replay")
-        _expect(problems, lo > -guard, f"entry {label} dips to the level guard")
-        min_values.append(lo)
-        paths[(s, t)] = path
-    _expect(problems, payload["complete"] == complete, "completeness flag does not match the entries")
-    if min_values:
-        needed = -exact_min(min_values) + 1
-        expected_guard = needed if needed > fresh.level_guard else fresh.level_guard
-        _expect(problems, guard == expected_guard, "raised level guard does not replay")
-    return problems, paths
-
-
-def _check_q_library(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
-    problems, _ = _check_library_payload(exp, _qm_of(exp, res), res)
-    return problems
-
-
 # -- peak-reduce ---------------------------------------------------------
 
 
@@ -758,93 +660,6 @@ def _run_peak_reduce(exp: Experiment, probe: ProbeSpec) -> dict:
         "max_reduced_phi": exact_payload(trace.max_reduced_phi),
         "vertex_bound": exact_payload(trace.vertex_bound),
     }
-
-
-def _check_peak_reduce(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
-    qm = _qm_of(exp, res)
-    problems, paths = _check_library_payload(exp, qm, res["library"])
-    model = exp.model
-    scaling = _element(model, res["library"]["scaling"])
-    bundle = res["library"]["bundle"]
-    dstar = parse_exact(bundle["dstar"])
-    guard = parse_exact(bundle["level_guard"])
-    height_bound = parse_exact(bundle["height_bound"])
-    two_dstar = dstar + dstar
-    current = parse_path(model, res["initial"])
-    for endpoint in (current.origin, current.terminus):
-        _expect(
-            problems,
-            abs(qm.homogeneous_value(endpoint)) <= two_dstar,
-            "an endpoint sits outside Aker(phi, D*)",
-        )
-    previous_key = None
-    for i, step in enumerate(res["steps"]):
-        height, peaks, first = height_and_peaks(qm, current, scaling)
-        where = f"step {i}"
-        _expect(
-            problems,
-            step["height"] == height and step["peaks"] == peaks and step["index"] == first,
-            f"{where}: recorded peak data does not replay",
-        )
-        if previous_key is not None:
-            _expect(
-                problems,
-                (height, peaks) < previous_key,
-                f"{where}: (height, peak count) failed to decrease",
-            )
-        previous_key = (height, peaks)
-        if not (0 < first < len(current.vertices) - 1):
-            problems.append(f"{where}: first peak replays onto an endpoint")
-            break
-        s = parse_letter(model, step["pair"][0])
-        t = parse_letter(model, step["pair"][1])
-        v0 = current.vertices[first - 1]
-        s_here = (v0.inverse() * current.vertices[first]).letters()[0]
-        t_here = (
-            current.vertices[first].inverse() * current.vertices[first + 1]
-        ).letters()[0]
-        _expect(
-            problems,
-            (s, t) == (s_here, t_here),
-            f"{where}: recorded pair disagrees with the peak's edge letters",
-        )
-        q = paths.get((s, t))
-        if q is None:
-            problems.append(f"{where}: splice uses a pair missing from the library")
-            break
-        spliced = Path(
-            current.vertices[:first]
-            + tuple(v0 * w for w in q.vertices[1:])
-            + current.vertices[first + 2 :]
-        )
-        after = parse_path(model, step["path_after"])
-        if not _expect(problems, after == spliced, f"{where}: spliced path does not replay"):
-            break
-        lo, _ = phi_extrema(qm, after)
-        _expect(problems, lo == parse_exact(step["min_phi"]), f"{where}: minimum does not replay")
-        _expect(problems, lo > -guard, f"{where}: path dips to the level guard")
-        current = after
-    final = parse_path(model, res["final"])
-    _expect(problems, final == current, "final path is not the last spliced path")
-    height, peaks, _ = height_and_peaks(qm, current, scaling)
-    _expect(
-        problems,
-        res["final_height"] == height and res["final_peaks"] == peaks,
-        "final peak data does not replay",
-    )
-    _expect(problems, ExactReal(height) <= height_bound, "final height exceeds the bound M")
-    reduced = parse_path(model, res["reduced"])
-    _expect(
-        problems,
-        reduced == remove_inessential_backtracks(current, scaling),
-        "backtrack removal does not replay",
-    )
-    _, hi = phi_extrema(qm, reduced)
-    vertex_bound = parse_exact(res["vertex_bound"])
-    _expect(problems, hi == parse_exact(res["max_reduced_phi"]), "reduced maximum does not replay")
-    _expect(problems, vertex_bound == height_bound + two_dstar, "vertex bound is not M + 2 D*")
-    _expect(problems, hi <= vertex_bound, "reduced path exceeds M + 2 D*")
-    return problems
 
 
 # -- f2z-example ---------------------------------------------------------
@@ -1219,60 +1034,6 @@ def _run_zs_cycle(exp: Experiment, probe: ProbeSpec) -> dict:
     return out
 
 
-def _check_zs_cycle(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
-    problems: list = []
-    qm = _qm_of(exp, res)
-    model = exp.model
-    defect = parse_exact(res["defect"])
-    cx = CayleyComplex(qm, defect)
-    scaling = _element(model, res["scaling"])
-    letter = parse_letter(model, res["s"])
-    depth = res["depth"]
-    k = parse_exact(res["k"])
-    radius = res["radius"]
-    phi_c = qm.homogeneous_value(scaling)
-    threshold = res["threshold"]
-    _expect(
-        problems,
-        parse_exact(threshold["n_phi_c"]) == phi_c * depth
-        and parse_exact(threshold["required"]) == k + defect + 1
-        and threshold["satisfied"] == (phi_c * depth > k + defect + 1),
-        "threshold numbers do not replay",
-    )
-    status = res["status"]
-    if status == "zero-by-convention":
-        _expect(problems, letter == scaling.letters()[0], "only z_c is zero by convention")
-        _expect(problems, res["chain"]["terms"] == [], "conventionally zero cycle has terms")
-        return problems
-    top = scaling ** depth
-    target = model.generator_element(letter) * top
-    if status == "not-found":
-        again = bounded_path_search(qm, top, target, k - phi_c * depth, radius)
-        ok = isinstance(again, NotFoundWithinBall)
-        _expect(problems, ok, "a high path exists although the report claims none does")
-        if ok:
-            _expect(
-                problems,
-                again.explored == res["explored"] and again.reason == res["reason"],
-                "the failed search transcript does not replay",
-            )
-        return problems
-    if status != "ok":
-        return [f"unknown status {status!r}"]
-    high = parse_path(model, res["high_path"])
-    _expect(
-        problems,
-        high.origin == top and high.terminus == target,
-        "high path does not run from c^n to s c^n",
-    )
-    lo, _ = phi_extrema(qm, high)
-    _expect(problems, lo == parse_exact(res["high_min"]), "high path minimum does not replay")
-    _expect(problems, lo >= phi_c * depth - k, "high path dips below n phi(c) - K")
-    zs = build_zs_cycle(cx, letter, scaling, depth, high, k_bound=k)
-    _expect(problems, chain_payload(cx, zs.chain) == res["chain"], "cycle chain does not replay")
-    return problems
-
-
 # -- the registry --------------------------------------------------------
 
 
@@ -1329,7 +1090,7 @@ records how many admissible vertices were exhausted.""",
     "q-library": ProbeKind(
         _validate_q_library,
         _run_q_library,
-        _check_q_library,
+        _rederive,
         """\
 q-library: one replacement path per ordered generator pair (s, t),
 shaped q_{s,t} = (descent c^-n) . (connecting path) . (ascent c^n)
@@ -1344,7 +1105,7 @@ stored vertex satisfies phi-bar > -N.""",
     "peak-reduce": ProbeKind(
         _validate_peak_reduce,
         _run_peak_reduce,
-        _check_peak_reduce,
+        _rederive,
         """\
 peak-reduce: height of a path is max floor(phi-bar) over its essential
 vertices.  While the height exceeds M = 3 D* + max_s |phi-bar(s)|, the
@@ -1399,7 +1160,7 @@ checked against min phi-bar >= -D.""",
     "zs-cycle": ProbeKind(
         _validate_zs_cycle,
         _run_zs_cycle,
-        _check_zs_cycle,
+        _rederive,
         """\
 zs-cycle: for a generator s, z_s is the difference of two paths from
 c^n to s c^n: the down-up path through the identity (descend c^-n, step

@@ -261,7 +261,8 @@ class QLibrary:
         for e in self.entries:
             if e.pair == (s, t) and e.path is not None and e.failure is None:
                 return e.path
-        raise LibraryIncompleteError(f"no library path for the pair ({s}, {t})")
+        name = self.scaling.model.generator_name
+        raise LibraryIncompleteError(f"no library path for the pair ({name(s)}, {name(t)})")
 
 
 def build_q_library(

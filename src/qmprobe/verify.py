@@ -2,18 +2,24 @@
 
 Verification trusts nothing but the echoed configuration and the
 payload, and checks each probe through its kind's entry in
-`probes.KINDS`: paths are re-walked and their extrema recomputed,
-certificates are re-applied to re-enumerated data, recorded constants
-are recomputed from scratch.  Searches are re-run only where the
-recorded claim is an absence, since a negative claim has no witness
-smaller than the search itself.
+`probes.KINDS`.  Which kinds keep a witness check and which are
+re-derived follows from what each costs:
 
-Where checking would redo the whole computation anyway, the kind is
-re-derived through the library instead: `aker-cert` and
-`free-obstruction` re-run the probe on the echoed config and compare
-the payloads, and `rips-profile` does the same for every field except
-the spanning forest, which it checks as a witness so that any spanning
-forest of Rips edges passes.
+* a witness check where checking is cheaper than finding: `defect`
+  re-evaluates its witness pair instead of scanning ball(R)^2,
+  `novikov-solve` re-applies the filling or the infeasibility
+  certificate to the re-enumerated faces without solving,
+  `path-search` and `f2z-example` re-walk the path and recompute its
+  extrema (a path search claiming no path is re-run, since an absence
+  has no smaller witness);
+* re-derived through the library where checking would redo the whole
+  computation anyway: `aker-cert`, `free-obstruction`, `q-library`,
+  `peak-reduce` and `zs-cycle` re-run the probe on the echoed config
+  and compare the payloads, and `rips-profile` does the same for every
+  field except the spanning forest, which it checks as a witness so
+  that any spanning forest of Rips edges passes.  A re-derived kind
+  accepts only the canonical witness `run` emits; the searches break
+  ties canonically, so that witness is well defined.
 
 A probe recorded as `failed` or `cap-exceeded` is run again, and passes
 only if the same status and error text come back.
@@ -64,10 +70,19 @@ def verify_report(report: dict) -> VerificationOutcome:
     ):
         raise ReplayError("group block does not match the echoed configuration")
 
+    entries = body.get("probes", [])
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict)
+        and all(isinstance(entry.get(key), str) for key in ("name", "kind", "status"))
+        for entry in entries
+    ):
+        raise ReplayError(
+            "report probes must be a list of objects with string name, kind and status"
+        )
     specs = {p.name: p for p in exp.probes}
     checks: list[ProbeCheck] = []
     seen: set[str] = set()
-    for entry in body.get("probes", []):
+    for entry in entries:
         name = entry.get("name")
         kind = entry.get("kind")
         status = entry.get("status")

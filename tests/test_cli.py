@@ -160,22 +160,53 @@ def _raise_a_bound(res):
     res["runs"][2]["bounds"][11] = "2/1"
 
 
+def _change_an_entry_minimum(res):
+    res["entries"][0]["min_phi"] = "-11/1"
+
+
+def _change_a_spliced_path(res):
+    res["steps"][0]["path_after"]["letters"].pop()
+
+
+def _negate_a_chain_coefficient(res):
+    res["chain"]["terms"][0][1] *= -1
+
+
 @pytest.mark.parametrize(
-    "name, tamper, fragment",
+    "config, name, tamper, fragment",
     [
-        ("aker", _bump_first_exponent, "exponents does not replay"),
-        ("aker", _drop_last_member, "members does not replay"),
-        ("conjugates", _raise_a_bound, "runs does not replay"),
+        ("free_brooks.cfg", "aker", _bump_first_exponent, "exponents does not replay"),
+        ("free_brooks.cfg", "aker", _drop_last_member, "members does not replay"),
+        ("free_brooks.cfg", "conjugates", _raise_a_bound, "runs does not replay"),
+        ("z2_lattice.cfg", "library", _change_an_entry_minimum, "entries does not replay"),
+        ("z2_lattice.cfg", "flatten", _change_a_spliced_path, "steps does not replay"),
+        ("z2_lattice.cfg", "zs", _negate_a_chain_coefficient, "chain does not replay"),
     ],
 )
-def test_verify_rederives_aker_and_obstruction_payloads(tmp_path, capsys, name, tamper, fragment):
+def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragment):
     out = tmp_path / "report.json"
-    assert main(["run", str(CONFIG_DIR / "free_brooks.cfg"), "--out", str(out)]) == 0
+    assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) == 0
     report = _read(out)
     tamper(_probe(report, name)["result"])
     code, printed = _verify_rewritten(out, report, capsys)
     assert code == 4
     assert f"FAIL {name}" in printed and fragment in printed
+
+
+def test_verify_rederives_a_failed_peak_reduce_claimed_ok(tmp_path, capsys):
+    cfg = tmp_path / "z4.cfg"
+    text = (CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8")
+    cfg.write_text(text.replace("radius = 30\nletters", "radius = 4\nletters"), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    report = _read(out)
+    probe = _probe(report, "flatten")
+    assert probe["status"] == "failed"
+    assert probe["error"] == "no library path for the pair (c, a)"
+    probe.update(status="ok", error=None, result={"steps": [], "final_height": 0})
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL flatten" in printed and "re-run gives failed" in printed
 
 
 def test_verify_rejects_rips_vertices_swapped_for_another_set(tmp_path, capsys):
@@ -330,6 +361,34 @@ def test_verify_rejects_non_reports(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 2
     assert main(["verify", str(tmp_path / "ghost.json")]) == 2
     capsys.readouterr()
+
+
+def _first_entry_is_a_number(body):
+    body["probes"][0] = 1
+
+
+def _probes_as_an_object(body):
+    body["probes"] = {"recentre": body["probes"][0]}
+
+
+def _name_as_a_list(body):
+    body["probes"][0]["name"] = ["recentre"]
+
+
+@pytest.mark.parametrize(
+    "malform", [_first_entry_is_a_number, _probes_as_an_object, _name_as_a_list]
+)
+def test_verify_malformed_probe_list_is_one_line_error(tmp_path, capsys, malform):
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / "f2z_kernel.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    malform(report["body"])
+    out.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "report probes must be a list of objects" in err
 
 
 def test_verify_deeply_nested_json_is_one_line_error(tmp_path, capsys):

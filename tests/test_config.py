@@ -139,6 +139,10 @@ def test_ball_cap_override():
             + "scaling = a b a^-1 b^-1\ndstar = 1\nmax_depth = 100000000\n",
             "max_depth exceeds the model ball cap",
         ),
+        (
+            FREE_GROUP + "[probe r]\nkind = rips-profile\nn_max = 200000\nvertices = 1, a\n",
+            "n_max exceeds the model ball cap",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):
