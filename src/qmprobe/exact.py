@@ -1,9 +1,26 @@
 """Exact arithmetic over Q and real quadratic extensions Q(sqrt(d)).
 
 Every number handled by this package is of the form a + b*sqrt(d) with
-a, b rational and d a square-free integer >= 2 (d = 2 unless a config
-says otherwise).  Comparisons, floors and serialization are all exact;
-no floating point is used anywhere.
+a, b rational and d a square-free integer, 2 <= d <= MAX_SURD_BASE
+(d = 2 unless a config says otherwise).  Comparisons, floors and
+serialization are all exact; no floating point is used anywhere.
+
+An `ExactReal` stores four plain ints and stands for
+(p + q*sqrt(d)) / den, under these invariants:
+
+* den > 0 and gcd(p, q, den) == 1, so each value has exactly one
+  representation and equality is equality of the four ints;
+* d == DEFAULT_SQUAREFREE whenever q == 0, so rationals all share one
+  surd base;
+* `a` and `b` are the rational parts p/den and q/den, built as
+  Fractions only when asked for.
+
+Arithmetic builds its results from ints directly; no Fraction is made
+on the way.  Because sqrt(d) is irrational, p + q*sqrt(d) with q != 0
+is never 0: its sign is decided by the integer comparison of p*p with
+q*q*d, and its floor is p + isqrt(q*q*d) (q > 0) or
+p - isqrt(q*q*d) - 1 (q < 0).  Comparisons take the sign of the
+cross-multiplied numerators and build no temporary value.
 
 Serialized form is "p/q" for rationals and "p/q+r/s*sqrt(d)" otherwise,
 with the sign of the surd folded into the separator, e.g.
@@ -15,10 +32,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Union
 
 DEFAULT_SQUAREFREE = 2
+# square-freeness is checked by trial division up to sqrt(d)
+MAX_SURD_BASE = 10**6
 
 Rationalish = Union[int, Fraction, "ExactReal"]
 
@@ -34,127 +53,179 @@ def is_squarefree(d: int) -> bool:
     return True
 
 
-class ExactReal:
+class _Fields:
+    """The storage of an ExactReal, without its immutability guard."""
+
+    __slots__ = ("_p", "_q", "_den", "d")
+
+
+_new = object.__new__
+
+
+def _make(p: int, q: int, den: int, d: int) -> "ExactReal":
+    """(p + q*sqrt(d)) / den for ints with den > 0, brought to the
+    invariants.  Integers (den == 1) skip the gcd.  The slots are filled
+    on a plain `_Fields` instance, which is then retyped: ExactReal's own
+    __setattr__ refuses every write."""
+    if den != 1:
+        g = gcd(p, q, den)
+        if g != 1:
+            p //= g
+            q //= g
+            den //= g
+    x = _new(_Fields)
+    x._p = p
+    x._q = q
+    x._den = den
+    x.d = d if q else DEFAULT_SQUAREFREE
+    x.__class__ = ExactReal
+    return x
+
+
+def _base(x: "ExactReal", y: "ExactReal") -> int:
+    """The surd base of a result computed from x and y."""
+    if not x._q:
+        return y.d
+    if y._q and y.d != x.d:
+        raise ValueError(f"cannot mix sqrt({x.d}) and sqrt({y.d})")
+    return x.d
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """The sign of p + q*sqrt(d), for ints p, q and a square-free d >= 2."""
+    if q > 0:
+        return 1 if p >= 0 or q * q * d > p * p else -1
+    if q < 0:
+        return -1 if p <= 0 or q * q * d > p * p else 1
+    return (p > 0) - (p < 0)
+
+
+def _coerce(x: Rationalish) -> "ExactReal":
+    if isinstance(x, ExactReal):
+        return x
+    if isinstance(x, int):
+        return _make(int(x), 0, 1, DEFAULT_SQUAREFREE)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator, DEFAULT_SQUAREFREE)
+    return NotImplemented  # type: ignore[return-value]
+
+
+def _sum(x: "ExactReal", y: "ExactReal", yp: int, yq: int) -> "ExactReal":
+    """x + (yp + yq*sqrt(d)) / y._den: x + y or, with yp, yq negated, x - y."""
+    d = _base(x, y)
+    den, yden = x._den, y._den
+    if den == yden:
+        return _make(x._p + yp, x._q + yq, den, d)
+    return _make(x._p * yden + yp * den, x._q * yden + yq * den, den * yden, d)
+
+
+class ExactReal(_Fields):
     """An element a + b*sqrt(d) of Q(sqrt(d)), with exact semantics."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ()
 
-    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0, d: int = DEFAULT_SQUAREFREE):
+    def __new__(cls, a: int | Fraction = 0, b: int | Fraction = 0, d: int = DEFAULT_SQUAREFREE):
+        if type(a) is int and not b:
+            return _make(a, 0, 1, DEFAULT_SQUAREFREE)
         a = Fraction(a)
         b = Fraction(b)
-        if b == 0:
-            # canonical: rational values all share the default d
-            d = DEFAULT_SQUAREFREE
-        else:
+        if b:
+            if d > MAX_SURD_BASE:
+                raise ValueError(f"surd base must be at most {MAX_SURD_BASE}, got {d}")
             if d < 2 or not is_squarefree(d):
                 raise ValueError(f"surd base must be square-free and >= 2, got {d}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        den = lcm(a.denominator, b.denominator)
+        p = a.numerator * (den // a.denominator)
+        return _make(p, b.numerator * (den // b.denominator), den, d)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("ExactReal is immutable")
 
-    # -- constructors ------------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._p, self._den)
 
-    @staticmethod
-    def _coerce(x: Rationalish) -> "ExactReal":
-        if isinstance(x, ExactReal):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ExactReal(x)
-        return NotImplemented  # type: ignore[return-value]
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(d)."""
+        return Fraction(self._q, self._den)
 
     # -- predicates --------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: the sign is decided by a^2 vs b^2*d
-        lhs, rhs = a * a, b * b * d
-        if a > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        return _sign(self._p, self._q, self.d)
 
     # -- arithmetic --------------------------------------------------
 
-    def _check_compatible(self, other: "ExactReal") -> int:
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            raise ValueError(f"cannot mix sqrt({self.d}) and sqrt({other.d})")
-        return other.d if self.b == 0 else self.d
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._check_compatible(other)
-        return ExactReal(self.a + other.a, self.b + other.b, d)
+        if type(other) is not ExactReal:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self, other, other._p, other._q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactReal(-self.a, -self.b, self.d)
+        return _make(-self._p, -self._q, self._den, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(-other)
+        if type(other) is not ExactReal:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self, other, -other._p, -other._q)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other.__add__(-self)
+        return _sum(other, self, -self._p, -self._q)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._check_compatible(other)
-        return ExactReal(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        if type(other) is not ExactReal:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d = _base(self, other)
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        return _make(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, self._den * other._den, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactReal":
-        if self.sign() == 0:
+        p, q, d = self._p, self._q, self.d
+        if not p and not q:
             raise ZeroDivisionError("exact division by zero")
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:  # pragma: no cover - impossible for square-free d
-            raise ZeroDivisionError("degenerate quadratic norm")
-        return ExactReal(self.a / norm, -self.b / norm, self.d)
+        # den / (p + q sqrt d) = den (p - q sqrt d) / (p^2 - q^2 d); the
+        # norm is non-zero because sqrt(d) is irrational
+        den = self._den
+        norm = p * p - q * q * d
+        if norm < 0:
+            den, norm = -den, -norm
+        return _make(den * p, -den * q, norm, d)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.__mul__(other.inverse())
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other.__mul__(self.inverse())
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if _sign(self._p, self._q, self.d) < 0 else self
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        out = ExactReal(1)
+        out = _make(1, 0, 1, DEFAULT_SQUAREFREE)
         base = self
         while k:
             if k & 1:
@@ -166,25 +237,33 @@ class ExactReal:
     # -- comparisons -------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.b == 0 and other.b == 0:
-            return self.a == other.a
-        if self.b == 0 or other.b == 0:
-            return False
-        return self.d == other.d and self.a == other.a and self.b == other.b
+        if type(other) is not ExactReal:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (
+            self._p == other._p
+            and self._q == other._q
+            and self._den == other._den
+            and self.d == other.d
+        )
 
     def __hash__(self):
-        if self.b == 0:
+        if not self._q:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def _cmp(self, other) -> int:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            raise TypeError("cannot compare ExactReal with that type")
-        return (self - other).sign()
+        """The sign of self - other."""
+        if type(other) is not ExactReal:
+            other = _coerce(other)
+            if other is NotImplemented:
+                raise TypeError("cannot compare ExactReal with that type")
+        d = _base(self, other)
+        den, oden = self._den, other._den
+        if den == oden:
+            return _sign(self._p - other._p, self._q - other._q, d)
+        return _sign(self._p * oden - other._p * den, self._q * oden - other._q * den, d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -199,29 +278,19 @@ class ExactReal:
         return self._cmp(other) >= 0
 
     def __bool__(self):
-        return self.sign() != 0
+        return bool(self._p or self._q)
 
     # -- floor -------------------------------------------------------
 
     def floor(self) -> int:
-        """Largest integer n with n <= self, computed exactly."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        # rational bracket for |b|*sqrt(d) via isqrt: sqrt(p/q) = sqrt(p*q)/q
-        t2 = self.b * self.b * self.d
-        p, q = t2.numerator, t2.denominator
-        r = isqrt(p * q)
-        lo, hi = Fraction(r, q), Fraction(r + 1, q)
-        if self.b > 0:
-            est = self.a + lo
-        else:
-            est = self.a - hi
-        n = est.numerator // est.denominator
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        while (self - n).sign() < 0:
-            n -= 1
-        return n
+        """Largest integer n with n <= self, computed exactly: with
+        x = p + q*sqrt(d) irrational, floor(x / den) = floor(floor(x) / den)."""
+        p, q = self._p, self._q
+        if q > 0:
+            p += isqrt(q * q * self.d)
+        elif q < 0:
+            p -= isqrt(q * q * self.d) + 1
+        return p // self._den
 
     def __floor__(self) -> int:
         return self.floor()
@@ -229,12 +298,14 @@ class ExactReal:
     # -- serialization -----------------------------------------------
 
     def __str__(self) -> str:
-        rat = f"{self.a.numerator}/{self.a.denominator}"
-        if self.b == 0:
+        p, q, den = self._p, self._q, self._den
+        g = gcd(p, den)
+        rat = f"{p // g}/{den // g}"
+        if not q:
             return rat
-        sep = "+" if self.b > 0 else "-"
-        mag = abs(self.b)
-        return f"{rat}{sep}{mag.numerator}/{mag.denominator}*sqrt({self.d})"
+        g = gcd(q, den)
+        sep = "+" if q > 0 else "-"
+        return f"{rat}{sep}{abs(q) // g}/{den // g}*sqrt({self.d})"
 
     def __repr__(self) -> str:
         return f"ExactReal({self})"

@@ -23,6 +23,8 @@ from typing import Iterable
 from .errors import CapExceededError, ModelMismatchError
 
 DEFAULT_BALL_CAP = 10
+# longest word parse_word spells; each token is counted before it is expanded
+MAX_WORD_LETTERS = 5_000
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -124,7 +126,8 @@ class GroupModel:
     def parse_word(self, text: str) -> tuple[Generator, ...]:
         """Parse whitespace-separated letter tokens `name`, `name^k`,
         `name^-k` into a generator sequence (exponents are expanded).
-        The token `1` spells the empty word."""
+        The token `1` spells the empty word.  A word of more than
+        MAX_WORD_LETTERS letters is refused before it is expanded."""
         name_to_index = {n: i for i, n in enumerate(self.generator_names)}
         out: list[Generator] = []
         for token in text.split():
@@ -136,9 +139,9 @@ class GroupModel:
             name, exp = m.group(1), int(m.group(2) or 1)
             if name not in name_to_index:
                 raise ValueError(f"unknown generator {name!r}")
-            idx = name_to_index[name]
-            gen = Generator(idx, exp < 0)
-            out.extend([gen] * abs(exp))
+            if len(out) + abs(exp) > MAX_WORD_LETTERS:
+                raise ValueError(f"word is longer than {MAX_WORD_LETTERS} letters")
+            out.extend([Generator(name_to_index[name], exp < 0)] * abs(exp))
         return tuple(out)
 
     def parse_element(self, text: str) -> "GroupElement":
@@ -163,7 +166,7 @@ class GroupElement:
     ab: tuple[int, ...]
 
     def _check(self, other: "GroupElement") -> None:
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ModelMismatchError("elements belong to different group models")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":

@@ -64,7 +64,7 @@ class Quasimorphism:
     # shared API ----------------------------------------------------
 
     def _check(self, g: GroupElement) -> None:
-        if g.model != self.model:
+        if g.model is not self.model and g.model != self.model:
             raise ModelMismatchError("element and quasimorphism use different models")
 
     def value(self, g: GroupElement) -> ExactReal:

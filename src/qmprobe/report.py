@@ -45,10 +45,14 @@ def letter_payload(model: GroupModel, letter: Generator) -> str:
 
 
 def parse_letter(model: GroupModel, payload: str) -> Generator:
-    letters = model.parse_word(payload)
-    if len(letters) != 1:
-        raise ReplayError(f"not a single letter: {payload!r}")
-    return letters[0]
+    """The letter `letter_payload` spells as `name` or `name^-1`; any
+    other token is refused without being expanded."""
+    if isinstance(payload, str):
+        inverse = payload.endswith("^-1")
+        name = payload[:-3] if inverse else payload
+        if name in model.generator_names:
+            return Generator(model.generator_names.index(name), inverse)
+    raise ReplayError(f"not a single letter: {payload!r}")
 
 
 def path_payload(path: Path) -> dict:

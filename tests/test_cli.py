@@ -1,6 +1,7 @@
 """The command line: run/verify round trips over the config corpus,
 exit codes, determinism of report bodies, and tamper detection."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -13,6 +14,7 @@ from qmprobe.groups import GroupModel
 from qmprobe.probes import KINDS
 
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
+BENCH_PINS = pathlib.Path(__file__).parent.parent / "bench" / "pinned.json"
 GOOD_CONFIGS = [
     "free_brooks.cfg",
     "z2_lattice.cfg",
@@ -42,6 +44,16 @@ def test_run_verify_round_trip(tmp_path, capsys, name):
         assert f"PASS {probe['name']}" in captured.out
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
+def test_report_body_and_exit_code_match_the_bench_pins(tmp_path, capsys, name):
+    """Report bodies are byte-identical to the ones the benchmark pinned."""
+    pin = json.loads(BENCH_PINS.read_text(encoding="utf-8"))["suite"]["any"][name]
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / name), "--out", str(out)]) == pin["run_exit"]
+    text = json.dumps(_read(out)["body"], sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["body_sha256"]
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_corpus_covers_every_probe_kind(kind):
     kinds = set()
@@ -66,6 +78,61 @@ def test_tampered_report_fails_verification(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 4
     assert "FAIL recentre" in captured.out
+
+
+def _letter_with_a_huge_exponent(res):
+    res["path"]["letters"][0] = "a^300000"
+
+
+def _letter_that_is_a_number(res):
+    res["path"]["letters"][0] = 5
+
+
+def _origin_with_huge_exponents(res):
+    res["path"]["origin"] = "a^300000 a^-300000"
+
+
+def _value_over_a_huge_surd_base(res):
+    res["min_phi"] = "sqrt(1000000000000000003)"
+
+
+@pytest.mark.parametrize(
+    "tamper, fragment",
+    [
+        (_letter_with_a_huge_exponent, "not a single letter: 'a^300000'"),
+        (_letter_that_is_a_number, "not a single letter: 5"),
+        (_origin_with_huge_exponents, "word is longer than 5000 letters"),
+        (_value_over_a_huge_surd_base, "surd base must be at most 1000000"),
+    ],
+)
+def test_verify_fails_bad_payload_tokens_without_expanding_them(tmp_path, capsys, tamper, fragment):
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / "f2z_kernel.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    tamper(_probe(report, "recentre")["result"])
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL recentre" in printed and fragment in printed
+
+
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [
+        ("u = sqrt(2)", "u = sqrt(1000000000000000003)", "surd base must be at most 1000000"),
+        ("target = a b a^-1 b^-1", "target = a^300000 a^-300000", "word is longer than 5000"),
+    ],
+)
+def test_verify_refuses_an_oversized_echoed_config_in_one_line(tmp_path, capsys, old, new, fragment):
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / "f2z_kernel.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    assert old in report["body"]["config_echo"]
+    report["body"]["config_echo"] = report["body"]["config_echo"].replace(old, new)
+    out.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and fragment in err
 
 
 def test_dropped_probe_fails_verification(tmp_path, capsys):

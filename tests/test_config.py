@@ -143,6 +143,28 @@ def test_ball_cap_override():
             FREE_GROUP + "[probe r]\nkind = rips-profile\nn_max = 200000\nvertices = 1, a\n",
             "n_max exceeds the model ball cap",
         ),
+        (
+            FREE_GROUP + "[quasimorphism psi]\nkind = brooks\nword = a^300000 a^-300000\n"
+            + DEFECT_PROBE,
+            "word is longer than 5000 letters",
+        ),
+        (
+            FREE_GROUP + PSIBAR
+            + "[probe p]\nkind = path-search\nqm = psibar\nstart = 1\n"
+            + "target = a^4000 b^1001\nk = 0\nradius = 3\n",
+            "target: word is longer than 5000 letters",
+        ),
+        (
+            FREE_GROUP + "[quasimorphism phi]\nkind = homomorphism\n"
+            + "a = sqrt(1000000000000000003)\n" + DEFECT_PROBE,
+            "surd base must be at most 1000000",
+        ),
+        (
+            FREE_GROUP + PSIBAR
+            + "[quasimorphism mix]\nkind = combination\n"
+            + "terms = sqrt(1000000000000000003) * psibar\n" + DEFECT_PROBE,
+            "surd base must be at most 1000000",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qmprobe.exact import ExactReal, ONE, ZERO, exact_max, exact_min, is_squarefree
 
@@ -22,11 +23,29 @@ def test_non_squarefree_base_rejected():
     with pytest.raises(ValueError):
         ExactReal(0, 1, 1)
     assert is_squarefree(2) and is_squarefree(30) and not is_squarefree(12)
+    # the bound is checked before trial division, which would not finish here
+    with pytest.raises(ValueError, match="at most 1000000"):
+        ExactReal.parse("sqrt(1000000000000000003)")
+    assert ExactReal(0, 1, 999983).d == 999983  # the largest prime below the bound
 
 
 def test_mixed_bases_rejected():
-    with pytest.raises(ValueError):
-        ExactReal(0, 1, 2) + ExactReal(0, 1, 3)
+    x, y = ExactReal(1, 1, 2), ExactReal(1, 1, 3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(ValueError, match="cannot mix"):
+            op(x, y)
+    assert x != y
+    # a rational operand adopts the other operand's base
+    assert (ExactReal(3, 0, 3) + y).d == 3
+
+
+def test_immutable():
+    x = ExactReal(1, 2, 2)
+    for name in ("a", "b", "d", "_p", "_q", "_den", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 5)
+    assert x == ExactReal(1, 2, 2)
 
 
 def test_field_arithmetic_in_q_sqrt2():
@@ -94,3 +113,183 @@ def test_never_serializes_floats():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+# -- differential test against the Fraction-backed implementation ----------
+
+
+class FractionReal:
+    """The Fraction-backed a + b*sqrt(d) this package used before its
+    integer representation, kept as a reference."""
+
+    def __init__(self, a=0, b=0, d=2):
+        self.a, self.b = Fraction(a), Fraction(b)
+        self.d = d if self.b else 2
+
+    def sign(self):
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if (a > 0) == (b > 0):
+            return 1 if a > 0 else -1
+        lhs, rhs = a * a, b * b * d
+        return (1 if lhs > rhs else -1) if a > 0 else (1 if rhs > lhs else -1)
+
+    @staticmethod
+    def _coerce(x):
+        return x if isinstance(x, FractionReal) else FractionReal(x)
+
+    def _base(self, other):
+        if self.b != 0 and other.b != 0 and self.d != other.d:
+            raise ValueError(f"cannot mix sqrt({self.d}) and sqrt({other.d})")
+        return other.d if self.b == 0 else self.d
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionReal(self.a + other.a, self.b + other.b, self._base(other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionReal(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) + -self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        d = self._base(other)
+        return FractionReal(
+            self.a * other.a + self.b * other.b * d, self.a * other.b + self.b * other.a, d
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.sign() == 0:
+            raise ZeroDivisionError("exact division by zero")
+        norm = self.a * self.a - self.b * self.b * self.d
+        return FractionReal(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __pow__(self, k):
+        out = FractionReal(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
+
+    def _cmp(self, other):
+        return (self - other).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def floor(self):
+        if self.b == 0:
+            return math.floor(self.a)
+        # rational bracket for |b| sqrt(d): sqrt(p/q) = sqrt(p q)/q
+        t2 = self.b * self.b * self.d
+        r = math.isqrt(t2.numerator * t2.denominator)
+        if self.b > 0:
+            n = math.floor(self.a + Fraction(r, t2.denominator))
+        else:
+            n = math.floor(self.a - Fraction(r + 1, t2.denominator))
+        while (self - (n + 1)).sign() >= 0:
+            n += 1
+        while (self - n).sign() < 0:
+            n -= 1
+        return n
+
+    def __str__(self):
+        rat = f"{self.a.numerator}/{self.a.denominator}"
+        if self.b == 0:
+            return rat
+        mag = abs(self.b)
+        sep = "+" if self.b > 0 else "-"
+        return f"{rat}{sep}{mag.numerator}/{mag.denominator}*sqrt({self.d})"
+
+
+RATIONALS = st.one_of(
+    st.fractions(min_value=-40, max_value=40, max_denominator=30),
+    st.integers(-10**30, 10**30).map(Fraction),
+)
+SURDS = st.one_of(st.just(Fraction(0)), RATIONALS)
+
+
+def _pair(d):
+    """Two values of Q(sqrt d), as (reference, integer-backed) pairs."""
+    value = st.tuples(RATIONALS, SURDS).map(lambda ab: (FractionReal(*ab, d), ExactReal(*ab, d)))
+    return st.tuples(value, value)
+
+
+PAIRS = st.sampled_from([2, 3]).flatmap(_pair)
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne)
+
+
+def _same(ref, x):
+    assert str(x) == str(ref)
+    assert hash(x) == hash(ref)
+    assert (x.a, x.b, x.d) == (ref.a, ref.b, ref.d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAIRS, st.integers(-7, 7), st.integers(0, 4))
+def test_matches_the_fraction_backed_reference(pair, n, k):
+    (rx, x), (ry, y) = pair
+    _same(rx, x)
+    for op in (operator.add, operator.sub, operator.mul):
+        _same(op(rx, ry), op(x, y))
+        _same(op(rx, n), op(x, n))
+        _same(op(n, rx), op(n, x))
+    if ry.sign():
+        _same(rx / ry, x / y)
+        _same(ry.inverse(), y.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    _same(rx ** k, x ** k)
+    _same(abs(rx), abs(x))
+    _same(-rx, -x)
+    for op in ORDER:
+        assert op(x, y) == op(rx, ry)
+        assert op(x, n) == op(rx, FractionReal(n))
+    assert x.sign() == rx.sign() and bool(x) == bool(rx.sign())
+    assert x.floor() == rx.floor() == math.floor(x)
+    assert ExactReal.parse(str(x)) == x
+    z = (x + y) - y  # equal to x, reached another way
+    assert z == x and hash(z) == hash(x)
+
+
+@given(st.integers(-10**40, 10**40), RATIONALS)
+def test_rationals_hash_as_their_fraction(n, q):
+    assert hash(ExactReal(n)) == hash(n) == hash(ExactReal(Fraction(n)))
+    assert hash(ExactReal(q)) == hash(q)
+    assert ExactReal(q) + (-q) == ZERO and hash(ExactReal(q) - q) == hash(0)
