@@ -11,6 +11,18 @@ The canonical order used everywhere (ball listings, tie-breaking in
 searches, certificate output) is: generators sorted by index with the
 plain letter before its inverse, elements sorted by word length and
 then lexicographically on their canonical spelling.
+
+`GroupElement` is a `__slots__` class holding `model`, `free` (the
+reduced word as signed 1-based letters) and `ab` (the abelian vector).
+Every result of group arithmetic comes from one internal constructor,
+`_element`, which fills the slots on a guard-free `_ElementFields`
+instance and then retypes it; the public `GroupElement(model, free, ab)`
+goes through the same constructor, and `__setattr__` refuses every
+write.  Two elements are equal when their free words, abelian vectors
+and models are; the hash is `hash((free, ab))`, which equal elements
+share, so the model is never hashed.  Products, inverses and distances
+skip the model comparison when both operands hold the same model
+object, and skip the abelian arithmetic in a free group (ab == ()).
 """
 
 from __future__ import annotations
@@ -38,9 +50,6 @@ class Generator:
 
     def inverted(self) -> "Generator":
         return Generator(self.index, not self.inverse)
-
-    def key(self) -> tuple[int, int]:
-        return (self.index, 1 if self.inverse else 0)
 
 
 @dataclass(frozen=True)
@@ -103,19 +112,19 @@ class GroupModel:
         return tuple(Generator(i, False) for i in range(self.rank))
 
     def identity(self) -> "GroupElement":
-        return GroupElement(self, (), (0,) * self.abelian_rank)
+        return _element(self, (), (0,) * self.abelian_rank)
 
     def generator_element(self, gen: Generator) -> "GroupElement":
         if not 0 <= gen.index < self.rank:
             raise ValueError(f"generator index {gen.index} out of range for rank {self.rank}")
         if self.is_free_index(gen.index):
             letter = gen.index + 1
-            return GroupElement(
+            return _element(
                 self, (-letter if gen.inverse else letter,), (0,) * self.abelian_rank
             )
         vec = [0] * self.abelian_rank
         vec[gen.index - self.free_rank] = -1 if gen.inverse else 1
-        return GroupElement(self, (), tuple(vec))
+        return _element(self, (), tuple(vec))
 
     def generator_name(self, gen: Generator) -> str:
         base = self.generator_names[gen.index]
@@ -156,33 +165,79 @@ class GroupModel:
         return _ball(self, radius)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class _ElementFields:
+    """The storage of a GroupElement, without its immutability guard."""
+
+    __slots__ = ("model", "free", "ab")
+
+
+_new = object.__new__
+
+
+def _element(model: GroupModel, free: tuple[int, ...], ab: tuple[int, ...]) -> "GroupElement":
+    """The element with normal form (free, ab).  The slots are filled on
+    a plain `_ElementFields` instance, which is then retyped:
+    GroupElement's own __setattr__ refuses every write."""
+    x = _new(_ElementFields)
+    x.model = model
+    x.free = free
+    x.ab = ab
+    x.__class__ = GroupElement
+    return x
+
+
+class GroupElement(_ElementFields):
     """Normal form: reduced free word (signed letters, 1-based index)
     plus an integer vector for the abelian block."""
 
-    model: GroupModel
-    free: tuple[int, ...]
-    ab: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, model: GroupModel, free: tuple[int, ...], ab: tuple[int, ...]):
+        return _element(model, free, ab)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupElement is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GroupElement is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not GroupElement:
+            return NotImplemented
+        return (
+            self.free == other.free
+            and self.ab == other.ab
+            and (self.model is other.model or self.model == other.model)
+        )
+
+    def __hash__(self):
+        return hash((self.free, self.ab))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the public constructor, since
+        # the default slot-by-slot restore would trip the write guard
+        return (GroupElement, (self.model, self.free, self.ab))
 
     def _check(self, other: "GroupElement") -> None:
         if self.model is not other.model and self.model != other.model:
             raise ModelMismatchError("elements belong to different group models")
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(
-            self.model,
-            _concat_reduce(self.free, other.free),
-            tuple(x + y for x, y in zip(self.ab, other.ab)),
-        )
+        model = self.model
+        if other.model is not model:
+            self._check(other)
+        ab = self.ab
+        if ab:
+            ab = tuple([x + y for x, y in zip(ab, other.ab)])
+        return _element(model, _concat_reduce(self.free, other.free), ab)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(
-            self.model,
-            tuple(-x for x in reversed(self.free)),
-            tuple(-x for x in self.ab),
-        )
+        ab = self.ab
+        if ab:
+            ab = tuple([-x for x in ab])
+        return _element(self.model, tuple([-x for x in reversed(self.free)]), ab)
 
     def __pow__(self, m: int) -> "GroupElement":
         if m == 0:
@@ -203,16 +258,18 @@ class GroupElement:
     def distance(self, other: "GroupElement") -> int:
         """|g^-1 h|: the free words cancel down to their common prefix,
         so it is |u| + |v| - 2 (common prefix) + sum |delta ab|."""
-        self._check(other)
+        if other.model is not self.model:
+            self._check(other)
         u, v = self.free, other.free
         common = 0
         for x, y in zip(u, v):
             if x != y:
                 break
             common += 1
-        return len(u) + len(v) - 2 * common + sum(
-            abs(x - y) for x, y in zip(self.ab, other.ab)
-        )
+        d = len(u) + len(v) - 2 * common
+        if self.ab:
+            d += sum([abs(x - y) for x, y in zip(self.ab, other.ab)])
+        return d
 
     def letters(self) -> tuple[Generator, ...]:
         """Canonical spelling: free letters in word order, then each
@@ -227,7 +284,15 @@ class GroupElement:
         return tuple(out)
 
     def sort_key(self) -> tuple:
-        return (self.length(), tuple(g.key() for g in self.letters()))
+        """(length, ((index, 0 for a plain letter | 1 for an inverse), ...))
+        over the canonical spelling, built from the normal form."""
+        key = [(x - 1, 0) if x > 0 else (-x - 1, 1) for x in self.free]
+        if self.ab:
+            r = self.model.free_rank
+            for j, v in enumerate(self.ab):
+                if v:
+                    key.extend([(r + j, 0) if v > 0 else (r + j, 1)] * abs(v))
+        return (len(key), tuple(key))
 
     def word_str(self) -> str:
         """Inverse of GroupModel.parse_element for normal forms, with
@@ -258,6 +323,8 @@ def _format_run(model: GroupModel, run: list[Generator]) -> str:
 
 
 def _concat_reduce(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    if not u or not v or u[-1] != -v[0]:
+        return u + v
     i, j = len(u), 0
     while i > 0 and j < len(v) and u[i - 1] == -v[j]:
         i -= 1
@@ -284,7 +351,7 @@ def reduce_word(model: GroupModel, word: Iterable[Generator]) -> GroupElement:
                 free.append(letter)
         else:
             ab[gen.index - model.free_rank] += -1 if gen.inverse else 1
-    return GroupElement(model, tuple(free), tuple(ab))
+    return _element(model, tuple(free), tuple(ab))
 
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:

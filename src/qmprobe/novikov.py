@@ -11,7 +11,14 @@ The complex has the group elements as 0-cells, one edge orbit per
 positive generator, and one square orbit per commuting generator pair
 (free-times-abelian and abelian-abelian; a free group has no squares).
 The value of a cell is the minimum of the homogeneous quasimorphism
-over its corners.
+over its corners.  When phi-bar is a homomorphism (a homogeneous
+quasimorphism with defect bound 0), phi-bar(g c) = phi-bar(g) +
+phi-bar(c) for every corner g c of a cell based at g, so the value is
+phi-bar(g) plus a fixed offset per edge index or square type: the
+minimum of phi-bar over the corners of that cell based at the identity.
+`CayleyComplex` computes these offsets once and then evaluates one
+element per cell; for every other quasimorphism it takes the minimum
+over the corners.
 
 On top of the chain arithmetic sit the desk-scale homology probes:
 `ray_cycle` builds the 1-cycle formed by a connecting path and two
@@ -30,7 +37,7 @@ from typing import Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError
 from .exact import ExactReal, ZERO, exact_min
-from .groups import Generator, GroupElement, GroupModel
+from .groups import Generator, GroupElement, GroupModel, _element
 from .intsolve import (
     UnsatCertificate,
     check_unsat_certificate,
@@ -69,12 +76,26 @@ class CayleyComplex:
                 if not both_free:
                     types.append((i, j))
         self.square_types: tuple[tuple[int, int], ...] = tuple(types)
+        self._steps = tuple(self.model.generator_element(s) for s in self.positive)
         self._values: dict[Cell, ExactReal] = {}
+        # cell kind -> value offset per edge index or square type, set
+        # only when phi-bar is a homomorphism
+        self._offsets: Optional[dict[str, tuple[ExactReal, ...]]] = None
+        if qm.is_homogeneous and qm.defect_upper() == ZERO:
+            one = self.model.identity()
+            self._offsets = {
+                "e": tuple(
+                    self._corner_min(self.edge_cell(one, i)) for i in range(len(self.positive))
+                ),
+                "f": tuple(
+                    self._corner_min(self.face_cell(one, t)) for t in range(len(types))
+                ),
+            }
 
     # -- cells ---------------------------------------------------------
 
     def element(self, cell: Cell) -> GroupElement:
-        return GroupElement(self.model, cell[1], cell[2])
+        return _element(self.model, cell[1], cell[2])
 
     def vertex_cell(self, g: GroupElement) -> Cell:
         return ("v", g.free, g.ab)
@@ -93,17 +114,24 @@ class CayleyComplex:
         if cell[0] == "v":
             return (g,)
         if cell[0] == "e":
-            s = self.model.generator_element(self.positive[cell[3]])
-            return (g, g * s)
+            return (g, g * self._steps[cell[3]])
         i, j = self.square_types[cell[3]]
-        x = self.model.generator_element(self.positive[i])
-        y = self.model.generator_element(self.positive[j])
+        x, y = self._steps[i], self._steps[j]
         return (g, g * x, g * y, g * x * y)
+
+    def _corner_min(self, cell: Cell) -> ExactReal:
+        return exact_min(self.qm.homogeneous_value(v) for v in self.corners(cell))
 
     def value(self, cell: Cell) -> ExactReal:
         got = self._values.get(cell)
         if got is None:
-            got = exact_min(self.qm.homogeneous_value(v) for v in self.corners(cell))
+            offsets = self._offsets
+            if offsets is None:
+                got = self._corner_min(cell)
+            else:
+                got = self.qm.homogeneous_value(self.element(cell))
+                if cell[0] != "v":
+                    got = got + offsets[cell[0]][cell[3]]
             self._values[cell] = got
         return got
 
@@ -131,14 +159,12 @@ class CayleyComplex:
             raise ValueError("0-cells have no boundary")
         g = self.element(cell)
         if cell[0] == "e":
-            s = self.model.generator_element(self.positive[cell[3]])
             out: dict[Cell, int] = {}
-            _accumulate(out, self.vertex_cell(g * s), 1)
+            _accumulate(out, self.vertex_cell(g * self._steps[cell[3]]), 1)
             _accumulate(out, self.vertex_cell(g), -1)
             return out
         i, j = self.square_types[cell[3]]
-        x = self.model.generator_element(self.positive[i])
-        y = self.model.generator_element(self.positive[j])
+        x, y = self._steps[i], self._steps[j]
         out = {}
         _accumulate(out, self.edge_cell(g, i), 1)
         _accumulate(out, self.edge_cell(g * x, j), 1)
@@ -147,10 +173,7 @@ class CayleyComplex:
         return out
 
     def edge_drop(self) -> ExactReal:
-        worst = exact_min(
-            -abs(self.qm.homogeneous_value(self.model.generator_element(s)))
-            for s in self.positive
-        )
+        worst = exact_min(-abs(self.qm.homogeneous_value(s)) for s in self._steps)
         return -worst + self.defect
 
     def face_drop(self) -> ExactReal:
@@ -158,11 +181,9 @@ class CayleyComplex:
             return ZERO
         worst = ZERO
         for i, j in self.square_types:
-            x = self.model.generator_element(self.positive[i])
-            y = self.model.generator_element(self.positive[j])
             cand = (
-                abs(self.qm.homogeneous_value(x))
-                + abs(self.qm.homogeneous_value(y))
+                abs(self.qm.homogeneous_value(self._steps[i]))
+                + abs(self.qm.homogeneous_value(self._steps[j]))
                 + self.defect
                 + self.defect
             )

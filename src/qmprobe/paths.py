@@ -6,8 +6,8 @@ continues from the end of the first:
 
     p q = (g_0, ..., g_k, g_k h_0^-1 h_1, ..., g_k h_0^-1 h_n)
 
-Inversion reverses the vertex sequence.  `phi_extrema` reports the exact min and max of the
-homogeneous value over every vertex, the endpoints included.
+`phi_extrema` reports the exact min and max of the homogeneous value
+over every vertex, the endpoints included.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class Path:
             raise ModelMismatchError("cannot concatenate paths from different models")
         shift = self.terminus * other.origin.inverse()
         return Path(self.vertices + tuple(shift * h for h in other.vertices[1:]))
-
-    def invert(self) -> "Path":
-        return Path(tuple(reversed(self.vertices)))
 
 
 def path_from_letters(origin: GroupElement, letters: Iterable[Generator]) -> Path:

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import ModelMismatchError
 from .exact import ExactReal, ZERO
-from .groups import Generator, GroupElement, GroupModel, commutator
+from .groups import Generator, GroupElement, GroupModel
 
 
 class Quasimorphism:
@@ -68,7 +68,8 @@ class Quasimorphism:
             raise ModelMismatchError("element and quasimorphism use different models")
 
     def value(self, g: GroupElement) -> ExactReal:
-        self._check(g)
+        if g.model is not self.model:
+            self._check(g)
         key = (g.free, g.ab)
         got = self._vcache.get(key)
         if got is None:
@@ -76,7 +77,8 @@ class Quasimorphism:
         return got
 
     def homogeneous_value(self, g: GroupElement) -> ExactReal:
-        self._check(g)
+        if g.model is not self.model:
+            self._check(g)
         key = (g.free, g.ab)
         got = self._hcache.get(key)
         if got is None:
@@ -94,13 +96,18 @@ class HomomorphismQM(Quasimorphism):
         self.values = tuple(values)
 
     def _value(self, g: GroupElement) -> ExactReal:
-        total = ZERO
+        # exponent sum of each generator, then one exact term per generator
+        counts = [0] * self.model.free_rank
         for x in g.free:
-            v = self.values[abs(x) - 1]
-            total = total + (v if x > 0 else -v)
-        for j, e in enumerate(g.ab):
-            if e:
-                total = total + self.values[self.model.free_rank + j] * e
+            if x > 0:
+                counts[x - 1] += 1
+            else:
+                counts[-x - 1] -= 1
+        counts.extend(g.ab)
+        total = ZERO
+        for v, n in zip(self.values, counts):
+            if n:
+                total = total + v * n
         return total
 
     _homogeneous_value = _value
@@ -128,8 +135,21 @@ def cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def count_occurrences(seq: tuple[int, ...], w: tuple[int, ...], starts: range) -> int:
-    k = len(w)
-    return sum(1 for p in starts if seq[p : p + k] == w)
+    """The number of positions p in `starts` at which w occurs in seq.
+    Indices past the end of seq wrap around to its start, so with
+    starts = range(len(seq)) this counts the occurrences in the cyclic
+    word seq over one period; a plain word passes the starts at which w
+    fits, and nothing wraps."""
+    n, k, first = len(seq), len(w), w[0]
+    count = 0
+    for p in starts:
+        if seq[p] == first:
+            i = 1
+            while i < k and seq[(p + i) % n] == w[i]:
+                i += 1
+            if i == k:
+                count += 1
+    return count
 
 
 class BrooksQM(Quasimorphism):
@@ -164,12 +184,9 @@ class BrooksQM(Quasimorphism):
         cyc = cyclic_reduce(g.free)
         if not cyc:
             return ZERO
-        L, k = len(cyc), len(self.word)
-        reps = -(-(L - 1 + k) // L)  # enough copies for starts within one period
-        big = cyc * reps
-        starts = range(L)
-        n = count_occurrences(big, self.word, starts) - count_occurrences(
-            big, self.word_inverse, starts
+        starts = range(len(cyc))
+        n = count_occurrences(cyc, self.word, starts) - count_occurrences(
+            cyc, self.word_inverse, starts
         )
         return ExactReal(n)
 
@@ -235,6 +252,10 @@ class CombinationQM(Quasimorphism):
 class HomogenizedQM(Quasimorphism):
     """phi-bar for a Brooks quasimorphism or a homomorphism.
 
+    Both `value` and `homogeneous_value` are the base's
+    `homogeneous_value`, served from the base's cache; this wrapper
+    keeps no cache of its own.
+
     Combinations are deliberately not accepted here: homogenize the
     parts first and combine those (the result is the same and keeps
     each exact homogenization auditable on its own).
@@ -249,10 +270,11 @@ class HomogenizedQM(Quasimorphism):
         super().__init__(base.model)
         self.base = base
 
-    def _value(self, g: GroupElement) -> ExactReal:
+    def value(self, g: GroupElement) -> ExactReal:
+        # read the base's cache rather than keep a copy of it
         return self.base.homogeneous_value(g)
 
-    _homogeneous_value = _value
+    homogeneous_value = value
 
     @property
     def is_homogeneous(self) -> bool:
@@ -299,16 +321,19 @@ def defect_lower_bound(
     if not qm.is_homogeneous:
         raise ValueError("defect_lower_bound expects a homogeneous quasimorphism")
     ball = qm.model.ball(radius)
+    value = qm.value
+    # [g, h] = (g h) g^-1 h^-1 reuses g h: 3 products per pair
+    entries = [(g, g.inverse(), value(g)) for g in ball]
     best = ZERO
     best_kind = "commutator"
     best_pair = (qm.model.identity(), qm.model.identity())
-    for g in ball:
-        vg = qm.value(g)
-        for h in ball:
-            cval = qm.value(commutator(g, h))
+    for g, g_inv, vg in entries:
+        for h, h_inv, vh in entries:
+            gh = g * h
+            cval = value(gh * g_inv * h_inv)
             if cval > best:
                 best, best_kind, best_pair = cval, "commutator", (g, h)
-            tval = abs(vg + qm.value(h) - qm.value(g * h))
+            tval = abs(vg + vh - value(gh))
             if tval > best:
                 best, best_kind, best_pair = tval, "three-term", (g, h)
     if upper is None:
@@ -376,6 +401,7 @@ def certify_aker_approximate_subgroup(
         order = _M_ORDER
         powers = {m: scaling ** m for m in order}
 
+    value = qm.homogeneous_value
     exponents: list[int] = []
     counterexample = None
     for g in members:
@@ -385,7 +411,8 @@ def certify_aker_approximate_subgroup(
             gh = g * h
             chosen = None
             for m in order:
-                if abs(qm.homogeneous_value(gh * powers[m])) <= bound:
+                # c^0 is the identity, so m = 0 tests g h itself
+                if abs(value(gh * powers[m] if m else gh)) <= bound:
                     chosen = m
                     break
             if chosen is None:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qmprobe.errors import CapExceededError, ModelMismatchError
 from qmprobe.groups import (
     Generator,
+    GroupElement,
     GroupModel,
     commutator,
     edge_letter,
@@ -160,3 +164,54 @@ def test_distance_matches_inverse_product_on_random_words(f2z, data):
     g = data.draw(_random_words(f2z, 10))
     h = data.draw(_random_words(f2z, 10))
     assert g.distance(h) == (g.inverse() * h).length()
+
+
+# -- slotted elements ----------------------------------------------------
+
+
+def _letter_key(gen):
+    # the spelling key sort_key was first defined by
+    return (gen.index, 1 if gen.inverse else 0)
+
+
+@pytest.mark.parametrize("name", ["f2", "f2z", "z2"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_arithmetic_hash_and_sort_key_on_random_words(request, name, data):
+    model = request.getfixturevalue(name)
+    g = data.draw(_random_words(model, 8))
+    h = data.draw(_random_words(model, 8))
+    gh = reduce_word(model, g.letters() + h.letters())
+    assert g * h == gh
+    assert hash(g * h) == hash(gh)
+    inv = reduce_word(model, tuple(gen.inverted() for gen in reversed(g.letters())))
+    assert g.inverse() == inv
+    assert hash(g.inverse()) == hash(inv)
+    for x in (g, h, g * h, g.inverse()):
+        assert x.sort_key() == (x.length(), tuple(_letter_key(gen) for gen in x.letters()))
+    assert (g == h) == (g.sort_key() == h.sort_key())
+
+
+def test_element_is_immutable_and_has_no_dict(f2z):
+    g = f2z.parse_element("a b u^2")
+    for name in ("model", "free", "ab", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+    with pytest.raises(AttributeError):
+        del g.free
+    assert not hasattr(g, "__dict__")
+    assert g.free == (1, 2) and g.ab == (2,)
+
+
+def test_public_constructor(f2z):
+    g = GroupElement(f2z, (1, -2), (3,))
+    assert type(g) is GroupElement
+    assert g == f2z.parse_element("a b^-1 u^3")
+    assert hash(g) == hash(f2z.parse_element("a b^-1 u^3"))
+    assert GroupElement(model=f2z, free=(), ab=(0,)) == f2z.identity()
+    # equal normal forms over different models are different elements
+    other = GroupModel(free_rank=2, abelian_rank=1, generator_names=("x", "y", "z"))
+    assert GroupElement(other, (1, -2), (3,)) != g
+    assert g != (1, -2)
+    assert copy.copy(g) == g
+    assert pickle.loads(pickle.dumps(g)) == g

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmprobe.errors import CapExceededError, ExtractionError
-from qmprobe.exact import ExactReal, ONE, ZERO
+from qmprobe.exact import ExactReal, ONE, ZERO, exact_min
 from qmprobe.groups import Generator
 from qmprobe.novikov import (
     CayleyComplex,
@@ -21,7 +21,7 @@ from qmprobe.novikov import (
     windowed_boundary_solve,
 )
 from qmprobe.paths import Path, path_from_letters, straight_path
-from qmprobe.quasimorphisms import HomomorphismQM
+from qmprobe.quasimorphisms import BrooksQM, CombinationQM, HomogenizedQM, HomomorphismQM
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +48,7 @@ def test_square_types_by_model(cx2, cxf, cxm):
     assert cxm.square_types == ((0, 2), (1, 2))  # each free letter against u
 
 
-def test_cell_value_is_min_over_corners(z2, cx2):
+def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi, psibar_ab):
     g = z2.parse_element("a^-1")
     face = cx2.face_cell(g, 0)
     assert cx2.corners(face) == (
@@ -61,6 +61,25 @@ def test_cell_value_is_min_over_corners(z2, cx2):
     edge = cx2.edge_cell(g, 0)
     assert cx2.value(edge) == ExactReal(-1)
     assert cx2.value(cx2.vertex_cell(g)) == ExactReal(-1)
+    # homomorphisms take the offset path; it must agree with the corners
+    other = HomomorphismQM(f2z, (ZERO, ONE, ExactReal(-1, 1, 2)))
+    for qm in (
+        f2z_phi,
+        HomogenizedQM(f2z_phi),
+        CombinationQM((ONE, ExactReal(-3, 1, 2)), (f2z_phi, other)),
+    ):
+        cx = CayleyComplex(qm, ZERO)
+        assert cx._offsets is not None
+        for b in f2z.ball(3):
+            cells = [cx.vertex_cell(b)]
+            cells += [cx.edge_cell(b, i) for i in range(len(cx.positive))]
+            cells += [cx.face_cell(b, t) for t in range(len(cx.square_types))]
+            for cell in cells:
+                expected = exact_min(qm.homogeneous_value(v) for v in cx.corners(cell))
+                assert cx.value(cell) == expected
+    brooks = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
+    assert CayleyComplex(brooks, ONE)._offsets is None
+    assert CayleyComplex(psibar_ab, ONE)._offsets is None
 
 
 def test_describe_cell(z2, cx2):

@@ -1,5 +1,5 @@
-"""Edge-path algebra: construction, concatenation, inversion, powers,
-translation, and exact value extrema along the vertices."""
+"""Edge-path algebra: construction, concatenation, and exact value
+extrema along the vertices."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qmprobe.errors import ModelMismatchError
 from qmprobe.exact import ExactReal
-from qmprobe.groups import Generator
 from qmprobe.paths import Path, path_from_letters, phi_extrema, straight_path
 
 ZERO = ExactReal(0)
@@ -68,7 +67,7 @@ def test_letters_round_trip_abelian(z2, data):
     assert p.edge_letters() == tuple(letters)
 
 
-# -- concat / invert / power / translate --------------------------------
+# -- concat ------------------------------------------------------------
 
 
 def test_concat_translates_second_path(f2):
@@ -91,18 +90,6 @@ def test_concat_model_mismatch(f2, z2):
     q = Path((z2.identity(),))
     with pytest.raises(ModelMismatchError):
         p.concat(q)
-
-
-def test_invert_reverses(f2):
-    p = path_from_letters(f2.identity(), f2.parse_word("a b a^-1"))
-    r = p.invert()
-    assert r.origin == p.terminus
-    assert r.terminus == p.origin
-    assert r.invert() == p
-    # reversed edges traverse the inverse letters in the opposite order
-    assert r.edge_letters() == tuple(
-        Generator(gen.index, not gen.inverse) for gen in reversed(p.edge_letters())
-    )
 
 
 # -- straight paths -----------------------------------------------------

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmprobe.exact import ExactReal, ONE, ZERO
-from qmprobe.groups import GroupModel, commutator, reduce_word
+from qmprobe.groups import Generator, GroupModel, commutator, reduce_word
 from qmprobe.quasimorphisms import (
     BrooksQM,
     CombinationQM,
     HomogenizedQM,
     HomomorphismQM,
     certify_aker_approximate_subgroup,
+    count_occurrences,
+    cyclic_reduce,
     defect_lower_bound,
 )
 
@@ -145,6 +147,9 @@ def test_homogenized_wrapper_is_homogeneous(psi_ab, psibar_ab):
     assert psibar_ab.value is not None  # value and homogeneous value agree
     g = psi_ab.model.parse_element("a b a")
     assert psibar_ab.value(g) == psibar_ab.homogeneous_value(g)
+    # the values live in the base's cache only
+    assert (g.free, g.ab) in psi_ab._hcache
+    assert not psibar_ab._vcache and not psibar_ab._hcache
 
 
 def test_homogenized_rejects_combinations(psi_ab):
@@ -179,6 +184,72 @@ def test_defect_lower_bound_frozen(f2, psibar_ab):
     g, h = est3.witness
     assert psibar_ab.homogeneous_value(commutator(g, h)) == est3.witness_value
     assert est3.witness_value == est3.lower
+
+
+def _scan_with_commutators(qm, radius):
+    """The defect scan as first written: 4 products and 2 inverses per
+    pair, through `commutator`."""
+    ball = qm.model.ball(radius)
+    best, best_kind = ZERO, "commutator"
+    best_pair = (qm.model.identity(), qm.model.identity())
+    for g in ball:
+        vg = qm.value(g)
+        for h in ball:
+            cval = qm.value(commutator(g, h))
+            if cval > best:
+                best, best_kind, best_pair = cval, "commutator", (g, h)
+            tval = abs(vg + qm.value(h) - qm.value(g * h))
+            if tval > best:
+                best, best_kind, best_pair = tval, "three-term", (g, h)
+    return best, best_kind, best_pair
+
+
+def test_defect_scan_matches_the_commutator_loop(f2, f2z, f2z_phi, psibar_ab):
+    psibar_ba = HomogenizedQM(BrooksQM(f2, f2.parse_word("b a^-1")))
+    psibar_f2z = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
+    # psi-bar of a^2 has a three-term witness, the others a commutator
+    psibar_aa = HomogenizedQM(BrooksQM(f2, f2.parse_word("a a")))
+    assert defect_lower_bound(psibar_aa, 3).witness_kind == "three-term"
+    for qm, radius in (
+        (psibar_ab, 3),
+        (psibar_aa, 3),
+        (CombinationQM((ExactReal(2), ExactReal(0, -1)), (psibar_ab, psibar_ba)), 3),
+        (CombinationQM((ONE, ONE), (psibar_f2z, f2z_phi)), 2),
+    ):
+        est = defect_lower_bound(qm, radius)
+        assert (est.lower, est.witness_kind, est.witness) == _scan_with_commutators(
+            qm, radius
+        )
+
+
+def _reduced_free_words(model, max_size):
+    return st.lists(st.sampled_from(model.generators()), max_size=max_size).map(
+        lambda letters: reduce_word(model, tuple(letters)).free
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_brooks_counting_matches_slicing(f2, data):
+    seq = data.draw(_reduced_free_words(f2, 14))
+    w = data.draw(_reduced_free_words(f2, 5).filter(bool))
+    k = len(w)
+    starts = range(len(seq) - k + 1)
+    assert count_occurrences(seq, w, starts) == sum(
+        1 for p in starts if seq[p : p + k] == w
+    )
+    # the homogeneous count as first written: one period of a cyclic power
+    psi = BrooksQM(f2, [Generator(abs(x) - 1, x < 0) for x in w])
+    cyc = cyclic_reduce(seq)
+    expected = 0
+    if cyc:
+        big = cyc * -(-(len(cyc) - 1 + k) // len(cyc))
+        periods = range(len(cyc))
+        expected = sum(1 for p in periods if big[p : p + k] == psi.word) - sum(
+            1 for p in periods if big[p : p + k] == psi.word_inverse
+        )
+    g = reduce_word(f2, [Generator(abs(x) - 1, x < 0) for x in seq])
+    assert psi.homogeneous_value(g) == ExactReal(expected)
 
 
 def test_defect_of_homomorphism_is_zero(f2z, f2z_phi):
