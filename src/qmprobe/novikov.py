@@ -487,21 +487,19 @@ def _trimmed_boundary_column(cx: CayleyComplex, face: Cell, window: ExactReal) -
     }
 
 
-def windowed_boundary_solve(
+def boundary_faces(
     cx: CayleyComplex,
     z: WindowedChain,
     window: ExactReal,
     radius: int,
     slack: ExactReal = ZERO,
     cell_cap: int = DEFAULT_CELL_CAP,
-) -> BoundarySolveResult:
-    """Decide whether some integer 2-chain y supported on faces based
-    in ball(radius) has boundary equal to z on every edge below the
-    window.  Faces are enumerated with values in
-    [min level of z - slack, window); no admissible face can produce an
-    edge below that floor, because a face's value is the minimum over
-    its corners.
-    """
+) -> tuple[Optional[ExactReal], list[Cell]]:
+    """(floor, faces) of the boundary equation for z below the window:
+    the faces based in ball(radius) with values in
+    [min level of z - slack, window).  No admissible face can produce
+    an edge below that floor, because a face's value is the minimum
+    over its corners."""
     if z.dimension != 1:
         raise ValueError("the boundary equation needs a 1-chain right-hand side")
     if z.window is not None and z.window < window:
@@ -512,7 +510,21 @@ def windowed_boundary_solve(
     floor = z.support_min()
     if floor is not None:
         floor = floor - slack
-    faces = enumerate_faces(cx, floor, window, radius, cell_cap)
+    return floor, enumerate_faces(cx, floor, window, radius, cell_cap)
+
+
+def windowed_boundary_solve(
+    cx: CayleyComplex,
+    z: WindowedChain,
+    window: ExactReal,
+    radius: int,
+    slack: ExactReal = ZERO,
+    cell_cap: int = DEFAULT_CELL_CAP,
+) -> BoundarySolveResult:
+    """Decide whether some integer 2-chain y supported on the
+    `boundary_faces` has boundary equal to z on every edge below the
+    window."""
+    floor, faces = boundary_faces(cx, z, window, radius, slack, cell_cap)
     columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
     rhs = dict(z.terms)
     outcome = solve_integer_system(columns, rhs)

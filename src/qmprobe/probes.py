@@ -9,9 +9,9 @@ kind:
   messages;
 * `run(exp, probe)` makes the library call and flattens the result into
   a JSON-compatible payload carrying the full witness;
-* `check(exp, probe, result)` replays a recorded payload against the
-  echoed configuration and returns the problems found, none when it
-  replays;
+* `check(exp, probe, result)` rebuilds the payload from
+  `probe.settings` and returns one problem per key where the recorded
+  payload differs, none when it replays (see `_rederive`);
 * `explain` is the text `qmprobe explain KIND` prints.
 
 `config`, `runner`, `verify` and `cli` dispatch through `KINDS` and hold
@@ -34,20 +34,23 @@ from .errors import (
 )
 from .exact import ZERO, ExactReal
 from .groups import GroupElement, GroupModel, commutator
-from .intsolve import UnsatCertificate, check_unsat_certificate
+from .intsolve import UnsatCertificate, check_solution, check_unsat_certificate
 from .novikov import (
     DEFAULT_CELL_CAP,
+    BoundarySolveResult,
     CayleyComplex,
+    RayCycle,
     WindowedChain,
     _trimmed_boundary_column,
+    boundary_faces,
     build_zs_cycle,
-    enumerate_faces,
     keep_negative_and_extract_path,
     ray_cycle,
     windowed_boundary_solve,
 )
-from .paths import path_from_letters, phi_extrema, straight_path
+from .paths import path_from_letters, straight_path
 from .quasimorphisms import (
+    DefectEstimate,
     Quasimorphism,
     certify_aker_approximate_subgroup,
     defect_lower_bound,
@@ -59,8 +62,6 @@ from .report import (
     exact_payload,
     letter_payload,
     parse_cell,
-    parse_exact,
-    parse_path,
     path_payload,
 )
 from .rips import _prepare_vertices, components_from_edges, connectivity_profile
@@ -240,31 +241,18 @@ def _expect(problems: list, cond: bool, message: str) -> bool:
     return cond
 
 
-def _qm_of(exp: Experiment, res: dict) -> Quasimorphism:
-    qm = exp.quasimorphisms.get(res.get("qm"))
-    if qm is None:
-        raise ReplayError(f"payload references unknown quasimorphism {res.get('qm')!r}")
-    return qm
-
-
 def _element(model: GroupModel, payload: str) -> GroupElement:
+    if not isinstance(payload, str):
+        raise ReplayError(f"bad element payload {payload!r}")
     try:
         return model.parse_element(payload)
     except ValueError as exc:
         raise ReplayError(f"bad element payload {payload!r}: {exc}") from exc
 
 
-def _rederive(exp: Experiment, probe: ProbeSpec, res: dict, unchecked: tuple = ()) -> list:
-    """Re-runs the probe on the echoed config through `attempt` and
-    compares its payload with the recorded one key by key, except the
-    keys in `unchecked`; a re-run that is not `ok` is the one problem.
-
-    The rule: a kind is re-derived when replaying its witness would cost
-    as much as finding it (aker-cert, free-obstruction, q-library,
-    peak-reduce, zs-cycle, and rips-profile but for its forest), and
-    keeps a witness check when checking is cheaper than finding.  A
-    re-derived kind accepts only the canonical witness `run` emits,
-    which is well defined because the searches break ties canonically.
+def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
+    """One problem per key, outside `unchecked`, where the recorded
+    payload differs from the one rebuilt from `probe.settings`.
 
     Payloads hold only dicts, lists, strings, ints, bools and None, so
     the fresh one equals its own JSON round trip and is compared as it
@@ -273,14 +261,27 @@ def _rederive(exp: Experiment, probe: ProbeSpec, res: dict, unchecked: tuple = (
     `verify` by more than the table itself."""
     if not isinstance(res, dict):
         raise TypeError("result is not an object")
-    status, error, fresh = attempt(exp, probe)
-    if fresh is None:
-        return [f"re-run gives {status}: {error}"]
     return [
         f"{key} does not replay"
         for key in sorted(fresh.keys() | res.keys())
         if key not in unchecked and fresh.get(key) != res.get(key)
     ]
+
+
+def _rederive(exp: Experiment, probe: ProbeSpec, res: dict, unchecked: tuple = ()) -> list:
+    """The one rule of `verify`: rebuild the payload from the echoed
+    config and compare it key by key with the recorded one.  Here the
+    probe is re-run through `attempt`; a re-run that is not `ok` is the
+    one problem.  Every kind is re-derived this way except `defect`,
+    `novikov-solve` and the rips-profile forest, whose checks rebuild
+    the payload the same way but put the recorded witness where the
+    search would be.  A re-derived kind accepts only the canonical
+    witness `run` emits, which is well defined because the searches
+    break ties canonically."""
+    status, error, fresh = attempt(exp, probe)
+    if fresh is None:
+        return [f"re-run gives {status}: {error}"]
+    return _compare(fresh, res, unchecked)
 
 
 # -- defect --------------------------------------------------------------
@@ -297,11 +298,9 @@ def _validate_defect(exp: Experiment, probe: ProbeSpec, where: str) -> None:
     )
 
 
-def _run_defect(exp: Experiment, probe: ProbeSpec) -> dict:
-    s = probe.settings
-    est = defect_lower_bound(_qm(exp, probe), s["radius"], upper=s["claimed_upper"])
+def _defect_payload(probe: ProbeSpec, est: DefectEstimate) -> dict:
     return {
-        "qm": s["qm_name"],
+        "qm": probe.settings["qm_name"],
         "radius": est.radius,
         "lower": exact_payload(est.lower),
         "upper": None if est.upper is None else exact_payload(est.upper),
@@ -312,33 +311,33 @@ def _run_defect(exp: Experiment, probe: ProbeSpec) -> dict:
     }
 
 
+def _run_defect(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    est = defect_lower_bound(_qm(exp, probe), s["radius"], upper=s["claimed_upper"])
+    return _defect_payload(probe, est)
+
+
 def _check_defect(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
-    problems: list = []
-    qm = _qm_of(exp, res)
-    model = exp.model
-    radius = res["radius"]
-    lower = parse_exact(res["lower"])
-    upper = parse_exact(res["upper"])
-    value = parse_exact(res["witness_value"])
-    g = _element(model, res["witness"][0])
-    h = _element(model, res["witness"][1])
-    _expect(
-        problems,
-        g.length() <= radius and h.length() <= radius,
-        "witness pair lies outside the scanned ball",
-    )
+    """The recorded pair stands in for the scan of ball(radius)^2: it is
+    re-evaluated, and any pair realizing the recorded lower bound will
+    do."""
+    s = probe.settings
+    qm = _qm(exp, probe)
+    g, h = (_element(exp.model, word) for word in res["witness"])
+    if not (g.length() <= s["radius"] and h.length() <= s["radius"]):
+        return ["witness pair lies outside the scanned ball"]
     kind = res["witness_kind"]
     if kind == "three-term":
-        replayed = abs(qm.value(g) + qm.value(h) - qm.value(g * h))
+        value = abs(qm.value(g) + qm.value(h) - qm.value(g * h))
     elif kind == "commutator":
-        replayed = qm.homogeneous_value(commutator(g, h))
+        value = qm.value(commutator(g, h))
     else:
         return [f"unknown witness kind {kind!r}"]
-    _expect(problems, replayed == value, "witness value does not replay")
-    _expect(problems, value == lower, "lower bound is not realized by its witness")
-    if upper is not None:
-        _expect(problems, lower <= upper, "upper bound sits below the certified lower bound")
-    return problems
+    upper = s["claimed_upper"] if s["claimed_upper"] is not None else qm.defect_upper()
+    if upper is not None and upper < value:
+        return ["upper bound sits below the certified lower bound"]
+    est = DefectEstimate(value, upper, s["radius"], kind, (g, h), value)
+    return _compare(_defect_payload(probe, est), res)
 
 
 # -- aker-cert -----------------------------------------------------------
@@ -500,43 +499,6 @@ def _run_path_search(exp: Experiment, probe: ProbeSpec) -> dict:
     return out
 
 
-def _check_path_search(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
-    problems: list = []
-    qm = _qm_of(exp, res)
-    model = exp.model
-    start = _element(model, res["start"])
-    target = _element(model, res["target"])
-    k = parse_exact(res["k"])
-    k_max = parse_exact(res["k_max"])
-    radius = res["radius"]
-    if res["found"]:
-        path = parse_path(model, res["path"])
-        _expect(problems, path.origin == start, "path does not start at the start element")
-        _expect(problems, path.terminus == target, "path does not end at the target")
-        _expect(
-            problems,
-            all(v.length() <= radius for v in path.vertices),
-            "path leaves the ball",
-        )
-        lo, hi = phi_extrema(qm, path)
-        _expect(problems, lo == parse_exact(res["min_phi"]), "minimum value does not replay")
-        _expect(problems, hi == parse_exact(res["max_phi"]), "maximum value does not replay")
-        _expect(problems, lo >= -k, "path dips below the floor -k")
-        if k_max is not None:
-            _expect(problems, hi <= k_max, "path exceeds the ceiling k_max")
-    else:
-        again = bounded_path_search(qm, start, target, k, radius, k_max)
-        ok = isinstance(again, NotFoundWithinBall)
-        _expect(problems, ok, "a path exists although the report claims none does")
-        if ok:
-            _expect(
-                problems,
-                again.explored == res["explored"] and again.reason == res["reason"],
-                "the failed search transcript does not replay",
-            )
-    return problems
-
-
 # -- q-library -----------------------------------------------------------
 
 
@@ -695,28 +657,6 @@ def _run_f2z_example(exp: Experiment, probe: ProbeSpec) -> dict:
     }
 
 
-def _check_f2z_example(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
-    problems: list = []
-    qm = _qm_of(exp, res)
-    model = exp.model
-    start = _element(model, res["start"])
-    target = _element(model, res["target"])
-    for label, g in (("start", start), ("target", target)):
-        _expect(problems, qm.homogeneous_value(g) == ZERO, f"{label} is not in the kernel")
-    path = parse_path(model, res["path"])
-    _expect(
-        problems,
-        path.origin == start and path.terminus == target,
-        "path endpoints do not match",
-    )
-    lo, hi = phi_extrema(qm, path)
-    _expect(problems, lo == parse_exact(res["min_phi"]), "minimum does not replay")
-    _expect(problems, hi == parse_exact(res["max_phi"]), "maximum does not replay")
-    three = ExactReal(3)
-    _expect(problems, -three <= lo and hi <= three, "path leaves the band [-3, 3]")
-    return problems
-
-
 # -- free-obstruction ----------------------------------------------------
 
 
@@ -797,14 +737,17 @@ def _validate_novikov_solve(exp: Experiment, probe: ProbeSpec, where: str) -> No
     )
 
 
-def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
+def _novikov_cycle(exp: Experiment, probe: ProbeSpec) -> tuple[CayleyComplex, RayCycle]:
     s = probe.settings
     cx = CayleyComplex(_qm(exp, probe), s["defect"])
     connecting = straight_path(s["start"], s["end"])
-    cycle = ray_cycle(cx, s["start"], s["end"], connecting, s["scaling"], s["window"])
-    outcome = windowed_boundary_solve(
-        cx, cycle.chain, s["window"], s["radius"], s["slack"], s["cell_cap"]
-    )
+    return cx, ray_cycle(cx, s["start"], s["end"], connecting, s["scaling"], s["window"])
+
+
+def _novikov_payload(
+    probe: ProbeSpec, cx: CayleyComplex, cycle: RayCycle, outcome: BoundarySolveResult
+) -> dict:
+    s = probe.settings
     out = {
         "qm": s["qm_name"],
         "start": element_payload(s["start"]),
@@ -814,7 +757,7 @@ def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
         "radius": s["radius"],
         "slack": exact_payload(s["slack"]),
         "defect": exact_payload(s["defect"]),
-        "connecting": path_payload(connecting),
+        "connecting": path_payload(cycle.connecting),
         "cycle": chain_payload(cx, cycle.chain),
         "floor": exact_payload(outcome.floor),
         "status": outcome.status,
@@ -850,98 +793,59 @@ def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
     return out
 
 
+def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
+    s = probe.settings
+    cx, cycle = _novikov_cycle(exp, probe)
+    outcome = windowed_boundary_solve(
+        cx, cycle.chain, s["window"], s["radius"], s["slack"], s["cell_cap"]
+    )
+    return _novikov_payload(probe, cx, cycle, outcome)
+
+
 def _check_novikov_solve(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
-    problems: list = []
-    qm = _qm_of(exp, res)
-    model = exp.model
-    defect = parse_exact(res["defect"])
-    cx = CayleyComplex(qm, defect)
-    start = _element(model, res["start"])
-    end = _element(model, res["end"])
-    scaling = _element(model, res["scaling"])
-    window = parse_exact(res["window"])
-    radius = res["radius"]
-    slack = parse_exact(res["slack"])
-    cell_cap = probe.settings["cell_cap"]
-    connecting = parse_path(model, res["connecting"])
-    _expect(
-        problems,
-        connecting.origin == start and connecting.terminus == end,
-        "connecting path endpoints do not match",
+    """The recorded filling or infeasibility certificate stands in for
+    the solve: it is replayed against the re-enumerated faces, and any
+    filling or certificate that replays will do."""
+    s = probe.settings
+    window = s["window"]
+    cx, cycle = _novikov_cycle(exp, probe)
+    floor, faces = boundary_faces(
+        cx, cycle.chain, window, s["radius"], s["slack"], s["cell_cap"]
     )
-    cycle = ray_cycle(cx, start, end, connecting, scaling, window)
-    if not _expect(
-        problems,
-        chain_payload(cx, cycle.chain) == res["cycle"],
-        "ray cycle chain does not replay",
-    ):
-        return problems
-    floor = parse_exact(res["floor"])
-    support_min = cycle.chain.support_min()
-    _expect(
-        problems,
-        support_min is not None and floor == support_min - slack,
-        "enumeration floor does not replay",
-    )
-    faces = enumerate_faces(cx, floor, window, radius, cell_cap)
-    if not _expect(
-        problems,
-        [cell_payload(cx, f) for f in faces] == res["faces"],
-        "face enumeration does not replay",
-    ):
-        return problems
     rhs = dict(cycle.chain.terms)
-    if res["status"] == "sat":
+    status = res["status"]
+    if status == "sat":
         coefficients = res["coefficients"]
-        if not _expect(
-            problems,
-            isinstance(coefficients, list) and len(coefficients) == len(faces),
-            "one coefficient per face is required",
+        if not (
+            isinstance(coefficients, list)
+            and len(coefficients) == len(faces)
+            and all(type(c) is int for c in coefficients)
         ):
-            return problems
-        filling = WindowedChain(
-            cx, 2, {f: c for f, c in zip(faces, coefficients) if c}, None
+            return ["one integer coefficient per face is required"]
+        support = {f: c for f, c in zip(faces, coefficients) if c}
+        columns = [_trimmed_boundary_column(cx, f, window) for f in support]
+        if not check_solution(columns, rhs, list(support.values())):
+            return ["boundary of the filling does not match the cycle below the window"]
+        filling = WindowedChain(cx, 2, support, None)
+        outcome = BoundarySolveResult(
+            "sat", window, floor, s["radius"], tuple(faces), tuple(coefficients), filling, None
         )
-        _expect(
-            problems,
-            filling.boundary().equal_below(
-                cx.chain(1, rhs, window), window
-            ),
-            "boundary of the filling does not match the cycle below the window",
-        )
-        extraction = res["extraction"]
-        if extraction is not None and "error" not in extraction:
-            path = parse_path(model, extraction["path"])
-            _expect(
-                problems,
-                path.origin == start and path.terminus == end,
-                "extracted path endpoints do not match",
-            )
-            lo, _ = phi_extrema(qm, path)
-            bound = parse_exact(extraction["bound"])
-            _expect(problems, lo == parse_exact(extraction["min_phi"]), "extracted minimum does not replay")
-            _expect(problems, bound == -defect, "extraction bound is not -D")
-            _expect(
-                problems,
-                extraction["meets_bound"] == (lo >= bound),
-                "meets_bound flag does not replay",
-            )
-    elif res["status"] == "unsat":
+    elif status == "unsat":
         cert = res["certificate"]
-        functional = {
-            parse_cell(cx, cell): int(coeff) for cell, coeff in cert["functional"]
-        }
+        functional = {parse_cell(cx, cell): coeff for cell, coeff in cert["functional"]}
+        modulus = cert["modulus"]
+        if not (type(modulus) is int and all(type(c) is int for c in functional.values())):
+            return ["certificate modulus and coefficients must be integers"]
+        certificate = UnsatCertificate(functional, modulus)
         columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
-        _expect(
-            problems,
-            check_unsat_certificate(
-                columns, rhs, UnsatCertificate(functional, int(cert["modulus"]))
-            ),
-            "infeasibility certificate does not annihilate the system",
+        if not check_unsat_certificate(columns, rhs, certificate):
+            return ["infeasibility certificate does not annihilate the system"]
+        outcome = BoundarySolveResult(
+            "unsat", window, floor, s["radius"], tuple(faces), None, None, certificate
         )
     else:
-        problems.append(f"unknown solve status {res['status']!r}")
-    return problems
+        return [f"unknown solve status {status!r}"]
+    return _compare(_novikov_payload(probe, cx, cycle, outcome), res)
 
 
 # -- zs-cycle ------------------------------------------------------------
@@ -1080,7 +984,7 @@ explicit edges certifies connectivity.""",
     "path-search": ProbeKind(
         _validate_path_search,
         _run_path_search,
-        _check_path_search,
+        _rederive,
         """\
 path-search: breadth-first search inside ball(R) over the admissible
 vertices -K <= phi-bar(v) <= K_max (no ceiling when K_max is absent).
@@ -1118,7 +1022,7 @@ backtracks afterwards leaves every vertex with phi-bar <= M + 2 D*.""",
     "f2z-example": ProbeKind(
         _validate_f2z_example,
         _run_f2z_example,
-        _check_f2z_example,
+        _rederive,
         """\
 f2z-example: the rank-2 free by rank-1 abelian model with phi sending
 the free generators to 1 and 0 and the central generator to sqrt(2).

@@ -303,10 +303,13 @@ class DefectEstimate:
     lower: ExactReal
     upper: Optional[ExactReal]
     radius: int
-    provenance: str
     witness_kind: str
     witness: tuple[GroupElement, GroupElement]
     witness_value: ExactReal
+
+    @property
+    def provenance(self) -> str:
+        return f"commutator and three-term scan over ball({self.radius})^2"
 
 
 def defect_lower_bound(
@@ -346,7 +349,6 @@ def defect_lower_bound(
         lower=best,
         upper=upper,
         radius=radius,
-        provenance=f"commutator and three-term scan over ball({radius})^2",
         witness_kind=best_kind,
         witness=best_pair,
         witness_value=best,

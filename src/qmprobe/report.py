@@ -67,7 +67,7 @@ def parse_path(model: GroupModel, payload: dict) -> Path:
     try:
         origin = model.parse_element(payload["origin"])
         letters = [parse_letter(model, token) for token in payload["letters"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ReplayError(f"malformed path payload: {exc}") from exc
     return path_from_letters(origin, letters)
 
@@ -102,7 +102,7 @@ def parse_cell(cx: CayleyComplex, payload: list) -> Cell:
         if tag == "f":
             pair = (names.index(payload[2]), names.index(payload[3]))
             return cx.face_cell(g, cx.square_types.index(pair))
-    except (IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ReplayError(f"malformed cell payload {payload!r}: {exc}") from exc
     raise ReplayError(f"unknown cell tag in {payload!r}")
 

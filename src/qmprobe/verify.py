@@ -2,27 +2,27 @@
 
 Verification trusts nothing but the echoed configuration and the
 payload, and checks each probe through its kind's entry in
-`probes.KINDS`.  Which kinds keep a witness check and which are
-re-derived follows from what each costs:
+`probes.KINDS` by one rule: rebuild the payload from the validated
+config and compare it key by key with the recorded one.
 
-* a witness check where checking is cheaper than finding: `defect`
-  re-evaluates its witness pair instead of scanning ball(R)^2,
-  `novikov-solve` re-applies the filling or the infeasibility
-  certificate to the re-enumerated faces without solving,
-  `path-search` and `f2z-example` re-walk the path and recompute its
-  extrema (a path search claiming no path is re-run, since an absence
-  has no smaller witness);
-* re-derived through the library where checking would redo the whole
-  computation anyway: `aker-cert`, `free-obstruction`, `q-library`,
-  `peak-reduce` and `zs-cycle` re-run the probe on the echoed config
-  and compare the payloads, and `rips-profile` does the same for every
-  field except the spanning forest, which it checks as a witness so
-  that any spanning forest of Rips edges passes.  A re-derived kind
-  accepts only the canonical witness `run` emits; the searches break
-  ties canonically, so that witness is well defined.
+Every kind is rebuilt by re-running it through the library, except
+where a recorded witness is cheaper to check than to find, and there
+the witness stands in for the search:
 
-A probe recorded as `failed` or `cap-exceeded` is run again, and passes
-only if the same status and error text come back.
+* `defect` re-evaluates its witness pair instead of scanning
+  ball(R)^2;
+* `novikov-solve` replays its filling or infeasibility certificate
+  against the re-enumerated faces instead of solving, and re-extracts
+  the path from that filling;
+* `rips-profile` is re-run in every field but its spanning forest,
+  which is checked as a witness so that any spanning forest of Rips
+  edges passes.
+
+A re-derived field accepts only the canonical value `run` emits; the
+searches break ties canonically, so it is well defined.  A probe
+recorded as `failed` or `cap-exceeded` is run again, and passes only if
+the same status and error text come back, and `caps_hit` must list the
+`cap-exceeded` probes in report order.
 """
 
 from __future__ import annotations
@@ -126,6 +126,13 @@ def verify_report(report: dict) -> VerificationOutcome:
             checks.append(ProbeCheck(name, kind, status, False, "; ".join(problems)))
         else:
             checks.append(ProbeCheck(name, kind, status, True, "verified"))
+    if body.get("caps_hit") != [e["name"] for e in entries if e["status"] == "cap-exceeded"]:
+        checks.append(
+            ProbeCheck(
+                "(report)", "-", "-", False,
+                "caps_hit does not list the cap-exceeded probes in order",
+            )
+        )
     missing = sorted(set(specs) - seen)
     if missing:
         checks.append(

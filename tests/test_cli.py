@@ -10,8 +10,10 @@ import sys
 import pytest
 
 from qmprobe.cli import main
+from qmprobe.errors import ReplayError
 from qmprobe.groups import GroupModel
 from qmprobe.probes import KINDS
+from qmprobe.report import parse_path
 
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 BENCH_PINS = pathlib.Path(__file__).parent.parent / "bench" / "pinned.json"
@@ -96,23 +98,69 @@ def _value_over_a_huge_surd_base(res):
     res["min_phi"] = "sqrt(1000000000000000003)"
 
 
+def _defect_pair_with_huge_exponents(res):
+    res["witness"][0] = "a^300000 a^-300000"
+
+
+def _defect_pair_member_that_is_a_number(res):
+    res["witness"][1] = 5
+
+
+def _functional_cell_with_huge_exponents(res):
+    res["certificate"]["functional"][0][0][1] = "a^300000 a^-300000"
+
+
+def _functional_cell_based_at_a_number(res):
+    res["certificate"]["functional"][0][0][1] = 5
+
+
 @pytest.mark.parametrize(
-    "tamper, fragment",
+    "config, name, tamper, fragment",
     [
-        (_letter_with_a_huge_exponent, "not a single letter: 'a^300000'"),
-        (_letter_that_is_a_number, "not a single letter: 5"),
-        (_origin_with_huge_exponents, "word is longer than 5000 letters"),
-        (_value_over_a_huge_surd_base, "surd base must be at most 1000000"),
+        # f2z-example is re-derived, so its path and values are compared,
+        # not parsed
+        ("f2z_kernel.cfg", "recentre", _letter_with_a_huge_exponent, "path does not replay"),
+        ("f2z_kernel.cfg", "recentre", _letter_that_is_a_number, "path does not replay"),
+        ("f2z_kernel.cfg", "recentre", _origin_with_huge_exponents, "path does not replay"),
+        ("f2z_kernel.cfg", "recentre", _value_over_a_huge_surd_base, "min_phi does not replay"),
+        # a recorded witness is parsed, within the token bounds
+        ("free_brooks.cfg", "defect-small", _defect_pair_with_huge_exponents,
+         "word is longer than 5000 letters"),
+        ("free_brooks.cfg", "defect-small", _defect_pair_member_that_is_a_number,
+         "bad element payload 5"),
+        ("free_unsat.cfg", "no-fill", _functional_cell_with_huge_exponents,
+         "word is longer than 5000 letters"),
+        ("free_unsat.cfg", "no-fill", _functional_cell_based_at_a_number,
+         "malformed cell payload"),
     ],
 )
-def test_verify_fails_bad_payload_tokens_without_expanding_them(tmp_path, capsys, tamper, fragment):
+def test_verify_fails_bad_payload_tokens_without_expanding_them(
+    tmp_path, capsys, config, name, tamper, fragment
+):
     out = tmp_path / "report.json"
-    assert main(["run", str(CONFIG_DIR / "f2z_kernel.cfg"), "--out", str(out)]) == 0
+    assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) == 0
     report = _read(out)
-    tamper(_probe(report, "recentre")["result"])
+    tamper(_probe(report, name)["result"])
     code, printed = _verify_rewritten(out, report, capsys)
     assert code == 4
-    assert "FAIL recentre" in printed and fragment in printed
+    assert f"FAIL {name}" in printed and fragment in printed
+
+
+@pytest.mark.parametrize(
+    "letter, fragment",
+    [("a^300000", "not a single letter: 'a^300000'"), (5, "not a single letter: 5")],
+)
+def test_parse_path_refuses_a_letter_token_without_expanding_it(letter, fragment):
+    model = GroupModel(free_rank=2, generator_names=("a", "b"), ball_cap=8)
+    with pytest.raises(ReplayError) as err:
+        parse_path(model, {"origin": "1", "letters": ["a", letter]})
+    assert fragment in str(err.value)
+
+
+def test_parse_path_refuses_an_origin_that_is_not_a_word():
+    model = GroupModel(free_rank=2, generator_names=("a", "b"), ball_cap=8)
+    with pytest.raises(ReplayError, match="malformed path payload"):
+        parse_path(model, {"origin": 5, "letters": []})
 
 
 @pytest.mark.parametrize(
@@ -239,6 +287,42 @@ def _negate_a_chain_coefficient(res):
     res["chain"]["terms"][0][1] *= -1
 
 
+def _claim_an_upper_bound(res):
+    res["upper"] = "1000/1"
+
+
+def _claim_a_wider_scan(res):
+    res["radius"] = 9
+
+
+def _raise_the_floor_k(res):
+    res["k"] = "100/1"
+
+
+def _drop_the_extraction(res):
+    res["extraction"] = None
+
+
+def _replace_the_extraction_by_an_error(res):
+    res["extraction"] = {"error": "x"}
+
+
+def _rewrite_the_window(res):
+    res["window"] = "7/1"
+
+
+def _make_a_fill_coefficient_a_float(res):
+    res["coefficients"][res["coefficients"].index(1)] = 1.0
+
+
+def _make_a_functional_coefficient_a_float(res):
+    res["certificate"]["functional"][0][1] = 1.5
+
+
+def _make_the_modulus_a_float(res):
+    res["certificate"]["modulus"] = 0.0
+
+
 @pytest.mark.parametrize(
     "config, name, tamper, fragment",
     [
@@ -248,13 +332,31 @@ def _negate_a_chain_coefficient(res):
         ("z2_lattice.cfg", "library", _change_an_entry_minimum, "entries does not replay"),
         ("z2_lattice.cfg", "flatten", _change_a_spliced_path, "steps does not replay"),
         ("z2_lattice.cfg", "zs", _negate_a_chain_coefficient, "chain does not replay"),
+        ("free_brooks.cfg", "defect-small", _claim_an_upper_bound, "upper does not replay"),
+        ("free_brooks.cfg", "defect-small", _claim_a_wider_scan, "radius does not replay"),
+        # a string names the probe whose result replaces this one's
+        ("free_brooks.cfg", "defect-small", "defect-doubled", "qm does not replay"),
+        ("free_brooks.cfg", "climb", _raise_the_floor_k, "k does not replay"),
+        ("z2_lattice.cfg", "fill", _drop_the_extraction, "extraction does not replay"),
+        ("z2_lattice.cfg", "fill", _replace_the_extraction_by_an_error,
+         "extraction does not replay"),
+        ("z2_lattice.cfg", "fill", _rewrite_the_window, "window does not replay"),
+        ("z2_lattice.cfg", "fill", _make_a_fill_coefficient_a_float,
+         "one integer coefficient per face is required"),
+        ("free_unsat.cfg", "no-fill", _make_a_functional_coefficient_a_float,
+         "certificate modulus and coefficients must be integers"),
+        ("free_unsat.cfg", "no-fill", _make_the_modulus_a_float,
+         "certificate modulus and coefficients must be integers"),
     ],
 )
 def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragment):
     out = tmp_path / "report.json"
     assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) == 0
     report = _read(out)
-    tamper(_probe(report, name)["result"])
+    if isinstance(tamper, str):
+        _probe(report, name)["result"] = _probe(report, tamper)["result"]
+    else:
+        tamper(_probe(report, name)["result"])
     code, printed = _verify_rewritten(out, report, capsys)
     assert code == 4
     assert f"FAIL {name}" in printed and fragment in printed
@@ -355,6 +457,18 @@ def test_cap_exceeded_exit_code(tmp_path, capsys):
     assert statuses == {"fill-capped": "cap-exceeded", "corridor": "ok"}
     # the report still verifies: the capped probe caps again when re-run
     assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("caps_hit", [[], ["corridor"], ["fill-capped", "fill-capped"]])
+def test_verify_checks_caps_hit_against_the_capped_probes(tmp_path, capsys, caps_hit):
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / "cap_cells.cfg"), "--out", str(out)]) == 3
+    report = _read(out)
+    assert report["body"]["caps_hit"] == ["fill-capped"]
+    report["body"]["caps_hit"] = caps_hit
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL (report)" in printed and "caps_hit" in printed
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
