@@ -33,12 +33,7 @@ class LibraryIncompleteError(QmprobeError):
 
 
 class ExtractionError(QmprobeError):
-    """Path extraction from a boundary support failed; carries the
-    support dump for inspection."""
-
-    def __init__(self, message: str, support=None):
-        super().__init__(message)
-        self.support = support
+    """Path extraction from a boundary support failed."""
 
 
 class ReplayError(QmprobeError):

@@ -93,10 +93,6 @@ class GroupModel:
     def rank(self) -> int:
         return self.free_rank + self.abelian_rank
 
-    @property
-    def kind(self) -> str:
-        return "free" if self.abelian_rank == 0 else "free-times-abelian"
-
     def is_free_index(self, index: int) -> bool:
         return index < self.free_rank
 

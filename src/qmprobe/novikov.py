@@ -26,7 +26,9 @@ truncated rays along a positive-direction element, `build_zs_cycle`
 compares the two standard paths from c^n to s c^n,
 `windowed_boundary_solve` decides ∂y ≡ z below the window by exact
 integer elimination, and `keep_negative_and_extract_path` turns a
-filling into a connecting path through non-negative levels.
+filling into a connecting path through non-negative levels.  Every
+answer to ∂y ≡ z, the solver's in `run` or a recorded one in `verify`,
+is replayed and wrapped by the one function `settle`.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceededError, ExtractionError, ModelMismatchError
+from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
 from .exact import ExactReal, ZERO, exact_min
 from .groups import Generator, GroupElement, GroupModel, _element
 from .intsolve import (
     UnsatCertificate,
+    check_solution,
     check_unsat_certificate,
     solve_integer_system,
 )
 from .paths import Path, path_from_letters
 from .quasimorphisms import Quasimorphism
-from .rips import components_from_edges
 
 RAY_STEP_CAP = 100_000
 DEFAULT_CELL_CAP = 50_000
@@ -139,18 +141,6 @@ class CayleyComplex:
         g = self.element(cell)
         index = cell[3] if len(cell) > 3 else -1
         return (self.dimension_of(cell), g.sort_key(), index)
-
-    def describe_cell(self, cell: Cell) -> str:
-        g = self.element(cell)
-        if cell[0] == "v":
-            return g.word_str()
-        if cell[0] == "e":
-            name = self.model.generator_name(self.positive[cell[3]])
-            return f"{g.word_str()} | {name}"
-        i, j = self.square_types[cell[3]]
-        ni = self.model.generator_name(self.positive[i])
-        nj = self.model.generator_name(self.positive[j])
-        return f"{g.word_str()} | [{ni},{nj}]"
 
     # -- boundaries and drops ------------------------------------------
 
@@ -336,26 +326,10 @@ def _ray_chain(cx: CayleyComplex, x: GroupElement, c: GroupElement, window: Exac
     x c^k already sits at or above the window, so edges past that
     index cannot contribute; scanning up to it is exhaustive."""
     phi_c = cx.qm.homogeneous_value(c)
-    letter = c.letters()[0]
     k_stop = ((window - cx.qm.homogeneous_value(x) + cx.defect) / phi_c).floor() + 1
-    if k_stop < 0:
-        k_stop = 0
     if k_stop > RAY_STEP_CAP:
         raise CapExceededError("ray edges", k_stop, RAY_STEP_CAP)
-    terms: dict[Cell, int] = {}
-    current = x
-    for _ in range(k_stop):
-        cell, sign = _step_cell(cx, current, letter)
-        if cx.value(cell) < window:
-            _accumulate(terms, cell, sign)
-        current = current * c
-    return WindowedChain(cx, 1, terms, window)
-
-
-def _step_cell(cx: CayleyComplex, g: GroupElement, letter: Generator) -> tuple[Cell, int]:
-    if letter.inverse:
-        return cx.edge_cell(g * cx.model.generator_element(letter), letter.index), -1
-    return cx.edge_cell(g, letter.index), 1
+    return cx.chain_from_path(path_from_letters(x, c.letters() * max(k_stop, 0)), window)
 
 
 def ray_cycle(
@@ -526,20 +500,50 @@ def windowed_boundary_solve(
     window."""
     floor, faces = boundary_faces(cx, z, window, radius, slack, cell_cap)
     columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
-    rhs = dict(z.terms)
-    outcome = solve_integer_system(columns, rhs)
-    if isinstance(outcome, UnsatCertificate):
-        if not check_unsat_certificate(columns, rhs, outcome):
-            raise RuntimeError("unsat certificate failed its replay")
-        return BoundarySolveResult(
-            "unsat", window, floor, radius, tuple(faces), None, None, outcome
-        )
-    y_terms = {f: c for f, c in zip(faces, outcome) if c}
-    filling = WindowedChain(cx, 2, y_terms, None)
-    if not filling.boundary().equal_below(cx.chain(1, dict(z.terms), window), window):
-        raise RuntimeError("solver filling failed the boundary replay")
+    solution = solve_integer_system(columns, z.terms)
+    return settle(cx, z, window, floor, radius, faces, solution)
+
+
+def settle(
+    cx: CayleyComplex,
+    z: WindowedChain,
+    window: ExactReal,
+    floor: Optional[ExactReal],
+    radius: int,
+    faces: list[Cell],
+    solution: list[int] | UnsatCertificate,
+) -> BoundarySolveResult:
+    """Replay an answer to the boundary equation for z over `faces`
+    below the window and wrap it in a result, or raise `ReplayError`.
+
+    A coefficient list must hold one integer per face, and the columns
+    of its support must sum to z; an infeasibility certificate must
+    have integer entries and annihilate every face's column but not z.
+    The solver's answer and a recorded one both go through here."""
+    faces = tuple(faces)
+    if isinstance(solution, UnsatCertificate):
+        if not (
+            type(solution.modulus) is int
+            and all(type(c) is int for c in solution.functional.values())
+        ):
+            raise ReplayError("certificate modulus and coefficients must be integers")
+        columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
+        if not check_unsat_certificate(columns, z.terms, solution):
+            raise ReplayError("infeasibility certificate does not annihilate the system")
+        return BoundarySolveResult("unsat", window, floor, radius, faces, None, None, solution)
+    if not (
+        isinstance(solution, list)
+        and len(solution) == len(faces)
+        and all(type(c) is int for c in solution)
+    ):
+        raise ReplayError("one integer coefficient per face is required")
+    support = {f: c for f, c in zip(faces, solution) if c}
+    columns = [_trimmed_boundary_column(cx, f, window) for f in support]
+    if not check_solution(columns, z.terms, list(support.values())):
+        raise ReplayError("boundary of the filling does not match the cycle below the window")
+    filling = WindowedChain(cx, 2, support, None)
     return BoundarySolveResult(
-        "sat", window, floor, radius, tuple(faces), tuple(outcome), filling, None
+        "sat", window, floor, radius, faces, tuple(solution), filling, None
     )
 
 
@@ -574,28 +578,13 @@ def keep_negative_and_extract_path(
     residual = y_minus.boundary().subtract(
         WindowedChain(cx, 1, dict(cycle.chain.terms), cycle.window)
     )
-    bad = [cell for cell in residual.terms if cx.value(cell) < ZERO]
-    if bad:
-        dump = ", ".join(cx.describe_cell(c) for c in sorted(bad, key=cx.cell_sort_key))
-        raise ExtractionError(
-            "residual support dips below level zero", support=dump
-        )
+    if any(cx.value(cell) < ZERO for cell in residual.terms):
+        raise ExtractionError("residual support dips below level zero")
 
     support = residual.sorted_cells()
-    vertex_set: dict[GroupElement, int] = {}
-    edges: list[tuple[int, int]] = []
-
-    def vid(g: GroupElement) -> int:
-        got = vertex_set.get(g)
-        if got is None:
-            got = len(vertex_set)
-            vertex_set[g] = got
-        return got
-
     adjacency: dict[GroupElement, list[GroupElement]] = {}
     for cell in support:
         a, b = cx.corners(cell)
-        edges.append((vid(a), vid(b)))
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
 
@@ -604,13 +593,10 @@ def keep_negative_and_extract_path(
     def ray_entry(x: GroupElement) -> tuple[int, GroupElement]:
         current = x
         for k in range(RAY_STEP_CAP):
-            if current in vertex_set:
+            if current in adjacency:
                 return k, current
             current = current * c
-        raise ExtractionError(
-            "ray never meets the residual support",
-            support=", ".join(cx.describe_cell(s) for s in support),
-        )
+        raise ExtractionError("ray never meets the residual support")
 
     if not support:
         if cycle.start == cycle.end:
@@ -621,13 +607,6 @@ def keep_negative_and_extract_path(
 
     m_start, entry_start = ray_entry(cycle.start)
     m_end, entry_end = ray_entry(cycle.end)
-
-    ids = components_from_edges(len(vertex_set), edges).component_ids
-    if ids[vertex_set[entry_start]] != ids[vertex_set[entry_end]]:
-        raise ExtractionError(
-            "residual support does not connect the two rays",
-            support=", ".join(cx.describe_cell(s) for s in support),
-        )
 
     # canonical shortest path inside the support graph
     for g in adjacency:
@@ -642,6 +621,8 @@ def keep_negative_and_extract_path(
             if w not in parents:
                 parents[w] = v
                 queue.append(w)
+    if entry_end not in parents:
+        raise ExtractionError("residual support does not connect the two rays")
     middle: list[GroupElement] = []
     cursor: Optional[GroupElement] = entry_end
     while cursor is not None:

@@ -34,18 +34,17 @@ from .errors import (
 )
 from .exact import ZERO, ExactReal
 from .groups import GroupElement, GroupModel, commutator
-from .intsolve import UnsatCertificate, check_solution, check_unsat_certificate
+from .intsolve import UnsatCertificate
 from .novikov import (
     DEFAULT_CELL_CAP,
     BoundarySolveResult,
     CayleyComplex,
     RayCycle,
-    WindowedChain,
-    _trimmed_boundary_column,
     boundary_faces,
     build_zs_cycle,
     keep_negative_and_extract_path,
     ray_cycle,
+    settle,
     windowed_boundary_solve,
 )
 from .paths import path_from_letters, straight_path
@@ -252,7 +251,8 @@ def _element(model: GroupModel, payload: str) -> GroupElement:
 
 def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
     """One problem per key, outside `unchecked`, where the recorded
-    payload differs from the one rebuilt from `probe.settings`.
+    payload differs from the one rebuilt from `probe.settings`.  A key
+    missing on one side differs, and values are compared type for type.
 
     Payloads hold only dicts, lists, strings, ints, bools and None, so
     the fresh one equals its own JSON round trip and is compared as it
@@ -264,8 +264,21 @@ def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
     return [
         f"{key} does not replay"
         for key in sorted(fresh.keys() | res.keys())
-        if key not in unchecked and fresh.get(key) != res.get(key)
+        if key not in unchecked
+        and not (key in fresh and key in res and _same(fresh[key], res[key]))
     ]
+
+
+def _same(a, b) -> bool:
+    """JSON equality type for type: unlike `==`, it tells 1, 1.0 and
+    true apart."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def _rederive(exp: Experiment, probe: ProbeSpec, res: dict, unchecked: tuple = ()) -> list:
@@ -804,47 +817,26 @@ def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
 
 def _check_novikov_solve(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
     """The recorded filling or infeasibility certificate stands in for
-    the solve: it is replayed against the re-enumerated faces, and any
+    the solve: `novikov.settle`, the replay `run` puts the solver's own
+    answer through, checks it against the re-enumerated faces, so any
     filling or certificate that replays will do."""
     s = probe.settings
-    window = s["window"]
     cx, cycle = _novikov_cycle(exp, probe)
     floor, faces = boundary_faces(
-        cx, cycle.chain, window, s["radius"], s["slack"], s["cell_cap"]
+        cx, cycle.chain, s["window"], s["radius"], s["slack"], s["cell_cap"]
     )
-    rhs = dict(cycle.chain.terms)
     status = res["status"]
     if status == "sat":
-        coefficients = res["coefficients"]
-        if not (
-            isinstance(coefficients, list)
-            and len(coefficients) == len(faces)
-            and all(type(c) is int for c in coefficients)
-        ):
-            return ["one integer coefficient per face is required"]
-        support = {f: c for f, c in zip(faces, coefficients) if c}
-        columns = [_trimmed_boundary_column(cx, f, window) for f in support]
-        if not check_solution(columns, rhs, list(support.values())):
-            return ["boundary of the filling does not match the cycle below the window"]
-        filling = WindowedChain(cx, 2, support, None)
-        outcome = BoundarySolveResult(
-            "sat", window, floor, s["radius"], tuple(faces), tuple(coefficients), filling, None
-        )
+        solution = res["coefficients"]
     elif status == "unsat":
         cert = res["certificate"]
-        functional = {parse_cell(cx, cell): coeff for cell, coeff in cert["functional"]}
-        modulus = cert["modulus"]
-        if not (type(modulus) is int and all(type(c) is int for c in functional.values())):
-            return ["certificate modulus and coefficients must be integers"]
-        certificate = UnsatCertificate(functional, modulus)
-        columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
-        if not check_unsat_certificate(columns, rhs, certificate):
-            return ["infeasibility certificate does not annihilate the system"]
-        outcome = BoundarySolveResult(
-            "unsat", window, floor, s["radius"], tuple(faces), None, None, certificate
+        solution = UnsatCertificate(
+            {parse_cell(cx, cell): coeff for cell, coeff in cert["functional"]},
+            cert["modulus"],
         )
     else:
         return [f"unknown solve status {status!r}"]
+    outcome = settle(cx, cycle.chain, s["window"], floor, s["radius"], faces, solution)
     return _compare(_novikov_payload(probe, cx, cycle, outcome), res)
 
 

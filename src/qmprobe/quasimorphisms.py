@@ -58,9 +58,6 @@ class Quasimorphism:
         """A certified upper bound on the defect, or None if unknown."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
     # shared API ----------------------------------------------------
 
     def _check(self, g: GroupElement) -> None:
@@ -118,12 +115,6 @@ class HomomorphismQM(Quasimorphism):
 
     def defect_upper(self) -> Optional[ExactReal]:
         return ZERO
-
-    def describe(self) -> str:
-        pairs = ", ".join(
-            f"{n} -> {v}" for n, v in zip(self.model.generator_names, self.values)
-        )
-        return f"homomorphism({pairs})"
 
 
 def cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -197,12 +188,6 @@ class BrooksQM(Quasimorphism):
     def defect_upper(self) -> Optional[ExactReal]:
         return None
 
-    def describe(self) -> str:
-        letters = " ".join(
-            self.model.generator_name(Generator(abs(x) - 1, x < 0)) for x in self.word
-        )
-        return f"brooks({letters})"
-
 
 class CombinationQM(Quasimorphism):
     def __init__(self, coefficients: Sequence[ExactReal], parts: Sequence[Quasimorphism]):
@@ -243,11 +228,6 @@ class CombinationQM(Quasimorphism):
             total = total + abs(c) * ub
         return total
 
-    def describe(self) -> str:
-        return " + ".join(
-            f"{c}*[{p.describe()}]" for c, p in zip(self.coefficients, self.parts)
-        )
-
 
 class HomogenizedQM(Quasimorphism):
     """phi-bar for a Brooks quasimorphism or a homomorphism.
@@ -285,9 +265,6 @@ class HomogenizedQM(Quasimorphism):
         if ub is None:
             return None
         return ub + ub  # D(phi-bar) <= 2 D(phi)
-
-    def describe(self) -> str:
-        return f"homogenized[{self.base.describe()}]"
 
 
 @dataclass(frozen=True)

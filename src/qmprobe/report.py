@@ -32,10 +32,6 @@ def exact_payload(value: Optional[ExactReal]) -> Optional[str]:
     return None if value is None else str(value)
 
 
-def parse_exact(payload: Optional[str]) -> Optional[ExactReal]:
-    return None if payload is None else ExactReal.parse(payload)
-
-
 def element_payload(g: GroupElement) -> str:
     return g.word_str()
 

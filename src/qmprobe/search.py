@@ -28,7 +28,7 @@ On top of that sit the pieces used to push paths out of high levels:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -344,16 +344,7 @@ def build_q_library(
         needed = -exact_min(min_values) + 1
         if needed > guard:
             guard = needed
-    raised = ConstantsBundle(
-        dstar=bundle.dstar,
-        kprime=bundle.kprime,
-        descent_depth=n,
-        level_guard=guard,
-        height_bound=bundle.height_bound,
-        scaling_distance=bundle.scaling_distance,
-        max_pair_value=bundle.max_pair_value,
-        max_generator_value=bundle.max_generator_value,
-    )
+    raised = replace(bundle, descent_depth=n, level_guard=guard)
     return QLibrary(scaling, raised, radius, n, tuple(entries))
 
 

@@ -11,14 +11,16 @@ the witness stands in for the search:
 
 * `defect` re-evaluates its witness pair instead of scanning
   ball(R)^2;
-* `novikov-solve` replays its filling or infeasibility certificate
-  against the re-enumerated faces instead of solving, and re-extracts
-  the path from that filling;
+* `novikov-solve` puts its filling or infeasibility certificate
+  through `novikov.settle`, the replay `run` applies to the solver's
+  answer, against the re-enumerated faces instead of solving, and
+  re-extracts the path from that filling;
 * `rips-profile` is re-run in every field but its spanning forest,
   which is checked as a witness so that any spanning forest of Rips
   edges passes.
 
-A re-derived field accepts only the canonical value `run` emits; the
+Values are compared type for type (JSON 1, 1.0 and true differ).  A
+re-derived field accepts only the canonical value `run` emits; the
 searches break ties canonically, so it is well defined.  A probe
 recorded as `failed` or `cap-exceeded` is run again, and passes only if
 the same status and error text come back, and `caps_hit` must list the

@@ -2,6 +2,7 @@
 exit codes, determinism of report bodies, and tamper detection."""
 
 import hashlib
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -15,8 +16,9 @@ from qmprobe.groups import GroupModel
 from qmprobe.probes import KINDS
 from qmprobe.report import parse_path
 
-CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
-BENCH_PINS = pathlib.Path(__file__).parent.parent / "bench" / "pinned.json"
+ROOT = pathlib.Path(__file__).parent.parent
+CONFIG_DIR = ROOT / "tests" / "configs"
+BENCH_PINS = ROOT / "bench" / "pinned.json"
 GOOD_CONFIGS = [
     "free_brooks.cfg",
     "z2_lattice.cfg",
@@ -46,14 +48,35 @@ def test_run_verify_round_trip(tmp_path, capsys, name):
         assert f"PASS {probe['name']}" in captured.out
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")))
-def test_report_body_and_exit_code_match_the_bench_pins(tmp_path, capsys, name):
-    """Report bodies are byte-identical to the ones the benchmark pinned."""
-    pin = json.loads(BENCH_PINS.read_text(encoding="utf-8"))["suite"]["any"][name]
-    out = tmp_path / "report.json"
-    assert main(["run", str(CONFIG_DIR / name), "--out", str(out)]) == pin["run_exit"]
-    text = json.dumps(_read(out)["body"], sort_keys=True, indent=2) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["body_sha256"]
+def _bench_configs():
+    """(workload, pin key, file name, config text) of every suite config
+    and of the seed-0 scan and fill configs, read from the benchmark's
+    own `bench/workloads.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        pytest.param(workload, workloads.pin_key(workload, 0), name, text, id=name)
+        for workload in ("suite", "scan", "fill")
+        for name, text in workloads.configs(workload, 0, ROOT)
+    ]
+
+
+@pytest.mark.parametrize("workload, key, name, text", _bench_configs())
+def test_report_body_and_exit_code_match_the_bench_pins(
+    tmp_path, capsys, workload, key, name, text
+):
+    """Report bodies, run exits and verify exits are the ones the
+    benchmark pinned."""
+    pin = json.loads(BENCH_PINS.read_text(encoding="utf-8"))[workload][key][name]
+    cfg, out = tmp_path / name, tmp_path / "report.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == pin["run_exit"]
+    body = json.dumps(_read(out)["body"], sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == pin["body_sha256"]
+    assert main(["verify", str(out)]) == pin["verify_exit"]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -323,6 +346,22 @@ def _make_the_modulus_a_float(res):
     res["certificate"]["modulus"] = 0.0
 
 
+def _make_the_radius_a_float(res):
+    res["radius"] = float(res["radius"])
+
+
+def _make_passed_a_float(res):
+    res["passed"] = float(res["passed"])
+
+
+def _make_passed_an_int(res):
+    res["passed"] = int(res["passed"])
+
+
+def _drop_the_null_coefficients(res):
+    assert res.pop("coefficients") is None
+
+
 @pytest.mark.parametrize(
     "config, name, tamper, fragment",
     [
@@ -347,6 +386,14 @@ def _make_the_modulus_a_float(res):
          "certificate modulus and coefficients must be integers"),
         ("free_unsat.cfg", "no-fill", _make_the_modulus_a_float,
          "certificate modulus and coefficients must be integers"),
+        # JSON 2 and 2.0, or true, 1 and 1.0, are different values
+        ("free_brooks.cfg", "defect-small", _make_the_radius_a_float,
+         "radius does not replay"),
+        ("free_brooks.cfg", "aker", _make_passed_a_float, "passed does not replay"),
+        ("free_brooks.cfg", "aker", _make_passed_an_int, "passed does not replay"),
+        # a missing key is not the same as a null one
+        ("free_unsat.cfg", "no-fill", _drop_the_null_coefficients,
+         "coefficients does not replay"),
     ],
 )
 def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragment):
@@ -360,6 +407,16 @@ def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragm
     code, printed = _verify_rewritten(out, report, capsys)
     assert code == 4
     assert f"FAIL {name}" in printed and fragment in printed
+
+
+def test_a_solver_answer_that_does_not_replay_fails_the_probe(tmp_path, monkeypatch):
+    # run puts the solver's filling through the same replay as verify
+    monkeypatch.setattr("qmprobe.novikov.check_solution", lambda *args: False)
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / "z2_lattice.cfg"), "--out", str(out)]) == 2
+    probe = _probe(_read(out), "fill")
+    assert probe["status"] == "failed"
+    assert probe["error"] == "boundary of the filling does not match the cycle below the window"
 
 
 def test_verify_rederives_a_failed_peak_reduce_claimed_ok(tmp_path, capsys):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmprobe.errors import CapExceededError, ExtractionError
+from qmprobe.errors import CapExceededError, ExtractionError, ReplayError
 from qmprobe.exact import ExactReal, ONE, ZERO, exact_min
 from qmprobe.groups import Generator
+from qmprobe.intsolve import UnsatCertificate
 from qmprobe.novikov import (
     CayleyComplex,
     RayCycle,
@@ -18,6 +19,7 @@ from qmprobe.novikov import (
     build_zs_cycle,
     keep_negative_and_extract_path,
     ray_cycle,
+    settle,
     windowed_boundary_solve,
 )
 from qmprobe.paths import Path, path_from_letters, straight_path
@@ -80,13 +82,6 @@ def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi, psibar_ab):
     brooks = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
     assert CayleyComplex(brooks, ONE)._offsets is None
     assert CayleyComplex(psibar_ab, ONE)._offsets is None
-
-
-def test_describe_cell(z2, cx2):
-    g = z2.parse_element("c")
-    assert cx2.describe_cell(cx2.vertex_cell(g)) == "c"
-    assert cx2.describe_cell(cx2.edge_cell(g, 0)) == "c | a"
-    assert cx2.describe_cell(cx2.face_cell(g, 0)) == "c | [a,c]"
 
 
 def test_defect_bound_must_be_non_negative(z2_hom11):
@@ -334,6 +329,75 @@ def test_solver_cell_cap(z2, cx2):
         windowed_boundary_solve(cx2, zs.chain, ExactReal(10), 6, cell_cap=10)
 
 
+def _zs_filling_problem(z2, cx2):
+    c = z2.parse_element("c")
+    high = path_from_letters(z2.parse_element("c c"), [Generator(0, False)])
+    return build_zs_cycle(cx2, Generator(0, False), c, 2, high, k_bound=ZERO).chain
+
+
+def _settle_again(cx, z, got, solution):
+    return settle(cx, z, got.window, got.floor, got.radius, list(got.faces), solution)
+
+
+def test_settle_agrees_with_the_solver_on_a_filling(z2, cx2):
+    z = _zs_filling_problem(z2, cx2)
+    got = windowed_boundary_solve(cx2, z, ExactReal(10), 6)
+    again = _settle_again(cx2, z, got, list(got.coefficients))
+    assert (again.status, again.floor, again.faces, again.coefficients) == (
+        "sat", got.floor, got.faces, got.coefficients
+    )
+    assert again.filling.terms == got.filling.terms
+    assert again.certificate is None
+
+
+def test_settle_agrees_with_the_solver_on_a_certificate(z2, cx2):
+    # ball(0) holds one face, and the two squares the cycle needs are
+    # not both there
+    z = _zs_filling_problem(z2, cx2)
+    got = windowed_boundary_solve(cx2, z, ExactReal(10), 0)
+    assert got.status == "unsat" and len(got.faces) == 1
+    again = _settle_again(cx2, z, got, got.certificate)
+    assert (again.status, again.floor, again.faces, again.certificate) == (
+        "unsat", got.floor, got.faces, got.certificate
+    )
+    assert again.coefficients is None and again.filling is None
+
+
+def test_settle_refuses_a_coefficient_list_that_does_not_replay(z2, cx2):
+    z = _zs_filling_problem(z2, cx2)
+    got = windowed_boundary_solve(cx2, z, ExactReal(10), 6)
+    coefficients = list(got.coefficients)
+    with pytest.raises(ReplayError, match="one integer coefficient per face is required"):
+        _settle_again(cx2, z, got, coefficients[:-1])
+    as_float = coefficients.copy()
+    as_float[as_float.index(1)] = 1.0
+    with pytest.raises(ReplayError, match="one integer coefficient per face is required"):
+        _settle_again(cx2, z, got, as_float)
+    perturbed = coefficients.copy()
+    perturbed[-1] += 1
+    with pytest.raises(
+        ReplayError,
+        match="boundary of the filling does not match the cycle below the window",
+    ):
+        _settle_again(cx2, z, got, perturbed)
+
+
+def test_settle_refuses_a_certificate_that_does_not_replay(z2, cx2):
+    z = _zs_filling_problem(z2, cx2)
+    got = windowed_boundary_solve(cx2, z, ExactReal(10), 0)
+    # an edge of the one face's boundary: the functional no longer
+    # annihilates that face's column
+    edge = cx2.edge_cell(z2.identity(), 0)
+    with pytest.raises(
+        ReplayError, match="infeasibility certificate does not annihilate the system"
+    ):
+        _settle_again(cx2, z, got, UnsatCertificate({edge: 1}, 0))
+    with pytest.raises(
+        ReplayError, match="certificate modulus and coefficients must be integers"
+    ):
+        _settle_again(cx2, z, got, UnsatCertificate(got.certificate.functional, 0.0))
+
+
 # -- extraction ---------------------------------------------------------
 
 
@@ -367,12 +431,30 @@ def test_extraction_trivial_when_endpoints_coincide(z2, cx2):
 
 def test_extraction_rejects_negative_residual(z2, cx2):
     start = z2.parse_element("a^-1")
+    end = z2.parse_element("a^-2")
+    cyc = ray_cycle(
+        cx2, start, end, straight_path(start, end), z2.parse_element("c"),
+        ExactReal(4),
+    )
+    # with an empty filling the residual is the cycle, whose connecting
+    # edge sits at level -2
+    with pytest.raises(ExtractionError, match="residual support dips below level zero"):
+        keep_negative_and_extract_path(cx2, cx2.zero(2, None), cyc)
+
+
+def test_extraction_rejects_empty_residual(z2, cx2):
+    start = z2.parse_element("a^-1")
     end = z2.parse_element("a^-1 c")
     cyc = ray_cycle(
         cx2, start, end, straight_path(start, end), z2.parse_element("c"),
         ExactReal(4),
     )
-    with pytest.raises(ExtractionError):
+    # the connecting edge is the first edge of the start ray, so the
+    # cycle cancels to zero
+    assert cyc.chain.is_zero()
+    with pytest.raises(
+        ExtractionError, match="empty residual support cannot connect the rays"
+    ):
         keep_negative_and_extract_path(cx2, cx2.zero(2, None), cyc)
 
 
@@ -388,7 +470,9 @@ def test_extraction_rejects_disconnected_residual(z2, cx2):
     tampered = RayCycle(
         rays_only, z2.identity(), a, z2.parse_element("c"), connecting, ExactReal(4)
     )
-    with pytest.raises(ExtractionError):
+    with pytest.raises(
+        ExtractionError, match="residual support does not connect the two rays"
+    ):
         keep_negative_and_extract_path(cx2, cx2.zero(2, None), tampered)
 
 
@@ -398,5 +482,5 @@ def test_extraction_needs_a_2_chain(z2, cx2):
         cx2, z2.identity(), a, straight_path(z2.identity(), a),
         z2.parse_element("c"), ExactReal(4),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="extraction needs a 2-chain filling"):
         keep_negative_and_extract_path(cx2, cx2.zero(1, None), cyc)
