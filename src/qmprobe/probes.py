@@ -443,6 +443,17 @@ def _check_rips_profile(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
         return problems
     if not _expect(problems, forest is not None, "missing spanning forest at the threshold"):
         return problems
+    # JSON true and false would pass for the indices 1 and 0
+    if not _expect(
+        problems,
+        type(forest) is list
+        and all(
+            type(e) is list and len(e) == 2 and all(type(v) is int for v in e)
+            for e in forest
+        ),
+        "forest edges must be pairs of integer indices",
+    ):
+        return problems
     edges = [tuple(e) for e in forest]
     _expect(
         problems,

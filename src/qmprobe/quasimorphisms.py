@@ -297,7 +297,18 @@ def defect_lower_bound(
     """Scan ball(radius)^2 for the largest commutator value
     phi([g, h]) and the largest three-term expression
     |phi(g) + phi(h) - phi(g h)|; both are certified lower bounds on
-    the defect of a homogeneous quasimorphism."""
+    the defect of a homogeneous quasimorphism.
+
+    Only the pairs (g_i, g_j) with i <= j of the canonical ball order
+    are visited, which gives the same bound and witness as the whole
+    square.  A homogeneous quasimorphism is a class function with
+    phi(x^-1) = -phi(x) (Calegari, *scl*, MSJ Memoirs 20 (2009), 2.2),
+    and the ball is closed under inversion.  So for s < r the three-term
+    value at (r, s) equals the one at (s, r), since phi(g h) = phi(h g);
+    and the commutator value at (r, s) equals the one at
+    (s, index of g_r^-1), since g_r^-1 [g_r, g_s] g_r = [g_s, g_r^-1].
+    Both positions lie in row s, which the row-major scan visits
+    first, so a strict `>` update never happens below the diagonal."""
     if not qm.is_homogeneous:
         raise ValueError("defect_lower_bound expects a homogeneous quasimorphism")
     ball = qm.model.ball(radius)
@@ -307,8 +318,8 @@ def defect_lower_bound(
     best = ZERO
     best_kind = "commutator"
     best_pair = (qm.model.identity(), qm.model.identity())
-    for g, g_inv, vg in entries:
-        for h, h_inv, vh in entries:
+    for i, (g, g_inv, vg) in enumerate(entries):
+        for h, h_inv, vh in entries[i:]:
             gh = g * h
             cval = value(gh * g_inv * h_inv)
             if cval > best:
@@ -361,6 +372,20 @@ def certify_aker_approximate_subgroup(
     scaling: Optional[GroupElement],
     radius: int,
 ) -> AkerCertificate:
+    """Members are the ball elements with |phi-bar(g)| <= 2 D*.  Row by
+    row over the members g, and along each row over the members h, the
+    first exponent m of the search order with |phi-bar(g h c^m)| <= 2 D*
+    is recorded; a pair with none is the counterexample and ends the
+    scan.
+
+    The m = 0 test of a pair below the diagonal is read off the mirrored
+    pair: every variant's `homogeneous_value` is a class function
+    (Calegari, *scl*, MSJ Memoirs 20 (2009), 2.2), so
+    |phi-bar(g_i g_j)| = |phi-bar(g_j g_i)|, and for j < i row j has
+    tested g_j g_i at m = 0 already, with exponent 0 exactly when that
+    test passed.  The product g_i g_j is formed only when j >= i or some
+    m != 0 is needed, and the certificate is the one the full row-major
+    loop records."""
     if dstar < ZERO:
         raise ValueError("D* must be non-negative")
     model = qm.model
@@ -381,15 +406,23 @@ def certify_aker_approximate_subgroup(
         powers = {m: scaling ** m for m in order}
 
     value = qm.homogeneous_value
+    n = len(members)
     exponents: list[int] = []
     counterexample = None
-    for g in members:
+    for i, g in enumerate(members):
         if counterexample:
             break
-        for h in members:
+        for j, h in enumerate(members):
+            tries = order
+            if j < i:
+                # row j tested h g at m = 0, and |phi-bar(g h)| = |phi-bar(h g)|
+                if exponents[j * n + i] == 0:
+                    exponents.append(0)
+                    continue
+                tries = order[1:]
             gh = g * h
             chosen = None
-            for m in order:
+            for m in tries:
                 # c^0 is the identity, so m = 0 tests g h itself
                 if abs(value(gh * powers[m] if m else gh)) <= bound:
                     chosen = m

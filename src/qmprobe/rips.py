@@ -6,13 +6,19 @@ forest certificate whose edges are genuine graph edges, built by a
 deterministic Kruskal pass over the sorted edge list; the component
 representative is the canonically smallest vertex.
 
-A profile takes one distance per pair and buckets the pairs below n_max
-by distance; one union-find sweep over the buckets counts every scale,
-and `components_from_edges` over the same pairs gives the forest.
+A profile measures only the pairs that can lie below n_max.  With free
+parts u and v, d(x, y) >= |u| + |v| - 2 lcp(u, v), so such a pair shares
+a free prefix of length ceil((|u| + |v| - n_max + 1) / 2); the vertices
+are indexed by (free length, free prefix), and each vertex measures the
+later vertices of the buckets its prefixes select.  The pairs below
+n_max are grouped by distance; one union-find sweep over the groups
+counts every scale, and `components_from_edges`, which sorts its edges,
+gives the forest from the same pairs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -133,13 +139,29 @@ def connectivity_profile(
     nv = len(verts)
     if nv > vertex_cap:
         raise CapExceededError("Rips vertex count", nv, vertex_cap)
+    # by_prefix[(b, w)]: ascending indices of the vertices whose free
+    # part has length b and starts with w
+    by_prefix: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for i, x in enumerate(verts):
+        u = x.free
+        for k in range(len(u) + 1):
+            by_prefix.setdefault((len(u), u[:k]), []).append(i)
+    lengths = sorted({len(x.free) for x in verts})
     # by_distance[d]: the pairs at distance d, an edge from scale d + 1
     by_distance: list[list[tuple[int, int]]] = [[] for _ in range(n_max)]
     for i, x in enumerate(verts):
-        for j in range(i + 1, nv):
-            d = x.distance(verts[j])
-            if d < n_max:
-                by_distance[d].append((i, j))
+        u = x.free
+        a = len(u)
+        for b in lengths:
+            # the shortest common free prefix a pair below n_max can have
+            k = max(0, (a + b - n_max + 2) // 2)
+            if k > min(a, b):
+                continue
+            bucket = by_prefix.get((b, u[:k]), ())
+            for j in bucket[bisect_right(bucket, i):]:
+                d = x.distance(verts[j])
+                if d < n_max:
+                    by_distance[d].append((i, j))
     parent = list(range(nv))
     count, counts = nv, []
     for pairs in by_distance:

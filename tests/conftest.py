@@ -13,6 +13,11 @@ def f2() -> GroupModel:
 
 
 @pytest.fixture(scope="session")
+def f3() -> GroupModel:
+    return GroupModel(free_rank=3, generator_names=("a", "b", "c"), ball_cap=4)
+
+
+@pytest.fixture(scope="session")
 def psi_ab(f2) -> BrooksQM:
     return BrooksQM(f2, f2.parse_word("a b"))
 

@@ -49,18 +49,27 @@ def test_run_verify_round_trip(tmp_path, capsys, name):
 
 
 def _bench_configs():
-    """(workload, pin key, file name, config text) of every suite config
-    and of the seed-0 scan and fill configs, read from the benchmark's
-    own `bench/workloads.py`."""
+    """(workload, pin key, file name, config text) of every suite config,
+    of the seed-0 scan and fill configs and of the scan configs of seeds
+    1-3, whose renamings give the ball another order, read from the
+    benchmark's own `bench/workloads.py`."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    cases = [(workload, 0) for workload in ("suite", "scan", "fill")]
+    cases += [("scan", seed) for seed in (1, 2, 3)]
     return [
-        pytest.param(workload, workloads.pin_key(workload, 0), name, text, id=name)
-        for workload in ("suite", "scan", "fill")
-        for name, text in workloads.configs(workload, 0, ROOT)
+        pytest.param(
+            workload,
+            workloads.pin_key(workload, seed),
+            name,
+            text,
+            id=f"{name}-seed{seed}" if seed else name,
+        )
+        for workload, seed in cases
+        for name, text in workloads.configs(workload, seed, ROOT)
     ]
 
 
@@ -362,6 +371,16 @@ def _drop_the_null_coefficients(res):
     assert res.pop("coefficients") is None
 
 
+def _make_a_forest_index_false(res):
+    assert res["forest_at_threshold"] == [[0, 1]]
+    res["forest_at_threshold"] = [[False, 1]]
+
+
+def _make_a_forest_index_true(res):
+    assert res["forest_at_threshold"] == [[0, 1]]
+    res["forest_at_threshold"] = [[0, True]]
+
+
 @pytest.mark.parametrize(
     "config, name, tamper, fragment",
     [
@@ -394,6 +413,11 @@ def _drop_the_null_coefficients(res):
         # a missing key is not the same as a null one
         ("free_unsat.cfg", "no-fill", _drop_the_null_coefficients,
          "coefficients does not replay"),
+        # the forest is a witness, so its indices are type-checked by hand
+        ("free_brooks.cfg", "pair-profile", _make_a_forest_index_false,
+         "forest edges must be pairs of integer indices"),
+        ("free_brooks.cfg", "pair-profile", _make_a_forest_index_true,
+         "forest edges must be pairs of integer indices"),
     ],
 )
 def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragment):

@@ -11,6 +11,7 @@ from qmprobe.quasimorphisms import (
     BrooksQM,
     CombinationQM,
     HomogenizedQM,
+    AkerCertificate,
     HomomorphismQM,
     certify_aker_approximate_subgroup,
     count_occurrences,
@@ -222,6 +223,73 @@ def test_defect_scan_matches_the_commutator_loop(f2, f2z, f2z_phi, psibar_ab):
         )
 
 
+def _free_word(model, max_size):
+    """A non-empty reduced word in the free generators of `model`."""
+    free = [g for g in model.generators() if model.is_free_index(g.index)]
+    return (
+        st.lists(st.sampled_from(free), min_size=1, max_size=max_size)
+        .map(lambda letters: reduce_word(model, letters))
+        .filter(lambda g: g.free)
+        .map(lambda g: [Generator(abs(x) - 1, x < 0) for x in g.free])
+    )
+
+
+def _coefficient():
+    return st.builds(ExactReal, st.integers(-3, 3), st.integers(-2, 2)).filter(
+        lambda c: c != ZERO
+    )
+
+
+@st.composite
+def _homogeneous_combinations(draw, f2, f3, f2z):
+    """A combination of homogenized Brooks quasimorphisms with surd
+    coefficients over F_2, F_3 or F_2 x Z; on F_2 x Z some also add a
+    homomorphism."""
+    model = draw(st.sampled_from((f2, f3, f2z)))
+    words = draw(st.lists(_free_word(model, 3), min_size=1, max_size=3))
+    parts = [HomogenizedQM(BrooksQM(model, w)) for w in words]
+    if model is f2z and draw(st.booleans()):
+        values = draw(st.lists(_coefficient(), min_size=3, max_size=3))
+        parts.append(HomomorphismQM(model, values))
+    coefficients = draw(st.lists(_coefficient(), min_size=len(parts), max_size=len(parts)))
+    return CombinationQM(coefficients, parts)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_defect_scan_matches_the_full_square_on_combinations(f2, f3, f2z, data):
+    # the scan visits only i <= j; the oracle visits every pair
+    qm = data.draw(_homogeneous_combinations(f2, f3, f2z))
+    est = defect_lower_bound(qm, 2)
+    assert (est.lower, est.witness_kind, est.witness) == _scan_with_commutators(qm, 2)
+
+
+def _variants(model, phi):
+    psi = BrooksQM(model, model.parse_word("a b a^-1"))
+    psibar = HomogenizedQM(BrooksQM(model, model.parse_word("a b")))
+    return {
+        "brooks": psi,
+        "homomorphism": phi,
+        "homogenized": psibar,
+        "combination": CombinationQM(
+            (ExactReal(1, 1), ExactReal(-2), ExactReal(0, 3)), (psibar, phi, psi)
+        ),
+    }
+
+
+@pytest.mark.parametrize("variant", ["brooks", "homomorphism", "homogenized", "combination"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_homogeneous_value_is_an_odd_class_function(f2z, f2z_phi, variant, data):
+    # the upper-triangle defect scan and the mirrored Aker test rest on this
+    v = _variants(f2z, f2z_phi)[variant].homogeneous_value
+    words = st.lists(st.sampled_from(f2z.generators()), max_size=8)
+    g = reduce_word(f2z, data.draw(words))
+    h = reduce_word(f2z, data.draw(words))
+    assert v(g * h) == v(h * g)
+    assert v(g.inverse()) == -v(g)
+
+
 def _reduced_free_words(model, max_size):
     return st.lists(st.sampled_from(model.generators()), max_size=max_size).map(
         lambda letters: reduce_word(model, tuple(letters)).free
@@ -301,3 +369,65 @@ def test_aker_certificate_small_ball(f2, psibar_ab):
             m = cert.exponents[k]
             assert abs(psibar_ab.homogeneous_value(g * h * powers[m])) <= two
             k += 1
+
+
+def _aker_full_loop(qm, dstar, scaling, radius):
+    """The Aker certificate as first written: every pair (g, h) forms
+    g h and tries the exponents in order, m = 0 included."""
+    model = qm.model
+    bound = dstar + dstar
+    members = tuple(g for g in model.ball(radius) if abs(qm.homogeneous_value(g)) <= bound)
+    if dstar == ZERO:
+        witness, order = (model.identity(),), (0,)
+    else:
+        witness = tuple(scaling ** m for m in range(5, -6, -1))
+        order = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
+    exponents, counterexample = [], None
+    for g in members:
+        if counterexample:
+            break
+        for h in members:
+            chosen = next(
+                (
+                    m
+                    for m in order
+                    if abs(qm.homogeneous_value(g * h * scaling ** m if m else g * h))
+                    <= bound
+                ),
+                None,
+            )
+            if chosen is None:
+                counterexample = (g, h)
+                break
+            exponents.append(chosen)
+    return AkerCertificate(
+        witness=witness,
+        dstar=dstar,
+        radius=radius,
+        scaling=scaling,
+        members=members,
+        exponents=tuple(exponents),
+        passed=counterexample is None,
+        counterexample=counterexample,
+    )
+
+
+def test_aker_matches_the_full_loop_with_nonzero_exponents(f2, psibar_ab):
+    c = commutator(f2.parse_element("a"), f2.parse_element("b"))
+    cert = certify_aker_approximate_subgroup(psibar_ab, ONE, c, 3)
+    assert cert.passed and set(cert.exponents) - {0}
+    assert cert == _aker_full_loop(psibar_ab, ONE, c, 3)
+
+
+def test_aker_matches_the_full_loop_when_a_row_stops_early(psibar_ab):
+    cert = certify_aker_approximate_subgroup(psibar_ab, ZERO, None, 2)
+    assert not cert.passed
+    # the counterexample ends its row partway through
+    assert len(cert.exponents) % len(cert.members) != 0
+    assert cert == _aker_full_loop(psibar_ab, ZERO, None, 2)
+
+
+def test_aker_matches_the_full_loop_for_a_homomorphism(f2z_phi):
+    cert = certify_aker_approximate_subgroup(f2z_phi, ZERO, None, 3)
+    assert cert.passed
+    assert cert == _aker_full_loop(f2z_phi, ZERO, None, 3)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmprobe.errors import CapExceededError, ModelMismatchError
-from qmprobe.groups import reduce_word
+from qmprobe.groups import GroupElement, reduce_word
 from qmprobe.rips import (
     build_rips,
     components,
@@ -199,3 +199,34 @@ def test_profile_matches_rebuilds_in_f2z(f2z, data, n_max):
 
 def test_profile_forest_on_a_ball_matches_rebuild(f2):
     _check_against_rebuilds(f2.ball(3), 4)
+
+
+@pytest.mark.parametrize(
+    "model, radius",
+    [("f2", r) for r in range(5)]
+    + [("f3", r) for r in range(3)]
+    + [("f2z", r) for r in range(4)]
+    + [("z2", r) for r in range(5)],
+)
+def test_profile_matches_rebuilds_on_whole_balls(request, model, radius):
+    # every n_max up to past the diameter, where the prefix buckets vary most
+    model = request.getfixturevalue(model)
+    ball = model.ball(radius)
+    for n_max in range(1, 2 * radius + 3):
+        _check_against_rebuilds(ball, n_max)
+
+
+def test_profile_measures_only_pairs_that_share_a_long_enough_prefix(f2, monkeypatch):
+    calls = 0
+    distance = GroupElement.distance
+
+    def counted(g, h):
+        nonlocal calls
+        calls += 1
+        return distance(g, h)
+
+    monkeypatch.setattr(GroupElement, "distance", counted)
+    prof = connectivity_profile(f2.ball(5), 4)
+    assert prof.counts == (485, 1, 1, 1)
+    # all 117,370 pairs of the 485 vertices would be measured without pruning
+    assert calls <= 3_000
