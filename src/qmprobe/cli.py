@@ -42,7 +42,6 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="experiment config file")
     p_run.add_argument("--out", help="report file (defaults to the config's output path)")
-    p_run.add_argument("--ball-cap", type=int, default=None, dest="ball_cap", help="override the model's ball cap")
 
     p_verify = sub.add_parser("verify", help="replay the certificates in a report")
     p_verify.add_argument("report", help="report file produced by run")
@@ -53,11 +52,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    if args.ball_cap is not None and args.ball_cap < 0:
-        print("qmprobe: --ball-cap must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        exp = load_experiment(args.config, ball_cap=args.ball_cap)
+        exp = load_experiment(args.config)
     except OSError as exc:
         print(f"qmprobe: cannot read config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -38,7 +38,6 @@ nothing is executed.
 from __future__ import annotations
 
 import configparser
-from typing import Optional
 
 from .errors import ConfigError
 from .exact import ExactReal, ZERO
@@ -53,16 +52,16 @@ from .quasimorphisms import (
 )
 
 
-def load_experiment(path: str, ball_cap: Optional[int] = None) -> Experiment:
+def load_experiment(path: str) -> Experiment:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_experiment(text, ball_cap=ball_cap)
+    return parse_experiment(text)
 
 
-def parse_experiment(text: str, ball_cap: Optional[int] = None) -> Experiment:
+def parse_experiment(text: str) -> Experiment:
     parser = configparser.ConfigParser(
         delimiters=("=",), interpolation=None, strict=True
     )
@@ -74,7 +73,7 @@ def parse_experiment(text: str, ball_cap: Optional[int] = None) -> Experiment:
 
     if "group" not in parser:
         raise ConfigError("missing [group] section")
-    model = _build_model(parser["group"], ball_cap)
+    model = _build_model(parser["group"])
 
     qms: dict[str, Quasimorphism] = {}
     probes: list[ProbeSpec] = []
@@ -114,14 +113,12 @@ def parse_experiment(text: str, ball_cap: Optional[int] = None) -> Experiment:
 # -- section builders ----------------------------------------------------
 
 
-def _build_model(section, ball_cap_override: Optional[int]) -> GroupModel:
+def _build_model(section) -> GroupModel:
     raw = dict(section)
     where = "[group]"
     free_rank = get_int(raw, "free_rank", where, default=0, minimum=0)
     abelian_rank = get_int(raw, "abelian_rank", where, default=0, minimum=0)
     cap = get_int(raw, "ball_cap", where, default=DEFAULT_BALL_CAP, minimum=1)
-    if ball_cap_override is not None:
-        cap = ball_cap_override
     names: tuple[str, ...] = ()
     if "names" in raw:
         names = tuple(raw["names"].split())

@@ -340,13 +340,16 @@ class ExactReal(_Fields):
             m = cls._TERM.match(term)
             if not m:
                 raise ValueError(f"cannot parse exact number term {term!r} in {text!r}")
-            if m.group("rat") is not None:
-                total = total + cls(Fraction(m.group("rat")))
-            elif m.group("coef") is not None:
-                total = total + cls(0, Fraction(m.group("coef")), int(m.group("d1")))
-            else:
-                b = Fraction(-1 if m.group("bare") == "-" else 1)
-                total = total + cls(0, b, int(m.group("d2")))
+            try:
+                if m.group("rat") is not None:
+                    total = total + cls(Fraction(m.group("rat")))
+                elif m.group("coef") is not None:
+                    total = total + cls(0, Fraction(m.group("coef")), int(m.group("d1")))
+                else:
+                    b = Fraction(-1 if m.group("bare") == "-" else 1)
+                    total = total + cls(0, b, int(m.group("d2")))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
         return total
 
 

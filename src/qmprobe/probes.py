@@ -33,7 +33,7 @@ from .errors import (
     ReplayError,
 )
 from .exact import ZERO, ExactReal
-from .groups import GroupElement, GroupModel, commutator
+from .groups import GroupElement, GroupModel
 from .intsolve import UnsatCertificate
 from .novikov import (
     DEFAULT_CELL_CAP,
@@ -53,6 +53,7 @@ from .quasimorphisms import (
     Quasimorphism,
     certify_aker_approximate_subgroup,
     defect_lower_bound,
+    defect_witness,
 )
 from .report import (
     cell_payload,
@@ -63,7 +64,7 @@ from .report import (
     parse_cell,
     path_payload,
 )
-from .rips import _prepare_vertices, components_from_edges, connectivity_profile
+from .rips import _prepare_vertices, connectivity_profile
 from .search import (
     NotFoundWithinBall,
     _is_f2z_example,
@@ -234,12 +235,6 @@ def _qm(exp: Experiment, probe: ProbeSpec) -> Quasimorphism:
     return exp.quasimorphisms[probe.settings["qm_name"]]
 
 
-def _expect(problems: list, cond: bool, message: str) -> bool:
-    if not cond:
-        problems.append(message)
-    return cond
-
-
 def _element(model: GroupModel, payload: str) -> GroupElement:
     if not isinstance(payload, str):
         raise ReplayError(f"bad element payload {payload!r}")
@@ -251,7 +246,7 @@ def _element(model: GroupModel, payload: str) -> GroupElement:
 
 def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
     """One problem per key, outside `unchecked`, where the recorded
-    payload differs from the one rebuilt from `probe.settings`.  A key
+    object differs from the one rebuilt from the echoed config.  A key
     missing on one side differs, and values are compared type for type.
 
     Payloads hold only dicts, lists, strings, ints, bools and None, so
@@ -281,20 +276,20 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _rederive(exp: Experiment, probe: ProbeSpec, res: dict, unchecked: tuple = ()) -> list:
+def _rederive(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
     """The one rule of `verify`: rebuild the payload from the echoed
     config and compare it key by key with the recorded one.  Here the
     probe is re-run through `attempt`; a re-run that is not `ok` is the
-    one problem.  Every kind is re-derived this way except `defect`,
-    `novikov-solve` and the rips-profile forest, whose checks rebuild
-    the payload the same way but put the recorded witness where the
-    search would be.  A re-derived kind accepts only the canonical
-    witness `run` emits, which is well defined because the searches
-    break ties canonically."""
+    one problem.  Every kind is re-derived this way except `defect` and
+    `novikov-solve`, whose checks rebuild the payload the same way but
+    put the recorded witness where the search would be.  A re-derived
+    kind accepts only the canonical payload `run` emits, which is well
+    defined because the searches break ties canonically; for
+    rips-profile that includes the spanning forest."""
     status, error, fresh = attempt(exp, probe)
     if fresh is None:
         return [f"re-run gives {status}: {error}"]
-    return _compare(fresh, res, unchecked)
+    return _compare(fresh, res)
 
 
 # -- defect --------------------------------------------------------------
@@ -335,21 +330,8 @@ def _check_defect(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
     re-evaluated, and any pair realizing the recorded lower bound will
     do."""
     s = probe.settings
-    qm = _qm(exp, probe)
     g, h = (_element(exp.model, word) for word in res["witness"])
-    if not (g.length() <= s["radius"] and h.length() <= s["radius"]):
-        return ["witness pair lies outside the scanned ball"]
-    kind = res["witness_kind"]
-    if kind == "three-term":
-        value = abs(qm.value(g) + qm.value(h) - qm.value(g * h))
-    elif kind == "commutator":
-        value = qm.value(commutator(g, h))
-    else:
-        return [f"unknown witness kind {kind!r}"]
-    upper = s["claimed_upper"] if s["claimed_upper"] is not None else qm.defect_upper()
-    if upper is not None and upper < value:
-        return ["upper bound sits below the certified lower bound"]
-    est = DefectEstimate(value, upper, s["radius"], kind, (g, h), value)
+    est = defect_witness(_qm(exp, probe), s["radius"], s["claimed_upper"], g, h)
     return _compare(_defect_payload(probe, est), res)
 
 
@@ -426,51 +408,6 @@ def _run_rips_profile(exp: Experiment, probe: ProbeSpec) -> dict:
         "threshold": profile.threshold,
         "forest_at_threshold": None if profile.forest is None else [list(e) for e in profile.forest],
     }
-
-
-def _check_rips_profile(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
-    """Every field is re-derived except the forest, which is checked as
-    a witness: any spanning forest of Rips edges at the threshold will
-    do."""
-    problems = _rederive(exp, probe, res, unchecked=("forest_at_threshold",))
-    if problems:
-        return problems
-    vertices = _prepare_vertices(probe.settings["vertices"])
-    threshold = res["threshold"]
-    forest = res["forest_at_threshold"]
-    if threshold is None:
-        _expect(problems, forest is None, "no threshold, yet a forest is recorded")
-        return problems
-    if not _expect(problems, forest is not None, "missing spanning forest at the threshold"):
-        return problems
-    # JSON true and false would pass for the indices 1 and 0
-    if not _expect(
-        problems,
-        type(forest) is list
-        and all(
-            type(e) is list and len(e) == 2 and all(type(v) is int for v in e)
-            for e in forest
-        ),
-        "forest edges must be pairs of integer indices",
-    ):
-        return problems
-    edges = [tuple(e) for e in forest]
-    _expect(
-        problems,
-        all(
-            0 <= i < j < len(vertices)
-            and 0 < vertices[i].distance(vertices[j]) < threshold
-            for i, j in edges
-        ),
-        "forest contains a pair that is not a Rips edge at the threshold",
-    )
-    _expect(problems, len(edges) == len(vertices) - 1, "forest has the wrong edge count")
-    _expect(
-        problems,
-        components_from_edges(len(vertices), edges).count == 1,
-        "forest does not connect the vertex set",
-    )
-    return problems
 
 
 # -- path-search ---------------------------------------------------------
@@ -976,7 +913,7 @@ member pair (g, h) the certificate records the first exponent m in
     "rips-profile": ProbeKind(
         _validate_rips_profile,
         _run_rips_profile,
-        _check_rips_profile,
+        _rederive,
         """\
 rips-profile: connectivity of the Rips graph on a finite vertex set,
 with an edge between distinct g, h whenever 0 < d(g, h) < n.  The

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .errors import ModelMismatchError
 from .exact import ExactReal, ZERO
-from .groups import Generator, GroupElement, GroupModel
+from .groups import Generator, GroupElement, GroupModel, commutator
 
 
 class Quasimorphism:
@@ -327,20 +327,45 @@ def defect_lower_bound(
             tval = abs(vg + vh - value(gh))
             if tval > best:
                 best, best_kind, best_pair = tval, "three-term", (g, h)
+    return DefectEstimate(
+        best, _upper_bound(qm, upper, best), radius, best_kind, best_pair, best
+    )
+
+
+def defect_witness(
+    qm: Quasimorphism,
+    radius: int,
+    upper: Optional[ExactReal],
+    g: GroupElement,
+    h: GroupElement,
+) -> DefectEstimate:
+    """The estimate `defect_lower_bound` reports when (g, h) is its
+    witness pair: the pair is evaluated as the scan evaluates it, the
+    commutator value first and the three-term value only where it is
+    strictly larger.  Any pair of ball(radius) certifies its value as a
+    lower bound, so this checks a recorded witness without the scan."""
+    if g.length() > radius or h.length() > radius:
+        raise ValueError("witness pair lies outside the scanned ball")
+    value = qm.value
+    best, kind = value(commutator(g, h)), "commutator"
+    tval = abs(value(g) + value(h) - value(g * h))
+    if tval > best:
+        best, kind = tval, "three-term"
+    return DefectEstimate(best, _upper_bound(qm, upper, best), radius, kind, (g, h), best)
+
+
+def _upper_bound(
+    qm: Quasimorphism, upper: Optional[ExactReal], lower: ExactReal
+) -> Optional[ExactReal]:
+    """The claimed upper bound, else the structural one, checked against
+    the certified lower bound."""
     if upper is None:
         upper = qm.defect_upper()
-    if upper is not None and upper < best:
+    if upper is not None and upper < lower:
         raise ValueError(
-            f"claimed upper bound {upper} is below the certified lower bound {best}"
+            f"claimed upper bound {upper} is below the certified lower bound {lower}"
         )
-    return DefectEstimate(
-        lower=best,
-        upper=upper,
-        radius=radius,
-        witness_kind=best_kind,
-        witness=best_pair,
-        witness_value=best,
-    )
+    return upper
 
 
 # search order for the correcting exponent m: small magnitudes first

@@ -1,16 +1,18 @@
 """The command line: run/verify round trips over the config corpus,
 exit codes, determinism of report bodies, and tamper detection."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from qmprobe.cli import main
+from qmprobe.cli import _build_parser, main
 from qmprobe.errors import ReplayError
 from qmprobe.groups import GroupModel
 from qmprobe.probes import KINDS
@@ -242,15 +244,15 @@ vertices = a, a^-1, b
 
 
 @pytest.mark.parametrize(
-    "forest, code",
+    "forest",
     [
-        ([[0, 1], [1, 2]], 0),  # another spanning tree of the same graph
-        ([[0, 1], [0, 3]], 4),  # index out of range
-        ([[0, 1], [1, 1]], 4),  # a loop
-        ([[0, 1], [0, 1]], 4),  # a repeated edge leaves a vertex out
+        [[0, 1], [1, 2]],  # another spanning tree of the same graph
+        [[0, 1], [0, 3]],  # index out of range
+        [[0, 1], [1, 1]],  # a loop
+        [[0, 1], [0, 1]],  # a repeated edge leaves a vertex out
     ],
 )
-def test_verify_checks_each_rips_forest_edge(tmp_path, capsys, forest, code):
+def test_verify_checks_each_rips_forest_edge(tmp_path, capsys, forest):
     cfg = tmp_path / "tri.cfg"
     cfg.write_text(RIPS_TRIANGLE, encoding="utf-8")
     out = tmp_path / "report.json"
@@ -260,11 +262,11 @@ def test_verify_checks_each_rips_forest_edge(tmp_path, capsys, forest, code):
     # pairwise distance 2: the triangle joins at scale 3
     assert result["threshold"] == 3
     assert result["forest_at_threshold"] == [[0, 1], [0, 2]]
+    # the forest is re-derived, so only the canonical one replays
     result["forest_at_threshold"] = forest
-    out.write_text(json.dumps(report), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["verify", str(out)]) == code
-    assert ("PASS tri" if code == 0 else "FAIL tri") in capsys.readouterr().out
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL tri" in printed and "forest_at_threshold does not replay" in printed
 
 
 def test_verify_rejects_a_rips_forest_edge_beyond_the_threshold(tmp_path, capsys):
@@ -278,10 +280,9 @@ def test_verify_rejects_a_rips_forest_edge_beyond_the_threshold(tmp_path, capsys
     assert result["forest_at_threshold"] == [[0, 1], [1, 2]]
     # d(1, a^3) = 3 is not below the threshold
     result["forest_at_threshold"] = [[0, 1], [0, 2]]
-    out.write_text(json.dumps(report), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["verify", str(out)]) == 4
-    assert "not a Rips edge" in capsys.readouterr().out
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL tri" in printed and "forest_at_threshold does not replay" in printed
 
 
 def _probe(report, name):
@@ -371,6 +372,11 @@ def _drop_the_null_coefficients(res):
     assert res.pop("coefficients") is None
 
 
+def _relabel_the_witness_kind(res):
+    assert res["witness_kind"] == "commutator"
+    res["witness_kind"] = "three-term"
+
+
 def _make_a_forest_index_false(res):
     assert res["forest_at_threshold"] == [[0, 1]]
     res["forest_at_threshold"] = [[False, 1]]
@@ -394,6 +400,9 @@ def _make_a_forest_index_true(res):
         ("free_brooks.cfg", "defect-small", _claim_a_wider_scan, "radius does not replay"),
         # a string names the probe whose result replaces this one's
         ("free_brooks.cfg", "defect-small", "defect-doubled", "qm does not replay"),
+        # the witness kind is recomputed from the pair, not read
+        ("free_brooks.cfg", "defect-small", _relabel_the_witness_kind,
+         "witness_kind does not replay"),
         ("free_brooks.cfg", "climb", _raise_the_floor_k, "k does not replay"),
         ("z2_lattice.cfg", "fill", _drop_the_extraction, "extraction does not replay"),
         ("z2_lattice.cfg", "fill", _replace_the_extraction_by_an_error,
@@ -413,11 +422,10 @@ def _make_a_forest_index_true(res):
         # a missing key is not the same as a null one
         ("free_unsat.cfg", "no-fill", _drop_the_null_coefficients,
          "coefficients does not replay"),
-        # the forest is a witness, so its indices are type-checked by hand
         ("free_brooks.cfg", "pair-profile", _make_a_forest_index_false,
-         "forest edges must be pairs of integer indices"),
+         "forest_at_threshold does not replay"),
         ("free_brooks.cfg", "pair-profile", _make_a_forest_index_true,
-         "forest edges must be pairs of integer indices"),
+         "forest_at_threshold does not replay"),
     ],
 )
 def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragment):
@@ -496,20 +504,24 @@ def test_verify_turns_a_cap_overrun_in_a_replay_into_a_fail(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, name, status, error",
+    "config, name, status, error, fragment",
     [
-        ("free_brooks.cfg", "aker", "failed", "made up"),
-        ("cap_cells.cfg", "fill-capped", "cap-exceeded", "solver 2-cells: requested 2, cap 20"),
+        ("free_brooks.cfg", "aker", "failed", "made up",
+         "error does not replay; result does not replay; status does not replay"),
+        ("cap_cells.cfg", "fill-capped", "cap-exceeded", "solver 2-cells: requested 2, cap 20",
+         "error does not replay"),
     ],
 )
-def test_verify_reruns_probes_recorded_as_not_ok(tmp_path, capsys, config, name, status, error):
+def test_verify_reruns_probes_recorded_as_not_ok(
+    tmp_path, capsys, config, name, status, error, fragment
+):
     out = tmp_path / "report.json"
     assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) in (0, 3)
     report = _read(out)
     _probe(report, name).update(status=status, error=error, result=None)
     code, printed = _verify_rewritten(out, report, capsys)
     assert code == 4
-    assert f"FAIL {name}" in printed and "does not reproduce" in printed
+    assert f"FAIL {name}" in printed and fragment in printed
 
 
 def test_validation_value_error_is_a_one_line_config_error(tmp_path, capsys):
@@ -550,6 +562,98 @@ def test_verify_checks_caps_hit_against_the_capped_probes(tmp_path, capsys, caps
     code, printed = _verify_rewritten(out, report, capsys)
     assert code == 4
     assert "FAIL (report)" in printed and "caps_hit" in printed
+
+
+def _set_group(key, value):
+    def tamper(body):
+        body["group"][key] = value
+
+    return tamper
+
+
+def _set_body(key, value):
+    def tamper(body):
+        body[key] = value
+
+    return tamper
+
+
+def _set_entry(name, key, value):
+    def tamper(body):
+        _probe({"body": body}, name)[key] = value
+
+    return tamper
+
+
+def _duplicate_the_first_entry(body):
+    body["probes"].insert(1, body["probes"][0])
+
+
+def _forge_a_result_for_the_capped_probe(body):
+    entry = _probe({"body": body}, "fill-capped")
+    entry["result"] = _probe({"body": body}, "corridor")["result"]
+
+
+@pytest.mark.parametrize(
+    "config, tamper, name, fragment",
+    [
+        ("free_brooks.cfg", _set_group("ball_cap", 9), "(report)", "group does not replay"),
+        ("free_brooks.cfg", _set_group("ball_cap", 8.0), "(report)", "group does not replay"),
+        ("free_brooks.cfg", _set_group("ball_cap", "x"), "(report)", "group does not replay"),
+        ("free_brooks.cfg", _set_group("ball_cap", [8]), "(report)", "group does not replay"),
+        ("free_brooks.cfg", _set_group("free_rank", 2.0), "(report)", "group does not replay"),
+        ("free_brooks.cfg", _set_body("version", "0.0.0"), "(report)", "version does not replay"),
+        ("free_brooks.cfg", _set_body("tool", "other"), "(report)", "tool does not replay"),
+        ("free_brooks.cfg", _set_body("extra", 1), "(report)", "extra does not replay"),
+        ("free_brooks.cfg", _duplicate_the_first_entry, "(report)",
+         "probe entries are not the configured probes in config order"),
+        ("free_brooks.cfg", _set_entry("aker", "error", "boom"), "aker", "error does not replay"),
+        ("free_brooks.cfg", _set_entry("aker", "params", {}), "aker", "params does not replay"),
+        ("free_brooks.cfg", _set_entry("aker", "kind", "defect"), "aker", "kind does not replay"),
+        ("cap_cells.cfg", _forge_a_result_for_the_capped_probe, "fill-capped",
+         "result does not replay"),
+    ],
+    ids=[
+        "ball_cap-9", "ball_cap-8.0", "ball_cap-x", "ball_cap-list", "free_rank-2.0",
+        "version", "tool", "extra-key", "duplicate-entry",
+        "ok-entry-error", "entry-params", "entry-kind", "capped-entry-result",
+    ],
+)
+def test_verify_rebuilds_the_body_and_every_entry(tmp_path, capsys, config, tamper, name, fragment):
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) in (0, 3)
+    report = _read(out)
+    tamper(report["body"])
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert f"FAIL {name}" in printed and fragment in printed
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("dstar = 1\nradius = 2", "dstar = 1/0\nradius = 2"),
+        ("k = 0", "k = 1/0"),
+        ("terms = 2 * psibar", "terms = 1/0 * psibar"),
+    ],
+)
+def test_a_zero_denominator_is_a_one_line_config_error(tmp_path, capsys, old, new):
+    text = (CONFIG_DIR / "free_brooks.cfg").read_text(encoding="utf-8")
+    assert old in text
+    cfg, out = tmp_path / "zero.cfg", tmp_path / "report.json"
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zero denominator" in err
+    # the same config echoed in a report
+    assert main(["run", str(CONFIG_DIR / "free_brooks.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    report["body"]["config_echo"] = report["body"]["config_echo"].replace(old, new)
+    out.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zero denominator" in err
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
@@ -599,20 +703,11 @@ def test_bad_flags_are_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["run", cfg, "--threads", "1"])  # not an option
     assert err.value.code == 1
-    assert main(["run", cfg, "--ball-cap", "-2"]) == 1
-    capsys.readouterr()
 
 
 def test_missing_config_is_a_validation_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "ghost.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
-
-
-def test_ball_cap_override_can_invalidate_probes(capsys):
-    # radius 4 probes no longer fit under a cap of 2
-    code = main(["run", str(CONFIG_DIR / "free_brooks.cfg"), "--ball-cap", "2"])
-    assert code == 2
-    assert "ball cap" in capsys.readouterr().err
 
 
 def test_verify_rejects_non_reports(tmp_path, capsys):
@@ -674,6 +769,27 @@ def test_explain_defect_matches_the_stored_bounds(capsys):
     out = capsys.readouterr().out
     assert "2 (|w| - 1)" not in out
     assert "no stored bound" in out
+
+
+def test_readme_cli_synopsis_names_the_argparse_options():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```\n(.*?)```", readme, re.S).group(1)
+    synopsis = {
+        line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in block.splitlines()
+    }
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert synopsis == options
+
+
+def test_readme_explain_kinds_are_the_registry():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"`explain` prints[^(]*\(([^)]*)\)", readme).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == sorted(KINDS)
 
 
 def test_module_entry_point(tmp_path):

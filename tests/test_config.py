@@ -84,12 +84,6 @@ def test_combination_parse():
     assert mix.coefficients == (ExactReal(2), ExactReal.parse("-1/3"))
 
 
-def test_ball_cap_override():
-    text = FREE_GROUP + PSIBAR + DEFECT_PROBE
-    exp = parse_experiment(text, ball_cap=12)
-    assert exp.model.ball_cap == 12
-
-
 @pytest.mark.parametrize(
     "text, fragment",
     [

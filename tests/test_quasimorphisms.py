@@ -17,6 +17,7 @@ from qmprobe.quasimorphisms import (
     count_occurrences,
     cyclic_reduce,
     defect_lower_bound,
+    defect_witness,
 )
 
 # -- independent oracles -------------------------------------------------
@@ -328,6 +329,28 @@ def test_defect_of_homomorphism_is_zero(f2z, f2z_phi):
 def test_defect_claimed_upper_below_lower_rejected(psibar_ab):
     with pytest.raises(ValueError):
         defect_lower_bound(psibar_ab, 2, upper=ZERO)
+
+
+@pytest.mark.parametrize("upper", [None, ExactReal(5)])
+def test_defect_witness_replays_the_scan(f2, f2z_phi, psibar_ab, upper):
+    # psi-bar_ab's witness (a, b) ties its commutator and three-term
+    # values at 1, psi-bar of a^2 has a three-term witness, and a
+    # homomorphism's is the identity pair
+    psibar_aa = HomogenizedQM(BrooksQM(f2, f2.parse_word("a a")))
+    for qm, radius in ((psibar_ab, 2), (psibar_aa, 3), (f2z_phi, 2)):
+        est = defect_lower_bound(qm, radius, upper=upper)
+        assert defect_witness(qm, radius, upper, *est.witness) == est
+    assert defect_lower_bound(psibar_ab, 2).witness_kind == "commutator"
+    assert defect_lower_bound(psibar_aa, 3).witness_kind == "three-term"
+    assert defect_lower_bound(f2z_phi, 2).witness == (f2z_phi.model.identity(),) * 2
+
+
+def test_defect_witness_refuses_a_pair_outside_the_ball_or_above_the_bound(f2, psibar_ab):
+    a, b = f2.parse_element("a"), f2.parse_element("b")
+    with pytest.raises(ValueError, match="outside the scanned ball"):
+        defect_witness(psibar_ab, 1, None, a, f2.parse_element("b b"))
+    with pytest.raises(ValueError, match="below the certified lower bound"):
+        defect_witness(psibar_ab, 1, ZERO, a, b)
 
 
 def test_defect_scan_needs_homogeneous_input(psi_ab):
