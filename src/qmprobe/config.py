@@ -90,7 +90,13 @@ def parse_experiment(text: str) -> Experiment:
                 raise ConfigError("quasimorphism section without a name")
             if name in qms:
                 raise ConfigError(f"duplicate quasimorphism name {name!r}")
-            qms[name] = _build_qm(model, name, dict(parser[section]), qms)
+            qm = _build_qm(model, name, dict(parser[section]), qms)
+            surds = sorted(_surds(qm))
+            if len(surds) > 1:
+                raise ConfigError(
+                    f"[quasimorphism {name}]: cannot mix sqrt({surds[0]}) and sqrt({surds[1]})"
+                )
+            qms[name] = qm
             continue
         if section.startswith("probe "):
             name = section[len("probe ") :].strip()
@@ -195,6 +201,21 @@ def _build_qm(
             parts.append(known[part_name])
         return CombinationQM(tuple(coefficients), tuple(parts))
     raise ConfigError(f"{where}: unknown kind {kind!r}")
+
+
+def _surds(qm: Quasimorphism) -> set[int]:
+    """The bases d of the surds among qm's values and coefficients.
+    Arithmetic across two bases fails, so a quasimorphism may use one."""
+    if isinstance(qm, HomogenizedQM):
+        return _surds(qm.base)
+    if isinstance(qm, HomomorphismQM):
+        return {v.d for v in qm.values if v.b}
+    if isinstance(qm, CombinationQM):
+        out = {c.d for c in qm.coefficients if c.b}
+        for part in qm.parts:
+            out |= _surds(part)
+        return out
+    return set()  # a Brooks quasimorphism takes integer values
 
 
 # -- probe validation ----------------------------------------------------

@@ -28,9 +28,8 @@ object, and skip the abelian arithmetic in a free group (ab == ()).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, ModelMismatchError
 
@@ -40,8 +39,7 @@ MAX_WORD_LETTERS = 5_000
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A generator letter: an index into the model's generating set plus
     an inverse flag."""
 
@@ -52,42 +50,54 @@ class Generator:
         return Generator(self.index, not self.inverse)
 
 
-@dataclass(frozen=True)
-class GroupModel:
+class _ModelFields(NamedTuple):
+    """The storage of a GroupModel, without its checks."""
+
+    free_rank: int
+    abelian_rank: int
+    generator_names: tuple[str, ...]
+    ball_cap: int
+
+
+class GroupModel(_ModelFields):
     """F_n (abelian_rank == 0) or F_n x Z^k, with named generators.
 
     Free generators come first, abelian generators after them; the
     global generator index runs over both blocks.  `ball_cap` bounds the
-    radius of any ball this model will enumerate.
+    radius of any ball this model will enumerate.  Models are equal and
+    hash alike when their fields are, so `_ball`'s cache keys on them.
     """
 
-    free_rank: int
-    abelian_rank: int = 0
-    generator_names: tuple[str, ...] = ()
-    ball_cap: int = DEFAULT_BALL_CAP
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0 or self.abelian_rank < 0:
+    def __new__(
+        cls,
+        free_rank: int,
+        abelian_rank: int = 0,
+        generator_names: tuple[str, ...] = (),
+        ball_cap: int = DEFAULT_BALL_CAP,
+    ):
+        rank = free_rank + abelian_rank
+        if free_rank < 0 or abelian_rank < 0:
             raise ValueError("ranks must be non-negative")
-        if self.rank == 0:
+        if rank == 0:
             raise ValueError("need at least one generator")
-        if not self.generator_names:
-            if self.rank > len(_ALPHABET):
+        if not generator_names:
+            if rank > len(_ALPHABET):
                 raise ValueError("too many generators for default names")
-            object.__setattr__(
-                self, "generator_names", tuple(_ALPHABET[: self.rank])
-            )
-        if len(self.generator_names) != self.rank:
+            generator_names = tuple(_ALPHABET[:rank])
+        if len(generator_names) != rank:
             raise ValueError(
-                f"expected {self.rank} generator names, got {len(self.generator_names)}"
+                f"expected {rank} generator names, got {len(generator_names)}"
             )
-        if len(set(self.generator_names)) != self.rank:
+        if len(set(generator_names)) != rank:
             raise ValueError("generator names must be distinct")
-        for name in self.generator_names:
+        for name in generator_names:
             if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
                 raise ValueError(f"bad generator name {name!r}")
-        if self.ball_cap < 0:
+        if ball_cap < 0:
             raise ValueError("ball_cap must be non-negative")
+        return _ModelFields.__new__(cls, free_rank, abelian_rank, generator_names, ball_cap)
 
     @property
     def rank(self) -> int:

@@ -27,13 +27,11 @@ which bounds its size by twice the active nonzeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class UnsatCertificate:
+class UnsatCertificate(NamedTuple):
     """u . col == 0 (mod modulus) for all columns, u . rhs != 0."""
 
     functional: dict[Hashable, int]

@@ -34,8 +34,7 @@ is replayed and wrapped by the one function `settle`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
 from .exact import ExactReal, ZERO, exact_min
@@ -309,8 +308,7 @@ class WindowedChain:
 # -- ray cycles ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RayCycle:
+class RayCycle(NamedTuple):
     chain: WindowedChain
     start: GroupElement
     end: GroupElement
@@ -366,8 +364,7 @@ def ray_cycle(
 # -- the z_s cycles ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZsCycle:
+class ZsCycle(NamedTuple):
     generator: Generator
     depth: int
     chain: WindowedChain
@@ -420,8 +417,7 @@ def build_zs_cycle(
 # -- windowed boundary solving -------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundarySolveResult:
+class BoundarySolveResult(NamedTuple):
     status: str  # "sat" | "unsat"
     window: ExactReal
     floor: Optional[ExactReal]
@@ -550,8 +546,7 @@ def settle(
 # -- keep-negative extraction --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     path: Path
     min_phi: ExactReal
     bound: ExactReal

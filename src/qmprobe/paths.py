@@ -12,7 +12,6 @@ over every vertex, the endpoints included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ModelMismatchError
@@ -21,21 +20,44 @@ from .groups import Generator, GroupElement, edge_letter
 from .quasimorphisms import Quasimorphism
 
 
-@dataclass(frozen=True)
 class Path:
-    vertices: tuple[GroupElement, ...]
+    """An immutable vertex sequence, equal to another when the vertices
+    are.  Not a tuple: `len` counts edges."""
 
-    def __post_init__(self):
-        if not self.vertices:
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple[GroupElement, ...]):
+        if not vertices:
             raise ValueError("a path needs at least one vertex")
-        model = self.vertices[0].model
-        for v, w in zip(self.vertices, self.vertices[1:]):
+        model = vertices[0].model
+        for v, w in zip(vertices, vertices[1:]):
             if v.model != model:
                 raise ModelMismatchError("path vertices use different models")
             if v.distance(w) != 1:
                 raise ValueError(
                     f"consecutive path vertices {v!r}, {w!r} are not adjacent"
                 )
+        object.__setattr__(self, "vertices", vertices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Path is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Path is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not Path:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
+
+    def __reduce__(self):
+        return (Path, (self.vertices,))
+
+    def __repr__(self) -> str:
+        return f"Path({self.vertices!r})"
 
     @property
     def model(self):

@@ -22,8 +22,7 @@ module attribute (as the benchmark's tracer does) sees every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     CapExceededError,
@@ -77,25 +76,37 @@ from .search import (
 )
 
 
-@dataclass
 class ProbeSpec:
-    name: str
-    kind: str
-    raw: dict[str, str]
-    settings: dict[str, object] = field(default_factory=dict)
+    """A `[probe NAME]` section; validation fills `kind` and `settings`."""
+
+    __slots__ = ("name", "kind", "raw", "settings")
+
+    def __init__(self, name: str, kind: str, raw: dict[str, str]):
+        self.name = name
+        self.kind = kind
+        self.raw = raw
+        self.settings: dict[str, object] = {}
 
 
-@dataclass
 class Experiment:
-    raw_text: str
-    model: GroupModel
-    quasimorphisms: dict[str, Quasimorphism]
-    probes: list[ProbeSpec]
-    output_path: Optional[str]
+    __slots__ = ("raw_text", "model", "quasimorphisms", "probes", "output_path")
+
+    def __init__(
+        self,
+        raw_text: str,
+        model: GroupModel,
+        quasimorphisms: dict[str, Quasimorphism],
+        probes: list[ProbeSpec],
+        output_path: Optional[str],
+    ):
+        self.raw_text = raw_text
+        self.model = model
+        self.quasimorphisms = quasimorphisms
+        self.probes = probes
+        self.output_path = output_path
 
 
-@dataclass(frozen=True)
-class ProbeKind:
+class ProbeKind(NamedTuple):
     validate: Callable[[Experiment, ProbeSpec, str], None]
     run: Callable[[Experiment, ProbeSpec], dict]
     check: Callable[[Experiment, ProbeSpec, dict], list]

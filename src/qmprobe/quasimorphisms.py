@@ -25,8 +25,7 @@ bound takes it as an explicit argument (written D* throughout).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ModelMismatchError
 from .exact import ExactReal, ZERO
@@ -267,8 +266,7 @@ class HomogenizedQM(Quasimorphism):
         return ub + ub  # D(phi-bar) <= 2 D(phi)
 
 
-@dataclass(frozen=True)
-class DefectEstimate:
+class DefectEstimate(NamedTuple):
     """An exact interval [lower, upper] around the defect, with a
     witness realizing the lower bound.
 
@@ -372,8 +370,7 @@ def _upper_bound(
 _M_ORDER = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
 
 
-@dataclass(frozen=True)
-class AkerCertificate:
+class AkerCertificate(NamedTuple):
     """Checked approximate closure of Aker(phi, D*) inside a ball.
 
     For members g, h (pairs in canonical product order) the certificate

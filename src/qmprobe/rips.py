@@ -19,8 +19,7 @@ gives the forest from the same pairs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, ModelMismatchError
 from .groups import GroupElement
@@ -28,21 +27,37 @@ from .groups import GroupElement
 DEFAULT_VERTEX_CAP = 4096
 
 
-@dataclass(frozen=True)
-class RipsGraph:
+class RipsGraph(NamedTuple):
     vertices: tuple[GroupElement, ...]  # canonically sorted, no duplicates
     scale: int
     edges: tuple[tuple[int, int], ...]  # index pairs i < j with 0 < d < scale
 
 
-@dataclass(frozen=True)
 class ComponentCertificate:
     """component_ids[i] is the index of the canonical representative of
     vertex i's component; forest lists parent edges (i, j), each an
-    actual edge of the graph, spanning every component."""
+    actual edge of the graph, spanning every component.  Immutable, and
+    not a tuple, whose `count` method the property would shadow."""
 
-    component_ids: tuple[int, ...]
-    forest: tuple[tuple[int, int], ...]
+    __slots__ = ("component_ids", "forest")
+
+    def __init__(self, component_ids: tuple[int, ...], forest: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "component_ids", component_ids)
+        object.__setattr__(self, "forest", forest)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ComponentCertificate is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ComponentCertificate is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ComponentCertificate:
+            return NotImplemented
+        return (self.component_ids, self.forest) == (other.component_ids, other.forest)
+
+    def __hash__(self):
+        return hash((self.component_ids, self.forest))
 
     @property
     def count(self) -> int:
@@ -115,8 +130,7 @@ def components(graph: RipsGraph) -> ComponentCertificate:
     return components_from_edges(len(graph.vertices), graph.edges)
 
 
-@dataclass(frozen=True)
-class ConnectivityProfile:
+class ConnectivityProfile(NamedTuple):
     """Component counts for scales 1..n_max, the first scale (if any) at
     which the graph is connected, and the spanning forest at that scale
     as `components` certifies it.  Counts are non-increasing in the

@@ -28,9 +28,8 @@ On top of that sit the pieces used to push paths out of high levels:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, LibraryIncompleteError, ModelMismatchError
 from .exact import ExactReal, ZERO, exact_max, exact_min
@@ -39,8 +38,7 @@ from .paths import Path, path_from_letters, phi_extrema, straight_path
 from .quasimorphisms import HomomorphismQM, HomogenizedQM, Quasimorphism
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(NamedTuple):
     path: Path
     min_phi: ExactReal
     max_phi: ExactReal
@@ -49,8 +47,7 @@ class PathWitness:
     ceiling: Optional[ExactReal]
 
 
-@dataclass(frozen=True)
-class NotFoundWithinBall:
+class NotFoundWithinBall(NamedTuple):
     """Exhausted the admissible region without reaching the target.
     Evidence at scale (floor, ceiling, radius); never a theorem."""
 
@@ -156,8 +153,7 @@ def bounded_path_search(
 # -- constants bundle ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantsBundle:
+class ConstantsBundle(NamedTuple):
     """Exact thresholds steering the level-set machinery.
 
     descent_depth   n:  how far the library paths dive along c^-1
@@ -237,16 +233,14 @@ def essential_flags(path: Path, scaling: GroupElement) -> tuple[bool, ...]:
     return tuple(flags)
 
 
-@dataclass(frozen=True)
-class QLibraryEntry:
+class QLibraryEntry(NamedTuple):
     pair: tuple[Generator, Generator]
     path: Optional[Path]
     min_phi: Optional[ExactReal]
     failure: Optional[str]
 
 
-@dataclass(frozen=True)
-class QLibrary:
+class QLibrary(NamedTuple):
     scaling: GroupElement
     bundle: ConstantsBundle
     radius: int
@@ -344,7 +338,7 @@ def build_q_library(
         needed = -exact_min(min_values) + 1
         if needed > guard:
             guard = needed
-    raised = replace(bundle, descent_depth=n, level_guard=guard)
+    raised = bundle._replace(descent_depth=n, level_guard=guard)
     return QLibrary(scaling, raised, radius, n, tuple(entries))
 
 
@@ -368,8 +362,7 @@ def remove_inessential_backtracks(path: Path, scaling: GroupElement) -> Path:
     return Path(tuple(out))
 
 
-@dataclass(frozen=True)
-class PeakStep:
+class PeakStep(NamedTuple):
     height: int
     peak_count: int
     peak_index: int
@@ -378,8 +371,7 @@ class PeakStep:
     path_after: Path
 
 
-@dataclass(frozen=True)
-class PeakReductionTrace:
+class PeakReductionTrace(NamedTuple):
     initial: Path
     steps: tuple[PeakStep, ...]
     final: Path
@@ -503,8 +495,7 @@ def peak_reduction(
 # -- the F_2 x Z kernel example ------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelPathWitness:
+class KernelPathWitness(NamedTuple):
     path: Path
     min_phi: ExactReal
     max_phi: ExactReal
@@ -569,8 +560,7 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitnes
 # -- free-group obstruction probe ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Per-vertex lower bounds d(v, Aker) >= (|phi-bar(v)| - 2D*) / L
     along the tree geodesic from x to c^-n x c^n, with
     L = max_s |phi-bar(s)| + D*.  In a free group every path between

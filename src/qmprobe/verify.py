@@ -28,7 +28,7 @@ searches break ties canonically, so it is well defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import parse_experiment
 from .errors import CapExceededError, ReplayError
@@ -36,16 +36,14 @@ from .probes import KINDS, Experiment, ProbeSpec, _compare, attempt
 from .runner import probe_entry, report_body
 
 
-@dataclass(frozen=True)
-class ProbeCheck:
+class ProbeCheck(NamedTuple):
     name: str
     kind: str
     ok: bool
     message: str
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     checks: tuple[ProbeCheck, ...]
 
     @property

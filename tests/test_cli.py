@@ -5,6 +5,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -656,6 +657,33 @@ def test_a_zero_denominator_is_a_one_line_config_error(tmp_path, capsys, old, ne
     assert err.count("\n") == 1 and "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        "[quasimorphism mixed]\nkind = homomorphism\na = sqrt(2)\nb = sqrt(3)\n",
+        "[quasimorphism mixed]\nkind = combination\nterms = sqrt(2) * psibar, sqrt(3) * psibar\n",
+    ],
+    ids=["homomorphism", "combination"],
+)
+def test_mixed_surds_are_a_one_line_config_error(tmp_path, capsys, section):
+    text = (CONFIG_DIR / "free_brooks.cfg").read_text(encoding="utf-8")
+    cfg, out = tmp_path / "mixed.cfg", tmp_path / "report.json"
+    cfg.write_text(text + "\n" + section, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "qmprobe: [quasimorphism mixed]: cannot mix sqrt(2) and sqrt(3)\n"
+    assert not out.exists()
+    # the same section echoed in a report
+    assert main(["run", str(CONFIG_DIR / "free_brooks.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    report["body"]["config_echo"] += "\n" + section
+    out.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "[quasimorphism mixed]: cannot mix sqrt(2) and sqrt(3)" in err
+
+
 def test_runtime_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", str(CONFIG_DIR / "window_too_small.cfg"), "--out", str(out)])
@@ -809,3 +837,28 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_round_trip_and_tamper_check_under_python_dash_O(tmp_path):
+    """`python -O` strips `assert`; every check `run` and `verify` rely
+    on raises explicitly, so the round trip and a failed replay are the
+    same under it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "report.json"
+
+    def qmprobe(*args):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "qmprobe", *args],
+            env=env, capture_output=True, text=True,
+        )
+
+    proc = qmprobe("run", str(CONFIG_DIR / "free_brooks.cfg"), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    proc = qmprobe("verify", str(out))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = _read(out)
+    report["body"]["probes"][0]["result"]["lower"] = "2/1"
+    out.write_text(json.dumps(report), encoding="utf-8")
+    proc = qmprobe("verify", str(out))
+    assert proc.returncode == 4 and "FAIL defect-small" in proc.stdout

@@ -167,6 +167,45 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+R2_R3 = """\
+[quasimorphism r2]
+kind = homomorphism
+a = sqrt(2)
+
+[quasimorphism r3]
+kind = homomorphism
+b = 1 + sqrt(3)
+"""
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "[quasimorphism mixed]\nkind = homomorphism\na = sqrt(2)\nb = sqrt(3)\n",
+        "[quasimorphism mixed]\nkind = homomorphism\na = 1 - sqrt(3)\nb = 1/2 * sqrt(2)\n",
+        "[quasimorphism mixed]\nkind = combination\nterms = sqrt(2) * psibar, sqrt(3) * psibar\n",
+        "[quasimorphism mixed]\nkind = combination\nterms = 1 * r2, 1 * r3\n",
+        "[quasimorphism mixed]\nkind = combination\nterms = sqrt(3) * r2\n",
+        "[quasimorphism r3bar]\nkind = homogenized\nbase = r3\n"
+        "[quasimorphism mixed]\nkind = combination\nterms = 1 * psibar, 2 * r2, -1 * r3bar\n",
+    ],
+    ids=["hom", "hom-1/2", "coefficients", "parts", "coefficient-and-part", "homogenized-part"],
+)
+def test_one_surd_base_per_quasimorphism(section):
+    text = FREE_GROUP + PSIBAR + R2_R3 + section + DEFECT_PROBE
+    with pytest.raises(ConfigError, match=r"^\[quasimorphism mixed\]: cannot mix sqrt\(2\) and sqrt\(3\)$"):
+        parse_experiment(text)
+
+
+def test_surds_that_are_never_combined_stay_valid():
+    text = FREE_GROUP + PSIBAR + R2_R3
+    text += "[quasimorphism lift]\nkind = combination\nterms = sqrt(3) * psibar, 1 * r3\n"
+    text += DEFECT_PROBE
+    exp = parse_experiment(text)
+    assert exp.quasimorphisms["r2"].values == (ExactReal(0, 1, 2), ZERO)
+    assert exp.quasimorphisms["lift"].coefficients[0] == ExactReal(0, 1, 3)
+
+
 def test_aker_scaling_window_enforced():
     text = FREE_GROUP + PSIBAR
     # phi-bar(a) = 0 misses (4/5, 1]
