@@ -7,8 +7,9 @@ kind:
   the preconditions of the operation it will invoke and stores the
   parsed values in `probe.settings`; `where` names the section in error
   messages;
-* `run(exp, probe)` makes the library call and flattens the result into
-  a JSON-compatible payload carrying the full witness;
+* `run(exp, probe)` makes the library call and hands the result, raw
+  values and records carrying the full witness, to `report.encode`,
+  which writes the JSON-compatible payload;
 * `check(exp, probe, result)` rebuilds the payload from
   `probe.settings` and returns one problem per key where the recorded
   payload differs, none when it replays (see `_rederive`);
@@ -54,15 +55,7 @@ from .quasimorphisms import (
     defect_lower_bound,
     defect_witness,
 )
-from .report import (
-    cell_payload,
-    chain_payload,
-    element_payload,
-    exact_payload,
-    letter_payload,
-    parse_cell,
-    path_payload,
-)
+from .report import cell_payload, encode, parse_cell
 from .rips import _prepare_vertices, connectivity_profile
 from .search import (
     NotFoundWithinBall,
@@ -179,16 +172,14 @@ def get_bool(raw: dict[str, str], key: str, where: str, default: bool) -> bool:
 # -- validation checks shared by several kinds ---------------------------
 
 
-def _need_qm(
-    exp: Experiment, probe: ProbeSpec, where: str, homogeneous: bool = True
-) -> Quasimorphism:
+def _need_qm(exp: Experiment, probe: ProbeSpec, where: str) -> Quasimorphism:
     name = probe.raw.get("qm")
     if name is None:
         raise ConfigError(f"{where}: missing key 'qm'")
     qm = exp.quasimorphisms.get(name)
     if qm is None:
         raise ConfigError(f"{where}: unknown quasimorphism {name!r}")
-    if homogeneous and not qm.is_homogeneous:
+    if not qm.is_homogeneous:
         raise ConfigError(
             f"{where}: this probe needs a homogeneous quasimorphism; "
             "wrap the base in a homogenized block"
@@ -260,11 +251,11 @@ def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
     object differs from the one rebuilt from the echoed config.  A key
     missing on one side differs, and values are compared type for type.
 
-    Payloads hold only dicts, lists, strings, ints, bools and None, so
-    the fresh one equals its own JSON round trip and is compared as it
-    is: encoding it would build one string per array element, which
-    for an aker certificate's exponent table raises the peak memory of
-    `verify` by more than the table itself."""
+    `encode` writes only dicts, lists, strings, ints, bools and None,
+    so the fresh payload equals its own JSON round trip and is compared
+    as it is: dumping it would build one string per array element,
+    which for an aker certificate's exponent table raises the peak
+    memory of `verify` by more than the table itself."""
     if not isinstance(res, dict):
         raise TypeError("result is not an object")
     return [
@@ -317,23 +308,15 @@ def _validate_defect(exp: Experiment, probe: ProbeSpec, where: str) -> None:
     )
 
 
-def _defect_payload(probe: ProbeSpec, est: DefectEstimate) -> dict:
-    return {
-        "qm": probe.settings["qm_name"],
-        "radius": est.radius,
-        "lower": exact_payload(est.lower),
-        "upper": None if est.upper is None else exact_payload(est.upper),
-        "provenance": est.provenance,
-        "witness_kind": est.witness_kind,
-        "witness": [element_payload(g) for g in est.witness],
-        "witness_value": exact_payload(est.witness_value),
-    }
+def _defect_payload(exp: Experiment, probe: ProbeSpec, est: DefectEstimate) -> dict:
+    out = {"qm": probe.settings["qm_name"], "provenance": est.provenance, **est._asdict()}
+    return encode(out, exp.model)
 
 
 def _run_defect(exp: Experiment, probe: ProbeSpec) -> dict:
     s = probe.settings
     est = defect_lower_bound(_qm(exp, probe), s["radius"], upper=s["claimed_upper"])
-    return _defect_payload(probe, est)
+    return _defect_payload(exp, probe, est)
 
 
 def _check_defect(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
@@ -343,7 +326,7 @@ def _check_defect(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
     s = probe.settings
     g, h = (_element(exp.model, word) for word in res["witness"])
     est = defect_witness(_qm(exp, probe), s["radius"], s["claimed_upper"], g, h)
-    return _compare(_defect_payload(probe, est), res)
+    return _compare(_defect_payload(exp, probe, est), res)
 
 
 # -- aker-cert -----------------------------------------------------------
@@ -368,21 +351,7 @@ def _run_aker_cert(exp: Experiment, probe: ProbeSpec) -> dict:
     cert = certify_aker_approximate_subgroup(
         _qm(exp, probe), s["dstar"], s["scaling"], s["radius"]
     )
-    return {
-        "qm": s["qm_name"],
-        "dstar": exact_payload(cert.dstar),
-        "radius": cert.radius,
-        "scaling": None if cert.scaling is None else element_payload(cert.scaling),
-        "witness": [element_payload(g) for g in cert.witness],
-        "members": [element_payload(g) for g in cert.members],
-        "exponents": list(cert.exponents),
-        "passed": cert.passed,
-        "counterexample": (
-            None
-            if cert.counterexample is None
-            else [element_payload(g) for g in cert.counterexample]
-        ),
-    }
+    return encode({"qm": s["qm_name"], **cert._asdict()}, exp.model)
 
 
 # -- rips-profile --------------------------------------------------------
@@ -411,14 +380,15 @@ def _run_rips_profile(exp: Experiment, probe: ProbeSpec) -> dict:
     s = probe.settings
     verts = _prepare_vertices(s["vertices"])
     profile = connectivity_profile(verts, s["n_max"])
-    return {
-        "vertices": [element_payload(v) for v in verts],
+    out = {
+        "vertices": verts,
         "n_max": s["n_max"],
-        "scales": list(profile.scales),
-        "counts": list(profile.counts),
+        "scales": profile.scales,
+        "counts": profile.counts,
         "threshold": profile.threshold,
-        "forest_at_threshold": None if profile.forest is None else [list(e) for e in profile.forest],
+        "forest_at_threshold": profile.forest,
     }
+    return encode(out, exp.model)
 
 
 # -- path-search ---------------------------------------------------------
@@ -449,26 +419,17 @@ def _run_path_search(exp: Experiment, probe: ProbeSpec) -> dict:
     )
     out = {
         "qm": s["qm_name"],
-        "start": element_payload(s["start"]),
-        "target": element_payload(s["target"]),
-        "k": exact_payload(s["k"]),
-        "k_max": None if s["k_max"] is None else exact_payload(s["k_max"]),
+        "start": s["start"],
+        "target": s["target"],
+        "k": s["k"],
+        "k_max": s["k_max"],
         "radius": s["radius"],
     }
     if isinstance(got, NotFoundWithinBall):
-        out.update(
-            found=False,
-            explored=got.explored,
-            reason=got.reason,
-        )
+        out.update(found=False, explored=got.explored, reason=got.reason)
     else:
-        out.update(
-            found=True,
-            path=path_payload(got.path),
-            min_phi=exact_payload(got.min_phi),
-            max_phi=exact_payload(got.max_phi),
-        )
-    return out
+        out.update(found=True, path=got.path, min_phi=got.min_phi, max_phi=got.max_phi)
+    return encode(out, exp.model)
 
 
 # -- q-library -----------------------------------------------------------
@@ -494,19 +455,6 @@ def _validate_q_library(exp: Experiment, probe: ProbeSpec, where: str) -> None:
     )
 
 
-def _bundle_payload(bundle) -> dict:
-    return {
-        "dstar": exact_payload(bundle.dstar),
-        "kprime": exact_payload(bundle.kprime),
-        "descent_depth": bundle.descent_depth,
-        "level_guard": exact_payload(bundle.level_guard),
-        "height_bound": exact_payload(bundle.height_bound),
-        "scaling_distance": bundle.scaling_distance,
-        "max_pair_value": exact_payload(bundle.max_pair_value),
-        "max_generator_value": exact_payload(bundle.max_generator_value),
-    }
-
-
 def _library(exp: Experiment, probe: ProbeSpec):
     s = probe.settings
     qm = _qm(exp, probe)
@@ -514,33 +462,32 @@ def _library(exp: Experiment, probe: ProbeSpec):
     return build_q_library(qm, bundle, s["scaling"], s["radius"], s["depth"])
 
 
-def _library_payload(exp: Experiment, library) -> dict:
-    model = exp.model
-    entries = []
-    for entry in library.entries:
-        entries.append(
-            {
-                "s": letter_payload(model, entry.pair[0]),
-                "t": letter_payload(model, entry.pair[1]),
-                "path": None if entry.path is None else path_payload(entry.path),
-                "min_phi": exact_payload(entry.min_phi),
-                "failure": entry.failure,
-            }
-        )
+def _library_payload(library) -> dict:
+    """The library as raw values, for `encode`."""
+    entries = [
+        {
+            "s": entry.pair[0],
+            "t": entry.pair[1],
+            "path": entry.path,
+            "min_phi": entry.min_phi,
+            "failure": entry.failure,
+        }
+        for entry in library.entries
+    ]
     return {
-        "scaling": element_payload(library.scaling),
+        "scaling": library.scaling,
         "radius": library.radius,
         "depth": library.depth,
         "complete": library.complete,
-        "bundle": _bundle_payload(library.bundle),
+        "bundle": library.bundle._asdict(),
         "entries": entries,
     }
 
 
 def _run_q_library(exp: Experiment, probe: ProbeSpec) -> dict:
-    out = _library_payload(exp, _library(exp, probe))
+    out = _library_payload(_library(exp, probe))
     out["qm"] = probe.settings["qm_name"]
-    return out
+    return encode(out, exp.model)
 
 
 # -- peak-reduce ---------------------------------------------------------
@@ -567,33 +514,24 @@ def _validate_peak_reduce(exp: Experiment, probe: ProbeSpec, where: str) -> None
 def _run_peak_reduce(exp: Experiment, probe: ProbeSpec) -> dict:
     library = _library(exp, probe)
     trace = peak_reduction(_qm(exp, probe), probe.settings["path"], library)
-    steps = []
-    for step in trace.steps:
-        steps.append(
-            {
-                "height": step.height,
-                "peaks": step.peak_count,
-                "index": step.peak_index,
-                "pair": [
-                    letter_payload(exp.model, step.pair[0]),
-                    letter_payload(exp.model, step.pair[1]),
-                ],
-                "min_phi": exact_payload(step.min_phi),
-                "path_after": path_payload(step.path_after),
-            }
-        )
-    return {
+    steps = [
+        {
+            "height": step.height,
+            "peaks": step.peak_count,
+            "index": step.peak_index,
+            "pair": step.pair,
+            "min_phi": step.min_phi,
+            "path_after": step.path_after,
+        }
+        for step in trace.steps
+    ]
+    out = {
+        **trace._asdict(),
         "qm": probe.settings["qm_name"],
-        "library": _library_payload(exp, library),
-        "initial": path_payload(trace.initial),
+        "library": _library_payload(library),
         "steps": steps,
-        "final": path_payload(trace.final),
-        "final_height": trace.final_height,
-        "final_peaks": trace.final_peaks,
-        "reduced": path_payload(trace.reduced),
-        "max_reduced_phi": exact_payload(trace.max_reduced_phi),
-        "vertex_bound": exact_payload(trace.vertex_bound),
     }
+    return encode(out, exp.model)
 
 
 # -- f2z-example ---------------------------------------------------------
@@ -601,7 +539,7 @@ def _run_peak_reduce(exp: Experiment, probe: ProbeSpec) -> dict:
 
 def _validate_f2z_example(exp: Experiment, probe: ProbeSpec, where: str) -> None:
     raw, model = probe.raw, exp.model
-    qm = _need_qm(exp, probe, where, homogeneous=False)
+    qm = _need_qm(exp, probe, where)
     if not _is_f2z_example(qm):
         raise ConfigError(
             f"{where}: needs the F_2 x Z model with phi = (1, 0, sqrt(2))"
@@ -619,14 +557,8 @@ def _run_f2z_example(exp: Experiment, probe: ProbeSpec) -> dict:
     witness = f2z_kernel_path_normalize(
         _qm(exp, probe), straight_path(s["start"], s["target"])
     )
-    return {
-        "qm": s["qm_name"],
-        "start": element_payload(s["start"]),
-        "target": element_payload(s["target"]),
-        "path": path_payload(witness.path),
-        "min_phi": exact_payload(witness.min_phi),
-        "max_phi": exact_payload(witness.max_phi),
-    }
+    out = {"qm": s["qm_name"], "start": s["start"], "target": s["target"], **witness._asdict()}
+    return encode(out, exp.model)
 
 
 # -- free-obstruction ----------------------------------------------------
@@ -667,20 +599,21 @@ def _run_free_obstruction(exp: Experiment, probe: ProbeSpec) -> dict:
         runs.append(
             {
                 "depth": depth,
-                "geodesic": path_payload(rep.geodesic),
-                "bounds": [exact_payload(b) for b in rep.bounds],
-                "max_bound": exact_payload(rep.max_bound),
+                "geodesic": rep.geodesic,
+                "bounds": rep.bounds,
+                "max_bound": rep.max_bound,
             }
         )
-    return {
+    out = {
         "qm": s["qm_name"],
-        "x": element_payload(s["x"]),
-        "scaling": element_payload(s["scaling"]),
-        "dstar": exact_payload(s["dstar"]),
+        "x": s["x"],
+        "scaling": s["scaling"],
+        "dstar": s["dstar"],
         "max_depth": s["max_depth"],
         "runs": runs,
         "maxima_strictly_increasing": increasing,
     }
+    return encode(out, exp.model)
 
 
 # -- novikov-solve -------------------------------------------------------
@@ -722,16 +655,16 @@ def _novikov_payload(
     s = probe.settings
     out = {
         "qm": s["qm_name"],
-        "start": element_payload(s["start"]),
-        "end": element_payload(s["end"]),
-        "scaling": element_payload(s["scaling"]),
-        "window": exact_payload(s["window"]),
+        "start": s["start"],
+        "end": s["end"],
+        "scaling": s["scaling"],
+        "window": s["window"],
         "radius": s["radius"],
-        "slack": exact_payload(s["slack"]),
-        "defect": exact_payload(s["defect"]),
-        "connecting": path_payload(cycle.connecting),
-        "cycle": chain_payload(cx, cycle.chain),
-        "floor": exact_payload(outcome.floor),
+        "slack": s["slack"],
+        "defect": s["defect"],
+        "connecting": cycle.connecting,
+        "cycle": cycle.chain,
+        "floor": outcome.floor,
         "status": outcome.status,
         "faces": [cell_payload(cx, f) for f in outcome.faces],
         "coefficients": None,
@@ -739,30 +672,26 @@ def _novikov_payload(
         "extraction": None,
     }
     if outcome.status == "sat":
-        out["coefficients"] = list(outcome.coefficients)
+        out["coefficients"] = outcome.coefficients
         if s["extract"]:
             try:
                 extraction = keep_negative_and_extract_path(cx, outcome.filling, cycle)
                 out["extraction"] = {
-                    "path": path_payload(extraction.path),
-                    "min_phi": exact_payload(extraction.min_phi),
-                    "bound": exact_payload(extraction.bound),
+                    "path": extraction.path,
+                    "min_phi": extraction.min_phi,
+                    "bound": extraction.bound,
                     "meets_bound": extraction.meets_bound,
                 }
             except ExtractionError as exc:
                 out["extraction"] = {"error": str(exc)}
     else:
         cert = outcome.certificate
-        functional = sorted(
-            cert.functional.items(), key=lambda item: cx.cell_sort_key(item[0])
-        )
+        cells = sorted(cert.functional, key=cx.cell_sort_key)
         out["certificate"] = {
             "modulus": cert.modulus,
-            "functional": [
-                [cell_payload(cx, cell), coeff] for cell, coeff in functional
-            ],
+            "functional": [[cell_payload(cx, c), cert.functional[c]] for c in cells],
         }
-    return out
+    return encode(out, cx.model)
 
 
 def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
@@ -843,27 +772,22 @@ def _run_zs_cycle(exp: Experiment, probe: ProbeSpec) -> dict:
     required = s["k"] + s["defect"] + 1
     out = {
         "qm": s["qm_name"],
-        "s": letter_payload(exp.model, s["s"]),
-        "scaling": element_payload(scaling),
+        "s": s["s"],
+        "scaling": scaling,
         "depth": depth,
-        "k": exact_payload(s["k"]),
+        "k": s["k"],
         "radius": s["radius"],
-        "defect": exact_payload(s["defect"]),
+        "defect": s["defect"],
         "threshold": {
-            "n_phi_c": exact_payload(phi_c * depth),
-            "required": exact_payload(required),
+            "n_phi_c": phi_c * depth,
+            "required": required,
             "satisfied": bool(phi_c * depth > required),
         },
     }
     if s["s"] == scaling.letters()[0]:
         zs = build_zs_cycle(cx, s["s"], scaling, depth, None)
-        out.update(
-            status="zero-by-convention",
-            high_path=None,
-            high_min=None,
-            chain=chain_payload(cx, zs.chain),
-        )
-        return out
+        out.update(status="zero-by-convention", high_path=None, high_min=None, chain=zs.chain)
+        return encode(out, exp.model)
     top = scaling ** depth
     target = exp.model.generator_element(s["s"]) * top
     got = bounded_path_search(
@@ -878,15 +802,10 @@ def _run_zs_cycle(exp: Experiment, probe: ProbeSpec) -> dict:
             explored=got.explored,
             reason=got.reason,
         )
-        return out
+        return encode(out, exp.model)
     zs = build_zs_cycle(cx, s["s"], scaling, depth, got.path, k_bound=s["k"])
-    out.update(
-        status="ok",
-        high_path=path_payload(zs.high_path),
-        high_min=exact_payload(zs.high_min),
-        chain=chain_payload(cx, zs.chain),
-    )
-    return out
+    out.update(status="ok", high_path=zs.high_path, high_min=zs.high_min, chain=zs.chain)
+    return encode(out, exp.model)
 
 
 # -- the registry --------------------------------------------------------

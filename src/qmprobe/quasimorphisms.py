@@ -255,6 +255,9 @@ class HomogenizedQM(Quasimorphism):
 
     homogeneous_value = value
 
+    def _homogeneous_value(self, g: GroupElement) -> ExactReal:
+        return self.base._homogeneous_value(g)
+
     @property
     def is_homogeneous(self) -> bool:
         return True
@@ -311,6 +314,9 @@ def defect_lower_bound(
         raise ValueError("defect_lower_bound expects a homogeneous quasimorphism")
     ball = qm.model.ball(radius)
     value = qm.value
+    # the uncached hook, equal to `value` for homogeneous phi: no later
+    # probe reads a commutator, so caching one per pair only holds memory
+    uncached = qm._homogeneous_value
     # [g, h] = (g h) g^-1 h^-1 reuses g h: 3 products per pair
     entries = [(g, g.inverse(), value(g)) for g in ball]
     best = ZERO
@@ -319,7 +325,7 @@ def defect_lower_bound(
     for i, (g, g_inv, vg) in enumerate(entries):
         for h, h_inv, vh in entries[i:]:
             gh = g * h
-            cval = value(gh * g_inv * h_inv)
+            cval = uncached(gh * g_inv * h_inv)
             if cval > best:
                 best, best_kind, best_pair = cval, "commutator", (g, h)
             tval = abs(vg + vh - value(gh))

@@ -8,16 +8,18 @@ runs, which is why every exact value serializes as a canonical string
 ("p/q" or "p/q+r/s*sqrt(d)", never a float) and every collection is
 emitted in a canonical order.
 
-Paths serialize as an origin word plus edge letters; chains as sorted
-(cell, coefficient) lists.  Exact values, letters, paths and cells have
-matching parsers so that verification can rebuild the objects without
-re-running any search; recorded chains are compared as payloads.
+`encode` is the one serializer: every probe hands it raw values and
+records, so it alone decides how a value is written.  Paths serialize
+as an origin word plus edge letters; chains as sorted (cell,
+coefficient) lists.  Cells are bare tuples, so `cell_payload` writes
+them before encoding.  Verification parses back only what stands in
+for a search: elements of a defect witness and the cells of an
+infeasibility certificate.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .errors import ReplayError
 from .exact import ExactReal
@@ -26,37 +28,54 @@ from .novikov import CayleyComplex, Cell, WindowedChain
 from .paths import Path, path_from_letters
 
 SCHEMA = "qmprobe-report-1"
+_PLAIN = frozenset((int, bool, str, type(None)))
 
 
-def exact_payload(value: Optional[ExactReal]) -> Optional[str]:
-    return None if value is None else str(value)
-
-
-def element_payload(g: GroupElement) -> str:
-    return g.word_str()
-
-
-def letter_payload(model: GroupModel, letter: Generator) -> str:
-    return model.generator_name(letter)
+def encode(value, model: GroupModel):
+    """The JSON form of a report value: an exact value as its canonical
+    string, an element as its word, a letter as its name, a path as its
+    origin and letters, a chain as its sorted cell terms; tuples and
+    lists become lists and dicts are encoded value by value.  ints,
+    bools, strings and None pass through, and any other type, a bare
+    record included, raises `TypeError`."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is ExactReal:
+        return str(value)
+    if kind is GroupElement:
+        return value.word_str()
+    if kind is Generator:
+        return model.generator_name(value)
+    if kind is tuple or kind is list:
+        # scalars inline: an aker exponent table holds tens of thousands
+        return [v if type(v) in _PLAIN else encode(v, model) for v in value]
+    if kind is dict:
+        return {k: encode(v, model) for k, v in value.items()}
+    if kind is Path:
+        return {
+            "origin": value.origin.word_str(),
+            "letters": [model.generator_name(g) for g in value.edge_letters()],
+        }
+    if kind is WindowedChain:
+        cx = value.complex
+        return {
+            "dimension": value.dimension,
+            "window": encode(value.window, model),
+            "terms": [[cell_payload(cx, c), value.terms[c]] for c in value.sorted_cells()],
+        }
+    raise TypeError(f"no report encoding for {kind.__name__}")
 
 
 def parse_letter(model: GroupModel, payload: str) -> Generator:
-    """The letter `letter_payload` spells as `name` or `name^-1`; any
-    other token is refused without being expanded."""
+    """The letter `encode` spells as `name` or `name^-1`; any other
+    token is refused without being expanded."""
     if isinstance(payload, str):
         inverse = payload.endswith("^-1")
         name = payload[:-3] if inverse else payload
         if name in model.generator_names:
             return Generator(model.generator_names.index(name), inverse)
     raise ReplayError(f"not a single letter: {payload!r}")
-
-
-def path_payload(path: Path) -> dict:
-    model = path.model
-    return {
-        "origin": element_payload(path.origin),
-        "letters": [letter_payload(model, g) for g in path.edge_letters()],
-    }
 
 
 def parse_path(model: GroupModel, payload: dict) -> Path:
@@ -68,11 +87,11 @@ def parse_path(model: GroupModel, payload: dict) -> Path:
     return path_from_letters(origin, letters)
 
 
-# -- cells and chains ----------------------------------------------------
+# -- cells ---------------------------------------------------------------
 
 
 def cell_payload(cx: CayleyComplex, cell: Cell) -> list:
-    base = element_payload(cx.element(cell))
+    base = cx.element(cell).word_str()
     if cell[0] == "v":
         return ["v", base]
     if cell[0] == "e":
@@ -103,22 +122,7 @@ def parse_cell(cx: CayleyComplex, payload: list) -> Cell:
     raise ReplayError(f"unknown cell tag in {payload!r}")
 
 
-def chain_payload(cx: CayleyComplex, chain: WindowedChain) -> dict:
-    return {
-        "dimension": chain.dimension,
-        "window": exact_payload(chain.window),
-        "terms": [
-            [cell_payload(cx, cell), chain.terms[cell]]
-            for cell in chain.sorted_cells()
-        ],
-    }
-
-
 # -- whole-report helpers ------------------------------------------------
-
-
-def assemble(body: dict, header: dict) -> dict:
-    return {"header": header, "body": body}
 
 
 def dump_report(report: dict) -> str:

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .probes import Experiment, ProbeSpec, attempt
-from .report import SCHEMA, assemble
+from .report import SCHEMA
 
 
 def probe_entry(
@@ -60,4 +60,4 @@ def run_experiment(exp: Experiment) -> dict:
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
-    return assemble(report_body(exp, entries), header)
+    return {"header": header, "body": report_body(exp, entries)}

@@ -539,6 +539,20 @@ def test_validation_value_error_is_a_one_line_config_error(tmp_path, capsys):
     assert "[probe k]" in err and "sqrt(3)" in err
 
 
+def test_f2z_example_with_a_brooks_qm_is_a_one_line_config_error(tmp_path, capsys):
+    cfg = tmp_path / "brooks.cfg"
+    cfg.write_text(
+        "[group]\nfree_rank = 2\nabelian_rank = 1\nnames = a b u\nball_cap = 8\n\n"
+        "[quasimorphism psi]\nkind = brooks\nword = a b\n\n"
+        "[probe k]\nkind = f2z-example\nqm = psi\nstart = 1\ntarget = b a b^-1 a^-1\n",
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "[probe k]" in err and "needs a homogeneous quasimorphism" in err
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", str(CONFIG_DIR / "cap_cells.cfg"), "--out", str(out)])

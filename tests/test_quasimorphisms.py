@@ -353,6 +353,18 @@ def test_defect_witness_refuses_a_pair_outside_the_ball_or_above_the_bound(f2, p
         defect_witness(psibar_ab, 1, ZERO, a, b)
 
 
+def test_defect_scan_caches_no_commutator(f2):
+    """The scan leaves cached values only for ball elements and the
+    products g h it formed; its commutators are evaluated uncached."""
+    psi = BrooksQM(f2, f2.parse_word("a b"))
+    est = defect_lower_bound(HomogenizedQM(psi), 4)
+    assert (est.lower, est.witness_kind) == (ExactReal(2), "three-term")
+    ball = f2.ball(4)
+    keys = {(g.free, g.ab) for g in ball}
+    keys |= {((g * h).free, (g * h).ab) for g in ball for h in ball}
+    assert psi._hcache.keys() <= keys
+
+
 def test_defect_scan_needs_homogeneous_input(psi_ab):
     with pytest.raises(ValueError):
         defect_lower_bound(psi_ab, 2)

@@ -1,0 +1,48 @@
+from __future__ import annotations
+
+import json
+import pathlib
+
+import pytest
+
+from qmprobe.config import load_experiment
+from qmprobe.groups import Generator
+from qmprobe.probes import _same
+from qmprobe.quasimorphisms import defect_lower_bound
+from qmprobe.report import encode
+from qmprobe.runner import run_experiment
+
+CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
+
+
+def test_encode_writes_a_letter_inside_a_tuple_as_its_name(f2):
+    pair = (Generator(0), Generator(1, True))
+    assert encode(pair, f2) == ["a", "b^-1"]
+    assert encode({"pair": [pair]}, f2) == {"pair": [["a", "b^-1"]]}
+
+
+def test_encode_turns_nested_tuples_into_lists(f2):
+    value = ((1, (2, 3)), [(), [4]])
+    assert encode(value, f2) == [[1, [2, 3]], [[], [4]]]
+
+
+@pytest.mark.parametrize("value", [None, True, False, 0, -7, "", "a b"])
+def test_encode_passes_json_scalars_through(f2, value):
+    assert encode(value, f2) is value
+
+
+def test_encode_refuses_bare_records_sets_and_floats(f2, psibar_ab):
+    for value in (defect_lower_bound(psibar_ab, 1), {1, 2}, 0.5):
+        with pytest.raises(TypeError):
+            encode(value, f2)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_ok_payload_equals_its_json_round_trip(path):
+    """`probes._compare` holds a fresh payload, as built, against one read
+    back from JSON; that is sound only if the two cannot differ."""
+    body = run_experiment(load_experiment(str(path)))["body"]
+    results = [p["result"] for p in body["probes"] if p["status"] == "ok"]
+    assert results
+    for result in results:
+        assert _same(result, json.loads(json.dumps(result)))
