@@ -54,9 +54,6 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     try:
         exp = load_experiment(args.config)
-    except OSError as exc:
-        print(f"qmprobe: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ConfigError as exc:
         print(f"qmprobe: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -90,7 +87,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"qmprobe: cannot read report: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:

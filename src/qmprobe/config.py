@@ -29,10 +29,13 @@ preserved.  Example:
     k = 1
     radius = 4
 
-Every probe's parameters are checked by its kind's entry in
-`probes.KINDS` against the preconditions of the operation it will
-invoke; a violation raises ConfigError naming the section and key, and
-nothing is executed.
+Every section is read through a `probes.Section`, which names the
+section in each error and refuses any key that nothing read, so a
+misspelt key is a ConfigError rather than an absent one.  Every
+probe's parameters are checked by its kind's entry in `probes.KINDS`
+against the preconditions of the operation it will invoke; a
+violation raises ConfigError naming the section and key, and nothing
+is executed.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import configparser
 from .errors import ConfigError
 from .exact import ExactReal, ZERO
 from .groups import DEFAULT_BALL_CAP, GroupModel
-from .probes import KINDS, Experiment, ProbeSpec, get_exact, get_int
+from .probes import KINDS, Experiment, Section, integer
 from .quasimorphisms import (
     BrooksQM,
     CombinationQM,
@@ -56,7 +59,7 @@ def load_experiment(path: str) -> Experiment:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_experiment(text)
 
@@ -73,40 +76,44 @@ def parse_experiment(text: str) -> Experiment:
 
     if "group" not in parser:
         raise ConfigError("missing [group] section")
-    model = _build_model(parser["group"])
+    model = Section("[group]", dict(parser["group"])).apply(_build_model)
 
     qms: dict[str, Quasimorphism] = {}
-    probes: list[ProbeSpec] = []
+    probes: list[Section] = []
     output_path = None
-    for section in parser.sections():
-        if section == "group":
+    for title in parser.sections():
+        if title == "group":
             continue
-        if section == "output":
-            output_path = parser[section].get("path")
+        raw = dict(parser[title])
+        if title == "output":
+            output = Section("[output]", raw)
+            output_path = output.get("path", str, None)
+            output.check_used()
             continue
-        if section.startswith("quasimorphism "):
-            name = section[len("quasimorphism ") :].strip()
+        if title.startswith("quasimorphism "):
+            name = title[len("quasimorphism ") :].strip()
             if not name:
                 raise ConfigError("quasimorphism section without a name")
             if name in qms:
                 raise ConfigError(f"duplicate quasimorphism name {name!r}")
-            qm = _build_qm(model, name, dict(parser[section]), qms)
+            section = Section(f"[quasimorphism {name}]", raw)
+            qm = section.apply(_build_qm, model, qms)
             surds = sorted(_surds(qm))
             if len(surds) > 1:
                 raise ConfigError(
-                    f"[quasimorphism {name}]: cannot mix sqrt({surds[0]}) and sqrt({surds[1]})"
+                    f"{section.title}: cannot mix sqrt({surds[0]}) and sqrt({surds[1]})"
                 )
             qms[name] = qm
             continue
-        if section.startswith("probe "):
-            name = section[len("probe ") :].strip()
+        if title.startswith("probe "):
+            name = title[len("probe ") :].strip()
             if not name:
                 raise ConfigError("probe section without a name")
             if any(p.name == name for p in probes):
                 raise ConfigError(f"duplicate probe name {name!r}")
-            probes.append(ProbeSpec(name=name, kind="", raw=dict(parser[section])))
+            probes.append(Section(f"[probe {name}]", raw, name))
             continue
-        raise ConfigError(f"unknown section [{section}]")
+        raise ConfigError(f"unknown section [{title}]")
 
     if not probes:
         raise ConfigError("config defines no probes")
@@ -119,88 +126,51 @@ def parse_experiment(text: str) -> Experiment:
 # -- section builders ----------------------------------------------------
 
 
-def _build_model(section) -> GroupModel:
-    raw = dict(section)
-    where = "[group]"
-    free_rank = get_int(raw, "free_rank", where, default=0, minimum=0)
-    abelian_rank = get_int(raw, "abelian_rank", where, default=0, minimum=0)
-    cap = get_int(raw, "ball_cap", where, default=DEFAULT_BALL_CAP, minimum=1)
-    names: tuple[str, ...] = ()
-    if "names" in raw:
-        names = tuple(raw["names"].split())
-    known = {"free_rank", "abelian_rank", "ball_cap", "names"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-    try:
-        return GroupModel(
-            free_rank=free_rank,
-            abelian_rank=abelian_rank,
-            generator_names=names,
-            ball_cap=cap,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+def _build_model(group: Section) -> GroupModel:
+    return GroupModel(
+        free_rank=group.get("free_rank", integer(0), 0),
+        abelian_rank=group.get("abelian_rank", integer(0), 0),
+        generator_names=group.get("names", lambda text: tuple(text.split()), ()),
+        ball_cap=group.get("ball_cap", integer(1), DEFAULT_BALL_CAP),
+    )
 
 
 def _build_qm(
-    model: GroupModel,
-    name: str,
-    raw: dict[str, str],
-    known: dict[str, Quasimorphism],
+    model: GroupModel, known: dict[str, Quasimorphism], section: Section
 ) -> Quasimorphism:
-    where = f"[quasimorphism {name}]"
-    kind = raw.pop("kind", None)
-    if kind is None:
-        raise ConfigError(f"{where}: missing key 'kind'")
+    kind = section.get("kind", str)
     if kind == "homomorphism":
         names = [model.generator_name(g) for g in model.positive_generators()]
-        values = []
-        for gen_name in names:
-            values.append(get_exact(raw, gen_name, where, default=ZERO))
-        for key in raw:
-            if key not in names:
-                raise ConfigError(f"{where}: {key!r} is not a generator name")
-        return HomomorphismQM(model, tuple(values))
+        # a generator named `kind` keeps the default 0: its key holds the kind
+        return HomomorphismQM(
+            model,
+            tuple(
+                ZERO if name == "kind" else section.get(name, ExactReal.parse, ZERO)
+                for name in names
+            ),
+        )
     if kind == "brooks":
-        if "word" not in raw:
-            raise ConfigError(f"{where}: missing key 'word'")
-        try:
-            word = model.parse_word(raw["word"])
-            return BrooksQM(model, word)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        return BrooksQM(model, section.get("word", model.parse_word))
     if kind == "homogenized":
-        base_name = raw.get("base")
-        if base_name is None:
-            raise ConfigError(f"{where}: missing key 'base'")
-        if base_name not in known:
-            raise ConfigError(f"{where}: unknown quasimorphism {base_name!r}")
-        try:
-            return HomogenizedQM(known[base_name])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        return HomogenizedQM(_known(known, section.get("base", str)))
     if kind == "combination":
-        spec = raw.get("terms")
-        if spec is None:
-            raise ConfigError(f"{where}: missing key 'terms'")
         coefficients = []
         parts = []
-        for term in spec.split(","):
+        for term in section.get("terms", str).split(","):
             term = term.strip()
             if "*" not in term:
-                raise ConfigError(f"{where}: term {term!r} is not coeff*name")
+                raise ValueError(f"term {term!r} is not coeff*name")
             coeff_text, part_name = term.split("*", 1)
-            part_name = part_name.strip()
-            if part_name not in known:
-                raise ConfigError(f"{where}: unknown quasimorphism {part_name!r}")
-            try:
-                coefficients.append(ExactReal.parse(coeff_text.strip()))
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            parts.append(known[part_name])
+            parts.append(_known(known, part_name.strip()))
+            coefficients.append(ExactReal.parse(coeff_text.strip()))
         return CombinationQM(tuple(coefficients), tuple(parts))
-    raise ConfigError(f"{where}: unknown kind {kind!r}")
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def _known(known: dict[str, Quasimorphism], name: str) -> Quasimorphism:
+    if name not in known:
+        raise ValueError(f"unknown quasimorphism {name!r}")
+    return known[name]
 
 
 def _surds(qm: Quasimorphism) -> set[int]:
@@ -221,20 +191,12 @@ def _surds(qm: Quasimorphism) -> set[int]:
 # -- probe validation ----------------------------------------------------
 
 
-def _validate_probe(exp: Experiment, probe: ProbeSpec) -> None:
+def _validate_probe(exp: Experiment, probe: Section) -> None:
     """The single dispatch point: a ValueError from a kind's checks (say,
     exact values over different surds) becomes a ConfigError naming the
-    section."""
-    where = f"[probe {probe.name}]"
-    kind = probe.raw.get("kind")
-    if kind is None:
-        raise ConfigError(f"{where}: missing key 'kind'")
+    section, and a key the kind did not read is refused."""
+    kind = probe.get("kind", str)
     if kind not in KINDS:
-        raise ConfigError(f"{where}: unknown probe kind {kind!r}")
+        raise ConfigError(f"{probe.title}: unknown probe kind {kind!r}")
     probe.kind = kind
-    try:
-        KINDS[kind].validate(exp, probe, where)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    probe.apply(KINDS[kind].validate, exp)

@@ -121,15 +121,15 @@ class GroupModel(_ModelFields):
         return _element(self, (), (0,) * self.abelian_rank)
 
     def generator_element(self, gen: Generator) -> "GroupElement":
-        if not 0 <= gen.index < self.rank:
-            raise ValueError(f"generator index {gen.index} out of range for rank {self.rank}")
-        if self.is_free_index(gen.index):
-            letter = gen.index + 1
-            return _element(
-                self, (-letter if gen.inverse else letter,), (0,) * self.abelian_rank
-            )
+        index, inverse = gen
+        free_rank, rank = self.free_rank, self.rank
+        if not 0 <= index < rank:
+            raise ValueError(f"generator index {index} out of range for rank {rank}")
+        if index < free_rank:
+            letter = -index - 1 if inverse else index + 1
+            return _element(self, (letter,), (0,) * self.abelian_rank)
         vec = [0] * self.abelian_rank
-        vec[gen.index - self.free_rank] = -1 if gen.inverse else 1
+        vec[index - free_rank] = -1 if inverse else 1
         return _element(self, (), tuple(vec))
 
     def generator_name(self, gen: Generator) -> str:
@@ -340,23 +340,20 @@ def _concat_reduce(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
 
 def reduce_word(model: GroupModel, word: Iterable[Generator]) -> GroupElement:
     """Multiply out a letter sequence, cancelling as it goes."""
+    free_rank, rank = model.free_rank, model.rank
     free: list[int] = []
     ab = [0] * model.abelian_rank
-    for gen in word:
-        if not 0 <= gen.index < model.rank:
-            raise ValueError(
-                f"generator index {gen.index} out of range for rank {model.rank}"
-            )
-        if model.is_free_index(gen.index):
-            letter = gen.index + 1
-            if gen.inverse:
-                letter = -letter
+    for index, inverse in word:
+        if not 0 <= index < rank:
+            raise ValueError(f"generator index {index} out of range for rank {rank}")
+        if index < free_rank:
+            letter = -index - 1 if inverse else index + 1
             if free and free[-1] == -letter:
                 free.pop()
             else:
                 free.append(letter)
         else:
-            ab[gen.index - model.free_rank] += -1 if gen.inverse else 1
+            ab[index - free_rank] += -1 if inverse else 1
     return _element(model, tuple(free), tuple(ab))
 
 

@@ -292,14 +292,6 @@ class WindowedChain:
                 _accumulate(terms, bcell, coeff * bcoeff)
         return WindowedChain(self.complex, self.dimension - 1, terms, window)
 
-    def equal_below(self, other: "WindowedChain", level: ExactReal) -> bool:
-        for cell in set(self.terms) | set(other.terms):
-            if self.complex.value(cell) < level and self.terms.get(cell, 0) != other.terms.get(
-                cell, 0
-            ):
-                return False
-        return True
-
     def __repr__(self) -> str:
         w = "inf" if self.window is None else str(self.window)
         return f"WindowedChain(dim={self.dimension}, terms={len(self.terms)}, window={w})"

@@ -3,10 +3,10 @@
 A `ProbeKind` in `KINDS` holds everything the pipeline knows about a
 kind:
 
-* `validate(exp, probe, where)` checks a `[probe NAME]` section against
-  the preconditions of the operation it will invoke and stores the
-  parsed values in `probe.settings`; `where` names the section in error
-  messages;
+* `validate(exp, probe)` checks a `[probe NAME]` section against the
+  preconditions of the operation it will invoke and stores the parsed
+  values in `probe.settings`, under their config keys; a `ValueError`
+  it raises becomes a `ConfigError` naming the section;
 * `run(exp, probe)` makes the library call and hands the result, raw
   values and records carrying the full witness, to `report.encode`,
   which writes the JSON-compatible payload;
@@ -14,6 +14,13 @@ kind:
   `probe.settings` and returns one problem per key where the recorded
   payload differs, none when it replays (see `_rederive`);
 * `explain` is the text `qmprobe explain KIND` prints.
+
+Every config section, probe or not, is read through a `Section`:
+`get(key, parse, default)` parses one key and records it as read,
+`check_used()` refuses any key that nothing read, so a misspelt key is
+a config error rather than an absent one, and `apply(build, ...)` runs
+a section's reader, naming the section in any `ValueError` it raises,
+and then `check_used()`.
 
 `config`, `runner`, `verify` and `cli` dispatch through `KINDS` and hold
 no per-kind code.  The entries call the layer functions through this
@@ -69,16 +76,77 @@ from .search import (
 )
 
 
-class ProbeSpec:
-    """A `[probe NAME]` section; validation fills `kind` and `settings`."""
+_REQUIRED = object()
 
-    __slots__ = ("name", "kind", "raw", "settings")
 
-    def __init__(self, name: str, kind: str, raw: dict[str, str]):
+class Section:
+    """One config section: its `title` as messages name it
+    (`[probe climb]`), its raw keys, and the keys read so far.  A probe
+    section also carries its `name`, the `kind` validation found and the
+    parsed `settings`."""
+
+    __slots__ = ("title", "name", "raw", "read", "kind", "settings")
+
+    def __init__(self, title: str, raw: dict[str, str], name: str = ""):
+        self.title = title
         self.name = name
-        self.kind = kind
         self.raw = raw
+        self.read: set[str] = set()
+        self.kind = ""
         self.settings: dict[str, object] = {}
+
+    def get(self, key: str, parse: Callable[[str], object], default=_REQUIRED):
+        """`parse` of the key's text, or `default` when the key is absent."""
+        self.read.add(key)
+        if key not in self.raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.title}: missing key {key!r}")
+            return default
+        try:
+            return parse(self.raw[key])
+        except ValueError as exc:
+            raise ConfigError(f"{self.title}: {key}: {exc}") from exc
+
+    def check_used(self) -> None:
+        for key in self.raw:
+            if key not in self.read:
+                raise ConfigError(f"{self.title}: unknown key {key!r}")
+
+    def apply(self, build: Callable, *args):
+        """`build(*args, self)`, with a ValueError it raises naming this
+        section; then every key must have been read."""
+        try:
+            value = build(*args, self)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{self.title}: {exc}") from exc
+        self.check_used()
+        return value
+
+
+def integer(minimum: int) -> Callable[[str], int]:
+    """The parser of an integer key that must be at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError("must be an integer") from None
+        if value < minimum:
+            raise ValueError(f"must be at least {minimum}")
+        return value
+
+    return parse
+
+
+def boolean(text: str) -> bool:
+    text = text.lower()
+    if text in ("yes", "true", "on", "1"):
+        return True
+    if text in ("no", "false", "off", "0"):
+        return False
+    raise ValueError("must be a boolean")
 
 
 class Experiment:
@@ -89,7 +157,7 @@ class Experiment:
         raw_text: str,
         model: GroupModel,
         quasimorphisms: dict[str, Quasimorphism],
-        probes: list[ProbeSpec],
+        probes: list[Section],
         output_path: Optional[str],
     ):
         self.raw_text = raw_text
@@ -100,13 +168,13 @@ class Experiment:
 
 
 class ProbeKind(NamedTuple):
-    validate: Callable[[Experiment, ProbeSpec, str], None]
-    run: Callable[[Experiment, ProbeSpec], dict]
-    check: Callable[[Experiment, ProbeSpec, dict], list]
+    validate: Callable[[Experiment, Section], None]
+    run: Callable[[Experiment, Section], dict]
+    check: Callable[[Experiment, Section, dict], list]
     explain: str
 
 
-def attempt(exp: Experiment, probe: ProbeSpec) -> tuple[str, Optional[str], Optional[dict]]:
+def attempt(exp: Experiment, probe: Section) -> tuple[str, Optional[str], Optional[dict]]:
     """(status, error, result) of one run of a validated probe.  A cap
     overrun is `cap-exceeded` and a failure `failed`, each with its
     message and no result; `run` and `verify` both go through here, so a
@@ -119,122 +187,64 @@ def attempt(exp: Experiment, probe: ProbeSpec) -> tuple[str, Optional[str], Opti
         return "failed", str(exc), None
 
 
-# -- reading config keys -------------------------------------------------
-
-
-def get_int(raw: dict[str, str], key: str, where: str, default=None, minimum=None):
-    if key not in raw:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}: missing key {key!r}")
-    try:
-        value = int(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {key} must be an integer") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}: {key} must be at least {minimum}")
-    return value
-
-
-def get_exact(raw: dict[str, str], key: str, where: str, default=None):
-    if key not in raw:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}: missing key {key!r}")
-    try:
-        return ExactReal.parse(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {key}: {exc}") from exc
-
-
-def get_element(model, raw, key, where, default=None) -> GroupElement:
-    if key not in raw:
-        if default is not None:
-            return default
-        raise ConfigError(f"{where}: missing key {key!r}")
-    try:
-        return model.parse_element(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {key}: {exc}") from exc
-
-
-def get_bool(raw: dict[str, str], key: str, where: str, default: bool) -> bool:
-    if key not in raw:
-        return default
-    text = raw[key].strip().lower()
-    if text in ("yes", "true", "on", "1"):
-        return True
-    if text in ("no", "false", "off", "0"):
-        return False
-    raise ConfigError(f"{where}: {key} must be a boolean")
-
-
 # -- validation checks shared by several kinds ---------------------------
 
 
-def _need_qm(exp: Experiment, probe: ProbeSpec, where: str) -> Quasimorphism:
-    name = probe.raw.get("qm")
-    if name is None:
-        raise ConfigError(f"{where}: missing key 'qm'")
+def _need_qm(exp: Experiment, probe: Section) -> Quasimorphism:
+    name = probe.get("qm", str)
     qm = exp.quasimorphisms.get(name)
     if qm is None:
-        raise ConfigError(f"{where}: unknown quasimorphism {name!r}")
+        raise ValueError(f"unknown quasimorphism {name!r}")
     if not qm.is_homogeneous:
-        raise ConfigError(
-            f"{where}: this probe needs a homogeneous quasimorphism; "
+        raise ValueError(
+            "this probe needs a homogeneous quasimorphism; "
             "wrap the base in a homogenized block"
         )
-    probe.settings["qm_name"] = name
+    probe.settings["qm"] = name
     return qm
 
 
-def _radius(
-    exp: Experiment, raw: dict[str, str], where: str, key: str = "radius", minimum: int = 0
-) -> int:
+def _radius(exp: Experiment, probe: Section, key: str = "radius", minimum: int = 0) -> int:
     """A radius-like key: at least `minimum` and within the ball cap."""
-    value = get_int(raw, key, where, minimum=minimum)
+    value = probe.get(key, integer(minimum))
     if value > exp.model.ball_cap:
-        raise ConfigError(f"{where}: {key} exceeds the model ball cap")
+        raise ValueError(f"{key} exceeds the model ball cap")
     return value
 
 
-def _scaling_in_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal, where: str) -> None:
+def _scaling_in_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal) -> None:
     value = qm.homogeneous_value(scaling)
     if not (dstar * 4 / ExactReal(5) < value and value <= dstar):
-        raise ConfigError(
-            f"{where}: scaling element value {value} is not in (4 D*/5, D*]"
-        )
+        raise ValueError(f"scaling element value {value} is not in (4 D*/5, D*]")
 
 
-def _letter_scaling(model: GroupModel, raw: dict[str, str], where: str) -> GroupElement:
-    scaling = get_element(model, raw, "scaling", where)
+def _letter_scaling(model: GroupModel, probe: Section) -> GroupElement:
+    scaling = probe.get("scaling", model.parse_element)
     if scaling.length() != 1:
-        raise ConfigError(f"{where}: scaling must be a single generator letter")
+        raise ValueError("scaling must be a single generator letter")
     return scaling
 
 
-def _positive_direction(qm: Quasimorphism, scaling: GroupElement, where: str) -> None:
+def _positive_direction(qm: Quasimorphism, scaling: GroupElement) -> None:
     if not qm.homogeneous_value(scaling) > ZERO:
-        raise ConfigError(f"{where}: scaling must have positive phi-bar")
+        raise ValueError("scaling must have positive phi-bar")
 
 
-def _defect_bound(qm: Quasimorphism, raw: dict[str, str], where: str) -> ExactReal:
+def _defect_bound(qm: Quasimorphism, probe: Section) -> ExactReal:
     """The probe's `defect`, or the quasimorphism's structural bound."""
-    defect = get_exact(raw, "defect", where) if "defect" in raw else qm.defect_upper()
+    defect = probe.get("defect", ExactReal.parse, qm.defect_upper())
     if defect is None:
-        raise ConfigError(
-            f"{where}: no defect bound available; set 'defect' explicitly"
-        )
+        raise ValueError("no defect bound available; set 'defect' explicitly")
     if defect < ZERO:
-        raise ConfigError(f"{where}: defect must be non-negative")
+        raise ValueError("defect must be non-negative")
     return defect
 
 
 # -- replay helpers shared by several kinds ------------------------------
 
 
-def _qm(exp: Experiment, probe: ProbeSpec) -> Quasimorphism:
-    return exp.quasimorphisms[probe.settings["qm_name"]]
+def _qm(exp: Experiment, probe: Section) -> Quasimorphism:
+    return exp.quasimorphisms[probe.settings["qm"]]
 
 
 def _element(model: GroupModel, payload: str) -> GroupElement:
@@ -278,7 +288,7 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _rederive(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+def _rederive(exp: Experiment, probe: Section, res: dict) -> list:
     """The one rule of `verify`: rebuild the payload from the echoed
     config and compare it key by key with the recorded one.  Here the
     probe is re-run through `attempt`; a re-run that is not `ok` is the
@@ -297,29 +307,26 @@ def _rederive(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
 # -- defect --------------------------------------------------------------
 
 
-def _validate_defect(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw = probe.raw
-    _need_qm(exp, probe, where)
+def _validate_defect(exp: Experiment, probe: Section) -> None:
+    _need_qm(exp, probe)
     probe.settings.update(
-        radius=_radius(exp, raw, where),
-        claimed_upper=(
-            get_exact(raw, "claimed_upper", where) if "claimed_upper" in raw else None
-        ),
+        radius=_radius(exp, probe),
+        claimed_upper=probe.get("claimed_upper", ExactReal.parse, None),
     )
 
 
-def _defect_payload(exp: Experiment, probe: ProbeSpec, est: DefectEstimate) -> dict:
-    out = {"qm": probe.settings["qm_name"], "provenance": est.provenance, **est._asdict()}
+def _defect_payload(exp: Experiment, probe: Section, est: DefectEstimate) -> dict:
+    out = {"qm": probe.settings["qm"], "provenance": est.provenance, **est._asdict()}
     return encode(out, exp.model)
 
 
-def _run_defect(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_defect(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     est = defect_lower_bound(_qm(exp, probe), s["radius"], upper=s["claimed_upper"])
     return _defect_payload(exp, probe, est)
 
 
-def _check_defect(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+def _check_defect(exp: Experiment, probe: Section, res: dict) -> list:
     """The recorded pair stands in for the scan of ball(radius)^2: it is
     re-evaluated, and any pair realizing the recorded lower bound will
     do."""
@@ -332,51 +339,46 @@ def _check_defect(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
 # -- aker-cert -----------------------------------------------------------
 
 
-def _validate_aker_cert(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw = probe.raw
-    qm = _need_qm(exp, probe, where)
-    dstar = get_exact(raw, "dstar", where)
+def _validate_aker_cert(exp: Experiment, probe: Section) -> None:
+    qm = _need_qm(exp, probe)
+    dstar = probe.get("dstar", ExactReal.parse)
     if dstar < ZERO:
-        raise ConfigError(f"{where}: dstar must be non-negative")
-    radius = _radius(exp, raw, where)
+        raise ValueError("dstar must be non-negative")
+    radius = _radius(exp, probe)
     scaling = None
     if dstar > ZERO:
-        scaling = get_element(exp.model, raw, "scaling", where)
-        _scaling_in_window(qm, scaling, dstar, where)
+        scaling = probe.get("scaling", exp.model.parse_element)
+        _scaling_in_window(qm, scaling, dstar)
     probe.settings.update(dstar=dstar, radius=radius, scaling=scaling)
 
 
-def _run_aker_cert(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_aker_cert(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     cert = certify_aker_approximate_subgroup(
         _qm(exp, probe), s["dstar"], s["scaling"], s["radius"]
     )
-    return encode({"qm": s["qm_name"], **cert._asdict()}, exp.model)
+    return encode({"qm": s["qm"], **cert._asdict()}, exp.model)
 
 
 # -- rips-profile --------------------------------------------------------
 
 
-def _validate_rips_profile(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw, model = probe.raw, exp.model
-    n_max = _radius(exp, raw, where, "n_max", minimum=1)
-    if "vertices" in raw:
-        try:
-            vertices = tuple(
-                model.parse_element(token.strip()) for token in raw["vertices"].split(",")
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: vertices: {exc}") from exc
-    elif "ball_radius" in raw:
-        vertices = model.ball(_radius(exp, raw, where, "ball_radius"))
-    else:
-        raise ConfigError(f"{where}: needs 'vertices' or 'ball_radius'")
-    if not vertices:
-        raise ConfigError(f"{where}: vertex list is empty")
+def _validate_rips_profile(exp: Experiment, probe: Section) -> None:
+    model = exp.model
+    n_max = _radius(exp, probe, "n_max", minimum=1)
+    vertices = probe.get(
+        "vertices",
+        lambda text: tuple(model.parse_element(token.strip()) for token in text.split(",")),
+        None,
+    )
+    if vertices is None:
+        if "ball_radius" not in probe.raw:
+            raise ValueError("needs 'vertices' or 'ball_radius'")
+        vertices = model.ball(_radius(exp, probe, "ball_radius"))
     probe.settings.update(n_max=n_max, vertices=vertices)
 
 
-def _run_rips_profile(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_rips_profile(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     verts = _prepare_vertices(s["vertices"])
     profile = connectivity_profile(verts, s["n_max"])
@@ -394,37 +396,30 @@ def _run_rips_profile(exp: Experiment, probe: ProbeSpec) -> dict:
 # -- path-search ---------------------------------------------------------
 
 
-def _validate_path_search(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw, model = probe.raw, exp.model
-    _need_qm(exp, probe, where)
-    radius = _radius(exp, raw, where)
-    start = get_element(model, raw, "start", where)
-    target = get_element(model, raw, "target", where)
+def _validate_path_search(exp: Experiment, probe: Section) -> None:
+    model = exp.model
+    _need_qm(exp, probe)
+    radius = _radius(exp, probe)
+    start = probe.get("start", model.parse_element)
+    target = probe.get("target", model.parse_element)
     for label, g in (("start", start), ("target", target)):
         if g.length() > radius:
-            raise ConfigError(f"{where}: {label} lies outside ball(radius)")
+            raise ValueError(f"{label} lies outside ball(radius)")
     probe.settings.update(
         radius=radius,
         start=start,
         target=target,
-        k=get_exact(raw, "k", where),
-        k_max=get_exact(raw, "k_max", where) if "k_max" in raw else None,
+        k=probe.get("k", ExactReal.parse),
+        k_max=probe.get("k_max", ExactReal.parse, None),
     )
 
 
-def _run_path_search(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_path_search(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     got = bounded_path_search(
         _qm(exp, probe), s["start"], s["target"], s["k"], s["radius"], s["k_max"]
     )
-    out = {
-        "qm": s["qm_name"],
-        "start": s["start"],
-        "target": s["target"],
-        "k": s["k"],
-        "k_max": s["k_max"],
-        "radius": s["radius"],
-    }
+    out = dict(s)
     if isinstance(got, NotFoundWithinBall):
         out.update(found=False, explored=got.explored, reason=got.reason)
     else:
@@ -435,27 +430,26 @@ def _run_path_search(exp: Experiment, probe: ProbeSpec) -> dict:
 # -- q-library -----------------------------------------------------------
 
 
-def _validate_q_library(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw = probe.raw
-    qm = _need_qm(exp, probe, where)
-    dstar = get_exact(raw, "dstar", where)
-    kprime = get_exact(raw, "kprime", where)
+def _validate_q_library(exp: Experiment, probe: Section) -> None:
+    qm = _need_qm(exp, probe)
+    dstar = probe.get("dstar", ExactReal.parse)
+    kprime = probe.get("kprime", ExactReal.parse)
     if not dstar > ZERO:
-        raise ConfigError(f"{where}: dstar must be positive")
+        raise ValueError("dstar must be positive")
     if not kprime > dstar + dstar:
-        raise ConfigError(f"{where}: kprime must exceed 2*dstar")
-    scaling = _letter_scaling(exp.model, raw, where)
-    _scaling_in_window(qm, scaling, dstar, where)
+        raise ValueError("kprime must exceed 2*dstar")
+    scaling = _letter_scaling(exp.model, probe)
+    _scaling_in_window(qm, scaling, dstar)
     probe.settings.update(
         dstar=dstar,
         kprime=kprime,
         scaling=scaling,
-        radius=_radius(exp, raw, where, minimum=1),
-        depth=get_int(raw, "depth", where, minimum=1) if "depth" in raw else None,
+        radius=_radius(exp, probe, minimum=1),
+        depth=probe.get("depth", integer(1), None),
     )
 
 
-def _library(exp: Experiment, probe: ProbeSpec):
+def _library(exp: Experiment, probe: Section):
     s = probe.settings
     qm = _qm(exp, probe)
     bundle = compute_constants(qm, s["dstar"], s["kprime"], s["scaling"])
@@ -484,34 +478,29 @@ def _library_payload(library) -> dict:
     }
 
 
-def _run_q_library(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_q_library(exp: Experiment, probe: Section) -> dict:
     out = _library_payload(_library(exp, probe))
-    out["qm"] = probe.settings["qm_name"]
+    out["qm"] = probe.settings["qm"]
     return encode(out, exp.model)
 
 
 # -- peak-reduce ---------------------------------------------------------
 
 
-def _validate_peak_reduce(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    _validate_q_library(exp, probe, where)
-    raw, model, s = probe.raw, exp.model, probe.settings
-    origin = get_element(model, raw, "origin", where, default=model.identity())
-    if "letters" not in raw:
-        raise ConfigError(f"{where}: missing key 'letters'")
-    try:
-        path = path_from_letters(origin, model.parse_word(raw["letters"]))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: letters: {exc}") from exc
+def _validate_peak_reduce(exp: Experiment, probe: Section) -> None:
+    _validate_q_library(exp, probe)
+    model, s = exp.model, probe.settings
+    origin = probe.get("origin", model.parse_element, model.identity())
+    path = probe.get("letters", lambda text: path_from_letters(origin, model.parse_word(text)))
     qm = _qm(exp, probe)
     two_dstar = s["dstar"] + s["dstar"]
     for label, g in (("origin", path.origin), ("terminus", path.terminus)):
         if not abs(qm.homogeneous_value(g)) <= two_dstar:
-            raise ConfigError(f"{where}: path {label} is outside Aker(phi, D*)")
+            raise ValueError(f"path {label} is outside Aker(phi, D*)")
     s["path"] = path
 
 
-def _run_peak_reduce(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_peak_reduce(exp: Experiment, probe: Section) -> dict:
     library = _library(exp, probe)
     trace = peak_reduction(_qm(exp, probe), probe.settings["path"], library)
     steps = [
@@ -527,7 +516,7 @@ def _run_peak_reduce(exp: Experiment, probe: ProbeSpec) -> dict:
     ]
     out = {
         **trace._asdict(),
-        "qm": probe.settings["qm_name"],
+        "qm": probe.settings["qm"],
         "library": _library_payload(library),
         "steps": steps,
     }
@@ -537,55 +526,52 @@ def _run_peak_reduce(exp: Experiment, probe: ProbeSpec) -> dict:
 # -- f2z-example ---------------------------------------------------------
 
 
-def _validate_f2z_example(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw, model = probe.raw, exp.model
-    qm = _need_qm(exp, probe, where)
+def _validate_f2z_example(exp: Experiment, probe: Section) -> None:
+    model = exp.model
+    qm = _need_qm(exp, probe)
     if not _is_f2z_example(qm):
-        raise ConfigError(
-            f"{where}: needs the F_2 x Z model with phi = (1, 0, sqrt(2))"
-        )
-    start = get_element(model, raw, "start", where)
-    target = get_element(model, raw, "target", where)
+        raise ValueError("needs the F_2 x Z model with phi = (1, 0, sqrt(2))")
+    start = probe.get("start", model.parse_element)
+    target = probe.get("target", model.parse_element)
     for label, g in (("start", start), ("target", target)):
         if qm.homogeneous_value(g) != ZERO:
-            raise ConfigError(f"{where}: {label} is not in the kernel of phi")
+            raise ValueError(f"{label} is not in the kernel of phi")
     probe.settings.update(start=start, target=target)
 
 
-def _run_f2z_example(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_f2z_example(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     witness = f2z_kernel_path_normalize(
         _qm(exp, probe), straight_path(s["start"], s["target"])
     )
-    out = {"qm": s["qm_name"], "start": s["start"], "target": s["target"], **witness._asdict()}
-    return encode(out, exp.model)
+    return encode({**s, **witness._asdict()}, exp.model)
 
 
 # -- free-obstruction ----------------------------------------------------
 
 
-def _validate_free_obstruction(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw, model = probe.raw, exp.model
-    qm = _need_qm(exp, probe, where)
+def _validate_free_obstruction(exp: Experiment, probe: Section) -> None:
+    model = exp.model
+    qm = _need_qm(exp, probe)
     if model.abelian_rank != 0:
-        raise ConfigError(f"{where}: needs a free group model")
-    x = get_element(model, raw, "x", where)
-    scaling = get_element(model, raw, "scaling", where)
+        raise ValueError("needs a free group model")
+    x = probe.get("x", model.parse_element)
+    scaling = probe.get("scaling", model.parse_element)
     if x * scaling == scaling * x:
-        raise ConfigError(f"{where}: x and scaling must not commute")
-    _positive_direction(qm, scaling, where)
-    dstar = get_exact(raw, "dstar", where)
+        raise ValueError("x and scaling must not commute")
+    _positive_direction(qm, scaling)
+    dstar = probe.get("dstar", ExactReal.parse)
     if dstar < ZERO:
-        raise ConfigError(f"{where}: dstar must be non-negative")
+        raise ValueError("dstar must be non-negative")
     probe.settings.update(
         x=x,
         scaling=scaling,
         dstar=dstar,
-        max_depth=_radius(exp, raw, where, "max_depth", minimum=1),
+        max_depth=_radius(exp, probe, "max_depth", minimum=1),
     )
 
 
-def _run_free_obstruction(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_free_obstruction(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     qm = _qm(exp, probe)
     runs = []
@@ -605,11 +591,7 @@ def _run_free_obstruction(exp: Experiment, probe: ProbeSpec) -> dict:
             }
         )
     out = {
-        "qm": s["qm_name"],
-        "x": s["x"],
-        "scaling": s["scaling"],
-        "dstar": s["dstar"],
-        "max_depth": s["max_depth"],
+        **s,
         "runs": runs,
         "maxima_strictly_increasing": increasing,
     }
@@ -619,30 +601,30 @@ def _run_free_obstruction(exp: Experiment, probe: ProbeSpec) -> dict:
 # -- novikov-solve -------------------------------------------------------
 
 
-def _validate_novikov_solve(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw, model = probe.raw, exp.model
-    qm = _need_qm(exp, probe, where)
-    scaling = _letter_scaling(model, raw, where)
-    _positive_direction(qm, scaling, where)
-    defect = _defect_bound(qm, raw, where)
-    radius = _radius(exp, raw, where)
-    slack = get_exact(raw, "slack", where, default=ZERO)
+def _validate_novikov_solve(exp: Experiment, probe: Section) -> None:
+    model = exp.model
+    qm = _need_qm(exp, probe)
+    scaling = _letter_scaling(model, probe)
+    _positive_direction(qm, scaling)
+    defect = _defect_bound(qm, probe)
+    radius = _radius(exp, probe)
+    slack = probe.get("slack", ExactReal.parse, ZERO)
     if slack < ZERO:
-        raise ConfigError(f"{where}: slack must be non-negative")
+        raise ValueError("slack must be non-negative")
     probe.settings.update(
-        start=get_element(model, raw, "start", where),
-        end=get_element(model, raw, "end", where),
+        start=probe.get("start", model.parse_element),
+        end=probe.get("end", model.parse_element),
         scaling=scaling,
-        window=get_exact(raw, "window", where),
+        window=probe.get("window", ExactReal.parse),
         radius=radius,
         slack=slack,
         defect=defect,
-        extract=get_bool(raw, "extract", where, default=True),
-        cell_cap=get_int(raw, "cell_cap", where, default=DEFAULT_CELL_CAP, minimum=1),
+        extract=probe.get("extract", boolean, True),
+        cell_cap=probe.get("cell_cap", integer(1), DEFAULT_CELL_CAP),
     )
 
 
-def _novikov_cycle(exp: Experiment, probe: ProbeSpec) -> tuple[CayleyComplex, RayCycle]:
+def _novikov_cycle(exp: Experiment, probe: Section) -> tuple[CayleyComplex, RayCycle]:
     s = probe.settings
     cx = CayleyComplex(_qm(exp, probe), s["defect"])
     connecting = straight_path(s["start"], s["end"])
@@ -650,18 +632,11 @@ def _novikov_cycle(exp: Experiment, probe: ProbeSpec) -> tuple[CayleyComplex, Ra
 
 
 def _novikov_payload(
-    probe: ProbeSpec, cx: CayleyComplex, cycle: RayCycle, outcome: BoundarySolveResult
+    probe: Section, cx: CayleyComplex, cycle: RayCycle, outcome: BoundarySolveResult
 ) -> dict:
     s = probe.settings
     out = {
-        "qm": s["qm_name"],
-        "start": s["start"],
-        "end": s["end"],
-        "scaling": s["scaling"],
-        "window": s["window"],
-        "radius": s["radius"],
-        "slack": s["slack"],
-        "defect": s["defect"],
+        **s,
         "connecting": cycle.connecting,
         "cycle": cycle.chain,
         "floor": outcome.floor,
@@ -671,6 +646,7 @@ def _novikov_payload(
         "certificate": None,
         "extraction": None,
     }
+    del out["extract"], out["cell_cap"]
     if outcome.status == "sat":
         out["coefficients"] = outcome.coefficients
         if s["extract"]:
@@ -694,7 +670,7 @@ def _novikov_payload(
     return encode(out, cx.model)
 
 
-def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_novikov_solve(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     cx, cycle = _novikov_cycle(exp, probe)
     outcome = windowed_boundary_solve(
@@ -703,7 +679,7 @@ def _run_novikov_solve(exp: Experiment, probe: ProbeSpec) -> dict:
     return _novikov_payload(probe, cx, cycle, outcome)
 
 
-def _check_novikov_solve(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
+def _check_novikov_solve(exp: Experiment, probe: Section, res: dict) -> list:
     """The recorded filling or infeasibility certificate stands in for
     the solve: `novikov.settle`, the replay `run` puts the solver's own
     answer through, checks it against the re-enumerated faces, so any
@@ -731,38 +707,33 @@ def _check_novikov_solve(exp: Experiment, probe: ProbeSpec, res: dict) -> list:
 # -- zs-cycle ------------------------------------------------------------
 
 
-def _validate_zs_cycle(exp: Experiment, probe: ProbeSpec, where: str) -> None:
-    raw, model = probe.raw, exp.model
-    qm = _need_qm(exp, probe, where)
-    scaling = _letter_scaling(model, raw, where)
-    _positive_direction(qm, scaling, where)
-    if "s" not in raw:
-        raise ConfigError(f"{where}: missing key 's'")
-    try:
-        letters = model.parse_word(raw["s"])
-    except ValueError as exc:
-        raise ConfigError(f"{where}: s: {exc}") from exc
+def _validate_zs_cycle(exp: Experiment, probe: Section) -> None:
+    model = exp.model
+    qm = _need_qm(exp, probe)
+    scaling = _letter_scaling(model, probe)
+    _positive_direction(qm, scaling)
+    letters = probe.get("s", model.parse_word)
     if len(letters) != 1:
-        raise ConfigError(f"{where}: s must be a single generator letter")
-    radius = _radius(exp, raw, where, minimum=1)
-    depth = get_int(raw, "depth", where, minimum=1)
+        raise ValueError("s must be a single generator letter")
+    radius = _radius(exp, probe, minimum=1)
+    depth = probe.get("depth", integer(1))
     if radius < depth + 1:
-        raise ConfigError(
-            f"{where}: radius must be at least depth + 1 so that both "
+        raise ValueError(
+            "radius must be at least depth + 1 so that both "
             "endpoints of the high path lie inside the search ball"
         )
-    defect = _defect_bound(qm, raw, where)
+    defect = _defect_bound(qm, probe)
     probe.settings.update(
         s=letters[0],
         scaling=scaling,
         depth=depth,
-        k=get_exact(raw, "k", where),
+        k=probe.get("k", ExactReal.parse),
         radius=radius,
         defect=defect,
     )
 
 
-def _run_zs_cycle(exp: Experiment, probe: ProbeSpec) -> dict:
+def _run_zs_cycle(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     qm = _qm(exp, probe)
     cx = CayleyComplex(qm, s["defect"])
@@ -771,13 +742,7 @@ def _run_zs_cycle(exp: Experiment, probe: ProbeSpec) -> dict:
     phi_c = qm.homogeneous_value(scaling)
     required = s["k"] + s["defect"] + 1
     out = {
-        "qm": s["qm_name"],
-        "s": s["s"],
-        "scaling": scaling,
-        "depth": depth,
-        "k": s["k"],
-        "radius": s["radius"],
-        "defect": s["defect"],
+        **s,
         "threshold": {
             "n_phi_c": phi_c * depth,
             "required": required,

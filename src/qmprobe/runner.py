@@ -18,12 +18,12 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .probes import Experiment, ProbeSpec, attempt
+from .probes import Experiment, Section, attempt
 from .report import SCHEMA
 
 
 def probe_entry(
-    spec: ProbeSpec, status: str, error: Optional[str], result: Optional[dict]
+    spec: Section, status: str, error: Optional[str], result: Optional[dict]
 ) -> dict:
     return {
         "name": spec.name,

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .config import parse_experiment
 from .errors import CapExceededError, ReplayError
-from .probes import KINDS, Experiment, ProbeSpec, _compare, attempt
+from .probes import KINDS, Experiment, Section, _compare, attempt
 from .runner import probe_entry, report_body
 
 
@@ -51,7 +51,7 @@ class VerificationOutcome(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
-def _check_entry(exp: Experiment, spec: ProbeSpec, entry: dict) -> list:
+def _check_entry(exp: Experiment, spec: Section, entry: dict) -> list:
     """One problem per key where the entry differs from the rebuilt one."""
     if entry["status"] != "ok":
         return _compare(probe_entry(spec, *attempt(exp, spec)), entry)

@@ -672,6 +672,49 @@ def test_a_zero_denominator_is_a_one_line_config_error(tmp_path, capsys, old, ne
 
 
 @pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("k = 0\n", "k = 0\nkmax = 2\n", "[probe climb]: unknown key 'kmax'"),
+        (
+            "qm = psibar\nradius = 2\n\n[probe defect-doubled]",
+            "qm = psibar\nradius = 2\nclaimed_uper = 1/2\n\n[probe defect-doubled]",
+            "[probe defect-small]: unknown key 'claimed_uper'",
+        ),
+        (
+            "vertices = 1, a a a a a\n",
+            "vertices = 1, a a a a a\nball_radius = 1\n",
+            "[probe pair-profile]: unknown key 'ball_radius'",
+        ),
+    ],
+)
+def test_an_unread_key_is_a_one_line_config_error(tmp_path, capsys, old, new, message):
+    text = (CONFIG_DIR / "free_brooks.cfg").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    cfg, out = tmp_path / "unread.cfg", tmp_path / "report.json"
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"qmprobe: {message}\n"
+    assert not out.exists()
+    # the same key echoed in a report
+    assert main(["run", str(CONFIG_DIR / "free_brooks.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    report["body"]["config_echo"] = report["body"]["config_echo"].replace(old, new)
+    out.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().err == f"qmprobe: echoed config no longer validates: {message}\n"
+
+
+@pytest.mark.parametrize("command, what", [("run", "config"), ("verify", "report")])
+def test_a_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys, command, what):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff\xfe[group]\n")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"cannot read {what}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "section",
     [
         "[quasimorphism mixed]\nkind = homomorphism\na = sqrt(2)\nb = sqrt(3)\n",

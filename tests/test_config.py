@@ -1,7 +1,10 @@
 """Experiment configs: the INI dialect, quasimorphism blocks, and the
 per-kind probe validation that runs before anything executes."""
 
+import pathlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError
@@ -73,6 +76,13 @@ def test_homomorphism_defaults_missing_generators_to_zero():
     phi = parse_experiment(text).quasimorphisms["phi"]
     assert isinstance(phi, HomomorphismQM)
     assert phi.values == (ZERO, ONE)
+
+
+def test_a_generator_named_kind_keeps_the_default_zero():
+    text = "[group]\nabelian_rank = 2\nnames = a kind\n"
+    text += "[quasimorphism phi]\nkind = homomorphism\na = 1\n"
+    text += "[probe d]\nkind = defect\nqm = phi\nradius = 1\n"
+    assert parse_experiment(text).quasimorphisms["phi"].values == (ONE, ZERO)
 
 
 def test_combination_parse():
@@ -158,6 +168,44 @@ def test_combination_parse():
             + "[quasimorphism mix]\nkind = combination\n"
             + "terms = sqrt(1000000000000000003) * psibar\n" + DEFECT_PROBE,
             "surd base must be at most 1000000",
+        ),
+        (
+            FREE_GROUP + PSIBAR + "[quasimorphism phi]\nkind = homomorphism\na = 1\nc = 1\n"
+            + DEFECT_PROBE,
+            "[quasimorphism phi]: unknown key 'c'",
+        ),
+        (
+            FREE_GROUP + PSIBAR.replace("word = a b\n", "word = a b\nweight = 2\n")
+            + DEFECT_PROBE,
+            "[quasimorphism psi]: unknown key 'weight'",
+        ),
+        (
+            FREE_GROUP + PSIBAR.replace("base = psi\n", "base = psi\nword = a\n")
+            + DEFECT_PROBE,
+            "[quasimorphism psibar]: unknown key 'word'",
+        ),
+        (
+            FREE_GROUP + PSIBAR
+            + "[quasimorphism mix]\nkind = combination\nterms = 2 * psibar\nbase = psibar\n"
+            + DEFECT_PROBE,
+            "[quasimorphism mix]: unknown key 'base'",
+        ),
+        (
+            Z2_GROUP + "[quasimorphism phi]\nkind = homomorphism\nc = 1\n"
+            + "[probe k]\nkind = aker-cert\nqm = phi\ndstar = 0\nradius = 2\nscaling = c\n",
+            "[probe k]: unknown key 'scaling'",
+        ),
+        (
+            FREE_GROUP + PSIBAR + DEFECT_PROBE + "[output]\npath = out.json\nformat = json\n",
+            "[output]: unknown key 'format'",
+        ),
+        (
+            FREE_GROUP + PSIBAR + DEFECT_PROBE.replace("radius = 2", "radius = two"),
+            "[probe d]: radius: must be an integer",
+        ),
+        (
+            FREE_GROUP.replace("free_rank = 2", "free_rank = -1") + PSIBAR + DEFECT_PROBE,
+            "[group]: free_rank: must be at least 0",
         ),
     ],
 )
@@ -330,3 +378,35 @@ def test_corpus_configs_parse(pytestconfig):
         text = (root / name).read_text(encoding="utf-8")
         exp = parse_experiment(text)
         assert exp.probes, name
+
+
+def _key_lines():
+    """(config text, line index, section header) of every `key = value`
+    line of the corpus configs."""
+    out = []
+    for path in sorted((pathlib.Path(__file__).parent / "configs").glob("*.cfg")):
+        text, header = path.read_text(encoding="utf-8"), None
+        for index, line in enumerate(text.splitlines()):
+            if line.startswith("["):
+                header = line
+            elif "=" in line:
+                out.append((text, index, header))
+    return out
+
+
+KEY_LINES = _key_lines()
+
+
+@settings(max_examples=5, deadline=None)
+@given(suffix=st.from_regex(r"[a-z0-9_]{1,8}", fullmatch=True))
+def test_a_renamed_key_is_a_one_line_config_error_naming_its_section(suffix):
+    # no section reads a key with this prefix, so the renamed key is fresh;
+    # every key line is renamed in turn, as a renamed optional key (say
+    # cell_cap) is caught by this rule alone
+    for text, index, header in KEY_LINES:
+        lines = text.splitlines()
+        lines[index] = f"unread_{suffix} =" + lines[index].split("=", 1)[1]
+        with pytest.raises(ConfigError) as err:
+            parse_experiment("\n".join(lines) + "\n")
+        message = str(err.value)
+        assert message.startswith(f"{header}: ") and "\n" not in message, message

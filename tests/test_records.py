@@ -15,7 +15,7 @@ import qmprobe
 from qmprobe.exact import ExactReal
 from qmprobe.groups import GroupModel
 from qmprobe.paths import Path
-from qmprobe.probes import ProbeSpec
+from qmprobe.probes import Section
 from qmprobe.rips import ComponentCertificate
 from qmprobe.search import ConstantsBundle, build_q_library, compute_constants
 
@@ -119,9 +119,10 @@ def test_path_and_certificate_are_values(f2):
 
 
 def test_probe_specs_do_not_share_settings():
-    first, second = ProbeSpec("x", "", {}), ProbeSpec("y", "", {})
+    first, second = Section("[probe x]", {}, "x"), Section("[probe y]", {}, "y")
     first.settings["radius"] = 3
-    assert second.settings == {}
+    first.read.add("radius")
+    assert second.settings == {} and second.read == set()
     first.kind = "defect"
     assert first.kind == "defect" and second.kind == ""
 
