@@ -302,30 +302,30 @@ class GroupElement(_ElementFields):
 
     def word_str(self) -> str:
         """Inverse of GroupModel.parse_element for normal forms, with
-        adjacent equal letters compressed into exponents."""
-        if self.is_identity():
-            return ""
-        parts: list[str] = []
-        run: list[Generator] = []
-        for gen in self.letters():
-            if run and run[-1] == gen:
-                run.append(gen)
-            else:
-                if run:
-                    parts.append(_format_run(self.model, run))
-                run = [gen]
-        parts.append(_format_run(self.model, run))
+        adjacent equal letters compressed into exponents: one term per
+        run of equal free letters, then one per nonzero abelian
+        coordinate."""
+        names = self.model.generator_names
+        parts = []
+        free = self.free
+        n, i = len(free), 0
+        while i < n:
+            x, j = free[i], i + 1
+            while j < n and free[j] == x:
+                j += 1
+            name, exp = names[abs(x) - 1], (j - i if x > 0 else i - j)
+            parts.append(name if exp == 1 else f"{name}^{exp}")
+            i = j
+        if self.ab:
+            r = self.model.free_rank
+            for j, v in enumerate(self.ab):
+                if v:
+                    name = names[r + j]
+                    parts.append(name if v == 1 else f"{name}^{v}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"<{self.word_str() or '1'}>"
-
-
-def _format_run(model: GroupModel, run: list[Generator]) -> str:
-    gen, n = run[0], len(run)
-    name = model.generator_names[gen.index]
-    exp = -n if gen.inverse else n
-    return name if exp == 1 else f"{name}^{exp}"
 
 
 def _concat_reduce(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:

@@ -29,10 +29,20 @@ integer elimination, and `keep_negative_and_extract_path` turns a
 filling into a connecting path through non-negative levels.  Every
 answer to ∂y ≡ z, the solver's in `run` or a recorded one in `verify`,
 is replayed and wrapped by the one function `settle`.
+
+A filling is local, so the solver tries small balls first.  The faces
+based in ball(k) are a prefix of those based in ball(R), because the
+ball is listed length-first; the floor of the admissible values does
+not depend on the radius; and a face's trimmed column depends only on
+the face and the window.  So a filling over ball(k), padded with zeros,
+is a filling over ball(R), and the recorded filling is the first one
+found on the radii 0, 1, 2, 4, 8, ... below R and then R.  Only the
+whole system at R can be unsat.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import NamedTuple, Optional
 
@@ -475,6 +485,17 @@ def boundary_faces(
     return floor, enumerate_faces(cx, floor, window, radius, cell_cap)
 
 
+def _solve_radii(radius: int) -> list[int]:
+    """0, 1, 2, 4, 8, ... below the radius, then the radius itself."""
+    radii, k = [0], 1
+    while k < radius:
+        radii.append(k)
+        k *= 2
+    if radius:
+        radii.append(radius)
+    return radii
+
+
 def windowed_boundary_solve(
     cx: CayleyComplex,
     z: WindowedChain,
@@ -485,10 +506,35 @@ def windowed_boundary_solve(
 ) -> BoundarySolveResult:
     """Decide whether some integer 2-chain y supported on the
     `boundary_faces` has boundary equal to z on every edge below the
-    window."""
+    window.
+
+    The faces are enumerated once at the configured radius R, which is
+    what `cell_cap` bounds, and then solved small first: on the faces
+    based in ball(k) for k = 0, 1, 2, 4, 8, ... below R, then on all of
+    them, stopping at the first filling found.  A filling found at k is
+    a filling at R, and it is the one recorded:
+    - the faces based in ball(k) are a prefix of the R faces, since the
+      ball is listed length-first and a face's value does not depend on
+      the radius;
+    - the floor, min level of z - slack, does not depend on the radius
+      either, so an admissible face at k is admissible at R;
+    - a face's trimmed column depends only on the face and the window;
+    - so the filling padded with zeros for the faces based outside
+      ball(k) solves the R system, and `settle` replays it there.
+    Only the whole system at R can be unsat, and its certificate is
+    the one a single solve at R would give: the same solve on the same
+    columns."""
     floor, faces = boundary_faces(cx, z, window, radius, slack, cell_cap)
-    columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
-    solution = solve_integer_system(columns, z.terms)
+    columns: list[dict[Cell, int]] = []
+    for k in _solve_radii(radius):
+        end = bisect_right(faces, k, key=lambda f: cx.element(f).length())
+        columns.extend(
+            _trimmed_boundary_column(cx, f, window) for f in faces[len(columns):end]
+        )
+        solution = solve_integer_system(columns, z.terms)
+        if not isinstance(solution, UnsatCertificate):
+            solution.extend([0] * (len(faces) - end))
+            break
     return settle(cx, z, window, floor, radius, faces, solution)
 
 

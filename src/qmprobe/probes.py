@@ -888,7 +888,10 @@ connecting path to two forward scaling rays, truncated below the
 window W (the ray on x stops once phi-bar provably exceeds W, after
 floor((W - phi-bar(x) + D) / phi-bar(c)) + 1 steps).  The probe solves
 the integer system boundary(y) = z over faces with values in
-[min z - slack, W) based in ball(R).  A solution is replayed as an
+[min z - slack, W) based in ball(R).  It solves on the faces based in
+ball(k) for k = 0, 1, 2, 4, ... below R, then on all of them, and
+records the first solution found, padded with zeros: a filling over
+ball(k) is one over ball(R).  A solution is replayed as an
 exact filling below W; infeasibility is certified by a functional that
 annihilates every face boundary but not z (modulo m, or over Z when
 m = 0).  Keeping only the filling's faces at negative values and taking

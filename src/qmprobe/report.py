@@ -126,7 +126,9 @@ def parse_cell(cx: CayleyComplex, payload: list) -> Cell:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # without indent json runs its C encoder; ": " keeps each key and
+    # value spelt as the indented form spelt them, for readers that grep
+    return json.dumps(report, sort_keys=True, separators=(",", ": ")) + "\n"
 
 
 def load_report(text: str) -> dict:

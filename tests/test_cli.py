@@ -16,6 +16,7 @@ import pytest
 from qmprobe.cli import _build_parser, main
 from qmprobe.errors import ReplayError
 from qmprobe.groups import GroupModel
+from qmprobe.intsolve import solve_integer_system
 from qmprobe.probes import KINDS
 from qmprobe.report import parse_path
 
@@ -51,18 +52,25 @@ def test_run_verify_round_trip(tmp_path, capsys, name):
         assert f"PASS {probe['name']}" in captured.out
 
 
-def _bench_configs():
-    """(workload, pin key, file name, config text) of every suite config,
-    of the seed-0 scan and fill configs and of the scan configs of seeds
-    1-3, whose renamings give the ball another order, read from the
-    benchmark's own `bench/workloads.py`."""
+def _bench_workloads():
+    """The benchmark's own `bench/workloads.py`, loaded without putting
+    `bench/` on the import path."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py"
     )
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _bench_configs():
+    """(workload, pin key, file name, config text) of every suite config,
+    of the seed-0 scan and fill configs and of the scan and fill configs
+    of seeds 1-3, whose renamings give the ball another order, read
+    from the benchmark's own `bench/workloads.py`."""
+    workloads = _bench_workloads()
     cases = [(workload, 0) for workload in ("suite", "scan", "fill")]
-    cases += [("scan", seed) for seed in (1, 2, 3)]
+    cases += [(workload, seed) for workload in ("scan", "fill") for seed in (1, 2, 3)]
     return [
         pytest.param(
             workload,
@@ -450,6 +458,64 @@ def test_a_solver_answer_that_does_not_replay_fails_the_probe(tmp_path, monkeypa
     probe = _probe(_read(out), "fill")
     assert probe["status"] == "failed"
     assert probe["error"] == "boundary of the filling does not match the cycle below the window"
+
+
+def _solve_sizes(monkeypatch, tmp_path, text):
+    """Run a one-probe novikov-solve config and return its result and
+    the column count of every `solve_integer_system` call, in order."""
+    sizes = []
+
+    def counted(columns, rhs):
+        sizes.append(len(columns))
+        return solve_integer_system(columns, rhs)
+
+    monkeypatch.setattr("qmprobe.novikov.solve_integer_system", counted)
+    cfg, out = tmp_path / "solve.cfg", tmp_path / "report.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    (probe,) = _read(out)["body"]["probes"]
+    return probe["result"], sizes
+
+
+def _faces_within(result, k):
+    model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
+    return sum(1 for face in result["faces"] if model.parse_element(face[1]).length() <= k)
+
+
+@pytest.mark.parametrize(
+    "seed, radii", [(0, (0, 1, 2)), (1, (0, 1, 2)), (2, (0, 1, 2, 4)), (3, (0, 1, 2, 4))]
+)
+def test_the_fill_solve_stops_at_the_first_sat_radius(monkeypatch, tmp_path, seed, radii):
+    # the bench fill config has R = 6; with end = b or a (seeds 0, 1)
+    # ball(2) already holds a filling, with end = b^-1 or a^-1 (seeds
+    # 2, 3) ball(4) does
+    ((_, text),) = _bench_workloads().configs("fill", seed, ROOT)
+    result, sizes = _solve_sizes(monkeypatch, tmp_path, text)
+    assert result["status"] == "sat"
+    assert sizes == [_faces_within(result, k) for k in radii]
+    assert sizes[-1] < len(result["faces"])
+
+
+def _unsat_f2z_text():
+    # end = a b a b^-1 a^-2 has no filling at radius 3 (108 faces);
+    # R = 3 is not a power of two, so the schedule is 0, 1, 2, 3
+    ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
+    return text.replace("end = b", "end = a b a b^-1 a^-2").replace(
+        "radius = 6", "radius = 3"
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(CONFIG_DIR / "free_unsat.cfg").read_text(encoding="utf-8"), _unsat_f2z_text()],
+    ids=["free_unsat.cfg", "f2z-unsat-radius3"],
+)
+def test_an_unsat_verdict_comes_from_the_solve_over_every_face(monkeypatch, tmp_path, text):
+    result, sizes = _solve_sizes(monkeypatch, tmp_path, text)
+    assert result["status"] == "unsat"
+    assert sizes[-1] == len(result["faces"])
+    if result["faces"]:
+        assert sizes == [_faces_within(result, k) for k in (0, 1, 2, 3)]
 
 
 def test_verify_rederives_a_failed_peak_reduce_claimed_ok(tmp_path, capsys):

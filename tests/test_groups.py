@@ -47,6 +47,51 @@ def test_word_str_round_trip(f2, f2z):
         assert model.parse_element(g.word_str()) == g
 
 
+def _old_word_str(g):
+    """The spelling word_str first had: one Generator per letter of the
+    canonical spelling, runs of equal letters grouped into powers."""
+    if g.is_identity():
+        return ""
+    parts, run = [], []
+
+    def flush():
+        gen, n = run[0], len(run)
+        name = g.model.generator_names[gen.index]
+        exp = -n if gen.inverse else n
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+
+    for gen in g.letters():
+        if run and run[-1] == gen:
+            run.append(gen)
+        else:
+            if run:
+                flush()
+            run = [gen]
+    flush()
+    return " ".join(parts)
+
+
+def _runs_of_letters(model):
+    """Elements built from runs of up to 4 equal letters, so exponents
+    other than +-1 are common."""
+    runs = st.lists(
+        st.tuples(st.sampled_from(model.generators()), st.integers(1, 4)), max_size=6
+    )
+    return runs.map(
+        lambda rs: reduce_word(model, tuple(gen for gen, n in rs for _ in range(n)))
+    )
+
+
+@pytest.mark.parametrize("name", ["f2", "f2z", "z2"])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_word_str_matches_the_letter_by_letter_spelling(request, name, data):
+    model = request.getfixturevalue(name)
+    g = data.draw(st.one_of(_random_words(model, 8), _runs_of_letters(model)))
+    assert g.word_str() == _old_word_str(g)
+    assert model.parse_element(g.word_str()) == g
+
+
 def test_abelian_letters_commute(f2z):
     assert f2z.parse_element("u a") == f2z.parse_element("a u")
     assert f2z.parse_element("a u a^-1") == f2z.parse_element("u")

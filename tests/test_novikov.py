@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from qmprobe.errors import CapExceededError, ExtractionError, ReplayError
 from qmprobe.exact import ExactReal, ONE, ZERO, exact_min
-from qmprobe.groups import Generator
-from qmprobe.intsolve import UnsatCertificate
+from qmprobe.groups import Generator, GroupModel, reduce_word
+from qmprobe.intsolve import UnsatCertificate, solve_integer_system
 from qmprobe.novikov import (
     CayleyComplex,
     RayCycle,
     WindowedChain,
+    boundary_faces,
     build_zs_cycle,
     keep_negative_and_extract_path,
     ray_cycle,
@@ -405,6 +406,63 @@ def test_settle_refuses_a_certificate_that_does_not_replay(z2, cx2):
         ReplayError, match="certificate modulus and coefficients must be integers"
     ):
         _settle_again(cx2, z, got, UnsatCertificate(got.certificate.functional, 0.0))
+
+
+def _full_radius_solve(cx, z, window, radius, slack):
+    """The solve `windowed_boundary_solve` first did: one system over
+    every admissible face at the configured radius."""
+    floor, faces = boundary_faces(cx, z, window, radius, slack)
+    columns = [
+        {cell: k for cell, k in cx.boundary_of_cell(f).items() if cx.value(cell) < window}
+        for f in faces
+    ]
+    return settle(cx, z, window, floor, radius, faces, solve_integer_system(columns, z.terms))
+
+
+def _random_ray_system(seed):
+    """(complex, ray cycle, window, radius, slack) over F_2 x Z or Z^2
+    with a random homomorphism, endpoints, window and radius <= 4."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
+        values = (ExactReal(rng.choice((-1, 0, 1))), ExactReal(rng.choice((0, 1))))
+        qm = HomomorphismQM(model, values + (ExactReal(0, 1, 2),))
+        scaling = model.parse_element("u")
+    else:
+        model = GroupModel(free_rank=0, abelian_rank=2, generator_names=("a", "c"))
+        qm = HomomorphismQM(model, (ExactReal(rng.choice((-1, 0, 1, 2))), ONE))
+        scaling = model.parse_element("c")
+    cx = CayleyComplex(qm, ZERO)
+
+    def word(max_len):
+        letters = [rng.choice(model.generators()) for _ in range(rng.randint(0, max_len))]
+        return reduce_word(model, letters)
+
+    start, end = word(2), word(4)
+    connecting = straight_path(start, end)
+    top = max((cx.value(c) for c in cx.chain_from_path(connecting).terms), default=ZERO)
+    window = ExactReal(top.floor() + rng.randint(1, 3))
+    cycle = ray_cycle(cx, start, end, connecting, scaling, window)
+    return cx, cycle.chain, window, rng.randint(0, 4), ExactReal(rng.randint(0, 1))
+
+
+def test_solving_small_first_agrees_with_the_full_radius_solve():
+    verdicts = {"sat": 0, "unsat": 0, "sat below the radius": 0}
+    for seed in range(100):
+        cx, z, window, radius, slack = _random_ray_system(seed)
+        got = windowed_boundary_solve(cx, z, window, radius, slack)
+        want = _full_radius_solve(cx, z, window, radius, slack)
+        assert (got.status, got.floor, got.faces) == (want.status, want.floor, want.faces)
+        verdicts[got.status] += 1
+        if got.status == "sat":
+            again = settle(cx, z, window, got.floor, radius, list(got.faces), list(got.coefficients))
+            assert again.filling.terms == got.filling.terms
+            bases = [cx.element(f).length() for f in got.filling.terms]
+            if bases and max(bases) < radius:
+                verdicts["sat below the radius"] += 1
+        else:
+            assert got.certificate == want.certificate
+    assert all(verdicts.values()), verdicts
 
 
 # -- extraction ---------------------------------------------------------
