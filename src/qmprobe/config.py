@@ -97,13 +97,7 @@ def parse_experiment(text: str) -> Experiment:
             if name in qms:
                 raise ConfigError(f"duplicate quasimorphism name {name!r}")
             section = Section(f"[quasimorphism {name}]", raw)
-            qm = section.apply(_build_qm, model, qms)
-            surds = sorted(_surds(qm))
-            if len(surds) > 1:
-                raise ConfigError(
-                    f"{section.title}: cannot mix sqrt({surds[0]}) and sqrt({surds[1]})"
-                )
-            qms[name] = qm
+            qms[name] = section.apply(_build_qm, model, qms)
             continue
         if title.startswith("probe "):
             name = title[len("probe ") :].strip()
@@ -171,21 +165,6 @@ def _known(known: dict[str, Quasimorphism], name: str) -> Quasimorphism:
     if name not in known:
         raise ValueError(f"unknown quasimorphism {name!r}")
     return known[name]
-
-
-def _surds(qm: Quasimorphism) -> set[int]:
-    """The bases d of the surds among qm's values and coefficients.
-    Arithmetic across two bases fails, so a quasimorphism may use one."""
-    if isinstance(qm, HomogenizedQM):
-        return _surds(qm.base)
-    if isinstance(qm, HomomorphismQM):
-        return {v.d for v in qm.values if v.b}
-    if isinstance(qm, CombinationQM):
-        out = {c.d for c in qm.coefficients if c.b}
-        for part in qm.parts:
-            out |= _surds(part)
-        return out
-    return set()  # a Brooks quasimorphism takes integer values
 
 
 # -- probe validation ----------------------------------------------------

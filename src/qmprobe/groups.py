@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import comb
 from typing import Iterable, NamedTuple
 
 from .errors import CapExceededError, ModelMismatchError
@@ -369,25 +370,53 @@ def edge_letter(g: GroupElement, h: GroupElement) -> Generator:
     return step.letters()[0]
 
 
+def ball_size(model: GroupModel, radius: int) -> int:
+    """len(model.ball(radius)) in closed form, without enumerating: the
+    sum over free lengths k <= radius of the free sphere of radius k,
+    2n (2n - 1)^(k - 1) words for k >= 1, times the Z^m ball of radius
+    radius - k, which holds sum_j 2^j C(m, j) C(radius - k, j) vectors."""
+    n, m = model.free_rank, model.abelian_rank
+    total, sphere = 0, 1
+    for k in range(radius + 1):
+        rest = radius - k
+        total += sphere * sum(
+            2**j * comb(m, j) * comb(rest, j) for j in range(min(m, rest) + 1)
+        )
+        sphere = 2 * n * (2 * n - 1) ** k
+    return total
+
+
 @lru_cache(maxsize=64)
 def _ball(model: GroupModel, radius: int) -> tuple[GroupElement, ...]:
-    letters = [model.generator_element(gen) for gen in model.generators()]
-    identity = model.identity()
-    seen = {(identity.free, identity.ab)}
-    out = [identity]
-    frontier = [identity]
-    for r in range(1, radius + 1):
+    """Breadth-first search on normal forms (free, ab): a free step
+    appends a letter that does not cancel the last one, and an abelian
+    step is kept only when it moves a coordinate away from 0, so each
+    step lengthens the form by one.  Each element is built once, then
+    the ball is sorted canonically."""
+    letters = [x for i in range(1, model.free_rank + 1) for x in (i, -i)]
+    steps = [(j, s) for j in range(model.abelian_rank) for s in (1, -1)]
+    start = ((), (0,) * model.abelian_rank)
+    seen = {start}
+    frontier = [start]
+    for _ in range(radius):
         nxt = []
-        for g in frontier:
-            for step in letters:
-                h = g * step
-                if h.length() != r:
-                    continue
-                key = (h.free, h.ab)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(h)
+        for free, ab in frontier:
+            back = -free[-1] if free else 0
+            for x in letters:
+                if x != back:
+                    form = (free + (x,), ab)
+                    if form not in seen:
+                        seen.add(form)
+                        nxt.append(form)
+            for j, s in steps:
+                if ab[j] * s >= 0:
+                    vec = list(ab)
+                    vec[j] += s
+                    form = (free, tuple(vec))
+                    if form not in seen:
+                        seen.add(form)
+                        nxt.append(form)
         frontier = nxt
-        out.extend(nxt)
-    return tuple(sorted(out, key=GroupElement.sort_key))
-
+    return tuple(
+        sorted((_element(model, free, ab) for free, ab in seen), key=GroupElement.sort_key)
+    )

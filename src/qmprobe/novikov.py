@@ -438,14 +438,35 @@ def enumerate_faces(
     cell_cap: int = DEFAULT_CELL_CAP,
 ) -> list[Cell]:
     """All 2-cells based in ball(radius) with value in [floor, ceiling),
-    in canonical base-then-type order."""
+    in canonical base-then-type order.
+
+    For a homomorphism potential a face's value is phi-bar(g) plus its
+    type's offset, so phi-bar is evaluated once per base and tested
+    against the bounds [floor - offset, ceiling - offset) of each type;
+    the face values are left uncached, since only the few faces of a
+    filling are read again."""
     faces: list[Cell] = []
-    for g in cx.model.ball(radius):
-        for t in range(len(cx.square_types)):
-            cell = cx.face_cell(g, t)
-            v = cx.value(cell)
-            if v < ceiling and (floor is None or floor <= v):
-                faces.append(cell)
+    ball = cx.model.ball(radius)
+    if cx._offsets is None:
+        for g in ball:
+            for t in range(len(cx.square_types)):
+                cell = cx.face_cell(g, t)
+                v = cx.value(cell)
+                if v < ceiling and (floor is None or floor <= v):
+                    faces.append(cell)
+                    if len(faces) > cell_cap:
+                        raise CapExceededError("solver 2-cells", len(faces), cell_cap)
+        return faces
+    value = cx.qm.homogeneous_value
+    bounds = [
+        (t, None if floor is None else floor - off, ceiling - off)
+        for t, off in enumerate(cx._offsets["f"])
+    ]
+    for g in ball if bounds else ():
+        v = value(g)
+        for t, low, high in bounds:
+            if v < high and (low is None or low <= v):
+                faces.append(("f", g.free, g.ab, t))
                 if len(faces) > cell_cap:
                     raise CapExceededError("solver 2-cells", len(faces), cell_cap)
     return faces

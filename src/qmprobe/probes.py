@@ -40,7 +40,7 @@ from .errors import (
     ReplayError,
 )
 from .exact import ZERO, ExactReal
-from .groups import GroupElement, GroupModel
+from .groups import GroupElement, GroupModel, ball_size
 from .intsolve import UnsatCertificate
 from .novikov import (
     DEFAULT_CELL_CAP,
@@ -56,6 +56,7 @@ from .novikov import (
 )
 from .paths import path_from_letters, straight_path
 from .quasimorphisms import (
+    MAX_SCAN_PAIRS,
     DefectEstimate,
     Quasimorphism,
     certify_aker_approximate_subgroup,
@@ -212,6 +213,23 @@ def _radius(exp: Experiment, probe: Section, key: str = "radius", minimum: int =
     return value
 
 
+def _scan_pairs(exp: Experiment, probe: Section, radius: int, pairs: Callable) -> None:
+    """Refuse a scan over more than MAX_SCAN_PAIRS pairs, where
+    `pairs(N)` counts them for a ball of N elements.  N is counted with
+    `ball_size`, before any ball is built; ball(radius) holds at least
+    the 2 radius + 1 powers of one generator, so a radius whose powers
+    alone are too many is refused without counting its ball."""
+    count = pairs(2 * radius + 1)
+    at_least = "at least "
+    if count <= MAX_SCAN_PAIRS:
+        count, at_least = pairs(ball_size(exp.model, radius)), ""
+    if count > MAX_SCAN_PAIRS:
+        raise ValueError(
+            f"{probe.kind} at radius {radius} scans {at_least}{count} pairs, "
+            f"more than MAX_SCAN_PAIRS = {MAX_SCAN_PAIRS}"
+        )
+
+
 def _scaling_in_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal) -> None:
     value = qm.homogeneous_value(scaling)
     if not (dstar * 4 / ExactReal(5) < value and value <= dstar):
@@ -309,8 +327,10 @@ def _rederive(exp: Experiment, probe: Section, res: dict) -> list:
 
 def _validate_defect(exp: Experiment, probe: Section) -> None:
     _need_qm(exp, probe)
+    radius = _radius(exp, probe)
+    _scan_pairs(exp, probe, radius, lambda n: n * (n + 1) // 2)
     probe.settings.update(
-        radius=_radius(exp, probe),
+        radius=radius,
         claimed_upper=probe.get("claimed_upper", ExactReal.parse, None),
     )
 
@@ -345,6 +365,7 @@ def _validate_aker_cert(exp: Experiment, probe: Section) -> None:
     if dstar < ZERO:
         raise ValueError("dstar must be non-negative")
     radius = _radius(exp, probe)
+    _scan_pairs(exp, probe, radius, lambda n: n * n)
     scaling = None
     if dstar > ZERO:
         scaling = probe.get("scaling", exp.model.parse_element)
@@ -791,7 +812,8 @@ claimed_upper when given, checked against the lower bound; otherwise
 it is structural: 0 for homomorphisms, summed with |coefficients|
 through combinations and doubled by homogenization.  A Brooks counting
 quasimorphism has no stored bound, so without claimed_upper any phi
-built from one reports no upper bound.""",
+built from one reports no upper bound.  A scan of more than
+MAX_SCAN_PAIRS pairs is refused when the config is validated.""",
     ),
     "aker-cert": ProbeKind(
         _validate_aker_cert,
@@ -803,7 +825,9 @@ Aker(phi, D*) = { g : |phi-bar(g)| <= 2 D* } inside ball(R).
 With a scaling element c satisfying 4 D*/5 < phi-bar(c) <= D*, the
 witness set is X = { c^5, ..., c^-5 } (just {1} when D* = 0).  For each
 member pair (g, h) the certificate records the first exponent m in
-0, 1, -1, ..., 5, -5 with |phi-bar(g h c^m)| <= 2 D*.""",
+0, 1, -1, ..., 5, -5 with |phi-bar(g h c^m)| <= 2 D*.  A ball of N
+elements with N^2 above MAX_SCAN_PAIRS is refused when the config is
+validated.""",
     ),
     "rips-profile": ProbeKind(
         _validate_rips_profile,

@@ -18,6 +18,26 @@ start within one period of the resulting bi-infinite word; for linear
 combinations the homogenization is taken term by term (homogenization
 is a linear operator, so this is exact).
 
+Numerators.  Each quasimorphism fixes at construction a denominator
+`den` and a surd base `d`, and every value it takes is
+(p + q sqrt(d)) / den with ints p, q:
+
+* a Brooks count has den 1 and q 0;
+* a homomorphism's den is the lcm of its generator values'
+  denominators;
+* a homogenization keeps its base's den and d;
+* a combination's den is the lcm of (coefficient denominator) x (part
+  den) over its terms, and (a + b sqrt(d))(p + q sqrt(d)) =
+  (a p + b q d) + (a q + b p) sqrt(d) gives its numerators.
+
+A variant evaluates through two hooks, `_num(free, ab)` and
+`_hnum(free, ab)`, which return (p, q) for a normal form; `value` and
+`homogeneous_value` cache the `ExactReal` built from them.  A
+quasimorphism whose values or coefficients mix two surd bases is
+refused at construction.  The pair scans below compare numerator pairs
+directly, so they build one `ExactReal` per result instead of several
+per pair.
+
 Defects are never guessed.  `defect_lower_bound` scans a ball for
 certified lower bounds; every operation that needs an upper defect
 bound takes it as an explicit argument (written D* throughout).
@@ -25,28 +45,42 @@ bound takes it as an explicit argument (written D* throughout).
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ModelMismatchError
-from .exact import ExactReal, ZERO
-from .groups import Generator, GroupElement, GroupModel, commutator
+from .exact import DEFAULT_SQUAREFREE, ExactReal, ZERO, _make, _sign
+from .groups import Generator, GroupElement, GroupModel, _concat_reduce, commutator
+
+# most pairs a `defect` scan (N (N + 1) / 2 for a ball of N elements) or
+# an `aker-cert` certificate (N^2) may visit; validation refuses more.
+# F_2 at radius 5 fits both (117,855 and 235,225 pairs), radius 6 does not
+MAX_SCAN_PAIRS = 250_000
 
 
 class Quasimorphism:
-    """Base class; concrete variants implement `_value` and
-    `_homogeneous_value`, both exact."""
+    """Base class; concrete variants implement the hooks `_num` and
+    `_hnum`, which return the numerators (p, q) of the value and of the
+    homogeneous value at a normal form, over the fixed `den` and `d`."""
 
-    def __init__(self, model: GroupModel):
+    def __init__(self, model: GroupModel, den: int = 1, surds: frozenset = frozenset()):
+        if len(surds) > 1:
+            a, b = sorted(surds)[:2]
+            raise ValueError(f"cannot mix sqrt({a}) and sqrt({b})")
         self.model = model
+        self.den = den
+        # the surd bases among the values and coefficients: none or one
+        self.surds = surds
+        self.d = next(iter(surds), DEFAULT_SQUAREFREE)
         self._vcache: dict[tuple, ExactReal] = {}
         self._hcache: dict[tuple, ExactReal] = {}
 
     # subclass hooks ------------------------------------------------
 
-    def _value(self, g: GroupElement) -> ExactReal:
+    def _num(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
         raise NotImplementedError
 
-    def _homogeneous_value(self, g: GroupElement) -> ExactReal:
+    def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
         raise NotImplementedError
 
     @property
@@ -69,7 +103,8 @@ class Quasimorphism:
         key = (g.free, g.ab)
         got = self._vcache.get(key)
         if got is None:
-            got = self._vcache[key] = self._value(g)
+            p, q = self._num(g.free, g.ab)
+            got = self._vcache[key] = _make(p, q, self.den, self.d)
         return got
 
     def homogeneous_value(self, g: GroupElement) -> ExactReal:
@@ -78,35 +113,45 @@ class Quasimorphism:
         key = (g.free, g.ab)
         got = self._hcache.get(key)
         if got is None:
-            got = self._hcache[key] = self._homogeneous_value(g)
+            p, q = self._hnum(g.free, g.ab)
+            got = self._hcache[key] = _make(p, q, self.den, self.d)
         return got
 
 
 class HomomorphismQM(Quasimorphism):
     def __init__(self, model: GroupModel, values: Sequence[ExactReal]):
-        super().__init__(model)
+        values = tuple(values)
         if len(values) != model.rank:
             raise ValueError(
                 f"expected {model.rank} generator values, got {len(values)}"
             )
-        self.values = tuple(values)
+        den = lcm(*(v._den for v in values))
+        super().__init__(model, den, frozenset(v.d for v in values if v._q))
+        self.values = values
+        ps = [v._p * (den // v._den) for v in values]
+        qs = [v._q * (den // v._den) for v in values]
+        # the numerators of each free letter, indexed by the signed
+        # letter itself: letter -x lands at the end of the list
+        r = model.free_rank
+        self._letter_p = [0] * (2 * r + 1)
+        self._letter_q = [0] * (2 * r + 1)
+        for x in range(1, r + 1):
+            self._letter_p[x], self._letter_p[-x] = ps[x - 1], -ps[x - 1]
+            self._letter_q[x], self._letter_q[-x] = qs[x - 1], -qs[x - 1]
+        self._abelian = tuple(zip(ps[r:], qs[r:]))
 
-    def _value(self, g: GroupElement) -> ExactReal:
-        # exponent sum of each generator, then one exact term per generator
-        counts = [0] * self.model.free_rank
-        for x in g.free:
-            if x > 0:
-                counts[x - 1] += 1
-            else:
-                counts[-x - 1] -= 1
-        counts.extend(g.ab)
-        total = ZERO
-        for v, n in zip(self.values, counts):
+    def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
+        # the dot product of the exponent sums with the value numerators
+        lp, lq = self._letter_p, self._letter_q
+        p = sum([lp[x] for x in free])
+        q = sum([lq[x] for x in free]) if self.surds else 0
+        for n, (vp, vq) in zip(ab, self._abelian):
             if n:
-                total = total + v * n
-        return total
+                p += n * vp
+                q += n * vq
+        return p, q
 
-    _homogeneous_value = _value
+    _num = _hnum
 
     @property
     def is_homogeneous(self) -> bool:
@@ -124,21 +169,28 @@ def cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
     return word[i:j]
 
 
-def count_occurrences(seq: tuple[int, ...], w: tuple[int, ...], starts: range) -> int:
-    """The number of positions p in `starts` at which w occurs in seq.
-    Indices past the end of seq wrap around to its start, so with
-    starts = range(len(seq)) this counts the occurrences in the cyclic
-    word seq over one period; a plain word passes the starts at which w
-    fits, and nothing wraps."""
-    n, k, first = len(seq), len(w), w[0]
+def signed_count(
+    seq: tuple[int, ...], w: tuple[int, ...], w_inv: tuple[int, ...], starts: range
+) -> int:
+    """The number of positions p in `starts` at which w occurs in seq,
+    minus the number at which w_inv does.  Indices past the end of seq
+    wrap around to its start, so with starts = range(len(seq)) this
+    counts in the cyclic word seq over one period; a plain word passes
+    the starts at which w fits, and nothing wraps.  w and w_inv may
+    share their first letter (w = a b a^-1), so a position is tested
+    against both."""
+    k = len(w)
+    reach = starts.stop + k - 1
+    if reach > len(seq):
+        seq = seq * -(-reach // len(seq))
+    first, first_inv = w[0], w_inv[0]
     count = 0
     for p in starts:
-        if seq[p] == first:
-            i = 1
-            while i < k and seq[(p + i) % n] == w[i]:
-                i += 1
-            if i == k:
-                count += 1
+        x = seq[p]
+        if x == first and seq[p : p + k] == w:
+            count += 1
+        if x == first_inv and seq[p : p + k] == w_inv:
+            count -= 1
     return count
 
 
@@ -162,23 +214,15 @@ class BrooksQM(Quasimorphism):
         self.word = tuple(letters)
         self.word_inverse = tuple(-x for x in reversed(letters))
 
-    def _value(self, g: GroupElement) -> ExactReal:
-        seq = g.free
-        starts = range(len(seq) - len(self.word) + 1)
-        n = count_occurrences(seq, self.word, starts) - count_occurrences(
-            seq, self.word_inverse, starts
-        )
-        return ExactReal(n)
+    def _num(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
+        starts = range(len(free) - len(self.word) + 1)
+        return signed_count(free, self.word, self.word_inverse, starts), 0
 
-    def _homogeneous_value(self, g: GroupElement) -> ExactReal:
-        cyc = cyclic_reduce(g.free)
+    def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
+        cyc = cyclic_reduce(free)
         if not cyc:
-            return ZERO
-        starts = range(len(cyc))
-        n = count_occurrences(cyc, self.word, starts) - count_occurrences(
-            cyc, self.word_inverse, starts
-        )
-        return ExactReal(n)
+            return 0, 0
+        return signed_count(cyc, self.word, self.word_inverse, range(len(cyc))), 0
 
     @property
     def is_homogeneous(self) -> bool:
@@ -198,21 +242,31 @@ class CombinationQM(Quasimorphism):
         for p in parts[1:]:
             if p.model != model:
                 raise ModelMismatchError("combination parts use different models")
-        super().__init__(model)
-        self.coefficients = tuple(coefficients)
-        self.parts = tuple(parts)
+        coefficients, parts = tuple(coefficients), tuple(parts)
+        surds = frozenset(c.d for c in coefficients if c._q).union(*(p.surds for p in parts))
+        den = lcm(*(c._den * p.den for c, p in zip(coefficients, parts)))
+        super().__init__(model, den, surds)
+        self.coefficients = coefficients
+        self.parts = parts
+        # each coefficient's numerators, scaled to the common den
+        self._scaled = tuple(
+            (c._p * (den // (c._den * p.den)), c._q * (den // (c._den * p.den)))
+            for c, p in zip(coefficients, parts)
+        )
 
-    def _value(self, g: GroupElement) -> ExactReal:
-        total = ZERO
-        for c, p in zip(self.coefficients, self.parts):
-            total = total + c * p.value(g)
-        return total
+    def _combine(self, nums) -> tuple[int, int]:
+        """The numerators of sum_i c_i x_i from those of the parts' x_i."""
+        d, p, q = self.d, 0, 0
+        for (a, b), (x, y) in zip(self._scaled, nums):
+            p += a * x + b * y * d
+            q += a * y + b * x
+        return p, q
 
-    def _homogeneous_value(self, g: GroupElement) -> ExactReal:
-        total = ZERO
-        for c, p in zip(self.coefficients, self.parts):
-            total = total + c * p.homogeneous_value(g)
-        return total
+    def _num(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
+        return self._combine(part._num(free, ab) for part in self.parts)
+
+    def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
+        return self._combine(part._hnum(free, ab) for part in self.parts)
 
     @property
     def is_homogeneous(self) -> bool:
@@ -233,7 +287,7 @@ class HomogenizedQM(Quasimorphism):
 
     Both `value` and `homogeneous_value` are the base's
     `homogeneous_value`, served from the base's cache; this wrapper
-    keeps no cache of its own.
+    keeps no cache of its own, and its hooks are the base's `_hnum`.
 
     Combinations are deliberately not accepted here: homogenize the
     parts first and combine those (the result is the same and keeps
@@ -246,7 +300,7 @@ class HomogenizedQM(Quasimorphism):
                 "homogenization is implemented for Brooks and homomorphism "
                 "variants; build combinations out of homogenized parts instead"
             )
-        super().__init__(base.model)
+        super().__init__(base.model, base.den, base.surds)
         self.base = base
 
     def value(self, g: GroupElement) -> ExactReal:
@@ -255,8 +309,10 @@ class HomogenizedQM(Quasimorphism):
 
     homogeneous_value = value
 
-    def _homogeneous_value(self, g: GroupElement) -> ExactReal:
-        return self.base._homogeneous_value(g)
+    def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
+        return self.base._hnum(free, ab)
+
+    _num = _hnum
 
     @property
     def is_homogeneous(self) -> bool:
@@ -309,28 +365,42 @@ def defect_lower_bound(
     and the commutator value at (r, s) equals the one at
     (s, index of g_r^-1), since g_r^-1 [g_r, g_s] g_r = [g_s, g_r^-1].
     Both positions lie in row s, which the row-major scan visits
-    first, so a strict `>` update never happens below the diagonal."""
+    first, so a strict `>` update never happens below the diagonal.
+
+    The scan runs on normal forms and numerator pairs over qm.den:
+    [g, h] = (g h) g^-1 h^-1 reuses g h, a commutator's abelian part is
+    0, and the values of the products g h, which recur across pairs,
+    are kept only for this call."""
     if not qm.is_homogeneous:
         raise ValueError("defect_lower_bound expects a homogeneous quasimorphism")
-    ball = qm.model.ball(radius)
-    value = qm.value
-    # the uncached hook, equal to `value` for homogeneous phi: no later
-    # probe reads a commutator, so caching one per pair only holds memory
-    uncached = qm._homogeneous_value
-    # [g, h] = (g h) g^-1 h^-1 reuses g h: 3 products per pair
-    entries = [(g, g.inverse(), value(g)) for g in ball]
-    best = ZERO
+    model = qm.model
+    hnum, d = qm._hnum, qm.d
+    abelian = model.abelian_rank > 0
+    zero_ab = (0,) * model.abelian_rank
+    entries = []
+    for g in model.ball(radius):
+        p, q = hnum(g.free, g.ab)
+        entries.append((g, g.free, g.ab, tuple([-x for x in reversed(g.free)]), p, q))
+    products: dict[tuple, tuple[int, int]] = {}
+    bp = bq = 0
     best_kind = "commutator"
-    best_pair = (qm.model.identity(), qm.model.identity())
-    for i, (g, g_inv, vg) in enumerate(entries):
-        for h, h_inv, vh in entries[i:]:
-            gh = g * h
-            cval = uncached(gh * g_inv * h_inv)
-            if cval > best:
-                best, best_kind, best_pair = cval, "commutator", (g, h)
-            tval = abs(vg + vh - value(gh))
-            if tval > best:
-                best, best_kind, best_pair = tval, "three-term", (g, h)
+    best_pair = (model.identity(), model.identity())
+    for i, (g, g_free, g_ab, g_inv, gp, gq) in enumerate(entries):
+        for h, h_free, h_ab, h_inv, hp, hq in entries[i:]:
+            gh = _concat_reduce(g_free, h_free)
+            cp, cq = hnum(_concat_reduce(_concat_reduce(gh, g_inv), h_inv), zero_ab)
+            if _sign(cp - bp, cq - bq, d) > 0:
+                bp, bq, best_kind, best_pair = cp, cq, "commutator", (g, h)
+            key = (gh, tuple([x + y for x, y in zip(g_ab, h_ab)]) if abelian else g_ab)
+            got = products.get(key)
+            if got is None:
+                got = products[key] = hnum(*key)
+            tp, tq = gp + hp - got[0], gq + hq - got[1]
+            if _sign(tp, tq, d) < 0:
+                tp, tq = -tp, -tq
+            if _sign(tp - bp, tq - bq, d) > 0:
+                bp, bq, best_kind, best_pair = tp, tq, "three-term", (g, h)
+    best = _make(bp, bq, qm.den, d)
     return DefectEstimate(
         best, _upper_bound(qm, upper, best), radius, best_kind, best_pair, best
     )
@@ -344,17 +414,28 @@ def defect_witness(
     h: GroupElement,
 ) -> DefectEstimate:
     """The estimate `defect_lower_bound` reports when (g, h) is its
-    witness pair: the pair is evaluated as the scan evaluates it, the
-    commutator value first and the three-term value only where it is
-    strictly larger.  Any pair of ball(radius) certifies its value as a
-    lower bound, so this checks a recorded witness without the scan."""
+    witness pair: the pair is evaluated through the same hook and in the
+    same way as the scan evaluates it, the commutator value first and
+    the three-term value only where it is strictly larger.  Any pair of
+    ball(radius) certifies its value as a lower bound, so this checks a
+    recorded witness without the scan."""
+    if not qm.is_homogeneous:
+        raise ValueError("defect_witness expects a homogeneous quasimorphism")
+    qm._check(g)
+    qm._check(h)
     if g.length() > radius or h.length() > radius:
         raise ValueError("witness pair lies outside the scanned ball")
-    value = qm.value
-    best, kind = value(commutator(g, h)), "commutator"
-    tval = abs(value(g) + value(h) - value(g * h))
-    if tval > best:
-        best, kind = tval, "three-term"
+    hnum, d = qm._hnum, qm.d
+    c, gh = commutator(g, h), g * h
+    bp, bq = hnum(c.free, c.ab)
+    kind = "commutator"
+    (gp, gq), (hp, hq), (xp, xq) = hnum(g.free, g.ab), hnum(h.free, h.ab), hnum(gh.free, gh.ab)
+    tp, tq = gp + hp - xp, gq + hq - xq
+    if _sign(tp, tq, d) < 0:
+        tp, tq = -tp, -tq
+    if _sign(tp - bp, tq - bq, d) > 0:
+        bp, bq, kind = tp, tq, "three-term"
+    best = _make(bp, bq, qm.den, d)
     return DefectEstimate(best, _upper_bound(qm, upper, best), radius, kind, (g, h), best)
 
 
@@ -413,12 +494,30 @@ def certify_aker_approximate_subgroup(
     tested g_j g_i at m = 0 already, with exponent 0 exactly when that
     test passed.  The product g_i g_j is formed only when j >= i or some
     m != 0 is needed, and the certificate is the one the full row-major
-    loop records."""
+    loop records.
+
+    Values are numerator pairs over qm.den, tested against 2 D* scaled
+    to the same den, and the products g h c^m are evaluated on normal
+    forms without caching."""
     if dstar < ZERO:
         raise ValueError("D* must be non-negative")
     model = qm.model
     bound = dstar + dstar
-    members = tuple(g for g in model.ball(radius) if abs(qm.homogeneous_value(g)) <= bound)
+    d = qm.d
+    if bound._q:
+        if qm.surds and bound.d != d:
+            raise ValueError(f"cannot mix sqrt({d}) and sqrt({bound.d})")
+        d = bound.d
+    # |p + q sqrt(d)| / den <= (P + Q sqrt(d)) / bden, cross-multiplied
+    top_p, top_q, scale = bound._p * qm.den, bound._q * qm.den, bound._den
+    hnum = qm._hnum
+
+    def within(p: int, q: int) -> bool:
+        if _sign(p, q, d) < 0:
+            p, q = -p, -q
+        return _sign(top_p - scale * p, top_q - scale * q, d) >= 0
+
+    members = tuple(g for g in model.ball(radius) if within(*hnum(g.free, g.ab)))
 
     if dstar == ZERO:
         witness = (model.identity(),)
@@ -432,14 +531,16 @@ def certify_aker_approximate_subgroup(
         witness = tuple(scaling ** m for m in range(5, -6, -1))
         order = _M_ORDER
         powers = {m: scaling ** m for m in order}
+    abelian = model.abelian_rank > 0
+    forms = {m: (c.free, c.ab) for m, c in powers.items()}
 
-    value = qm.homogeneous_value
     n = len(members)
     exponents: list[int] = []
     counterexample = None
     for i, g in enumerate(members):
         if counterexample:
             break
+        g_free, g_ab = g.free, g.ab
         for j, h in enumerate(members):
             tries = order
             if j < i:
@@ -448,11 +549,20 @@ def certify_aker_approximate_subgroup(
                     exponents.append(0)
                     continue
                 tries = order[1:]
-            gh = g * h
+            gh = _concat_reduce(g_free, h.free)
+            gh_ab = tuple([x + y for x, y in zip(g_ab, h.ab)]) if abelian else g_ab
             chosen = None
             for m in tries:
-                # c^0 is the identity, so m = 0 tests g h itself
-                if abs(value(gh * powers[m] if m else gh)) <= bound:
+                if m:
+                    c_free, c_ab = forms[m]
+                    num = hnum(
+                        _concat_reduce(gh, c_free),
+                        tuple([x + y for x, y in zip(gh_ab, c_ab)]) if abelian else gh_ab,
+                    )
+                else:
+                    # c^0 is the identity, so m = 0 tests g h itself
+                    num = hnum(gh, gh_ab)
+                if within(*num):
                     chosen = m
                     break
             if chosen is None:

@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -985,3 +986,29 @@ def test_round_trip_and_tamper_check_under_python_dash_O(tmp_path):
     out.write_text(json.dumps(report), encoding="utf-8")
     proc = qmprobe("verify", str(out))
     assert proc.returncode == 4 and "FAIL defect-small" in proc.stdout
+
+
+def test_a_scan_too_large_for_its_bound_ends_at_once(tmp_path):
+    """A defect scan of ball(40) in F_4 x Z^2 is refused while the config
+    is validated, from the counted ball size: one line, exit 2, well
+    before any ball is built."""
+    cfg, out = tmp_path / "huge.cfg", tmp_path / "report.json"
+    cfg.write_text(
+        "[group]\nfree_rank = 4\nabelian_rank = 2\nball_cap = 40\n\n"
+        "[quasimorphism psi]\nkind = brooks\nword = a b\n\n"
+        "[quasimorphism psibar]\nkind = homogenized\nbase = psi\n\n"
+        "[probe d]\nkind = defect\nqm = psibar\nradius = 40\n",
+        encoding="utf-8",
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmprobe", "run", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 2 and not out.exists()
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("qmprobe: [probe d]: defect at radius 40 scans ")
+    assert "more than MAX_SCAN_PAIRS" in proc.stderr

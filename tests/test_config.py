@@ -2,6 +2,7 @@
 per-kind probe validation that runs before anything executes."""
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError
 from qmprobe.exact import ExactReal, ONE, ZERO
 from qmprobe.quasimorphisms import (
+    MAX_SCAN_PAIRS,
     BrooksQM,
     CombinationQM,
     HomogenizedQM,
@@ -410,3 +412,29 @@ def test_a_renamed_key_is_a_one_line_config_error_naming_its_section(suffix):
             parse_experiment("\n".join(lines) + "\n")
         message = str(err.value)
         assert message.startswith(f"{header}: ") and "\n" not in message, message
+
+
+@pytest.mark.parametrize(
+    "probe, fits, over",
+    [
+        # F_2: ball(5) has 485 elements and ball(6) 1,457
+        ("kind = defect\nqm = psibar", 5, "defect at radius 6 scans 1062153 pairs"),
+        (
+            "kind = aker-cert\nqm = psibar\ndstar = 1\nscaling = a b a^-1 b^-1",
+            5,
+            "aker-cert at radius 6 scans 2122849 pairs",
+        ),
+        # 2 * 400 + 1 powers of a alone give more than MAX_SCAN_PAIRS pairs
+        ("kind = defect\nqm = psibar", 5, "defect at radius 400 scans at least 321201 pairs"),
+    ],
+)
+def test_pair_scans_are_bounded_before_the_ball_is_built(probe, fits, over):
+    radius = int(re.search(r"radius (\d+)", over).group(1))
+    group = FREE_GROUP.replace("ball_cap = 8", f"ball_cap = {radius}")
+    section = f"[probe s]\n{probe}\nradius = {{}}\n"
+    parse_experiment(group + PSIBAR + section.format(fits))
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(group + PSIBAR + section.format(radius))
+    assert str(err.value) == (
+        f"[probe s]: {over}, more than MAX_SCAN_PAIRS = {MAX_SCAN_PAIRS}"
+    )

@@ -11,6 +11,8 @@ from qmprobe.groups import (
     Generator,
     GroupElement,
     GroupModel,
+    _ball,
+    ball_size,
     commutator,
     edge_letter,
     reduce_word,
@@ -167,6 +169,37 @@ def test_ball_is_sorted_and_deduplicated(f2):
 def test_ball_respects_cap(f2):
     with pytest.raises(CapExceededError):
         f2.ball(f2.ball_cap + 1)
+
+
+_BALL_MODELS = [(1, 0), (2, 0), (3, 0), (0, 2), (2, 1), (2, 2)]
+
+
+def _product_ball(model, radius):
+    """ball(radius) as first enumerated: breadth-first search multiplying
+    by every generator letter, keeping the products of length r."""
+    letters = [model.generator_element(gen) for gen in model.generators()]
+    seen = {model.identity()}
+    frontier = [model.identity()]
+    for r in range(1, radius + 1):
+        frontier = [h for g in frontier for h in (g * s for s in letters) if h.length() == r]
+        frontier = [h for h in dict.fromkeys(frontier) if h not in seen]
+        seen.update(frontier)
+    return tuple(sorted(seen, key=GroupElement.sort_key))
+
+
+@pytest.mark.parametrize("ranks", _BALL_MODELS, ids=lambda r: f"F{r[0]}xZ{r[1]}")
+def test_ball_size_counts_the_ball(ranks):
+    model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1], ball_cap=5)
+    for r in range(6):
+        assert ball_size(model, r) == len(model.ball(r))
+
+
+@pytest.mark.parametrize("ranks", _BALL_MODELS, ids=lambda r: f"F{r[0]}xZ{r[1]}")
+def test_ball_on_normal_forms_matches_the_product_search(ranks):
+    model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1], ball_cap=4)
+    for r in range(5):
+        ball = _ball.__wrapped__(model, r)
+        assert ball == _product_ball(model, r)
 
 
 # -- letters and edges ---------------------------------------------------

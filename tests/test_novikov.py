@@ -3,6 +3,7 @@ windows, ray and z_s cycles, the windowed boundary solver, and
 keep-negative path extraction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from qmprobe.novikov import (
     WindowedChain,
     boundary_faces,
     build_zs_cycle,
+    enumerate_faces,
     keep_negative_and_extract_path,
     ray_cycle,
     settle,
@@ -337,6 +339,37 @@ def test_solver_cell_cap(z2, cx2):
     zs = build_zs_cycle(cx2, Generator(0, False), c, 2, high)
     with pytest.raises(CapExceededError):
         windowed_boundary_solve(cx2, zs.chain, ExactReal(10), 6, cell_cap=10)
+
+
+def _corner_faces(cx, floor, ceiling, radius):
+    """The admissible faces as they were first enumerated: one cached
+    corner-minimum value per (base, type)."""
+    return [
+        cx.face_cell(g, t)
+        for g in cx.model.ball(radius)
+        for t in range(len(cx.square_types))
+        if cx._corner_min(cx.face_cell(g, t)) < ceiling
+        and (floor is None or floor <= cx._corner_min(cx.face_cell(g, t)))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_faces_of_a_homomorphism_match_the_corner_minimum(seed):
+    rng = random.Random(seed)
+    model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
+    if seed % 3 == 0:
+        model = GroupModel(free_rank=0, abelian_rank=2, generator_names=("a", "c"))
+    values = [
+        ExactReal(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.choice((0, 0, 1, -1)))
+        for _ in range(model.rank)
+    ]
+    cx = CayleyComplex(HomomorphismQM(model, values), ZERO)
+    ceiling = ExactReal(rng.randint(-1, 3))
+    floor = rng.choice((None, ExactReal(rng.randint(-4, 0))))
+    faces = enumerate_faces(cx, floor, ceiling, 4)
+    assert faces == _corner_faces(cx, floor, ceiling, 4)
+    # the face values are not cached; they are read again only for a filling
+    assert not any(cell[0] == "f" for cell in cx._values)
 
 
 def _zs_filling_problem(z2, cx2):

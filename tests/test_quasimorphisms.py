@@ -1,23 +1,25 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmprobe.exact import ExactReal, ONE, ZERO
+from qmprobe.exact import ExactReal, ONE, ZERO, _make
 from qmprobe.groups import Generator, GroupModel, commutator, reduce_word
 from qmprobe.quasimorphisms import (
     BrooksQM,
     CombinationQM,
     HomogenizedQM,
     AkerCertificate,
+    DefectEstimate,
     HomomorphismQM,
     certify_aker_approximate_subgroup,
-    count_occurrences,
     cyclic_reduce,
     defect_lower_bound,
     defect_witness,
+    signed_count,
 )
 
 # -- independent oracles -------------------------------------------------
@@ -236,9 +238,13 @@ def _free_word(model, max_size):
 
 
 def _coefficient():
-    return st.builds(ExactReal, st.integers(-3, 3), st.integers(-2, 2)).filter(
-        lambda c: c != ZERO
-    )
+    """A nonzero a + b sqrt(2) with small fractions a and b, so that the
+    denominators of values and coefficients vary."""
+    return st.builds(
+        ExactReal,
+        st.fractions(-3, 3, max_denominator=4),
+        st.fractions(-2, 2, max_denominator=3),
+    ).filter(lambda c: c != ZERO)
 
 
 @st.composite
@@ -302,11 +308,12 @@ def _reduced_free_words(model, max_size):
 def test_brooks_counting_matches_slicing(f2, data):
     seq = data.draw(_reduced_free_words(f2, 14))
     w = data.draw(_reduced_free_words(f2, 5).filter(bool))
+    w_inv = tuple(-x for x in reversed(w))
     k = len(w)
     starts = range(len(seq) - k + 1)
-    assert count_occurrences(seq, w, starts) == sum(
+    assert signed_count(seq, w, w_inv, starts) == sum(
         1 for p in starts if seq[p : p + k] == w
-    )
+    ) - sum(1 for p in starts if seq[p : p + k] == w_inv)
     # the homogeneous count as first written: one period of a cyclic power
     psi = BrooksQM(f2, [Generator(abs(x) - 1, x < 0) for x in w])
     cyc = cyclic_reduce(seq)
@@ -354,15 +361,15 @@ def test_defect_witness_refuses_a_pair_outside_the_ball_or_above_the_bound(f2, p
 
 
 def test_defect_scan_caches_no_commutator(f2):
-    """The scan leaves cached values only for ball elements and the
-    products g h it formed; its commutators are evaluated uncached."""
+    """The scan keeps the values of its products g h in a dict local to
+    the call and evaluates its commutators uncached, so it leaves no
+    value cached; neither does the Aker certificate."""
     psi = BrooksQM(f2, f2.parse_word("a b"))
     est = defect_lower_bound(HomogenizedQM(psi), 4)
     assert (est.lower, est.witness_kind) == (ExactReal(2), "three-term")
-    ball = f2.ball(4)
-    keys = {(g.free, g.ab) for g in ball}
-    keys |= {((g * h).free, (g * h).ab) for g in ball for h in ball}
-    assert psi._hcache.keys() <= keys
+    c = commutator(f2.parse_element("a"), f2.parse_element("b"))
+    assert certify_aker_approximate_subgroup(HomogenizedQM(psi), ONE, c, 3).passed
+    assert not psi._hcache and not psi._vcache
 
 
 def test_defect_scan_needs_homogeneous_input(psi_ab):
@@ -466,3 +473,193 @@ def test_aker_matches_the_full_loop_for_a_homomorphism(f2z_phi):
     cert = certify_aker_approximate_subgroup(f2z_phi, ZERO, None, 3)
     assert cert.passed
     assert cert == _aker_full_loop(f2z_phi, ZERO, None, 3)
+
+
+# -- numerator hooks against the ExactReal evaluation --------------------
+# The oracles below are the ExactReal code the numerator hooks and the
+# pair scans replaced: one exact term per generator, per part and per
+# pair, with no common denominator anywhere.
+
+
+def _exact_value(qm, g, homogeneous):
+    """The value of qm at g as the ExactReal hooks computed it."""
+    if isinstance(qm, HomomorphismQM):
+        counts = [0] * qm.model.free_rank
+        for x in g.free:
+            counts[abs(x) - 1] += 1 if x > 0 else -1
+        total = ZERO
+        for v, n in zip(qm.values, counts + list(g.ab)):
+            total = total + v * n
+        return total
+    if isinstance(qm, HomogenizedQM):
+        return _exact_value(qm.base, g, True)
+    if isinstance(qm, CombinationQM):
+        total = ZERO
+        for c, part in zip(qm.coefficients, qm.parts):
+            total = total + c * _exact_value(part, g, homogeneous)
+        return total
+    seq, k = g.free, len(qm.word)
+    if homogeneous:
+        seq = cyclic_reduce(seq)
+        if not seq:
+            return ZERO
+        periods = range(len(seq))
+        seq = seq * -(-(len(seq) - 1 + k) // len(seq))
+    else:
+        periods = range(len(seq) - k + 1)
+    return ExactReal(
+        sum(1 for p in periods if seq[p : p + k] == qm.word)
+        - sum(1 for p in periods if seq[p : p + k] == qm.word_inverse)
+    )
+
+
+def _exact_phibar(qm):
+    """g -> the homogeneous value of qm at g, through `_exact_value`."""
+    memo = {}
+
+    def value(g):
+        if g not in memo:
+            memo[g] = _exact_value(qm, g, True)
+        return memo[g]
+
+    return value
+
+
+def _exact_defect_scan(qm, radius, upper=None):
+    """The defect scan over i <= j as it ran on ExactReal values."""
+    ball = qm.model.ball(radius)
+    value = _exact_phibar(qm)
+    entries = [(g, g.inverse(), value(g)) for g in ball]
+    best, best_kind = ZERO, "commutator"
+    best_pair = (qm.model.identity(), qm.model.identity())
+    for i, (g, g_inv, vg) in enumerate(entries):
+        for h, h_inv, vh in entries[i:]:
+            gh = g * h
+            cval = value(gh * g_inv * h_inv)
+            if cval > best:
+                best, best_kind, best_pair = cval, "commutator", (g, h)
+            tval = abs(vg + vh - value(gh))
+            if tval > best:
+                best, best_kind, best_pair = tval, "three-term", (g, h)
+    if upper is None:
+        upper = qm.defect_upper()
+    return DefectEstimate(best, upper, radius, best_kind, best_pair, best)
+
+
+def _exact_aker(qm, dstar, scaling, radius):
+    """The Aker certificate with the mirrored m = 0 test, as it ran on
+    ExactReal values."""
+    model = qm.model
+    value = _exact_phibar(qm)
+    bound = dstar + dstar
+    members = tuple(g for g in model.ball(radius) if abs(value(g)) <= bound)
+    if dstar == ZERO:
+        order, powers = (0,), {0: model.identity()}
+    else:
+        order = (0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5)
+        powers = {m: scaling ** m for m in order}
+    n = len(members)
+    exponents, counterexample = [], None
+    for i, g in enumerate(members):
+        if counterexample:
+            break
+        for j, h in enumerate(members):
+            tries = order
+            if j < i:
+                if exponents[j * n + i] == 0:
+                    exponents.append(0)
+                    continue
+                tries = order[1:]
+            gh = g * h
+            chosen = next(
+                (m for m in tries if abs(value(gh * powers[m])) <= bound), None
+            )
+            if chosen is None:
+                counterexample = (g, h)
+                break
+            exponents.append(chosen)
+    return members, tuple(exponents), counterexample
+
+
+@st.composite
+def _any_variant(draw, f2, f3, f2z):
+    """Any variant over F_2, F_3 or F_2 x Z: a Brooks count, its
+    homogenization, a homomorphism with fractional surd values, or a
+    combination of homogeneous parts, plain or homogenized."""
+    kind = draw(st.sampled_from(("brooks", "homogenized", "homomorphism", "combination")))
+    model = draw(st.sampled_from((f2, f3, f2z)))
+    if kind == "brooks":
+        return BrooksQM(model, draw(_free_word(model, 4)))
+    if kind == "homogenized":
+        return HomogenizedQM(BrooksQM(model, draw(_free_word(model, 4))))
+    if kind == "homomorphism":
+        values = draw(st.lists(_coefficient(), min_size=model.rank, max_size=model.rank))
+        return HomomorphismQM(model, values)
+    return draw(_homogeneous_combinations(f2, f3, f2z))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_numerator_hooks_match_the_exact_values(f2, f3, f2z, data):
+    qm = data.draw(_any_variant(f2, f3, f2z))
+    words = st.lists(st.sampled_from(qm.model.generators()), max_size=10)
+    for _ in range(5):
+        g = reduce_word(qm.model, data.draw(words))
+        plain, homogeneous = _exact_value(qm, g, False), _exact_value(qm, g, True)
+        assert _make(*qm._num(g.free, g.ab), qm.den, qm.d) == plain
+        assert _make(*qm._hnum(g.free, g.ab), qm.den, qm.d) == homogeneous
+        assert qm.homogeneous_value(g) == homogeneous
+        if not isinstance(qm, HomogenizedQM):
+            assert qm.value(g) == plain
+
+
+def test_denominators_and_surd_bases_are_fixed_at_construction(f2z, f2z_phi):
+    phi = HomomorphismQM(f2z, (ExactReal(Fraction(1, 2)), ZERO, ExactReal(0, Fraction(1, 3))))
+    assert (phi.den, phi.d, HomogenizedQM(phi).den) == (6, 2, 6)
+    psibar = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
+    assert (psibar.den, psibar.surds) == (1, frozenset())
+    combo = CombinationQM((ExactReal(Fraction(3, 4)), ExactReal(0, Fraction(1, 5))), (phi, psibar))
+    assert (combo.den, combo.d) == (120, 2)  # lcm(4 * 6, 5 * 1)
+    sqrt3 = ExactReal(0, 1, 3)
+    assert CombinationQM((sqrt3,), (psibar,)).d == 3
+    with pytest.raises(ValueError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\)$"):
+        CombinationQM((sqrt3,), (phi,))
+    with pytest.raises(ValueError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\)$"):
+        HomomorphismQM(f2z, (sqrt3, ZERO, ExactReal(0, 1)))
+    with pytest.raises(ValueError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\)$"):
+        certify_aker_approximate_subgroup(f2z_phi, sqrt3, f2z.parse_element("u"), 1)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_defect_scan_and_aker_match_the_exact_loops(f2, f3, f2z, data):
+    qm = data.draw(_homogeneous_combinations(f2, f3, f2z))
+    assert defect_lower_bound(qm, 2) == _exact_defect_scan(qm, 2)
+    ball = qm.model.ball(2)
+    dstar = data.draw(st.sampled_from((ZERO, ExactReal(Fraction(1, 2)), ONE, ExactReal(0, 1))))
+    scaling = data.draw(st.sampled_from(ball[1:]))
+    cert = certify_aker_approximate_subgroup(qm, dstar, scaling, 2)
+    assert (cert.members, cert.exponents, cert.counterexample) == _exact_aker(
+        qm, dstar, scaling, 2
+    )
+    g, h = data.draw(st.sampled_from(ball)), data.draw(st.sampled_from(ball))
+    assert defect_witness(qm, 2, None, g, h) == _exact_witness(qm, g, h)
+
+
+def _exact_witness(qm, g, h):
+    """`defect_witness` at radius 2 as it ran on ExactReal values."""
+    value = _exact_phibar(qm)
+    best, kind = value(commutator(g, h)), "commutator"
+    tval = abs(value(g) + value(h) - value(g * h))
+    if tval > best:
+        best, kind = tval, "three-term"
+    return DefectEstimate(best, qm.defect_upper(), 2, kind, (g, h), best)
+
+
+def test_aker_matches_the_exact_loop_with_an_abelian_scaling(f2z, f2z_phi):
+    # phi(u) = sqrt(2): the products g h u^m need their abelian parts summed
+    u = f2z.parse_element("u")
+    for qm in (f2z_phi, CombinationQM((ONE, ExactReal(Fraction(1, 2))), (f2z_phi, f2z_phi))):
+        cert = certify_aker_approximate_subgroup(qm, ONE, u, 2)
+        assert cert.passed and set(cert.exponents) - {0}
+        assert (cert.members, cert.exponents, cert.counterexample) == _exact_aker(qm, ONE, u, 2)
