@@ -28,7 +28,6 @@ object, and skip the abelian arithmetic in a free group (ab == ()).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from math import comb
 from typing import Iterable, NamedTuple
 
@@ -66,7 +65,7 @@ class GroupModel(_ModelFields):
     Free generators come first, abelian generators after them; the
     global generator index runs over both blocks.  `ball_cap` bounds the
     radius of any ball this model will enumerate.  Models are equal and
-    hash alike when their fields are, so `_ball`'s cache keys on them.
+    hash alike when their fields are.
     """
 
     __slots__ = ()
@@ -386,37 +385,39 @@ def ball_size(model: GroupModel, radius: int) -> int:
     return total
 
 
-@lru_cache(maxsize=64)
 def _ball(model: GroupModel, radius: int) -> tuple[GroupElement, ...]:
-    """Breadth-first search on normal forms (free, ab): a free step
-    appends a letter that does not cancel the last one, and an abelian
-    step is kept only when it moves a coordinate away from 0, so each
-    step lengthens the form by one.  Each element is built once, then
-    the ball is sorted canonically."""
+    """The ball in canonical order, built sphere by sphere on normal
+    forms (free, ab).  A canonical spelling minus its last letter is
+    still canonical, so listing each sphere's forms in order, each
+    followed by its children in letter order, lists the next sphere in
+    order too: this is shortlex order (Epstein et al., *Word Processing
+    in Groups* (1992), ch. 2), the order of `sort_key`.  The children
+    of a form with ab = 0 add a free letter that does not cancel the
+    last one, or any abelian letter; the children of any other form add
+    an abelian letter with the last run's index and sign, or with a
+    higher index."""
     letters = [x for i in range(1, model.free_rank + 1) for x in (i, -i)]
-    steps = [(j, s) for j in range(model.abelian_rank) for s in (1, -1)]
-    start = ((), (0,) * model.abelian_rank)
-    seen = {start}
-    frontier = [start]
+    m = model.abelian_rank
+    sphere = [((), (0,) * m)]
+    forms = list(sphere)
     for _ in range(radius):
         nxt = []
-        for free, ab in frontier:
-            back = -free[-1] if free else 0
-            for x in letters:
-                if x != back:
-                    form = (free + (x,), ab)
-                    if form not in seen:
-                        seen.add(form)
-                        nxt.append(form)
-            for j, s in steps:
-                if ab[j] * s >= 0:
+        for free, ab in sphere:
+            last = m - 1
+            while last >= 0 and not ab[last]:
+                last -= 1
+            if last < 0:
+                back = -free[-1] if free else 0
+                nxt += [(free + (x,), ab) for x in letters if x != back]
+            else:
+                vec = list(ab)
+                vec[last] += 1 if ab[last] > 0 else -1
+                nxt.append((free, tuple(vec)))
+            for j in range(last + 1, m):
+                for s in (1, -1):
                     vec = list(ab)
-                    vec[j] += s
-                    form = (free, tuple(vec))
-                    if form not in seen:
-                        seen.add(form)
-                        nxt.append(form)
-        frontier = nxt
-    return tuple(
-        sorted((_element(model, free, ab) for free, ab in seen), key=GroupElement.sort_key)
-    )
+                    vec[j] = s
+                    nxt.append((free, tuple(vec)))
+        forms += nxt
+        sphere = nxt
+    return tuple([_element(model, free, ab) for free, ab in forms])

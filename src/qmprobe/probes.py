@@ -64,7 +64,7 @@ from .quasimorphisms import (
     defect_witness,
 )
 from .report import cell_payload, encode, parse_cell
-from .rips import _prepare_vertices, connectivity_profile
+from .rips import DEFAULT_VERTEX_CAP, _prepare_vertices, connectivity_profile
 from .search import (
     NotFoundWithinBall,
     _is_f2z_example,
@@ -395,13 +395,20 @@ def _validate_rips_profile(exp: Experiment, probe: Section) -> None:
     if vertices is None:
         if "ball_radius" not in probe.raw:
             raise ValueError("needs 'vertices' or 'ball_radius'")
-        vertices = model.ball(_radius(exp, probe, "ball_radius"))
+        probe.settings["ball_radius"] = _radius(exp, probe, "ball_radius")
     probe.settings.update(n_max=n_max, vertices=vertices)
 
 
 def _run_rips_profile(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
-    verts = _prepare_vertices(s["vertices"])
+    vertices = s["vertices"]
+    if vertices is None:
+        # the ball is counted before it is built
+        size = ball_size(exp.model, s["ball_radius"])
+        if size > DEFAULT_VERTEX_CAP:
+            raise CapExceededError("Rips vertex count", size, DEFAULT_VERTEX_CAP)
+        vertices = exp.model.ball(s["ball_radius"])
+    verts = _prepare_vertices(vertices)
     profile = connectivity_profile(verts, s["n_max"])
     out = {
         "vertices": verts,

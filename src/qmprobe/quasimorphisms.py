@@ -32,11 +32,11 @@ Numerators.  Each quasimorphism fixes at construction a denominator
 
 A variant evaluates through two hooks, `_num(free, ab)` and
 `_hnum(free, ab)`, which return (p, q) for a normal form; `value` and
-`homogeneous_value` cache the `ExactReal` built from them.  A
-quasimorphism whose values or coefficients mix two surd bases is
-refused at construction.  The pair scans below compare numerator pairs
-directly, so they build one `ExactReal` per result instead of several
-per pair.
+`homogeneous_value` build an `ExactReal` from them on every call and
+keep nothing.  A quasimorphism whose values or coefficients mix two
+surd bases is refused at construction.  The pair scans below compare
+numerator pairs directly, so they build one `ExactReal` per result
+instead of several per pair.
 
 Defects are never guessed.  `defect_lower_bound` scans a ball for
 certified lower bounds; every operation that needs an upper defect
@@ -72,8 +72,6 @@ class Quasimorphism:
         # the surd bases among the values and coefficients: none or one
         self.surds = surds
         self.d = next(iter(surds), DEFAULT_SQUAREFREE)
-        self._vcache: dict[tuple, ExactReal] = {}
-        self._hcache: dict[tuple, ExactReal] = {}
 
     # subclass hooks ------------------------------------------------
 
@@ -100,22 +98,12 @@ class Quasimorphism:
     def value(self, g: GroupElement) -> ExactReal:
         if g.model is not self.model:
             self._check(g)
-        key = (g.free, g.ab)
-        got = self._vcache.get(key)
-        if got is None:
-            p, q = self._num(g.free, g.ab)
-            got = self._vcache[key] = _make(p, q, self.den, self.d)
-        return got
+        return _make(*self._num(g.free, g.ab), self.den, self.d)
 
     def homogeneous_value(self, g: GroupElement) -> ExactReal:
         if g.model is not self.model:
             self._check(g)
-        key = (g.free, g.ab)
-        got = self._hcache.get(key)
-        if got is None:
-            p, q = self._hnum(g.free, g.ab)
-            got = self._hcache[key] = _make(p, q, self.den, self.d)
-        return got
+        return _make(*self._hnum(g.free, g.ab), self.den, self.d)
 
 
 class HomomorphismQM(Quasimorphism):
@@ -285,9 +273,8 @@ class CombinationQM(Quasimorphism):
 class HomogenizedQM(Quasimorphism):
     """phi-bar for a Brooks quasimorphism or a homomorphism.
 
-    Both `value` and `homogeneous_value` are the base's
-    `homogeneous_value`, served from the base's cache; this wrapper
-    keeps no cache of its own, and its hooks are the base's `_hnum`.
+    Both hooks are the base's `_hnum`, so `value` and
+    `homogeneous_value` are both the base's `homogeneous_value`.
 
     Combinations are deliberately not accepted here: homogenize the
     parts first and combine those (the result is the same and keeps
@@ -302,12 +289,6 @@ class HomogenizedQM(Quasimorphism):
             )
         super().__init__(base.model, base.den, base.surds)
         self.base = base
-
-    def value(self, g: GroupElement) -> ExactReal:
-        # read the base's cache rather than keep a copy of it
-        return self.base.homogeneous_value(g)
-
-    homogeneous_value = value
 
     def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
         return self.base._hnum(free, ab)

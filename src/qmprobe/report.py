@@ -134,7 +134,8 @@ def dump_report(report: dict) -> str:
 def load_report(text: str) -> dict:
     try:
         report = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer too long to convert
         raise ReplayError(f"report is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ReplayError("report JSON is nested too deeply") from exc

@@ -278,9 +278,12 @@ def build_q_library(
     if n < 1:
         raise ValueError("descent depth must be positive")
     identity = model.identity()
-    down = path_from_letters(identity, [c_letter.inverted()] * n)
-    up = path_from_letters(identity, [c_letter] * n)
-    bottom = down.terminus  # c^-n
+    # c^-n has length n, so past the radius every sandwich leaves the
+    # ball and the descent and ascent are never used
+    if n <= radius:
+        down = path_from_letters(identity, [c_letter.inverted()] * n)
+        up = path_from_letters(identity, [c_letter] * n)
+        bottom = down.terminus  # c^-n
 
     entries: list[QLibraryEntry] = []
     min_values: list[ExactReal] = []
@@ -289,8 +292,7 @@ def build_q_library(
         for t in model.generators():
             t_el = model.generator_element(t)
             st = s_el * t_el
-            a1 = st * bottom
-            if bottom.length() > radius or a1.length() > radius:
+            if n > radius or (a1 := st * bottom).length() > radius:
                 entries.append(
                     QLibraryEntry((s, t), None, None, "sandwich endpoints outside the ball")
                 )

@@ -909,6 +909,16 @@ def test_verify_deeply_nested_json_is_one_line_error(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+def test_verify_an_overlong_integer_is_one_line_error(tmp_path, capsys):
+    # json refuses to convert an integer of more than 4,300 digits
+    long = tmp_path / "long.json"
+    long.write_text('{"body": ' + "7" * 5_000 + "}", encoding="utf-8")
+    assert main(["verify", str(long)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("qmprobe: report is not valid JSON: ")
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_explain_every_kind(capsys, kind):
     assert main(["explain", kind]) == 0
@@ -988,18 +998,11 @@ def test_round_trip_and_tamper_check_under_python_dash_O(tmp_path):
     assert proc.returncode == 4 and "FAIL defect-small" in proc.stdout
 
 
-def test_a_scan_too_large_for_its_bound_ends_at_once(tmp_path):
-    """A defect scan of ball(40) in F_4 x Z^2 is refused while the config
-    is validated, from the counted ball size: one line, exit 2, well
-    before any ball is built."""
-    cfg, out = tmp_path / "huge.cfg", tmp_path / "report.json"
-    cfg.write_text(
-        "[group]\nfree_rank = 4\nabelian_rank = 2\nball_cap = 40\n\n"
-        "[quasimorphism psi]\nkind = brooks\nword = a b\n\n"
-        "[quasimorphism psibar]\nkind = homogenized\nbase = psi\n\n"
-        "[probe d]\nkind = defect\nqm = psibar\nradius = 40\n",
-        encoding="utf-8",
-    )
+def _run_within_a_second(tmp_path, text):
+    """`qmprobe run` of the config `text` in a fresh process, which must
+    end within a second; the process and the report path."""
+    cfg, out = tmp_path / "hostile.cfg", tmp_path / "report.json"
+    cfg.write_text(text, encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     start = time.monotonic()
@@ -1008,7 +1011,71 @@ def test_a_scan_too_large_for_its_bound_ends_at_once(tmp_path):
         env=env, capture_output=True, text=True, timeout=10,
     )
     assert time.monotonic() - start < 1.0
+    return proc, out
+
+
+def test_a_scan_too_large_for_its_bound_ends_at_once(tmp_path):
+    """A defect scan of ball(40) in F_4 x Z^2 is refused while the config
+    is validated, from the counted ball size: one line, exit 2, well
+    before any ball is built."""
+    proc, out = _run_within_a_second(
+        tmp_path,
+        "[group]\nfree_rank = 4\nabelian_rank = 2\nball_cap = 40\n\n"
+        "[quasimorphism psi]\nkind = brooks\nword = a b\n\n"
+        "[quasimorphism psibar]\nkind = homogenized\nbase = psi\n\n"
+        "[probe d]\nkind = defect\nqm = psibar\nradius = 40\n",
+    )
     assert proc.returncode == 2 and not out.exists()
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("qmprobe: [probe d]: defect at radius 40 scans ")
     assert "more than MAX_SCAN_PAIRS" in proc.stderr
+
+
+Z2_LIBRARY = """\
+[group]
+abelian_rank = 2
+names = a c
+ball_cap = 3
+
+[quasimorphism phi]
+kind = homomorphism
+c = 1
+
+[probe library]
+kind = q-library
+qm = phi
+dstar = 1
+kprime = 3
+scaling = c
+radius = 3
+depth = {}
+"""
+
+
+def test_a_q_library_deeper_than_its_radius_ends_at_once(tmp_path):
+    """c^-n has length n, so at a depth n above the radius every
+    sandwich leaves the ball: depth 10^8 records what depth radius + 1
+    does, without building a descent of 10^8 letters."""
+    proc, out = _run_within_a_second(tmp_path, Z2_LIBRARY.format(10**8))
+    assert proc.returncode == 0, proc.stderr
+    entries = _read(out)["body"]["probes"][0]["result"]["entries"]
+    cfg, shallow = tmp_path / "shallow.cfg", tmp_path / "shallow.json"
+    cfg.write_text(Z2_LIBRARY.format(4), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(shallow)]) == 0
+    assert entries == _read(shallow)["body"]["probes"][0]["result"]["entries"]
+    assert {e["failure"] for e in entries} == {"sandwich endpoints outside the ball"}
+
+
+def test_a_rips_ball_over_the_vertex_cap_is_counted_not_built(tmp_path):
+    """ball(10) of F_4 x Z^2 is within the default ball cap but holds
+    669,570,877 elements; the run counts it and hits the vertex cap
+    before building it."""
+    proc, out = _run_within_a_second(
+        tmp_path,
+        "[group]\nfree_rank = 4\nabelian_rank = 2\n\n"
+        "[probe r]\nkind = rips-profile\nn_max = 2\nball_radius = 10\n",
+    )
+    assert proc.returncode == 3
+    probe = _read(out)["body"]["probes"][0]
+    assert probe["status"] == "cap-exceeded"
+    assert probe["error"] == "Rips vertex count: requested 669570877, cap 4096"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError
 from qmprobe.exact import ExactReal, ONE, ZERO
+from qmprobe.probes import attempt
 from qmprobe.quasimorphisms import (
     MAX_SCAN_PAIRS,
     BrooksQM,
@@ -368,8 +369,12 @@ def test_zs_s_must_be_a_letter():
 
 def test_rips_profile_accepts_ball_radius():
     text = FREE_GROUP + "[probe r]\nkind = rips-profile\nn_max = 2\nball_radius = 1\n"
-    probe = parse_experiment(text).probes[0]
-    assert len(probe.settings["vertices"]) == 5
+    exp = parse_experiment(text)
+    probe = exp.probes[0]
+    assert probe.settings["ball_radius"] == 1
+    # the ball is built when the probe runs
+    status, _, result = attempt(exp, probe)
+    assert status == "ok" and len(result["vertices"]) == 5
 
 
 def test_corpus_configs_parse(pytestconfig):

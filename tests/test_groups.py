@@ -11,7 +11,6 @@ from qmprobe.groups import (
     Generator,
     GroupElement,
     GroupModel,
-    _ball,
     ball_size,
     commutator,
     edge_letter,
@@ -196,10 +195,9 @@ def test_ball_size_counts_the_ball(ranks):
 
 @pytest.mark.parametrize("ranks", _BALL_MODELS, ids=lambda r: f"F{r[0]}xZ{r[1]}")
 def test_ball_on_normal_forms_matches_the_product_search(ranks):
-    model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1], ball_cap=4)
-    for r in range(5):
-        ball = _ball.__wrapped__(model, r)
-        assert ball == _product_ball(model, r)
+    model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1], ball_cap=5)
+    for r in range(6):
+        assert model.ball(r) == _product_ball(model, r)
 
 
 # -- letters and edges ---------------------------------------------------

@@ -151,9 +151,6 @@ def test_homogenized_wrapper_is_homogeneous(psi_ab, psibar_ab):
     assert psibar_ab.value is not None  # value and homogeneous value agree
     g = psi_ab.model.parse_element("a b a")
     assert psibar_ab.value(g) == psibar_ab.homogeneous_value(g)
-    # the values live in the base's cache only
-    assert (g.free, g.ab) in psi_ab._hcache
-    assert not psibar_ab._vcache and not psibar_ab._hcache
 
 
 def test_homogenized_rejects_combinations(psi_ab):
@@ -362,14 +359,12 @@ def test_defect_witness_refuses_a_pair_outside_the_ball_or_above_the_bound(f2, p
 
 def test_defect_scan_caches_no_commutator(f2):
     """The scan keeps the values of its products g h in a dict local to
-    the call and evaluates its commutators uncached, so it leaves no
-    value cached; neither does the Aker certificate."""
+    the call and evaluates its commutators uncached."""
     psi = BrooksQM(f2, f2.parse_word("a b"))
     est = defect_lower_bound(HomogenizedQM(psi), 4)
     assert (est.lower, est.witness_kind) == (ExactReal(2), "three-term")
     c = commutator(f2.parse_element("a"), f2.parse_element("b"))
     assert certify_aker_approximate_subgroup(HomogenizedQM(psi), ONE, c, 3).passed
-    assert not psi._hcache and not psi._vcache
 
 
 def test_defect_scan_needs_homogeneous_input(psi_ab):

@@ -4,12 +4,14 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmprobe.config import load_experiment
+from qmprobe.errors import ReplayError
 from qmprobe.groups import Generator
 from qmprobe.probes import _same
 from qmprobe.quasimorphisms import defect_lower_bound
-from qmprobe.report import encode
+from qmprobe.report import encode, load_report
 from qmprobe.runner import run_experiment
 
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
@@ -46,3 +48,31 @@ def test_every_ok_payload_equals_its_json_round_trip(path):
     assert results
     for result in results:
         assert _same(result, json.loads(json.dumps(result)))
+
+
+# report text made of JSON tokens, the start of a valid report, integers
+# past json's 4,300-digit limit, nesting past the recursion limit and
+# arbitrary characters
+_REPORT_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["{", "}", "[", "]", ",", ":", '"body"', '"schema"', '"qmprobe-report-1"',
+             '{"body": {"schema": "qmprobe-report-1"', "null", "-", "1e999", "0."]
+        ),
+        st.integers(1, 6_000).map(lambda n: "9" * n),
+        st.integers(1, 100_000).map(lambda n: "[" * n),
+        st.text(max_size=8),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_REPORT_TEXT)
+def test_load_report_returns_a_report_or_raises_replay_error(text):
+    try:
+        report = load_report(text)
+    except ReplayError:
+        return
+    assert isinstance(report, dict)
+
