@@ -18,7 +18,11 @@ phi-bar(g) plus a fixed offset per edge index or square type: the
 minimum of phi-bar over the corners of that cell based at the identity.
 `CayleyComplex` computes these offsets once and then evaluates one
 element per cell; for every other quasimorphism it takes the minimum
-over the corners.
+over the corners.  The solver's faces and trimmed columns read no cell
+value for a homomorphism: they compare the integer numerators of
+phi-bar at a face's base, and at its neighbours (the base's plus a
+step's), with each bound minus its offset, scaled once to the
+quasimorphism's denominator, and leave nothing cached.
 
 On top of the chain arithmetic sit the desk-scale homology probes:
 `ray_cycle` builds the 1-cycle formed by a connecting path and two
@@ -44,11 +48,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
-from .exact import ExactReal, ZERO, exact_min
-from .groups import Generator, GroupElement, GroupModel, _element
+from .exact import ExactReal, ZERO, _sign, exact_min
+from .groups import Generator, GroupElement, GroupModel, _concat_reduce, _element
 from .intsolve import (
     UnsatCertificate,
     check_solution,
@@ -56,10 +60,14 @@ from .intsolve import (
     solve_integer_system,
 )
 from .paths import Path, path_from_letters
-from .quasimorphisms import Quasimorphism
+from .quasimorphisms import Quasimorphism, scaled_bound
 
 RAY_STEP_CAP = 100_000
 DEFAULT_CELL_CAP = 50_000
+# most elements of the ball(R) a `novikov-solve` enumerates its faces
+# over; validation refuses more.  F_2 x Z fits at radius 8 (26,225
+# elements) and not at radius 9 (78,711)
+MAX_SOLVE_BALL = 50_000
 
 Cell = tuple
 
@@ -71,6 +79,11 @@ class CayleyComplex:
     Cells are tuples: ("v", free, ab), ("e", free, ab, i) for the edge
     from g to g s_i, and ("f", free, ab, t) for the commutation square
     of the t-th commuting pair based at g.
+
+    `value` caches each cell it is asked for, for the chains and the
+    extraction.  For a homomorphism potential the offsets in `_offsets`
+    let the solver's faces and columns compare numerators instead, so
+    they neither call `value` nor leave anything in the cache.
     """
 
     def __init__(self, qm: Quasimorphism, defect_bound: ExactReal):
@@ -441,10 +454,11 @@ def enumerate_faces(
     in canonical base-then-type order.
 
     For a homomorphism potential a face's value is phi-bar(g) plus its
-    type's offset, so phi-bar is evaluated once per base and tested
-    against the bounds [floor - offset, ceiling - offset) of each type;
-    the face values are left uncached, since only the few faces of a
-    filling are read again."""
+    type's offset, so the numerators of phi-bar(g) are taken once per
+    base and compared on integers with the bounds
+    [floor - offset, ceiling - offset) of each type, scaled once per
+    call; no value is built per base and nothing is cached.  Other
+    potentials take each face's corner minimum."""
     faces: list[Cell] = []
     ball = cx.model.ball(radius)
     if cx._offsets is None:
@@ -457,27 +471,82 @@ def enumerate_faces(
                     if len(faces) > cell_cap:
                         raise CapExceededError("solver 2-cells", len(faces), cell_cap)
         return faces
-    value = cx.qm.homogeneous_value
+    qm = cx.qm
+    hnum = qm._hnum
     bounds = [
-        (t, None if floor is None else floor - off, ceiling - off)
+        (t, _below(qm, ceiling - off), None if floor is None else _below(qm, floor - off))
         for t, off in enumerate(cx._offsets["f"])
     ]
     for g in ball if bounds else ():
-        v = value(g)
-        for t, low, high in bounds:
-            if v < high and (low is None or low <= v):
-                faces.append(("f", g.free, g.ab, t))
+        free, ab = g.free, g.ab
+        p, q = hnum(free, ab)
+        for t, under_ceiling, under_floor in bounds:
+            if under_ceiling(p, q) and (under_floor is None or not under_floor(p, q)):
+                faces.append(("f", free, ab, t))
                 if len(faces) > cell_cap:
                     raise CapExceededError("solver 2-cells", len(faces), cell_cap)
     return faces
 
 
-def _trimmed_boundary_column(cx: CayleyComplex, face: Cell, window: ExactReal) -> dict[Cell, int]:
-    return {
-        cell: coeff
-        for cell, coeff in cx.boundary_of_cell(face).items()
-        if cx.value(cell) < window
-    }
+def _below(qm: Quasimorphism, bound: ExactReal) -> Callable[[int, int], bool]:
+    """The test whether a value of qm, given by its numerators (p, q)
+    over qm.den, lies strictly below `bound`."""
+    bp, bq, s, d = scaled_bound(qm, bound)
+    return lambda p, q: _sign(bp - s * p, bq - s * q, d) > 0
+
+
+def _trimmed_columns(
+    cx: CayleyComplex, faces: list[Cell], window: ExactReal
+) -> list[dict[Cell, int]]:
+    """The boundary column of each face, trimmed to the edges with value
+    below the window.  The square of type (i, j) based at g, with steps
+    x = s_i and y = s_j, has the edges (g, i), (g x, j), (g y, i) and
+    (g, j), with coefficients 1, 1, -1, -1, kept in that order.
+
+    For a homomorphism potential the edge (h, k) has value phi-bar(h) +
+    off_e[k] and phi-bar(g x) = phi-bar(g) + phi-bar(x), so the
+    numerators of phi-bar(g) are taken once per run of faces on g, a
+    neighbour's are those plus its step's, and each is compared on
+    integers with window - off_e[k]; a neighbour's normal form is built
+    only for an edge that is kept, and nothing is cached.  Other
+    potentials take the corner minimum of each edge."""
+    if cx._offsets is None:
+        return [
+            {cell: k for cell, k in cx.boundary_of_cell(f).items() if cx.value(cell) < window}
+            for f in faces
+        ]
+    qm = cx.qm
+    hnum = qm._hnum
+    under = [_below(qm, window - off) for off in cx._offsets["e"]]
+    steps = [(s.free, s.ab) for s in cx._steps]
+    step_nums = [hnum(*step) for step in steps]
+
+    def times(free: tuple, ab: tuple, k: int) -> tuple[tuple, tuple]:
+        """The normal form of g s_k."""
+        s_free, s_ab = steps[k]
+        if s_free:
+            return _concat_reduce(free, s_free), ab
+        return free, tuple([a + b for a, b in zip(ab, s_ab)])
+
+    columns = []
+    last = None
+    for _, free, ab, t in faces:
+        if last != (free, ab):
+            last = (free, ab)
+            p, q = hnum(free, ab)
+        i, j = cx.square_types[t]
+        (xp, xq), (yp, yq) = step_nums[i], step_nums[j]
+        column: dict[Cell, int] = {}
+        if under[i](p, q):
+            column[("e", free, ab, i)] = 1
+        if under[j](p + xp, q + xq):
+            column[("e", *times(free, ab, i), j)] = 1
+        if under[i](p + yp, q + yq):
+            column[("e", *times(free, ab, j), i)] = -1
+        if under[j](p, q):
+            column[("e", free, ab, j)] = -1
+        columns.append(column)
+    return columns
 
 
 def boundary_faces(
@@ -549,9 +618,7 @@ def windowed_boundary_solve(
     columns: list[dict[Cell, int]] = []
     for k in _solve_radii(radius):
         end = bisect_right(faces, k, key=lambda f: cx.element(f).length())
-        columns.extend(
-            _trimmed_boundary_column(cx, f, window) for f in faces[len(columns):end]
-        )
+        columns += _trimmed_columns(cx, faces[len(columns):end], window)
         solution = solve_integer_system(columns, z.terms)
         if not isinstance(solution, UnsatCertificate):
             solution.extend([0] * (len(faces) - end))
@@ -582,7 +649,7 @@ def settle(
             and all(type(c) is int for c in solution.functional.values())
         ):
             raise ReplayError("certificate modulus and coefficients must be integers")
-        columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
+        columns = _trimmed_columns(cx, faces, window)
         if not check_unsat_certificate(columns, z.terms, solution):
             raise ReplayError("infeasibility certificate does not annihilate the system")
         return BoundarySolveResult("unsat", window, floor, radius, faces, None, None, solution)
@@ -593,7 +660,7 @@ def settle(
     ):
         raise ReplayError("one integer coefficient per face is required")
     support = {f: c for f, c in zip(faces, solution) if c}
-    columns = [_trimmed_boundary_column(cx, f, window) for f in support]
+    columns = _trimmed_columns(cx, list(support), window)
     if not check_solution(columns, z.terms, list(support.values())):
         raise ReplayError("boundary of the filling does not match the cycle below the window")
     filling = WindowedChain(cx, 2, support, None)

@@ -44,6 +44,7 @@ from .groups import GroupElement, GroupModel, ball_size
 from .intsolve import UnsatCertificate
 from .novikov import (
     DEFAULT_CELL_CAP,
+    MAX_SOLVE_BALL,
     BoundarySolveResult,
     CayleyComplex,
     RayCycle,
@@ -63,7 +64,7 @@ from .quasimorphisms import (
     defect_lower_bound,
     defect_witness,
 )
-from .report import cell_payload, encode, parse_cell
+from .report import cell_payload, encode, face_payloads, parse_cell
 from .rips import DEFAULT_VERTEX_CAP, _prepare_vertices, connectivity_profile
 from .search import (
     NotFoundWithinBall,
@@ -213,20 +214,29 @@ def _radius(exp: Experiment, probe: Section, key: str = "radius", minimum: int =
     return value
 
 
-def _scan_pairs(exp: Experiment, probe: Section, radius: int, pairs: Callable) -> None:
-    """Refuse a scan over more than MAX_SCAN_PAIRS pairs, where
-    `pairs(N)` counts them for a ball of N elements.  N is counted with
+def _work_bound(
+    exp: Experiment,
+    probe: Section,
+    radius: int,
+    work: Callable[[int], int],
+    counted: str,
+    limit_name: str,
+    limit: int,
+) -> None:
+    """Refuse a probe whose work over ball(radius), `work(N)` for a ball
+    of N elements, is more than `limit`; `counted` spells the work
+    around its count, as in "scans {} pairs".  N is counted with
     `ball_size`, before any ball is built; ball(radius) holds at least
     the 2 radius + 1 powers of one generator, so a radius whose powers
     alone are too many is refused without counting its ball."""
-    count = pairs(2 * radius + 1)
+    count = work(2 * radius + 1)
     at_least = "at least "
-    if count <= MAX_SCAN_PAIRS:
-        count, at_least = pairs(ball_size(exp.model, radius)), ""
-    if count > MAX_SCAN_PAIRS:
+    if count <= limit:
+        count, at_least = work(ball_size(exp.model, radius)), ""
+    if count > limit:
         raise ValueError(
-            f"{probe.kind} at radius {radius} scans {at_least}{count} pairs, "
-            f"more than MAX_SCAN_PAIRS = {MAX_SCAN_PAIRS}"
+            f"{probe.kind} at radius {radius} {counted.format(f'{at_least}{count}')}, "
+            f"more than {limit_name} = {limit}"
         )
 
 
@@ -328,7 +338,10 @@ def _rederive(exp: Experiment, probe: Section, res: dict) -> list:
 def _validate_defect(exp: Experiment, probe: Section) -> None:
     _need_qm(exp, probe)
     radius = _radius(exp, probe)
-    _scan_pairs(exp, probe, radius, lambda n: n * (n + 1) // 2)
+    _work_bound(
+        exp, probe, radius, lambda n: n * (n + 1) // 2,
+        "scans {} pairs", "MAX_SCAN_PAIRS", MAX_SCAN_PAIRS,
+    )
     probe.settings.update(
         radius=radius,
         claimed_upper=probe.get("claimed_upper", ExactReal.parse, None),
@@ -365,7 +378,9 @@ def _validate_aker_cert(exp: Experiment, probe: Section) -> None:
     if dstar < ZERO:
         raise ValueError("dstar must be non-negative")
     radius = _radius(exp, probe)
-    _scan_pairs(exp, probe, radius, lambda n: n * n)
+    _work_bound(
+        exp, probe, radius, lambda n: n * n, "scans {} pairs", "MAX_SCAN_PAIRS", MAX_SCAN_PAIRS
+    )
     scaling = None
     if dstar > ZERO:
         scaling = probe.get("scaling", exp.model.parse_element)
@@ -636,6 +651,10 @@ def _validate_novikov_solve(exp: Experiment, probe: Section) -> None:
     _positive_direction(qm, scaling)
     defect = _defect_bound(qm, probe)
     radius = _radius(exp, probe)
+    _work_bound(
+        exp, probe, radius, lambda n: n,
+        "enumerates {} ball elements", "MAX_SOLVE_BALL", MAX_SOLVE_BALL,
+    )
     slack = probe.get("slack", ExactReal.parse, ZERO)
     if slack < ZERO:
         raise ValueError("slack must be non-negative")
@@ -669,7 +688,7 @@ def _novikov_payload(
         "cycle": cycle.chain,
         "floor": outcome.floor,
         "status": outcome.status,
-        "faces": [cell_payload(cx, f) for f in outcome.faces],
+        "faces": None,
         "coefficients": None,
         "certificate": None,
         "extraction": None,
@@ -695,7 +714,11 @@ def _novikov_payload(
             "modulus": cert.modulus,
             "functional": [[cell_payload(cx, c), cert.functional[c]] for c in cells],
         }
-    return encode(out, cx.model)
+    payload = encode(out, cx.model)
+    # written after encoding: the face list is plain JSON already, and
+    # encode would only walk its thousands of entries
+    payload["faces"] = face_payloads(cx, outcome.faces)
+    return payload
 
 
 def _run_novikov_solve(exp: Experiment, probe: Section) -> dict:
@@ -928,7 +951,8 @@ annihilates every face boundary but not z (modulo m, or over Z when
 m = 0).  Keeping only the filling's faces at negative values and taking
 the boundary leaves a residual supported at phi-bar >= 0 whose support
 connects the rays; the extracted composite path from start to end is
-checked against min phi-bar >= -D.""",
+checked against min phi-bar >= -D.  A radius whose ball holds more than
+MAX_SOLVE_BALL elements is refused when the config is validated.""",
     ),
     "zs-cycle": ProbeKind(
         _validate_zs_cycle,

@@ -46,6 +46,7 @@ bound takes it as an explicit argument (written D* throughout).
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ModelMismatchError
@@ -119,25 +120,23 @@ class HomomorphismQM(Quasimorphism):
         ps = [v._p * (den // v._den) for v in values]
         qs = [v._q * (den // v._den) for v in values]
         # the numerators of each free letter, indexed by the signed
-        # letter itself: letter -x lands at the end of the list
+        # letter itself (letter -x lands at the end of the list) and
+        # read through the list's __getitem__, which `map` calls without
+        # a Python frame; then those of each abelian letter
         r = model.free_rank
-        self._letter_p = [0] * (2 * r + 1)
-        self._letter_q = [0] * (2 * r + 1)
+        letter_p, letter_q = [0] * (2 * r + 1), [0] * (2 * r + 1)
         for x in range(1, r + 1):
-            self._letter_p[x], self._letter_p[-x] = ps[x - 1], -ps[x - 1]
-            self._letter_q[x], self._letter_q[-x] = qs[x - 1], -qs[x - 1]
-        self._abelian = tuple(zip(ps[r:], qs[r:]))
+            letter_p[x], letter_p[-x] = ps[x - 1], -ps[x - 1]
+            letter_q[x], letter_q[-x] = qs[x - 1], -qs[x - 1]
+        self._free_p, self._free_q = letter_p.__getitem__, letter_q.__getitem__
+        self._ab_p, self._ab_q = tuple(ps[r:]), tuple(qs[r:])
 
     def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
         # the dot product of the exponent sums with the value numerators
-        lp, lq = self._letter_p, self._letter_q
-        p = sum([lp[x] for x in free])
-        q = sum([lq[x] for x in free]) if self.surds else 0
-        for n, (vp, vq) in zip(ab, self._abelian):
-            if n:
-                p += n * vp
-                q += n * vq
-        return p, q
+        p = sum(map(self._free_p, free)) + sum(map(mul, ab, self._ab_p))
+        if not self.surds:
+            return p, 0
+        return p, sum(map(self._free_q, free)) + sum(map(mul, ab, self._ab_q))
 
     _num = _hnum
 
@@ -273,8 +272,9 @@ class CombinationQM(Quasimorphism):
 class HomogenizedQM(Quasimorphism):
     """phi-bar for a Brooks quasimorphism or a homomorphism.
 
-    Both hooks are the base's `_hnum`, so `value` and
-    `homogeneous_value` are both the base's `homogeneous_value`.
+    Both hooks are the base's own `_hnum`, bound at construction, so
+    `value` and `homogeneous_value` are both the base's
+    `homogeneous_value` and no call is forwarded.
 
     Combinations are deliberately not accepted here: homogenize the
     parts first and combine those (the result is the same and keeps
@@ -289,11 +289,7 @@ class HomogenizedQM(Quasimorphism):
             )
         super().__init__(base.model, base.den, base.surds)
         self.base = base
-
-    def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
-        return self.base._hnum(free, ab)
-
-    _num = _hnum
+        self._hnum = self._num = base._hnum
 
     @property
     def is_homogeneous(self) -> bool:
@@ -420,6 +416,20 @@ def defect_witness(
     return DefectEstimate(best, _upper_bound(qm, upper, best), radius, kind, (g, h), best)
 
 
+def scaled_bound(qm: Quasimorphism, bound: ExactReal) -> tuple[int, int, int, int]:
+    """(P, Q, s, d) with which a value (p + q sqrt(d)) / qm.den of qm
+    compares to `bound` on integers: bound - value has the sign of
+    _sign(P - s p, Q - s q, d), the two fractions cross-multiplied.  A
+    rational qm takes the bound's surd base; a bound in a base other
+    than qm's is refused."""
+    d = qm.d
+    if bound._q:
+        if qm.surds and bound.d != d:
+            raise ValueError(f"cannot mix sqrt({d}) and sqrt({bound.d})")
+        d = bound.d
+    return bound._p * qm.den, bound._q * qm.den, bound._den, d
+
+
 def _upper_bound(
     qm: Quasimorphism, upper: Optional[ExactReal], lower: ExactReal
 ) -> Optional[ExactReal]:
@@ -483,14 +493,7 @@ def certify_aker_approximate_subgroup(
     if dstar < ZERO:
         raise ValueError("D* must be non-negative")
     model = qm.model
-    bound = dstar + dstar
-    d = qm.d
-    if bound._q:
-        if qm.surds and bound.d != d:
-            raise ValueError(f"cannot mix sqrt({d}) and sqrt({bound.d})")
-        d = bound.d
-    # |p + q sqrt(d)| / den <= (P + Q sqrt(d)) / bden, cross-multiplied
-    top_p, top_q, scale = bound._p * qm.den, bound._q * qm.den, bound._den
+    top_p, top_q, scale, d = scaled_bound(qm, dstar + dstar)
     hnum = qm._hnum
 
     def within(p: int, q: int) -> bool:

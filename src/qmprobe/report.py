@@ -12,7 +12,8 @@ emitted in a canonical order.
 records, so it alone decides how a value is written.  Paths serialize
 as an origin word plus edge letters; chains as sorted (cell,
 coefficient) lists.  Cells are bare tuples, so `cell_payload` writes
-them before encoding.  Verification parses back only what stands in
+them before encoding, and `face_payloads` writes a solver's face list,
+spelling each base once.  Verification parses back only what stands in
 for a search: elements of a defect witness and the cells of an
 infeasibility certificate.
 """
@@ -23,7 +24,7 @@ import json
 
 from .errors import ReplayError
 from .exact import ExactReal
-from .groups import Generator, GroupElement, GroupModel
+from .groups import Generator, GroupElement, GroupModel, _element
 from .novikov import CayleyComplex, Cell, WindowedChain
 from .paths import Path, path_from_letters
 
@@ -103,6 +104,25 @@ def cell_payload(cx: CayleyComplex, cell: Cell) -> list:
         cx.model.generator_name(cx.positive[i]),
         cx.model.generator_name(cx.positive[j]),
     ]
+
+
+def face_payloads(cx: CayleyComplex, faces) -> list:
+    """`cell_payload` of each 2-cell of `faces`.  Faces come base then
+    type, so each base is spelt once per run of faces on it, and each
+    type's generator names are looked up once."""
+    model = cx.model
+    names = [
+        (model.generator_name(cx.positive[i]), model.generator_name(cx.positive[j]))
+        for i, j in cx.square_types
+    ]
+    out = []
+    last = None
+    for _, free, ab, t in faces:
+        if last != (free, ab):
+            last = (free, ab)
+            base = _element(model, free, ab).word_str()
+        out.append(["f", base, *names[t]])
+    return out
 
 
 def parse_cell(cx: CayleyComplex, payload: list) -> Cell:

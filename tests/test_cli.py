@@ -998,20 +998,26 @@ def test_round_trip_and_tamper_check_under_python_dash_O(tmp_path):
     assert proc.returncode == 4 and "FAIL defect-small" in proc.stdout
 
 
+def _within_a_second(*args):
+    """`qmprobe *args` in a fresh process, which must end within a
+    second."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmprobe", *args],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert time.monotonic() - start < 1.0
+    return proc
+
+
 def _run_within_a_second(tmp_path, text):
     """`qmprobe run` of the config `text` in a fresh process, which must
     end within a second; the process and the report path."""
     cfg, out = tmp_path / "hostile.cfg", tmp_path / "report.json"
     cfg.write_text(text, encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "qmprobe", "run", str(cfg), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
-    assert time.monotonic() - start < 1.0
-    return proc, out
+    return _within_a_second("run", str(cfg), "--out", str(out)), out
 
 
 def test_a_scan_too_large_for_its_bound_ends_at_once(tmp_path):
@@ -1029,6 +1035,55 @@ def test_a_scan_too_large_for_its_bound_ends_at_once(tmp_path):
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("qmprobe: [probe d]: defect at radius 40 scans ")
     assert "more than MAX_SCAN_PAIRS" in proc.stderr
+
+
+def test_a_novikov_ball_too_large_for_its_bound_ends_at_once(tmp_path):
+    """The bench fill config at radius 30 would enumerate the faces over
+    8.2e14 elements: its ball is counted while the config is validated,
+    and `run` and `verify` both end with one line and exit 2."""
+    ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
+    text = text.replace("ball_cap = 8", "ball_cap = 30").replace("radius = 6", "radius = 30")
+    refusal = (
+        "[probe fill]: novikov-solve at radius 30 enumerates 823564528378533 ball "
+        "elements, more than MAX_SOLVE_BALL = 50000\n"
+    )
+    proc, out = _run_within_a_second(tmp_path, text)
+    assert proc.returncode == 2 and not out.exists()
+    assert proc.stderr == "qmprobe: " + refusal
+    out.write_text(
+        json.dumps({"header": {}, "body": {"schema": "qmprobe-report-1", "config_echo": text}}),
+        encoding="utf-8",
+    )
+    proc = _within_a_second("verify", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "qmprobe: echoed config no longer validates: " + refusal
+
+
+# sha256 of the body of the seed-0 bench fill config with each window,
+# serialized as the bench pins are
+FILL_WINDOW_BODIES = {
+    "3 + sqrt(2)": "6eed7c59f1f7b9230f7e72bf81db3ac89bcda5b0ebb76d4ba6969a0034e45db8",
+    "7/2": "642621cc2a8fa6e8a0c52de6459061121b2b8f5153ca2e2aefc42900e9f9a4b2",
+}
+
+
+@pytest.mark.parametrize("window", ["4 + sqrt(3)", *FILL_WINDOW_BODIES])
+def test_the_fill_window_may_not_mix_surd_bases(tmp_path, capsys, window):
+    """phi(u) = sqrt(2) against a sqrt(3) window is refused; a sqrt(2)
+    window and a rational one give their pinned bodies."""
+    ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
+    cfg, out = tmp_path / "fill.cfg", tmp_path / "report.json"
+    cfg.write_text(text.replace("window = 4", f"window = {window}"), encoding="utf-8")
+    code = main(["run", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if window not in FILL_WINDOW_BODIES:
+        assert code == 2
+        assert err == "qmprobe: probe fill: failed: cannot mix sqrt(3) and sqrt(2)\n"
+        return
+    assert code == 0, err
+    body = json.dumps(_read(out)["body"], sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == FILL_WINDOW_BODIES[window]
+    assert main(["verify", str(out)]) == 0
 
 
 Z2_LIBRARY = """\

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError
 from qmprobe.exact import ExactReal, ONE, ZERO
+from qmprobe.novikov import MAX_SOLVE_BALL
 from qmprobe.probes import attempt
 from qmprobe.quasimorphisms import (
     MAX_SCAN_PAIRS,
@@ -417,6 +418,24 @@ def test_a_renamed_key_is_a_one_line_config_error_naming_its_section(suffix):
             parse_experiment("\n".join(lines) + "\n")
         message = str(err.value)
         assert message.startswith(f"{header}: ") and "\n" not in message, message
+
+
+def test_a_novikov_solve_ball_is_bounded_before_it_is_built():
+    # F_2 x Z: ball(8) holds 26,225 elements and ball(9) 78,711
+    text = (
+        "[group]\nfree_rank = 2\nabelian_rank = 1\nnames = a b u\nball_cap = 30000\n\n"
+        "[quasimorphism phi]\nkind = homomorphism\na = 1\nu = sqrt(2)\n\n"
+        "[probe n]\nkind = novikov-solve\nqm = phi\nstart = 1\nend = b\n"
+        "scaling = u\nwindow = 4\nradius = {}\n"
+    )
+    parse_experiment(text.format(8))
+    for radius, count in ((9, "78711"), (30000, "at least 60001")):
+        with pytest.raises(ConfigError) as err:
+            parse_experiment(text.format(radius))
+        assert str(err.value) == (
+            f"[probe n]: novikov-solve at radius {radius} enumerates {count} ball "
+            f"elements, more than MAX_SOLVE_BALL = {MAX_SOLVE_BALL}"
+        )
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from qmprobe.novikov import (
     CayleyComplex,
     RayCycle,
     WindowedChain,
+    _trimmed_columns,
     boundary_faces,
     build_zs_cycle,
     enumerate_faces,
@@ -353,23 +354,108 @@ def _corner_faces(cx, floor, ceiling, radius):
     ]
 
 
+def _face_values(cx, radius):
+    return [
+        cx._corner_min(cx.face_cell(g, t))
+        for g in cx.model.ball(radius)
+        for t in range(len(cx.square_types))
+    ]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_faces_of_a_homomorphism_match_the_corner_minimum(seed):
+    # seed % 3 picks the model and seed % 4 the bounds: integers, a
+    # ceiling or a floor equal to some face's value, or a sqrt(3)
+    # ceiling over a rational potential
     rng = random.Random(seed)
     model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
     if seed % 3 == 0:
         model = GroupModel(free_rank=0, abelian_rank=2, generator_names=("a", "c"))
+    mode = seed % 4
     values = [
-        ExactReal(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.choice((0, 0, 1, -1)))
+        ExactReal(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            0 if mode == 3 else Fraction(rng.choice((0, 1, -1)), rng.randint(1, 3)),
+        )
         for _ in range(model.rank)
     ]
     cx = CayleyComplex(HomomorphismQM(model, values), ZERO)
     ceiling = ExactReal(rng.randint(-1, 3))
     floor = rng.choice((None, ExactReal(rng.randint(-4, 0))))
+    if mode == 1:
+        ceiling = rng.choice(_face_values(cx, 2))
+    elif mode == 2:
+        floor = rng.choice(_face_values(cx, 2))
+        ceiling = floor + 1
+    elif mode == 3:
+        ceiling = ExactReal(rng.randint(-1, 2), rng.choice((1, -1)), 3)
+        surd = CayleyComplex(HomomorphismQM(model, values[:-1] + [ExactReal(0, 1)]), ZERO)
+        with pytest.raises(ValueError, match="cannot mix sqrt"):
+            enumerate_faces(surd, floor, ceiling, 1)
     faces = enumerate_faces(cx, floor, ceiling, 4)
     assert faces == _corner_faces(cx, floor, ceiling, 4)
+    if mode in (1, 2):
+        # some face's value is the bound: the floor admits it, the ceiling not
+        bound = ceiling if mode == 1 else floor
+        met = [f for f in _corner_faces(cx, bound, bound + 1, 4) if cx._corner_min(f) == bound]
+        assert met and all((f in faces) == (mode == 2) for f in met)
     # the face values are not cached; they are read again only for a filling
     assert not any(cell[0] == "f" for cell in cx._values)
+
+
+def _trimmed_boundary_column(cx, face, window):
+    """A face's trimmed column as the solver first built it: the face's
+    boundary, kept where the edge's cached value is below the window."""
+    return {
+        cell: coeff
+        for cell, coeff in cx.boundary_of_cell(face).items()
+        if cx.value(cell) < window
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_trimmed_columns_match_the_boundary_of_each_face(seed):
+    rng = random.Random(seed)
+    model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
+    if seed % 2:
+        model = GroupModel(free_rank=1, abelian_rank=2, generator_names=("a", "c", "u"))
+    values = [
+        ExactReal(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            Fraction(rng.choice((0, 1, -1)), rng.randint(1, 2)),
+        )
+        for _ in range(model.rank)
+    ]
+    potentials = [HomomorphismQM(model, values)]
+    if seed < 2:
+        # a corner-minimum potential keeps the oracle's own path
+        potentials.append(HomogenizedQM(BrooksQM(model, model.parse_word("a a"))))
+    for qm in potentials:
+        cx = CayleyComplex(qm, ZERO)
+        faces = [
+            cx.face_cell(g, t) for g in model.ball(3) for t in range(len(cx.square_types))
+        ]
+        edge_values = [
+            cx._corner_min(cx.edge_cell(g, i)) for g in model.ball(1) for i in range(3)
+        ]
+        windows = (ExactReal(rng.randint(-2, 3)), rng.choice(edge_values), ExactReal(20))
+        got = [_trimmed_columns(cx, faces, window) for window in windows]
+        # the numerator path reads no value and caches nothing
+        assert not cx._values or qm is not potentials[0]
+        for window, columns in zip(windows, got):
+            want = [_trimmed_boundary_column(cx, f, window) for f in faces]
+            assert [list(c.items()) for c in columns] == [list(c.items()) for c in want]
+    # the step a cancels the last letter of the base a^-1: g x is the
+    # identity, and its edge is spelt in normal form
+    cx = CayleyComplex(potentials[0], ZERO)
+    g = model.parse_element("a^-1")
+    (column,) = _trimmed_columns(cx, [cx.face_cell(g, 0)], ExactReal(20))
+    assert list(column) == [
+        cx.edge_cell(g, 0),
+        cx.edge_cell(model.identity(), cx.square_types[0][1]),
+        cx.edge_cell(g * model.generator_element(cx.positive[cx.square_types[0][1]]), 0),
+        cx.edge_cell(g, cx.square_types[0][1]),
+    ]
 
 
 def _zs_filling_problem(z2, cx2):
@@ -445,10 +531,7 @@ def _full_radius_solve(cx, z, window, radius, slack):
     """The solve `windowed_boundary_solve` first did: one system over
     every admissible face at the configured radius."""
     floor, faces = boundary_faces(cx, z, window, radius, slack)
-    columns = [
-        {cell: k for cell, k in cx.boundary_of_cell(f).items() if cx.value(cell) < window}
-        for f in faces
-    ]
+    columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
     return settle(cx, z, window, floor, radius, faces, solve_integer_system(columns, z.terms))
 
 
