@@ -254,9 +254,6 @@ class GroupElement(_ElementFields):
             out = out * base
         return out
 
-    def is_identity(self) -> bool:
-        return not self.free and not any(self.ab)
-
     def length(self) -> int:
         """Word length of the normal form; equals d(1, g)."""
         return len(self.free) + sum(abs(x) for x in self.ab)

@@ -842,8 +842,11 @@ claimed_upper when given, checked against the lower bound; otherwise
 it is structural: 0 for homomorphisms, summed with |coefficients|
 through combinations and doubled by homogenization.  A Brooks counting
 quasimorphism has no stored bound, so without claimed_upper any phi
-built from one reports no upper bound.  A scan of more than
-MAX_SCAN_PAIRS pairs is refused when the config is validated.""",
+built from one reports no upper bound.  The scan evaluates one
+position per symmetry orbit of ball(R)^2, but its size is counted over
+the whole triangle, N (N + 1) / 2 pairs for a ball of N elements: a
+scan of more than MAX_SCAN_PAIRS pairs is refused when the config is
+validated.""",
     ),
     "aker-cert": ProbeKind(
         _validate_aker_cert,
@@ -855,9 +858,10 @@ Aker(phi, D*) = { g : |phi-bar(g)| <= 2 D* } inside ball(R).
 With a scaling element c satisfying 4 D*/5 < phi-bar(c) <= D*, the
 witness set is X = { c^5, ..., c^-5 } (just {1} when D* = 0).  For each
 member pair (g, h) the certificate records the first exponent m in
-0, 1, -1, ..., 5, -5 with |phi-bar(g h c^m)| <= 2 D*.  A ball of N
-elements with N^2 above MAX_SCAN_PAIRS is refused when the config is
-validated.""",
+0, 1, -1, ..., 5, -5 with |phi-bar(g h c^m)| <= 2 D*.  The m = 0 test
+is made once per orbit (g, h), (h, g), (g^-1, h^-1), (h^-1, g^-1), but
+the size is counted over the whole square: a ball of N elements with
+N^2 above MAX_SCAN_PAIRS is refused when the config is validated.""",
     ),
     "rips-profile": ProbeKind(
         _validate_rips_profile,

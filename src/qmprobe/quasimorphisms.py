@@ -53,9 +53,11 @@ from .errors import ModelMismatchError
 from .exact import DEFAULT_SQUAREFREE, ExactReal, ZERO, _make, _sign
 from .groups import Generator, GroupElement, GroupModel, _concat_reduce, commutator
 
-# most pairs a `defect` scan (N (N + 1) / 2 for a ball of N elements) or
-# an `aker-cert` certificate (N^2) may visit; validation refuses more.
-# F_2 at radius 5 fits both (117,855 and 235,225 pairs), radius 6 does not
+# most pairs a `defect` scan (the triangle, N (N + 1) / 2 for a ball of N
+# elements) or an `aker-cert` certificate (the square, N^2) may span;
+# validation refuses more.  Each scan evaluates one position per orbit,
+# but the bound counts them all.  F_2 at radius 5 fits both (117,855 and
+# 235,225 pairs), radius 6 does not
 MAX_SCAN_PAIRS = 250_000
 
 
@@ -323,6 +325,16 @@ class DefectEstimate(NamedTuple):
         return f"commutator and three-term scan over ball({self.radius})^2"
 
 
+def _inverse_index(elements: Sequence[GroupElement]) -> list[int]:
+    """inv[i] is the index of elements[i]^-1 in `elements`, which must
+    be closed under inversion (a ball, or the Aker members of one)."""
+    index = {(g.free, g.ab): k for k, g in enumerate(elements)}
+    return [
+        index[tuple([-x for x in reversed(g.free)]), tuple([-x for x in g.ab])]
+        for g in elements
+    ]
+
+
 def defect_lower_bound(
     qm: Quasimorphism,
     radius: int,
@@ -333,16 +345,26 @@ def defect_lower_bound(
     |phi(g) + phi(h) - phi(g h)|; both are certified lower bounds on
     the defect of a homogeneous quasimorphism.
 
-    Only the pairs (g_i, g_j) with i <= j of the canonical ball order
-    are visited, which gives the same bound and witness as the whole
-    square.  A homogeneous quasimorphism is a class function with
-    phi(x^-1) = -phi(x) (Calegari, *scl*, MSJ Memoirs 20 (2009), 2.2),
-    and the ball is closed under inversion.  So for s < r the three-term
-    value at (r, s) equals the one at (s, r), since phi(g h) = phi(h g);
-    and the commutator value at (r, s) equals the one at
-    (s, index of g_r^-1), since g_r^-1 [g_r, g_s] g_r = [g_s, g_r^-1].
-    Both positions lie in row s, which the row-major scan visits
-    first, so a strict `>` update never happens below the diagonal.
+    The result is that of the row-major loop over the whole square of
+    the canonical ball order (g_0, ..., g_{N-1}), which keeps the first
+    strictly largest value, but each value is evaluated only at the
+    first position of its orbit.  A homogeneous quasimorphism is a class
+    function with phi(x^-1) = -phi(x) (Calegari, *scl*, MSJ Memoirs 20
+    (2009), 2.2), and the ball is closed under inversion; write i' for
+    the index of g_i^-1.  The commutators [g, h], [h, g^-1],
+    [g^-1, h^-1] and [h^-1, g] are conjugate, so the commutator value is
+    the same at (i, j), (j, i'), (i', j') and (j', i); the three-term
+    value is the same at (i, j), (j, i), (i', j') and (j', i'), since
+    phi(h g) = phi(g h) = -phi(g^-1 h^-1).  The first of either orbit in
+    row-major order is a position (a, b) whose row is the smallest of
+    a, b, a' and b'.  If a = a', then g_a = 1; if a = b', then
+    g_b = g_a^-1; if a = b, then g_b = g_a; every value is 0 there.  So
+    only the positions with i < j, i < i' and i < j' are evaluated (a row
+    with i' <= i is skipped whole), and these include the first position
+    of every orbit whose value is not 0.  Each skipped test equals an
+    earlier one or is 0, and the running maximum starts at 0 and moves
+    only on a strict `>`, so it never moves at a skipped position: the
+    bound and its witness are unchanged.
 
     The scan runs on normal forms and numerator pairs over qm.den:
     [g, h] = (g h) g^-1 h^-1 reuses g h, a commutator's abelian part is
@@ -354,16 +376,21 @@ def defect_lower_bound(
     hnum, d = qm._hnum, qm.d
     abelian = model.abelian_rank > 0
     zero_ab = (0,) * model.abelian_rank
-    entries = []
-    for g in model.ball(radius):
-        p, q = hnum(g.free, g.ab)
-        entries.append((g, g.free, g.ab, tuple([-x for x in reversed(g.free)]), p, q))
+    ball = model.ball(radius)
+    inv = _inverse_index(ball)
+    entries = [
+        (g, g.free, g.ab, ball[k].free, k, *hnum(g.free, g.ab)) for g, k in zip(ball, inv)
+    ]
     products: dict[tuple, tuple[int, int]] = {}
     bp = bq = 0
     best_kind = "commutator"
     best_pair = (model.identity(), model.identity())
-    for i, (g, g_free, g_ab, g_inv, gp, gq) in enumerate(entries):
-        for h, h_free, h_ab, h_inv, hp, hq in entries[i:]:
+    for i, (g, g_free, g_ab, g_inv, ii, gp, gq) in enumerate(entries):
+        if ii <= i:
+            continue
+        for h, h_free, h_ab, h_inv, jj, hp, hq in entries[i + 1 :]:
+            if jj <= i:
+                continue
             gh = _concat_reduce(g_free, h_free)
             cp, cq = hnum(_concat_reduce(_concat_reduce(gh, g_inv), h_inv), zero_ab)
             if _sign(cp - bp, cq - bq, d) > 0:
@@ -478,14 +505,23 @@ def certify_aker_approximate_subgroup(
     is recorded; a pair with none is the counterexample and ends the
     scan.
 
-    The m = 0 test of a pair below the diagonal is read off the mirrored
-    pair: every variant's `homogeneous_value` is a class function
-    (Calegari, *scl*, MSJ Memoirs 20 (2009), 2.2), so
-    |phi-bar(g_i g_j)| = |phi-bar(g_j g_i)|, and for j < i row j has
-    tested g_j g_i at m = 0 already, with exponent 0 exactly when that
-    test passed.  The product g_i g_j is formed only when j >= i or some
-    m != 0 is needed, and the certificate is the one the full row-major
-    loop records.
+    The m = 0 test is made at most once per orbit, at the orbit's first
+    position in row-major order.  Every variant's `homogeneous_value` is
+    a class function with phi-bar(x^-1) = -phi-bar(x) (Calegari, *scl*,
+    MSJ Memoirs 20 (2009), 2.2), so |phi-bar(g h)| = |phi-bar(h g)| =
+    |phi-bar(g^-1 h^-1)| = |phi-bar(h^-1 g^-1)|, and the members are
+    closed under inversion.  Writing i' for the index of g_i^-1, the
+    test at (i, j) therefore has the outcome of the test at (j, i),
+    (i', j') and (j', i'); whichever of these the scan has already
+    passed recorded exponent 0 exactly when that test passed.  A row
+    with i' < i reads every position off row i'; a row with i' > i reads
+    (j, i) for j < i and (j', i') for j' < i.  A 0 read is the exponent;
+    any other exponent read means m = 0 failed, and the search starts
+    at the next m.  The row of g = 1, the one member with i' = i, is all
+    0, since 1 h = h is a member.  Positions are settled in row order,
+    so the certificate, its counterexample included, is the one the
+    full row-major loop records, and the product g h is formed only
+    where the twins leave a test to make.
 
     Values are numerator pairs over qm.den, tested against 2 D* scaled
     to the same den, and the products g h c^m are evaluated on normal
@@ -519,24 +555,31 @@ def certify_aker_approximate_subgroup(
     forms = {m: (c.free, c.ab) for m, c in powers.items()}
 
     n = len(members)
+    inv = _inverse_index(members)
     exponents: list[int] = []
     counterexample = None
     for i, g in enumerate(members):
-        if counterexample:
-            break
+        ii = inv[i]
+        # the exponent at an earlier twin of each position, None where
+        # the position is the first of its orbit
+        if ii < i:
+            twin = exponents[ii * n : ii * n + n]
+            row: list = [twin[jj] for jj in inv]
+        elif ii > i:
+            column = exponents[ii::n]
+            row = exponents[i::n] + [column[jj] if jj < i else None for jj in inv[i:]]
+        else:
+            # g = 1, and g h = h is a member
+            row = [0] * n
         g_free, g_ab = g.free, g.ab
-        for j, h in enumerate(members):
-            tries = order
-            if j < i:
-                # row j tested h g at m = 0, and |phi-bar(g h)| = |phi-bar(h g)|
-                if exponents[j * n + i] == 0:
-                    exponents.append(0)
-                    continue
-                tries = order[1:]
+        for j, known in enumerate(row):
+            if known == 0:
+                continue
+            h = members[j]
             gh = _concat_reduce(g_free, h.free)
             gh_ab = tuple([x + y for x, y in zip(g_ab, h.ab)]) if abelian else g_ab
             chosen = None
-            for m in tries:
+            for m in order if known is None else order[1:]:
                 if m:
                     c_free, c_ab = forms[m]
                     num = hnum(
@@ -551,8 +594,12 @@ def certify_aker_approximate_subgroup(
                     break
             if chosen is None:
                 counterexample = (g, h)
+                del row[j:]
                 break
-            exponents.append(chosen)
+            row[j] = chosen
+        exponents += row
+        if counterexample:
+            break
 
     return AkerCertificate(
         witness=witness,

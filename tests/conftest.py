@@ -54,6 +54,13 @@ def f2z() -> GroupModel:
 
 
 @pytest.fixture(scope="session")
+def f2z2() -> GroupModel:
+    return GroupModel(
+        free_rank=2, abelian_rank=2, generator_names=("a", "b", "u", "v"), ball_cap=10
+    )
+
+
+@pytest.fixture(scope="session")
 def f2z_phi(f2z) -> HomomorphismQM:
     """phi(a) = 1, phi(b) = 0, phi(u) = sqrt(2)."""
     return HomomorphismQM(f2z, (ONE, ZERO, ExactReal(0, 1, 2)))

@@ -15,10 +15,12 @@ import time
 import pytest
 
 from qmprobe.cli import _build_parser, main
+from qmprobe.config import parse_experiment
 from qmprobe.errors import ReplayError
 from qmprobe.groups import GroupModel
 from qmprobe.intsolve import solve_integer_system
-from qmprobe.probes import KINDS
+from qmprobe.probes import KINDS, attempt
+from qmprobe.quasimorphisms import BrooksQM
 from qmprobe.report import parse_path
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -98,6 +100,34 @@ def test_report_body_and_exit_code_match_the_bench_pins(
     body = json.dumps(_read(out)["body"], sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(body.encode("utf-8")).hexdigest() == pin["body_sha256"]
     assert main(["verify", str(out)]) == pin["verify_exit"]
+
+
+def test_the_bench_scans_evaluate_one_position_per_orbit(monkeypatch):
+    """Brooks hook calls of the defect and aker probes of the seed-0
+    bench scan config, at radius 4: 10,913 and 7,105.  Evaluated at every
+    position of the triangle, the defect scan made 21,991, and with the
+    m = 0 test read only off the mirrored pair the Aker certificate made
+    13,666."""
+    ((_, text),) = _bench_workloads().configs("scan", 0, ROOT)
+    calls = []
+    hnum = BrooksQM._hnum
+
+    def counted(self, free, ab):
+        calls.append(None)
+        return hnum(self, free, ab)
+
+    # HomogenizedQM binds the hook at construction, so patch before parsing
+    monkeypatch.setattr(BrooksQM, "_hnum", counted)
+    exp = parse_experiment(text)
+    counts = {}
+    for probe in exp.probes:
+        if probe.kind in ("defect", "aker-cert"):
+            assert probe.settings["radius"] == 4
+            calls.clear()
+            assert attempt(exp, probe)[0] == "ok"
+            counts[probe.kind] = len(calls)
+    assert counts["defect"] <= 12_000
+    assert counts["aker-cert"] <= 7_500
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

@@ -39,7 +39,7 @@ def _oracle_psi_ab(g):
 
 
 def _oracle_psibar_ab(g):
-    if g.is_identity():
+    if g == g.model.identity():
         return 0
     slopes = [
         _oracle_psi_ab(g ** (k + 1)) - _oracle_psi_ab(g ** k) for k in (8, 9, 10)
@@ -245,15 +245,15 @@ def _coefficient():
 
 
 @st.composite
-def _homogeneous_combinations(draw, f2, f3, f2z):
+def _homogeneous_combinations(draw, models):
     """A combination of homogenized Brooks quasimorphisms with surd
-    coefficients over F_2, F_3 or F_2 x Z; on F_2 x Z some also add a
-    homomorphism."""
-    model = draw(st.sampled_from((f2, f3, f2z)))
+    coefficients over one of `models`; on a model with an abelian block
+    some also add a homomorphism."""
+    model = draw(st.sampled_from(models))
     words = draw(st.lists(_free_word(model, 3), min_size=1, max_size=3))
     parts = [HomogenizedQM(BrooksQM(model, w)) for w in words]
-    if model is f2z and draw(st.booleans()):
-        values = draw(st.lists(_coefficient(), min_size=3, max_size=3))
+    if model.abelian_rank and draw(st.booleans()):
+        values = draw(st.lists(_coefficient(), min_size=model.rank, max_size=model.rank))
         parts.append(HomomorphismQM(model, values))
     coefficients = draw(st.lists(_coefficient(), min_size=len(parts), max_size=len(parts)))
     return CombinationQM(coefficients, parts)
@@ -261,9 +261,9 @@ def _homogeneous_combinations(draw, f2, f3, f2z):
 
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_defect_scan_matches_the_full_square_on_combinations(f2, f3, f2z, data):
-    # the scan visits only i <= j; the oracle visits every pair
-    qm = data.draw(_homogeneous_combinations(f2, f3, f2z))
+def test_defect_scan_matches_the_full_square_on_combinations(f2, f3, f2z, f2z2, data):
+    # the scan visits one position per orbit; the oracle visits every pair
+    qm = data.draw(_homogeneous_combinations((f2, f3, f2z, f2z2)))
     est = defect_lower_bound(qm, 2)
     assert (est.lower, est.witness_kind, est.witness) == _scan_with_commutators(qm, 2)
 
@@ -285,13 +285,37 @@ def _variants(model, phi):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_homogeneous_value_is_an_odd_class_function(f2z, f2z_phi, variant, data):
-    # the upper-triangle defect scan and the mirrored Aker test rest on this
+    # the orbits both pair scans skip rest on this
     v = _variants(f2z, f2z_phi)[variant].homogeneous_value
     words = st.lists(st.sampled_from(f2z.generators()), max_size=8)
     g = reduce_word(f2z, data.draw(words))
     h = reduce_word(f2z, data.draw(words))
     assert v(g * h) == v(h * g)
     assert v(g.inverse()) == -v(g)
+
+
+@pytest.mark.parametrize("variant", ["brooks", "homomorphism", "homogenized", "combination"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_pair_values_are_constant_on_the_scan_orbits(f2z, f2z_phi, variant, data):
+    # the pair scans evaluate one position per orbit and reuse it for the rest
+    v = _variants(f2z, f2z_phi)[variant].homogeneous_value
+    words = st.lists(st.sampled_from(f2z.generators()), max_size=6)
+    g = reduce_word(f2z, data.draw(words))
+    h = reduce_word(f2z, data.draw(words))
+    gi, hi = g.inverse(), h.inverse()
+    # (g, h) -> (h, g^-1) -> (g^-1, h^-1) -> (h^-1, g): conjugate commutators
+    assert len({v(commutator(x, y)) for x, y in ((g, h), (h, gi), (gi, hi), (hi, g))}) == 1
+    klein = ((g, h), (h, g), (gi, hi), (hi, gi))
+    assert len({abs(v(x) + v(y) - v(x * y)) for x, y in klein}) == 1
+    assert abs(v(g * h)) == abs(v(gi * hi))
+
+
+def test_a_misstated_commutator_orbit_is_caught(f2, psibar_ab):
+    # (g, h^-1) is not in the orbit of (g, h), and its commutator differs
+    a, b = f2.parse_element("a"), f2.parse_element("b")
+    v = psibar_ab.homogeneous_value
+    assert (v(commutator(a, b)), v(commutator(a, b.inverse()))) == (ONE, -ONE)
 
 
 def _reduced_free_words(model, max_size):
@@ -470,6 +494,32 @@ def test_aker_matches_the_full_loop_for_a_homomorphism(f2z_phi):
     assert cert == _aker_full_loop(f2z_phi, ZERO, None, 3)
 
 
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_aker_matches_the_full_loop_on_combinations(f2, f3, f2z, f2z2, data):
+    # D* = 0 and 1/2 fail often, so counterexamples are met too
+    qm = data.draw(_homogeneous_combinations((f2, f3, f2z, f2z2)))
+    dstar = data.draw(st.sampled_from((ZERO, ExactReal(Fraction(1, 2)), ONE, ExactReal(2))))
+    c = qm.model.parse_element(data.draw(st.sampled_from(("a", "a^2", "a b a^-1 b^-1"))))
+    cert = certify_aker_approximate_subgroup(qm, dstar, c, 2)
+    assert cert == _aker_full_loop(qm, dstar, c, 2)
+
+
+def test_aker_counterexample_after_a_reused_twin(f2, psibar_ab):
+    # the failing row i reads row i' < i, where its twin needed m != 0,
+    # so the search at the counterexample starts past m = 0
+    a = f2.parse_element("a")
+    half = ExactReal(Fraction(1, 2))
+    cert = certify_aker_approximate_subgroup(psibar_ab, half, a, 3)
+    assert not cert.passed
+    n = len(cert.members)
+    i, j = divmod(len(cert.exponents), n)
+    assert cert.counterexample == (cert.members[i], cert.members[j])
+    ii, jj = (cert.members.index(x.inverse()) for x in cert.counterexample)
+    assert ii < i and cert.exponents[ii * n + jj] != 0
+    assert cert == _aker_full_loop(psibar_ab, half, a, 3)
+
+
 # -- numerator hooks against the ExactReal evaluation --------------------
 # The oracles below are the ExactReal code the numerator hooks and the
 # pair scans replaced: one exact term per generator, per part and per
@@ -590,7 +640,7 @@ def _any_variant(draw, f2, f3, f2z):
     if kind == "homomorphism":
         values = draw(st.lists(_coefficient(), min_size=model.rank, max_size=model.rank))
         return HomomorphismQM(model, values)
-    return draw(_homogeneous_combinations(f2, f3, f2z))
+    return draw(_homogeneous_combinations((f2, f3, f2z)))
 
 
 @given(data=st.data())
@@ -627,8 +677,8 @@ def test_denominators_and_surd_bases_are_fixed_at_construction(f2z, f2z_phi):
 
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_defect_scan_and_aker_match_the_exact_loops(f2, f3, f2z, data):
-    qm = data.draw(_homogeneous_combinations(f2, f3, f2z))
+def test_defect_scan_and_aker_match_the_exact_loops(f2, f3, f2z, f2z2, data):
+    qm = data.draw(_homogeneous_combinations((f2, f3, f2z, f2z2)))
     assert defect_lower_bound(qm, 2) == _exact_defect_scan(qm, 2)
     ball = qm.model.ball(2)
     dstar = data.draw(st.sampled_from((ZERO, ExactReal(Fraction(1, 2)), ONE, ExactReal(0, 1))))
