@@ -44,7 +44,7 @@ import configparser
 
 from .errors import ConfigError
 from .exact import ExactReal, ZERO
-from .groups import DEFAULT_BALL_CAP, GroupModel
+from .groups import DEFAULT_BALL_CAP, MAX_BALL_CAP, GroupModel
 from .probes import KINDS, Experiment, Section, integer
 from .quasimorphisms import (
     BrooksQM,
@@ -121,11 +121,14 @@ def parse_experiment(text: str) -> Experiment:
 
 
 def _build_model(group: Section) -> GroupModel:
+    ball_cap = group.get("ball_cap", integer(1), DEFAULT_BALL_CAP)
+    if ball_cap > MAX_BALL_CAP:
+        raise ValueError(f"ball_cap {ball_cap} is more than MAX_BALL_CAP = {MAX_BALL_CAP}")
     return GroupModel(
         free_rank=group.get("free_rank", integer(0), 0),
         abelian_rank=group.get("abelian_rank", integer(0), 0),
         generator_names=group.get("names", lambda text: tuple(text.split()), ()),
-        ball_cap=group.get("ball_cap", integer(1), DEFAULT_BALL_CAP),
+        ball_cap=ball_cap,
     )
 
 

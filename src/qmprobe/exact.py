@@ -356,26 +356,3 @@ class ExactReal(_Fields):
 ZERO = ExactReal(0)
 ONE = ExactReal(1)
 
-
-def exact_max(values) -> ExactReal:
-    it = iter(values)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise ValueError("exact_max of empty sequence") from None
-    for v in it:
-        if v > best:
-            best = v
-    return best
-
-
-def exact_min(values) -> ExactReal:
-    it = iter(values)
-    try:
-        best = next(it)
-    except StopIteration:
-        raise ValueError("exact_min of empty sequence") from None
-    for v in it:
-        if v < best:
-            best = v
-    return best

@@ -34,6 +34,9 @@ from typing import Iterable, NamedTuple
 from .errors import CapExceededError, ModelMismatchError
 
 DEFAULT_BALL_CAP = 10
+# largest ball_cap a config may set; it bounds every radius-like key,
+# a rips-profile's n_max among them
+MAX_BALL_CAP = 100_000
 # longest word parse_word spells; each token is counted before it is expanded
 MAX_WORD_LETTERS = 5_000
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"

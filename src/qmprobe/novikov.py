@@ -16,13 +16,12 @@ quasimorphism with defect bound 0), phi-bar(g c) = phi-bar(g) +
 phi-bar(c) for every corner g c of a cell based at g, so the value is
 phi-bar(g) plus a fixed offset per edge index or square type: the
 minimum of phi-bar over the corners of that cell based at the identity.
-`CayleyComplex` computes these offsets once and then evaluates one
-element per cell; for every other quasimorphism it takes the minimum
-over the corners.  The solver's faces and trimmed columns read no cell
-value for a homomorphism: they compare the integer numerators of
-phi-bar at a face's base, and at its neighbours (the base's plus a
-step's), with each bound minus its offset, scaled once to the
-quasimorphism's denominator, and leave nothing cached.
+`CayleyComplex` computes these offsets once, and the solver's faces
+and trimmed columns use them instead of reading cell values: they
+compare the integer numerators of phi-bar at a face's base, and at its
+neighbours (the base's plus a step's), with each bound minus its
+offset, scaled once to the quasimorphism's denominator, and leave
+nothing cached.
 
 On top of the chain arithmetic sit the desk-scale homology probes:
 `ray_cycle` builds the 1-cycle formed by a connecting path and two
@@ -51,7 +50,7 @@ from collections import deque
 from typing import Callable, NamedTuple, Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
-from .exact import ExactReal, ZERO, _sign, exact_min
+from .exact import ExactReal, ZERO, _sign
 from .groups import Generator, GroupElement, GroupModel, _concat_reduce, _element
 from .intsolve import (
     UnsatCertificate,
@@ -80,10 +79,11 @@ class CayleyComplex:
     from g to g s_i, and ("f", free, ab, t) for the commutation square
     of the t-th commuting pair based at g.
 
-    `value` caches each cell it is asked for, for the chains and the
-    extraction.  For a homomorphism potential the offsets in `_offsets`
-    let the solver's faces and columns compare numerators instead, so
-    they neither call `value` nor leave anything in the cache.
+    `value` is the minimum of phi-bar over a cell's corners, cached for
+    the chains and the extraction.  For a homomorphism potential the
+    offsets in `_offsets` let the solver's faces and columns compare
+    numerators instead, so they neither call `value` nor leave anything
+    in the cache.
     """
 
     def __init__(self, qm: Quasimorphism, defect_bound: ExactReal):
@@ -144,19 +144,12 @@ class CayleyComplex:
         return (g, g * x, g * y, g * x * y)
 
     def _corner_min(self, cell: Cell) -> ExactReal:
-        return exact_min(self.qm.homogeneous_value(v) for v in self.corners(cell))
+        return min(self.qm.homogeneous_value(v) for v in self.corners(cell))
 
     def value(self, cell: Cell) -> ExactReal:
         got = self._values.get(cell)
         if got is None:
-            offsets = self._offsets
-            if offsets is None:
-                got = self._corner_min(cell)
-            else:
-                got = self.qm.homogeneous_value(self.element(cell))
-                if cell[0] != "v":
-                    got = got + offsets[cell[0]][cell[3]]
-            self._values[cell] = got
+            got = self._values[cell] = self._corner_min(cell)
         return got
 
     def cell_sort_key(self, cell: Cell):
@@ -185,7 +178,7 @@ class CayleyComplex:
         return out
 
     def edge_drop(self) -> ExactReal:
-        worst = exact_min(-abs(self.qm.homogeneous_value(s)) for s in self._steps)
+        worst = min(-abs(self.qm.homogeneous_value(s)) for s in self._steps)
         return -worst + self.defect
 
     def face_drop(self) -> ExactReal:
@@ -277,7 +270,7 @@ class WindowedChain:
     def support_min(self) -> Optional[ExactReal]:
         if not self.terms:
             return None
-        return exact_min(self.complex.value(c) for c in self.terms)
+        return min(self.complex.value(c) for c in self.terms)
 
     def sorted_cells(self) -> list[Cell]:
         return sorted(self.terms, key=self.complex.cell_sort_key)
@@ -416,7 +409,7 @@ def build_zs_cycle(
         raise ValueError("a high connecting path is required for s != c")
     if high_path.origin != top or high_path.terminus != s_el * top:
         raise ValueError("high path must connect c^n to s c^n")
-    high_min = exact_min(cx.qm.homogeneous_value(v) for v in high_path.vertices)
+    high_min = min(cx.qm.homogeneous_value(v) for v in high_path.vertices)
     if k_bound is not None:
         floor = cx.qm.homogeneous_value(scaling) * depth - k_bound
         if not high_min >= floor:
@@ -458,14 +451,15 @@ def enumerate_faces(
     base and compared on integers with the bounds
     [floor - offset, ceiling - offset) of each type, scaled once per
     call; no value is built per base and nothing is cached.  Other
-    potentials take each face's corner minimum."""
+    potentials take each face's corner minimum, uncached, since a
+    filling reads the values of only the faces it uses."""
     faces: list[Cell] = []
     ball = cx.model.ball(radius)
     if cx._offsets is None:
         for g in ball:
             for t in range(len(cx.square_types)):
                 cell = cx.face_cell(g, t)
-                v = cx.value(cell)
+                v = cx._corner_min(cell)
                 if v < ceiling and (floor is None or floor <= v):
                     faces.append(cell)
                     if len(faces) > cell_cap:
@@ -770,6 +764,6 @@ def keep_negative_and_extract_path(
     path = Path(tuple(vertices))
     if path.origin != cycle.start or path.terminus != cycle.end:
         raise RuntimeError("extracted path does not join the cycle's endpoints")
-    mn = exact_min(cx.qm.homogeneous_value(v) for v in path.vertices)
+    mn = min(cx.qm.homogeneous_value(v) for v in path.vertices)
     bound = -cx.defect
     return ExtractionResult(path, mn, bound, mn >= bound, tuple(support))

@@ -102,10 +102,4 @@ def straight_path(origin: GroupElement, target: GroupElement) -> Path:
 
 def phi_extrema(qm: Quasimorphism, path: Path) -> tuple[ExactReal, ExactReal]:
     values = [qm.homogeneous_value(v) for v in path.vertices]
-    lo = hi = values[0]
-    for v in values[1:]:
-        if v < lo:
-            lo = v
-        if v > hi:
-            hi = v
-    return lo, hi
+    return min(values), max(values)

@@ -1,10 +1,13 @@
 """Rips graphs at scale n over finite vertex sets in the word metric.
 
 Vertices x != y are joined when d(x, y) < n -- strictly, so scale n
-admits jumps of length at most n - 1.  Components come with a spanning
-forest certificate whose edges are genuine graph edges, built by a
+admits jumps of length at most n - 1.  Components come with a
+`ComponentCertificate`, a tuple of per-vertex component ids and a
+spanning forest whose edges are genuine graph edges, built by a
 deterministic Kruskal pass over the sorted edge list; the component
-representative is the canonically smallest vertex.
+representative is the canonically smallest vertex.  `build_rips` and
+`components` build one scale at a time; the profile reads only the
+forest, at its threshold.
 
 A profile measures only the pairs that can lie below n_max.  With free
 parts u and v, d(x, y) >= |u| + |v| - 2 lcp(u, v), so such a pair shares
@@ -33,35 +36,13 @@ class RipsGraph(NamedTuple):
     edges: tuple[tuple[int, int], ...]  # index pairs i < j with 0 < d < scale
 
 
-class ComponentCertificate:
+class ComponentCertificate(NamedTuple):
     """component_ids[i] is the index of the canonical representative of
     vertex i's component; forest lists parent edges (i, j), each an
-    actual edge of the graph, spanning every component.  Immutable, and
-    not a tuple, whose `count` method the property would shadow."""
+    actual edge of the graph, spanning every component."""
 
-    __slots__ = ("component_ids", "forest")
-
-    def __init__(self, component_ids: tuple[int, ...], forest: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "component_ids", component_ids)
-        object.__setattr__(self, "forest", forest)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComponentCertificate is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ComponentCertificate is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not ComponentCertificate:
-            return NotImplemented
-        return (self.component_ids, self.forest) == (other.component_ids, other.forest)
-
-    def __hash__(self):
-        return hash((self.component_ids, self.forest))
-
-    @property
-    def count(self) -> int:
-        return len(set(self.component_ids))
+    component_ids: tuple[int, ...]
+    forest: tuple[tuple[int, int], ...]
 
 
 def _prepare_vertices(vertices: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
@@ -112,8 +93,7 @@ def _root(parent: list[int], x: int) -> int:
 def components_from_edges(
     nvertices: int, edges: Iterable[tuple[int, int]]
 ) -> ComponentCertificate:
-    """Union-find over an explicit edge list; shared with the Novikov
-    support-graph checks."""
+    """Union-find over an explicit edge list, merging in sorted order."""
     parent = list(range(nvertices))
     forest = []
     for i, j in sorted(edges):

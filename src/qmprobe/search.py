@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, LibraryIncompleteError, ModelMismatchError
-from .exact import ExactReal, ZERO, exact_max, exact_min
+from .exact import ExactReal, ZERO
 from .groups import Generator, GroupElement, GroupModel
 from .paths import Path, path_from_letters, phi_extrema, straight_path
 from .quasimorphisms import HomomorphismQM, HomogenizedQM, Quasimorphism
@@ -189,8 +189,8 @@ def compute_constants(
         )
     model = qm.model
     gens = [model.generator_element(g) for g in model.generators()]
-    maxst = exact_max(qm.homogeneous_value(s * t) for s in gens for t in gens)
-    maxgen = exact_max(abs(qm.homogeneous_value(s)) for s in gens)
+    maxst = max(qm.homogeneous_value(s * t) for s in gens for t in gens)
+    maxgen = max(abs(qm.homogeneous_value(s)) for s in gens)
     five_over_4d = ExactReal(Fraction(5, 4)) / dstar
     depth = (five_over_4d * (kprime + maxst + dstar)).floor() + 3
     return ConstantsBundle(
@@ -297,10 +297,7 @@ def build_q_library(
                     QLibraryEntry((s, t), None, None, "sandwich endpoints outside the ball")
                 )
                 continue
-            ceiling = (
-                exact_max([qm.homogeneous_value(bottom), qm.homogeneous_value(a1)])
-                + bundle.kprime
-            )
+            ceiling = max(qm.homogeneous_value(bottom), qm.homogeneous_value(a1)) + bundle.kprime
             got = _constrained_bfs(qm, bottom, a1, radius, None, ceiling)
             if isinstance(got, NotFoundWithinBall):
                 entries.append(
@@ -337,7 +334,7 @@ def build_q_library(
 
     guard = bundle.level_guard
     if min_values:
-        needed = -exact_min(min_values) + 1
+        needed = -min(min_values) + 1
         if needed > guard:
             guard = needed
     raised = bundle._replace(descent_depth=n, level_guard=guard)
@@ -596,13 +593,8 @@ def free_group_obstruction_probe(
         raise ValueError("the scaling element must have positive phi-bar")
     if x * scaling == scaling * x:
         raise ValueError("x and the scaling element must not commute")
-    denom = (
-        exact_max(
-            abs(qm.homogeneous_value(model.generator_element(g)))
-            for g in model.generators()
-        )
-        + dstar
-    )
+    gens = [model.generator_element(g) for g in model.generators()]
+    denom = max(abs(qm.homogeneous_value(s)) for s in gens) + dstar
     if not denom > ZERO:
         raise ValueError("max_s |phi-bar(s)| + D* must be positive")
     target = (scaling ** -depth) * x * (scaling ** depth)
@@ -617,5 +609,5 @@ def free_group_obstruction_probe(
         dstar=dstar,
         geodesic=geodesic,
         bounds=tuple(bounds),
-        max_bound=exact_max(bounds),
+        max_bound=max(bounds),
     )

@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from qmprobe.exact import ExactReal, ONE, ZERO, exact_max
+from qmprobe.exact import ExactReal, ONE, ZERO
 from qmprobe.novikov import (
     CayleyComplex,
     keep_negative_and_extract_path,
@@ -196,7 +196,7 @@ def test_criterion_6_obstruction_growth(f2, psibar_ab):
         comm = f2.parse_element("a b a^-1 b^-1")
         dstar = ExactReal(Fraction(1, 2))
         phi_c = psibar_ab.homogeneous_value(comm)
-        maxgen = exact_max(
+        maxgen = max(
             abs(psibar_ab.homogeneous_value(f2.generator_element(s)))
             for s in f2.generators()
         )

@@ -17,7 +17,7 @@ import pytest
 from qmprobe.cli import _build_parser, main
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ReplayError
-from qmprobe.groups import GroupModel
+from qmprobe.groups import MAX_BALL_CAP, GroupModel
 from qmprobe.intsolve import solve_integer_system
 from qmprobe.probes import KINDS, attempt
 from qmprobe.quasimorphisms import BrooksQM
@@ -1077,6 +1077,28 @@ def test_a_novikov_ball_too_large_for_its_bound_ends_at_once(tmp_path):
         "[probe fill]: novikov-solve at radius 30 enumerates 823564528378533 ball "
         "elements, more than MAX_SOLVE_BALL = 50000\n"
     )
+    proc, out = _run_within_a_second(tmp_path, text)
+    assert proc.returncode == 2 and not out.exists()
+    assert proc.stderr == "qmprobe: " + refusal
+    out.write_text(
+        json.dumps({"header": {}, "body": {"schema": "qmprobe-report-1", "config_echo": text}}),
+        encoding="utf-8",
+    )
+    proc = _within_a_second("verify", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "qmprobe: echoed config no longer validates: " + refusal
+
+
+def test_a_ball_cap_above_its_bound_ends_at_once(tmp_path):
+    """A rips-profile of two vertices with ball_cap = n_max = 10^9 would
+    allocate per scale before measuring a pair: the cap is refused when
+    [group] is read, and `run` and `verify` both end with one line and
+    exit 2."""
+    text = (
+        "[group]\nfree_rank = 2\nnames = a b\nball_cap = 1000000000\n\n"
+        "[probe r]\nkind = rips-profile\nvertices = 1, a\nn_max = 1000000000\n"
+    )
+    refusal = f"[group]: ball_cap 1000000000 is more than MAX_BALL_CAP = {MAX_BALL_CAP}\n"
     proc, out = _run_within_a_second(tmp_path, text)
     assert proc.returncode == 2 and not out.exists()
     assert proc.stderr == "qmprobe: " + refusal

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError
 from qmprobe.exact import ExactReal, ONE, ZERO
+from qmprobe.groups import MAX_BALL_CAP
 from qmprobe.novikov import MAX_SOLVE_BALL
 from qmprobe.probes import attempt
 from qmprobe.quasimorphisms import (
@@ -418,6 +419,16 @@ def test_a_renamed_key_is_a_one_line_config_error_naming_its_section(suffix):
             parse_experiment("\n".join(lines) + "\n")
         message = str(err.value)
         assert message.startswith(f"{header}: ") and "\n" not in message, message
+
+
+def test_ball_cap_is_bounded_when_the_group_is_read():
+    text = FREE_GROUP.replace("ball_cap = 8", "ball_cap = {}") + PSIBAR + DEFECT_PROBE
+    assert parse_experiment(text.format(MAX_BALL_CAP)).model.ball_cap == MAX_BALL_CAP
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(text.format(MAX_BALL_CAP + 1))
+    assert str(err.value) == (
+        f"[group]: ball_cap {MAX_BALL_CAP + 1} is more than MAX_BALL_CAP = {MAX_BALL_CAP}"
+    )
 
 
 def test_a_novikov_solve_ball_is_bounded_before_it_is_built():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmprobe.exact import ExactReal, ONE, ZERO, exact_max, exact_min, is_squarefree
+from qmprobe.exact import ExactReal, ONE, ZERO, is_squarefree
 
 SQRT2 = ExactReal(0, 1, 2)
 
@@ -68,8 +68,8 @@ def test_comparisons_and_abs():
     assert SQRT2 > ONE
     assert -SQRT2 < ZERO
     assert abs(ExactReal(0, -1, 2)) == SQRT2
-    assert exact_max([ONE, SQRT2, ZERO]) == SQRT2
-    assert exact_min([ONE, SQRT2, ZERO]) == ZERO
+    assert max([ONE, SQRT2, ZERO]) == SQRT2
+    assert min([ONE, SQRT2, ZERO]) == ZERO
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50))

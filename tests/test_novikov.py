@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmprobe.errors import CapExceededError, ExtractionError, ReplayError
-from qmprobe.exact import ExactReal, ONE, ZERO, exact_min
+from qmprobe.exact import ExactReal, ONE, ZERO
 from qmprobe.groups import Generator, GroupModel, reduce_word
 from qmprobe.intsolve import UnsatCertificate, solve_integer_system
 from qmprobe.novikov import (
@@ -76,7 +76,8 @@ def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi, psibar_ab):
     edge = cx2.edge_cell(g, 0)
     assert cx2.value(edge) == ExactReal(-1)
     assert cx2.value(cx2.vertex_cell(g)) == ExactReal(-1)
-    # homomorphisms take the offset path; it must agree with the corners
+    # a homomorphism's offsets, which the solver compares numerators
+    # against, must agree with the corners
     other = HomomorphismQM(f2z, (ZERO, ONE, ExactReal(-1, 1, 2)))
     for qm in (
         f2z_phi,
@@ -86,12 +87,13 @@ def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi, psibar_ab):
         cx = CayleyComplex(qm, ZERO)
         assert cx._offsets is not None
         for b in f2z.ball(3):
-            cells = [cx.vertex_cell(b)]
-            cells += [cx.edge_cell(b, i) for i in range(len(cx.positive))]
+            cells = [cx.edge_cell(b, i) for i in range(len(cx.positive))]
             cells += [cx.face_cell(b, t) for t in range(len(cx.square_types))]
             for cell in cells:
-                expected = exact_min(qm.homogeneous_value(v) for v in cx.corners(cell))
+                expected = min(qm.homogeneous_value(v) for v in cx.corners(cell))
                 assert cx.value(cell) == expected
+                offset = cx._offsets[cell[0]][cell[3]]
+                assert qm.homogeneous_value(b) + offset == expected
     brooks = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
     assert CayleyComplex(brooks, ONE)._offsets is None
     assert CayleyComplex(psibar_ab, ONE)._offsets is None
@@ -400,6 +402,26 @@ def test_faces_of_a_homomorphism_match_the_corner_minimum(seed):
         met = [f for f in _corner_faces(cx, bound, bound + 1, 4) if cx._corner_min(f) == bound]
         assert met and all((f in faces) == (mode == 2) for f in met)
     # the face values are not cached; they are read again only for a filling
+    assert not any(cell[0] == "f" for cell in cx._values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_faces_of_a_corner_minimum_potential_match_the_oracle(seed):
+    # a homogenized Brooks count, alone (even seeds) or plus a
+    # homomorphism (odd seeds), has no offsets: each face takes its
+    # corner minimum, which is not cached
+    rng = random.Random(seed)
+    model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
+    qm = HomogenizedQM(BrooksQM(model, model.parse_word(rng.choice(("a b", "a a b", "a b^-1")))))
+    if seed % 2:
+        hom = HomomorphismQM(model, [ExactReal(rng.randint(-2, 2)) for _ in range(model.rank)])
+        qm = CombinationQM((ONE, ExactReal(Fraction(1, 2))), (qm, hom))
+    cx = CayleyComplex(qm, ONE)
+    assert cx._offsets is None
+    ceiling = rng.choice(_face_values(cx, 2)) + 1
+    floor = rng.choice((None, ceiling - 2))
+    faces = enumerate_faces(cx, floor, ceiling, 3)
+    assert faces and faces == _corner_faces(cx, floor, ceiling, 3)
     assert not any(cell[0] == "f" for cell in cx._values)
 
 

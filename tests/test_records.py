@@ -88,7 +88,10 @@ def test_group_model_defaults_and_value_semantics():
 def test_frozen_records_refuse_writes(f2):
     records = _tuple_records()
     names = {cls.__name__ for cls in records}
-    assert {"Generator", "GroupModel", "ConstantsBundle", "ProbeKind", "ProbeCheck"} <= names
+    assert {
+        "Generator", "GroupModel", "ConstantsBundle", "ProbeKind", "ProbeCheck",
+        "ComponentCertificate",
+    } <= names
     for cls in records:
         record = cls._make([None] * len(cls._fields))
         with pytest.raises(AttributeError):
@@ -112,7 +115,6 @@ def test_path_and_certificate_are_values(f2):
     with pytest.raises(ValueError, match="not adjacent"):
         Path((f2.identity(), f2.parse_element("a b")))
     cert = ComponentCertificate((0, 0, 2), ((0, 1),))
-    assert cert.count == 2
     assert cert == ComponentCertificate((0, 0, 2), ((0, 1),))
     assert hash(cert) == hash(ComponentCertificate((0, 0, 2), ((0, 1),)))
 

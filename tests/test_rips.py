@@ -19,6 +19,11 @@ def _ball_vertices(model, radius):
     return model.ball(radius)
 
 
+def _count(cert):
+    """The number of components a certificate names."""
+    return len(set(cert.component_ids))
+
+
 # -- edge rule ----------------------------------------------------------
 
 
@@ -74,10 +79,10 @@ def test_component_certificate_on_two_clusters(f2):
     vs = [f2.identity(), f2.parse_element("a"), far, far * f2.parse_element("b")]
     graph = build_rips(vs, 2)
     cert = components(graph)
-    assert cert.count == 2
+    assert _count(cert) == 2
     # forest edges are genuine graph edges, one per merge
     assert set(cert.forest) <= set(graph.edges)
-    assert len(cert.forest) == len(graph.vertices) - cert.count
+    assert len(cert.forest) == len(graph.vertices) - _count(cert)
     # representatives are the smallest index in each component
     for i, rep in enumerate(cert.component_ids):
         assert rep <= i
@@ -86,14 +91,14 @@ def test_component_certificate_on_two_clusters(f2):
 
 def test_components_from_edges_isolated_vertices():
     cert = components_from_edges(4, [])
-    assert cert.count == 4
+    assert _count(cert) == 4
     assert cert.component_ids == (0, 1, 2, 3)
     assert cert.forest == ()
 
 
 def test_components_from_edges_chain():
     cert = components_from_edges(4, [(2, 3), (0, 1), (1, 2)])
-    assert cert.count == 1
+    assert _count(cert) == 1
     assert cert.component_ids == (0, 0, 0, 0)
     assert len(cert.forest) == 3
 
@@ -114,7 +119,7 @@ def test_forest_certificate_replays(n, edges):
     # replaying only the forest edges reproduces the partition
     again = components_from_edges(n, cert.forest)
     assert again.component_ids == cert.component_ids
-    assert len(cert.forest) == n - cert.count
+    assert len(cert.forest) == n - _count(cert)
 
 
 # -- profile ------------------------------------------------------------
@@ -147,7 +152,7 @@ def test_profile_matches_fresh_builds(z2):
     vs = [z2.parse_element(w) for w in ("1", "a c", "a^-1 c^-1", "c c c")]
     prof = connectivity_profile(vs, 6)
     for scale, count in zip(prof.scales, prof.counts):
-        assert components(build_rips(vs, scale)).count == count
+        assert _count(components(build_rips(vs, scale))) == count
 
 
 def test_profile_validates_inputs(f2):
@@ -168,7 +173,9 @@ def _vertex_sets(model, max_len):
 
 def _check_against_rebuilds(vertices, n_max):
     prof = connectivity_profile(vertices, n_max)
-    counts = tuple(components(build_rips(vertices, n)).count for n in range(1, n_max + 1))
+    counts = tuple(
+        _count(components(build_rips(vertices, n))) for n in range(1, n_max + 1)
+    )
     assert prof.scales == tuple(range(1, n_max + 1))
     assert prof.counts == counts
     threshold = counts.index(1) + 1 if 1 in counts else None

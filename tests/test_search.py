@@ -11,7 +11,7 @@ from qmprobe.errors import (
     LibraryIncompleteError,
     ModelMismatchError,
 )
-from qmprobe.exact import ExactReal, ONE, ZERO, exact_max
+from qmprobe.exact import ExactReal, ONE, ZERO
 from qmprobe.groups import Generator
 from qmprobe.paths import Path, path_from_letters, phi_extrema, straight_path
 from qmprobe.quasimorphisms import HomomorphismQM
@@ -114,7 +114,7 @@ def test_constants_frozen_for_z2(z2, z2_hom01):
 def test_constants_match_formula(z2, z2_hom11):
     dstar, kprime = ONE, ExactReal(4)
     bundle = compute_constants(z2_hom11, dstar, kprime, z2.parse_element("c"))
-    maxst = exact_max(
+    maxst = max(
         z2_hom11.homogeneous_value(z2.generator_element(s) * z2.generator_element(t))
         for s in z2.generators()
         for t in z2.generators()
@@ -393,7 +393,7 @@ def test_obstruction_bounds_match_formula(f2, psibar_ab):
     for v, bound in zip(report.geodesic.vertices, report.bounds):
         raw = (abs(psibar_ab.homogeneous_value(v)) - 2) / denom
         assert bound == (raw if raw > ZERO else ZERO)
-    assert report.max_bound == exact_max(report.bounds)
+    assert report.max_bound == max(report.bounds)
 
 
 def test_obstruction_probe_validations(f2, z2, psibar_ab, z2_hom11):

@@ -1,13 +1,20 @@
-"""The benchmark's tracer wraps qmprobe functions by name; each name it
-lists must still exist, or `bench/run.py --trace 1` breaks."""
+"""The benchmark's tracer wraps qmprobe functions by name, and its
+microbenchmarks call qmprobe methods by name; each must still exist,
+and the tracer must find every module it wraps loaded, or
+`bench/run.py --trace 1` breaks."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-SPANS = pathlib.Path(__file__).parent.parent / "bench" / "spans.py"
+ROOT = pathlib.Path(__file__).parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _targets():
@@ -15,6 +22,37 @@ def _targets():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return [(layer, name) for layer, names in module.TARGETS.items() for name in names]
+
+
+def _python(*args):
+    """The stdout of `python *args` in a fresh process with `src` on the
+    import path."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_the_package_root_loads_nothing_and_the_cli_every_traced_module():
+    code = (
+        "import json, sys\n"
+        "loaded = lambda: json.dumps([m for m in sys.modules if m.startswith('qmprobe.')])\n"
+        "import qmprobe\n"
+        "print(loaded())\n"
+        "import qmprobe.cli\n"
+        "print(loaded())\n"
+    )
+    root, cli = map(json.loads, _python("-c", code).splitlines())
+    assert root == []
+    assert {f"qmprobe.{layer}" for layer, _ in _targets()} <= set(cli)
+
+
+def test_the_microbenchmarks_report_every_per_operation_metric():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    per_op = {m["name"] for m in bench["per_layer"] if m["unit"] == "us"}
+    assert len(per_op) == 7
+    assert set(json.loads(_python(str(ROOT / "bench" / "micro.py")))) == per_op
 
 
 @pytest.mark.parametrize("layer, name", _targets())
