@@ -100,6 +100,17 @@ def _sign(p: int, q: int, d: int) -> int:
     return (p > 0) - (p < 0)
 
 
+def _floor(p: int, q: int, den: int, d: int) -> int:
+    """floor((p + q*sqrt(d)) / den) for ints with den > 0, in lowest
+    terms or not: with x = p + q*sqrt(d) irrational,
+    floor(x / den) = floor(floor(x) / den)."""
+    if q > 0:
+        p += isqrt(q * q * d)
+    elif q < 0:
+        p -= isqrt(q * q * d) + 1
+    return p // den
+
+
 def _coerce(x: Rationalish) -> "ExactReal":
     if isinstance(x, ExactReal):
         return x
@@ -283,14 +294,8 @@ class ExactReal(_Fields):
     # -- floor -------------------------------------------------------
 
     def floor(self) -> int:
-        """Largest integer n with n <= self, computed exactly: with
-        x = p + q*sqrt(d) irrational, floor(x / den) = floor(floor(x) / den)."""
-        p, q = self._p, self._q
-        if q > 0:
-            p += isqrt(q * q * self.d)
-        elif q < 0:
-            p -= isqrt(q * q * self.d) + 1
-        return p // self._den
+        """Largest integer n with n <= self, computed exactly."""
+        return _floor(self._p, self._q, self._den, self.d)
 
     def __floor__(self) -> int:
         return self.floor()

@@ -167,6 +167,11 @@ class GroupModel(_ModelFields):
 
     def ball(self, radius: int) -> tuple["GroupElement", ...]:
         """All elements of word length <= radius, canonically sorted."""
+        return tuple([_element(self, free, ab) for free, ab in self.ball_forms(radius)])
+
+    def ball_forms(self, radius: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The normal forms (free, ab) of `ball(radius)`, in its order,
+        for a caller that reads nothing else of its elements."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
         if radius > self.ball_cap:
@@ -362,11 +367,45 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def edge_letter(g: GroupElement, h: GroupElement) -> Generator:
-    """The generator carrying g to h; errors if d(g, h) != 1."""
-    step = g.inverse() * h
-    if step.length() != 1:
-        raise ValueError("vertices are not adjacent in the Cayley graph")
-    return step.letters()[0]
+    """The generator carrying g to h; errors if d(g, h) != 1.  Read off
+    the normal forms: adjacent vertices have equal abelian parts and
+    free words one of which extends the other by a letter, or equal free
+    words and abelian parts that differ by a unit vector."""
+    if g.model is not h.model:
+        g._check(h)
+    u, a, v, b = g.free, g.ab, h.free, h.ab
+    if a == b:
+        n = len(u)
+        if len(v) == n + 1 and v[:n] == u:
+            x = v[n]  # v = u x
+        elif len(v) == n - 1 and u[:-1] == v:
+            x = -u[-1]  # u = v x^-1
+        else:
+            x = 0
+        if x:
+            return Generator(x - 1, False) if x > 0 else Generator(-x - 1, True)
+    elif u == v:
+        moved = [(j, y - x) for j, (x, y) in enumerate(zip(a, b)) if x != y]
+        if len(moved) == 1 and abs(moved[0][1]) == 1:
+            j, e = moved[0]
+            return Generator(g.model.free_rank + j, e < 0)
+    raise ValueError("vertices are not adjacent in the Cayley graph")
+
+
+def _step_form(
+    free_rank: int, free: tuple[int, ...], ab: tuple[int, ...], letter: Generator
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The normal form of (free, ab) times one generator letter, whose
+    index must be in range."""
+    index, inverse = letter
+    if index < free_rank:
+        x = -index - 1 if inverse else index + 1
+        if free and free[-1] == -x:
+            return free[:-1], ab
+        return free + (x,), ab
+    vec = list(ab)
+    vec[index - free_rank] += -1 if inverse else 1
+    return free, tuple(vec)
 
 
 def ball_size(model: GroupModel, radius: int) -> int:
@@ -385,9 +424,9 @@ def ball_size(model: GroupModel, radius: int) -> int:
     return total
 
 
-def _ball(model: GroupModel, radius: int) -> tuple[GroupElement, ...]:
-    """The ball in canonical order, built sphere by sphere on normal
-    forms (free, ab).  A canonical spelling minus its last letter is
+def _ball(model: GroupModel, radius: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The normal forms (free, ab) of the ball in canonical order, built
+    sphere by sphere.  A canonical spelling minus its last letter is
     still canonical, so listing each sphere's forms in order, each
     followed by its children in letter order, lists the next sphere in
     order too: this is shortlex order (Epstein et al., *Word Processing
@@ -420,4 +459,4 @@ def _ball(model: GroupModel, radius: int) -> tuple[GroupElement, ...]:
                     nxt.append((free, tuple(vec)))
         forms += nxt
         sphere = nxt
-    return tuple([_element(model, free, ab) for free, ab in forms])
+    return forms

@@ -47,10 +47,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
-from .exact import ExactReal, ZERO, _sign
+from .exact import ExactReal, ZERO
 from .groups import Generator, GroupElement, GroupModel, _concat_reduce, _element
 from .intsolve import (
     UnsatCertificate,
@@ -59,7 +59,7 @@ from .intsolve import (
     solve_integer_system,
 )
 from .paths import Path, path_from_letters
-from .quasimorphisms import Quasimorphism, scaled_bound
+from .quasimorphisms import Quasimorphism, _below
 
 RAY_STEP_CAP = 100_000
 DEFAULT_CELL_CAP = 50_000
@@ -450,15 +450,16 @@ def enumerate_faces(
     type's offset, so the numerators of phi-bar(g) are taken once per
     base and compared on integers with the bounds
     [floor - offset, ceiling - offset) of each type, scaled once per
-    call; no value is built per base and nothing is cached.  Other
-    potentials take each face's corner minimum, uncached, since a
-    filling reads the values of only the faces it uses."""
+    call; the ball is read as normal forms, no value or element is
+    built per base and nothing is cached.  Other potentials take each
+    face's corner minimum, uncached, since a filling reads the values
+    of only the faces it uses."""
     faces: list[Cell] = []
-    ball = cx.model.ball(radius)
+    ball = cx.model.ball_forms(radius)
     if cx._offsets is None:
-        for g in ball:
+        for free, ab in ball:
             for t in range(len(cx.square_types)):
-                cell = cx.face_cell(g, t)
+                cell = ("f", free, ab, t)
                 v = cx._corner_min(cell)
                 if v < ceiling and (floor is None or floor <= v):
                     faces.append(cell)
@@ -471,8 +472,7 @@ def enumerate_faces(
         (t, _below(qm, ceiling - off), None if floor is None else _below(qm, floor - off))
         for t, off in enumerate(cx._offsets["f"])
     ]
-    for g in ball if bounds else ():
-        free, ab = g.free, g.ab
+    for free, ab in ball if bounds else ():
         p, q = hnum(free, ab)
         for t, under_ceiling, under_floor in bounds:
             if under_ceiling(p, q) and (under_floor is None or not under_floor(p, q)):
@@ -480,13 +480,6 @@ def enumerate_faces(
                 if len(faces) > cell_cap:
                     raise CapExceededError("solver 2-cells", len(faces), cell_cap)
     return faces
-
-
-def _below(qm: Quasimorphism, bound: ExactReal) -> Callable[[int, int], bool]:
-    """The test whether a value of qm, given by its numerators (p, q)
-    over qm.den, lies strictly below `bound`."""
-    bp, bq, s, d = scaled_bound(qm, bound)
-    return lambda p, q: _sign(bp - s * p, bq - s * q, d) > 0
 
 
 def _trimmed_columns(

@@ -1,13 +1,25 @@
 """Edge paths in the Cayley graph and their algebra.
 
 A path is a vertex sequence (g_0, ..., g_k) with each g_i^-1 g_{i+1} a
-generator letter.  Concatenation translates the second path so that it
-continues from the end of the first:
+generator letter, the path's i-th edge letter.  `Path(vertices)` finds
+each letter with `edge_letter`, on the normal forms of the two
+vertices, and records them all, so `edge_letters()` reads them back
+without recomputing.
+
+Concatenation translates the second path so that it continues from the
+end of the first:
 
     p q = (g_0, ..., g_k, g_k h_0^-1 h_1, ..., g_k h_0^-1 h_n)
 
+Left translation is an automorphism of the Cayley graph, so the
+translated vertices are the walk from g_k along the second path's
+letters, and the letters of p q are those of p followed by those of q.
+Paths built this way, and by `path_from_letters`, know their letters
+already and are not checked again.
+
 `phi_extrema` reports the exact min and max of the homogeneous value
-over every vertex, the endpoints included.
+over every vertex, the endpoints included.  It compares numerator pairs
+over qm.den and builds only the two values it returns.
 """
 
 from __future__ import annotations
@@ -15,29 +27,36 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import ModelMismatchError
-from .exact import ExactReal
-from .groups import Generator, GroupElement, edge_letter
+from .exact import ExactReal, _make, _sign
+from .groups import Generator, GroupElement, _element, _step_form, edge_letter
 from .quasimorphisms import Quasimorphism
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class Path:
     """An immutable vertex sequence, equal to another when the vertices
     are.  Not a tuple: `len` counts edges."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_letters")
 
     def __init__(self, vertices: tuple[GroupElement, ...]):
         if not vertices:
             raise ValueError("a path needs at least one vertex")
         model = vertices[0].model
+        letters = []
         for v, w in zip(vertices, vertices[1:]):
-            if v.model != model:
+            if w.model is not model and w.model != model:
                 raise ModelMismatchError("path vertices use different models")
-            if v.distance(w) != 1:
+            try:
+                letters.append(edge_letter(v, w))
+            except ValueError:
                 raise ValueError(
                     f"consecutive path vertices {v!r}, {w!r} are not adjacent"
-                )
-        object.__setattr__(self, "vertices", vertices)
+                ) from None
+        _set(self, "vertices", vertices)
+        _set(self, "_letters", tuple(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Path is immutable")
@@ -76,22 +95,44 @@ class Path:
         return len(self.vertices) - 1
 
     def edge_letters(self) -> tuple[Generator, ...]:
-        return tuple(
-            edge_letter(v, w) for v, w in zip(self.vertices, self.vertices[1:])
-        )
+        return self._letters
 
     def concat(self, other: "Path") -> "Path":
         if other.model != self.model:
             raise ModelMismatchError("cannot concatenate paths from different models")
-        shift = self.terminus * other.origin.inverse()
-        return Path(self.vertices + tuple(shift * h for h in other.vertices[1:]))
+        walked = _walk(self.terminus, other._letters)
+        return _path(self.vertices + walked[1:], self._letters + other._letters)
+
+
+def _path(vertices: tuple[GroupElement, ...], letters: tuple[Generator, ...]) -> Path:
+    """The path with these vertices, whose edge letters the caller
+    knows to be `letters`; nothing is checked."""
+    path = _new(Path)
+    _set(path, "vertices", vertices)
+    _set(path, "_letters", letters)
+    return path
+
+
+def _walk(origin: GroupElement, letters: tuple[Generator, ...]) -> tuple[GroupElement, ...]:
+    """origin, origin x_1, origin x_1 x_2, ..., stepped on normal forms;
+    each letter's index must be in range."""
+    model = origin.model
+    free_rank = model.free_rank
+    free, ab = origin.free, origin.ab
+    out = [origin]
+    for letter in letters:
+        free, ab = _step_form(free_rank, free, ab, letter)
+        out.append(_element(model, free, ab))
+    return tuple(out)
 
 
 def path_from_letters(origin: GroupElement, letters: Iterable[Generator]) -> Path:
-    vertices = [origin]
-    for gen in letters:
-        vertices.append(vertices[-1] * origin.model.generator_element(gen))
-    return Path(tuple(vertices))
+    letters = tuple(letters)
+    rank = origin.model.rank
+    for index, _ in letters:
+        if not 0 <= index < rank:
+            raise ValueError(f"generator index {index} out of range for rank {rank}")
+    return _path(_walk(origin, letters), letters)
 
 
 def straight_path(origin: GroupElement, target: GroupElement) -> Path:
@@ -101,5 +142,17 @@ def straight_path(origin: GroupElement, target: GroupElement) -> Path:
 
 
 def phi_extrema(qm: Quasimorphism, path: Path) -> tuple[ExactReal, ExactReal]:
-    values = [qm.homogeneous_value(v) for v in path.vertices]
-    return min(values), max(values)
+    """The least and the greatest homogeneous value along the path, as
+    `min` and `max` of the values give them: two values over one den
+    are equal exactly when their numerators are."""
+    if path.model is not qm.model:
+        qm._check(path.origin)
+    hnum, d = qm._hnum, qm.d
+    nums = [hnum(v.free, v.ab) for v in path.vertices]
+    lo = hi = nums[0]
+    for p, q in nums:
+        if _sign(p - lo[0], q - lo[1], d) < 0:
+            lo = (p, q)
+        elif _sign(p - hi[0], q - hi[1], d) > 0:
+            hi = (p, q)
+    return _make(*lo, qm.den, d), _make(*hi, qm.den, d)

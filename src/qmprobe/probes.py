@@ -67,6 +67,7 @@ from .quasimorphisms import (
 from .report import cell_payload, encode, face_payloads, parse_cell
 from .rips import DEFAULT_VERTEX_CAP, _prepare_vertices, connectivity_profile
 from .search import (
+    MAX_SEARCH_BALL,
     NotFoundWithinBall,
     _is_f2z_example,
     bounded_path_search,
@@ -238,6 +239,15 @@ def _work_bound(
             f"{probe.kind} at radius {radius} {counted.format(f'{at_least}{count}')}, "
             f"more than {limit_name} = {limit}"
         )
+
+
+def _search_bound(exp: Experiment, probe: Section, radius: int, runs: int) -> None:
+    """Refuse searches that would span more than MAX_SEARCH_BALL ball
+    elements: `runs` breadth-first searches inside ball(radius)."""
+    counted = "searches {} ball elements" + (f" in {runs} runs" if runs > 1 else "")
+    _work_bound(
+        exp, probe, radius, lambda n: n * runs, counted, "MAX_SEARCH_BALL", MAX_SEARCH_BALL
+    )
 
 
 def _scaling_in_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal) -> None:
@@ -443,6 +453,7 @@ def _validate_path_search(exp: Experiment, probe: Section) -> None:
     model = exp.model
     _need_qm(exp, probe)
     radius = _radius(exp, probe)
+    _search_bound(exp, probe, radius, 1)
     start = probe.get("start", model.parse_element)
     target = probe.get("target", model.parse_element)
     for label, g in (("start", start), ("target", target)):
@@ -483,11 +494,14 @@ def _validate_q_library(exp: Experiment, probe: Section) -> None:
         raise ValueError("kprime must exceed 2*dstar")
     scaling = _letter_scaling(exp.model, probe)
     _scaling_in_window(qm, scaling, dstar)
+    radius = _radius(exp, probe, minimum=1)
+    # one search per ordered pair of the 2 * rank generator letters
+    _search_bound(exp, probe, radius, (2 * exp.model.rank) ** 2)
     probe.settings.update(
         dstar=dstar,
         kprime=kprime,
         scaling=scaling,
-        radius=_radius(exp, probe, minimum=1),
+        radius=radius,
         depth=probe.get("depth", integer(1), None),
     )
 
@@ -767,6 +781,7 @@ def _validate_zs_cycle(exp: Experiment, probe: Section) -> None:
     if len(letters) != 1:
         raise ValueError("s must be a single generator letter")
     radius = _radius(exp, probe, minimum=1)
+    _search_bound(exp, probe, radius, 1)
     depth = probe.get("depth", integer(1))
     if radius < depth + 1:
         raise ValueError(
@@ -882,7 +897,10 @@ explicit edges certifies connectivity.""",
 path-search: breadth-first search inside ball(R) over the admissible
 vertices -K <= phi-bar(v) <= K_max (no ceiling when K_max is absent).
 A found path is recorded with its exact phi-bar extrema; a failure
-records how many admissible vertices were exhausted.""",
+records how many admissible vertices were exhausted.  The search runs
+on normal forms and compares integer numerators with the bounds; a
+ball(R) of more than MAX_SEARCH_BALL elements is refused when the
+config is validated.""",
     ),
     "q-library": ProbeKind(
         _validate_q_library,
@@ -897,7 +915,9 @@ n = floor((5 / (4 D*)) (K' + max_{s,t} phi-bar(s t) + D*)) + 3.
 Interior essential vertices (those not flanked by a pair of
 scaling-letter edges) must sit strictly below -D*.  The level guard is
 N = max(K' + 2 D* + 1, 1 - min phi-bar over the library), so every
-stored vertex satisfies phi-bar > -N.""",
+stored vertex satisfies phi-bar > -N.  One search runs per ordered
+pair, (2 rank)^2 in all; searches spanning more than MAX_SEARCH_BALL
+ball elements in all are refused when the config is validated.""",
     ),
     "peak-reduce": ProbeKind(
         _validate_peak_reduce,
@@ -910,7 +930,10 @@ first highest essential vertex v1 in v0 -> v1 -> v2 is replaced by the
 library path v0 q_{s,t}, where s, t spell the incoming and outgoing
 edges.  Each step strictly decreases (height, peak count)
 lexicographically and stays above -N.  Removing scaling-letter
-backtracks afterwards leaves every vertex with phi-bar <= M + 2 D*.""",
+backtracks afterwards leaves every vertex with phi-bar <= M + 2 D*.
+The edges s, t, the essential vertices and the backtracks are read off
+the path's recorded edge letters.  The library's (2 rank)^2 searches
+are bounded by MAX_SEARCH_BALL as in q-library.""",
     ),
     "f2z-example": ProbeKind(
         _validate_f2z_example,
@@ -968,6 +991,9 @@ c^n to s c^n: the down-up path through the identity (descend c^-n, step
 s, ascend c^n) and a high path with min phi-bar >= n phi-bar(c) - K.
 For s = c the two constructions coincide and z_c = 0 by convention.
 The cycle is exact (boundary zero with no window), and the regime of
-interest is n phi-bar(c) > K + D + 1, reported as a threshold check.""",
+interest is n phi-bar(c) > K + D + 1, reported as a threshold check.
+The high path is a path-search inside ball(R), and a ball(R) of more
+than MAX_SEARCH_BALL elements is refused when the config is
+validated.""",
     ),
 }

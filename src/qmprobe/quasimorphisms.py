@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from math import lcm
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ModelMismatchError
 from .exact import DEFAULT_SQUAREFREE, ExactReal, ZERO, _make, _sign
@@ -455,6 +455,20 @@ def scaled_bound(qm: Quasimorphism, bound: ExactReal) -> tuple[int, int, int, in
             raise ValueError(f"cannot mix sqrt({d}) and sqrt({bound.d})")
         d = bound.d
     return bound._p * qm.den, bound._q * qm.den, bound._den, d
+
+
+def _below(qm: Quasimorphism, bound: ExactReal) -> Callable[[int, int], bool]:
+    """The test whether a value of qm, given by its numerators (p, q)
+    over qm.den, lies strictly below `bound`."""
+    bp, bq, s, d = scaled_bound(qm, bound)
+    return lambda p, q: _sign(bp - s * p, bq - s * q, d) > 0
+
+
+def _above(qm: Quasimorphism, bound: ExactReal) -> Callable[[int, int], bool]:
+    """The test whether a value of qm, given by its numerators (p, q)
+    over qm.den, lies strictly above `bound`."""
+    bp, bq, s, d = scaled_bound(qm, bound)
+    return lambda p, q: _sign(bp - s * p, bq - s * q, d) < 0
 
 
 def _upper_bound(

@@ -4,7 +4,17 @@
 restricted to vertices whose homogeneous value stays above a floor
 (and, two-sided, below a ceiling).  A positive answer is a replayable
 path witness; a negative answer records the (K, R) parameters and is
-evidence only -- nothing outside the ball was examined.
+evidence only -- nothing outside the ball was examined.  The probes
+validate the searches' size against MAX_SEARCH_BALL before any runs.
+
+The level-set machinery below works on normal forms (free, ab) and on
+numerator pairs (p, q) over qm.den, the way the pair scans do: the
+BFS keys, steps and tests normal forms, and builds a `GroupElement`
+only for the vertices of the path it returns; essential vertices,
+backtracks and the letters s, t of a peak are read off a path's
+recorded edge letters; the library's essential-vertex test and the
+heights compare numerators.  `ExactReal`s are built for the bounds
+and thresholds, once per call, and for the values a result records.
 
 On top of that sit the pieces used to push paths out of high levels:
 
@@ -32,10 +42,18 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, LibraryIncompleteError, ModelMismatchError
-from .exact import ExactReal, ZERO
-from .groups import Generator, GroupElement, GroupModel
-from .paths import Path, path_from_letters, phi_extrema, straight_path
-from .quasimorphisms import HomomorphismQM, HomogenizedQM, Quasimorphism
+from .exact import ExactReal, ZERO, _floor
+from .groups import Generator, GroupElement, GroupModel, _step_form
+from .paths import Path, _path, _walk, path_from_letters, phi_extrema, straight_path
+from .quasimorphisms import HomomorphismQM, HomogenizedQM, Quasimorphism, _above, _below
+
+
+# most ball elements the searches of one probe may span: ball(radius)
+# once for `path-search` and `zs-cycle`, once per ordered generator pair
+# for `q-library` and `peak-reduce`; validation refuses more.  One BFS
+# over 120,000-200,000 elements of F_2, F_3 or Z^2 took 0.2-1.3 s on a
+# 2-vCPU VM with Python 3.11.7
+MAX_SEARCH_BALL = 200_000
 
 
 class PathWitness(NamedTuple):
@@ -60,17 +78,6 @@ class NotFoundWithinBall(NamedTuple):
     reason: str
 
 
-def _admissible(qm, v, radius, lo, hi) -> bool:
-    if v.length() > radius:
-        return False
-    val = qm.homogeneous_value(v)
-    if lo is not None and val < lo:
-        return False
-    if hi is not None and val > hi:
-        return False
-    return True
-
-
 def _constrained_bfs(
     qm: Quasimorphism,
     start: GroupElement,
@@ -79,6 +86,17 @@ def _constrained_bfs(
     lo: Optional[ExactReal],
     hi: Optional[ExactReal],
 ) -> Path | NotFoundWithinBall:
+    """Breadth-first search from the target over the vertices of
+    ball(radius) with lo <= phi-bar <= hi, labelling each with its
+    distance to the target until the start is labelled; then the walk
+    from the start takes, at every vertex, the canonically first letter
+    that steps one label down.
+
+    Vertices are normal forms (free, ab), with length
+    len(free) + sum |ab|, stepped by `_step_form`; values are numerator
+    pairs over qm.den, compared on integers with the bounds scaled once
+    per call.  Elements are built only for the vertices of the returned
+    path."""
     model = qm.model
     if start.model != model or target.model != model:
         raise ModelMismatchError("search endpoints use a different model")
@@ -86,25 +104,38 @@ def _constrained_bfs(
         raise CapExceededError("search radius", radius, model.ball_cap)
     if start.length() > radius or target.length() > radius:
         raise ValueError("search endpoints must lie in the ball")
-    if not (_admissible(qm, start, radius, lo, hi) and _admissible(qm, target, radius, lo, hi)):
+    hnum = qm._hnum
+    below = None if lo is None else _below(qm, lo)
+    above = None if hi is None else _above(qm, hi)
+
+    def admissible(free: tuple[int, ...], ab: tuple[int, ...]) -> bool:
+        p, q = hnum(free, ab)
+        return not (below is not None and below(p, q) or above is not None and above(p, q))
+
+    first, last = (start.free, start.ab), (target.free, target.ab)
+    if not (admissible(*first) and admissible(*last)):
         return NotFoundWithinBall(
             start, target, radius, lo, hi, 0, "an endpoint violates the level constraint"
         )
-    steps = [model.generator_element(gen) for gen in model.generators()]
+    free_rank = model.free_rank
+    letters = model.generators()
     # distances to the target over the admissible region
-    dist: dict[tuple, int] = {(target.free, target.ab): 0}
-    frontier = deque([target])
-    found = start == target
+    dist: dict[tuple, int] = {last: 0}
+    frontier = deque([last])
+    found = first == last
     while frontier and not found:
-        v = frontier.popleft()
-        d = dist[(v.free, v.ab)]
-        for step in steps:
-            w = v * step
-            key = (w.free, w.ab)
-            if key in dist or not _admissible(qm, w, radius, lo, hi):
+        form = frontier.popleft()
+        free, ab = form
+        d = dist[form] + 1
+        for letter in letters:
+            w = _step_form(free_rank, free, ab, letter)
+            if w in dist:
                 continue
-            dist[key] = d + 1
-            if w == start:
+            size = len(w[0]) + sum(map(abs, w[1]))
+            if size > radius or not admissible(*w):
+                continue
+            dist[w] = d
+            if w == first:
                 found = True
                 break
             frontier.append(w)
@@ -113,21 +144,18 @@ def _constrained_bfs(
             start, target, radius, lo, hi, len(dist), "admissible region exhausted"
         )
     # walk from the start, taking the canonically first descending step
-    vertices = [start]
-    current = start
-    remaining = dist[(start.free, start.ab)]
-    while remaining > 0:
-        for step in steps:
-            w = current * step
-            d = dist.get((w.free, w.ab))
-            if d == remaining - 1:
-                vertices.append(w)
-                current = w
-                remaining = d
+    walk: list[Generator] = []
+    free, ab = first
+    for remaining in range(dist[first] - 1, -1, -1):
+        for letter in letters:
+            w = _step_form(free_rank, free, ab, letter)
+            if dist.get(w) == remaining:
+                walk.append(letter)
+                free, ab = w
                 break
         else:  # pragma: no cover - BFS guarantees a descending neighbour
             raise RuntimeError("inconsistent BFS distance map")
-    return Path(tuple(vertices))
+    return _path(_walk(start, tuple(walk)), tuple(walk))
 
 
 def bounded_path_search(
@@ -218,19 +246,26 @@ def _scaling_letter(model: GroupModel, scaling: GroupElement) -> Generator:
     return scaling.letters()[0]
 
 
+def _scaling_letters(model: GroupModel, scaling: GroupElement) -> tuple[Generator, ...]:
+    """The letters of the steps by scaling^1 and scaling^-1: none unless
+    scaling is a one-letter element of `model`, since no edge steps by
+    anything else."""
+    if scaling.length() != 1 or scaling.model != model:
+        return ()
+    c = scaling.letters()[0]
+    return (c, c.inverted())
+
+
 def essential_flags(path: Path, scaling: GroupElement) -> tuple[bool, ...]:
     """A vertex is inessential when both incident edges are steps by the
     scaling letter (in either direction); endpoints are always
-    essential."""
-    c, cinv = scaling, scaling.inverse()
-    k = len(path.vertices)
-    flags = [True] * k
-    for i in range(1, k - 1):
-        before = path.vertices[i - 1].inverse() * path.vertices[i]
-        after = path.vertices[i].inverse() * path.vertices[i + 1]
-        if before in (c, cinv) and after in (c, cinv):
-            flags[i] = False
-    return tuple(flags)
+    essential.  Read off the path's edge letters."""
+    letters = path.edge_letters()
+    if not letters:
+        return (True,)
+    cs = _scaling_letters(path.model, scaling)
+    inner = [not (x in cs and y in cs) for x, y in zip(letters, letters[1:])]
+    return (True, *inner, True)
 
 
 class QLibraryEntry(NamedTuple):
@@ -285,6 +320,8 @@ def build_q_library(
         up = path_from_letters(identity, [c_letter] * n)
         bottom = down.terminus  # c^-n
 
+    hnum = qm._hnum
+    below_dstar = _below(qm, -bundle.dstar)
     entries: list[QLibraryEntry] = []
     min_values: list[ExactReal] = []
     for s in model.generators():
@@ -315,7 +352,7 @@ def build_q_library(
             flags = essential_flags(q, scaling)
             bad = None
             for i, flag in enumerate(flags[1:-1], start=1):
-                if flag and not qm.homogeneous_value(q.vertices[i]) < -bundle.dstar:
+                if flag and not below_dstar(*hnum(q.vertices[i].free, q.vertices[i].ab)):
                     bad = i
                     break
             if bad is not None:
@@ -346,19 +383,22 @@ def build_q_library(
 
 def remove_inessential_backtracks(path: Path, scaling: GroupElement) -> Path:
     """Cancel immediate backtracks along the scaling letter:
-    (..., u, u c^e, u, ...) collapses to (..., u, ...)."""
-    c, cinv = scaling, scaling.inverse()
-    out = [path.vertices[0]]
-    for v in path.vertices[1:]:
-        out.append(v)
-        while (
-            len(out) >= 3
-            and out[-1] == out[-3]
-            and out[-3].inverse() * out[-2] in (c, cinv)
-        ):
-            out.pop()
-            out.pop()
-    return Path(tuple(out))
+    (..., u, u c^e, u, ...) collapses to (..., u, ...).
+
+    On edge letters: a step x followed by x^-1 returns to its vertex, so
+    with x a scaling letter both steps are dropped.  What is kept was
+    left unreduced when it was kept, so one test per step suffices."""
+    cs = _scaling_letters(path.model, scaling)
+    vertices = [path.vertices[0]]
+    letters: list[Generator] = []
+    for v, x in zip(path.vertices[1:], path.edge_letters()):
+        if letters and letters[-1] in cs and x == letters[-1].inverted():
+            letters.pop()
+            vertices.pop()
+        else:
+            letters.append(x)
+            vertices.append(v)
+    return _path(tuple(vertices), tuple(letters))
 
 
 class PeakStep(NamedTuple):
@@ -385,17 +425,20 @@ def height_and_peaks(
     qm: Quasimorphism, path: Path, scaling: GroupElement
 ) -> tuple[int, int, int]:
     """(height, number of peaks, index of the first peak) over the
-    essential vertices."""
+    essential vertices, with floors taken on numerators over qm.den."""
+    if path.model is not qm.model:
+        qm._check(path.origin)
+    hnum, den, d = qm._hnum, qm.den, qm.d
     flags = essential_flags(path, scaling)
     height = None
     count = 0
     first = -1
     floors = []
-    for i, flag in enumerate(flags):
+    for v, flag in zip(path.vertices, flags):
         if not flag:
             floors.append(None)
             continue
-        f = qm.homogeneous_value(path.vertices[i]).floor()
+        f = _floor(*hnum(v.free, v.ab), den, d)
         floors.append(f)
         if height is None or f > height:
             height = f
@@ -437,18 +480,17 @@ def peak_reduction(
             raise CapExceededError("peak reduction iterations", len(steps) + 1, max_iterations)
         if first <= 0 or first >= len(current.vertices) - 1:
             raise RuntimeError("a path endpoint turned out to be a peak")
-        v0 = current.vertices[first - 1]
-        s = (v0.inverse() * current.vertices[first]).letters()[0]
-        t = (
-            current.vertices[first].inverse() * current.vertices[first + 1]
-        ).letters()[0]
+        vertices, letters = current.vertices, current.edge_letters()
+        s, t = letters[first - 1], letters[first]
         q = library.lookup(s, t)
-        spliced = (
-            current.vertices[: first]
-            + tuple(v0 * w for w in q.vertices[1:])
-            + current.vertices[first + 2 :]
+        # v0 q, walked from v0 = vertices[first - 1], ends at v0 s t
+        middle = _walk(vertices[first - 1], q.edge_letters())
+        if middle[-1] != vertices[first + 1]:
+            raise RuntimeError("the library path for the pair does not end at s t")
+        new_path = _path(
+            vertices[:first] + middle[1:] + vertices[first + 2 :],
+            letters[: first - 1] + q.edge_letters() + letters[first + 1 :],
         )
-        new_path = Path(spliced)
         mn, _ = phi_extrema(qm, new_path)
         if not mn > -bundle.level_guard:
             raise RuntimeError(

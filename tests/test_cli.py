@@ -16,7 +16,7 @@ import pytest
 
 from qmprobe.cli import _build_parser, main
 from qmprobe.config import parse_experiment
-from qmprobe.errors import ReplayError
+from qmprobe.errors import ConfigError, ReplayError
 from qmprobe.groups import MAX_BALL_CAP, GroupModel
 from qmprobe.intsolve import solve_integer_system
 from qmprobe.probes import KINDS, attempt
@@ -128,6 +128,46 @@ def test_the_bench_scans_evaluate_one_position_per_orbit(monkeypatch):
             counts[probe.kind] = len(calls)
     assert counts["defect"] <= 12_000
     assert counts["aker-cert"] <= 7_500
+
+
+def test_the_searches_build_elements_and_values_only_for_results(monkeypatch):
+    """`groups._element` and `exact._make` calls of z2_lattice's
+    q-library and peak-reduce probes.  With an element and an ExactReal
+    per BFS neighbour, per edge-letter product and per compared value,
+    the library made 2,627 elements and 628 values and the reduction
+    3,034 and 689.  On normal forms and numerators they make 301 and
+    125, and 323 and 136: fewer elements than the 360 vertices on the
+    library's 16 paths.  An element and a value per BFS neighbour alone
+    add about 100 of each."""
+    import qmprobe.exact
+    import qmprobe.groups
+
+    counts = {"elements": 0, "values": 0}
+    package = [m for n, m in sys.modules.items() if n.startswith("qmprobe")]
+    for key, original in (
+        ("elements", qmprobe.groups._element),
+        ("values", qmprobe.exact._make),
+    ):
+
+        def counted(*args, _key=key, _original=original):
+            counts[_key] += 1
+            return _original(*args)
+
+        # every module that bound the constructor by name reaches the counter
+        for module in package:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    exp = parse_experiment((CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8"))
+    seen = set()
+    for probe in exp.probes:
+        if probe.kind in ("q-library", "peak-reduce"):
+            counts.update(elements=0, values=0)
+            assert attempt(exp, probe)[0] == "ok"
+            assert counts["elements"] <= 360, probe.kind
+            assert counts["values"] <= 160, probe.kind
+            seen.add(probe.kind)
+    assert seen == {"q-library", "peak-reduce"}
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -1087,6 +1127,47 @@ def test_a_novikov_ball_too_large_for_its_bound_ends_at_once(tmp_path):
     proc = _within_a_second("verify", str(out))
     assert proc.returncode == 2
     assert proc.stderr == "qmprobe: echoed config no longer validates: " + refusal
+
+
+def test_a_search_too_large_for_its_bound_ends_at_once(tmp_path):
+    """A path-search from a^20 to b^20 in F_2 at radius 40 would walk a
+    ball of 2.4e19 elements and ran until killed: its ball is counted
+    while the config is validated, and `run` and `verify` both end with
+    one line and exit 2."""
+    text = (
+        "[group]\nfree_rank = 2\nnames = a b\nball_cap = 40\n\n"
+        "[quasimorphism phi]\nkind = homomorphism\na = 1\n\n"
+        "[probe climb]\nkind = path-search\nqm = phi\nstart = a^20\ntarget = b^20\n"
+        "k = 100\nradius = 40\n"
+    )
+    refusal = (
+        "[probe climb]: path-search at radius 40 searches 24315330918113857601 ball "
+        "elements, more than MAX_SEARCH_BALL = 200000\n"
+    )
+    proc, out = _run_within_a_second(tmp_path, text)
+    assert proc.returncode == 2 and not out.exists()
+    assert proc.stderr == "qmprobe: " + refusal
+    out.write_text(
+        json.dumps({"header": {}, "body": {"schema": "qmprobe-report-1", "config_echo": text}}),
+        encoding="utf-8",
+    )
+    proc = _within_a_second("verify", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "qmprobe: echoed config no longer validates: " + refusal
+
+
+def test_a_library_counts_one_search_per_pair():
+    """z2_lattice's library searches ball(30) of Z^2, 1,861 elements,
+    once for each of the 16 ordered generator pairs; at radius 80 the 16
+    searches would span 207,376 elements."""
+    text = (CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8")
+    text = text.replace("ball_cap = 40", "ball_cap = 80").replace("radius = 30", "radius = 80")
+    with pytest.raises(ConfigError) as info:
+        parse_experiment(text)
+    assert str(info.value) == (
+        "[probe library]: q-library at radius 80 searches 207376 ball elements in 16 runs, "
+        "more than MAX_SEARCH_BALL = 200000"
+    )
 
 
 def test_a_ball_cap_above_its_bound_ends_at_once(tmp_path):

@@ -212,6 +212,53 @@ def test_edge_letter_inverse_pair(f2):
         edge_letter(g, g * f2.parse_element("a b"))
 
 
+def _oracle_edge_letter(g, h):
+    """edge_letter as first written: the one letter of g^-1 h."""
+    step = g.inverse() * h
+    if step.length() != 1:
+        raise ValueError("vertices are not adjacent in the Cayley graph")
+    return step.letters()[0]
+
+
+_EDGE_MODELS = [(2, 0), (2, 1), (0, 2), (3, 2)]
+
+
+def _near(model, g, data):
+    """A vertex adjacent to g, or one that shares g's free word or its
+    abelian part without being adjacent to it."""
+    kind = data.draw(st.sampled_from(["letter", "abelian", "free", "any"]))
+    if kind == "letter":
+        return g * model.generator_element(data.draw(st.sampled_from(model.generators())))
+    if kind == "abelian":
+        shift = data.draw(st.lists(st.integers(-2, 2), min_size=model.abelian_rank,
+                                   max_size=model.abelian_rank))
+        return GroupElement(model, g.free, tuple(x + y for x, y in zip(g.ab, shift)))
+    if kind == "free":
+        return GroupElement(model, data.draw(_random_words(model, 6)).free, g.ab)
+    return data.draw(_random_words(model, 6))
+
+
+@pytest.mark.parametrize("ranks", _EDGE_MODELS, ids=lambda r: f"F{r[0]}xZ{r[1]}")
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_edge_letter_matches_the_product_oracle(ranks, data):
+    model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1])
+    g = data.draw(_random_words(model, 6))
+    h = _near(model, g, data)
+    try:
+        expected = _oracle_edge_letter(g, h)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            edge_letter(g, h)
+    else:
+        assert edge_letter(g, h) == expected
+
+
+def test_edge_letter_rejects_mixed_models(f2, z2):
+    with pytest.raises(ModelMismatchError):
+        edge_letter(f2.identity(), z2.parse_element("a"))
+
+
 def test_commutator_identity_for_commuting_pairs(f2z, f2):
     u = f2z.parse_element("u")
     a = f2z.parse_element("a")

@@ -67,6 +67,32 @@ def test_letters_round_trip_abelian(z2, data):
     assert p.edge_letters() == tuple(letters)
 
 
+def _product_letters(path):
+    """The edge letters as first computed: the one letter of each
+    g_i^-1 g_{i+1}."""
+    out = []
+    for v, w in zip(path.vertices, path.vertices[1:]):
+        step = v.inverse() * w
+        assert step.length() == 1
+        out.append(step.letters()[0])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["f2", "f2z", "z2", "f2z2"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_recorded_letters_match_the_products(request, name, data):
+    # letters recorded by path_from_letters and concat, and those the
+    # vertex check finds, all spell the vertices
+    model = request.getfixturevalue(name)
+    origin = path_from_letters(model.identity(), data.draw(_letters(model))).terminus
+    p = path_from_letters(origin, data.draw(_letters(model)))
+    q = path_from_letters(model.identity(), data.draw(_letters(model)))
+    for path in (p, q, p.concat(q), q.concat(p).concat(q)):
+        assert path.edge_letters() == _product_letters(path)
+        assert Path(path.vertices).edge_letters() == path.edge_letters()
+
+
 # -- concat ------------------------------------------------------------
 
 
@@ -142,6 +168,16 @@ def test_phi_extrema_interior_dip(psibar_ab, f2):
     lo, hi = phi_extrema(psibar_ab, p)
     assert lo == ZERO
     assert hi == ExactReal(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_phi_extrema_matches_the_values(psibar_ab, f2z, f2z_phi, data):
+    for qm in (psibar_ab, f2z_phi):
+        model = qm.model
+        p = path_from_letters(model.identity(), data.draw(_letters(model, 10)))
+        values = [qm.homogeneous_value(v) for v in p.vertices]
+        assert phi_extrema(qm, p) == (min(values), max(values))
 
 
 def test_phi_extrema_single_vertex(psibar_ab, f2):

@@ -2,9 +2,12 @@
 peak reduction, the F_2 x Z kernel normalization, and the free-group
 obstruction probe."""
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmprobe.errors import (
     CapExceededError,
@@ -18,6 +21,7 @@ from qmprobe.quasimorphisms import HomomorphismQM
 from qmprobe.search import (
     NotFoundWithinBall,
     PathWitness,
+    _constrained_bfs,
     bounded_path_search,
     build_q_library,
     compute_constants,
@@ -98,6 +102,86 @@ def test_search_validates_radius_and_endpoints(z2, z2_hom11, f2):
         bounded_path_search(z2_hom11, f2.identity(), f2.identity(), ZERO, 3)
 
 
+def _oracle_admissible(qm, v, radius, lo, hi):
+    if v.length() > radius:
+        return False
+    val = qm.homogeneous_value(v)
+    if lo is not None and val < lo:
+        return False
+    if hi is not None and val > hi:
+        return False
+    return True
+
+
+def _oracle_bfs(qm, start, target, radius, lo, hi):
+    """The constrained BFS as first written: an element and an ExactReal
+    per neighbour, compared with the bounds as values."""
+    model = qm.model
+    if not (
+        _oracle_admissible(qm, start, radius, lo, hi)
+        and _oracle_admissible(qm, target, radius, lo, hi)
+    ):
+        return NotFoundWithinBall(
+            start, target, radius, lo, hi, 0, "an endpoint violates the level constraint"
+        )
+    steps = [model.generator_element(gen) for gen in model.generators()]
+    dist = {target: 0}
+    frontier = deque([target])
+    found = start == target
+    while frontier and not found:
+        v = frontier.popleft()
+        for step in steps:
+            w = v * step
+            if w in dist or not _oracle_admissible(qm, w, radius, lo, hi):
+                continue
+            dist[w] = dist[v] + 1
+            if w == start:
+                found = True
+                break
+            frontier.append(w)
+    if not found:
+        return NotFoundWithinBall(
+            start, target, radius, lo, hi, len(dist), "admissible region exhausted"
+        )
+    vertices = [start]
+    while dist[vertices[-1]] > 0:
+        vertices.append(
+            next(
+                w
+                for w in (vertices[-1] * step for step in steps)
+                if dist.get(w) == dist[vertices[-1]] - 1
+            )
+        )
+    return Path(tuple(vertices))
+
+
+# how far a window bound sits outside the endpoints' values; a negative
+# slack leaves an endpoint outside, None leaves the side open
+_SLACKS = [None, ZERO, ZERO, ExactReal(Fraction(1, 2)), ONE, ExactReal(-1, 1, 2),
+           ExactReal(Fraction(-1, 2))]
+
+
+@pytest.mark.parametrize("name", ["psibar_ab", "f2z_phi"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_constrained_bfs_matches_the_oracle(request, name, data):
+    # a homogenized Brooks quasimorphism and a surd homomorphism, on
+    # random windows [lo, hi] around the endpoints' values
+    qm = request.getfixturevalue(name)
+    radius = data.draw(st.integers(1, 4))
+    ball = qm.model.ball(radius)
+    start, target = (data.draw(st.sampled_from(ball)) for _ in range(2))
+    low, high = sorted(qm.homogeneous_value(g) for g in (start, target))
+    below, above = (data.draw(st.sampled_from(_SLACKS)) for _ in range(2))
+    lo = None if below is None else low - below
+    hi = None if above is None else high + above
+    expected = _oracle_bfs(qm, start, target, radius, lo, hi)
+    got = _constrained_bfs(qm, start, target, radius, lo, hi)
+    assert got == expected
+    if isinstance(got, Path):
+        assert Path(got.vertices).edge_letters() == got.edge_letters()
+
+
 # -- constants ----------------------------------------------------------
 
 
@@ -155,6 +239,58 @@ def test_essential_flags_endpoints_always_essential(z2):
     c = z2.parse_element("c")
     p = path_from_letters(z2.identity(), z2.parse_word("c c"))
     assert essential_flags(p, c) == (True, False, True)
+
+
+def _oracle_essential_flags(path, scaling):
+    """essential_flags as first written, on the products of adjacent
+    vertices."""
+    c, cinv = scaling, scaling.inverse()
+    k = len(path.vertices)
+    flags = [True] * k
+    for i in range(1, k - 1):
+        before = path.vertices[i - 1].inverse() * path.vertices[i]
+        after = path.vertices[i].inverse() * path.vertices[i + 1]
+        if before in (c, cinv) and after in (c, cinv):
+            flags[i] = False
+    return tuple(flags)
+
+
+def _oracle_backtracks(path, scaling):
+    """remove_inessential_backtracks as first written, on vertices."""
+    c, cinv = scaling, scaling.inverse()
+    out = [path.vertices[0]]
+    for v in path.vertices[1:]:
+        out.append(v)
+        while len(out) >= 3 and out[-1] == out[-3] and out[-3].inverse() * out[-2] in (c, cinv):
+            out.pop()
+            out.pop()
+    return Path(tuple(out))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_essential_flags_and_backtracks_match_the_oracles(z2, f2z, data):
+    # paths rich in scaling steps; scaling is a letter, its inverse, a
+    # longer element or an element of another model
+    model = data.draw(st.sampled_from([z2, f2z]))
+    weights = [g for g in model.generators() for _ in range(3 if g.index == 1 else 1)]
+    letters = data.draw(st.lists(st.sampled_from(weights), max_size=12))
+    p = path_from_letters(model.identity(), letters)
+    other = f2z if model is z2 else z2
+    scaling = data.draw(
+        st.sampled_from(
+            [
+                model.generator_element(Generator(1, False)),
+                model.generator_element(Generator(1, True)),
+                model.generator_element(Generator(1, False)) ** 2,
+                other.generator_element(Generator(1, False)),
+            ]
+        )
+    )
+    assert essential_flags(p, scaling) == _oracle_essential_flags(p, scaling)
+    reduced = remove_inessential_backtracks(p, scaling)
+    assert reduced == _oracle_backtracks(p, scaling)
+    assert reduced.edge_letters() == Path(reduced.vertices).edge_letters()
 
 
 def test_backtrack_removal_simple(z2):
