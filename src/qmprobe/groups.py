@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceededError, ModelMismatchError
 
@@ -167,16 +167,12 @@ class GroupModel(_ModelFields):
 
     def ball(self, radius: int) -> tuple["GroupElement", ...]:
         """All elements of word length <= radius, canonically sorted."""
-        return tuple([_element(self, free, ab) for free, ab in self.ball_forms(radius)])
+        return tuple([_element(self, free, ab) for free, ab, _, _ in _ball(self, radius)])
 
     def ball_forms(self, radius: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The normal forms (free, ab) of `ball(radius)`, in its order,
         for a caller that reads nothing else of its elements."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        if radius > self.ball_cap:
-            raise CapExceededError("ball radius", radius, self.ball_cap)
-        return _ball(self, radius)
+        return [(free, ab) for free, ab, _, _ in _ball(self, radius)]
 
 
 class _ElementFields:
@@ -311,26 +307,41 @@ class GroupElement(_ElementFields):
         run of equal free letters, then one per nonzero abelian
         coordinate."""
         names = self.model.generator_names
-        parts = []
-        free = self.free
-        n, i = len(free), 0
-        while i < n:
-            x, j = free[i], i + 1
-            while j < n and free[j] == x:
-                j += 1
-            name, exp = names[abs(x) - 1], (j - i if x > 0 else i - j)
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-            i = j
+        word = _free_word(names, self.free)
         if self.ab:
-            r = self.model.free_rank
-            for j, v in enumerate(self.ab):
-                if v:
-                    name = names[r + j]
-                    parts.append(name if v == 1 else f"{name}^{v}")
-        return " ".join(parts)
+            word = _join_words(word, _abelian_word(names, self.model.free_rank, self.ab))
+        return word
 
     def __repr__(self) -> str:
         return f"<{self.word_str() or '1'}>"
+
+
+def _free_word(names: tuple[str, ...], free: tuple[int, ...]) -> str:
+    """The free part of `word_str`: one term per run of equal letters."""
+    parts = []
+    n, i = len(free), 0
+    while i < n:
+        x, j = free[i], i + 1
+        while j < n and free[j] == x:
+            j += 1
+        name, exp = names[abs(x) - 1], (j - i if x > 0 else i - j)
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+        i = j
+    return " ".join(parts)
+
+
+def _abelian_word(names: tuple[str, ...], free_rank: int, ab: tuple[int, ...]) -> str:
+    """The abelian part of `word_str`: one term per nonzero coordinate."""
+    parts = []
+    for j, v in enumerate(ab):
+        if v:
+            name = names[free_rank + j]
+            parts.append(name if v == 1 else f"{name}^{v}")
+    return " ".join(parts)
+
+
+def _join_words(free: str, abelian: str) -> str:
+    return f"{free} {abelian}" if free and abelian else free or abelian
 
 
 def _concat_reduce(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -424,39 +435,60 @@ def ball_size(model: GroupModel, radius: int) -> int:
     return total
 
 
-def _ball(model: GroupModel, radius: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The normal forms (free, ab) of the ball in canonical order, built
-    sphere by sphere.  A canonical spelling minus its last letter is
-    still canonical, so listing each sphere's forms in order, each
-    followed by its children in letter order, lists the next sphere in
-    order too: this is shortlex order (Epstein et al., *Word Processing
-    in Groups* (1992), ch. 2), the order of `sort_key`.  The children
-    of a form with ab = 0 add a free letter that does not cancel the
-    last one, or any abelian letter; the children of any other form add
-    an abelian letter with the last run's index and sign, or with a
-    higher index."""
-    letters = [x for i in range(1, model.free_rank + 1) for x in (i, -i)]
-    m = model.abelian_rank
-    sphere = [((), (0,) * m)]
+def _ball(
+    model: GroupModel, radius: int, step_nums: Optional[Sequence[tuple[int, int]]] = None
+) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+    """The normal forms of the ball in canonical order, each as
+    (free, ab, p, q), built sphere by sphere.  A canonical spelling
+    minus its last letter is still canonical, so listing each sphere's
+    forms in order, each followed by its children in letter order, lists
+    the next sphere in order too: this is shortlex order (Epstein et al.,
+    *Word Processing in Groups* (1992), ch. 2), the order of `sort_key`.
+    The children of a form with ab = 0 add a free letter that does not
+    cancel the last one, or any abelian letter; the children of any
+    other form add an abelian letter with the last run's index and sign,
+    or with a higher index.
+
+    `step_nums` are the numerators (p, q) of an additive potential, a
+    homomorphism, at each positive generator in index order; a letter's
+    inverse has their negation.  A child's numerators are its parent's
+    plus those of the letter it adds, so (p, q) of each form are the
+    potential's at it with no form evaluated.  Without `step_nums` they
+    are 0.  A radius above the model's ball_cap is refused."""
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    if radius > model.ball_cap:
+        raise CapExceededError("ball radius", radius, model.ball_cap)
+    r, m = model.free_rank, model.abelian_rank
+    nums = step_nums or [(0, 0)] * model.rank
+    # each free letter with its numerators, in letter order
+    letters = []
+    for x, (p, q) in enumerate(nums[:r], 1):
+        letters += [(x, p, q), (-x, -p, -q)]
+    ab_nums = nums[r:]
+    sphere = [((), (0,) * m, 0, 0)]
     forms = list(sphere)
     for _ in range(radius):
         nxt = []
-        for free, ab in sphere:
+        for free, ab, p, q in sphere:
             last = m - 1
             while last >= 0 and not ab[last]:
                 last -= 1
             if last < 0:
                 back = -free[-1] if free else 0
-                nxt += [(free + (x,), ab) for x in letters if x != back]
+                nxt += [(free + (x,), ab, p + xp, q + xq) for x, xp, xq in letters if x != back]
             else:
+                s = 1 if ab[last] > 0 else -1
                 vec = list(ab)
-                vec[last] += 1 if ab[last] > 0 else -1
-                nxt.append((free, tuple(vec)))
+                vec[last] += s
+                xp, xq = ab_nums[last]
+                nxt.append((free, tuple(vec), p + s * xp, q + s * xq))
             for j in range(last + 1, m):
+                xp, xq = ab_nums[j]
                 for s in (1, -1):
                     vec = list(ab)
                     vec[j] = s
-                    nxt.append((free, tuple(vec)))
+                    nxt.append((free, tuple(vec), p + s * xp, q + s * xq))
         forms += nxt
         sphere = nxt
     return forms

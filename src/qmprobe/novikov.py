@@ -21,7 +21,9 @@ and trimmed columns use them instead of reading cell values: they
 compare the integer numerators of phi-bar at a face's base, and at its
 neighbours (the base's plus a step's), with each bound minus its
 offset, scaled once to the quasimorphism's denominator, and leave
-nothing cached.
+nothing cached.  phi-bar is additive there, so the ball walk that lists
+the bases carries their numerators from the generators' own, and the
+faces test each distinct numerator pair once.
 
 On top of the chain arithmetic sit the desk-scale homology probes:
 `ray_cycle` builds the 1-cycle formed by a connecting path and two
@@ -51,7 +53,7 @@ from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
 from .exact import ExactReal, ZERO
-from .groups import Generator, GroupElement, GroupModel, _concat_reduce, _element
+from .groups import Generator, GroupElement, GroupModel, _ball, _concat_reduce, _element
 from .intsolve import (
     UnsatCertificate,
     check_solution,
@@ -447,17 +449,19 @@ def enumerate_faces(
     in canonical base-then-type order.
 
     For a homomorphism potential a face's value is phi-bar(g) plus its
-    type's offset, so the numerators of phi-bar(g) are taken once per
-    base and compared on integers with the bounds
-    [floor - offset, ceiling - offset) of each type, scaled once per
-    call; the ball is read as normal forms, no value or element is
-    built per base and nothing is cached.  Other potentials take each
-    face's corner minimum, uncached, since a filling reads the values
-    of only the faces it uses."""
+    type's offset, and phi-bar is additive, so the ball walk carries the
+    numerators of phi-bar(g) from those of the generators: the potential
+    is evaluated once per generator, not per base.  Which types the
+    bounds [floor - offset, ceiling - offset), scaled once per call,
+    admit depends only on those numerators, and the ball's bases take
+    few distinct ones, so each distinct pair is tested once, in a dict
+    that lives for the call; no value or element is built per base and
+    nothing is cached on the complex.  Other potentials take each face's
+    corner minimum, uncached, since a filling reads the values of only
+    the faces it uses."""
     faces: list[Cell] = []
-    ball = cx.model.ball_forms(radius)
     if cx._offsets is None:
-        for free, ab in ball:
+        for free, ab in cx.model.ball_forms(radius):
             for t in range(len(cx.square_types)):
                 cell = ("f", free, ab, t)
                 v = cx._corner_min(cell)
@@ -467,18 +471,25 @@ def enumerate_faces(
                         raise CapExceededError("solver 2-cells", len(faces), cell_cap)
         return faces
     qm = cx.qm
-    hnum = qm._hnum
+    walk = _ball(cx.model, radius, [qm._hnum(s.free, s.ab) for s in cx._steps])
     bounds = [
         (t, _below(qm, ceiling - off), None if floor is None else _below(qm, floor - off))
         for t, off in enumerate(cx._offsets["f"])
     ]
-    for free, ab in ball if bounds else ():
-        p, q = hnum(free, ab)
-        for t, under_ceiling, under_floor in bounds:
-            if under_ceiling(p, q) and (under_floor is None or not under_floor(p, q)):
-                faces.append(("f", free, ab, t))
-                if len(faces) > cell_cap:
-                    raise CapExceededError("solver 2-cells", len(faces), cell_cap)
+    # numerator pair -> the face types it admits
+    admitted: dict[tuple[int, int], list[int]] = {}
+    for free, ab, p, q in walk if bounds else ():
+        types = admitted.get((p, q))
+        if types is None:
+            types = admitted[p, q] = [
+                t
+                for t, under_ceiling, under_floor in bounds
+                if under_ceiling(p, q) and (under_floor is None or not under_floor(p, q))
+            ]
+        for t in types:
+            faces.append(("f", free, ab, t))
+            if len(faces) > cell_cap:
+                raise CapExceededError("solver 2-cells", len(faces), cell_cap)
     return faces
 
 

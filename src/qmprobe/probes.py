@@ -65,8 +65,9 @@ from .quasimorphisms import (
     defect_witness,
 )
 from .report import cell_payload, encode, face_payloads, parse_cell
-from .rips import DEFAULT_VERTEX_CAP, _prepare_vertices, connectivity_profile
+from .rips import DEFAULT_VERTEX_CAP, connectivity_profile
 from .search import (
+    MAX_OBSTRUCTION_VERTICES,
     MAX_SEARCH_BALL,
     NotFoundWithinBall,
     _is_f2z_example,
@@ -219,24 +220,29 @@ def _work_bound(
     exp: Experiment,
     probe: Section,
     radius: int,
-    work: Callable[[int], int],
+    work: Callable[[int], int] | int,
     counted: str,
     limit_name: str,
     limit: int,
+    key: str = "radius",
 ) -> None:
-    """Refuse a probe whose work over ball(radius), `work(N)` for a ball
-    of N elements, is more than `limit`; `counted` spells the work
-    around its count, as in "scans {} pairs".  N is counted with
-    `ball_size`, before any ball is built; ball(radius) holds at least
-    the 2 radius + 1 powers of one generator, so a radius whose powers
-    alone are too many is refused without counting its ball."""
-    count = work(2 * radius + 1)
-    at_least = "at least "
-    if count <= limit:
-        count, at_least = work(ball_size(exp.model, radius)), ""
+    """Refuse a probe whose work at `key` = radius is more than `limit`:
+    `work` itself, or `work(N)` for work over ball(radius) of N elements;
+    `counted` spells the work around its count, as in "scans {} pairs".
+    N is counted with `ball_size`, before any ball is built; ball(radius)
+    holds at least the 2 radius + 1 powers of one generator, so a radius
+    whose powers alone are too many is refused without counting its
+    ball."""
+    if isinstance(work, int):
+        count, at_least = work, ""
+    else:
+        count = work(2 * radius + 1)
+        at_least = "at least "
+        if count <= limit:
+            count, at_least = work(ball_size(exp.model, radius)), ""
     if count > limit:
         raise ValueError(
-            f"{probe.kind} at radius {radius} {counted.format(f'{at_least}{count}')}, "
+            f"{probe.kind} at {key} {radius} {counted.format(f'{at_least}{count}')}, "
             f"more than {limit_name} = {limit}"
         )
 
@@ -433,10 +439,9 @@ def _run_rips_profile(exp: Experiment, probe: Section) -> dict:
         if size > DEFAULT_VERTEX_CAP:
             raise CapExceededError("Rips vertex count", size, DEFAULT_VERTEX_CAP)
         vertices = exp.model.ball(s["ball_radius"])
-    verts = _prepare_vertices(vertices)
-    profile = connectivity_profile(verts, s["n_max"])
+    profile = connectivity_profile(vertices, s["n_max"])
     out = {
-        "vertices": verts,
+        "vertices": profile.vertices,
         "n_max": s["n_max"],
         "scales": profile.scales,
         "counts": profile.counts,
@@ -620,12 +625,15 @@ def _validate_free_obstruction(exp: Experiment, probe: Section) -> None:
     dstar = probe.get("dstar", ExactReal.parse)
     if dstar < ZERO:
         raise ValueError("dstar must be non-negative")
-    probe.settings.update(
-        x=x,
-        scaling=scaling,
-        dstar=dstar,
-        max_depth=_radius(exp, probe, "max_depth", minimum=1),
+    depth = _radius(exp, probe, "max_depth", minimum=1)
+    # the sum over n <= depth of 2 |x| + 2 n |c| + 1
+    vertices = depth * (2 * x.length() + 1) + scaling.length() * depth * (depth + 1)
+    _work_bound(
+        exp, probe, depth, vertices,
+        "walks up to {} geodesic vertices", "MAX_OBSTRUCTION_VERTICES", MAX_OBSTRUCTION_VERTICES,
+        key="max_depth",
     )
+    probe.settings.update(x=x, scaling=scaling, dstar=dstar, max_depth=depth)
 
 
 def _run_free_obstruction(exp: Experiment, probe: Section) -> dict:
@@ -957,7 +965,10 @@ c^-n x c^n.  Each geodesic vertex v forces any path staying near the
 level set to spend at least
 max(0, (|phi-bar(v)| - 2 D*) / (max_s |phi-bar(s)| + D*)) steps at one
 Rips scale to clear it.  Strictly increasing maxima over n show that no
-single scale connects all the conjugates.""",
+single scale connects all the conjugates.  Depths up to max_depth N walk
+up to the sum over n <= N of 2 |x| + 2 n |c| + 1 geodesic vertices;
+more than MAX_OBSTRUCTION_VERTICES is refused when the config is
+validated.""",
     ),
     "novikov-solve": ProbeKind(
         _validate_novikov_solve,

@@ -366,6 +366,16 @@ def defect_lower_bound(
     only on a strict `>`, so it never moves at a skipped position: the
     bound and its witness are unchanged.
 
+    Within a row the commutator is evaluated once per mirrored pair of
+    columns.  h^-1 [h, g] h = [g, h^-1] and [h, g] = [g, h]^-1, so
+    phi([g, h^-1]) = -phi([g, h]): the value at (i, j') is the negation
+    of the value at (i, j).  The three conditions at (i, j') are those
+    at (i, j), as j'' = j, so the row evaluates both or neither, and
+    j != j' since only g_0 = 1 is its own inverse.  The first of the two
+    in the row is evaluated and the negation is kept for the other;
+    the running maximum still compares at every position in row-major
+    order, so the bound and its witness are unchanged.
+
     The scan runs on normal forms and numerator pairs over qm.den:
     [g, h] = (g h) g^-1 h^-1 reuses g h, a commutator's abelian part is
     0, and the values of the products g h, which recur across pairs,
@@ -388,11 +398,18 @@ def defect_lower_bound(
     for i, (g, g_free, g_ab, g_inv, ii, gp, gq) in enumerate(entries):
         if ii <= i:
             continue
-        for h, h_free, h_ab, h_inv, jj, hp, hq in entries[i + 1 :]:
+        # column j' -> the commutator value there, read off column j
+        mirrored: dict[int, tuple[int, int]] = {}
+        for j, (h, h_free, h_ab, h_inv, jj, hp, hq) in enumerate(entries[i + 1 :], i + 1):
             if jj <= i:
                 continue
             gh = _concat_reduce(g_free, h_free)
-            cp, cq = hnum(_concat_reduce(_concat_reduce(gh, g_inv), h_inv), zero_ab)
+            got = mirrored.pop(j, None)
+            if got is None:
+                cp, cq = hnum(_concat_reduce(_concat_reduce(gh, g_inv), h_inv), zero_ab)
+                mirrored[jj] = (-cp, -cq)
+            else:
+                cp, cq = got
             if _sign(cp - bp, cq - bq, d) > 0:
                 bp, bq, best_kind, best_pair = cp, cq, "commutator", (g, h)
             key = (gh, tuple([x + y for x, y in zip(g_ab, h_ab)]) if abelian else g_ab)

@@ -24,7 +24,7 @@ import json
 
 from .errors import ReplayError
 from .exact import ExactReal
-from .groups import Generator, GroupElement, GroupModel, _element
+from .groups import Generator, GroupElement, GroupModel, _abelian_word, _free_word, _join_words
 from .novikov import CayleyComplex, Cell, WindowedChain
 from .paths import Path, path_from_letters
 
@@ -108,20 +108,31 @@ def cell_payload(cx: CayleyComplex, cell: Cell) -> list:
 
 def face_payloads(cx: CayleyComplex, faces) -> list:
     """`cell_payload` of each 2-cell of `faces`.  Faces come base then
-    type, so each base is spelt once per run of faces on it, and each
-    type's generator names are looked up once."""
+    type, so each base is spelt once per run of faces on it, from the
+    spellings of its free and abelian parts; many bases share these, so
+    each distinct part is spelt once per call.  Each type's generator
+    names are looked up once."""
     model = cx.model
-    names = [
+    names, free_rank = model.generator_names, model.free_rank
+    pairs = [
         (model.generator_name(cx.positive[i]), model.generator_name(cx.positive[j]))
         for i, j in cx.square_types
     ]
+    free_words: dict[tuple[int, ...], str] = {}
+    abelian_words: dict[tuple[int, ...], str] = {}
     out = []
     last = None
     for _, free, ab, t in faces:
         if last != (free, ab):
             last = (free, ab)
-            base = _element(model, free, ab).word_str()
-        out.append(["f", base, *names[t]])
+            u = free_words.get(free)
+            if u is None:
+                u = free_words[free] = _free_word(names, free)
+            v = abelian_words.get(ab)
+            if v is None:
+                v = abelian_words[ab] = _abelian_word(names, free_rank, ab)
+            base = _join_words(u, v)
+        out.append(["f", base, *pairs[t]])
     return out
 
 

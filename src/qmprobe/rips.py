@@ -111,11 +111,13 @@ def components(graph: RipsGraph) -> ComponentCertificate:
 
 
 class ConnectivityProfile(NamedTuple):
-    """Component counts for scales 1..n_max, the first scale (if any) at
-    which the graph is connected, and the spanning forest at that scale
-    as `components` certifies it.  Counts are non-increasing in the
-    scale because edge sets only grow."""
+    """The vertices, canonically sorted and without duplicates, that the
+    forest's indices refer to; component counts for scales 1..n_max, the
+    first scale (if any) at which the graph is connected, and the
+    spanning forest at that scale as `components` certifies it.  Counts
+    are non-increasing in the scale because edge sets only grow."""
 
+    vertices: tuple[GroupElement, ...]
     scales: tuple[int, ...]
     counts: tuple[int, ...]
     threshold: int | None
@@ -170,4 +172,6 @@ def connectivity_profile(
     if threshold is not None:
         edges = [e for pairs in by_distance[:threshold] for e in pairs]
         forest = components_from_edges(nv, edges).forest
-    return ConnectivityProfile(tuple(range(1, n_max + 1)), tuple(counts), threshold, forest)
+    return ConnectivityProfile(
+        verts, tuple(range(1, n_max + 1)), tuple(counts), threshold, forest
+    )

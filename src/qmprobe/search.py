@@ -600,6 +600,13 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitnes
 
 # -- free-group obstruction probe ----------------------------------------
 
+# most geodesic vertices a `free-obstruction` may walk over its depths
+# n <= N; validation refuses more.  The geodesic from x to c^-n x c^n
+# has at most 2 |x| + 2 n |c| + 1 vertices.  With psi-bar(a b), x = b
+# and c = a b, 20,500 took 0.5 s and 81,000 took 3.1 s, and with
+# c = a b a^-1 b^-1, 40,700 took 1.8 s, on a 2-vCPU VM with Python 3.11.7
+MAX_OBSTRUCTION_VERTICES = 40_000
+
 
 class ObstructionReport(NamedTuple):
     """Per-vertex lower bounds d(v, Aker) >= (|phi-bar(v)| - 2D*) / L

@@ -104,10 +104,11 @@ def test_report_body_and_exit_code_match_the_bench_pins(
 
 def test_the_bench_scans_evaluate_one_position_per_orbit(monkeypatch):
     """Brooks hook calls of the defect and aker probes of the seed-0
-    bench scan config, at radius 4: 10,913 and 7,105.  Evaluated at every
-    position of the triangle, the defect scan made 21,991, and with the
-    m = 0 test read only off the mirrored pair the Aker certificate made
-    13,666."""
+    bench scan config, at radius 4: 7,753 and 7,105.  Evaluated at every
+    position of the triangle, the defect scan made 21,991, and at one
+    position per orbit 10,913; it now also reads the commutator of each
+    column h^-1 off the column h of its row.  With the m = 0 test read
+    only off the mirrored pair the Aker certificate made 13,666."""
     ((_, text),) = _bench_workloads().configs("scan", 0, ROOT)
     calls = []
     hnum = BrooksQM._hnum
@@ -126,8 +127,36 @@ def test_the_bench_scans_evaluate_one_position_per_orbit(monkeypatch):
             calls.clear()
             assert attempt(exp, probe)[0] == "ok"
             counts[probe.kind] = len(calls)
-    assert counts["defect"] <= 12_000
+    assert counts["defect"] <= 8_000
     assert counts["aker-cert"] <= 7_500
+
+
+def test_the_bench_fill_faces_evaluate_only_the_generators(monkeypatch):
+    """Homomorphism hook calls of `enumerate_faces` on the seed-0 bench
+    fill config, ball(6) of F_2 x Z: one per positive generator, 3.
+    Evaluated once per base, the faces made 2,901, one per element."""
+    import qmprobe.novikov
+    from qmprobe.probes import _novikov_cycle
+    from qmprobe.quasimorphisms import HomomorphismQM
+
+    ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
+    calls = []
+    hnum = HomomorphismQM._hnum
+
+    def counted(self, free, ab):
+        calls.append(None)
+        return hnum(self, free, ab)
+
+    monkeypatch.setattr(HomomorphismQM, "_hnum", counted)
+    exp = parse_experiment(text)
+    (probe,) = exp.probes
+    s = probe.settings
+    cx, cycle = _novikov_cycle(exp, probe)
+    floor = cycle.chain.support_min()
+    calls.clear()
+    faces = qmprobe.novikov.enumerate_faces(cx, floor, s["window"], s["radius"])
+    assert len(faces) == 2_704
+    assert len(calls) <= 2 * exp.model.rank
 
 
 def test_the_searches_build_elements_and_values_only_for_results(monkeypatch):
@@ -1154,6 +1183,40 @@ def test_a_search_too_large_for_its_bound_ends_at_once(tmp_path):
     proc = _within_a_second("verify", str(out))
     assert proc.returncode == 2
     assert proc.stderr == "qmprobe: echoed config no longer validates: " + refusal
+
+
+def test_an_obstruction_too_deep_for_its_bound_ends_at_once(tmp_path):
+    """A free-obstruction on psi-bar(a b) with x = b and c = a b to depth
+    100,000 would walk 2e10 geodesic vertices and ran until killed: the
+    vertices are counted while the config is validated, and `run` and
+    `verify` both end with one line and exit 2.  free_brooks.cfg walks
+    up to 57 at depth 3, 39,897 at depth 99 and 40,700 at depth 100."""
+    text = (
+        "[group]\nfree_rank = 2\nnames = a b\nball_cap = 100000\n\n"
+        "[quasimorphism psi]\nkind = brooks\nword = a b\n\n"
+        "[quasimorphism psibar]\nkind = homogenized\nbase = psi\n\n"
+        "[probe conjugates]\nkind = free-obstruction\nqm = psibar\nx = b\n"
+        "scaling = a b\ndstar = 1\nmax_depth = 100000\n"
+    )
+    refusal = (
+        "[probe conjugates]: free-obstruction at max_depth 100000 walks up to "
+        "20000500000 geodesic vertices, more than MAX_OBSTRUCTION_VERTICES = 40000\n"
+    )
+    proc, out = _run_within_a_second(tmp_path, text)
+    assert proc.returncode == 2 and not out.exists()
+    assert proc.stderr == "qmprobe: " + refusal
+    out.write_text(
+        json.dumps({"header": {}, "body": {"schema": "qmprobe-report-1", "config_echo": text}}),
+        encoding="utf-8",
+    )
+    proc = _within_a_second("verify", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "qmprobe: echoed config no longer validates: " + refusal
+    brooks = (CONFIG_DIR / "free_brooks.cfg").read_text(encoding="utf-8")
+    brooks = brooks.replace("ball_cap = 8", "ball_cap = 100")
+    parse_experiment(brooks.replace("max_depth = 3", "max_depth = 99"))
+    with pytest.raises(ConfigError, match=" walks up to 40700 geodesic vertices, "):
+        parse_experiment(brooks.replace("max_depth = 3", "max_depth = 100"))
 
 
 def test_a_library_counts_one_search_per_pair():

@@ -2,20 +2,24 @@ from __future__ import annotations
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmprobe.errors import CapExceededError, ModelMismatchError
+from qmprobe.exact import ExactReal
 from qmprobe.groups import (
     Generator,
     GroupElement,
     GroupModel,
+    _ball,
     ball_size,
     commutator,
     edge_letter,
     reduce_word,
 )
+from qmprobe.quasimorphisms import HomomorphismQM
 
 
 def _random_words(model, max_len):
@@ -198,6 +202,24 @@ def test_ball_on_normal_forms_matches_the_product_search(ranks):
     model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1], ball_cap=5)
     for r in range(6):
         assert model.ball(r) == _product_ball(model, r)
+
+
+@pytest.mark.parametrize(
+    "ranks", _BALL_MODELS + [(3, 2), (0, 3)], ids=lambda r: f"F{r[0]}xZ{r[1]}"
+)
+def test_the_ball_walk_carries_a_homomorphisms_numerators(ranks):
+    # a child's numerators are its parent's plus its letter's: compare
+    # each form's with the homomorphism evaluated there
+    model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1], ball_cap=4)
+    values = [ExactReal(Fraction(k - 2, k + 1), (-1) ** k) for k in range(model.rank)]
+    qm = HomomorphismQM(model, values)
+    steps = [model.generator_element(s) for s in model.positive_generators()]
+    walk = _ball(model, 4, [qm._hnum(s.free, s.ab) for s in steps])
+    assert [(free, ab) for free, ab, _, _ in walk] == [
+        (g.free, g.ab) for g in _product_ball(model, 4)
+    ]
+    assert all((p, q) == qm._hnum(free, ab) for free, ab, p, q in walk)
+    assert {(p, q) for _, _, p, q in _ball(model, 4)} == {(0, 0)}
 
 
 # -- letters and edges ---------------------------------------------------

@@ -344,6 +344,22 @@ def test_solver_cell_cap(z2, cx2):
         windowed_boundary_solve(cx2, zs.chain, ExactReal(10), 6, cell_cap=10)
 
 
+def test_the_face_walk_keeps_the_ball_and_cell_caps(f2z, cx2, cxm):
+    # the homomorphism walk and the corner minimum refuse alike: a
+    # radius above the ball cap before any face is listed, and the face
+    # one past cell_cap as it is appended
+    corner = CayleyComplex(HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b"))), ONE)
+    ceiling = ExactReal(100)
+    for cx in (cx2, cxm, corner):
+        cap = cx.model.ball_cap
+        with pytest.raises(CapExceededError, match=rf"^ball radius: requested {cap + 1}, cap {cap}$"):
+            enumerate_faces(cx, None, ceiling, cap + 1)
+        n = len(enumerate_faces(cx, None, ceiling, 2))
+        assert len(enumerate_faces(cx, None, ceiling, 2, cell_cap=n)) == n
+        with pytest.raises(CapExceededError, match=rf"^solver 2-cells: requested {n}, cap {n - 1}$"):
+            enumerate_faces(cx, None, ceiling, 2, cell_cap=n - 1)
+
+
 def _corner_faces(cx, floor, ceiling, radius):
     """The admissible faces as they were first enumerated: one cached
     corner-minimum value per (base, type)."""
@@ -364,15 +380,20 @@ def _face_values(cx, radius):
     ]
 
 
-@pytest.mark.parametrize("seed", range(12))
+# (free rank, abelian rank, radius) of the models the face walk is
+# checked on; the abelian blocks of rank 2 and 3 take the walk's rule
+# for extending the last abelian run and for opening a later one
+_WALK_MODELS = ((0, 2, 4), (2, 1, 4), (3, 2, 3), (0, 3, 4), (1, 2, 4))
+
+
+@pytest.mark.parametrize("seed", range(20))
 def test_faces_of_a_homomorphism_match_the_corner_minimum(seed):
-    # seed % 3 picks the model and seed % 4 the bounds: integers, a
+    # seed % 5 picks the model and seed % 4 the bounds: integers, a
     # ceiling or a floor equal to some face's value, or a sqrt(3)
     # ceiling over a rational potential
     rng = random.Random(seed)
-    model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
-    if seed % 3 == 0:
-        model = GroupModel(free_rank=0, abelian_rank=2, generator_names=("a", "c"))
+    free_rank, abelian_rank, radius = _WALK_MODELS[seed % 5]
+    model = GroupModel(free_rank, abelian_rank, ball_cap=radius)
     mode = seed % 4
     values = [
         ExactReal(
@@ -394,12 +415,16 @@ def test_faces_of_a_homomorphism_match_the_corner_minimum(seed):
         surd = CayleyComplex(HomomorphismQM(model, values[:-1] + [ExactReal(0, 1)]), ZERO)
         with pytest.raises(ValueError, match="cannot mix sqrt"):
             enumerate_faces(surd, floor, ceiling, 1)
-    faces = enumerate_faces(cx, floor, ceiling, 4)
-    assert faces == _corner_faces(cx, floor, ceiling, 4)
+    faces = enumerate_faces(cx, floor, ceiling, radius)
+    assert faces == _corner_faces(cx, floor, ceiling, radius)
     if mode in (1, 2):
         # some face's value is the bound: the floor admits it, the ceiling not
         bound = ceiling if mode == 1 else floor
-        met = [f for f in _corner_faces(cx, bound, bound + 1, 4) if cx._corner_min(f) == bound]
+        met = [
+            f
+            for f in _corner_faces(cx, bound, bound + 1, radius)
+            if cx._corner_min(f) == bound
+        ]
         assert met and all((f in faces) == (mode == 2) for f in met)
     # the face values are not cached; they are read again only for a filling
     assert not any(cell[0] == "f" for cell in cx._values)

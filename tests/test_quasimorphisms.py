@@ -318,6 +318,29 @@ def test_a_misstated_commutator_orbit_is_caught(f2, psibar_ab):
     assert (v(commutator(a, b)), v(commutator(a, b.inverse()))) == (ONE, -ONE)
 
 
+@pytest.mark.parametrize("variant", ["brooks", "homomorphism", "homogenized", "combination"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mirrored_columns_have_negated_commutators(f2z, f2z_phi, variant, data):
+    # the defect scan evaluates one of the columns h and h^-1 of a row
+    # and records the negation for the other: h^-1 [h, g] h = [g, h^-1]
+    v = _variants(f2z, f2z_phi)[variant].homogeneous_value
+    words = st.lists(st.sampled_from(f2z.generators()), max_size=6)
+    g = reduce_word(f2z, data.draw(words))
+    h = reduce_word(f2z, data.draw(words))
+    assert v(commutator(g, h.inverse())) == -v(commutator(g, h))
+
+
+def test_mirrored_commutators_need_a_homogeneous_value(f2):
+    # negative control: the plain Brooks count is no class function, and
+    # its commutators at the columns h and h^-1 are not negations
+    psi = BrooksQM(f2, f2.parse_word("a b"))
+    a, ab = f2.parse_element("a"), f2.parse_element("a b")
+    assert (psi.value(commutator(a, ab)), psi.value(commutator(a, ab.inverse()))) == (ZERO, -ONE)
+    psibar = HomogenizedQM(psi).homogeneous_value
+    assert psibar(commutator(a, ab.inverse())) == -psibar(commutator(a, ab))
+
+
 def _reduced_free_words(model, max_size):
     return st.lists(st.sampled_from(model.generators()), max_size=max_size).map(
         lambda letters: reduce_word(model, tuple(letters)).free
