@@ -1282,6 +1282,60 @@ def test_the_fill_window_may_not_mix_surd_bases(tmp_path, capsys, window):
     assert main(["verify", str(out)]) == 0
 
 
+# a genuine quasimorphism potential, phi + 1/4 psi-bar with psi =
+# Brooks(a b), whose faces are decided by their corners' minimum
+CORNER = """\
+[group]
+free_rank = 2
+abelian_rank = 1
+names = a b u
+ball_cap = 8
+
+[quasimorphism phi]
+kind = homomorphism
+a = 1
+u = sqrt(2)
+
+[quasimorphism psi]
+kind = brooks
+word = a b
+
+[quasimorphism psibar]
+kind = homogenized
+base = psi
+
+[quasimorphism pot]
+kind = combination
+terms = 1*phi, 1/4*psibar
+
+[probe fill]
+kind = novikov-solve
+qm = pot
+start = 1
+end = a b a b^-1 a^-2
+scaling = u
+window = 4
+radius = 5
+defect = 1
+"""
+
+
+def test_the_corner_potential_keeps_its_pinned_body(tmp_path, capsys):
+    """The corner config is unsat over 974 faces at radius 5; its body,
+    serialized as the bench pins are, keeps its digest."""
+    cfg, out = tmp_path / "corner.cfg", tmp_path / "report.json"
+    cfg.write_text(CORNER, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    body = _read(out)["body"]
+    result = body["probes"][0]["result"]
+    assert (result["status"], len(result["faces"])) == ("unsat", 974)
+    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "b52af04c2d2e733075a39f704a072fc83d5fec64e483148cf0f4654a3b194496"
+    )
+    assert main(["verify", str(out)]) == 0
+
+
 Z2_LIBRARY = """\
 [group]
 abelian_rank = 2
