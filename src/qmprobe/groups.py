@@ -169,11 +169,6 @@ class GroupModel(_ModelFields):
         """All elements of word length <= radius, canonically sorted."""
         return tuple([_element(self, free, ab) for free, ab, _, _ in _ball(self, radius)])
 
-    def ball_forms(self, radius: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The normal forms (free, ab) of `ball(radius)`, in its order,
-        for a caller that reads nothing else of its elements."""
-        return [(free, ab) for free, ab, _, _ in _ball(self, radius)]
-
 
 class _ElementFields:
     """The storage of a GroupElement, without its immutability guard."""

@@ -11,19 +11,14 @@ The complex has the group elements as 0-cells, one edge orbit per
 positive generator, and one square orbit per commuting generator pair
 (free-times-abelian and abelian-abelian; a free group has no squares).
 The value of a cell is the minimum of the homogeneous quasimorphism
-over its corners.  When phi-bar is a homomorphism (a homogeneous
-quasimorphism with defect bound 0), phi-bar(g c) = phi-bar(g) +
-phi-bar(c) for every corner g c of a cell based at g, so the value is
-phi-bar(g) plus a fixed offset per edge index or square type: the
-minimum of phi-bar over the corners of that cell based at the identity.
-`CayleyComplex` computes these offsets once, and the solver's faces
-and trimmed columns use them instead of reading cell values: they
-compare the integer numerators of phi-bar at a face's base, and at its
-neighbours (the base's plus a step's), with each bound minus its
-offset, scaled once to the quasimorphism's denominator, and leave
-nothing cached.  phi-bar is additive there, so the ball walk that lists
-the bases carries their numerators from the generators' own, and the
-faces test each distinct numerator pair once.
+over its corners.  The solver's faces and trimmed columns test the
+integer numerators of phi-bar at the corners against bounds scaled once
+to the quasimorphism's denominator, by one rule for every potential,
+and build no value.  For a homomorphism (homogeneous, defect bound 0)
+phi-bar(g c) = phi-bar(g) + phi-bar(c), so a corner's numerators are
+its base's plus its steps', and the ball walk that lists the bases
+carries theirs from the generators'.  Any other potential evaluates
+each distinct corner normal form once per call.
 
 On top of the chain arithmetic sit the desk-scale homology probes:
 `ray_cycle` builds the 1-cycle formed by a connecting path and two
@@ -53,7 +48,7 @@ from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
 from .exact import ExactReal, ZERO
-from .groups import Generator, GroupElement, GroupModel, _ball, _concat_reduce, _element
+from .groups import Generator, GroupElement, GroupModel, _ball, _element, _step_form
 from .intsolve import (
     UnsatCertificate,
     check_solution,
@@ -82,10 +77,8 @@ class CayleyComplex:
     of the t-th commuting pair based at g.
 
     `value` is the minimum of phi-bar over a cell's corners, cached for
-    the chains and the extraction.  For a homomorphism potential the
-    offsets in `_offsets` let the solver's faces and columns compare
-    numerators instead, so they neither call `value` nor leave anything
-    in the cache.
+    the chains and the extraction; the solver's faces and columns
+    compare the corners' numerators instead and leave nothing cached.
     """
 
     def __init__(self, qm: Quasimorphism, defect_bound: ExactReal):
@@ -104,19 +97,11 @@ class CayleyComplex:
         self.square_types: tuple[tuple[int, int], ...] = tuple(types)
         self._steps = tuple(self.model.generator_element(s) for s in self.positive)
         self._values: dict[Cell, ExactReal] = {}
-        # cell kind -> value offset per edge index or square type, set
-        # only when phi-bar is a homomorphism
-        self._offsets: Optional[dict[str, tuple[ExactReal, ...]]] = None
+        # phi-bar's numerators at the positive generators when it is a
+        # homomorphism, so that a corner's are its base's plus its steps'
+        self._step_nums: Optional[list[tuple[int, int]]] = None
         if qm.is_homogeneous and qm.defect_upper() == ZERO:
-            one = self.model.identity()
-            self._offsets = {
-                "e": tuple(
-                    self._corner_min(self.edge_cell(one, i)) for i in range(len(self.positive))
-                ),
-                "f": tuple(
-                    self._corner_min(self.face_cell(one, t)) for t in range(len(types))
-                ),
-            }
+            self._step_nums = [qm._hnum(s.free, s.ab) for s in self._steps]
 
     # -- cells ---------------------------------------------------------
 
@@ -431,11 +416,42 @@ class BoundarySolveResult(NamedTuple):
     status: str  # "sat" | "unsat"
     window: ExactReal
     floor: Optional[ExactReal]
-    radius: int
     faces: tuple[Cell, ...]
     coefficients: Optional[tuple[int, ...]]
     filling: Optional[WindowedChain]
     certificate: Optional[UnsatCertificate]
+
+
+def _corner_numerators(cx: CayleyComplex):
+    """`corners(free, ab, nums, t)`: the numerators over qm.den of
+    phi-bar at the corners g, g x, g y and g x y of the face of type t
+    based at g = (free, ab), with steps x and y, as a tuple of four p
+    and one of four q.  For a homomorphism they are `nums`, phi-bar's at
+    g, plus the steps' `cx._step_nums`, and nothing is evaluated.  For
+    any other potential `nums` is not read, and each distinct corner
+    normal form, stepped with `_step_form`, is evaluated once, in a dict
+    that lives as long as `corners`."""
+    types, step_nums = cx.square_types, cx._step_nums
+    if step_nums is not None:
+        type_nums = [(*step_nums[i], *step_nums[j]) for i, j in types]
+
+        def corners(free, ab, nums, t):
+            (p, q), (xp, xq, yp, yq) = nums, type_nums[t]
+            return (p, p + xp, p + yp, p + xp + yp), (q, q + xq, q + yq, q + xq + yq)
+
+        return corners
+    r, hnum, steps, values = cx.model.free_rank, cx.qm._hnum, cx.positive, {}
+
+    def corners(free, ab, nums, t):
+        i, j = types[t]
+        gx = _step_form(r, free, ab, steps[i])
+        forms = ((free, ab), gx, _step_form(r, free, ab, steps[j]), _step_form(r, *gx, steps[j]))
+        for form in forms:
+            if form not in values:
+                values[form] = hnum(*form)
+        return tuple(zip(*[values[form] for form in forms]))
+
+    return corners
 
 
 def enumerate_faces(
@@ -448,45 +464,38 @@ def enumerate_faces(
     """All 2-cells based in ball(radius) with value in [floor, ceiling),
     in canonical base-then-type order.
 
-    For a homomorphism potential a face's value is phi-bar(g) plus its
-    type's offset, and phi-bar is additive, so the ball walk carries the
-    numerators of phi-bar(g) from those of the generators: the potential
-    is evaluated once per generator, not per base.  Which types the
-    bounds [floor - offset, ceiling - offset), scaled once per call,
-    admit depends only on those numerators, and the ball's bases take
-    few distinct ones, so each distinct pair is tested once, in a dict
-    that lives for the call; no value or element is built per base and
-    nothing is cached on the complex.  Other potentials take each face's
-    corner minimum, uncached, since a filling reads the values of only
-    the faces it uses."""
+    A face's value, its corners' minimum, is in [floor, ceiling) exactly
+    when some corner is below the ceiling and none is below the floor;
+    its corners' numerators are tested against both bounds, scaled once
+    per call.  For a homomorphism the ball walk carries each base's
+    numerators, which alone decide the types a base admits; the bases
+    take few distinct pairs, and each is decided once, in a dict that
+    lives for the call."""
+    under_ceiling = _below(cx.qm, ceiling)
+    under_floor = None if floor is None else _below(cx.qm, floor)
+    step_nums, corners = cx._step_nums, _corner_numerators(cx)
+
+    def admitted(free, ab, nums):
+        out = []
+        for t in range(len(cx.square_types)):
+            ps, qs = corners(free, ab, nums, t)
+            if any(map(under_ceiling, ps, qs)) and not (
+                under_floor and any(map(under_floor, ps, qs))
+            ):
+                out.append(t)
+        return out
+
+    # a homomorphism's numerator pair -> the face types it admits
+    decided: dict[tuple[int, int], list[int]] = {}
     faces: list[Cell] = []
-    if cx._offsets is None:
-        for free, ab in cx.model.ball_forms(radius):
-            for t in range(len(cx.square_types)):
-                cell = ("f", free, ab, t)
-                v = cx._corner_min(cell)
-                if v < ceiling and (floor is None or floor <= v):
-                    faces.append(cell)
-                    if len(faces) > cell_cap:
-                        raise CapExceededError("solver 2-cells", len(faces), cell_cap)
-        return faces
-    qm = cx.qm
-    walk = _ball(cx.model, radius, [qm._hnum(s.free, s.ab) for s in cx._steps])
-    bounds = [
-        (t, _below(qm, ceiling - off), None if floor is None else _below(qm, floor - off))
-        for t, off in enumerate(cx._offsets["f"])
-    ]
-    # numerator pair -> the face types it admits
-    admitted: dict[tuple[int, int], list[int]] = {}
-    for free, ab, p, q in walk if bounds else ():
-        types = admitted.get((p, q))
-        if types is None:
-            types = admitted[p, q] = [
-                t
-                for t, under_ceiling, under_floor in bounds
-                if under_ceiling(p, q) and (under_floor is None or not under_floor(p, q))
-            ]
-        for t in types:
+    for free, ab, p, q in _ball(cx.model, radius, step_nums):
+        if step_nums is None:
+            got = admitted(free, ab, None)
+        else:
+            got = decided.get((p, q))
+            if got is None:
+                got = decided[p, q] = admitted(free, ab, (p, q))
+        for t in got:
             faces.append(("f", free, ab, t))
             if len(faces) > cell_cap:
                 raise CapExceededError("solver 2-cells", len(faces), cell_cap)
@@ -501,47 +510,30 @@ def _trimmed_columns(
     x = s_i and y = s_j, has the edges (g, i), (g x, j), (g y, i) and
     (g, j), with coefficients 1, 1, -1, -1, kept in that order.
 
-    For a homomorphism potential the edge (h, k) has value phi-bar(h) +
-    off_e[k] and phi-bar(g x) = phi-bar(g) + phi-bar(x), so the
-    numerators of phi-bar(g) are taken once per run of faces on g, a
-    neighbour's are those plus its step's, and each is compared on
-    integers with window - off_e[k]; a neighbour's normal form is built
-    only for an edge that is kept, and nothing is cached.  Other
-    potentials take the corner minimum of each edge."""
-    if cx._offsets is None:
-        return [
-            {cell: k for cell, k in cx.boundary_of_cell(f).items() if cx.value(cell) < window}
-            for f in faces
-        ]
-    qm = cx.qm
-    hnum = qm._hnum
-    under = [_below(qm, window - off) for off in cx._offsets["e"]]
-    steps = [(s.free, s.ab) for s in cx._steps]
-    step_nums = [hnum(*step) for step in steps]
-
-    def times(free: tuple, ab: tuple, k: int) -> tuple[tuple, tuple]:
-        """The normal form of g s_k."""
-        s_free, s_ab = steps[k]
-        if s_free:
-            return _concat_reduce(free, s_free), ab
-        return free, tuple([a + b for a, b in zip(ab, s_ab)])
-
+    An edge is kept when either of its two corners is below the window:
+    each of the face's four corners takes one integer bound test, and a
+    neighbour's normal form is built only for an edge that is kept.  A
+    homomorphism's numerators at g are evaluated once per run of faces
+    on g."""
+    under, corners = _below(cx.qm, window), _corner_numerators(cx)
+    additive, hnum = cx._step_nums is not None, cx.qm._hnum
+    r, steps = cx.model.free_rank, cx.positive
     columns = []
-    last = None
+    last = nums = None
     for _, free, ab, t in faces:
-        if last != (free, ab):
+        if additive and last != (free, ab):
             last = (free, ab)
-            p, q = hnum(free, ab)
+            nums = hnum(free, ab)
+        g, gx, gy, gxy = map(under, *corners(free, ab, nums, t))
         i, j = cx.square_types[t]
-        (xp, xq), (yp, yq) = step_nums[i], step_nums[j]
         column: dict[Cell, int] = {}
-        if under[i](p, q):
+        if g or gx:
             column[("e", free, ab, i)] = 1
-        if under[j](p + xp, q + xq):
-            column[("e", *times(free, ab, i), j)] = 1
-        if under[i](p + yp, q + yq):
-            column[("e", *times(free, ab, j), i)] = -1
-        if under[j](p, q):
+        if gx or gxy:
+            column[("e", *_step_form(r, free, ab, steps[i]), j)] = 1
+        if gy or gxy:
+            column[("e", *_step_form(r, free, ab, steps[j]), i)] = -1
+        if g or gy:
             column[("e", free, ab, j)] = -1
         columns.append(column)
     return columns
@@ -621,7 +613,7 @@ def windowed_boundary_solve(
         if not isinstance(solution, UnsatCertificate):
             solution.extend([0] * (len(faces) - end))
             break
-    return settle(cx, z, window, floor, radius, faces, solution)
+    return settle(cx, z, window, floor, faces, solution)
 
 
 def settle(
@@ -629,7 +621,6 @@ def settle(
     z: WindowedChain,
     window: ExactReal,
     floor: Optional[ExactReal],
-    radius: int,
     faces: list[Cell],
     solution: list[int] | UnsatCertificate,
 ) -> BoundarySolveResult:
@@ -650,7 +641,7 @@ def settle(
         columns = _trimmed_columns(cx, faces, window)
         if not check_unsat_certificate(columns, z.terms, solution):
             raise ReplayError("infeasibility certificate does not annihilate the system")
-        return BoundarySolveResult("unsat", window, floor, radius, faces, None, None, solution)
+        return BoundarySolveResult("unsat", window, floor, faces, None, None, solution)
     if not (
         isinstance(solution, list)
         and len(solution) == len(faces)
@@ -662,9 +653,7 @@ def settle(
     if not check_solution(columns, z.terms, list(support.values())):
         raise ReplayError("boundary of the filling does not match the cycle below the window")
     filling = WindowedChain(cx, 2, support, None)
-    return BoundarySolveResult(
-        "sat", window, floor, radius, faces, tuple(solution), filling, None
-    )
+    return BoundarySolveResult("sat", window, floor, faces, tuple(solution), filling, None)
 
 
 # -- keep-negative extraction --------------------------------------------

@@ -67,6 +67,7 @@ from .quasimorphisms import (
 from .report import cell_payload, encode, face_payloads, parse_cell
 from .rips import DEFAULT_VERTEX_CAP, connectivity_profile
 from .search import (
+    MAX_OBSTRUCTION_LETTERS,
     MAX_OBSTRUCTION_VERTICES,
     MAX_SEARCH_BALL,
     NotFoundWithinBall,
@@ -633,6 +634,15 @@ def _validate_free_obstruction(exp: Experiment, probe: Section) -> None:
         "walks up to {} geodesic vertices", "MAX_OBSTRUCTION_VERTICES", MAX_OBSTRUCTION_VERTICES,
         key="max_depth",
     )
+    # each of those vertices times the longest, |x| + 2 n |c|; the
+    # vertex bound keeps depth below 200 here
+    lx, lc = x.length(), scaling.length()
+    letters = sum((2 * lx + 2 * n * lc + 1) * (lx + 2 * n * lc) for n in range(1, depth + 1))
+    _work_bound(
+        exp, probe, depth, letters,
+        "reads up to {} letters", "MAX_OBSTRUCTION_LETTERS", MAX_OBSTRUCTION_LETTERS,
+        key="max_depth",
+    )
     probe.settings.update(x=x, scaling=scaling, dstar=dstar, max_depth=depth)
 
 
@@ -773,7 +783,7 @@ def _check_novikov_solve(exp: Experiment, probe: Section, res: dict) -> list:
         )
     else:
         return [f"unknown solve status {status!r}"]
-    outcome = settle(cx, cycle.chain, s["window"], floor, s["radius"], faces, solution)
+    outcome = settle(cx, cycle.chain, s["window"], floor, faces, solution)
     return _compare(_novikov_payload(probe, cx, cycle, outcome), res)
 
 
@@ -966,9 +976,11 @@ level set to spend at least
 max(0, (|phi-bar(v)| - 2 D*) / (max_s |phi-bar(s)| + D*)) steps at one
 Rips scale to clear it.  Strictly increasing maxima over n show that no
 single scale connects all the conjugates.  Depths up to max_depth N walk
-up to the sum over n <= N of 2 |x| + 2 n |c| + 1 geodesic vertices;
-more than MAX_OBSTRUCTION_VERTICES is refused when the config is
-validated.""",
+up to the sum over n <= N of 2 |x| + 2 n |c| + 1 geodesic vertices,
+and read up to the sum of those vertices times |x| + 2 n |c| letters,
+since a vertex is evaluated in time linear in its length; more than
+MAX_OBSTRUCTION_VERTICES = 40000 vertices or MAX_OBSTRUCTION_LETTERS =
+25000000 letters is refused when the config is validated.""",
     ),
     "novikov-solve": ProbeKind(
         _validate_novikov_solve,

@@ -606,6 +606,14 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitnes
 # and c = a b, 20,500 took 0.5 s and 81,000 took 3.1 s, and with
 # c = a b a^-1 b^-1, 40,700 took 1.8 s, on a 2-vCPU VM with Python 3.11.7
 MAX_OBSTRUCTION_VERTICES = 40_000
+# most letters a `free-obstruction` may read over its depths n <= N,
+# counted as the vertices of each geodesic times their longest length,
+# |x| + 2 n |c|: each vertex is evaluated in time linear in its length.
+# With psi-bar(a b) and x = b, c = (a b)^500 at N = 2 (20,024,006) took
+# 1.8 s, c = a b a^-1 b^-1 at N = 99 (21,173,097) 1.9 s and c = a b at
+# N = 140 (14,950,180) 1.6 s, in a fresh process on a 2-vCPU VM with
+# Python 3.11.7
+MAX_OBSTRUCTION_LETTERS = 25_000_000
 
 
 class ObstructionReport(NamedTuple):

@@ -159,15 +159,9 @@ def test_the_bench_fill_faces_evaluate_only_the_generators(monkeypatch):
     assert len(calls) <= 2 * exp.model.rank
 
 
-def test_the_searches_build_elements_and_values_only_for_results(monkeypatch):
-    """`groups._element` and `exact._make` calls of z2_lattice's
-    q-library and peak-reduce probes.  With an element and an ExactReal
-    per BFS neighbour, per edge-letter product and per compared value,
-    the library made 2,627 elements and 628 values and the reduction
-    3,034 and 689.  On normal forms and numerators they make 301 and
-    125, and 323 and 136: fewer elements than the 360 vertices on the
-    library's 16 paths.  An element and a value per BFS neighbour alone
-    add about 100 of each."""
+def _count_constructors(monkeypatch):
+    """Counts of the `groups._element` and `exact._make` calls made from
+    now on, keyed "elements" and "values"."""
     import qmprobe.exact
     import qmprobe.groups
 
@@ -187,6 +181,19 @@ def test_the_searches_build_elements_and_values_only_for_results(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_the_searches_build_elements_and_values_only_for_results(monkeypatch):
+    """`groups._element` and `exact._make` calls of z2_lattice's
+    q-library and peak-reduce probes.  With an element and an ExactReal
+    per BFS neighbour, per edge-letter product and per compared value,
+    the library made 2,627 elements and 628 values and the reduction
+    3,034 and 689.  On normal forms and numerators they make 301 and
+    125, and 323 and 136: fewer elements than the 360 vertices on the
+    library's 16 paths.  An element and a value per BFS neighbour alone
+    add about 100 of each."""
+    counts = _count_constructors(monkeypatch)
     exp = parse_experiment((CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8"))
     seen = set()
     for probe in exp.probes:
@@ -1219,6 +1226,36 @@ def test_an_obstruction_too_deep_for_its_bound_ends_at_once(tmp_path):
         parse_experiment(brooks.replace("max_depth = 3", "max_depth = 100"))
 
 
+def test_an_obstruction_reading_too_many_letters_ends_at_once(tmp_path):
+    """A free-obstruction with x = b and c = (a b)^2500, 5,000 letters,
+    walks 30,006 geodesic vertices to depth 2, within
+    MAX_OBSTRUCTION_VERTICES, and took 33 s, since each vertex is read
+    in time linear in its length: the letters are counted while the
+    config is validated, and `run` and `verify` both end with one line
+    and exit 2."""
+    text = (
+        "[group]\nfree_rank = 2\nnames = a b\n\n"
+        "[quasimorphism psi]\nkind = brooks\nword = a b\n\n"
+        "[quasimorphism psibar]\nkind = homogenized\nbase = psi\n\n"
+        "[probe conjugates]\nkind = free-obstruction\nqm = psibar\nx = b\n"
+        f"scaling = {' '.join(['a b'] * 2500)}\ndstar = 1\nmax_depth = 2\n"
+    )
+    refusal = (
+        "[probe conjugates]: free-obstruction at max_depth 2 reads up to "
+        "500120006 letters, more than MAX_OBSTRUCTION_LETTERS = 25000000\n"
+    )
+    proc, out = _run_within_a_second(tmp_path, text)
+    assert proc.returncode == 2 and not out.exists()
+    assert proc.stderr == "qmprobe: " + refusal
+    out.write_text(
+        json.dumps({"header": {}, "body": {"schema": "qmprobe-report-1", "config_echo": text}}),
+        encoding="utf-8",
+    )
+    proc = _within_a_second("verify", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "qmprobe: echoed config no longer validates: " + refusal
+
+
 def test_a_library_counts_one_search_per_pair():
     """z2_lattice's library searches ball(30) of Z^2, 1,861 elements,
     once for each of the 16 ordered generator pairs; at radius 80 the 16
@@ -1334,6 +1371,48 @@ def test_the_corner_potential_keeps_its_pinned_body(tmp_path, capsys):
         "b52af04c2d2e733075a39f704a072fc83d5fec64e483148cf0f4654a3b194496"
     )
     assert main(["verify", str(out)]) == 0
+
+
+def test_the_corner_faces_evaluate_each_corner_once(monkeypatch):
+    """Elements, values and Brooks hook calls of the corner config's
+    face enumeration and trimmed columns at radius 5.  Taking each
+    cell's corner minimum as an ExactReal, the enumeration made 9,590
+    elements, 7,672 values and 7,672 Brooks calls, and the columns 8,142,
+    5,220 and 5,220.  On numerators they build no element and no value,
+    and evaluate each distinct corner normal form once: 2,900 and 1,646
+    calls."""
+    import qmprobe.novikov
+    from qmprobe.probes import _novikov_cycle
+
+    counts = _count_constructors(monkeypatch)
+    calls = []
+    hnum = BrooksQM._hnum
+
+    def counted(self, free, ab):
+        calls.append((free, ab))
+        return hnum(self, free, ab)
+
+    # HomogenizedQM binds the hook at construction, so patch before parsing
+    monkeypatch.setattr(BrooksQM, "_hnum", counted)
+    exp = parse_experiment(CORNER)
+    (probe,) = exp.probes
+    s = probe.settings
+    cx, cycle = _novikov_cycle(exp, probe)
+    floor = cycle.chain.support_min()
+    every = [cx.face_cell(g, t) for g in exp.model.ball(5) for t in range(len(cx.square_types))]
+    counts.update(elements=0, values=0)
+    calls.clear()
+    faces = qmprobe.novikov.enumerate_faces(cx, floor, s["window"], s["radius"])
+    work = [(dict(counts), list(calls), every)]
+    counts.update(elements=0, values=0)
+    calls.clear()
+    qmprobe.novikov._trimmed_columns(cx, faces, s["window"])
+    work.append((dict(counts), list(calls), faces))
+    assert len(faces) == 974
+    for made, evaluated, examined in work:
+        assert made == {"elements": 0, "values": 0}
+        assert len(set(evaluated)) == len(evaluated)
+        assert set(evaluated) <= {(g.free, g.ab) for f in examined for g in cx.corners(f)}
 
 
 Z2_LIBRARY = """\

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmprobe.errors import CapExceededError, ExtractionError, ReplayError
-from qmprobe.exact import ExactReal, ONE, ZERO
-from qmprobe.groups import Generator, GroupModel, reduce_word
+from qmprobe.exact import ExactReal, ONE, ZERO, _make
+from qmprobe.groups import Generator, GroupModel, _ball, reduce_word
 from qmprobe.intsolve import UnsatCertificate, solve_integer_system
 from qmprobe.novikov import (
     CayleyComplex,
     RayCycle,
     WindowedChain,
+    _corner_numerators,
     _trimmed_columns,
     boundary_faces,
     build_zs_cycle,
@@ -63,7 +64,7 @@ def test_square_types_by_model(cx2, cxf, cxm):
     assert cxm.square_types == ((0, 2), (1, 2))  # each free letter against u
 
 
-def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi, psibar_ab):
+def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi):
     g = z2.parse_element("a^-1")
     face = cx2.face_cell(g, 0)
     assert cx2.corners(face) == (
@@ -76,27 +77,27 @@ def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi, psibar_ab):
     edge = cx2.edge_cell(g, 0)
     assert cx2.value(edge) == ExactReal(-1)
     assert cx2.value(cx2.vertex_cell(g)) == ExactReal(-1)
-    # a homomorphism's offsets, which the solver compares numerators
-    # against, must agree with the corners
+    # the corner numerators the solver compares against its bounds are
+    # phi-bar's at the corners: for a homomorphism, from the numerators
+    # the ball walk carries for the base; for psi-bar, evaluated
     other = HomomorphismQM(f2z, (ZERO, ONE, ExactReal(-1, 1, 2)))
+    psibar = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
     for qm in (
         f2z_phi,
         HomogenizedQM(f2z_phi),
         CombinationQM((ONE, ExactReal(-3, 1, 2)), (f2z_phi, other)),
+        psibar,
     ):
         cx = CayleyComplex(qm, ZERO)
-        assert cx._offsets is not None
-        for b in f2z.ball(3):
-            cells = [cx.edge_cell(b, i) for i in range(len(cx.positive))]
-            cells += [cx.face_cell(b, t) for t in range(len(cx.square_types))]
-            for cell in cells:
-                expected = min(qm.homogeneous_value(v) for v in cx.corners(cell))
-                assert cx.value(cell) == expected
-                offset = cx._offsets[cell[0]][cell[3]]
-                assert qm.homogeneous_value(b) + offset == expected
-    brooks = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
-    assert CayleyComplex(brooks, ONE)._offsets is None
-    assert CayleyComplex(psibar_ab, ONE)._offsets is None
+        corners = _corner_numerators(cx)
+        assert (cx._step_nums is None) == (qm is psibar)
+        for free, ab, p, q in _ball(f2z, 3, cx._step_nums):
+            for t in range(len(cx.square_types)):
+                cell = ("f", free, ab, t)
+                ps, qs = corners(free, ab, (p, q), t)
+                got = [_make(x, y, qm.den, qm.d) for x, y in zip(ps, qs)]
+                assert got == [qm.homogeneous_value(v) for v in cx.corners(cell)]
+                assert min(got) == cx.value(cell)
 
 
 def test_defect_bound_must_be_non_negative(z2_hom11):
@@ -433,8 +434,8 @@ def test_faces_of_a_homomorphism_match_the_corner_minimum(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_faces_of_a_corner_minimum_potential_match_the_oracle(seed):
     # a homogenized Brooks count, alone (even seeds) or plus a
-    # homomorphism (odd seeds), has no offsets: each face takes its
-    # corner minimum, which is not cached
+    # homomorphism (odd seeds), is not additive: each face's corners are
+    # evaluated, and no value is cached
     rng = random.Random(seed)
     model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
     qm = HomogenizedQM(BrooksQM(model, model.parse_word(rng.choice(("a b", "a a b", "a b^-1")))))
@@ -442,7 +443,7 @@ def test_faces_of_a_corner_minimum_potential_match_the_oracle(seed):
         hom = HomomorphismQM(model, [ExactReal(rng.randint(-2, 2)) for _ in range(model.rank)])
         qm = CombinationQM((ONE, ExactReal(Fraction(1, 2))), (qm, hom))
     cx = CayleyComplex(qm, ONE)
-    assert cx._offsets is None
+    assert cx._step_nums is None
     ceiling = rng.choice(_face_values(cx, 2)) + 1
     floor = rng.choice((None, ceiling - 2))
     faces = enumerate_faces(cx, floor, ceiling, 3)
@@ -473,10 +474,11 @@ def test_trimmed_columns_match_the_boundary_of_each_face(seed):
         )
         for _ in range(model.rank)
     ]
-    potentials = [HomomorphismQM(model, values)]
-    if seed < 2:
-        # a corner-minimum potential keeps the oracle's own path
-        potentials.append(HomogenizedQM(BrooksQM(model, model.parse_word("a a"))))
+    # a homomorphism, and a potential whose corners are evaluated
+    potentials = [
+        HomomorphismQM(model, values),
+        HomogenizedQM(BrooksQM(model, model.parse_word("a a"))),
+    ]
     for qm in potentials:
         cx = CayleyComplex(qm, ZERO)
         faces = [
@@ -487,8 +489,8 @@ def test_trimmed_columns_match_the_boundary_of_each_face(seed):
         ]
         windows = (ExactReal(rng.randint(-2, 3)), rng.choice(edge_values), ExactReal(20))
         got = [_trimmed_columns(cx, faces, window) for window in windows]
-        # the numerator path reads no value and caches nothing
-        assert not cx._values or qm is not potentials[0]
+        # the columns read no value and cache nothing
+        assert not cx._values
         for window, columns in zip(windows, got):
             want = [_trimmed_boundary_column(cx, f, window) for f in faces]
             assert [list(c.items()) for c in columns] == [list(c.items()) for c in want]
@@ -512,7 +514,7 @@ def _zs_filling_problem(z2, cx2):
 
 
 def _settle_again(cx, z, got, solution):
-    return settle(cx, z, got.window, got.floor, got.radius, list(got.faces), solution)
+    return settle(cx, z, got.window, got.floor, list(got.faces), solution)
 
 
 def test_settle_agrees_with_the_solver_on_a_filling(z2, cx2):
@@ -579,7 +581,7 @@ def _full_radius_solve(cx, z, window, radius, slack):
     every admissible face at the configured radius."""
     floor, faces = boundary_faces(cx, z, window, radius, slack)
     columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
-    return settle(cx, z, window, floor, radius, faces, solve_integer_system(columns, z.terms))
+    return settle(cx, z, window, floor, faces, solve_integer_system(columns, z.terms))
 
 
 def _random_ray_system(seed):
@@ -618,7 +620,7 @@ def test_solving_small_first_agrees_with_the_full_radius_solve():
         assert (got.status, got.floor, got.faces) == (want.status, want.floor, want.faces)
         verdicts[got.status] += 1
         if got.status == "sat":
-            again = settle(cx, z, window, got.floor, radius, list(got.faces), list(got.coefficients))
+            again = settle(cx, z, window, got.floor, list(got.faces), list(got.coefficients))
             assert again.filling.terms == got.filling.terms
             bases = [cx.element(f).length() for f in got.filling.terms]
             if bases and max(bases) < radius:
