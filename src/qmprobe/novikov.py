@@ -57,6 +57,7 @@ from .intsolve import (
 )
 from .paths import Path, path_from_letters
 from .quasimorphisms import Quasimorphism, _below
+from .search import _scaling_letter, check_positive_direction
 
 RAY_STEP_CAP = 100_000
 DEFAULT_CELL_CAP = 50_000
@@ -335,10 +336,8 @@ def ray_cycle(
 ) -> RayCycle:
     """The 1-cycle: connecting path from start to end, plus the
     truncated c-ray out of end, minus the one out of start."""
-    if scaling.length() != 1:
-        raise ValueError("ray direction must be a generator letter")
-    if not cx.qm.homogeneous_value(scaling) > ZERO:
-        raise ValueError("ray direction must have positive phi-bar")
+    _scaling_letter(cx.model, scaling)
+    check_positive_direction(cx.qm, scaling)
     if connecting.origin != start or connecting.terminus != end:
         raise ValueError("connecting path endpoints do not match")
     q_chain = cx.chain_from_path(connecting, None)
@@ -380,11 +379,10 @@ def build_zs_cycle(
     path through the identity and a path staying above
     n phi-bar(c) - K.  For s equal to the scaling letter the two
     constructions coincide and the cycle is zero by convention."""
-    if scaling.length() != 1:
-        raise ValueError("the scaling element must be a generator letter")
+    c_letter = _scaling_letter(cx.model, scaling)
+    check_positive_direction(cx.qm, scaling)
     if depth < 1:
         raise ValueError("depth must be positive")
-    c_letter = scaling.letters()[0]
     if s == c_letter:
         return ZsCycle(s, depth, cx.zero(1, None), None, None, None)
     top = scaling ** depth
@@ -613,7 +611,7 @@ def windowed_boundary_solve(
         if not isinstance(solution, UnsatCertificate):
             solution.extend([0] * (len(faces) - end))
             break
-    return settle(cx, z, window, floor, faces, solution)
+    return settle(cx, z, window, floor, faces, solution, columns)
 
 
 def settle(
@@ -623,6 +621,7 @@ def settle(
     floor: Optional[ExactReal],
     faces: list[Cell],
     solution: list[int] | UnsatCertificate,
+    columns: list[dict[Cell, int]],
 ) -> BoundarySolveResult:
     """Replay an answer to the boundary equation for z over `faces`
     below the window and wrap it in a result, or raise `ReplayError`.
@@ -630,7 +629,9 @@ def settle(
     A coefficient list must hold one integer per face, and the columns
     of its support must sum to z; an infeasibility certificate must
     have integer entries and annihilate every face's column but not z.
-    The solver's answer and a recorded one both go through here."""
+    The solver's answer and a recorded one both go through here, with
+    the trimmed columns of a prefix of `faces` built so far: the
+    solver's, or none; a certificate's are extended to every face."""
     faces = tuple(faces)
     if isinstance(solution, UnsatCertificate):
         if not (
@@ -638,7 +639,7 @@ def settle(
             and all(type(c) is int for c in solution.functional.values())
         ):
             raise ReplayError("certificate modulus and coefficients must be integers")
-        columns = _trimmed_columns(cx, faces, window)
+        columns = columns + _trimmed_columns(cx, faces[len(columns):], window)
         if not check_unsat_certificate(columns, z.terms, solution):
             raise ReplayError("infeasibility certificate does not annihilate the system")
         return BoundarySolveResult("unsat", window, floor, faces, None, None, solution)

@@ -4,9 +4,10 @@ A `ProbeKind` in `KINDS` holds everything the pipeline knows about a
 kind:
 
 * `validate(exp, probe)` checks a `[probe NAME]` section against the
-  preconditions of the operation it will invoke and stores the parsed
-  values in `probe.settings`, under their config keys; a `ValueError`
-  it raises becomes a `ConfigError` naming the section;
+  preconditions of the operation it will invoke, by calling the checks
+  that operation makes itself, and stores the parsed values in
+  `probe.settings`, under their config keys; a `ValueError` it raises
+  becomes a `ConfigError` naming the section;
 * `run(exp, probe)` makes the library call and hands the result, raw
   values and records carrying the full witness, to `report.encode`,
   which writes the JSON-compatible payload;
@@ -71,12 +72,17 @@ from .search import (
     MAX_OBSTRUCTION_VERTICES,
     MAX_SEARCH_BALL,
     NotFoundWithinBall,
-    _is_f2z_example,
+    _scaling_letter,
     bounded_path_search,
     build_q_library,
+    check_aker_endpoints,
+    check_kernel_endpoints,
+    check_positive_direction,
+    check_scaling_window,
     compute_constants,
     f2z_kernel_path_normalize,
     free_group_obstruction_probe,
+    obstruction_denominator,
     peak_reduction,
 )
 
@@ -257,24 +263,6 @@ def _search_bound(exp: Experiment, probe: Section, radius: int, runs: int) -> No
     )
 
 
-def _scaling_in_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal) -> None:
-    value = qm.homogeneous_value(scaling)
-    if not (dstar * 4 / ExactReal(5) < value and value <= dstar):
-        raise ValueError(f"scaling element value {value} is not in (4 D*/5, D*]")
-
-
-def _letter_scaling(model: GroupModel, probe: Section) -> GroupElement:
-    scaling = probe.get("scaling", model.parse_element)
-    if scaling.length() != 1:
-        raise ValueError("scaling must be a single generator letter")
-    return scaling
-
-
-def _positive_direction(qm: Quasimorphism, scaling: GroupElement) -> None:
-    if not qm.homogeneous_value(scaling) > ZERO:
-        raise ValueError("scaling must have positive phi-bar")
-
-
 def _defect_bound(qm: Quasimorphism, probe: Section) -> ExactReal:
     """The probe's `defect`, or the quasimorphism's structural bound."""
     defect = probe.get("defect", ExactReal.parse, qm.defect_upper())
@@ -401,7 +389,7 @@ def _validate_aker_cert(exp: Experiment, probe: Section) -> None:
     scaling = None
     if dstar > ZERO:
         scaling = probe.get("scaling", exp.model.parse_element)
-        _scaling_in_window(qm, scaling, dstar)
+        check_scaling_window(qm, scaling, dstar)
     probe.settings.update(dstar=dstar, radius=radius, scaling=scaling)
 
 
@@ -494,12 +482,9 @@ def _validate_q_library(exp: Experiment, probe: Section) -> None:
     qm = _need_qm(exp, probe)
     dstar = probe.get("dstar", ExactReal.parse)
     kprime = probe.get("kprime", ExactReal.parse)
-    if not dstar > ZERO:
-        raise ValueError("dstar must be positive")
-    if not kprime > dstar + dstar:
-        raise ValueError("kprime must exceed 2*dstar")
-    scaling = _letter_scaling(exp.model, probe)
-    _scaling_in_window(qm, scaling, dstar)
+    scaling = probe.get("scaling", exp.model.parse_element)
+    compute_constants(qm, dstar, kprime, scaling)
+    _scaling_letter(exp.model, scaling)
     radius = _radius(exp, probe, minimum=1)
     # one search per ordered pair of the 2 * rank generator letters
     _search_bound(exp, probe, radius, (2 * exp.model.rank) ** 2)
@@ -555,11 +540,7 @@ def _validate_peak_reduce(exp: Experiment, probe: Section) -> None:
     model, s = exp.model, probe.settings
     origin = probe.get("origin", model.parse_element, model.identity())
     path = probe.get("letters", lambda text: path_from_letters(origin, model.parse_word(text)))
-    qm = _qm(exp, probe)
-    two_dstar = s["dstar"] + s["dstar"]
-    for label, g in (("origin", path.origin), ("terminus", path.terminus)):
-        if not abs(qm.homogeneous_value(g)) <= two_dstar:
-            raise ValueError(f"path {label} is outside Aker(phi, D*)")
+    check_aker_endpoints(_qm(exp, probe), path, s["dstar"])
     s["path"] = path
 
 
@@ -592,13 +573,9 @@ def _run_peak_reduce(exp: Experiment, probe: Section) -> dict:
 def _validate_f2z_example(exp: Experiment, probe: Section) -> None:
     model = exp.model
     qm = _need_qm(exp, probe)
-    if not _is_f2z_example(qm):
-        raise ValueError("needs the F_2 x Z model with phi = (1, 0, sqrt(2))")
     start = probe.get("start", model.parse_element)
     target = probe.get("target", model.parse_element)
-    for label, g in (("start", start), ("target", target)):
-        if qm.homogeneous_value(g) != ZERO:
-            raise ValueError(f"{label} is not in the kernel of phi")
+    check_kernel_endpoints(qm, start, target)
     probe.settings.update(start=start, target=target)
 
 
@@ -616,16 +593,10 @@ def _run_f2z_example(exp: Experiment, probe: Section) -> dict:
 def _validate_free_obstruction(exp: Experiment, probe: Section) -> None:
     model = exp.model
     qm = _need_qm(exp, probe)
-    if model.abelian_rank != 0:
-        raise ValueError("needs a free group model")
     x = probe.get("x", model.parse_element)
     scaling = probe.get("scaling", model.parse_element)
-    if x * scaling == scaling * x:
-        raise ValueError("x and scaling must not commute")
-    _positive_direction(qm, scaling)
     dstar = probe.get("dstar", ExactReal.parse)
-    if dstar < ZERO:
-        raise ValueError("dstar must be non-negative")
+    obstruction_denominator(qm, x, scaling, dstar)
     depth = _radius(exp, probe, "max_depth", minimum=1)
     # the sum over n <= depth of 2 |x| + 2 n |c| + 1
     vertices = depth * (2 * x.length() + 1) + scaling.length() * depth * (depth + 1)
@@ -679,8 +650,9 @@ def _run_free_obstruction(exp: Experiment, probe: Section) -> dict:
 def _validate_novikov_solve(exp: Experiment, probe: Section) -> None:
     model = exp.model
     qm = _need_qm(exp, probe)
-    scaling = _letter_scaling(model, probe)
-    _positive_direction(qm, scaling)
+    scaling = probe.get("scaling", model.parse_element)
+    _scaling_letter(model, scaling)
+    check_positive_direction(qm, scaling)
     defect = _defect_bound(qm, probe)
     radius = _radius(exp, probe)
     _work_bound(
@@ -783,7 +755,7 @@ def _check_novikov_solve(exp: Experiment, probe: Section, res: dict) -> list:
         )
     else:
         return [f"unknown solve status {status!r}"]
-    outcome = settle(cx, cycle.chain, s["window"], floor, faces, solution)
+    outcome = settle(cx, cycle.chain, s["window"], floor, faces, solution, [])
     return _compare(_novikov_payload(probe, cx, cycle, outcome), res)
 
 
@@ -793,8 +765,9 @@ def _check_novikov_solve(exp: Experiment, probe: Section, res: dict) -> list:
 def _validate_zs_cycle(exp: Experiment, probe: Section) -> None:
     model = exp.model
     qm = _need_qm(exp, probe)
-    scaling = _letter_scaling(model, probe)
-    _positive_direction(qm, scaling)
+    scaling = probe.get("scaling", model.parse_element)
+    _scaling_letter(model, scaling)
+    check_positive_direction(qm, scaling)
     letters = probe.get("s", model.parse_word)
     if len(letters) != 1:
         raise ValueError("s must be a single generator letter")
@@ -894,7 +867,8 @@ member pair (g, h) the certificate records the first exponent m in
 0, 1, -1, ..., 5, -5 with |phi-bar(g h c^m)| <= 2 D*.  The m = 0 test
 is made once per orbit (g, h), (h, g), (g^-1, h^-1), (h^-1, g^-1), but
 the size is counted over the whole square: a ball of N elements with
-N^2 above MAX_SCAN_PAIRS is refused when the config is validated.""",
+N^2 above MAX_SCAN_PAIRS is refused when the config is validated, and
+so are D* < 0 and, for D* > 0, a c outside that window.""",
     ),
     "rips-profile": ProbeKind(
         _validate_rips_profile,
@@ -935,7 +909,9 @@ scaling-letter edges) must sit strictly below -D*.  The level guard is
 N = max(K' + 2 D* + 1, 1 - min phi-bar over the library), so every
 stored vertex satisfies phi-bar > -N.  One search runs per ordered
 pair, (2 rank)^2 in all; searches spanning more than MAX_SEARCH_BALL
-ball elements in all are refused when the config is validated.""",
+ball elements in all are refused when the config is validated, and so
+are D* <= 0, K' <= 2 D*, and a c that is not one generator letter with
+4 D*/5 < phi-bar(c) <= D*.""",
     ),
     "peak-reduce": ProbeKind(
         _validate_peak_reduce,
@@ -950,8 +926,9 @@ edges.  Each step strictly decreases (height, peak count)
 lexicographically and stays above -N.  Removing scaling-letter
 backtracks afterwards leaves every vertex with phi-bar <= M + 2 D*.
 The edges s, t, the essential vertices and the backtracks are read off
-the path's recorded edge letters.  The library's (2 rank)^2 searches
-are bounded by MAX_SEARCH_BALL as in q-library.""",
+the path's recorded edge letters.  Validation makes q-library's
+checks, bounds its searches the same way, and refuses a path with an
+endpoint outside Aker(phi, D*) = { g : |phi-bar(g)| <= 2 D* }.""",
     ),
     "f2z-example": ProbeKind(
         _validate_f2z_example,
@@ -980,7 +957,9 @@ up to the sum over n <= N of 2 |x| + 2 n |c| + 1 geodesic vertices,
 and read up to the sum of those vertices times |x| + 2 n |c| letters,
 since a vertex is evaluated in time linear in its length; more than
 MAX_OBSTRUCTION_VERTICES = 40000 vertices or MAX_OBSTRUCTION_LETTERS =
-25000000 letters is refused when the config is validated.""",
+25000000 letters is refused when the config is validated, as are a
+model that is not free, x and c that commute, phi-bar(c) <= 0, D* < 0
+and a denominator max_s |phi-bar(s)| + D* of 0.""",
     ),
     "novikov-solve": ProbeKind(
         _validate_novikov_solve,
@@ -1002,7 +981,8 @@ m = 0).  Keeping only the filling's faces at negative values and taking
 the boundary leaves a residual supported at phi-bar >= 0 whose support
 connects the rays; the extracted composite path from start to end is
 checked against min phi-bar >= -D.  A radius whose ball holds more than
-MAX_SOLVE_BALL elements is refused when the config is validated.""",
+MAX_SOLVE_BALL elements is refused when the config is validated, as is
+a c that is not one generator letter with positive phi-bar.""",
     ),
     "zs-cycle": ProbeKind(
         _validate_zs_cycle,
@@ -1015,8 +995,9 @@ s, ascend c^n) and a high path with min phi-bar >= n phi-bar(c) - K.
 For s = c the two constructions coincide and z_c = 0 by convention.
 The cycle is exact (boundary zero with no window), and the regime of
 interest is n phi-bar(c) > K + D + 1, reported as a threshold check.
-The high path is a path-search inside ball(R), and a ball(R) of more
-than MAX_SEARCH_BALL elements is refused when the config is
-validated.""",
+The high path is a path-search inside ball(R).  Validation refuses a
+ball(R) of more than MAX_SEARCH_BALL elements, R < n + 1, an s that is
+not one generator letter, and a c that is not one with positive
+phi-bar.""",
     ),
 }

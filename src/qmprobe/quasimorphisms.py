@@ -558,7 +558,7 @@ def certify_aker_approximate_subgroup(
     to the same den, and the products g h c^m are evaluated on normal
     forms without caching."""
     if dstar < ZERO:
-        raise ValueError("D* must be non-negative")
+        raise ValueError("dstar must be non-negative")
     model = qm.model
     top_p, top_q, scale, d = scaled_bound(qm, dstar + dstar)
     hnum = qm._hnum

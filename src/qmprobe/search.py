@@ -6,6 +6,8 @@ restricted to vertices whose homogeneous value stays above a floor
 path witness; a negative answer records the (K, R) parameters and is
 evidence only -- nothing outside the ball was examined.  The probes
 validate the searches' size against MAX_SEARCH_BALL before any runs.
+Each precondition is raised by one function here, a `check_*`,
+`_scaling_letter` or `obstruction_denominator`, that they call too.
 
 The level-set machinery below works on normal forms (free, ab) and on
 numerator pairs (p, q) over qm.den, the way the pair scans do: the
@@ -200,6 +202,12 @@ class ConstantsBundle(NamedTuple):
     max_generator_value: ExactReal
 
 
+def check_scaling_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal) -> None:
+    value = qm.homogeneous_value(scaling)
+    if not (dstar * 4 / ExactReal(5) < value and value <= dstar):
+        raise ValueError(f"scaling element value {value} must lie in (4 D*/5, D*]")
+
+
 def compute_constants(
     qm: Quasimorphism,
     dstar: ExactReal,
@@ -207,14 +215,10 @@ def compute_constants(
     scaling: GroupElement,
 ) -> ConstantsBundle:
     if dstar <= ZERO:
-        raise ValueError("D* must be positive")
+        raise ValueError("dstar must be positive")
     if not kprime > dstar + dstar:
-        raise ValueError("K' must exceed 2 D*")
-    value = qm.homogeneous_value(scaling)
-    if not (dstar * 4 / ExactReal(5) < value and value <= dstar):
-        raise ValueError(
-            f"scaling element value {value} must lie in (4 D*/5, D*]"
-        )
+        raise ValueError("kprime must exceed 2 dstar")
+    check_scaling_window(qm, scaling, dstar)
     model = qm.model
     gens = [model.generator_element(g) for g in model.generators()]
     maxst = max(qm.homogeneous_value(s * t) for s in gens for t in gens)
@@ -240,10 +244,13 @@ def _scaling_letter(model: GroupModel, scaling: GroupElement) -> Generator:
     if scaling.model != model:
         raise ModelMismatchError("scaling element from a different model")
     if scaling.length() != 1:
-        raise ValueError(
-            "the descent machinery needs the scaling element to be a generator letter"
-        )
+        raise ValueError("the scaling element must be a single generator letter")
     return scaling.letters()[0]
+
+
+def check_positive_direction(qm: Quasimorphism, scaling: GroupElement) -> None:
+    if not qm.homogeneous_value(scaling) > ZERO:
+        raise ValueError("the scaling element must have positive phi-bar")
 
 
 def _scaling_letters(model: GroupModel, scaling: GroupElement) -> tuple[Generator, ...]:
@@ -452,6 +459,13 @@ def height_and_peaks(
     return height, count, first
 
 
+def check_aker_endpoints(qm: Quasimorphism, path: Path, dstar: ExactReal) -> None:
+    """Refuse a path with an endpoint outside Aker(phi, D*): |phi-bar| > 2 D*."""
+    for label, g in (("origin", path.origin), ("terminus", path.terminus)):
+        if not abs(qm.homogeneous_value(g)) <= dstar + dstar:
+            raise ValueError(f"path {label} is outside Aker(phi, D*)")
+
+
 def peak_reduction(
     qm: Quasimorphism,
     path: Path,
@@ -468,10 +482,7 @@ def peak_reduction(
     """
     bundle = library.bundle
     scaling = library.scaling
-    two_dstar = bundle.dstar + bundle.dstar
-    for endpoint in (path.origin, path.terminus):
-        if not abs(qm.homogeneous_value(endpoint)) <= two_dstar:
-            raise ValueError("peak reduction expects endpoints in Aker(phi, D*)")
+    check_aker_endpoints(qm, path, bundle.dstar)
     steps: list[PeakStep] = []
     current = path
     height, peaks, first = height_and_peaks(qm, current, scaling)
@@ -516,7 +527,7 @@ def peak_reduction(
         height, peaks, first = new_height, new_peaks, new_first
     reduced = remove_inessential_backtracks(current, scaling)
     _, mx = phi_extrema(qm, reduced)
-    bound = bundle.height_bound + two_dstar
+    bound = bundle.height_bound + bundle.dstar + bundle.dstar
     if not mx <= bound:
         raise RuntimeError(
             f"backtrack removal left a vertex at {mx}, above the bound {bound}"
@@ -542,15 +553,18 @@ class KernelPathWitness(NamedTuple):
     max_phi: ExactReal
 
 
-def _is_f2z_example(qm: Quasimorphism) -> bool:
+def check_kernel_endpoints(qm: Quasimorphism, origin: GroupElement, terminus: GroupElement) -> None:
+    """Refuse a kernel path off the F_2 x Z example or off its kernel."""
     base = qm.base if isinstance(qm, HomogenizedQM) else qm
-    if not isinstance(base, HomomorphismQM):
-        return False
-    model = base.model
-    if model.free_rank != 2 or model.abelian_rank != 1:
-        return False
-    expected = (ExactReal(1), ExactReal(0), ExactReal(0, 1, 2))
-    return base.values == expected
+    if not (
+        isinstance(base, HomomorphismQM)
+        and (base.model.free_rank, base.model.abelian_rank) == (2, 1)
+        and base.values == (ExactReal(1), ExactReal(0), ExactReal(0, 1, 2))
+    ):
+        raise ValueError("kernel path normalization needs F_2 x Z with phi = (1, 0, sqrt(2))")
+    for label, g in (("origin", origin), ("terminus", terminus)):
+        if qm.homogeneous_value(g) != ZERO:
+            raise ValueError(f"path {label} is not in the kernel of phi")
 
 
 def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitness:
@@ -561,17 +575,10 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitnes
     |phi| <= 1 + sqrt(2)/2, which certifies the exact bounds
     -3 <= phi <= 3; the endpoints are untouched.
     """
-    if not _is_f2z_example(qm):
-        raise ValueError(
-            "kernel path normalization is specific to F_2 x Z with "
-            "phi = (1, 0, sqrt(2))"
-        )
     model = qm.model
     if path.model != model:
         raise ModelMismatchError("path uses a different model")
-    for endpoint in (path.origin, path.terminus):
-        if qm.homogeneous_value(endpoint) != ZERO:
-            raise ValueError("path endpoints must lie in the kernel of phi")
+    check_kernel_endpoints(qm, path.origin, path.terminus)
     c = model.generator_element(Generator(2, False))
     cinv = c.inverse()
     sqrt2 = ExactReal(0, 1, 2)
@@ -630,6 +637,29 @@ class ObstructionReport(NamedTuple):
     max_bound: ExactReal
 
 
+def obstruction_denominator(
+    qm: Quasimorphism, x: GroupElement, scaling: GroupElement, dstar: ExactReal
+) -> ExactReal:
+    """L = max_s |phi-bar(s)| + D*, refusing arguments the obstruction
+    does not hold for: a model that is not free, x and c that commute,
+    c without positive phi-bar, D* < 0 or L = 0."""
+    model = qm.model
+    if model.abelian_rank != 0:
+        raise ValueError("the obstruction probe works in free groups only")
+    if x.model != model or scaling.model != model:
+        raise ModelMismatchError("probe arguments use a different model")
+    if dstar < ZERO:
+        raise ValueError("dstar must be non-negative")
+    check_positive_direction(qm, scaling)
+    if x * scaling == scaling * x:
+        raise ValueError("x and the scaling element must not commute")
+    gens = [model.generator_element(g) for g in model.generators()]
+    denom = max(abs(qm.homogeneous_value(s)) for s in gens) + dstar
+    if not denom > ZERO:
+        raise ValueError("max_s |phi-bar(s)| + D* must be positive")
+    return denom
+
+
 def free_group_obstruction_probe(
     qm: Quasimorphism,
     x: GroupElement,
@@ -637,23 +667,9 @@ def free_group_obstruction_probe(
     depth: int,
     dstar: ExactReal,
 ) -> ObstructionReport:
-    model = qm.model
-    if model.abelian_rank != 0:
-        raise ValueError("the obstruction probe works in free groups only")
-    if x.model != model or scaling.model != model:
-        raise ModelMismatchError("probe arguments use a different model")
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    if dstar < ZERO:
-        raise ValueError("D* must be non-negative")
-    if not qm.homogeneous_value(scaling) > ZERO:
-        raise ValueError("the scaling element must have positive phi-bar")
-    if x * scaling == scaling * x:
-        raise ValueError("x and the scaling element must not commute")
-    gens = [model.generator_element(g) for g in model.generators()]
-    denom = max(abs(qm.homogeneous_value(s)) for s in gens) + dstar
-    if not denom > ZERO:
-        raise ValueError("max_s |phi-bar(s)| + D* must be positive")
+    denom = obstruction_denominator(qm, x, scaling, dstar)
     target = (scaling ** -depth) * x * (scaling ** depth)
     geodesic = straight_path(x, target)
     two_dstar = dstar + dstar

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from qmprobe import novikov
 from qmprobe.cli import _build_parser, main
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError, ReplayError
@@ -623,6 +624,59 @@ def test_an_unsat_verdict_comes_from_the_solve_over_every_face(monkeypatch, tmp_
     assert sizes[-1] == len(result["faces"])
     if result["faces"]:
         assert sizes == [_faces_within(result, k) for k in (0, 1, 2, 3)]
+
+
+def test_an_unsat_run_builds_each_trimmed_column_once(monkeypatch, tmp_path, capsys):
+    """At radius 4 end = a b a b^-1 a^-2 has no filling over 330 faces:
+    the schedule builds every face's trimmed column, and `settle` checks
+    the certificate against those same columns, so `run` builds 330 of
+    them, not 660; `verify` has no solve and builds them in `settle`."""
+    built = []
+
+    def counted(cx, faces, window):
+        built.append(len(faces))
+        return trimmed_columns(cx, faces, window)
+
+    trimmed_columns = novikov._trimmed_columns
+    monkeypatch.setattr(novikov, "_trimmed_columns", counted)
+    ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
+    cfg, out = tmp_path / "unsat.cfg", tmp_path / "report.json"
+    cfg.write_text(
+        text.replace("end = b", "end = a b a b^-1 a^-2").replace("radius = 6", "radius = 4"),
+        encoding="utf-8",
+    )
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    result = _read(out)["body"]["probes"][0]["result"]
+    assert (result["status"], len(result["faces"]), sum(built)) == ("unsat", 330, 330)
+    built.clear()
+    assert main(["verify", str(out)]) == 0, capsys.readouterr().out
+    assert built == [330]
+
+
+def test_an_obstruction_with_a_zero_denominator_ends_at_validation(tmp_path, capsys):
+    """With psi-bar(a b) every generator has phi-bar 0, so at D* = 0 the
+    obstruction's denominator max_s |phi-bar(s)| + D* is 0.  The library
+    refused it only when the probe ran, so `run` wrote a `failed` entry
+    and `verify` passed it as failing again; validation now calls the
+    library's own check, and both refuse the config in one line."""
+    text = (
+        "[group]\nfree_rank = 2\nnames = a b\n\n"
+        "[quasimorphism psi]\nkind = brooks\nword = a b\n\n"
+        "[quasimorphism psibar]\nkind = homogenized\nbase = psi\n\n"
+        "[probe obs]\nkind = free-obstruction\nqm = psibar\nx = b\n"
+        "scaling = a b\ndstar = 0\nmax_depth = 2\n"
+    )
+    refusal = "[probe obs]: max_s |phi-bar(s)| + D* must be positive\n"
+    cfg, out = tmp_path / "obs.cfg", tmp_path / "report.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 2 and not out.exists()
+    assert capsys.readouterr().err == "qmprobe: " + refusal
+    out.write_text(
+        json.dumps({"header": {}, "body": {"schema": "qmprobe-report-1", "config_echo": text}}),
+        encoding="utf-8",
+    )
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().err == "qmprobe: echoed config no longer validates: " + refusal
 
 
 def test_verify_rederives_a_failed_peak_reduce_claimed_ok(tmp_path, capsys):

@@ -11,7 +11,8 @@ from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError
 from qmprobe.exact import ExactReal, ONE, ZERO
 from qmprobe.groups import MAX_BALL_CAP
-from qmprobe.novikov import MAX_SOLVE_BALL
+from qmprobe.novikov import MAX_SOLVE_BALL, CayleyComplex, build_zs_cycle, ray_cycle
+from qmprobe.paths import path_from_letters, straight_path
 from qmprobe.probes import attempt
 from qmprobe.quasimorphisms import (
     MAX_SCAN_PAIRS,
@@ -19,6 +20,14 @@ from qmprobe.quasimorphisms import (
     CombinationQM,
     HomogenizedQM,
     HomomorphismQM,
+)
+from qmprobe.search import (
+    build_q_library,
+    check_scaling_window,
+    compute_constants,
+    f2z_kernel_path_normalize,
+    free_group_obstruction_probe,
+    peak_reduction,
 )
 
 FREE_GROUP = """\
@@ -326,12 +335,12 @@ def test_novikov_needs_a_defect_bound():
     )
     with pytest.raises(ConfigError) as err:
         parse_experiment(text)
-    assert "scaling must be a single generator letter" in str(err.value)
+    assert "the scaling element must be a single generator letter" in str(err.value)
     text = text.replace("scaling = a b a^-1 b^-1", "scaling = a")
     with pytest.raises(ConfigError) as err:
         parse_experiment(text)
     # phi-bar(a) = 0 under psibar: the direction check fires first
-    assert "positive phi-bar" in str(err.value)
+    assert "the scaling element must have positive phi-bar" in str(err.value)
 
 
 def test_novikov_defect_bound_missing_message():
@@ -366,7 +375,140 @@ def test_zs_s_must_be_a_letter():
     )
     with pytest.raises(ConfigError) as err:
         parse_experiment(text)
-    assert "single generator letter" in str(err.value)
+    assert str(err.value) == "[probe z]: s must be a single generator letter"
+
+
+Z2_PHI = Z2_GROUP + "[quasimorphism phi]\nkind = homomorphism\nc = 1\n"
+F2Z_PHI = (
+    "[group]\nfree_rank = 2\nabelian_rank = 1\nnames = a b u\nball_cap = 8\n"
+    "[quasimorphism phi]\nkind = homomorphism\na = 1\nu = sqrt(2)\n"
+)
+# the group and quasimorphisms of a config, and the quasimorphism its probe uses
+WORLDS = {"z2": (Z2_PHI, "phi"), "f2": (FREE_GROUP + PSIBAR, "psibar"), "f2z": (F2Z_PHI, "phi")}
+X = ExactReal.parse
+
+
+def _q_library(qm, e, dstar, kprime, scaling, radius=4):
+    c = e(scaling)
+    return build_q_library(qm, compute_constants(qm, X(dstar), X(kprime), c), c, radius)
+
+
+def _ray(qm, e, scaling):
+    connecting = straight_path(e("1"), e("b"))
+    return ray_cycle(CayleyComplex(qm, ZERO), e("1"), e("b"), connecting, e(scaling), X("4"))
+
+
+def _zs(qm, e, scaling):
+    return build_zs_cycle(CayleyComplex(qm, ZERO), e("a").letters()[0], e(scaling), 2, None)
+
+
+def _obstruction(qm, e, x, scaling, dstar):
+    return free_group_obstruction_probe(qm, e(x), e(scaling), 1, X(dstar))
+
+
+LIBRARY = "kind = q-library\nradius = 4\n"
+NOVIKOV = "kind = novikov-solve\nstart = 1\nend = b\nwindow = 4\nradius = 2\n"
+ZS = "kind = zs-cycle\ns = a\ndepth = 2\nk = 1\nradius = 4\n"
+OBSTRUCTION = "kind = free-obstruction\nmax_depth = 2\n"
+# (world, probe keys, message, the library call the probe would make)
+PRECONDITIONS = {
+    "dstar-positive": (
+        "z2", LIBRARY + "dstar = 0\nkprime = 3\nscaling = c\n", "dstar must be positive",
+        lambda qm, e: compute_constants(qm, X("0"), X("3"), e("c")),
+    ),
+    "kprime": (
+        "z2", LIBRARY + "dstar = 1\nkprime = 2\nscaling = c\n", "kprime must exceed 2 dstar",
+        lambda qm, e: compute_constants(qm, X("1"), X("2"), e("c")),
+    ),
+    "window-q-library": (
+        "z2", LIBRARY + "dstar = 2\nkprime = 5\nscaling = c\n",
+        "scaling element value 1/1 must lie in (4 D*/5, D*]",
+        lambda qm, e: compute_constants(qm, X("2"), X("5"), e("c")),
+    ),
+    # certify_aker_approximate_subgroup replays for any c, so the window
+    # is the probe's precondition alone
+    "window-aker-cert": (
+        "z2", "kind = aker-cert\ndstar = 2\nscaling = c\nradius = 2\n",
+        "scaling element value 1/1 must lie in (4 D*/5, D*]",
+        lambda qm, e: check_scaling_window(qm, e("c"), X("2")),
+    ),
+    "letter-q-library": (
+        "z2", LIBRARY + "dstar = 2\nkprime = 5\nscaling = c c\n",
+        "the scaling element must be a single generator letter",
+        lambda qm, e: _q_library(qm, e, "2", "5", "c c"),
+    ),
+    "letter-novikov-solve": (
+        "f2z", NOVIKOV + "scaling = u u\n", "the scaling element must be a single generator letter",
+        lambda qm, e: _ray(qm, e, "u u"),
+    ),
+    "letter-zs-cycle": (
+        "z2", ZS + "scaling = c c\n", "the scaling element must be a single generator letter",
+        lambda qm, e: _zs(qm, e, "c c"),
+    ),
+    "positive-novikov-solve": (
+        "f2z", NOVIKOV + "scaling = u^-1\n", "the scaling element must have positive phi-bar",
+        lambda qm, e: _ray(qm, e, "u^-1"),
+    ),
+    "positive-zs-cycle": (
+        "z2", ZS + "scaling = c^-1\n", "the scaling element must have positive phi-bar",
+        lambda qm, e: _zs(qm, e, "c^-1"),
+    ),
+    "positive-free-obstruction": (
+        "f2", OBSTRUCTION + "x = b\nscaling = b^-1 a^-1\ndstar = 1\n",
+        "the scaling element must have positive phi-bar",
+        lambda qm, e: _obstruction(qm, e, "b", "b^-1 a^-1", "1"),
+    ),
+    "aker-endpoints": (
+        "z2",
+        "kind = peak-reduce\nradius = 4\ndstar = 1\nkprime = 3\nscaling = c\nletters = c c c\n",
+        "path terminus is outside Aker(phi, D*)",
+        lambda qm, e: peak_reduction(
+            qm, path_from_letters(e("1"), e("c c c").letters()), _q_library(qm, e, "1", "3", "c", 1)
+        ),
+    ),
+    "f2z-model": (
+        "z2", "kind = f2z-example\nstart = 1\ntarget = 1\n",
+        "kernel path normalization needs F_2 x Z with phi = (1, 0, sqrt(2))",
+        lambda qm, e: f2z_kernel_path_normalize(qm, straight_path(e("1"), e("1"))),
+    ),
+    "kernel-endpoints": (
+        "f2z", "kind = f2z-example\nstart = 1\ntarget = a\n",
+        "path terminus is not in the kernel of phi",
+        lambda qm, e: f2z_kernel_path_normalize(qm, straight_path(e("1"), e("a"))),
+    ),
+    "free-model": (
+        "z2", OBSTRUCTION + "x = a\nscaling = c\ndstar = 1\n",
+        "the obstruction probe works in free groups only",
+        lambda qm, e: _obstruction(qm, e, "a", "c", "1"),
+    ),
+    "commuting": (
+        "f2", OBSTRUCTION + "x = a b\nscaling = a b\ndstar = 1\n",
+        "x and the scaling element must not commute",
+        lambda qm, e: _obstruction(qm, e, "a b", "a b", "1"),
+    ),
+    "dstar-non-negative": (
+        "f2", OBSTRUCTION + "x = b\nscaling = a b\ndstar = -1\n", "dstar must be non-negative",
+        lambda qm, e: _obstruction(qm, e, "b", "a b", "-1"),
+    ),
+    "denominator": (
+        "f2", OBSTRUCTION + "x = b\nscaling = a b\ndstar = 0\n",
+        "max_s |phi-bar(s)| + D* must be positive",
+        lambda qm, e: _obstruction(qm, e, "b", "a b", "0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PRECONDITIONS))
+def test_validation_and_the_library_refuse_each_precondition_alike(rule):
+    world, keys, message, library = PRECONDITIONS[rule]
+    text, qm_name = WORLDS[world]
+    with pytest.raises(ConfigError) as err:
+        parse_experiment(text + f"[probe bad]\nqm = {qm_name}\n{keys}")
+    assert str(err.value) == f"[probe bad]: {message}"
+    exp = parse_experiment(text + f"[probe d]\nkind = defect\nqm = {qm_name}\nradius = 0\n")
+    with pytest.raises(ValueError) as err:
+        library(exp.quasimorphisms[qm_name], exp.model.parse_element)
+    assert str(err.value) == message
 
 
 def test_rips_profile_accepts_ball_radius():
@@ -419,6 +561,81 @@ def test_a_renamed_key_is_a_one_line_config_error_naming_its_section(suffix):
             parse_experiment("\n".join(lines) + "\n")
         message = str(err.value)
         assert message.startswith(f"{header}: ") and "\n" not in message, message
+
+
+# the keys that carry a precondition of the operation a probe invokes;
+# the keys that size its work are left alone
+PRECONDITION_KEYS = (
+    "dstar", "kprime", "scaling", "x", "start", "target", "origin", "letters", "k", "defect",
+    "slack", "s",
+)
+# optional precondition keys the corpus leaves out, added after the kind
+OPTIONAL_KEYS = {"novikov-solve": ("defect", "slack"), "zs-cycle": ("defect",),
+                 "peak-reduce": ("origin",)}
+RULE_MESSAGES = (
+    "dstar must be positive",
+    "kprime must exceed 2 dstar",
+    "must lie in (4 D*/5, D*]",
+    "the scaling element must be a single generator letter",
+    "the scaling element must have positive phi-bar",
+    "is outside Aker(phi, D*)",
+    "kernel path normalization needs F_2 x Z",
+    "is not in the kernel of phi",
+    "the obstruction probe works in free groups only",
+    "x and the scaling element must not commute",
+    "dstar must be non-negative",
+    "max_s |phi-bar(s)| + D* must be positive",
+)
+
+
+def _precondition_sites():
+    """(config text, line index, key, whether the key is added after that
+    line) of every precondition key of a corpus probe section."""
+    sites = []
+    for text, index, header in KEY_LINES:
+        key, value = (part.strip() for part in text.splitlines()[index].split("=", 1))
+        if header.startswith("[probe ") and key in PRECONDITION_KEYS:
+            sites.append((text, index, key, False))
+        if header.startswith("[probe ") and key == "kind":
+            sites += [(text, index, extra, True) for extra in OPTIONAL_KEYS.get(value, ())]
+    return sites
+
+
+def _token(names):
+    """An integer or exact number of magnitude at most 10, or a word of
+    at most 6 letters over `names`."""
+    letter = st.sampled_from([f"{n}{e}" for n in names for e in ("", "^-1")])
+    return st.one_of(
+        # where the rules bite: D* = 0, a value of 0, the identity
+        st.sampled_from(("0", "1", "-1")),
+        st.integers(-10, 10).map(str),
+        st.builds("{}/{}".format, st.integers(-10, 10), st.integers(1, 10)),
+        st.builds(
+            lambda p, r: f"{p} {'-' if r < 0 else '+'} {abs(r)}/2 * sqrt(2)",
+            st.integers(-5, 5), st.integers(-5, 5),
+        ),
+        st.lists(letter, max_size=6).map(lambda word: " ".join(word) or "1"),
+    )
+
+
+@settings(max_examples=500, deadline=2000)
+@given(data=st.data())
+def test_a_hostile_precondition_ends_at_validation_or_not_on_its_rule(data):
+    # each precondition is refused by validation, or the probe runs
+    # without its library call failing on one
+    text, index, key, added = data.draw(st.sampled_from(_precondition_sites()))
+    names = re.search(r"^names = (.*)$", text, re.M).group(1).split()
+    lines = text.splitlines()
+    header = next(line for line in reversed(lines[:index]) if line.startswith("["))
+    line = f"{key} = {data.draw(_token(names))}"
+    lines[index:index + 1] = [lines[index], line] if added else [line]
+    try:
+        exp = parse_experiment("\n".join(lines) + "\n")
+    except ConfigError:
+        return
+    probe = next(p for p in exp.probes if p.title == header)
+    status, error, _ = attempt(exp, probe)
+    assert not (status == "failed" and any(m in error for m in RULE_MESSAGES)), (line, error)
 
 
 def test_ball_cap_is_bounded_when_the_group_is_read():

@@ -514,7 +514,7 @@ def _zs_filling_problem(z2, cx2):
 
 
 def _settle_again(cx, z, got, solution):
-    return settle(cx, z, got.window, got.floor, list(got.faces), solution)
+    return settle(cx, z, got.window, got.floor, list(got.faces), solution, [])
 
 
 def test_settle_agrees_with_the_solver_on_a_filling(z2, cx2):
@@ -581,7 +581,7 @@ def _full_radius_solve(cx, z, window, radius, slack):
     every admissible face at the configured radius."""
     floor, faces = boundary_faces(cx, z, window, radius, slack)
     columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
-    return settle(cx, z, window, floor, faces, solve_integer_system(columns, z.terms))
+    return settle(cx, z, window, floor, faces, solve_integer_system(columns, z.terms), [])
 
 
 def _random_ray_system(seed):
@@ -620,7 +620,7 @@ def test_solving_small_first_agrees_with_the_full_radius_solve():
         assert (got.status, got.floor, got.faces) == (want.status, want.floor, want.faces)
         verdicts[got.status] += 1
         if got.status == "sat":
-            again = settle(cx, z, window, got.floor, list(got.faces), list(got.coefficients))
+            again = settle(cx, z, window, got.floor, list(got.faces), list(got.coefficients), [])
             assert again.filling.terms == got.filling.terms
             bases = [cx.element(f).length() for f in got.filling.terms]
             if bases and max(bases) < radius:
