@@ -23,6 +23,11 @@ and models are; the hash is `hash((free, ab))`, which equal elements
 share, so the model is never hashed.  Products, inverses and distances
 skip the model comparison when both operands hold the same model
 object, and skip the abelian arithmetic in a free group (ab == ()).
+
+Walks in the Cayley graph step a normal form by one letter with
+`_step_form`: paths, searches and the ball listing all go from a
+vertex and a letter to the next vertex, and none recovers a letter
+from two vertices.
 """
 
 from __future__ import annotations
@@ -245,13 +250,10 @@ class GroupElement(_ElementFields):
         return _element(self.model, tuple([-x for x in reversed(self.free)]), ab)
 
     def __pow__(self, m: int) -> "GroupElement":
-        if m == 0:
-            return self.model.identity()
-        base = self if m > 0 else self.inverse()
-        out = base
-        for _ in range(abs(m) - 1):
-            out = out * base
-        return out
+        """g^m, spelled out and reduced in one pass, in time linear in
+        |m| |g|."""
+        base = self if m >= 0 else self.inverse()
+        return reduce_word(self.model, base.letters() * abs(m))
 
     def length(self) -> int:
         """Word length of the normal form; equals d(1, g)."""
@@ -370,32 +372,6 @@ def reduce_word(model: GroupModel, word: Iterable[Generator]) -> GroupElement:
 
 def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     return g * h * g.inverse() * h.inverse()
-
-
-def edge_letter(g: GroupElement, h: GroupElement) -> Generator:
-    """The generator carrying g to h; errors if d(g, h) != 1.  Read off
-    the normal forms: adjacent vertices have equal abelian parts and
-    free words one of which extends the other by a letter, or equal free
-    words and abelian parts that differ by a unit vector."""
-    if g.model is not h.model:
-        g._check(h)
-    u, a, v, b = g.free, g.ab, h.free, h.ab
-    if a == b:
-        n = len(u)
-        if len(v) == n + 1 and v[:n] == u:
-            x = v[n]  # v = u x
-        elif len(v) == n - 1 and u[:-1] == v:
-            x = -u[-1]  # u = v x^-1
-        else:
-            x = 0
-        if x:
-            return Generator(x - 1, False) if x > 0 else Generator(-x - 1, True)
-    elif u == v:
-        moved = [(j, y - x) for j, (x, y) in enumerate(zip(a, b)) if x != y]
-        if len(moved) == 1 and abs(moved[0][1]) == 1:
-            j, e = moved[0]
-            return Generator(g.model.free_rank + j, e < 0)
-    raise ValueError("vertices are not adjacent in the Cayley graph")
 
 
 def _step_form(

@@ -55,7 +55,7 @@ from .intsolve import (
     check_unsat_certificate,
     solve_integer_system,
 )
-from .paths import Path, path_from_letters
+from .paths import Path, path_from_letters, phi_extrema
 from .quasimorphisms import Quasimorphism, _below
 from .search import _scaling_letter, check_positive_direction
 
@@ -67,6 +67,12 @@ DEFAULT_CELL_CAP = 50_000
 MAX_SOLVE_BALL = 50_000
 
 Cell = tuple
+
+
+def check_defect(defect: ExactReal) -> None:
+    """Refuse a negative defect bound D."""
+    if defect < ZERO:
+        raise ValueError("defect must be non-negative")
 
 
 class CayleyComplex:
@@ -83,8 +89,7 @@ class CayleyComplex:
     """
 
     def __init__(self, qm: Quasimorphism, defect_bound: ExactReal):
-        if defect_bound < ZERO:
-            raise ValueError("defect bound must be non-negative")
+        check_defect(defect_bound)
         self.qm = qm
         self.model: GroupModel = qm.model
         self.defect = defect_bound
@@ -200,14 +205,12 @@ class CayleyComplex:
         if path.model != self.model:
             raise ModelMismatchError("path uses a different model")
         terms: dict[Cell, int] = {}
-        current = path.origin
-        for letter in path.edge_letters():
-            nxt = current * self.model.generator_element(letter)
-            if letter.inverse:
-                _accumulate(terms, self.edge_cell(nxt, letter.index), -1)
+        vertices = path.vertices
+        for v, w, (index, inverse) in zip(vertices, vertices[1:], path.edge_letters()):
+            if inverse:
+                _accumulate(terms, self.edge_cell(w, index), -1)
             else:
-                _accumulate(terms, self.edge_cell(current, letter.index), 1)
-            current = nxt
+                _accumulate(terms, self.edge_cell(v, index), 1)
         return WindowedChain(self, 1, terms, window)
 
 
@@ -394,7 +397,7 @@ def build_zs_cycle(
         raise ValueError("a high connecting path is required for s != c")
     if high_path.origin != top or high_path.terminus != s_el * top:
         raise ValueError("high path must connect c^n to s c^n")
-    high_min = min(cx.qm.homogeneous_value(v) for v in high_path.vertices)
+    high_min, _ = phi_extrema(cx.qm, high_path)
     if k_bound is not None:
         floor = cx.qm.homogeneous_value(scaling) * depth - k_bound
         if not high_min >= floor:
@@ -675,7 +678,13 @@ def keep_negative_and_extract_path(
     rest differs from the ray cycle by a 1-chain supported at values
     >= 0, and that support contains a connecting path between the two
     rays.  The composite start -> start c^m -> ... -> end c^n -> end is
-    returned with its exact minimum, to compare against -D."""
+    returned with its exact minimum, to compare against -D.
+
+    The support graph keeps, with each neighbour, the letter of the
+    edge to it: s_i along the edge (g, i) from g, s_i^-1 back from
+    g s_i.  The path is built from its letters: c^m up the start ray,
+    the letters of the canonical shortest path from start c^m to
+    end c^n inside the support, and c^-n down the end ray."""
     if filling.dimension != 2:
         raise ValueError("extraction needs a 2-chain filling")
     negative = {
@@ -691,11 +700,12 @@ def keep_negative_and_extract_path(
         raise ExtractionError("residual support dips below level zero")
 
     support = residual.sorted_cells()
-    adjacency: dict[GroupElement, list[GroupElement]] = {}
+    # each support vertex -> (neighbour, letter of the step to it)
+    adjacency: dict[GroupElement, list[tuple[GroupElement, Generator]]] = {}
     for cell in support:
         a, b = cx.corners(cell)
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+        adjacency.setdefault(a, []).append((b, Generator(cell[3], False)))
+        adjacency.setdefault(b, []).append((a, Generator(cell[3], True)))
 
     c = cycle.scaling
 
@@ -709,7 +719,7 @@ def keep_negative_and_extract_path(
 
     if not support:
         if cycle.start == cycle.end:
-            trivial = Path((cycle.start,))
+            trivial = path_from_letters(cycle.start, ())
             mn = cx.qm.homogeneous_value(cycle.start)
             return ExtractionResult(trivial, mn, -cx.defect, mn >= -cx.defect, ())
         raise ExtractionError("empty residual support cannot connect the rays")
@@ -717,47 +727,34 @@ def keep_negative_and_extract_path(
     m_start, entry_start = ray_entry(cycle.start)
     m_end, entry_end = ray_entry(cycle.end)
 
-    # canonical shortest path inside the support graph
+    # canonical shortest path inside the support graph: neighbours in
+    # canonical order, each reached by the letter of its edge
     for g in adjacency:
-        adjacency[g] = sorted(set(adjacency[g]), key=lambda e: e.sort_key())
-    parents: dict[GroupElement, Optional[GroupElement]] = {entry_start: None}
+        adjacency[g].sort(key=lambda step: step[0].sort_key())
+    parents: dict[GroupElement, Optional[tuple[GroupElement, Generator]]] = {entry_start: None}
     queue = deque([entry_start])
     while queue:
         v = queue.popleft()
         if v == entry_end:
             break
-        for w in adjacency[v]:
+        for w, letter in adjacency[v]:
             if w not in parents:
-                parents[w] = v
+                parents[w] = (v, letter)
                 queue.append(w)
     if entry_end not in parents:
         raise ExtractionError("residual support does not connect the two rays")
-    middle: list[GroupElement] = []
-    cursor: Optional[GroupElement] = entry_end
-    while cursor is not None:
-        middle.append(cursor)
-        cursor = parents[cursor]
+    middle: list[Generator] = []
+    step = parents[entry_end]
+    while step is not None:
+        middle.append(step[1])
+        step = parents[step[0]]
     middle.reverse()
 
-    vertices: list[GroupElement] = []
-    current = cycle.start
-    for _ in range(m_start):
-        vertices.append(current)
-        current = current * c
-    vertices.extend(middle)
-    # walk back down the end ray
-    down = [cycle.end]
-    g = cycle.end
-    for _ in range(m_end):
-        g = g * c
-        down.append(g)
-    down.reverse()  # entry_end ... end
-    if down[0] != entry_end:
-        raise RuntimeError("end ray does not return to its entry vertex")
-    vertices.extend(down[1:])
-    path = Path(tuple(vertices))
-    if path.origin != cycle.start or path.terminus != cycle.end:
+    c_letter = c.letters()[0]
+    letters = [c_letter] * m_start + middle + [c_letter.inverted()] * m_end
+    path = path_from_letters(cycle.start, letters)
+    if path.terminus != cycle.end:
         raise RuntimeError("extracted path does not join the cycle's endpoints")
-    mn = min(cx.qm.homogeneous_value(v) for v in path.vertices)
+    mn, _ = phi_extrema(cx.qm, path)
     bound = -cx.defect
     return ExtractionResult(path, mn, bound, mn >= bound, tuple(support))

@@ -1,10 +1,12 @@
 """Edge paths in the Cayley graph and their algebra.
 
-A path is a vertex sequence (g_0, ..., g_k) with each g_i^-1 g_{i+1} a
-generator letter, the path's i-th edge letter.  `Path(vertices)` finds
-each letter with `edge_letter`, on the normal forms of the two
-vertices, and records them all, so `edge_letters()` reads them back
-without recomputing.
+A path is an origin g_0 and edge letters x_1, ..., x_k, the generator
+letters with g_i = g_{i-1} x_i.  `path_from_letters(origin, letters)`
+is the one public way to build one: it walks the vertices
+(g_0, ..., g_k) on normal forms and records them with the letters, so
+`vertices` and `edge_letters()` read them back without recomputing.
+The builders here and in `search` that know a path's vertices and
+letters already, from a walk of their own, build it with `_path`.
 
 Concatenation translates the second path so that it continues from the
 end of the first:
@@ -14,8 +16,6 @@ end of the first:
 Left translation is an automorphism of the Cayley graph, so the
 translated vertices are the walk from g_k along the second path's
 letters, and the letters of p q are those of p followed by those of q.
-Paths built this way, and by `path_from_letters`, know their letters
-already and are not checked again.
 
 `phi_extrema` reports the exact min and max of the homogeneous value
 over every vertex, the endpoints included.  It compares numerator pairs
@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .errors import ModelMismatchError
 from .exact import ExactReal, _make, _sign
-from .groups import Generator, GroupElement, _element, _step_form, edge_letter
+from .groups import Generator, GroupElement, _element, _step_form
 from .quasimorphisms import Quasimorphism
 
 _new = object.__new__
@@ -36,27 +36,14 @@ _set = object.__setattr__
 
 
 class Path:
-    """An immutable vertex sequence, equal to another when the vertices
-    are.  Not a tuple: `len` counts edges."""
+    """An immutable vertex sequence with its edge letters, equal to
+    another when the vertices are.  Not a tuple: `len` counts edges.
+    Built by `path_from_letters`; calling the class is refused."""
 
     __slots__ = ("vertices", "_letters")
 
-    def __init__(self, vertices: tuple[GroupElement, ...]):
-        if not vertices:
-            raise ValueError("a path needs at least one vertex")
-        model = vertices[0].model
-        letters = []
-        for v, w in zip(vertices, vertices[1:]):
-            if w.model is not model and w.model != model:
-                raise ModelMismatchError("path vertices use different models")
-            try:
-                letters.append(edge_letter(v, w))
-            except ValueError:
-                raise ValueError(
-                    f"consecutive path vertices {v!r}, {w!r} are not adjacent"
-                ) from None
-        _set(self, "vertices", vertices)
-        _set(self, "_letters", tuple(letters))
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a Path is built by path_from_letters")
 
     def __setattr__(self, name, value):
         raise AttributeError("Path is immutable")
@@ -73,7 +60,7 @@ class Path:
         return hash(self.vertices)
 
     def __reduce__(self):
-        return (Path, (self.vertices,))
+        return (path_from_letters, (self.origin, self._letters))
 
     def __repr__(self) -> str:
         return f"Path({self.vertices!r})"
@@ -127,6 +114,8 @@ def _walk(origin: GroupElement, letters: tuple[Generator, ...]) -> tuple[GroupEl
 
 
 def path_from_letters(origin: GroupElement, letters: Iterable[Generator]) -> Path:
+    """The path from origin along the letters; each letter's index must
+    be in range for the origin's model."""
     letters = tuple(letters)
     rank = origin.model.rank
     for index, _ in letters:

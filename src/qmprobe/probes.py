@@ -51,6 +51,7 @@ from .novikov import (
     RayCycle,
     boundary_faces,
     build_zs_cycle,
+    check_defect,
     keep_negative_and_extract_path,
     ray_cycle,
     settle,
@@ -62,6 +63,7 @@ from .quasimorphisms import (
     DefectEstimate,
     Quasimorphism,
     certify_aker_approximate_subgroup,
+    check_dstar,
     defect_lower_bound,
     defect_witness,
 )
@@ -79,6 +81,7 @@ from .search import (
     check_kernel_endpoints,
     check_positive_direction,
     check_scaling_window,
+    check_search_ball,
     compute_constants,
     f2z_kernel_path_normalize,
     free_group_obstruction_probe,
@@ -268,8 +271,7 @@ def _defect_bound(qm: Quasimorphism, probe: Section) -> ExactReal:
     defect = probe.get("defect", ExactReal.parse, qm.defect_upper())
     if defect is None:
         raise ValueError("no defect bound available; set 'defect' explicitly")
-    if defect < ZERO:
-        raise ValueError("defect must be non-negative")
+    check_defect(defect)
     return defect
 
 
@@ -380,8 +382,7 @@ def _check_defect(exp: Experiment, probe: Section, res: dict) -> list:
 def _validate_aker_cert(exp: Experiment, probe: Section) -> None:
     qm = _need_qm(exp, probe)
     dstar = probe.get("dstar", ExactReal.parse)
-    if dstar < ZERO:
-        raise ValueError("dstar must be non-negative")
+    check_dstar(dstar)
     radius = _radius(exp, probe)
     _work_bound(
         exp, probe, radius, lambda n: n * n, "scans {} pairs", "MAX_SCAN_PAIRS", MAX_SCAN_PAIRS
@@ -450,9 +451,7 @@ def _validate_path_search(exp: Experiment, probe: Section) -> None:
     _search_bound(exp, probe, radius, 1)
     start = probe.get("start", model.parse_element)
     target = probe.get("target", model.parse_element)
-    for label, g in (("start", start), ("target", target)):
-        if g.length() > radius:
-            raise ValueError(f"{label} lies outside ball(radius)")
+    check_search_ball(radius, start, target)
     probe.settings.update(
         radius=radius,
         start=start,
@@ -774,11 +773,10 @@ def _validate_zs_cycle(exp: Experiment, probe: Section) -> None:
     radius = _radius(exp, probe, minimum=1)
     _search_bound(exp, probe, radius, 1)
     depth = probe.get("depth", integer(1))
-    if radius < depth + 1:
-        raise ValueError(
-            "radius must be at least depth + 1 so that both "
-            "endpoints of the high path lie inside the search ball"
-        )
+    # the search runs from c^n to s c^n; c^n has length n, so c^(R + 1)
+    # is outside ball(R) as every deeper power is, and a huge n is not built
+    top = scaling ** min(depth, radius + 1)
+    check_search_ball(radius, top, model.generator_element(letters[0]) * top)
     defect = _defect_bound(qm, probe)
     probe.settings.update(
         s=letters[0],
@@ -980,9 +978,16 @@ annihilates every face boundary but not z (modulo m, or over Z when
 m = 0).  Keeping only the filling's faces at negative values and taking
 the boundary leaves a residual supported at phi-bar >= 0 whose support
 connects the rays; the extracted composite path from start to end is
-checked against min phi-bar >= -D.  A radius whose ball holds more than
-MAX_SOLVE_BALL elements is refused when the config is validated, as is
-a c that is not one generator letter with positive phi-bar.""",
+checked against min phi-bar >= -D.  An unsat at R certifies only that
+no integer filling by the faces admitted in ball(R) exists, not that
+Novikov homology is non-zero: a filling may need faces outside the
+ball.  When phi vanishes on Z^m and z projects to a non-zero chain on
+the tree of F_n, no radius fills z (the pullback of a tree edge z
+crosses annihilates every face column), as Bieri, Neumann and Strebel
+(1987) predict for a character through F_n.  A radius whose ball holds
+more than MAX_SOLVE_BALL elements is refused when the config is
+validated, as are a c that is not one generator letter with positive
+phi-bar and a negative defect D.""",
     ),
     "zs-cycle": ProbeKind(
         _validate_zs_cycle,
@@ -996,8 +1001,8 @@ For s = c the two constructions coincide and z_c = 0 by convention.
 The cycle is exact (boundary zero with no window), and the regime of
 interest is n phi-bar(c) > K + D + 1, reported as a threshold check.
 The high path is a path-search inside ball(R).  Validation refuses a
-ball(R) of more than MAX_SEARCH_BALL elements, R < n + 1, an s that is
-not one generator letter, and a c that is not one with positive
-phi-bar.""",
+ball(R) of more than MAX_SEARCH_BALL elements, a c^n or s c^n outside
+ball(R), an s that is not one generator letter, and a c that is not one
+with positive phi-bar.""",
     ),
 }

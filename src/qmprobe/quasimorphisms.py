@@ -524,6 +524,13 @@ class AkerCertificate(NamedTuple):
     counterexample: Optional[tuple[GroupElement, GroupElement]]
 
 
+def check_dstar(dstar: ExactReal) -> None:
+    """Refuse a negative D*, for Aker(phi, D*) and the obstruction
+    bounds alike."""
+    if dstar < ZERO:
+        raise ValueError("dstar must be non-negative")
+
+
 def certify_aker_approximate_subgroup(
     qm: Quasimorphism,
     dstar: ExactReal,
@@ -557,8 +564,7 @@ def certify_aker_approximate_subgroup(
     Values are numerator pairs over qm.den, tested against 2 D* scaled
     to the same den, and the products g h c^m are evaluated on normal
     forms without caching."""
-    if dstar < ZERO:
-        raise ValueError("dstar must be non-negative")
+    check_dstar(dstar)
     model = qm.model
     top_p, top_q, scale, d = scaled_bound(qm, dstar + dstar)
     hnum = qm._hnum

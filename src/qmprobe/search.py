@@ -47,7 +47,9 @@ from .errors import CapExceededError, LibraryIncompleteError, ModelMismatchError
 from .exact import ExactReal, ZERO, _floor
 from .groups import Generator, GroupElement, GroupModel, _step_form
 from .paths import Path, _path, _walk, path_from_letters, phi_extrema, straight_path
-from .quasimorphisms import HomomorphismQM, HomogenizedQM, Quasimorphism, _above, _below
+from .quasimorphisms import (
+    HomomorphismQM, HomogenizedQM, Quasimorphism, _above, _below, check_dstar,
+)
 
 
 # most ball elements the searches of one probe may span: ball(radius)
@@ -80,6 +82,12 @@ class NotFoundWithinBall(NamedTuple):
     reason: str
 
 
+def check_search_ball(radius: int, start: GroupElement, target: GroupElement) -> None:
+    """Refuse a search whose start or target lies outside ball(radius)."""
+    if start.length() > radius or target.length() > radius:
+        raise ValueError(f"search endpoints must lie in ball({radius})")
+
+
 def _constrained_bfs(
     qm: Quasimorphism,
     start: GroupElement,
@@ -104,8 +112,7 @@ def _constrained_bfs(
         raise ModelMismatchError("search endpoints use a different model")
     if radius > model.ball_cap:
         raise CapExceededError("search radius", radius, model.ball_cap)
-    if start.length() > radius or target.length() > radius:
-        raise ValueError("search endpoints must lie in the ball")
+    check_search_ball(radius, start, target)
     hnum = qm._hnum
     below = None if lo is None else _below(qm, lo)
     above = None if hi is None else _above(qm, hi)
@@ -172,12 +179,11 @@ def bounded_path_search(
     on every vertex (and <= k_max when given).  Ties are broken towards
     the canonically smallest edge sequence."""
     lo = -k
-    hi = k_max
-    got = _constrained_bfs(qm, start, target, radius, lo, hi)
+    got = _constrained_bfs(qm, start, target, radius, lo, k_max)
     if isinstance(got, NotFoundWithinBall):
         return got
     mn, mx = phi_extrema(qm, got)
-    return PathWitness(got, mn, mx, radius, lo, hi)
+    return PathWitness(got, mn, mx, radius, lo, k_max)
 
 
 # -- constants bundle ----------------------------------------------------
@@ -344,14 +350,8 @@ def build_q_library(
             ceiling = max(qm.homogeneous_value(bottom), qm.homogeneous_value(a1)) + bundle.kprime
             got = _constrained_bfs(qm, bottom, a1, radius, None, ceiling)
             if isinstance(got, NotFoundWithinBall):
-                entries.append(
-                    QLibraryEntry(
-                        (s, t),
-                        None,
-                        None,
-                        f"no connecting path below {ceiling} within ball({radius})",
-                    )
-                )
+                failure = f"no connecting path below {ceiling} within ball({radius})"
+                entries.append(QLibraryEntry((s, t), None, None, failure))
                 continue
             q = down.concat(got).concat(up)
             if q.origin != identity or q.terminus != st:
@@ -363,14 +363,8 @@ def build_q_library(
                     bad = i
                     break
             if bad is not None:
-                entries.append(
-                    QLibraryEntry(
-                        (s, t),
-                        q,
-                        None,
-                        f"essential vertex {q.vertices[bad]!r} not below -D*",
-                    )
-                )
+                failure = f"essential vertex {q.vertices[bad]!r} not below -D*"
+                entries.append(QLibraryEntry((s, t), q, None, failure))
                 continue
             mn, _ = phi_extrema(qm, q)
             min_values.append(mn)
@@ -436,27 +430,13 @@ def height_and_peaks(
     if path.model is not qm.model:
         qm._check(path.origin)
     hnum, den, d = qm._hnum, qm.den, qm.d
-    flags = essential_flags(path, scaling)
-    height = None
-    count = 0
-    first = -1
-    floors = []
-    for v, flag in zip(path.vertices, flags):
-        if not flag:
-            floors.append(None)
-            continue
-        f = _floor(*hnum(v.free, v.ab), den, d)
-        floors.append(f)
-        if height is None or f > height:
-            height = f
-    for i, f in enumerate(floors):
-        if f == height:
-            count += 1
-            if first < 0:
-                first = i
-    if height is None:
-        raise RuntimeError("path has no essential vertex")
-    return height, count, first
+    floors = [
+        _floor(*hnum(v.free, v.ab), den, d) if flag else None
+        for v, flag in zip(path.vertices, essential_flags(path, scaling))
+    ]
+    # the endpoints are essential, so some floor is not None
+    height = max(f for f in floors if f is not None)
+    return height, floors.count(height), floors.index(height)
 
 
 def check_aker_endpoints(qm: Quasimorphism, path: Path, dstar: ExactReal) -> None:
@@ -513,16 +493,7 @@ def peak_reduction(
                 "peak replacement failed to decrease (height, peak count); "
                 "the library does not satisfy its essential-vertex guarantee"
             )
-        steps.append(
-            PeakStep(
-                height=height,
-                peak_count=peaks,
-                peak_index=first,
-                pair=(s, t),
-                min_phi=mn,
-                path_after=new_path,
-            )
-        )
+        steps.append(PeakStep(height, peaks, first, (s, t), mn, new_path))
         current = new_path
         height, peaks, first = new_height, new_peaks, new_first
     reduced = remove_inessential_backtracks(current, scaling)
@@ -579,22 +550,19 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitnes
     if path.model != model:
         raise ModelMismatchError("path uses a different model")
     check_kernel_endpoints(qm, path.origin, path.terminus)
-    c = model.generator_element(Generator(2, False))
-    cinv = c.inverse()
+    c_letter = Generator(2, False)
+    c = model.generator_element(c_letter)
     sqrt2 = ExactReal(0, 1, 2)
     half = ExactReal(Fraction(1, 2))
 
-    vertices = [path.origin]
+    letters: list[Generator] = []
     current = path.origin
     for letter in path.edge_letters():
         current = current * model.generator_element(letter)
-        vertices.append(current)
         m = -((qm.homogeneous_value(current) / sqrt2 + half).floor())
-        step = c if m > 0 else cinv
-        for _ in range(abs(m)):
-            current = current * step
-            vertices.append(current)
-    witness = Path(tuple(vertices))
+        letters += [letter] + [c_letter if m > 0 else c_letter.inverted()] * abs(m)
+        current = current * c**m
+    witness = path_from_letters(path.origin, letters)
     if witness.terminus != path.terminus:
         raise RuntimeError("normalized kernel path changed its terminus")
     mn, mx = phi_extrema(qm, witness)
@@ -648,8 +616,7 @@ def obstruction_denominator(
         raise ValueError("the obstruction probe works in free groups only")
     if x.model != model or scaling.model != model:
         raise ModelMismatchError("probe arguments use a different model")
-    if dstar < ZERO:
-        raise ValueError("dstar must be non-negative")
+    check_dstar(dstar)
     check_positive_direction(qm, scaling)
     if x * scaling == scaling * x:
         raise ValueError("x and the scaling element must not commute")
@@ -677,10 +644,4 @@ def free_group_obstruction_probe(
     for v in geodesic.vertices:
         raw = (abs(qm.homogeneous_value(v)) - two_dstar) / denom
         bounds.append(raw if raw > ZERO else ZERO)
-    return ObstructionReport(
-        depth=depth,
-        dstar=dstar,
-        geodesic=geodesic,
-        bounds=tuple(bounds),
-        max_bound=max(bounds),
-    )
+    return ObstructionReport(depth, dstar, geodesic, tuple(bounds), max(bounds))

@@ -7,6 +7,17 @@ from qmprobe.groups import GroupModel
 from qmprobe.quasimorphisms import BrooksQM, HomogenizedQM, HomomorphismQM
 
 
+def product_letters(path) -> tuple:
+    """A path's edge letters found from its vertices alone, as an
+    oracle: the one letter of each g_i^-1 g_{i+1}."""
+    out = []
+    for v, w in zip(path.vertices, path.vertices[1:]):
+        step = v.inverse() * w
+        assert step.length() == 1
+        out.append(step.letters()[0])
+    return tuple(out)
+
+
 @pytest.fixture(scope="session")
 def f2() -> GroupModel:
     return GroupModel(free_rank=2, generator_names=("a", "b"), ball_cap=8)

@@ -19,7 +19,7 @@ from qmprobe.cli import _build_parser, main
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError, ReplayError
 from qmprobe.groups import MAX_BALL_CAP, GroupModel
-from qmprobe.intsolve import solve_integer_system
+from qmprobe.intsolve import UnsatCertificate, check_unsat_certificate, solve_integer_system
 from qmprobe.probes import KINDS, attempt
 from qmprobe.quasimorphisms import BrooksQM
 from qmprobe.report import parse_path
@@ -193,18 +193,22 @@ def test_the_searches_build_elements_and_values_only_for_results(monkeypatch):
     3,034 and 689.  On normal forms and numerators they make 301 and
     125, and 323 and 136: fewer elements than the 360 vertices on the
     library's 16 paths.  An element and a value per BFS neighbour alone
-    add about 100 of each."""
+    add about 100 of each.  The zs-cycle and novikov-solve paths are
+    built from their letters: with each extracted or normalized path
+    walked again from its vertices, and each chain edge multiplied out,
+    they made 66 and 219 elements."""
     counts = _count_constructors(monkeypatch)
     exp = parse_experiment((CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8"))
+    bounds = {"q-library": 360, "peak-reduce": 360, "zs-cycle": 50, "novikov-solve": 192}
     seen = set()
     for probe in exp.probes:
-        if probe.kind in ("q-library", "peak-reduce"):
+        if probe.kind in bounds:
             counts.update(elements=0, values=0)
             assert attempt(exp, probe)[0] == "ok"
-            assert counts["elements"] <= 360, probe.kind
+            assert counts["elements"] <= bounds[probe.kind], probe.kind
             assert counts["values"] <= 160, probe.kind
             seen.add(probe.kind)
-    assert seen == {"q-library", "peak-reduce"}
+    assert seen == set(bounds)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -1467,6 +1471,95 @@ def test_the_corner_faces_evaluate_each_corner_once(monkeypatch):
         assert made == {"elements": 0, "values": 0}
         assert len(set(evaluated)) == len(evaluated)
         assert set(evaluated) <= {(g.free, g.ab) for f in examined for g in cx.corners(f)}
+
+
+# F_2 x Z with phi(a) = 1 and phi(b) = phi(u) = 0: phi vanishes on the
+# centre, so no filling of its z exists at any radius
+GEN = """\
+[group]
+free_rank = 2
+abelian_rank = 1
+names = a b u
+ball_cap = 8
+
+[quasimorphism phi]
+kind = homomorphism
+a = 1
+
+[probe fill]
+kind = novikov-solve
+qm = phi
+start = 1
+end = b
+scaling = a
+window = 4
+radius = 5
+"""
+
+
+def test_the_gen_unsat_keeps_its_pinned_body(tmp_path, capsys):
+    """Gen is unsat over 1,128 faces at radius 5, over Z (modulus 0),
+    and its functional is the six edges (a^3 u^j, a), j = -2, ..., 3;
+    its body, serialized as the bench pins are, keeps its digest."""
+    cfg, out = tmp_path / "gen.cfg", tmp_path / "report.json"
+    cfg.write_text(GEN, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    body = _read(out)["body"]
+    result = body["probes"][0]["result"]
+    assert (result["status"], len(result["faces"])) == ("unsat", 1_128)
+    cert = result["certificate"]
+    assert cert["modulus"] == 0
+    words = ["a^3", "a^3 u", "a^3 u^-1", "a^3 u^2", "a^3 u^-2", "a^3 u^3"]
+    assert cert["functional"] == [[["e", w, "a"], 1] for w in words]
+    text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "be70ce89e650241a27f79719427f0ce371a54257c70e10dd8b5b4b25a20a8112"
+    )
+    assert main(["verify", str(out)]) == 0
+
+
+def _pulled_back_system(text, tree_edge):
+    """The trimmed columns and z of a config's novikov-solve probe, and
+    the pullback under F_2 x Z -> F_2 of a tree edge (free word, letter
+    index): every edge (g u^j, i) with g's free word, cut to the edges
+    of the columns and of z."""
+    from qmprobe.novikov import _trimmed_columns, boundary_faces
+    from qmprobe.probes import _novikov_cycle
+
+    exp = parse_experiment(text)
+    (probe,) = exp.probes
+    s = probe.settings
+    cx, cycle = _novikov_cycle(exp, probe)
+    z = cycle.chain
+    _, faces = boundary_faces(cx, z, s["window"], s["radius"], s["slack"], s["cell_cap"])
+    columns = _trimmed_columns(cx, faces, s["window"])
+    free, index = tree_edge
+    edges = set(z.terms).union(*columns)
+    functional = {e: 1 for e in edges if (e[1], e[3]) == (free, index)}
+    return columns, z.terms, UnsatCertificate(functional, 0)
+
+
+def test_the_pullback_of_a_tree_edge_certifies_gen():
+    """phi vanishes on u, so the two a-edges of a face (g, a)-(g u, a)
+    are kept or trimmed together and cancel under the projection to
+    F_2: the pullback of the tree edge (a^3, a), which z crosses once,
+    annihilates every column."""
+    columns, z, functional = _pulled_back_system(GEN, ((1, 1, 1), 0))
+    assert len(functional.functional) == 6
+    assert check_unsat_certificate(columns, z, functional)
+
+
+def test_the_pullback_fails_where_the_fill_is_sat():
+    """On the bench fill config phi(u) = sqrt(2) and z has a filling, so
+    the pullback of the tree edge (1, b) must fail on some column."""
+    ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
+    columns, z, functional = _pulled_back_system(text, ((), 1))
+    assert functional.functional
+    assert not check_unsat_certificate(columns, z, functional)
+    assert any(
+        sum(k * column.get(e, 0) for e, k in functional.functional.items())
+        for column in columns
+    )
 
 
 Z2_LIBRARY = """\

@@ -20,8 +20,10 @@ from qmprobe.quasimorphisms import (
     CombinationQM,
     HomogenizedQM,
     HomomorphismQM,
+    certify_aker_approximate_subgroup,
 )
 from qmprobe.search import (
+    bounded_path_search,
     build_q_library,
     check_scaling_window,
     compute_constants,
@@ -364,7 +366,19 @@ def test_zs_radius_must_cover_the_high_path():
     )
     with pytest.raises(ConfigError) as err:
         parse_experiment(text)
-    assert "depth + 1" in str(err.value)
+    assert str(err.value) == "[probe z]: search endpoints must lie in ball(4)"
+
+
+def test_zs_radius_may_equal_the_depth_for_s_the_inverse_of_c():
+    # s c^n = c^(n - 1) for s = c^-1, so both endpoints lie in ball(n)
+    text = Z2_GROUP + "[quasimorphism phi]\nkind = homomorphism\nc = 1\n"
+    text += (
+        "[probe z]\nkind = zs-cycle\nqm = phi\ns = c^-1\nscaling = c\n"
+        "depth = 4\nk = 1\nradius = 4\n"
+    )
+    exp = parse_experiment(text)
+    status, error, result = attempt(exp, exp.probes[0])
+    assert (status, error, result["status"]) == ("ok", None, "ok")
 
 
 def test_zs_s_must_be_a_letter():
@@ -404,6 +418,10 @@ def _zs(qm, e, scaling):
 
 def _obstruction(qm, e, x, scaling, dstar):
     return free_group_obstruction_probe(qm, e(x), e(scaling), 1, X(dstar))
+
+
+def _search(qm, e, start, target, radius):
+    return bounded_path_search(qm, e(start), e(target), X("1"), radius)
 
 
 LIBRARY = "kind = q-library\nradius = 4\n"
@@ -489,6 +507,25 @@ PRECONDITIONS = {
     "dstar-non-negative": (
         "f2", OBSTRUCTION + "x = b\nscaling = a b\ndstar = -1\n", "dstar must be non-negative",
         lambda qm, e: _obstruction(qm, e, "b", "a b", "-1"),
+    ),
+    "search-ball-path-search": (
+        "z2", "kind = path-search\nstart = a a a\ntarget = c\nk = 1\nradius = 2\n",
+        "search endpoints must lie in ball(2)",
+        lambda qm, e: _search(qm, e, "a a a", "c", 2),
+    ),
+    # the high path's search runs from c^n to s c^n
+    "search-ball-zs-cycle": (
+        "z2", ZS.replace("radius = 4", "radius = 2") + "scaling = c\n",
+        "search endpoints must lie in ball(2)",
+        lambda qm, e: _search(qm, e, "c c", "a c c", 2),
+    ),
+    "defect": (
+        "f2z", NOVIKOV + "scaling = u\ndefect = -1\n", "defect must be non-negative",
+        lambda qm, e: CayleyComplex(qm, X("-1")),
+    ),
+    "dstar-aker-cert": (
+        "z2", "kind = aker-cert\ndstar = -1\nradius = 2\n", "dstar must be non-negative",
+        lambda qm, e: certify_aker_approximate_subgroup(qm, X("-1"), None, 2),
     ),
     "denominator": (
         "f2", OBSTRUCTION + "x = b\nscaling = a b\ndstar = 0\n",
@@ -585,6 +622,8 @@ RULE_MESSAGES = (
     "x and the scaling element must not commute",
     "dstar must be non-negative",
     "max_s |phi-bar(s)| + D* must be positive",
+    "search endpoints must lie in ball(",
+    "defect must be non-negative",
 )
 
 

@@ -16,7 +16,6 @@ from qmprobe.groups import (
     _ball,
     ball_size,
     commutator,
-    edge_letter,
     reduce_word,
 )
 from qmprobe.quasimorphisms import HomomorphismQM
@@ -222,63 +221,7 @@ def test_the_ball_walk_carries_a_homomorphisms_numerators(ranks):
     assert {(p, q) for _, _, p, q in _ball(model, 4)} == {(0, 0)}
 
 
-# -- letters and edges ---------------------------------------------------
-
-
-def test_edge_letter_inverse_pair(f2):
-    g = f2.parse_element("a b")
-    h = g * f2.generator_element(Generator(1, True))
-    assert edge_letter(g, h) == Generator(1, True)
-    assert edge_letter(h, g) == Generator(1, False)
-    with pytest.raises(ValueError):
-        edge_letter(g, g * f2.parse_element("a b"))
-
-
-def _oracle_edge_letter(g, h):
-    """edge_letter as first written: the one letter of g^-1 h."""
-    step = g.inverse() * h
-    if step.length() != 1:
-        raise ValueError("vertices are not adjacent in the Cayley graph")
-    return step.letters()[0]
-
-
-_EDGE_MODELS = [(2, 0), (2, 1), (0, 2), (3, 2)]
-
-
-def _near(model, g, data):
-    """A vertex adjacent to g, or one that shares g's free word or its
-    abelian part without being adjacent to it."""
-    kind = data.draw(st.sampled_from(["letter", "abelian", "free", "any"]))
-    if kind == "letter":
-        return g * model.generator_element(data.draw(st.sampled_from(model.generators())))
-    if kind == "abelian":
-        shift = data.draw(st.lists(st.integers(-2, 2), min_size=model.abelian_rank,
-                                   max_size=model.abelian_rank))
-        return GroupElement(model, g.free, tuple(x + y for x, y in zip(g.ab, shift)))
-    if kind == "free":
-        return GroupElement(model, data.draw(_random_words(model, 6)).free, g.ab)
-    return data.draw(_random_words(model, 6))
-
-
-@pytest.mark.parametrize("ranks", _EDGE_MODELS, ids=lambda r: f"F{r[0]}xZ{r[1]}")
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_edge_letter_matches_the_product_oracle(ranks, data):
-    model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1])
-    g = data.draw(_random_words(model, 6))
-    h = _near(model, g, data)
-    try:
-        expected = _oracle_edge_letter(g, h)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{exc}$"):
-            edge_letter(g, h)
-    else:
-        assert edge_letter(g, h) == expected
-
-
-def test_edge_letter_rejects_mixed_models(f2, z2):
-    with pytest.raises(ModelMismatchError):
-        edge_letter(f2.identity(), z2.parse_element("a"))
+# -- commutators and mixed models ---------------------------------------
 
 
 def test_commutator_identity_for_commuting_pairs(f2z, f2):

@@ -27,7 +27,7 @@ from qmprobe.novikov import (
     settle,
     windowed_boundary_solve,
 )
-from qmprobe.paths import Path, path_from_letters, straight_path
+from qmprobe.paths import path_from_letters, straight_path
 from qmprobe.quasimorphisms import BrooksQM, CombinationQM, HomogenizedQM, HomomorphismQM
 
 
@@ -651,7 +651,7 @@ def test_extraction_connects_the_rays(z2, cx2):
 
 def test_extraction_trivial_when_endpoints_coincide(z2, cx2):
     cyc = ray_cycle(
-        cx2, z2.identity(), z2.identity(), Path((z2.identity(),)),
+        cx2, z2.identity(), z2.identity(), path_from_letters(z2.identity(), ()),
         z2.parse_element("c"), ExactReal(4),
     )
     assert cyc.chain.is_zero()

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from qmprobe.errors import ModelMismatchError
 from qmprobe.exact import ExactReal
+from qmprobe.groups import Generator
 from qmprobe.paths import Path, path_from_letters, phi_extrema, straight_path
+
+from conftest import product_letters
 
 ZERO = ExactReal(0)
 
@@ -20,28 +23,18 @@ def _letters(model, max_len=6):
 # -- construction -------------------------------------------------------
 
 
-def test_path_needs_a_vertex():
-    with pytest.raises(ValueError):
-        Path(())
+def test_a_path_is_built_from_its_letters_only(f2):
+    with pytest.raises(TypeError, match="path_from_letters"):
+        Path((f2.identity(),))
 
 
-def test_path_rejects_non_adjacent_vertices(f2):
-    a = f2.parse_element("a")
-    ab = f2.parse_element("a b")
-    with pytest.raises(ValueError):
-        Path((a.model.identity(), ab))
-    # distance zero is just as bad as distance two
-    with pytest.raises(ValueError):
-        Path((a, a))
-
-
-def test_path_rejects_mixed_models(f2, z2):
-    with pytest.raises(ModelMismatchError):
-        Path((f2.identity(), z2.parse_element("a")))
+def test_path_from_letters_refuses_an_index_out_of_range(f2):
+    with pytest.raises(ValueError, match="^generator index 2 out of range for rank 2$"):
+        path_from_letters(f2.identity(), [Generator(0, False), Generator(2, True)])
 
 
 def test_single_vertex_path(f2):
-    p = Path((f2.identity(),))
+    p = path_from_letters(f2.identity(), ())
     assert len(p) == 0
     assert p.origin == p.terminus == f2.identity()
     assert p.edge_letters() == ()
@@ -67,30 +60,17 @@ def test_letters_round_trip_abelian(z2, data):
     assert p.edge_letters() == tuple(letters)
 
 
-def _product_letters(path):
-    """The edge letters as first computed: the one letter of each
-    g_i^-1 g_{i+1}."""
-    out = []
-    for v, w in zip(path.vertices, path.vertices[1:]):
-        step = v.inverse() * w
-        assert step.length() == 1
-        out.append(step.letters()[0])
-    return tuple(out)
-
-
 @pytest.mark.parametrize("name", ["f2", "f2z", "z2", "f2z2"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_recorded_letters_match_the_products(request, name, data):
-    # letters recorded by path_from_letters and concat, and those the
-    # vertex check finds, all spell the vertices
+    # letters recorded by path_from_letters and concat spell the vertices
     model = request.getfixturevalue(name)
     origin = path_from_letters(model.identity(), data.draw(_letters(model))).terminus
     p = path_from_letters(origin, data.draw(_letters(model)))
     q = path_from_letters(model.identity(), data.draw(_letters(model)))
     for path in (p, q, p.concat(q), q.concat(p).concat(q)):
-        assert path.edge_letters() == _product_letters(path)
-        assert Path(path.vertices).edge_letters() == path.edge_letters()
+        assert path.edge_letters() == product_letters(path)
 
 
 # -- concat ------------------------------------------------------------
@@ -112,8 +92,8 @@ def test_concat_ignores_second_basepoint(f2):
 
 
 def test_concat_model_mismatch(f2, z2):
-    p = Path((f2.identity(),))
-    q = Path((z2.identity(),))
+    p = path_from_letters(f2.identity(), ())
+    q = path_from_letters(z2.identity(), ())
     with pytest.raises(ModelMismatchError):
         p.concat(q)
 
@@ -182,5 +162,5 @@ def test_phi_extrema_matches_the_values(psibar_ab, f2z, f2z_phi, data):
 
 def test_phi_extrema_single_vertex(psibar_ab, f2):
     g = f2.parse_element("a b")
-    lo, hi = phi_extrema(psibar_ab, Path((g,)))
+    lo, hi = phi_extrema(psibar_ab, path_from_letters(g, ()))
     assert lo == hi == psibar_ab.homogeneous_value(g)

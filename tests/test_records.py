@@ -14,7 +14,7 @@ import pytest
 import qmprobe
 from qmprobe.exact import ExactReal
 from qmprobe.groups import GroupModel
-from qmprobe.paths import Path
+from qmprobe.paths import path_from_letters
 from qmprobe.probes import Section
 from qmprobe.rips import ComponentCertificate
 from qmprobe.search import ConstantsBundle, build_q_library, compute_constants
@@ -96,7 +96,7 @@ def test_frozen_records_refuse_writes(f2):
         record = cls._make([None] * len(cls._fields))
         with pytest.raises(AttributeError):
             setattr(record, cls._fields[0], 1)
-    path = Path((f2.identity(), f2.parse_element("a")))
+    path = path_from_letters(f2.identity(), f2.parse_word("a"))
     cert = ComponentCertificate((0, 0), ((0, 1),))
     for record, field in [(path, "vertices"), (cert, "component_ids"), (cert, "forest")]:
         with pytest.raises(AttributeError):
@@ -106,14 +106,14 @@ def test_frozen_records_refuse_writes(f2):
 
 
 def test_path_and_certificate_are_values(f2):
-    a = f2.parse_element("a")
-    p = Path((f2.identity(), a))
-    assert p == Path((f2.identity(), a)) and hash(p) == hash(Path((f2.identity(), a)))
-    assert p != Path((a, f2.identity())) and p != (f2.identity(), a)
+    a, word = f2.parse_element("a"), f2.parse_word("a")
+    p = path_from_letters(f2.identity(), word)
+    same = path_from_letters(f2.identity(), word)
+    assert p == same and hash(p) == hash(same)
+    assert p != path_from_letters(a, f2.parse_word("a^-1")) and p != (f2.identity(), a)
     assert len(p) == 1
-    assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
-    with pytest.raises(ValueError, match="not adjacent"):
-        Path((f2.identity(), f2.parse_element("a b")))
+    for copied in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p and copied.edge_letters() == p.edge_letters()
     cert = ComponentCertificate((0, 0, 2), ((0, 1),))
     assert cert == ComponentCertificate((0, 0, 2), ((0, 1),))
     assert hash(cert) == hash(ComponentCertificate((0, 0, 2), ((0, 1),)))

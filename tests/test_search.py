@@ -33,6 +33,8 @@ from qmprobe.search import (
     remove_inessential_backtracks,
 )
 
+from conftest import product_letters
+
 NEG_ONE = ExactReal(-1)
 
 
@@ -124,7 +126,8 @@ def _oracle_bfs(qm, start, target, radius, lo, hi):
         return NotFoundWithinBall(
             start, target, radius, lo, hi, 0, "an endpoint violates the level constraint"
         )
-    steps = [model.generator_element(gen) for gen in model.generators()]
+    letters = model.generators()
+    steps = [model.generator_element(gen) for gen in letters]
     dist = {target: 0}
     frontier = deque([target])
     found = start == target
@@ -143,16 +146,13 @@ def _oracle_bfs(qm, start, target, radius, lo, hi):
         return NotFoundWithinBall(
             start, target, radius, lo, hi, len(dist), "admissible region exhausted"
         )
-    vertices = [start]
-    while dist[vertices[-1]] > 0:
-        vertices.append(
-            next(
-                w
-                for w in (vertices[-1] * step for step in steps)
-                if dist.get(w) == dist[vertices[-1]] - 1
-            )
+    walk, v = [], start
+    while dist[v] > 0:
+        letter, v = next(
+            (x, v * step) for x, step in zip(letters, steps) if dist.get(v * step) == dist[v] - 1
         )
-    return Path(tuple(vertices))
+        walk.append(letter)
+    return path_from_letters(start, walk)
 
 
 # how far a window bound sits outside the endpoints' values; a negative
@@ -179,7 +179,7 @@ def test_constrained_bfs_matches_the_oracle(request, name, data):
     got = _constrained_bfs(qm, start, target, radius, lo, hi)
     assert got == expected
     if isinstance(got, Path):
-        assert Path(got.vertices).edge_letters() == got.edge_letters()
+        assert product_letters(got) == got.edge_letters()
 
 
 # -- constants ----------------------------------------------------------
@@ -256,15 +256,16 @@ def _oracle_essential_flags(path, scaling):
 
 
 def _oracle_backtracks(path, scaling):
-    """remove_inessential_backtracks as first written, on vertices."""
+    """remove_inessential_backtracks as first written, on vertices, with
+    each kept vertex's letter found from the product of its neighbours."""
     c, cinv = scaling, scaling.inverse()
-    out = [path.vertices[0]]
-    for v in path.vertices[1:]:
+    out, letters = [path.vertices[0]], []
+    for v, x in zip(path.vertices[1:], product_letters(path)):
         out.append(v)
+        letters.append(x)
         while len(out) >= 3 and out[-1] == out[-3] and out[-3].inverse() * out[-2] in (c, cinv):
-            out.pop()
-            out.pop()
-    return Path(tuple(out))
+            del out[-2:], letters[-2:]
+    return path_from_letters(path.origin, letters)
 
 
 @settings(max_examples=80, deadline=None)
@@ -289,20 +290,13 @@ def test_essential_flags_and_backtracks_match_the_oracles(z2, f2z, data):
     )
     assert essential_flags(p, scaling) == _oracle_essential_flags(p, scaling)
     reduced = remove_inessential_backtracks(p, scaling)
-    assert reduced == _oracle_backtracks(p, scaling)
-    assert reduced.edge_letters() == Path(reduced.vertices).edge_letters()
+    expected = _oracle_backtracks(p, scaling)
+    assert reduced == expected and reduced.edge_letters() == expected.edge_letters()
 
 
 def test_backtrack_removal_simple(z2):
     c = z2.parse_element("c")
-    p = Path(
-        (
-            z2.identity(),
-            z2.parse_element("c"),
-            z2.identity(),
-            z2.parse_element("a"),
-        )
-    )
+    p = path_from_letters(z2.identity(), z2.parse_word("c c^-1 a"))
     assert remove_inessential_backtracks(p, c).vertices == (
         z2.identity(),
         z2.parse_element("a"),
@@ -320,14 +314,7 @@ def test_backtrack_removal_cascades(z2):
 
 def test_backtrack_removal_ignores_other_letters(z2):
     c = z2.parse_element("c")
-    p = Path(
-        (
-            z2.identity(),
-            z2.parse_element("a"),
-            z2.identity(),
-            z2.parse_element("c"),
-        )
-    )
+    p = path_from_letters(z2.identity(), z2.parse_word("a a^-1 c"))
     assert remove_inessential_backtracks(p, c) == p
 
 
