@@ -11,16 +11,16 @@ An `ExactReal` stores four plain ints and stands for
 * den > 0 and gcd(p, q, den) == 1, so each value has exactly one
   representation and equality is equality of the four ints;
 * d == DEFAULT_SQUAREFREE whenever q == 0, so rationals all share one
-  surd base;
-* `a` and `b` are the rational parts p/den and q/den, built as
-  Fractions only when asked for.
+  surd base.
 
-Arithmetic builds its results from ints directly; no Fraction is made
-on the way.  Because sqrt(d) is irrational, p + q*sqrt(d) with q != 0
-is never 0: its sign is decided by the integer comparison of p*p with
-q*q*d, and its floor is p + isqrt(q*q*d) (q > 0) or
-p - isqrt(q*q*d) - 1 (q < 0).  Comparisons take the sign of the
-cross-multiplied numerators and build no temporary value.
+Construction, parsing and arithmetic use ints only.  `ExactReal(a, b, d)`
+takes the ints of a + b*sqrt(d); a rational comes from division
+(`ExactReal(5) / 4`) or from `ExactReal.parse`.  Because sqrt(d) is
+irrational, p + q*sqrt(d) with q != 0 is never 0: its sign is decided
+by the integer comparison of p*p with q*q*d, and its floor is
+p + isqrt(q*q*d) (q > 0) or p - isqrt(q*q*d) - 1 (q < 0).  Comparisons
+take the sign of the cross-multiplied numerators and build no
+temporary value.
 
 Serialized form is "p/q" for rationals and "p/q+r/s*sqrt(d)" otherwise,
 with the sign of the surd folded into the separator, e.g.
@@ -31,15 +31,11 @@ with the sign of the surd folded into the separator, e.g.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import gcd, isqrt, lcm
-from typing import Union
+from math import gcd, isqrt
 
 DEFAULT_SQUAREFREE = 2
 # square-freeness is checked by trial division up to sqrt(d)
 MAX_SURD_BASE = 10**6
-
-Rationalish = Union[int, Fraction, "ExactReal"]
 
 
 def is_squarefree(d: int) -> bool:
@@ -51,6 +47,14 @@ def is_squarefree(d: int) -> bool:
             return False
         k += 1
     return True
+
+
+def _check_base(d: int) -> None:
+    """Refuse a surd base above MAX_SURD_BASE, below 2 or not square-free."""
+    if d > MAX_SURD_BASE:
+        raise ValueError(f"surd base must be at most {MAX_SURD_BASE}, got {d}")
+    if d < 2 or not is_squarefree(d):
+        raise ValueError(f"surd base must be square-free and >= 2, got {d}")
 
 
 class _Fields:
@@ -111,13 +115,11 @@ def _floor(p: int, q: int, den: int, d: int) -> int:
     return p // den
 
 
-def _coerce(x: Rationalish) -> "ExactReal":
+def _coerce(x: "int | ExactReal") -> "ExactReal":
     if isinstance(x, ExactReal):
         return x
     if isinstance(x, int):
         return _make(int(x), 0, 1, DEFAULT_SQUAREFREE)
-    if isinstance(x, Fraction):
-        return _make(x.numerator, 0, x.denominator, DEFAULT_SQUAREFREE)
     return NotImplemented  # type: ignore[return-value]
 
 
@@ -135,38 +137,15 @@ class ExactReal(_Fields):
 
     __slots__ = ()
 
-    def __new__(cls, a: int | Fraction = 0, b: int | Fraction = 0, d: int = DEFAULT_SQUAREFREE):
-        if type(a) is int and not b:
-            return _make(a, 0, 1, DEFAULT_SQUAREFREE)
-        a = Fraction(a)
-        b = Fraction(b)
+    def __new__(cls, a: int = 0, b: int = 0, d: int = DEFAULT_SQUAREFREE):
+        if type(a) is not int or type(b) is not int or type(d) is not int:
+            raise TypeError("ExactReal(a, b, d) takes ints; divide or parse for a rational")
         if b:
-            if d > MAX_SURD_BASE:
-                raise ValueError(f"surd base must be at most {MAX_SURD_BASE}, got {d}")
-            if d < 2 or not is_squarefree(d):
-                raise ValueError(f"surd base must be square-free and >= 2, got {d}")
-        den = lcm(a.denominator, b.denominator)
-        p = a.numerator * (den // a.denominator)
-        return _make(p, b.numerator * (den // b.denominator), den, d)
+            _check_base(d)
+        return _make(a, b, 1, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactReal is immutable")
-
-    @property
-    def a(self) -> Fraction:
-        """The rational part."""
-        return Fraction(self._p, self._den)
-
-    @property
-    def b(self) -> Fraction:
-        """The coefficient of sqrt(d)."""
-        return Fraction(self._q, self._den)
-
-    # -- predicates --------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}."""
-        return _sign(self._p, self._q, self.d)
 
     # -- arithmetic --------------------------------------------------
 
@@ -188,12 +167,6 @@ class ExactReal(_Fields):
             if other is NotImplemented:
                 return NotImplemented
         return _sum(self, other, -other._p, -other._q)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _sum(other, self, -self._p, -self._q)
 
     def __mul__(self, other):
         if type(other) is not ExactReal:
@@ -224,26 +197,8 @@ class ExactReal(_Fields):
             return NotImplemented
         return self.__mul__(other.inverse())
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__mul__(self.inverse())
-
     def __abs__(self):
         return -self if _sign(self._p, self._q, self.d) < 0 else self
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers")
-        out = _make(1, 0, 1, DEFAULT_SQUAREFREE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- comparisons -------------------------------------------------
 
@@ -260,9 +215,10 @@ class ExactReal(_Fields):
         )
 
     def __hash__(self):
-        if not self._q:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        # an integer equals its int, so it must hash like it
+        if self._den == 1 and not self._q:
+            return hash(self._p)
+        return hash((self._p, self._q, self._den, self.d))
 
     def _cmp(self, other) -> int:
         """The sign of self - other."""
@@ -297,9 +253,6 @@ class ExactReal(_Fields):
         """Largest integer n with n <= self, computed exactly."""
         return _floor(self._p, self._q, self._den, self.d)
 
-    def __floor__(self) -> int:
-        return self.floor()
-
     # -- serialization -----------------------------------------------
 
     def __str__(self) -> str:
@@ -317,9 +270,8 @@ class ExactReal(_Fields):
 
     _TERM = re.compile(
         r"""^(?:
-              (?P<coef>-?\d+(?:/\d+)?)\*sqrt\((?P<d1>\d+)\)
+              (?P<num>-?\d+)(?:/(?P<den>\d+))?(?:\*sqrt\((?P<d1>\d+)\))?
             | (?P<bare>-?)sqrt\((?P<d2>\d+)\)
-            | (?P<rat>-?\d+(?:/\d+)?)
             )$""",
         re.VERBOSE,
     )
@@ -338,23 +290,26 @@ class ExactReal(_Fields):
             terms.append(s[pos : m.start()])
             pos = m.start()
         terms.append(s[pos:])
-        total = cls(0)
+        total = _make(0, 0, 1, DEFAULT_SQUAREFREE)
         for term in terms:
             if term.startswith("+"):
                 term = term[1:]
             m = cls._TERM.match(term)
             if not m:
                 raise ValueError(f"cannot parse exact number term {term!r} in {text!r}")
-            try:
-                if m.group("rat") is not None:
-                    total = total + cls(Fraction(m.group("rat")))
-                elif m.group("coef") is not None:
-                    total = total + cls(0, Fraction(m.group("coef")), int(m.group("d1")))
-                else:
-                    b = Fraction(-1 if m.group("bare") == "-" else 1)
-                    total = total + cls(0, b, int(m.group("d2")))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
+            if m["num"] is not None:
+                n, den, surd = int(m["num"]), int(m["den"] or 1), m["d1"]
+                if not den:
+                    raise ValueError(f"zero denominator in {text!r}")
+            else:
+                n, den, surd = (-1 if m["bare"] else 1), 1, m["d2"]
+            if surd is None:
+                p, q, d = n, 0, DEFAULT_SQUAREFREE
+            else:
+                p, q, d = 0, n, int(surd)
+                if n:
+                    _check_base(d)
+            total = total + _make(p, q, den, d)
         return total
 
 

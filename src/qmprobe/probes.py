@@ -765,7 +765,7 @@ def _validate_zs_cycle(exp: Experiment, probe: Section) -> None:
     model = exp.model
     qm = _need_qm(exp, probe)
     scaling = probe.get("scaling", model.parse_element)
-    _scaling_letter(model, scaling)
+    c = _scaling_letter(model, scaling)
     check_positive_direction(qm, scaling)
     letters = probe.get("s", model.parse_word)
     if len(letters) != 1:
@@ -773,10 +773,12 @@ def _validate_zs_cycle(exp: Experiment, probe: Section) -> None:
     radius = _radius(exp, probe, minimum=1)
     _search_bound(exp, probe, radius, 1)
     depth = probe.get("depth", integer(1))
-    # the search runs from c^n to s c^n; c^n has length n, so c^(R + 1)
-    # is outside ball(R) as every deeper power is, and a huge n is not built
-    top = scaling ** min(depth, radius + 1)
-    check_search_ball(radius, top, model.generator_element(letters[0]) * top)
+    if letters[0] != c:
+        # the search runs from c^n to s c^n (none for s = c); c^n has
+        # length n, so c^(R + 1) is outside ball(R) as every deeper power
+        # is, and a huge n is not built
+        top = scaling ** min(depth, radius + 1)
+        check_search_ball(radius, top, model.generator_element(letters[0]) * top)
     defect = _defect_bound(qm, probe)
     probe.settings.update(
         s=letters[0],
@@ -1002,7 +1004,7 @@ The cycle is exact (boundary zero with no window), and the regime of
 interest is n phi-bar(c) > K + D + 1, reported as a threshold check.
 The high path is a path-search inside ball(R).  Validation refuses a
 ball(R) of more than MAX_SEARCH_BALL elements, a c^n or s c^n outside
-ball(R), an s that is not one generator letter, and a c that is not one
-with positive phi-bar.""",
+ball(R) for s != c, an s that is not one generator letter, and a c that
+is not one with positive phi-bar.""",
     ),
 }

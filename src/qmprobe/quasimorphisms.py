@@ -463,7 +463,7 @@ def defect_witness(
 def scaled_bound(qm: Quasimorphism, bound: ExactReal) -> tuple[int, int, int, int]:
     """(P, Q, s, d) with which a value (p + q sqrt(d)) / qm.den of qm
     compares to `bound` on integers: bound - value has the sign of
-    _sign(P - s p, Q - s q, d), the two fractions cross-multiplied.  A
+    _sign(P - s p, Q - s q, d), the two quotients cross-multiplied.  A
     rational qm takes the bound's surd base; a bound in a base other
     than qm's is refused."""
     d = qm.d

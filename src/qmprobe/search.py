@@ -40,7 +40,6 @@ On top of that sit the pieces used to push paths out of high levels:
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, LibraryIncompleteError, ModelMismatchError
@@ -229,7 +228,7 @@ def compute_constants(
     gens = [model.generator_element(g) for g in model.generators()]
     maxst = max(qm.homogeneous_value(s * t) for s in gens for t in gens)
     maxgen = max(abs(qm.homogeneous_value(s)) for s in gens)
-    five_over_4d = ExactReal(Fraction(5, 4)) / dstar
+    five_over_4d = ExactReal(5) / (dstar * 4)
     depth = (five_over_4d * (kprime + maxst + dstar)).floor() + 3
     return ConstantsBundle(
         dstar=dstar,
@@ -553,7 +552,7 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitnes
     c_letter = Generator(2, False)
     c = model.generator_element(c_letter)
     sqrt2 = ExactReal(0, 1, 2)
-    half = ExactReal(Fraction(1, 2))
+    half = ExactReal(1) / 2
 
     letters: list[Generator] = []
     current = path.origin

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from qmprobe.exact import ExactReal, ONE, ZERO
 from qmprobe.groups import GroupModel
 from qmprobe.quasimorphisms import BrooksQM, HomogenizedQM, HomomorphismQM
+
+
+def exact(a, b=0, d: int = 2) -> ExactReal:
+    """a + b*sqrt(d) for rationals a and b (Fractions or ints), built by
+    division: ExactReal takes ints only."""
+    a, b = Fraction(a), Fraction(b)
+    den = a.denominator * b.denominator
+    return ExactReal(a.numerator * b.denominator, b.numerator * a.denominator, d) / den
 
 
 def product_letters(path) -> tuple:

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 from qmprobe.exact import ExactReal, ONE, ZERO
 from qmprobe.novikov import (
@@ -194,7 +193,7 @@ def test_criterion_6_obstruction_growth(f2, psibar_ab):
     with criterion(6, "obstruction maxima grow strictly and clear the level gap"):
         x = f2.parse_element("b")
         comm = f2.parse_element("a b a^-1 b^-1")
-        dstar = ExactReal(Fraction(1, 2))
+        dstar = ExactReal(1) / 2
         phi_c = psibar_ab.homogeneous_value(comm)
         maxgen = max(
             abs(psibar_ab.homogeneous_value(f2.generator_element(s)))

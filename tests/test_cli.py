@@ -13,6 +13,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qmprobe import novikov
 from qmprobe.cli import _build_parser, main
@@ -21,7 +22,7 @@ from qmprobe.errors import ConfigError, ReplayError
 from qmprobe.groups import MAX_BALL_CAP, GroupModel
 from qmprobe.intsolve import UnsatCertificate, check_unsat_certificate, solve_integer_system
 from qmprobe.probes import KINDS, attempt
-from qmprobe.quasimorphisms import BrooksQM
+from qmprobe.quasimorphisms import BrooksQM, HomomorphismQM
 from qmprobe.report import parse_path
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -54,6 +55,75 @@ def test_run_verify_round_trip(tmp_path, capsys, name):
     assert "FAIL" not in captured.out
     for probe in report["body"]["probes"]:
         assert f"PASS {probe['name']}" in captured.out
+
+
+def _wrapped(text, wrapper):
+    """text with every probe whose qm q gets a wrapper pointed at it, and
+    the names of those probes: `wrapper(qm, q, kind)` is the new
+    section's body, or None to leave the probe as it is."""
+    exp = parse_experiment(text)
+    added, names = {}, set()
+    for probe in exp.probes:
+        q = probe.raw.get("qm")
+        body = q and wrapper(exp.quasimorphisms[q], q, probe.kind)
+        if body:
+            added[q] = body
+            names.add(probe.name)
+            text = re.sub(
+                rf"(\[probe {re.escape(probe.name)}\][^[]*?^qm = ){re.escape(q)}$",
+                rf"\g<1>wrapped_{q}",
+                text,
+                flags=re.M,
+            )
+    return text + "".join(
+        f"\n[quasimorphism wrapped_{q}]\n{body}\n" for q, body in added.items()
+    ), names
+
+
+IDENTITIES = {
+    # f2z-example requires a homomorphism, and a combination is not one
+    "combination 1*q": lambda qm, q, kind: (
+        None if kind == "f2z-example" else f"kind = combination\nterms = 1 * {q}"
+    ),
+    "homogenized of a homomorphism q": lambda qm, q, kind: (
+        f"kind = homogenized\nbase = {q}" if isinstance(qm, HomomorphismQM) else None
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, identity",
+    [
+        (name, identity)
+        for name in GOOD_CONFIGS
+        for identity in sorted(IDENTITIES)
+        # free_brooks has no homomorphism
+        if (name, identity) != ("free_brooks.cfg", "homogenized of a homomorphism q")
+    ],
+)
+def test_a_wrapped_quasimorphism_answers_as_itself(tmp_path, capsys, name, identity):
+    """`combination 1*q` and `homogenized` of a homomorphism q are q, so
+    each probe pointed at them keeps its status and result, apart from
+    the keys that name the quasimorphism.  (Homogenizing a homogenized
+    or a combination q is refused by design.)"""
+    text = (CONFIG_DIR / name).read_text(encoding="utf-8")
+    wrapped_text, names = _wrapped(text, IDENTITIES[identity])
+    assert names
+    bodies = []
+    for i, cfg_text in enumerate((text, wrapped_text)):
+        cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"{i}.json"
+        cfg.write_text(cfg_text, encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+        bodies.append(_read(out)["body"]["probes"])
+    original, wrapped = bodies
+    assert [p["name"] for p in wrapped] == [p["name"] for p in original]
+    for before, after in zip(original, wrapped):
+        if before["name"] in names:
+            assert after["params"]["qm"] == "wrapped_" + before["params"]["qm"]
+        assert after["status"] == before["status"] == "ok"
+        for probe in (before, after):
+            probe["result"].pop("qm", None)  # the quasimorphism's name
+        assert after["result"] == before["result"]
 
 
 def _bench_workloads():
@@ -681,6 +751,24 @@ def test_an_obstruction_with_a_zero_denominator_ends_at_validation(tmp_path, cap
     )
     assert main(["verify", str(out)]) == 2
     assert capsys.readouterr().err == "qmprobe: echoed config no longer validates: " + refusal
+
+
+def test_a_zs_cycle_with_s_equal_to_c_needs_no_search_ball(tmp_path, capsys):
+    """For s = c the run searches nothing and returns the zero cycle by
+    convention, so validation does not ask s c^n = c^(n + 1) to lie in
+    ball(R): at depth 4 and radius 4 it did, and refused the config."""
+    text = (
+        "[group]\nabelian_rank = 2\nnames = a c\n\n"
+        "[quasimorphism phi]\nkind = homomorphism\nc = 1\n\n"
+        "[probe zs]\nkind = zs-cycle\nqm = phi\ns = c\nscaling = c\n"
+        "depth = 4\nk = 1\nradius = 4\n"
+    )
+    cfg, out = tmp_path / "zs.cfg", tmp_path / "report.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    probe = _probe(_read(out), "zs")
+    assert (probe["status"], probe["result"]["status"]) == ("ok", "zero-by-convention")
+    assert main(["verify", str(out)]) == 0, capsys.readouterr().out
 
 
 def test_verify_rederives_a_failed_peak_reduce_claimed_ok(tmp_path, capsys):
@@ -1518,11 +1606,28 @@ def test_the_gen_unsat_keeps_its_pinned_body(tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
 
 
-def _pulled_back_system(text, tree_edge):
+def _tree_projection(cx, z):
+    """z mapped under F_n x Z^m -> F_n onto the tree of F_n: the summed
+    coefficient of each tree edge (free word, letter index) that a
+    free-letter edge of z maps to, the non-zero ones in canonical order."""
+    model = cx.model
+    out = {}
+    for cell, k in z.terms.items():
+        if model.is_free_index(cell[3]):
+            out[cell[1], cell[3]] = out.get((cell[1], cell[3]), 0) + k
+    origin = (0,) * model.abelian_rank
+    edges = sorted(
+        (e for e, k in out.items() if k), key=lambda e: cx.cell_sort_key(("e", e[0], origin, e[1]))
+    )
+    return {e: out[e] for e in edges}
+
+
+def _pulled_back_system(text, tree_edge=None):
     """The trimmed columns and z of a config's novikov-solve probe, and
-    the pullback under F_2 x Z -> F_2 of a tree edge (free word, letter
-    index): every edge (g u^j, i) with g's free word, cut to the edges
-    of the columns and of z."""
+    the pullback under F_n x Z^m -> F_n of a tree edge (free word, letter
+    index), by default the first one on which z projects to a non-zero
+    coefficient: every edge (g t, i) with g's free word and t in Z^m,
+    cut to the edges of the columns and of z."""
     from qmprobe.novikov import _trimmed_columns, boundary_faces
     from qmprobe.probes import _novikov_cycle
 
@@ -1533,7 +1638,7 @@ def _pulled_back_system(text, tree_edge):
     z = cycle.chain
     _, faces = boundary_faces(cx, z, s["window"], s["radius"], s["slack"], s["cell_cap"])
     columns = _trimmed_columns(cx, faces, s["window"])
-    free, index = tree_edge
+    free, index = tree_edge or next(iter(_tree_projection(cx, z)))
     edges = set(z.terms).union(*columns)
     functional = {e: 1 for e in edges if (e[1], e[3]) == (free, index)}
     return columns, z.terms, UnsatCertificate(functional, 0)
@@ -1546,6 +1651,56 @@ def test_the_pullback_of_a_tree_edge_certifies_gen():
     annihilates every column."""
     columns, z, functional = _pulled_back_system(GEN, ((1, 1, 1), 0))
     assert len(functional.functional) == 6
+    assert check_unsat_certificate(columns, z, functional)
+
+
+_PRODUCTS = {(2, 1): "a b u", (2, 2): "a b u v", (3, 1): "a b c u"}
+
+
+@st.composite
+def _central_configs(draw):
+    """A novikov-solve config over F_n x Z^m for (n, m) in _PRODUCTS,
+    with phi a homomorphism of small values on the free generators and
+    0 on Z^m, a free scaling letter with phi > 0 and radius at most 3."""
+    n, m = draw(st.sampled_from(sorted(_PRODUCTS)))
+    names = _PRODUCTS[n, m].split()
+    values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    positive = [x if v > 0 else f"{x}^-1" for x, v in zip(names, values) if v]
+    assume(positive)
+    letters = st.sampled_from([x + e for x in names for e in ("", "^-1")])
+    start, end = (
+        " ".join(draw(st.lists(letters, max_size=3))) or "1" for _ in range(2)
+    )
+    phi = "".join(f"{x} = {v}\n" for x, v in zip(names, values) if v)
+    return (
+        f"[group]\nfree_rank = {n}\nabelian_rank = {m}\nnames = {' '.join(names)}\n\n"
+        f"[quasimorphism phi]\nkind = homomorphism\n{phi}\n"
+        f"[probe fill]\nkind = novikov-solve\nqm = phi\nstart = {start}\nend = {end}\n"
+        f"scaling = {draw(st.sampled_from(positive))}\nwindow = {draw(st.integers(1, 4))}\n"
+        f"radius = {draw(st.integers(0, 3))}\n"
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(_central_configs())
+def test_a_potential_that_vanishes_on_the_centre_has_no_filling(text):
+    """When phi is 0 on Z^m, a face's two free-letter edges have equal
+    values and cancel under F_n x Z^m -> F_n, so a z that projects to a
+    non-zero chain on the tree of F_n has no filling at any radius: the
+    solve is unsat, and the pullback of the first tree edge z crosses
+    certifies it."""
+    from qmprobe.probes import _novikov_cycle
+
+    try:
+        exp = parse_experiment(text)
+        (probe,) = exp.probes
+        cx, cycle = _novikov_cycle(exp, probe)
+    except (ConfigError, ValueError):
+        assume(False)
+    assume(_tree_projection(cx, cycle.chain))
+    status, error, result = attempt(exp, probe)
+    assert (status, result["status"]) == ("ok", "unsat"), error
+    columns, z, functional = _pulled_back_system(text)
     assert check_unsat_certificate(columns, z, functional)
 
 

@@ -9,12 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from qmprobe.exact import ExactReal, ONE, ZERO, is_squarefree
 
+from conftest import exact
+
 SQRT2 = ExactReal(0, 1, 2)
 
 
 def test_rational_canonicalization_ignores_surd_base():
     assert ExactReal(3, 0, 7) == ExactReal(3)
-    assert ExactReal(Fraction(6, 4)) == ExactReal(Fraction(3, 2))
+    assert ExactReal(6) / 4 == ExactReal(3) / 2
+
+
+def test_only_ints_build_a_value():
+    for args in ((Fraction(1, 2),), (1.0,), ("1",), (True,), (0, Fraction(1)), (0, 1, 2.0)):
+        with pytest.raises(TypeError, match="takes ints"):
+            ExactReal(*args)
+    # a Fraction is no longer an exact number of this package
+    assert ExactReal(1) != Fraction(1) and ExactReal(1) / 2 != Fraction(1, 2)
+    assert ExactReal(1) == 1 and ExactReal(2) / 2 == 1
 
 
 def test_non_squarefree_base_rejected():
@@ -59,9 +70,9 @@ def test_field_arithmetic_in_q_sqrt2():
 
 def test_sign_resolves_close_surds_exactly():
     # 99/70 is a hair above sqrt(2); 140/99 is a hair below
-    assert (ExactReal(Fraction(99, 70)) - SQRT2).sign() == 1
-    assert (ExactReal(Fraction(140, 99)) - SQRT2).sign() == -1
-    assert (SQRT2 * SQRT2 - ExactReal(2)).sign() == 0
+    assert ExactReal(99) / 70 - SQRT2 > ZERO
+    assert ExactReal(140) / 99 - SQRT2 < ZERO
+    assert SQRT2 * SQRT2 - ExactReal(2) == ZERO
 
 
 def test_comparisons_and_abs():
@@ -74,7 +85,7 @@ def test_comparisons_and_abs():
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50))
 def test_floor_matches_float_on_rationals(p, q, r):
-    x = ExactReal(Fraction(p, r), Fraction(q, r), 2)
+    x = ExactReal(p, q, 2) / r
     assert x.floor() == math.floor(p / r + (q / r) * math.sqrt(2))
 
 
@@ -82,23 +93,32 @@ def test_floor_on_surd_boundaries():
     assert SQRT2.floor() == 1
     assert (-SQRT2).floor() == -2
     assert (SQRT2 * SQRT2).floor() == 2
-    assert ExactReal(Fraction(-7, 2)).floor() == -4
+    assert (ExactReal(-7) / 2).floor() == -4
 
 
-@given(
-    st.fractions(min_value=-30, max_value=30, max_denominator=12),
-    st.fractions(min_value=-30, max_value=30, max_denominator=12),
-)
-def test_serialization_round_trip(a, b):
-    x = ExactReal(a, b, 3)
+@given(st.integers(-360, 360), st.integers(-360, 360), st.integers(1, 144))
+def test_serialization_round_trip(p, q, den):
+    x = ExactReal(p, q, 3) / den
     assert ExactReal.parse(str(x)) == x
 
 
 def test_parse_shorthands():
     assert ExactReal.parse("sqrt(2)") == SQRT2
     assert ExactReal.parse("-sqrt(2)") == -SQRT2
-    assert ExactReal.parse("3/2") == ExactReal(Fraction(3, 2))
-    assert ExactReal.parse("1 + 1/2*sqrt(5)") == ExactReal(1, Fraction(1, 2), 5)
+    assert ExactReal.parse("3/2") == ExactReal(3) / 2
+    assert ExactReal.parse("1 + 1/2*sqrt(5)") == ExactReal(2, 1, 5) / 2
+    assert ExactReal.parse("-6/4*sqrt(3)+2") == ExactReal(4, -3, 3) / 2
+    # a zero coefficient takes no surd base, so its base is not checked
+    assert ExactReal.parse("0*sqrt(4)") == ZERO
+    for text, message in (
+        ("1/0", "zero denominator in '1/0'"),
+        ("1+0/0*sqrt(4)", "zero denominator"),
+        ("sqrt(4)", "square-free and >= 2, got 4"),
+        ("1-1/2*sqrt(1)", "square-free and >= 2, got 1"),
+        ("sqrt(1000003)", "at most 1000000, got 1000003"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExactReal.parse(text)
     with pytest.raises(ValueError):
         ExactReal.parse("1.5")
     with pytest.raises(ValueError):
@@ -106,7 +126,7 @@ def test_parse_shorthands():
 
 
 def test_never_serializes_floats():
-    for x in (SQRT2 / 3, ExactReal(Fraction(1, 3)), -SQRT2 * 7):
+    for x in (SQRT2 / 3, ExactReal(1) / 3, -SQRT2 * 7):
         assert "." not in str(x)
 
 
@@ -158,9 +178,6 @@ class FractionReal:
     def __sub__(self, other):
         return self + -self._coerce(other)
 
-    def __rsub__(self, other):
-        return self._coerce(other) + -self
-
     def __mul__(self, other):
         other = self._coerce(other)
         d = self._base(other)
@@ -181,12 +198,6 @@ class FractionReal:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
-
-    def __pow__(self, k):
-        out = FractionReal(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -244,7 +255,7 @@ SURDS = st.one_of(st.just(Fraction(0)), RATIONALS)
 
 def _pair(d):
     """Two values of Q(sqrt d), as (reference, integer-backed) pairs."""
-    value = st.tuples(RATIONALS, SURDS).map(lambda ab: (FractionReal(*ab, d), ExactReal(*ab, d)))
+    value = st.tuples(RATIONALS, SURDS).map(lambda ab: (FractionReal(*ab, d), exact(*ab, d)))
     return st.tuples(value, value)
 
 
@@ -254,18 +265,18 @@ ORDER = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operat
 
 def _same(ref, x):
     assert str(x) == str(ref)
-    assert hash(x) == hash(ref)
-    assert (x.a, x.b, x.d) == (ref.a, ref.b, ref.d)
+    assert (Fraction(x._p, x._den), Fraction(x._q, x._den), x.d) == (ref.a, ref.b, ref.d)
 
 
 @settings(max_examples=300, deadline=None)
-@given(PAIRS, st.integers(-7, 7), st.integers(0, 4))
-def test_matches_the_fraction_backed_reference(pair, n, k):
+@given(PAIRS, st.integers(-7, 7))
+def test_matches_the_fraction_backed_reference(pair, n):
     (rx, x), (ry, y) = pair
     _same(rx, x)
     for op in (operator.add, operator.sub, operator.mul):
         _same(op(rx, ry), op(x, y))
         _same(op(rx, n), op(x, n))
+    for op in (operator.add, operator.mul):
         _same(op(n, rx), op(n, x))
     if ry.sign():
         _same(rx / ry, x / y)
@@ -275,21 +286,23 @@ def test_matches_the_fraction_backed_reference(pair, n, k):
             x / y
         with pytest.raises(ZeroDivisionError):
             y.inverse()
-    _same(rx ** k, x ** k)
     _same(abs(rx), abs(x))
     _same(-rx, -x)
     for op in ORDER:
         assert op(x, y) == op(rx, ry)
         assert op(x, n) == op(rx, FractionReal(n))
-    assert x.sign() == rx.sign() and bool(x) == bool(rx.sign())
-    assert x.floor() == rx.floor() == math.floor(x)
+    assert (x > 0) - (x < 0) == rx.sign() and bool(x) == bool(rx.sign())
+    assert x.floor() == rx.floor()
     assert ExactReal.parse(str(x)) == x
     z = (x + y) - y  # equal to x, reached another way
     assert z == x and hash(z) == hash(x)
 
 
-@given(st.integers(-10**40, 10**40), RATIONALS)
-def test_rationals_hash_as_their_fraction(n, q):
-    assert hash(ExactReal(n)) == hash(n) == hash(ExactReal(Fraction(n)))
-    assert hash(ExactReal(q)) == hash(q)
-    assert ExactReal(q) + (-q) == ZERO and hash(ExactReal(q) - q) == hash(0)
+@given(st.integers(-10**40, 10**40), RATIONALS, SURDS)
+def test_an_integer_hashes_as_its_int_and_equal_values_hash_alike(n, a, b):
+    assert hash(ExactReal(n)) == hash(n) == hash(ExactReal(3 * n) / 3)
+    x = exact(a, b)
+    for y in ((x * 6) / 6, x + n - n, -(-x), exact(a, b)):
+        assert y == x and hash(y) == hash(x)
+    assert x - x == ZERO and hash(x - x) == hash(0)
+    assert len({x, (x * 2) / 2, x + 1 - 1}) == 1

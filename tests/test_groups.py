@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,7 +209,7 @@ def test_the_ball_walk_carries_a_homomorphisms_numerators(ranks):
     # a child's numerators are its parent's plus its letter's: compare
     # each form's with the homomorphism evaluated there
     model = GroupModel(free_rank=ranks[0], abelian_rank=ranks[1], ball_cap=4)
-    values = [ExactReal(Fraction(k - 2, k + 1), (-1) ** k) for k in range(model.rank)]
+    values = [ExactReal(k - 2, (-1) ** k * (k + 1)) / (k + 1) for k in range(model.rank)]
     qm = HomomorphismQM(model, values)
     steps = [model.generator_element(s) for s in model.positive_generators()]
     walk = _ball(model, 4, [qm._hnum(s.free, s.ab) for s in steps])

@@ -30,6 +30,8 @@ from qmprobe.novikov import (
 from qmprobe.paths import path_from_letters, straight_path
 from qmprobe.quasimorphisms import BrooksQM, CombinationQM, HomogenizedQM, HomomorphismQM
 
+from conftest import exact
+
 
 def _equal_below(u, v, level):
     """Whether chains u and v agree on every cell valued below `level`."""
@@ -397,7 +399,7 @@ def test_faces_of_a_homomorphism_match_the_corner_minimum(seed):
     model = GroupModel(free_rank, abelian_rank, ball_cap=radius)
     mode = seed % 4
     values = [
-        ExactReal(
+        exact(
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
             0 if mode == 3 else Fraction(rng.choice((0, 1, -1)), rng.randint(1, 3)),
         )
@@ -441,7 +443,7 @@ def test_faces_of_a_corner_minimum_potential_match_the_oracle(seed):
     qm = HomogenizedQM(BrooksQM(model, model.parse_word(rng.choice(("a b", "a a b", "a b^-1")))))
     if seed % 2:
         hom = HomomorphismQM(model, [ExactReal(rng.randint(-2, 2)) for _ in range(model.rank)])
-        qm = CombinationQM((ONE, ExactReal(Fraction(1, 2))), (qm, hom))
+        qm = CombinationQM((ONE, ExactReal(1) / 2), (qm, hom))
     cx = CayleyComplex(qm, ONE)
     assert cx._step_nums is None
     ceiling = rng.choice(_face_values(cx, 2)) + 1
@@ -468,7 +470,7 @@ def test_trimmed_columns_match_the_boundary_of_each_face(seed):
     if seed % 2:
         model = GroupModel(free_rank=1, abelian_rank=2, generator_names=("a", "c", "u"))
     values = [
-        ExactReal(
+        exact(
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
             Fraction(rng.choice((0, 1, -1)), rng.randint(1, 2)),
         )

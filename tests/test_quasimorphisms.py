@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +20,8 @@ from qmprobe.quasimorphisms import (
     defect_witness,
     signed_count,
 )
+
+from conftest import exact
 
 # -- independent oracles -------------------------------------------------
 # The library counts occurrences inside one period of a cyclic power;
@@ -238,7 +239,7 @@ def _coefficient():
     """A nonzero a + b sqrt(2) with small fractions a and b, so that the
     denominators of values and coefficients vary."""
     return st.builds(
-        ExactReal,
+        exact,
         st.fractions(-3, 3, max_denominator=4),
         st.fractions(-2, 2, max_denominator=3),
     ).filter(lambda c: c != ZERO)
@@ -522,7 +523,7 @@ def test_aker_matches_the_full_loop_for_a_homomorphism(f2z_phi):
 def test_aker_matches_the_full_loop_on_combinations(f2, f3, f2z, f2z2, data):
     # D* = 0 and 1/2 fail often, so counterexamples are met too
     qm = data.draw(_homogeneous_combinations((f2, f3, f2z, f2z2)))
-    dstar = data.draw(st.sampled_from((ZERO, ExactReal(Fraction(1, 2)), ONE, ExactReal(2))))
+    dstar = data.draw(st.sampled_from((ZERO, ExactReal(1) / 2, ONE, ExactReal(2))))
     c = qm.model.parse_element(data.draw(st.sampled_from(("a", "a^2", "a b a^-1 b^-1"))))
     cert = certify_aker_approximate_subgroup(qm, dstar, c, 2)
     assert cert == _aker_full_loop(qm, dstar, c, 2)
@@ -532,7 +533,7 @@ def test_aker_counterexample_after_a_reused_twin(f2, psibar_ab):
     # the failing row i reads row i' < i, where its twin needed m != 0,
     # so the search at the counterexample starts past m = 0
     a = f2.parse_element("a")
-    half = ExactReal(Fraction(1, 2))
+    half = ExactReal(1) / 2
     cert = certify_aker_approximate_subgroup(psibar_ab, half, a, 3)
     assert not cert.passed
     n = len(cert.members)
@@ -682,11 +683,11 @@ def test_numerator_hooks_match_the_exact_values(f2, f3, f2z, data):
 
 
 def test_denominators_and_surd_bases_are_fixed_at_construction(f2z, f2z_phi):
-    phi = HomomorphismQM(f2z, (ExactReal(Fraction(1, 2)), ZERO, ExactReal(0, Fraction(1, 3))))
+    phi = HomomorphismQM(f2z, (ExactReal(1) / 2, ZERO, ExactReal(0, 1) / 3))
     assert (phi.den, phi.d, HomogenizedQM(phi).den) == (6, 2, 6)
     psibar = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
     assert (psibar.den, psibar.surds) == (1, frozenset())
-    combo = CombinationQM((ExactReal(Fraction(3, 4)), ExactReal(0, Fraction(1, 5))), (phi, psibar))
+    combo = CombinationQM((ExactReal(3) / 4, ExactReal(0, 1) / 5), (phi, psibar))
     assert (combo.den, combo.d) == (120, 2)  # lcm(4 * 6, 5 * 1)
     sqrt3 = ExactReal(0, 1, 3)
     assert CombinationQM((sqrt3,), (psibar,)).d == 3
@@ -704,7 +705,7 @@ def test_defect_scan_and_aker_match_the_exact_loops(f2, f3, f2z, f2z2, data):
     qm = data.draw(_homogeneous_combinations((f2, f3, f2z, f2z2)))
     assert defect_lower_bound(qm, 2) == _exact_defect_scan(qm, 2)
     ball = qm.model.ball(2)
-    dstar = data.draw(st.sampled_from((ZERO, ExactReal(Fraction(1, 2)), ONE, ExactReal(0, 1))))
+    dstar = data.draw(st.sampled_from((ZERO, ExactReal(1) / 2, ONE, ExactReal(0, 1))))
     scaling = data.draw(st.sampled_from(ball[1:]))
     cert = certify_aker_approximate_subgroup(qm, dstar, scaling, 2)
     assert (cert.members, cert.exponents, cert.counterexample) == _exact_aker(
@@ -727,7 +728,7 @@ def _exact_witness(qm, g, h):
 def test_aker_matches_the_exact_loop_with_an_abelian_scaling(f2z, f2z_phi):
     # phi(u) = sqrt(2): the products g h u^m need their abelian parts summed
     u = f2z.parse_element("u")
-    for qm in (f2z_phi, CombinationQM((ONE, ExactReal(Fraction(1, 2))), (f2z_phi, f2z_phi))):
+    for qm in (f2z_phi, CombinationQM((ONE, ExactReal(1) / 2), (f2z_phi, f2z_phi))):
         cert = certify_aker_approximate_subgroup(qm, ONE, u, 2)
         assert cert.passed and set(cert.exponents) - {0}
         assert (cert.members, cert.exponents, cert.counterexample) == _exact_aker(qm, ONE, u, 2)

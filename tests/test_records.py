@@ -7,7 +7,6 @@ import os
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -41,14 +40,14 @@ def _tuple_records():
     return out
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_number_tower():
+    # exact numbers are built from ints alone, so neither fractions nor
+    # the decimal and numbers modules it imports are loaded at launch
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     src = os.path.dirname(os.path.dirname(qmprobe.__file__))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    code = (
-        "import sys, qmprobe.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    banned = ("dataclasses", "inspect", "fractions", "decimal", "_decimal", "numbers")
+    code = f"import sys, qmprobe.cli; print(sorted(set({banned!r}) & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -130,7 +129,7 @@ def test_probe_specs_do_not_share_settings():
 
 def test_the_raised_bundle_keeps_every_field_it_does_not_set(z2, z2_hom01):
     c = z2.parse_element("c")
-    bundle = compute_constants(z2_hom01, ExactReal(Fraction(6, 5)), ExactReal(3), c)
+    bundle = compute_constants(z2_hom01, ExactReal(6) / 5, ExactReal(3), c)
     lib = build_q_library(z2_hom01, bundle, c, radius=30, depth=12)
     raised = lib.bundle
     assert type(raised) is ConstantsBundle

@@ -3,7 +3,6 @@ peak reduction, the F_2 x Z kernel normalization, and the free-group
 obstruction probe."""
 
 from collections import deque
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -157,8 +156,8 @@ def _oracle_bfs(qm, start, target, radius, lo, hi):
 
 # how far a window bound sits outside the endpoints' values; a negative
 # slack leaves an endpoint outside, None leaves the side open
-_SLACKS = [None, ZERO, ZERO, ExactReal(Fraction(1, 2)), ONE, ExactReal(-1, 1, 2),
-           ExactReal(Fraction(-1, 2))]
+_SLACKS = [None, ZERO, ZERO, ExactReal(1) / 2, ONE, ExactReal(-1, 1, 2),
+           ExactReal(-1) / 2]
 
 
 @pytest.mark.parametrize("name", ["psibar_ab", "f2z_phi"])
@@ -205,7 +204,7 @@ def test_constants_match_formula(z2, z2_hom11):
     )
     assert bundle.max_pair_value == maxst
     expected_depth = (
-        ExactReal(Fraction(5, 4)) / dstar * (kprime + maxst + dstar)
+        ExactReal(5) / 4 / dstar * (kprime + maxst + dstar)
     ).floor() + 3
     assert bundle.descent_depth == expected_depth
     assert bundle.level_guard == kprime + dstar + dstar + 1
@@ -462,7 +461,7 @@ def test_f2z_normalize_recentres_values(f2z, f2z_phi):
     assert got.path.terminus == p.terminus
     assert -3 <= got.min_phi and got.max_phi <= 3
     # every vertex in fact stays within one edge of (-sqrt(2)/2, sqrt(2)/2]
-    tight = ONE + ExactReal(0, Fraction(1, 2), 2)
+    tight = ONE + ExactReal(0, 1, 2) / 2
     for v in got.path.vertices:
         assert abs(f2z_phi.homogeneous_value(v)) <= tight
 
@@ -497,7 +496,7 @@ def test_obstruction_maxima_frozen(f2, psibar_ab):
         for n in range(1, 7)
     ]
     assert got_one == [ExactReal(v) for v in (0, 0, 1, 2, 3, 4)]
-    half = ExactReal(Fraction(1, 2))
+    half = ExactReal(1) / 2
     got_half = [
         free_group_obstruction_probe(psibar_ab, b, comm, n, half).max_bound
         for n in range(1, 7)
