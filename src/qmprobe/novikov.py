@@ -1,34 +1,37 @@
-"""Windowed group-ring chains over a Cayley 2-complex.
+"""Group-ring chains over a Cayley 2-complex, cut below one window.
 
 A full Novikov-style completion keeps formal sums with finitely many
 terms below every level of the potential.  At desk scale we work with
-the only honest finite shadow of that object: a chain records exact
-integer coefficients for every cell whose value is below a window W
-and says nothing about higher cells.  Every operation computes the
-window on which its output is still exact instead of guessing.
+the only honest finite shadow of that object: a chain is a plain dict
+from cells to non-zero integer coefficients, and the one window W in
+play is the ray cycle's own: the cycle holds exact coefficients for
+every cell whose value is below W and says nothing about higher cells.
 
 The complex has the group elements as 0-cells, one edge orbit per
 positive generator, and one square orbit per commuting generator pair
 (free-times-abelian and abelian-abelian; a free group has no squares).
 The value of a cell is the minimum of the homogeneous quasimorphism
-over its corners.  The solver's faces and trimmed columns test the
-integer numerators of phi-bar at the corners against bounds scaled once
-to the quasimorphism's denominator, by one rule for every potential,
-and build no value.  For a homomorphism (homogeneous, defect bound 0)
-phi-bar(g c) = phi-bar(g) + phi-bar(c), so a corner's numerators are
-its base's plus its steps', and the ball walk that lists the bases
-carries theirs from the generators'.  Any other potential evaluates
-each distinct corner normal form once per call.
+over its corners.  The below-bound tests of the ray cycle's rays and
+boundary, the solver's faces and trimmed columns and the extraction
+compare the integer numerators of phi-bar at the corners against a
+bound scaled once to the quasimorphism's denominator, by one rule for
+every potential, and build no element and no value; only the
+connecting path is held against the window on exact values.  For a
+homomorphism (homogeneous, defect bound 0) phi-bar(g c) = phi-bar(g) +
+phi-bar(c), so a face corner's numerators are its base's plus its
+steps', and the ball walk that lists the bases carries theirs from the
+generators'.  Any other potential evaluates each distinct face corner
+normal form once per complex.
 
-On top of the chain arithmetic sit the desk-scale homology probes:
-`ray_cycle` builds the 1-cycle formed by a connecting path and two
-truncated rays along a positive-direction element, `build_zs_cycle`
-compares the two standard paths from c^n to s c^n,
-`windowed_boundary_solve` decides ∂y ≡ z below the window by exact
-integer elimination, and `keep_negative_and_extract_path` turns a
-filling into a connecting path through non-negative levels.  Every
-answer to ∂y ≡ z, the solver's in `run` or a recorded one in `verify`,
-is replayed and wrapped by the one function `settle`.
+On top of the cells sit the desk-scale homology probes: `ray_cycle`
+builds the 1-cycle formed by a connecting path and two truncated rays
+along a positive-direction element, `build_zs_cycle` compares the two
+standard paths from c^n to s c^n, `windowed_boundary_solve` decides
+∂y ≡ z below the window by exact integer elimination, and
+`keep_negative_and_extract_path` turns a filling into a connecting path
+through non-negative levels.  Every answer to ∂y ≡ z, the solver's in
+`run` or a recorded one in `verify`, is replayed and wrapped by the one
+function `settle`.
 
 A filling is local, so the solver tries small balls first.  The faces
 based in ball(k) are a prefix of those based in ball(R), because the
@@ -44,10 +47,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
-from .exact import ExactReal, ZERO
+from .exact import ExactReal, ZERO, _make
 from .groups import Generator, GroupElement, GroupModel, _ball, _element, _step_form
 from .intsolve import (
     UnsatCertificate,
@@ -67,6 +70,8 @@ DEFAULT_CELL_CAP = 50_000
 MAX_SOLVE_BALL = 50_000
 
 Cell = tuple
+# a chain: each cell of one dimension -> its non-zero coefficient
+Chain = dict[Cell, int]
 
 
 def check_defect(defect: ExactReal) -> None:
@@ -83,10 +88,13 @@ class CayleyComplex:
     from g to g s_i, and ("f", free, ab, t) for the commutation square
     of the t-th commuting pair based at g.
 
-    `value` is the minimum of phi-bar over a cell's corners, cached for
-    the chains and the extraction; the solver's faces and columns
-    compare the corners' numerators instead and leave nothing cached.
-    """
+    A cell's corners are normal forms stepped from its base with
+    `_step_form`.  `below(b)` tests a cell's value, the minimum of
+    phi-bar over its corners, against b on the corners' numerators and
+    keeps nothing; `face_corners`, built once per complex, gives the
+    solver the numerators at a face's four corners.  `value`, the corner
+    minimum as an exact number, is built only to hold the connecting
+    path against the window and for the solver's floor."""
 
     def __init__(self, qm: Quasimorphism, defect_bound: ExactReal):
         check_defect(defect_bound)
@@ -102,12 +110,12 @@ class CayleyComplex:
                     types.append((i, j))
         self.square_types: tuple[tuple[int, int], ...] = tuple(types)
         self._steps = tuple(self.model.generator_element(s) for s in self.positive)
-        self._values: dict[Cell, ExactReal] = {}
         # phi-bar's numerators at the positive generators when it is a
         # homomorphism, so that a corner's are its base's plus its steps'
         self._step_nums: Optional[list[tuple[int, int]]] = None
         if qm.is_homogeneous and qm.defect_upper() == ZERO:
             self._step_nums = [qm._hnum(s.free, s.ab) for s in self._steps]
+        self.face_corners = _corner_numerators(self)
 
     # -- cells ---------------------------------------------------------
 
@@ -123,98 +131,73 @@ class CayleyComplex:
     def face_cell(self, g: GroupElement, type_index: int) -> Cell:
         return ("f", g.free, g.ab, type_index)
 
-    def dimension_of(self, cell: Cell) -> int:
-        return {"v": 0, "e": 1, "f": 2}[cell[0]]
+    def _forms(self, cell: Cell) -> tuple:
+        """The normal forms of a cell's corners: g; g and g s_i for an
+        edge; g, g x, g y and g x y for a square with steps x and y."""
+        free, ab = cell[1], cell[2]
+        if cell[0] == "v":
+            return ((free, ab),)
+        r, steps = self.model.free_rank, self.positive
+        if cell[0] == "e":
+            return ((free, ab), _step_form(r, free, ab, steps[cell[3]]))
+        i, j = self.square_types[cell[3]]
+        gx = _step_form(r, free, ab, steps[i])
+        return ((free, ab), gx, _step_form(r, free, ab, steps[j]), _step_form(r, *gx, steps[j]))
 
     def corners(self, cell: Cell) -> tuple[GroupElement, ...]:
-        g = self.element(cell)
-        if cell[0] == "v":
-            return (g,)
-        if cell[0] == "e":
-            return (g, g * self._steps[cell[3]])
-        i, j = self.square_types[cell[3]]
-        x, y = self._steps[i], self._steps[j]
-        return (g, g * x, g * y, g * x * y)
+        return tuple(_element(self.model, *form) for form in self._forms(cell))
 
-    def _corner_min(self, cell: Cell) -> ExactReal:
-        return min(self.qm.homogeneous_value(v) for v in self.corners(cell))
+    def below(self, bound: ExactReal) -> Callable[[Cell], bool]:
+        """The test whether a cell's value is strictly below `bound`:
+        whether some corner's numerators are, by `quasimorphisms._below`."""
+        under, hnum, forms = _below(self.qm, bound), self.qm._hnum, self._forms
+        return lambda cell: any(under(*hnum(*form)) for form in forms(cell))
 
     def value(self, cell: Cell) -> ExactReal:
-        got = self._values.get(cell)
-        if got is None:
-            got = self._values[cell] = self._corner_min(cell)
-        return got
+        qm = self.qm
+        return min(_make(*qm._hnum(*form), qm.den, qm.d) for form in self._forms(cell))
 
     def cell_sort_key(self, cell: Cell):
-        g = self.element(cell)
         index = cell[3] if len(cell) > 3 else -1
-        return (self.dimension_of(cell), g.sort_key(), index)
+        return ("vef".index(cell[0]), self.element(cell).sort_key(), index)
 
-    # -- boundaries and drops ------------------------------------------
+    # -- chains --------------------------------------------------------
 
-    def boundary_of_cell(self, cell: Cell) -> dict[Cell, int]:
+    def boundary_of_cell(self, cell: Cell) -> Chain:
         if cell[0] == "v":
             raise ValueError("0-cells have no boundary")
-        g = self.element(cell)
+        forms = self._forms(cell)
         if cell[0] == "e":
-            out: dict[Cell, int] = {}
-            _accumulate(out, self.vertex_cell(g * self._steps[cell[3]]), 1)
-            _accumulate(out, self.vertex_cell(g), -1)
-            return out
+            return {("v", *forms[1]): 1, ("v", *forms[0]): -1}
         i, j = self.square_types[cell[3]]
-        x, y = self._steps[i], self._steps[j]
-        out = {}
-        _accumulate(out, self.edge_cell(g, i), 1)
-        _accumulate(out, self.edge_cell(g * x, j), 1)
-        _accumulate(out, self.edge_cell(g * y, i), -1)
-        _accumulate(out, self.edge_cell(g, j), -1)
+        g, gx, gy, _ = forms
+        return {("e", *g, i): 1, ("e", *gx, j): 1, ("e", *gy, i): -1, ("e", *g, j): -1}
+
+    def boundary(self, chain: Chain) -> Chain:
+        out: Chain = {}
+        for cell, coeff in chain.items():
+            for bcell, bcoeff in self.boundary_of_cell(cell).items():
+                _accumulate(out, bcell, coeff * bcoeff)
         return out
 
     def edge_drop(self) -> ExactReal:
-        worst = min(-abs(self.qm.homogeneous_value(s)) for s in self._steps)
-        return -worst + self.defect
+        """How far below its edges' lowest value a 1-chain's boundary can
+        reach: max |phi-bar(s)| + D over the generators."""
+        return max(abs(self.qm.homogeneous_value(s)) for s in self._steps) + self.defect
 
-    def face_drop(self) -> ExactReal:
-        if not self.square_types:
-            return ZERO
-        worst = ZERO
-        for i, j in self.square_types:
-            cand = (
-                abs(self.qm.homogeneous_value(self._steps[i]))
-                + abs(self.qm.homogeneous_value(self._steps[j]))
-                + self.defect
-                + self.defect
-            )
-            if cand > worst:
-                worst = cand
-        return worst
-
-    # -- chain constructors --------------------------------------------
-
-    def zero(self, dimension: int, window: Optional[ExactReal] = None) -> "WindowedChain":
-        return WindowedChain(self, dimension, {}, window)
-
-    def chain(
-        self, dimension: int, terms: dict[Cell, int], window: Optional[ExactReal]
-    ) -> "WindowedChain":
-        return WindowedChain(self, dimension, terms, window)
-
-    def chain_from_path(
-        self, path: Path, window: Optional[ExactReal] = None
-    ) -> "WindowedChain":
+    def path_chain(self, path: Path) -> Chain:
+        """The 1-chain of a path's edges: +1 along the edge (g, i) from g,
+        -1 back along it from g s_i."""
         if path.model != self.model:
             raise ModelMismatchError("path uses a different model")
-        terms: dict[Cell, int] = {}
+        terms: Chain = {}
         vertices = path.vertices
         for v, w, (index, inverse) in zip(vertices, vertices[1:], path.edge_letters()):
-            if inverse:
-                _accumulate(terms, self.edge_cell(w, index), -1)
-            else:
-                _accumulate(terms, self.edge_cell(v, index), 1)
-        return WindowedChain(self, 1, terms, window)
+            _accumulate(terms, self.edge_cell(w if inverse else v, index), -1 if inverse else 1)
+        return terms
 
 
-def _accumulate(terms: dict[Cell, int], cell: Cell, coeff: int) -> None:
+def _accumulate(terms: Chain, cell: Cell, coeff: int) -> None:
     new = terms.get(cell, 0) + coeff
     if new:
         terms[cell] = new
@@ -222,111 +205,16 @@ def _accumulate(terms: dict[Cell, int], cell: Cell, coeff: int) -> None:
         terms.pop(cell, None)
 
 
-def _window_min(a: Optional[ExactReal], b: Optional[ExactReal]) -> Optional[ExactReal]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
-
-
-class WindowedChain:
-    """Integer chain exact on cells below `window`; window None means
-    exact everywhere (a finite, fully known chain)."""
-
-    def __init__(
-        self,
-        complex_: CayleyComplex,
-        dimension: int,
-        terms: dict[Cell, int],
-        window: Optional[ExactReal],
-    ):
-        self.complex = complex_
-        self.dimension = dimension
-        self.window = window
-        kept: dict[Cell, int] = {}
-        for cell, coeff in terms.items():
-            if coeff == 0:
-                continue
-            if complex_.dimension_of(cell) != dimension:
-                raise ValueError("chain mixes dimensions")
-            if window is not None and not complex_.value(cell) < window:
-                continue
-            kept[cell] = coeff
-        self.terms = kept
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support_min(self) -> Optional[ExactReal]:
-        if not self.terms:
-            return None
-        return min(self.complex.value(c) for c in self.terms)
-
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.terms, key=self.complex.cell_sort_key)
-
-    def negate(self) -> "WindowedChain":
-        return WindowedChain(
-            self.complex, self.dimension, {c: -k for c, k in self.terms.items()}, self.window
-        )
-
-    def add(self, other: "WindowedChain") -> "WindowedChain":
-        if other.complex is not self.complex:
-            raise ModelMismatchError("chains over different complexes")
-        if other.dimension != self.dimension:
-            raise ValueError("chains of different dimensions")
-        terms = dict(self.terms)
-        for cell, coeff in other.terms.items():
-            _accumulate(terms, cell, coeff)
-        return WindowedChain(
-            self.complex, self.dimension, terms, _window_min(self.window, other.window)
-        )
-
-    def subtract(self, other: "WindowedChain") -> "WindowedChain":
-        return self.add(other.negate())
-
-    def boundary(self) -> "WindowedChain":
-        if self.dimension < 1:
-            raise ValueError("boundary needs dimension at least 1")
-        drop = (
-            self.complex.edge_drop() if self.dimension == 1 else self.complex.face_drop()
-        )
-        window = None if self.window is None else self.window - drop
-        terms: dict[Cell, int] = {}
-        for cell, coeff in self.terms.items():
-            for bcell, bcoeff in self.complex.boundary_of_cell(cell).items():
-                _accumulate(terms, bcell, coeff * bcoeff)
-        return WindowedChain(self.complex, self.dimension - 1, terms, window)
-
-    def __repr__(self) -> str:
-        w = "inf" if self.window is None else str(self.window)
-        return f"WindowedChain(dim={self.dimension}, terms={len(self.terms)}, window={w})"
-
-
 # -- ray cycles ----------------------------------------------------------
 
 
 class RayCycle(NamedTuple):
-    chain: WindowedChain
+    chain: Chain
     start: GroupElement
     end: GroupElement
     scaling: GroupElement
     connecting: Path
     window: ExactReal
-
-
-def _ray_chain(cx: CayleyComplex, x: GroupElement, c: GroupElement, window: ExactReal) -> WindowedChain:
-    """Edges x -> xc -> xc^2 -> ... with value below the window.
-
-    For k with phi-bar(x) + k phi-bar(c) - D >= window the vertex
-    x c^k already sits at or above the window, so edges past that
-    index cannot contribute; scanning up to it is exhaustive."""
-    phi_c = cx.qm.homogeneous_value(c)
-    k_stop = ((window - cx.qm.homogeneous_value(x) + cx.defect) / phi_c).floor() + 1
-    if k_stop > RAY_STEP_CAP:
-        raise CapExceededError("ray edges", k_stop, RAY_STEP_CAP)
-    return cx.chain_from_path(path_from_letters(x, c.letters() * max(k_stop, 0)), window)
 
 
 def ray_cycle(
@@ -337,23 +225,40 @@ def ray_cycle(
     scaling: GroupElement,
     window: ExactReal,
 ) -> RayCycle:
-    """The 1-cycle: connecting path from start to end, plus the
-    truncated c-ray out of end, minus the one out of start."""
+    """The 1-cycle below the window: connecting path from start to end,
+    plus the truncated c-ray out of end, minus the one out of start.
+    Its boundary must vanish below the window less the edge drop.
+
+    The connecting path is held against the window on exact values, and
+    the rays' lengths and that level are worked out in exact arithmetic,
+    before any cell is tested on numerators: a window in another surd
+    base than phi-bar's is refused by the first exact operation that
+    mixes the two, which names the bases in its own order."""
     _scaling_letter(cx.model, scaling)
     check_positive_direction(cx.qm, scaling)
     if connecting.origin != start or connecting.terminus != end:
         raise ValueError("connecting path endpoints do not match")
-    q_chain = cx.chain_from_path(connecting, None)
-    for cell in q_chain.terms:
-        if not cx.value(cell) < window:
-            raise ValueError("window too small to contain the connecting path")
-    z = (
-        cx.chain(1, q_chain.terms, window)
-        .add(_ray_chain(cx, end, scaling, window))
-        .subtract(_ray_chain(cx, start, scaling, window))
-    )
-    bz = z.boundary()
-    if not bz.is_zero():
+    z = cx.path_chain(connecting)
+    if not all(cx.value(cell) < window for cell in z):
+        raise ValueError("window too small to contain the connecting path")
+    # the ray x -> xc -> xc^2 -> ... is scanned for k_stop edges: for k
+    # with phi-bar(x) + k phi-bar(c) - D >= window the vertex x c^k
+    # already sits at or above the window, so no later edge is below it
+    phi_c = cx.qm.homogeneous_value(scaling)
+    rays = [
+        (x, sign, ((window - cx.qm.homogeneous_value(x) + cx.defect) / phi_c).floor() + 1)
+        for x, sign in ((end, 1), (start, -1))
+    ]
+    boundary_level = window - cx.edge_drop()
+    below = cx.below(window)
+    for x, sign, k_stop in rays:
+        if k_stop > RAY_STEP_CAP:
+            raise CapExceededError("ray edges", k_stop, RAY_STEP_CAP)
+        ray = path_from_letters(x, scaling.letters() * max(k_stop, 0))
+        for cell, coeff in cx.path_chain(ray).items():
+            if below(cell):
+                _accumulate(z, cell, sign * coeff)
+    if any(map(cx.below(boundary_level), cx.boundary(z))):
         raise RuntimeError("ray cycle failed its boundary check")
     return RayCycle(z, start, end, scaling, connecting, window)
 
@@ -364,7 +269,7 @@ def ray_cycle(
 class ZsCycle(NamedTuple):
     generator: Generator
     depth: int
-    chain: WindowedChain
+    chain: Chain
     down_up: Optional[Path]
     high_path: Optional[Path]
     high_min: Optional[ExactReal]
@@ -387,7 +292,7 @@ def build_zs_cycle(
     if depth < 1:
         raise ValueError("depth must be positive")
     if s == c_letter:
-        return ZsCycle(s, depth, cx.zero(1, None), None, None, None)
+        return ZsCycle(s, depth, {}, None, None, None)
     top = scaling ** depth
     s_el = cx.model.generator_element(s)
     down_up = path_from_letters(
@@ -404,8 +309,10 @@ def build_zs_cycle(
             raise ValueError(
                 f"high path dips to {high_min}, below the required floor {floor}"
             )
-    z = cx.chain_from_path(down_up, None).subtract(cx.chain_from_path(high_path, None))
-    if not z.boundary().is_zero():
+    z = cx.path_chain(down_up)
+    for cell, coeff in cx.path_chain(high_path).items():
+        _accumulate(z, cell, -coeff)
+    if cx.boundary(z):
         raise RuntimeError("z_s cycle failed its boundary check")
     return ZsCycle(s, depth, z, down_up, high_path, high_min)
 
@@ -419,7 +326,7 @@ class BoundarySolveResult(NamedTuple):
     floor: Optional[ExactReal]
     faces: tuple[Cell, ...]
     coefficients: Optional[tuple[int, ...]]
-    filling: Optional[WindowedChain]
+    filling: Optional[Chain]  # the faces with non-zero coefficients
     certificate: Optional[UnsatCertificate]
 
 
@@ -431,7 +338,8 @@ def _corner_numerators(cx: CayleyComplex):
     g, plus the steps' `cx._step_nums`, and nothing is evaluated.  For
     any other potential `nums` is not read, and each distinct corner
     normal form, stepped with `_step_form`, is evaluated once, in a dict
-    that lives as long as `corners`."""
+    that lives as long as `corners`: as long as the complex, which builds
+    it once as `cx.face_corners`."""
     types, step_nums = cx.square_types, cx._step_nums
     if step_nums is not None:
         type_nums = [(*step_nums[i], *step_nums[j]) for i, j in types]
@@ -474,7 +382,7 @@ def enumerate_faces(
     lives for the call."""
     under_ceiling = _below(cx.qm, ceiling)
     under_floor = None if floor is None else _below(cx.qm, floor)
-    step_nums, corners = cx._step_nums, _corner_numerators(cx)
+    step_nums, corners = cx._step_nums, cx.face_corners
 
     def admitted(free, ab, nums):
         out = []
@@ -516,7 +424,7 @@ def _trimmed_columns(
     neighbour's normal form is built only for an edge that is kept.  A
     homomorphism's numerators at g are evaluated once per run of faces
     on g."""
-    under, corners = _below(cx.qm, window), _corner_numerators(cx)
+    under, corners = _below(cx.qm, window), cx.face_corners
     additive, hnum = cx._step_nums is not None, cx.qm._hnum
     r, steps = cx.model.free_rank, cx.positive
     columns = []
@@ -542,7 +450,7 @@ def _trimmed_columns(
 
 def boundary_faces(
     cx: CayleyComplex,
-    z: WindowedChain,
+    z: Chain,
     window: ExactReal,
     radius: int,
     slack: ExactReal = ZERO,
@@ -553,14 +461,9 @@ def boundary_faces(
     [min level of z - slack, window).  No admissible face can produce
     an edge below that floor, because a face's value is the minimum
     over its corners."""
-    if z.dimension != 1:
-        raise ValueError("the boundary equation needs a 1-chain right-hand side")
-    if z.window is not None and z.window < window:
-        raise ValueError("right-hand side is not exact on the whole window")
-    for cell in z.terms:
-        if not cx.value(cell) < window:
-            raise ValueError("right-hand side has support at or above the window")
-    floor = z.support_min()
+    if not all(map(cx.below(window), z)):
+        raise ValueError("right-hand side has support at or above the window")
+    floor = min((cx.value(cell) for cell in z), default=None)
     if floor is not None:
         floor = floor - slack
     return floor, enumerate_faces(cx, floor, window, radius, cell_cap)
@@ -579,7 +482,7 @@ def _solve_radii(radius: int) -> list[int]:
 
 def windowed_boundary_solve(
     cx: CayleyComplex,
-    z: WindowedChain,
+    z: Chain,
     window: ExactReal,
     radius: int,
     slack: ExactReal = ZERO,
@@ -610,7 +513,7 @@ def windowed_boundary_solve(
     for k in _solve_radii(radius):
         end = bisect_right(faces, k, key=lambda f: cx.element(f).length())
         columns += _trimmed_columns(cx, faces[len(columns):end], window)
-        solution = solve_integer_system(columns, z.terms)
+        solution = solve_integer_system(columns, z)
         if not isinstance(solution, UnsatCertificate):
             solution.extend([0] * (len(faces) - end))
             break
@@ -619,7 +522,7 @@ def windowed_boundary_solve(
 
 def settle(
     cx: CayleyComplex,
-    z: WindowedChain,
+    z: Chain,
     window: ExactReal,
     floor: Optional[ExactReal],
     faces: list[Cell],
@@ -643,7 +546,7 @@ def settle(
         ):
             raise ReplayError("certificate modulus and coefficients must be integers")
         columns = columns + _trimmed_columns(cx, faces[len(columns):], window)
-        if not check_unsat_certificate(columns, z.terms, solution):
+        if not check_unsat_certificate(columns, z, solution):
             raise ReplayError("infeasibility certificate does not annihilate the system")
         return BoundarySolveResult("unsat", window, floor, faces, None, None, solution)
     if not (
@@ -654,10 +557,9 @@ def settle(
         raise ReplayError("one integer coefficient per face is required")
     support = {f: c for f, c in zip(faces, solution) if c}
     columns = _trimmed_columns(cx, list(support), window)
-    if not check_solution(columns, z.terms, list(support.values())):
+    if not check_solution(columns, z, list(support.values())):
         raise ReplayError("boundary of the filling does not match the cycle below the window")
-    filling = WindowedChain(cx, 2, support, None)
-    return BoundarySolveResult("sat", window, floor, faces, tuple(solution), filling, None)
+    return BoundarySolveResult("sat", window, floor, faces, tuple(solution), support, None)
 
 
 # -- keep-negative extraction --------------------------------------------
@@ -672,7 +574,7 @@ class ExtractionResult(NamedTuple):
 
 
 def keep_negative_and_extract_path(
-    cx: CayleyComplex, filling: WindowedChain, cycle: RayCycle
+    cx: CayleyComplex, filling: Chain, cycle: RayCycle
 ) -> ExtractionResult:
     """Drop the filling's cells at negative values; the boundary of the
     rest differs from the ray cycle by a 1-chain supported at values
@@ -685,21 +587,20 @@ def keep_negative_and_extract_path(
     g s_i.  The path is built from its letters: c^m up the start ray,
     the letters of the canonical shortest path from start c^m to
     end c^n inside the support, and c^-n down the end ray."""
-    if filling.dimension != 2:
+    if any(cell[0] != "f" for cell in filling):
         raise ValueError("extraction needs a 2-chain filling")
-    negative = {
-        cell: coeff
-        for cell, coeff in filling.terms.items()
-        if cx.value(cell) < ZERO
-    }
-    y_minus = WindowedChain(cx, 2, negative, None)
-    residual = y_minus.boundary().subtract(
-        WindowedChain(cx, 1, dict(cycle.chain.terms), cycle.window)
-    )
-    if any(cx.value(cell) < ZERO for cell in residual.terms):
+    negative = cx.below(ZERO)
+    residual = cx.boundary({cell: k for cell, k in filling.items() if negative(cell)})
+    for cell, coeff in cycle.chain.items():
+        _accumulate(residual, cell, -coeff)
+    # the cycle is known only below its window: cut there first, and
+    # only then ask the rest to stay at or above level zero
+    below = cx.below(cycle.window)
+    residual = {cell: k for cell, k in residual.items() if below(cell)}
+    if any(map(negative, residual)):
         raise ExtractionError("residual support dips below level zero")
 
-    support = residual.sorted_cells()
+    support = sorted(residual, key=cx.cell_sort_key)
     # each support vertex -> (neighbour, letter of the step to it)
     adjacency: dict[GroupElement, list[tuple[GroupElement, Generator]]] = {}
     for cell in support:

@@ -67,7 +67,7 @@ from .quasimorphisms import (
     defect_lower_bound,
     defect_witness,
 )
-from .report import cell_payload, encode, face_payloads, parse_cell
+from .report import cell_payload, chain_payload, encode, face_payloads, parse_cell
 from .rips import DEFAULT_VERTEX_CAP, connectivity_profile
 from .search import (
     MAX_OBSTRUCTION_LETTERS,
@@ -688,7 +688,7 @@ def _novikov_payload(
     out = {
         **s,
         "connecting": cycle.connecting,
-        "cycle": cycle.chain,
+        "cycle": chain_payload(cx, cycle.chain, cycle.window),
         "floor": outcome.floor,
         "status": outcome.status,
         "faces": None,
@@ -808,7 +808,8 @@ def _run_zs_cycle(exp: Experiment, probe: Section) -> dict:
     }
     if s["s"] == scaling.letters()[0]:
         zs = build_zs_cycle(cx, s["s"], scaling, depth, None)
-        out.update(status="zero-by-convention", high_path=None, high_min=None, chain=zs.chain)
+        chain = chain_payload(cx, zs.chain, None)
+        out.update(status="zero-by-convention", high_path=None, high_min=None, chain=chain)
         return encode(out, exp.model)
     top = scaling ** depth
     target = exp.model.generator_element(s["s"]) * top
@@ -826,7 +827,8 @@ def _run_zs_cycle(exp: Experiment, probe: Section) -> dict:
         )
         return encode(out, exp.model)
     zs = build_zs_cycle(cx, s["s"], scaling, depth, got.path, k_bound=s["k"])
-    out.update(status="ok", high_path=zs.high_path, high_min=zs.high_min, chain=zs.chain)
+    chain = chain_payload(cx, zs.chain, None)
+    out.update(status="ok", high_path=zs.high_path, high_min=zs.high_min, chain=chain)
     return encode(out, exp.model)
 
 
@@ -989,7 +991,10 @@ crosses annihilates every face column), as Bieri, Neumann and Strebel
 (1987) predict for a character through F_n.  A radius whose ball holds
 more than MAX_SOLVE_BALL elements is refused when the config is
 validated, as are a c that is not one generator letter with positive
-phi-bar and a negative defect D.""",
+phi-bar and a negative defect D.  A window that does not hold the
+connecting path is refused only when the probe runs, with status
+`failed`, and `verify` re-runs it and reports "failed again on
+re-run".""",
     ),
     "zs-cycle": ProbeKind(
         _validate_zs_cycle,

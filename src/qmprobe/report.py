@@ -10,12 +10,12 @@ emitted in a canonical order.
 
 `encode` is the one serializer: every probe hands it raw values and
 records, so it alone decides how a value is written.  Paths serialize
-as an origin word plus edge letters; chains as sorted (cell,
-coefficient) lists.  Cells are bare tuples, so `cell_payload` writes
-them before encoding, and `face_payloads` writes a solver's face list,
-spelling each base once.  Verification parses back only what stands in
-for a search: elements of a defect witness and the cells of an
-infeasibility certificate.
+as an origin word plus edge letters.  Cells and chains are bare tuples
+and dicts, so `cell_payload` writes a cell, `chain_payload` a 1-chain
+as sorted (cell, coefficient) lists under its window, and
+`face_payloads` a solver's face list, spelling each base once.
+Verification parses back only what stands in for a search: elements of
+a defect witness and the cells of an infeasibility certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 from .errors import ReplayError
 from .exact import ExactReal
 from .groups import Generator, GroupElement, GroupModel, _abelian_word, _free_word, _join_words
-from .novikov import CayleyComplex, Cell, WindowedChain
+from .novikov import CayleyComplex, Cell, Chain
 from .paths import Path, path_from_letters
 
 SCHEMA = "qmprobe-report-1"
@@ -35,10 +35,9 @@ _PLAIN = frozenset((int, bool, str, type(None)))
 def encode(value, model: GroupModel):
     """The JSON form of a report value: an exact value as its canonical
     string, an element as its word, a letter as its name, a path as its
-    origin and letters, a chain as its sorted cell terms; tuples and
-    lists become lists and dicts are encoded value by value.  ints,
-    bools, strings and None pass through, and any other type, a bare
-    record included, raises `TypeError`."""
+    origin and letters; tuples and lists become lists and dicts are
+    encoded value by value.  ints, bools, strings and None pass through,
+    and any other type, a bare record included, raises `TypeError`."""
     kind = type(value)
     if kind in _PLAIN:
         return value
@@ -57,13 +56,6 @@ def encode(value, model: GroupModel):
         return {
             "origin": value.origin.word_str(),
             "letters": [model.generator_name(g) for g in value.edge_letters()],
-        }
-    if kind is WindowedChain:
-        cx = value.complex
-        return {
-            "dimension": value.dimension,
-            "window": encode(value.window, model),
-            "terms": [[cell_payload(cx, c), value.terms[c]] for c in value.sorted_cells()],
         }
     raise TypeError(f"no report encoding for {kind.__name__}")
 
@@ -104,6 +96,16 @@ def cell_payload(cx: CayleyComplex, cell: Cell) -> list:
         cx.model.generator_name(cx.positive[i]),
         cx.model.generator_name(cx.positive[j]),
     ]
+
+
+def chain_payload(cx: CayleyComplex, terms: Chain, window: ExactReal | None) -> dict:
+    """A 1-chain known below `window` (None: everywhere), its terms in
+    canonical cell order."""
+    return {
+        "dimension": 1,
+        "window": encode(window, cx.model),
+        "terms": [[cell_payload(cx, c), terms[c]] for c in sorted(terms, key=cx.cell_sort_key)],
+    }
 
 
 def face_payloads(cx: CayleyComplex, faces) -> list:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -223,7 +224,7 @@ def test_the_bench_fill_faces_evaluate_only_the_generators(monkeypatch):
     (probe,) = exp.probes
     s = probe.settings
     cx, cycle = _novikov_cycle(exp, probe)
-    floor = cycle.chain.support_min()
+    floor = min(map(cx.value, cycle.chain))
     calls.clear()
     faces = qmprobe.novikov.enumerate_faces(cx, floor, s["window"], s["radius"])
     assert len(faces) == 2_704
@@ -768,7 +769,27 @@ def test_a_zs_cycle_with_s_equal_to_c_needs_no_search_ball(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
     probe = _probe(_read(out), "zs")
     assert (probe["status"], probe["result"]["status"]) == ("ok", "zero-by-convention")
+    assert probe["result"]["chain"] == {"dimension": 1, "window": None, "terms": []}
     assert main(["verify", str(out)]) == 0, capsys.readouterr().out
+
+
+def test_the_extraction_cuts_the_residual_to_the_window_before_checking_levels():
+    """phi(a) = 1 and phi(b) = 2 on F_1 x Z, window -1: the filling is
+    minus the face at b^-1, whose value -2 is negative, so the residual
+    is the edges (b^-1 a, b) and (1, a), at values -1 and 0.  Cut below
+    the window it is empty, which cannot join the rays; checked for
+    negative levels before the cut, (b^-1 a, b) would dip below 0."""
+    text = (
+        "[group]\nfree_rank = 1\nabelian_rank = 1\nnames = a b\n\n"
+        "[quasimorphism phi]\nkind = homomorphism\na = 1\nb = 2\n\n"
+        "[probe fill]\nkind = novikov-solve\nqm = phi\nstart = b^-1\nend = 1\n"
+        "scaling = a\nwindow = -1\nradius = 3\n"
+    )
+    exp = parse_experiment(text)
+    (probe,) = exp.probes
+    status, error, result = attempt(exp, probe)
+    assert (status, error, result["status"]) == ("ok", None, "sat")
+    assert result["extraction"] == {"error": "empty residual support cannot connect the rays"}
 
 
 def test_verify_rederives_a_failed_peak_reduce_claimed_ok(tmp_path, capsys):
@@ -1465,6 +1486,19 @@ def test_the_fill_window_may_not_mix_surd_bases(tmp_path, capsys, window):
     assert main(["verify", str(out)]) == 0
 
 
+def test_a_mixed_surd_window_is_refused_by_the_first_mixed_operation():
+    """phi(u) = sqrt(2) against the window 4 + sqrt(3), with end = u^-1:
+    the connecting edge (u^-1, u) has the value -sqrt(2), and it is held
+    against the window, value first, before the rays' lengths divide by
+    phi-bar(u) = sqrt(2), window first, as they do for end = b."""
+    ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
+    exp = parse_experiment(
+        text.replace("window = 4", "window = 4 + sqrt(3)").replace("end = b", "end = u^-1")
+    )
+    (probe,) = exp.probes
+    assert attempt(exp, probe)[:2] == ("failed", "cannot mix sqrt(2) and sqrt(3)")
+
+
 # a genuine quasimorphism potential, phi + 1/4 psi-bar with psi =
 # Brooks(a b), whose faces are decided by their corners' minimum
 CORNER = """\
@@ -1519,14 +1553,16 @@ def test_the_corner_potential_keeps_its_pinned_body(tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
 
 
-def test_the_corner_faces_evaluate_each_corner_once(monkeypatch):
+def test_the_corner_faces_evaluate_each_corner_once(monkeypatch, tmp_path):
     """Elements, values and Brooks hook calls of the corner config's
     face enumeration and trimmed columns at radius 5.  Taking each
     cell's corner minimum as an ExactReal, the enumeration made 9,590
     elements, 7,672 values and 7,672 Brooks calls, and the columns 8,142,
     5,220 and 5,220.  On numerators they build no element and no value,
     and evaluate each distinct corner normal form once: 2,900 and 1,646
-    calls."""
+    calls.  With a fresh dict of forms for each pass, a whole `run` made
+    5,158 calls over 2,905 forms and a whole `verify` 4,585; with one
+    per complex they make 2,970 each."""
     import qmprobe.novikov
     from qmprobe.probes import _novikov_cycle
 
@@ -1544,7 +1580,7 @@ def test_the_corner_faces_evaluate_each_corner_once(monkeypatch):
     (probe,) = exp.probes
     s = probe.settings
     cx, cycle = _novikov_cycle(exp, probe)
-    floor = cycle.chain.support_min()
+    floor = min(map(cx.value, cycle.chain))
     every = [cx.face_cell(g, t) for g in exp.model.ball(5) for t in range(len(cx.square_types))]
     counts.update(elements=0, values=0)
     calls.clear()
@@ -1559,6 +1595,20 @@ def test_the_corner_faces_evaluate_each_corner_once(monkeypatch):
         assert made == {"elements": 0, "values": 0}
         assert len(set(evaluated)) == len(evaluated)
         assert set(evaluated) <= {(g.free, g.ab) for f in examined for g in cx.corners(f)}
+    # in a whole run and a whole verify, in process, the faces' corners
+    # are evaluated once; a form is evaluated again only where the chain
+    # layer reads it: on the connecting path or on the rays, which scan
+    # 4 edges each here, or at a generator, read as an element for the
+    # edge drop and the scaling direction
+    steps = [exp.model.generator_element(x) for x in cx.positive]
+    rays = [x * s["scaling"] ** k for x in (s["start"], s["end"]) for k in range(5)]
+    read = {(g.free, g.ab) for g in (*steps, *cycle.connecting.vertices, *rays)}
+    cfg, out = tmp_path / "corner.cfg", tmp_path / "report.json"
+    cfg.write_text(CORNER, encoding="utf-8")
+    for command in (["run", str(cfg), "--out", str(out)], ["verify", str(out)]):
+        calls.clear()
+        assert main(command) == 0
+        assert {form for form, k in Counter(calls).items() if k > 1} <= read, command[0]
 
 
 # F_2 x Z with phi(a) = 1 and phi(b) = phi(u) = 0: phi vanishes on the
@@ -1612,7 +1662,7 @@ def _tree_projection(cx, z):
     free-letter edge of z maps to, the non-zero ones in canonical order."""
     model = cx.model
     out = {}
-    for cell, k in z.terms.items():
+    for cell, k in z.items():
         if model.is_free_index(cell[3]):
             out[cell[1], cell[3]] = out.get((cell[1], cell[3]), 0) + k
     origin = (0,) * model.abelian_rank
@@ -1639,9 +1689,9 @@ def _pulled_back_system(text, tree_edge=None):
     _, faces = boundary_faces(cx, z, s["window"], s["radius"], s["slack"], s["cell_cap"])
     columns = _trimmed_columns(cx, faces, s["window"])
     free, index = tree_edge or next(iter(_tree_projection(cx, z)))
-    edges = set(z.terms).union(*columns)
+    edges = set(z).union(*columns)
     functional = {e: 1 for e in edges if (e[1], e[3]) == (free, index)}
-    return columns, z.terms, UnsatCertificate(functional, 0)
+    return columns, z, UnsatCertificate(functional, 0)
 
 
 def test_the_pullback_of_a_tree_edge_certifies_gen():

@@ -1,6 +1,7 @@
-"""The windowed chain complex: cells and boundaries, truncation
-windows, ray and z_s cycles, the windowed boundary solver, and
-keep-negative path extraction."""
+"""The Cayley 2-complex and its chains, plain dicts from cells to
+coefficients: cells, boundaries and the corner rule `below` against an
+exact corner-minimum oracle, ray and z_s cycles, the windowed boundary
+solver, and keep-negative path extraction."""
 
 import random
 from fractions import Fraction
@@ -16,8 +17,6 @@ from qmprobe.intsolve import UnsatCertificate, solve_integer_system
 from qmprobe.novikov import (
     CayleyComplex,
     RayCycle,
-    WindowedChain,
-    _corner_numerators,
     _trimmed_columns,
     boundary_faces,
     build_zs_cycle,
@@ -33,12 +32,32 @@ from qmprobe.quasimorphisms import BrooksQM, CombinationQM, HomogenizedQM, Homom
 from conftest import exact
 
 
-def _equal_below(u, v, level):
-    """Whether chains u and v agree on every cell valued below `level`."""
+def _corner_values(cx, cell):
+    """phi-bar at a cell's corners as exact numbers, the corners built by
+    multiplying the base by the generators."""
+    g = cx.element(cell)
+    steps = [cx.model.generator_element(s) for s in cx.positive]
+    if cell[0] == "v":
+        corners = (g,)
+    elif cell[0] == "e":
+        corners = (g, g * steps[cell[3]])
+    else:
+        i, j = cx.square_types[cell[3]]
+        corners = (g, g * steps[i], g * steps[j], g * steps[i] * steps[j])
+    return [cx.qm.homogeneous_value(v) for v in corners]
+
+
+def _corner_min(cx, cell):
+    """A cell's value, the least of its corner values."""
+    return min(_corner_values(cx, cell))
+
+
+def _equal_below(cx, u, v, level):
+    """Whether chains u and v of cx agree on every cell valued below `level`."""
     return all(
-        u.terms.get(cell, 0) == v.terms.get(cell, 0)
-        for cell in u.terms.keys() | v.terms.keys()
-        if u.complex.value(cell) < level
+        u.get(cell, 0) == v.get(cell, 0)
+        for cell in u.keys() | v.keys()
+        if _corner_min(cx, cell) < level
     )
 
 
@@ -91,7 +110,7 @@ def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi):
         psibar,
     ):
         cx = CayleyComplex(qm, ZERO)
-        corners = _corner_numerators(cx)
+        corners = cx.face_corners
         assert (cx._step_nums is None) == (qm is psibar)
         for free, ab, p, q in _ball(f2z, 3, cx._step_nums):
             for t in range(len(cx.square_types)):
@@ -99,7 +118,38 @@ def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi):
                 ps, qs = corners(free, ab, (p, q), t)
                 got = [_make(x, y, qm.den, qm.d) for x, y in zip(ps, qs)]
                 assert got == [qm.homogeneous_value(v) for v in cx.corners(cell)]
-                assert min(got) == cx.value(cell)
+                assert min(got) == cx.value(cell) == _corner_min(cx, cell)
+
+
+def _cell(cx, kind, g, index):
+    """The vertex, edge or face of cx at g; `index` picks the edge's
+    generator or the face's type."""
+    if kind == "v":
+        return cx.vertex_cell(g)
+    if kind == "e":
+        return cx.edge_cell(g, index % len(cx.positive))
+    return cx.face_cell(g, index % len(cx.square_types))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_below_tests_the_corner_minimum(f2z, f2z_phi, data):
+    # potentials: a rational homomorphism, a sqrt(2) one, psi-bar, and
+    # the sqrt(2) one plus 1/4 psi-bar; bounds: a corner value of the
+    # cell or of another, so that ties are hit, or one of those plus or
+    # minus 1
+    rational = HomomorphismQM(f2z, (ONE, ExactReal(-1) / 2, ExactReal(2)))
+    psibar = HomogenizedQM(BrooksQM(f2z, f2z.parse_word("a b")))
+    combination = CombinationQM((ONE, ExactReal(1) / 4), (f2z_phi, psibar))
+    potentials = (rational, f2z_phi, psibar, combination)
+    cx = CayleyComplex(data.draw(st.sampled_from(potentials)), ZERO)
+    ball = f2z.ball(3)
+    kind, other = data.draw(st.sampled_from("vef")), data.draw(st.sampled_from("vef"))
+    cell = _cell(cx, kind, data.draw(st.sampled_from(ball)), data.draw(st.integers(0, 5)))
+    near = _cell(cx, other, data.draw(st.sampled_from(ball)), data.draw(st.integers(0, 5)))
+    bound = data.draw(st.sampled_from(_corner_values(cx, cell) + _corner_values(cx, near)))
+    bound = bound + data.draw(st.sampled_from((-1, 0, 1)))
+    assert cx.below(bound)(cell) == (_corner_min(cx, cell) < bound)
 
 
 def test_defect_bound_must_be_non_negative(z2_hom11):
@@ -123,8 +173,8 @@ def test_edge_boundary_is_difference_of_endpoints(z2, cx2):
 
 def test_path_chain_boundary_telescopes(z2, cx2):
     p = path_from_letters(z2.identity(), z2.parse_word("a c c^-1 a a^-1"))
-    b = cx2.chain_from_path(p).boundary()
-    assert b.terms == {
+    b = cx2.boundary(cx2.path_chain(p))
+    assert b == {
         cx2.vertex_cell(p.terminus): 1,
         cx2.vertex_cell(p.origin): -1,
     }
@@ -133,7 +183,7 @@ def test_path_chain_boundary_telescopes(z2, cx2):
 def test_closed_path_chain_is_a_cycle(z2, cx2):
     p = path_from_letters(z2.identity(), z2.parse_word("a c a^-1 c^-1"))
     assert p.terminus == z2.identity()
-    assert cx2.chain_from_path(p).boundary().is_zero()
+    assert cx2.boundary(cx2.path_chain(p)) == {}
 
 
 @settings(max_examples=30, deadline=None)
@@ -145,8 +195,7 @@ def test_boundary_of_boundary_vanishes(z2, cx2, seed):
     for _ in range(rng.randint(1, 6)):
         g = rng.choice(ball)
         terms[cx2.face_cell(g, 0)] = rng.randint(-3, 3)
-    chain = cx2.chain(2, terms, None)
-    assert chain.boundary().boundary().is_zero()
+    assert cx2.boundary(cx2.boundary(terms)) == {}
 
 
 @settings(max_examples=20, deadline=None)
@@ -158,67 +207,38 @@ def test_boundary_of_boundary_vanishes_mixed_model(f2z, cxm, seed):
     for _ in range(rng.randint(1, 5)):
         g = rng.choice(ball)
         terms[cxm.face_cell(g, rng.randint(0, 1))] = rng.randint(-2, 2)
-    chain = cxm.chain(2, terms, None)
-    assert chain.boundary().boundary().is_zero()
+    assert cxm.boundary(cxm.boundary(terms)) == {}
 
 
-def test_drops(cx2, cxf):
-    # drop by one edge: |phi(s)| + D; by one face: |phi(x)| + |phi(y)| + 2D
+def test_edge_drop(cx2, cxf, cxm):
+    # drop by one edge: max |phi(s)| + D
     assert cx2.edge_drop() == ONE
-    assert cx2.face_drop() == ExactReal(2)
     assert cxf.edge_drop() == ONE
-    assert cxf.face_drop() == ZERO  # no squares at all
-
-
-def test_boundary_shrinks_window_by_drop(z2, cx2):
-    p = path_from_letters(z2.identity(), z2.parse_word("a"))
-    chain = cx2.chain_from_path(p, ExactReal(7))
-    assert chain.boundary().window == ExactReal(6)
-
-
-# -- windowed chain arithmetic ------------------------------------------
-
-
-def test_constructor_truncates_at_window(z2, cx2):
-    c3 = z2.parse_element("c c c")
-    terms = {cx2.vertex_cell(z2.identity()): 1, cx2.vertex_cell(c3): 5}
-    chain = cx2.chain(0, terms, ExactReal(2))
-    assert chain.terms == {cx2.vertex_cell(z2.identity()): 1}
-    assert chain.support_min() == ZERO
-    # with no window everything is kept
-    assert cx2.chain(0, terms, None).terms == terms
-
-
-def test_chain_rejects_mixed_dimensions(z2, cx2):
-    terms = {cx2.vertex_cell(z2.identity()): 1}
-    with pytest.raises(ValueError):
-        cx2.chain(1, terms, None)
-
-
-def test_add_takes_window_minimum(z2, cx2):
-    u = cx2.chain(0, {cx2.vertex_cell(z2.identity()): 1}, ExactReal(5))
-    v = cx2.chain(0, {cx2.vertex_cell(z2.parse_element("a")): 1}, ExactReal(3))
-    w = u.add(v)
-    assert w.window == ExactReal(3)
-    assert u.add(u.negate()).is_zero()
-    assert u.subtract(u).is_zero()
+    assert cxm.edge_drop() == ExactReal(0, 1)  # phi = (1, 0, sqrt(2))
 
 
 def test_equal_below_ignores_cells_at_or_above_level(z2, cx2):
     c2 = z2.parse_element("c c")
-    u = cx2.chain(0, {cx2.vertex_cell(z2.identity()): 1}, None)
-    v = cx2.chain(
-        0, {cx2.vertex_cell(z2.identity()): 1, cx2.vertex_cell(c2): 7}, None
-    )
-    assert _equal_below(u, v, ExactReal(2))
-    assert not _equal_below(u, v, ExactReal(3))
+    u = {cx2.vertex_cell(z2.identity()): 1}
+    v = {cx2.vertex_cell(z2.identity()): 1, cx2.vertex_cell(c2): 7}
+    assert _equal_below(cx2, u, v, ExactReal(2))
+    assert not _equal_below(cx2, u, v, ExactReal(3))
 
 
-def test_chain_from_path_signs(z2, cx2):
+def test_path_chain_signs(z2, cx2):
     p = path_from_letters(z2.parse_element("a"), z2.parse_word("a^-1"))
-    chain = cx2.chain_from_path(p)
     # a step by a^-1 traverses the positive a-edge backwards
-    assert chain.terms == {cx2.edge_cell(z2.identity(), 0): -1}
+    assert cx2.path_chain(p) == {cx2.edge_cell(z2.identity(), 0): -1}
+
+
+def test_path_chain_drops_cancelled_edges(z2, cx2):
+    # c c^-1 and a a^-1 walk an edge out and back: both cancel, and no
+    # zero coefficient is left behind, so the chain compares equal to
+    # the one-edge chain and a backtrack alone is the empty chain
+    p = path_from_letters(z2.identity(), z2.parse_word("a c c^-1 a a^-1"))
+    assert cx2.path_chain(p) == {cx2.edge_cell(z2.identity(), 0): 1}
+    back = path_from_letters(z2.identity(), z2.parse_word("c c^-1"))
+    assert cx2.path_chain(back) == {}
 
 
 # -- ray cycles ---------------------------------------------------------
@@ -230,10 +250,16 @@ def test_ray_cycle_is_a_cycle(z2, cx2):
         cx2, z2.identity(), a, straight_path(z2.identity(), a), z2.parse_element("c"),
         ExactReal(6),
     )
-    assert cyc.chain.boundary().is_zero()
-    assert cyc.chain.window == ExactReal(6)
-    # both rays truncate at the window, so the support is finite
-    assert len(cyc.chain.terms) == 12
+    assert cyc.window == ExactReal(6)
+    # both rays truncate at the window, so the support is finite: the
+    # start ray's edges on 1, ..., c^5 and the end ray's on a, ..., a c^4
+    assert len(cyc.chain) == 12
+    # its boundary is the two ray tips, at the window, where the cycle
+    # is no longer exact
+    assert cx2.boundary(cyc.chain) == {
+        cx2.vertex_cell(z2.parse_element("a c^5")): 1,
+        cx2.vertex_cell(z2.parse_element("c^6")): -1,
+    }
 
 
 def test_ray_cycle_window_must_contain_connecting_path(z2, cx2):
@@ -261,7 +287,7 @@ def test_ray_cycle_validations(z2, cx2):
 
 def test_zs_cycle_zero_for_the_scaling_letter(z2, cx2):
     got = build_zs_cycle(cx2, Generator(1, False), z2.parse_element("c"), 3, None)
-    assert got.chain.is_zero()
+    assert got.chain == {}
     assert got.down_up is None and got.high_path is None and got.high_min is None
 
 
@@ -269,8 +295,8 @@ def test_zs_cycle_compares_two_paths(z2, cx2):
     c = z2.parse_element("c")
     high = path_from_letters(z2.parse_element("c c"), [Generator(0, False)])
     got = build_zs_cycle(cx2, Generator(0, False), c, 2, high, k_bound=ZERO)
-    assert got.chain.boundary().is_zero()
-    assert not got.chain.is_zero()
+    assert cx2.boundary(got.chain) == {}
+    assert got.chain
     assert got.high_min == ExactReal(2)
     assert got.down_up.origin == z2.parse_element("c c")
     assert got.down_up.terminus == z2.parse_element("a c c")
@@ -305,12 +331,11 @@ def test_solver_fills_zs_cycle(z2, cx2):
     assert got.floor == ZERO
     assert len(got.coefficients) == len(got.faces)
     # the unique filling is the two squares between the paths
-    assert got.filling.terms == {
+    assert got.filling == {
         cx2.face_cell(z2.identity(), 0): 1,
         cx2.face_cell(c, 0): 1,
     }
-    target = cx2.chain(1, dict(zs.chain.terms), ExactReal(10))
-    assert _equal_below(got.filling.boundary(), target, ExactReal(10))
+    assert _equal_below(cx2, cx2.boundary(got.filling), zs.chain, ExactReal(10))
 
 
 def test_solver_unsat_in_free_group(f2, cxf):
@@ -327,16 +352,10 @@ def test_solver_unsat_in_free_group(f2, cxf):
 
 def test_solver_validates_rhs(z2, cx2):
     p = path_from_letters(z2.parse_element("c c c"), z2.parse_word("a"))
-    chain = cx2.chain_from_path(p)
+    chain = cx2.path_chain(p)
     # support at level 3 is not below a window of 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="right-hand side has support at or above the window"):
         windowed_boundary_solve(cx2, chain, ExactReal(2), 5)
-    small = cx2.chain_from_path(p, ExactReal(3))
-    with pytest.raises(ValueError):
-        windowed_boundary_solve(cx2, small, ExactReal(5), 5)
-    zero_chain = cx2.zero(0, None)
-    with pytest.raises(ValueError):
-        windowed_boundary_solve(cx2, zero_chain, ExactReal(5), 5)
 
 
 def test_solver_cell_cap(z2, cx2):
@@ -370,14 +389,14 @@ def _corner_faces(cx, floor, ceiling, radius):
         cx.face_cell(g, t)
         for g in cx.model.ball(radius)
         for t in range(len(cx.square_types))
-        if cx._corner_min(cx.face_cell(g, t)) < ceiling
-        and (floor is None or floor <= cx._corner_min(cx.face_cell(g, t)))
+        if _corner_min(cx, cx.face_cell(g, t)) < ceiling
+        and (floor is None or floor <= _corner_min(cx, cx.face_cell(g, t)))
     ]
 
 
 def _face_values(cx, radius):
     return [
-        cx._corner_min(cx.face_cell(g, t))
+        _corner_min(cx, cx.face_cell(g, t))
         for g in cx.model.ball(radius)
         for t in range(len(cx.square_types))
     ]
@@ -426,18 +445,16 @@ def test_faces_of_a_homomorphism_match_the_corner_minimum(seed):
         met = [
             f
             for f in _corner_faces(cx, bound, bound + 1, radius)
-            if cx._corner_min(f) == bound
+            if _corner_min(cx, f) == bound
         ]
         assert met and all((f in faces) == (mode == 2) for f in met)
-    # the face values are not cached; they are read again only for a filling
-    assert not any(cell[0] == "f" for cell in cx._values)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_faces_of_a_corner_minimum_potential_match_the_oracle(seed):
     # a homogenized Brooks count, alone (even seeds) or plus a
     # homomorphism (odd seeds), is not additive: each face's corners are
-    # evaluated, and no value is cached
+    # evaluated
     rng = random.Random(seed)
     model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
     qm = HomogenizedQM(BrooksQM(model, model.parse_word(rng.choice(("a b", "a a b", "a b^-1")))))
@@ -450,16 +467,15 @@ def test_faces_of_a_corner_minimum_potential_match_the_oracle(seed):
     floor = rng.choice((None, ceiling - 2))
     faces = enumerate_faces(cx, floor, ceiling, 3)
     assert faces and faces == _corner_faces(cx, floor, ceiling, 3)
-    assert not any(cell[0] == "f" for cell in cx._values)
 
 
 def _trimmed_boundary_column(cx, face, window):
     """A face's trimmed column as the solver first built it: the face's
-    boundary, kept where the edge's cached value is below the window."""
+    boundary, kept where the edge's value is below the window."""
     return {
         cell: coeff
         for cell, coeff in cx.boundary_of_cell(face).items()
-        if cx.value(cell) < window
+        if _corner_min(cx, cell) < window
     }
 
 
@@ -487,12 +503,10 @@ def test_trimmed_columns_match_the_boundary_of_each_face(seed):
             cx.face_cell(g, t) for g in model.ball(3) for t in range(len(cx.square_types))
         ]
         edge_values = [
-            cx._corner_min(cx.edge_cell(g, i)) for g in model.ball(1) for i in range(3)
+            _corner_min(cx, cx.edge_cell(g, i)) for g in model.ball(1) for i in range(3)
         ]
         windows = (ExactReal(rng.randint(-2, 3)), rng.choice(edge_values), ExactReal(20))
         got = [_trimmed_columns(cx, faces, window) for window in windows]
-        # the columns read no value and cache nothing
-        assert not cx._values
         for window, columns in zip(windows, got):
             want = [_trimmed_boundary_column(cx, f, window) for f in faces]
             assert [list(c.items()) for c in columns] == [list(c.items()) for c in want]
@@ -526,7 +540,7 @@ def test_settle_agrees_with_the_solver_on_a_filling(z2, cx2):
     assert (again.status, again.floor, again.faces, again.coefficients) == (
         "sat", got.floor, got.faces, got.coefficients
     )
-    assert again.filling.terms == got.filling.terms
+    assert again.filling == got.filling
     assert again.certificate is None
 
 
@@ -583,7 +597,7 @@ def _full_radius_solve(cx, z, window, radius, slack):
     every admissible face at the configured radius."""
     floor, faces = boundary_faces(cx, z, window, radius, slack)
     columns = [_trimmed_boundary_column(cx, f, window) for f in faces]
-    return settle(cx, z, window, floor, faces, solve_integer_system(columns, z.terms), [])
+    return settle(cx, z, window, floor, faces, solve_integer_system(columns, z), [])
 
 
 def _random_ray_system(seed):
@@ -607,7 +621,7 @@ def _random_ray_system(seed):
 
     start, end = word(2), word(4)
     connecting = straight_path(start, end)
-    top = max((cx.value(c) for c in cx.chain_from_path(connecting).terms), default=ZERO)
+    top = max(map(cx.value, cx.path_chain(connecting)), default=ZERO)
     window = ExactReal(top.floor() + rng.randint(1, 3))
     cycle = ray_cycle(cx, start, end, connecting, scaling, window)
     return cx, cycle.chain, window, rng.randint(0, 4), ExactReal(rng.randint(0, 1))
@@ -623,8 +637,8 @@ def test_solving_small_first_agrees_with_the_full_radius_solve():
         verdicts[got.status] += 1
         if got.status == "sat":
             again = settle(cx, z, window, got.floor, list(got.faces), list(got.coefficients), [])
-            assert again.filling.terms == got.filling.terms
-            bases = [cx.element(f).length() for f in got.filling.terms]
+            assert again.filling == got.filling
+            bases = [cx.element(f).length() for f in got.filling]
             if bases and max(bases) < radius:
                 verdicts["sat below the radius"] += 1
         else:
@@ -656,8 +670,8 @@ def test_extraction_trivial_when_endpoints_coincide(z2, cx2):
         cx2, z2.identity(), z2.identity(), path_from_letters(z2.identity(), ()),
         z2.parse_element("c"), ExactReal(4),
     )
-    assert cyc.chain.is_zero()
-    got = keep_negative_and_extract_path(cx2, cx2.zero(2, None), cyc)
+    assert cyc.chain == {}
+    got = keep_negative_and_extract_path(cx2, {}, cyc)
     assert len(got.path) == 0
     assert got.residual_cells == ()
     assert got.meets_bound
@@ -673,7 +687,7 @@ def test_extraction_rejects_negative_residual(z2, cx2):
     # with an empty filling the residual is the cycle, whose connecting
     # edge sits at level -2
     with pytest.raises(ExtractionError, match="residual support dips below level zero"):
-        keep_negative_and_extract_path(cx2, cx2.zero(2, None), cyc)
+        keep_negative_and_extract_path(cx2, {}, cyc)
 
 
 def test_extraction_rejects_empty_residual(z2, cx2):
@@ -685,11 +699,11 @@ def test_extraction_rejects_empty_residual(z2, cx2):
     )
     # the connecting edge is the first edge of the start ray, so the
     # cycle cancels to zero
-    assert cyc.chain.is_zero()
+    assert cyc.chain == {}
     with pytest.raises(
         ExtractionError, match="empty residual support cannot connect the rays"
     ):
-        keep_negative_and_extract_path(cx2, cx2.zero(2, None), cyc)
+        keep_negative_and_extract_path(cx2, {}, cyc)
 
 
 def test_extraction_rejects_disconnected_residual(z2, cx2):
@@ -700,14 +714,15 @@ def test_extraction_rejects_disconnected_residual(z2, cx2):
     )
     # strip the connecting edge out of the cycle: the two rays remain,
     # and nothing in the residual joins them
-    rays_only = cyc.chain.subtract(cx2.chain_from_path(connecting, ExactReal(4)))
+    rays_only = dict(cyc.chain)
+    del rays_only[cx2.edge_cell(z2.identity(), 0)]
     tampered = RayCycle(
         rays_only, z2.identity(), a, z2.parse_element("c"), connecting, ExactReal(4)
     )
     with pytest.raises(
         ExtractionError, match="residual support does not connect the two rays"
     ):
-        keep_negative_and_extract_path(cx2, cx2.zero(2, None), tampered)
+        keep_negative_and_extract_path(cx2, {}, tampered)
 
 
 def test_extraction_needs_a_2_chain(z2, cx2):
@@ -717,4 +732,4 @@ def test_extraction_needs_a_2_chain(z2, cx2):
         z2.parse_element("c"), ExactReal(4),
     )
     with pytest.raises(ValueError, match="extraction needs a 2-chain filling"):
-        keep_negative_and_extract_path(cx2, cx2.zero(1, None), cyc)
+        keep_negative_and_extract_path(cx2, {cx2.edge_cell(z2.identity(), 0): 1}, cyc)

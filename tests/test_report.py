@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from qmprobe.config import load_experiment
 from qmprobe.errors import ReplayError
+from qmprobe.exact import ExactReal, ZERO
 from qmprobe.groups import Generator
+from qmprobe.novikov import CayleyComplex
 from qmprobe.probes import _same
 from qmprobe.quasimorphisms import defect_lower_bound
-from qmprobe.report import encode, load_report
+from qmprobe.report import chain_payload, encode, load_report
 from qmprobe.runner import run_experiment
 
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
@@ -37,6 +39,24 @@ def test_encode_refuses_bare_records_sets_and_floats(f2, psibar_ab):
     for value in (defect_lower_bound(psibar_ab, 1), {1, 2}, 0.5):
         with pytest.raises(TypeError):
             encode(value, f2)
+
+
+def test_chain_payload_lists_terms_in_cell_order(z2, z2_hom11):
+    # the terms come out in canonical cell order, whatever the dict's
+    # insertion order; a window of None means known everywhere
+    cx = CayleyComplex(z2_hom11, ZERO)
+    terms = {
+        cx.edge_cell(z2.parse_element("a"), 1): -2,
+        cx.edge_cell(z2.identity(), 1): 1,
+        cx.edge_cell(z2.identity(), 0): 3,
+    }
+    payload = chain_payload(cx, terms, ExactReal(6))
+    assert payload == {
+        "dimension": 1,
+        "window": encode(ExactReal(6), z2),
+        "terms": [[["e", "", "a"], 3], [["e", "", "c"], 1], [["e", "a", "c"], -2]],
+    }
+    assert chain_payload(cx, {}, None) == {"dimension": 1, "window": None, "terms": []}
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
