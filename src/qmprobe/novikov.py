@@ -11,17 +11,16 @@ The complex has the group elements as 0-cells, one edge orbit per
 positive generator, and one square orbit per commuting generator pair
 (free-times-abelian and abelian-abelian; a free group has no squares).
 The value of a cell is the minimum of the homogeneous quasimorphism
-over its corners.  The below-bound tests of the ray cycle's rays and
-boundary, the solver's faces and trimmed columns and the extraction
-compare the integer numerators of phi-bar at the corners against a
-bound scaled once to the quasimorphism's denominator, by one rule for
-every potential, and build no element and no value; only the
-connecting path is held against the window on exact values.  For a
-homomorphism (homogeneous, defect bound 0) phi-bar(g c) = phi-bar(g) +
-phi-bar(c), so a face corner's numerators are its base's plus its
-steps', and the ball walk that lists the bases carries theirs from the
-generators'.  Any other potential evaluates each distinct face corner
-normal form once per complex.
+over its corners.  The below-bound tests of the ray cycle's connecting
+path, rays and boundary, the solver's faces and trimmed columns and
+the extraction compare the integer numerators of phi-bar at the
+corners against a bound scaled once to the quasimorphism's
+denominator, by one rule for every potential, and build no element
+and no value.  For a homomorphism (homogeneous, defect bound 0)
+phi-bar(g c) = phi-bar(g) + phi-bar(c), so a face corner's numerators
+are its base's plus its steps', and the ball walk that lists the bases
+carries theirs from the generators'.  Any other potential evaluates
+each distinct face corner normal form once per complex.
 
 On top of the cells sit the desk-scale homology probes: `ray_cycle`
 builds the 1-cycle formed by a connecting path and two truncated rays
@@ -227,19 +226,14 @@ def ray_cycle(
 ) -> RayCycle:
     """The 1-cycle below the window: connecting path from start to end,
     plus the truncated c-ray out of end, minus the one out of start.
-    Its boundary must vanish below the window less the edge drop.
-
-    The connecting path is held against the window on exact values, and
-    the rays' lengths and that level are worked out in exact arithmetic,
-    before any cell is tested on numerators: a window in another surd
-    base than phi-bar's is refused by the first exact operation that
-    mixes the two, which names the bases in its own order."""
+    Its boundary must vanish below the window less the edge drop."""
     _scaling_letter(cx.model, scaling)
     check_positive_direction(cx.qm, scaling)
     if connecting.origin != start or connecting.terminus != end:
         raise ValueError("connecting path endpoints do not match")
     z = cx.path_chain(connecting)
-    if not all(cx.value(cell) < window for cell in z):
+    below = cx.below(window)
+    if not all(map(below, z)):
         raise ValueError("window too small to contain the connecting path")
     # the ray x -> xc -> xc^2 -> ... is scanned for k_stop edges: for k
     # with phi-bar(x) + k phi-bar(c) - D >= window the vertex x c^k
@@ -250,7 +244,6 @@ def ray_cycle(
         for x, sign in ((end, 1), (start, -1))
     ]
     boundary_level = window - cx.edge_drop()
-    below = cx.below(window)
     for x, sign, k_stop in rays:
         if k_stop > RAY_STEP_CAP:
             raise CapExceededError("ray edges", k_stop, RAY_STEP_CAP)
@@ -570,7 +563,6 @@ class ExtractionResult(NamedTuple):
     min_phi: ExactReal
     bound: ExactReal
     meets_bound: bool
-    residual_cells: tuple[Cell, ...]
 
 
 def keep_negative_and_extract_path(
@@ -622,7 +614,7 @@ def keep_negative_and_extract_path(
         if cycle.start == cycle.end:
             trivial = path_from_letters(cycle.start, ())
             mn = cx.qm.homogeneous_value(cycle.start)
-            return ExtractionResult(trivial, mn, -cx.defect, mn >= -cx.defect, ())
+            return ExtractionResult(trivial, mn, -cx.defect, mn >= -cx.defect)
         raise ExtractionError("empty residual support cannot connect the rays")
 
     m_start, entry_start = ray_entry(cycle.start)
@@ -658,4 +650,4 @@ def keep_negative_and_extract_path(
         raise RuntimeError("extracted path does not join the cycle's endpoints")
     mn, _ = phi_extrema(cx.qm, path)
     bound = -cx.defect
-    return ExtractionResult(path, mn, bound, mn >= bound, tuple(support))
+    return ExtractionResult(path, mn, bound, mn >= bound)

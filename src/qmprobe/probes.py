@@ -10,7 +10,9 @@ kind:
   becomes a `ConfigError` naming the section;
 * `run(exp, probe)` makes the library call and hands the result, raw
   values and records carrying the full witness, to `report.encode`,
-  which writes the JSON-compatible payload;
+  which writes the JSON-compatible payload; a record is written as the
+  object of its fields, so a record that reaches a body names its
+  fields as the body does, and no result field is copied here by hand;
 * `check(exp, probe, result)` rebuilds the payload from
   `probe.settings` and returns one problem per key where the recorded
   payload differs, none when it replays (see `_rederive`);
@@ -66,6 +68,7 @@ from .quasimorphisms import (
     check_dstar,
     defect_lower_bound,
     defect_witness,
+    scaled_bound,
 )
 from .report import cell_payload, chain_payload, encode, face_payloads, parse_cell
 from .rips import DEFAULT_VERTEX_CAP, connectivity_profile
@@ -266,9 +269,22 @@ def _search_bound(exp: Experiment, probe: Section, radius: int, runs: int) -> No
     )
 
 
+def _level(qm: Quasimorphism, probe: Section, key: str, default=_REQUIRED) -> ExactReal:
+    """An exact key that the run holds phi-bar's values against: one in
+    a surd base other than phi-bar's is refused, as the run's
+    comparisons would refuse it."""
+
+    def parse(text: str) -> ExactReal:
+        value = ExactReal.parse(text)
+        scaled_bound(qm, value)
+        return value
+
+    return probe.get(key, parse, default)
+
+
 def _defect_bound(qm: Quasimorphism, probe: Section) -> ExactReal:
     """The probe's `defect`, or the quasimorphism's structural bound."""
-    defect = probe.get("defect", ExactReal.parse, qm.defect_upper())
+    defect = _level(qm, probe, "defect", qm.defect_upper())
     if defect is None:
         raise ValueError("no defect bound available; set 'defect' explicitly")
     check_defect(defect)
@@ -430,15 +446,7 @@ def _run_rips_profile(exp: Experiment, probe: Section) -> dict:
             raise CapExceededError("Rips vertex count", size, DEFAULT_VERTEX_CAP)
         vertices = exp.model.ball(s["ball_radius"])
     profile = connectivity_profile(vertices, s["n_max"])
-    out = {
-        "vertices": profile.vertices,
-        "n_max": s["n_max"],
-        "scales": profile.scales,
-        "counts": profile.counts,
-        "threshold": profile.threshold,
-        "forest_at_threshold": profile.forest,
-    }
-    return encode(out, exp.model)
+    return encode({"n_max": s["n_max"], **profile._asdict()}, exp.model)
 
 
 # -- path-search ---------------------------------------------------------
@@ -446,7 +454,7 @@ def _run_rips_profile(exp: Experiment, probe: Section) -> dict:
 
 def _validate_path_search(exp: Experiment, probe: Section) -> None:
     model = exp.model
-    _need_qm(exp, probe)
+    qm = _need_qm(exp, probe)
     radius = _radius(exp, probe)
     _search_bound(exp, probe, radius, 1)
     start = probe.get("start", model.parse_element)
@@ -456,8 +464,8 @@ def _validate_path_search(exp: Experiment, probe: Section) -> None:
         radius=radius,
         start=start,
         target=target,
-        k=probe.get("k", ExactReal.parse),
-        k_max=probe.get("k_max", ExactReal.parse, None),
+        k=_level(qm, probe, "k"),
+        k_max=_level(qm, probe, "k_max", None),
     )
 
 
@@ -466,11 +474,7 @@ def _run_path_search(exp: Experiment, probe: Section) -> dict:
     got = bounded_path_search(
         _qm(exp, probe), s["start"], s["target"], s["k"], s["radius"], s["k_max"]
     )
-    out = dict(s)
-    if isinstance(got, NotFoundWithinBall):
-        out.update(found=False, explored=got.explored, reason=got.reason)
-    else:
-        out.update(found=True, path=got.path, min_phi=got.min_phi, max_phi=got.max_phi)
+    out = {**s, "found": not isinstance(got, NotFoundWithinBall), **got._asdict()}
     return encode(out, exp.model)
 
 
@@ -503,31 +507,8 @@ def _library(exp: Experiment, probe: Section):
     return build_q_library(qm, bundle, s["scaling"], s["radius"], s["depth"])
 
 
-def _library_payload(library) -> dict:
-    """The library as raw values, for `encode`."""
-    entries = [
-        {
-            "s": entry.pair[0],
-            "t": entry.pair[1],
-            "path": entry.path,
-            "min_phi": entry.min_phi,
-            "failure": entry.failure,
-        }
-        for entry in library.entries
-    ]
-    return {
-        "scaling": library.scaling,
-        "radius": library.radius,
-        "depth": library.depth,
-        "complete": library.complete,
-        "bundle": library.bundle._asdict(),
-        "entries": entries,
-    }
-
-
 def _run_q_library(exp: Experiment, probe: Section) -> dict:
-    out = _library_payload(_library(exp, probe))
-    out["qm"] = probe.settings["qm"]
+    out = {"qm": probe.settings["qm"], **_library(exp, probe)._asdict()}
     return encode(out, exp.model)
 
 
@@ -546,23 +527,7 @@ def _validate_peak_reduce(exp: Experiment, probe: Section) -> None:
 def _run_peak_reduce(exp: Experiment, probe: Section) -> dict:
     library = _library(exp, probe)
     trace = peak_reduction(_qm(exp, probe), probe.settings["path"], library)
-    steps = [
-        {
-            "height": step.height,
-            "peaks": step.peak_count,
-            "index": step.peak_index,
-            "pair": step.pair,
-            "min_phi": step.min_phi,
-            "path_after": step.path_after,
-        }
-        for step in trace.steps
-    ]
-    out = {
-        **trace._asdict(),
-        "qm": probe.settings["qm"],
-        "library": _library_payload(library),
-        "steps": steps,
-    }
+    out = {"qm": probe.settings["qm"], "library": library, **trace._asdict()}
     return encode(out, exp.model)
 
 
@@ -619,27 +584,13 @@ def _validate_free_obstruction(exp: Experiment, probe: Section) -> None:
 def _run_free_obstruction(exp: Experiment, probe: Section) -> dict:
     s = probe.settings
     qm = _qm(exp, probe)
-    runs = []
-    previous = None
-    increasing = True
-    for depth in range(1, s["max_depth"] + 1):
-        rep = free_group_obstruction_probe(qm, s["x"], s["scaling"], depth, s["dstar"])
-        if previous is not None and not rep.max_bound > previous:
-            increasing = False
-        previous = rep.max_bound
-        runs.append(
-            {
-                "depth": depth,
-                "geodesic": rep.geodesic,
-                "bounds": rep.bounds,
-                "max_bound": rep.max_bound,
-            }
-        )
-    out = {
-        **s,
-        "runs": runs,
-        "maxima_strictly_increasing": increasing,
-    }
+    runs = [
+        free_group_obstruction_probe(qm, s["x"], s["scaling"], depth, s["dstar"])
+        for depth in range(1, s["max_depth"] + 1)
+    ]
+    maxima = [rep.max_bound for rep in runs]
+    increasing = all(b > a for a, b in zip(maxima, maxima[1:]))
+    out = {**s, "runs": runs, "maxima_strictly_increasing": increasing}
     return encode(out, exp.model)
 
 
@@ -658,14 +609,14 @@ def _validate_novikov_solve(exp: Experiment, probe: Section) -> None:
         exp, probe, radius, lambda n: n,
         "enumerates {} ball elements", "MAX_SOLVE_BALL", MAX_SOLVE_BALL,
     )
-    slack = probe.get("slack", ExactReal.parse, ZERO)
+    slack = _level(qm, probe, "slack", ZERO)
     if slack < ZERO:
         raise ValueError("slack must be non-negative")
     probe.settings.update(
         start=probe.get("start", model.parse_element),
         end=probe.get("end", model.parse_element),
         scaling=scaling,
-        window=probe.get("window", ExactReal.parse),
+        window=_level(qm, probe, "window"),
         radius=radius,
         slack=slack,
         defect=defect,
@@ -701,13 +652,7 @@ def _novikov_payload(
         out["coefficients"] = outcome.coefficients
         if s["extract"]:
             try:
-                extraction = keep_negative_and_extract_path(cx, outcome.filling, cycle)
-                out["extraction"] = {
-                    "path": extraction.path,
-                    "min_phi": extraction.min_phi,
-                    "bound": extraction.bound,
-                    "meets_bound": extraction.meets_bound,
-                }
+                out["extraction"] = keep_negative_and_extract_path(cx, outcome.filling, cycle)
             except ExtractionError as exc:
                 out["extraction"] = {"error": str(exc)}
     else:
@@ -784,7 +729,7 @@ def _validate_zs_cycle(exp: Experiment, probe: Section) -> None:
         s=letters[0],
         scaling=scaling,
         depth=depth,
-        k=probe.get("k", ExactReal.parse),
+        k=_level(qm, probe, "k"),
         radius=radius,
         defect=defect,
     )
@@ -817,14 +762,7 @@ def _run_zs_cycle(exp: Experiment, probe: Section) -> dict:
         qm, top, target, s["k"] - phi_c * depth, s["radius"]
     )
     if isinstance(got, NotFoundWithinBall):
-        out.update(
-            status="not-found",
-            high_path=None,
-            high_min=None,
-            chain=None,
-            explored=got.explored,
-            reason=got.reason,
-        )
+        out.update(status="not-found", high_path=None, high_min=None, chain=None, **got._asdict())
         return encode(out, exp.model)
     zs = build_zs_cycle(cx, s["s"], scaling, depth, got.path, k_bound=s["k"])
     chain = chain_payload(cx, zs.chain, None)

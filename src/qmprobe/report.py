@@ -9,8 +9,10 @@ runs, which is why every exact value serializes as a canonical string
 emitted in a canonical order.
 
 `encode` is the one serializer: every probe hands it raw values and
-records, so it alone decides how a value is written.  Paths serialize
-as an origin word plus edge letters.  Cells and chains are bare tuples
+records, so it alone decides how a value is written.  A record is
+written as the object of its fields, so a record that reaches a body
+names its fields as the body does.  Paths serialize as an origin word
+plus edge letters.  Cells and chains are bare tuples
 and dicts, so `cell_payload` writes a cell, `chain_payload` a 1-chain
 as sorted (cell, coefficient) lists under its window, and
 `face_payloads` a solver's face list, spelling each base once.
@@ -35,9 +37,10 @@ _PLAIN = frozenset((int, bool, str, type(None)))
 def encode(value, model: GroupModel):
     """The JSON form of a report value: an exact value as its canonical
     string, an element as its word, a letter as its name, a path as its
-    origin and letters; tuples and lists become lists and dicts are
-    encoded value by value.  ints, bools, strings and None pass through,
-    and any other type, a bare record included, raises `TypeError`."""
+    origin and letters, a record as the object of its fields; tuples and
+    lists become lists and dicts are encoded value by value.  ints,
+    bools, strings and None pass through, and any other type raises
+    `TypeError`."""
     kind = type(value)
     if kind in _PLAIN:
         return value
@@ -57,6 +60,8 @@ def encode(value, model: GroupModel):
             "origin": value.origin.word_str(),
             "letters": [model.generator_name(g) for g in value.edge_letters()],
         }
+    if isinstance(value, tuple) and hasattr(kind, "_fields"):
+        return {k: encode(v, model) for k, v in zip(kind._fields, value)}
     raise TypeError(f"no report encoding for {kind.__name__}")
 
 

@@ -121,7 +121,7 @@ class ConnectivityProfile(NamedTuple):
     scales: tuple[int, ...]
     counts: tuple[int, ...]
     threshold: int | None
-    forest: tuple[tuple[int, int], ...] | None
+    forest_at_threshold: tuple[tuple[int, int], ...] | None
 
 
 def connectivity_profile(

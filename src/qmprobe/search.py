@@ -3,11 +3,12 @@
 `bounded_path_search` runs a breadth-first search inside a ball,
 restricted to vertices whose homogeneous value stays above a floor
 (and, two-sided, below a ceiling).  A positive answer is a replayable
-path witness; a negative answer records the (K, R) parameters and is
-evidence only -- nothing outside the ball was examined.  The probes
-validate the searches' size against MAX_SEARCH_BALL before any runs.
-Each precondition is raised by one function here, a `check_*`,
-`_scaling_letter` or `obstruction_denominator`, that they call too.
+path witness; a negative answer records how many admissible vertices
+it exhausted and is evidence only at that (K, R) -- nothing outside
+the ball was examined.  The probes validate the searches' size against
+MAX_SEARCH_BALL before any runs.  Each precondition is raised by one
+function here, a `check_*`, `_scaling_letter` or
+`obstruction_denominator`, that they call too.
 
 The level-set machinery below works on normal forms (free, ab) and on
 numerator pairs (p, q) over qm.den, the way the pair scans do: the
@@ -60,23 +61,19 @@ MAX_SEARCH_BALL = 200_000
 
 
 class PathWitness(NamedTuple):
+    """A path with its exact phi-bar extrema."""
+
     path: Path
     min_phi: ExactReal
     max_phi: ExactReal
-    radius: int
-    floor: Optional[ExactReal]
-    ceiling: Optional[ExactReal]
 
 
 class NotFoundWithinBall(NamedTuple):
-    """Exhausted the admissible region without reaching the target.
-    Evidence at scale (floor, ceiling, radius); never a theorem."""
+    """Exhausted the admissible region without reaching the target:
+    how many admissible vertices were labelled, and why the search
+    stopped.  Evidence at the search's bounds and radius; never a
+    theorem."""
 
-    start: GroupElement
-    target: GroupElement
-    radius: int
-    floor: Optional[ExactReal]
-    ceiling: Optional[ExactReal]
     explored: int
     reason: str
 
@@ -122,9 +119,7 @@ def _constrained_bfs(
 
     first, last = (start.free, start.ab), (target.free, target.ab)
     if not (admissible(*first) and admissible(*last)):
-        return NotFoundWithinBall(
-            start, target, radius, lo, hi, 0, "an endpoint violates the level constraint"
-        )
+        return NotFoundWithinBall(0, "an endpoint violates the level constraint")
     free_rank = model.free_rank
     letters = model.generators()
     # distances to the target over the admissible region
@@ -148,9 +143,7 @@ def _constrained_bfs(
                 break
             frontier.append(w)
     if not found:
-        return NotFoundWithinBall(
-            start, target, radius, lo, hi, len(dist), "admissible region exhausted"
-        )
+        return NotFoundWithinBall(len(dist), "admissible region exhausted")
     # walk from the start, taking the canonically first descending step
     walk: list[Generator] = []
     free, ab = first
@@ -177,12 +170,10 @@ def bounded_path_search(
     """Shortest admissible path from start to target, with phi-bar >= -k
     on every vertex (and <= k_max when given).  Ties are broken towards
     the canonically smallest edge sequence."""
-    lo = -k
-    got = _constrained_bfs(qm, start, target, radius, lo, k_max)
+    got = _constrained_bfs(qm, start, target, radius, -k, k_max)
     if isinstance(got, NotFoundWithinBall):
         return got
-    mn, mx = phi_extrema(qm, got)
-    return PathWitness(got, mn, mx, radius, lo, k_max)
+    return PathWitness(got, *phi_extrema(qm, got))
 
 
 # -- constants bundle ----------------------------------------------------
@@ -281,26 +272,26 @@ def essential_flags(path: Path, scaling: GroupElement) -> tuple[bool, ...]:
 
 
 class QLibraryEntry(NamedTuple):
-    pair: tuple[Generator, Generator]
+    s: Generator
+    t: Generator
     path: Optional[Path]
     min_phi: Optional[ExactReal]
     failure: Optional[str]
 
 
 class QLibrary(NamedTuple):
+    """The entries, and whether every one of them succeeded."""
+
     scaling: GroupElement
     bundle: ConstantsBundle
     radius: int
     depth: int
     entries: tuple[QLibraryEntry, ...]
-
-    @property
-    def complete(self) -> bool:
-        return all(e.failure is None for e in self.entries)
+    complete: bool
 
     def lookup(self, s: Generator, t: Generator) -> Path:
         for e in self.entries:
-            if e.pair == (s, t) and e.path is not None and e.failure is None:
+            if e.s == s and e.t == t and e.path is not None and e.failure is None:
                 return e.path
         name = self.scaling.model.generator_name
         raise LibraryIncompleteError(f"no library path for the pair ({name(s)}, {name(t)})")
@@ -343,14 +334,14 @@ def build_q_library(
             st = s_el * t_el
             if n > radius or (a1 := st * bottom).length() > radius:
                 entries.append(
-                    QLibraryEntry((s, t), None, None, "sandwich endpoints outside the ball")
+                    QLibraryEntry(s, t, None, None, "sandwich endpoints outside the ball")
                 )
                 continue
             ceiling = max(qm.homogeneous_value(bottom), qm.homogeneous_value(a1)) + bundle.kprime
             got = _constrained_bfs(qm, bottom, a1, radius, None, ceiling)
             if isinstance(got, NotFoundWithinBall):
                 failure = f"no connecting path below {ceiling} within ball({radius})"
-                entries.append(QLibraryEntry((s, t), None, None, failure))
+                entries.append(QLibraryEntry(s, t, None, None, failure))
                 continue
             q = down.concat(got).concat(up)
             if q.origin != identity or q.terminus != st:
@@ -363,11 +354,11 @@ def build_q_library(
                     break
             if bad is not None:
                 failure = f"essential vertex {q.vertices[bad]!r} not below -D*"
-                entries.append(QLibraryEntry((s, t), q, None, failure))
+                entries.append(QLibraryEntry(s, t, q, None, failure))
                 continue
             mn, _ = phi_extrema(qm, q)
             min_values.append(mn)
-            entries.append(QLibraryEntry((s, t), q, mn, None))
+            entries.append(QLibraryEntry(s, t, q, mn, None))
 
     guard = bundle.level_guard
     if min_values:
@@ -375,7 +366,8 @@ def build_q_library(
         if needed > guard:
             guard = needed
     raised = bundle._replace(descent_depth=n, level_guard=guard)
-    return QLibrary(scaling, raised, radius, n, tuple(entries))
+    complete = all(e.failure is None for e in entries)
+    return QLibrary(scaling, raised, radius, n, tuple(entries), complete)
 
 
 # -- backtrack removal and peak reduction --------------------------------
@@ -402,9 +394,12 @@ def remove_inessential_backtracks(path: Path, scaling: GroupElement) -> Path:
 
 
 class PeakStep(NamedTuple):
+    """The height, the number of peaks and the index of the first one
+    before the step, the letters s, t around it, and the path after."""
+
     height: int
-    peak_count: int
-    peak_index: int
+    peaks: int
+    index: int
     pair: tuple[Generator, Generator]
     min_phi: ExactReal
     path_after: Path
@@ -517,12 +512,6 @@ def peak_reduction(
 # -- the F_2 x Z kernel example ------------------------------------------
 
 
-class KernelPathWitness(NamedTuple):
-    path: Path
-    min_phi: ExactReal
-    max_phi: ExactReal
-
-
 def check_kernel_endpoints(qm: Quasimorphism, origin: GroupElement, terminus: GroupElement) -> None:
     """Refuse a kernel path off the F_2 x Z example or off its kernel."""
     base = qm.base if isinstance(qm, HomogenizedQM) else qm
@@ -537,7 +526,7 @@ def check_kernel_endpoints(qm: Quasimorphism, origin: GroupElement, terminus: Gr
             raise ValueError(f"path {label} is not in the kernel of phi")
 
 
-def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitness:
+def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> PathWitness:
     """Rewrite a kernel-to-kernel path in F_2 x Z = <a, b> x <c> with
     phi = (a -> 1, b -> 0, c -> sqrt(2)): after each original edge a
     central correction c^m recentres the value into
@@ -569,7 +558,7 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> KernelPathWitnes
         raise RuntimeError(
             f"normalized kernel path escaped [-3, 3]: min {mn}, max {mx}"
         )
-    return KernelPathWitness(witness, mn, mx)
+    return PathWitness(witness, mn, mx)
 
 
 # -- free-group obstruction probe ----------------------------------------
@@ -598,7 +587,6 @@ class ObstructionReport(NamedTuple):
     is a certified obstruction scale."""
 
     depth: int
-    dstar: ExactReal
     geodesic: Path
     bounds: tuple[ExactReal, ...]
     max_bound: ExactReal
@@ -643,4 +631,4 @@ def free_group_obstruction_probe(
     for v in geodesic.vertices:
         raw = (abs(qm.homogeneous_value(v)) - two_dstar) / denom
         bounds.append(raw if raw > ZERO else ZERO)
-    return ObstructionReport(depth, dstar, geodesic, tuple(bounds), max(bounds))
+    return ObstructionReport(depth, geodesic, tuple(bounds), max(bounds))

@@ -289,7 +289,7 @@ def test_criterion_8_peak_reduction(z2, z2_hom11):
             path = _seeded_peaked_path(rng, z2)
             trace = peak_reduction(z2_hom11, path, library)
             assert trace.steps, "seeded paths start above the height bound"
-            ladder = [(s.height, s.peak_count) for s in trace.steps]
+            ladder = [(s.height, s.peaks) for s in trace.steps]
             ladder.append((trace.final_height, trace.final_peaks))
             assert all(hi > lo for hi, lo in zip(ladder, ladder[1:]))
             assert ExactReal(trace.final_height) <= height_bound

@@ -127,6 +127,83 @@ def test_a_wrapped_quasimorphism_answers_as_itself(tmp_path, capsys, name, ident
         assert after["result"] == before["result"]
 
 
+# the bench scan config with its Rips ball cut to radius 3, F_2's
+# generators a, b spelt as {a} and {b} and their inverses as {A} and
+# {B}.  The scans stay at radius 4: at radius 3 the defect bound 2 is
+# reached by a commutator and by a three-term value, and which comes
+# first in the ball's canonical order, the kind reported, differs
+# between images.
+SCAN = """\
+[group]
+free_rank = 2
+names = a b
+ball_cap = 8
+
+[quasimorphism psi]
+kind = brooks
+word = {a} {b}
+
+[quasimorphism psibar]
+kind = homogenized
+base = psi
+
+[probe defect]
+kind = defect
+qm = psibar
+radius = 4
+
+[probe aker]
+kind = aker-cert
+qm = psibar
+dstar = 1
+radius = 4
+scaling = {a} {b} {A} {B}
+
+[probe profile]
+kind = rips-profile
+n_max = 4
+ball_radius = 3
+"""
+
+
+def _scan_verdicts(a: str, b: str) -> dict:
+    """The numbers of each scan probe that an automorphism of F_2 must
+    keep, asked of the scan transported by the one that sends a and b
+    to the letters spelt `a` and `b`."""
+    inverse = {x: x[0] if x.endswith("^-1") else x + "^-1" for x in (a, b)}
+    exp = parse_experiment(SCAN.format(a=a, b=b, A=inverse[a], B=inverse[b]))
+    results = {}
+    for probe in exp.probes:
+        status, error, results[probe.name] = attempt(exp, probe)
+        assert status == "ok", error
+    defect, aker, profile = results["defect"], results["aker"], results["profile"]
+    return {
+        "defect": (defect["lower"], defect["witness_kind"]),
+        "aker": (
+            aker["passed"], len(aker["members"]), sum(m != 0 for m in aker["exponents"]),
+        ),
+        "profile": (profile["counts"], profile["threshold"]),
+    }
+
+
+def test_the_scan_kinds_answer_alike_under_every_signed_permutation():
+    """Each of the 8 signed permutations of F_2's generators keeps the
+    Cayley graph and every ball, so transporting the Brooks word and
+    the scaling element through it keeps the defect bound and its
+    witness kind, Aker's verdict, member count and nonzero exponents,
+    and the Rips counts and threshold."""
+    images = [
+        (x + ex, y + ey)
+        for x, y in (("a", "b"), ("b", "a"))
+        for ex in ("", "^-1")
+        for ey in ("", "^-1")
+    ]
+    expected = _scan_verdicts("a", "b")
+    assert expected["aker"][0] and expected["profile"][1] is not None
+    for a, b in images[1:]:
+        assert _scan_verdicts(a, b) == expected, (a, b)
+
+
 def _bench_workloads():
     """The benchmark's own `bench/workloads.py`, loaded without putting
     `bench/` on the import path."""
@@ -1477,8 +1554,8 @@ def test_the_fill_window_may_not_mix_surd_bases(tmp_path, capsys, window):
     code = main(["run", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err
     if window not in FILL_WINDOW_BODIES:
-        assert code == 2
-        assert err == "qmprobe: probe fill: failed: cannot mix sqrt(3) and sqrt(2)\n"
+        assert code == 2 and not out.exists()
+        assert err == "qmprobe: [probe fill]: window: cannot mix sqrt(2) and sqrt(3)\n"
         return
     assert code == 0, err
     body = json.dumps(_read(out)["body"], sort_keys=True, indent=2) + "\n"
@@ -1486,17 +1563,78 @@ def test_the_fill_window_may_not_mix_surd_bases(tmp_path, capsys, window):
     assert main(["verify", str(out)]) == 0
 
 
-def test_a_mixed_surd_window_is_refused_by_the_first_mixed_operation():
-    """phi(u) = sqrt(2) against the window 4 + sqrt(3), with end = u^-1:
-    the connecting edge (u^-1, u) has the value -sqrt(2), and it is held
-    against the window, value first, before the rays' lengths divide by
-    phi-bar(u) = sqrt(2), window first, as they do for end = b."""
+# F_2 x Z with phi(u) = sqrt(2), and for each kind the keys of a probe
+# that runs to `ok`; each level bound below is set in turn to its value
+# plus sqrt(3)
+SURD_PHI = """\
+[group]
+free_rank = 2
+abelian_rank = 1
+names = a b u
+ball_cap = 8
+
+[quasimorphism phi]
+kind = homomorphism
+a = 1
+u = sqrt(2)
+
+[probe p]
+qm = phi
+"""
+SURD_PROBES = {
+    "novikov-solve": {
+        "start": "1", "end": "b", "scaling": "u", "window": "4", "radius": "2",
+        "slack": "1", "defect": "1",
+    },
+    "path-search": {"start": "1", "target": "a", "radius": "2", "k": "1", "k_max": "1"},
+    "zs-cycle": {
+        "s": "a", "scaling": "u", "depth": "1", "radius": "2", "k": "1", "defect": "1",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        ("novikov-solve", "window"),
+        ("novikov-solve", "slack"),
+        ("novikov-solve", "defect"),
+        ("path-search", "k"),
+        ("path-search", "k_max"),
+        ("zs-cycle", "k"),
+        ("zs-cycle", "defect"),
+    ],
+)
+def test_a_level_bound_in_another_surd_base_is_a_config_error(tmp_path, capsys, kind, key):
+    """Each exact key the run holds phi-bar's values against is refused
+    in another surd base when the config is validated: one line naming
+    the probe and the key, phi-bar's base first, exit 2 and no report.
+    The same probe with the rational value runs."""
+    cfg, out = tmp_path / "p.cfg", tmp_path / "report.json"
+
+    def run(value: str) -> tuple[int, str]:
+        keys = dict(SURD_PROBES[kind], kind=kind, **{key: value})
+        text = SURD_PHI + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        cfg.write_text(text, encoding="utf-8")
+        return main(["run", str(cfg), "--out", str(out)]), capsys.readouterr().err
+
+    code, err = run(SURD_PROBES[kind][key])
+    assert code == 0, err
+    out.unlink()
+    code, err = run(SURD_PROBES[kind][key] + " + sqrt(3)")
+    assert code == 2 and not out.exists()
+    assert err == f"qmprobe: [probe p]: {key}: cannot mix sqrt(2) and sqrt(3)\n"
+
+
+def test_a_mixed_surd_window_is_refused_before_the_path_is_tested():
+    """With end = u^-1 the connecting edge (u^-1, u) has the value
+    -sqrt(2); the window 4 + sqrt(3) is refused when the config is
+    validated, naming phi-bar's base first as it does for end = b."""
     ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
-    exp = parse_experiment(
-        text.replace("window = 4", "window = 4 + sqrt(3)").replace("end = b", "end = u^-1")
-    )
-    (probe,) = exp.probes
-    assert attempt(exp, probe)[:2] == ("failed", "cannot mix sqrt(2) and sqrt(3)")
+    text = text.replace("window = 4", "window = 4 + sqrt(3)").replace("end = b", "end = u^-1")
+    message = r"^\[probe fill\]: window: cannot mix sqrt\(2\) and sqrt\(3\)$"
+    with pytest.raises(ConfigError, match=message):
+        parse_experiment(text)
 
 
 # a genuine quasimorphism potential, phi + 1/4 psi-bar with psi =

@@ -662,7 +662,6 @@ def test_extraction_connects_the_rays(z2, cx2):
     assert got.min_phi == ZERO
     assert got.bound == ZERO  # -D with D = 0
     assert got.meets_bound
-    assert len(got.residual_cells) == 12
 
 
 def test_extraction_trivial_when_endpoints_coincide(z2, cx2):
@@ -673,7 +672,6 @@ def test_extraction_trivial_when_endpoints_coincide(z2, cx2):
     assert cyc.chain == {}
     got = keep_negative_and_extract_path(cx2, {}, cyc)
     assert len(got.path) == 0
-    assert got.residual_cells == ()
     assert got.meets_bound
 
 

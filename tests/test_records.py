@@ -104,6 +104,18 @@ def test_frozen_records_refuse_writes(f2):
             delattr(record, field)
 
 
+def test_no_two_records_share_one_shape():
+    """A record is defined once: two record classes with the same fields
+    are allowed only where one subclasses the other."""
+    records = _tuple_records()
+    for i, first in enumerate(records):
+        for second in records[i + 1 :]:
+            if first._fields == second._fields:
+                assert issubclass(first, second) or issubclass(second, first), (
+                    f"{first.__qualname__} and {second.__qualname__} share {first._fields}"
+                )
+
+
 def test_path_and_certificate_are_values(f2):
     a, word = f2.parse_element("a"), f2.parse_word("a")
     p = path_from_letters(f2.identity(), word)

@@ -12,9 +12,10 @@ from qmprobe.exact import ExactReal, ZERO
 from qmprobe.groups import Generator
 from qmprobe.novikov import CayleyComplex
 from qmprobe.probes import _same
-from qmprobe.quasimorphisms import defect_lower_bound
+from qmprobe.paths import path_from_letters
 from qmprobe.report import chain_payload, encode, load_report
 from qmprobe.runner import run_experiment
+from qmprobe.search import PeakReductionTrace, PeakStep
 
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 
@@ -35,10 +36,46 @@ def test_encode_passes_json_scalars_through(f2, value):
     assert encode(value, f2) is value
 
 
-def test_encode_refuses_bare_records_sets_and_floats(f2, psibar_ab):
-    for value in (defect_lower_bound(psibar_ab, 1), {1, 2}, 0.5):
-        with pytest.raises(TypeError):
-            encode(value, f2)
+def test_encode_writes_a_record_as_the_object_of_its_fields(f2):
+    """Records nested in a record, holding paths and letters, are
+    written field by field: a peak-reduction trace comes out as the
+    peak-reduce body records it, each step an object of six keys."""
+    a, b = Generator(0), Generator(1)
+    initial = path_from_letters(f2.identity(), (a, b))
+    after = path_from_letters(f2.parse_element("a"), (b.inverted(), a))
+    steps = (PeakStep(3, 2, 1, (a, b), ExactReal(-1) / 2, after),)
+    trace = PeakReductionTrace(
+        initial, steps, after, 1, 1, initial, ExactReal(0, 1, 2), ExactReal(2)
+    )
+    ab = {"origin": "", "letters": ["a", "b"]}
+    ba = {"origin": "a", "letters": ["b^-1", "a"]}
+    assert encode(trace, f2) == {
+        "initial": ab,
+        "steps": [
+            {
+                "height": 3,
+                "peaks": 2,
+                "index": 1,
+                "pair": ["a", "b"],
+                "min_phi": "-1/2",
+                "path_after": ba,
+            }
+        ],
+        "final": ba,
+        "final_height": 1,
+        "final_peaks": 1,
+        "reduced": ab,
+        "max_reduced_phi": "0/1+1/1*sqrt(2)",
+        "vertex_bound": "2/1",
+    }
+
+
+@pytest.mark.parametrize("value", [{1, 2}, 0.5, object()], ids=["set", "float", "object"])
+def test_encode_refuses_sets_floats_and_unknown_types(f2, value):
+    with pytest.raises(TypeError):
+        encode(value, f2)
+    with pytest.raises(TypeError):
+        encode({"nested": [value]}, f2)
 
 
 def test_chain_payload_lists_terms_in_cell_order(z2, z2_hom11):

@@ -181,9 +181,9 @@ def _check_against_rebuilds(vertices, n_max):
     threshold = counts.index(1) + 1 if 1 in counts else None
     assert prof.threshold == threshold
     if threshold is None:
-        assert prof.forest is None
+        assert prof.forest_at_threshold is None
     else:
-        assert prof.forest == components(build_rips(vertices, threshold)).forest
+        assert prof.forest_at_threshold == components(build_rips(vertices, threshold)).forest
 
 
 @settings(max_examples=40, deadline=None)

@@ -49,8 +49,7 @@ def test_search_finds_shortest_path(z2, z2_hom11):
     assert got.path.origin == z2.identity()
     assert got.path.terminus == z2.parse_element("a c")
     assert (got.min_phi, got.max_phi) == phi_extrema(z2_hom11, got.path)
-    assert got.floor == ZERO and got.ceiling is None
-    assert got.radius == 4
+    assert got.min_phi >= ZERO
 
 
 def test_search_trivial_when_start_equals_target(z2, z2_hom11):
@@ -122,9 +121,7 @@ def _oracle_bfs(qm, start, target, radius, lo, hi):
         _oracle_admissible(qm, start, radius, lo, hi)
         and _oracle_admissible(qm, target, radius, lo, hi)
     ):
-        return NotFoundWithinBall(
-            start, target, radius, lo, hi, 0, "an endpoint violates the level constraint"
-        )
+        return NotFoundWithinBall(0, "an endpoint violates the level constraint")
     letters = model.generators()
     steps = [model.generator_element(gen) for gen in letters]
     dist = {target: 0}
@@ -142,9 +139,7 @@ def _oracle_bfs(qm, start, target, radius, lo, hi):
                 break
             frontier.append(w)
     if not found:
-        return NotFoundWithinBall(
-            start, target, radius, lo, hi, len(dist), "admissible region exhausted"
-        )
+        return NotFoundWithinBall(len(dist), "admissible region exhausted")
     walk, v = [], start
     while dist[v] > 0:
         letter, v = next(
@@ -334,7 +329,7 @@ def test_z2_library_is_complete(z2, z2_library):
     assert lib.depth == 10
     # entries follow the canonical ordered-pair enumeration
     gens = z2.generators()
-    assert [e.pair for e in lib.entries] == [(s, t) for s in gens for t in gens]
+    assert [(e.s, e.t) for e in lib.entries] == [(s, t) for s in gens for t in gens]
 
 
 def test_z2_library_raises_level_guard(z2_library):
@@ -350,8 +345,8 @@ def test_z2_library_entry_shape(z2, z2_hom01, z2_library):
     entry = lib.entries[0]
     q = entry.path
     assert q.origin == z2.identity()
-    s_el = z2.generator_element(entry.pair[0])
-    t_el = z2.generator_element(entry.pair[1])
+    s_el = z2.generator_element(entry.s)
+    t_el = z2.generator_element(entry.t)
     assert q.terminus == s_el * t_el
     letters = q.edge_letters()
     assert letters[: lib.depth] == (c_letter.inverted(),) * lib.depth
@@ -378,7 +373,7 @@ def test_f2_library_fails_on_essential_vertices(f2):
     lib = build_q_library(qm, bundle, a, radius=4, depth=2)
     assert not lib.complete
     assert lib.depth == 2
-    by_pair = {e.pair: e for e in lib.entries}
+    by_pair = {(e.s, e.t): e for e in lib.entries}
     bb = by_pair[(Generator(1, False), Generator(1, False))]
     assert bb.failure is not None and bb.failure.startswith("essential vertex")
     assert bb.path is not None and bb.min_phi is None
@@ -387,7 +382,7 @@ def test_f2_library_fails_on_essential_vertices(f2):
     # pairs whose sandwich needs no interior work still succeed
     ok = by_pair[(Generator(0, False), Generator(0, True))]
     assert ok.failure is None
-    assert lib.lookup(*ok.pair).terminus == f2.identity()
+    assert lib.lookup(ok.s, ok.t).terminus == f2.identity()
 
 
 def test_library_rejects_composite_scaling(z2, z2_hom11):
@@ -422,7 +417,7 @@ def test_peak_reduction_flattens_spike(z2, z2_hom01, z2_library):
     trace = peak_reduction(z2_hom01, p, z2_library)
     assert len(trace.steps) == 1
     step = trace.steps[0]
-    assert (step.height, step.peak_count, step.peak_index) == (6, 2, 6)
+    assert (step.height, step.peaks, step.index) == (6, 2, 6)
     assert step.pair == (Generator(1, False), Generator(0, False))
     assert trace.final_height <= 4  # the bundle's height bound M
     assert trace.final.origin == p.origin and trace.final.terminus == p.terminus
