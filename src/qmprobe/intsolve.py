@@ -23,12 +23,21 @@ reach the top.  Every live entry was pushed by its latest write, so
 the first live key on top is exactly the rule's minimum.  The heap is
 rebuilt from the live entries whenever stale keys outnumber them,
 which bounds its size by twice the active nonzeros.
+
+`collapse_solve` answers many systems without the elimination.  A row
+that lies in exactly one remaining column, with entry +-1, is free, and
+the collapse removes that column through it, as an elementary collapse
+removes a face through a free edge.  When the collapse empties the
+system, each coefficient is forced in collapse order and the answer is
+the unique one: the same list `solve_integer_system` returns, or no
+solution at all, where that returns a certificate.  When a core is
+left, the collapse says so and the elimination decides.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Literal, Mapping, NamedTuple, Sequence
 
 
 class UnsatCertificate(NamedTuple):
@@ -79,6 +88,83 @@ def check_unsat_certificate(
         if not _congruent_zero(_dot(u, col), m):
             return False
     return not _congruent_zero(_dot(u, rhs), m)
+
+
+def collapse_solve(
+    columns: Sequence[Mapping[Hashable, int]],
+    rhs: Mapping[Hashable, int],
+) -> list[int] | Literal["unsat", "core"]:
+    """Solve sum_j y_j col_j = rhs by collapses alone: the coefficient
+    list, "unsat" when there is no solution, or "core" when the collapse
+    cannot empty the system.
+
+    A row is free when it lies in exactly one remaining column and its
+    entry there is +-1.  Rows are visited from a stack, seeded with the
+    rows in first appearance order, and each free row removes its column
+    c_t through its row r_t; a row becomes a candidate again when a
+    removal leaves it in one column.  Removals only shrink a row's
+    columns, so a free row stays free until its column goes, and the
+    set of removed columns, hence whether a core is left, does not
+    depend on the order.
+
+    Soundness, once every column is removed in the order c_1, ..., c_n:
+    - forced coefficients: row r_t lies in no later column c_s, s > t,
+      so its equation reads sum_{s<t} y_s a(r_t, c_s) + a(r_t, c_t) y_t
+      = rhs(r_t).  With y_1, ..., y_{t-1} known, y_t is the residual at
+      r_t times a(r_t, c_t) = +-1, its own inverse; so the coefficients
+      are forced in collapse order, and the residual, rhs less the
+      columns already used, must end at 0 on every row.  The reverse
+      order would read r_t before the earlier columns are subtracted.
+    - independence: on the rows r_1, ..., r_n the columns form a
+      triangular matrix with unit diagonal, so the columns are linearly
+      independent.
+    - uniqueness: so at most one rational solution exists, and it is
+      the forced one; if the residual is not 0 the system has no
+      rational solution, let alone an integer one.  Either way the
+      answer is the one any exact solver gives, `solve_integer_system`
+      among them: the same list, or a certificate where this says
+      "unsat"."""
+    # row -> the remaining columns it lies in with a non-zero entry
+    where: dict[Hashable, set[int]] = {}
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            if v:
+                if k in where:
+                    where[k].add(j)
+                else:
+                    where[k] = {j}
+    stack = [k for k, js in where.items() if len(js) == 1]
+    stack.reverse()
+    collapses: list[tuple[Hashable, int]] = []
+    while stack:
+        k = stack.pop()
+        if len(where[k]) != 1:
+            continue
+        (j,) = where[k]
+        col = columns[j]
+        if col[k] not in (1, -1):
+            continue
+        collapses.append((k, j))
+        for r, v in col.items():
+            if v:
+                js = where[r]
+                js.discard(j)
+                if len(js) == 1:
+                    stack.append(r)
+    if len(collapses) < len(columns):
+        return "core"
+    residual = dict(rhs)
+    y = [0] * len(columns)
+    for k, j in collapses:
+        col = columns[j]
+        x = residual.get(k, 0) * col[k]
+        if x:
+            y[j] = x
+            for r, v in col.items():
+                residual[r] = residual.get(r, 0) - x * v
+    if any(residual.values()):
+        return "unsat"
+    return y
 
 
 def solve_integer_system(

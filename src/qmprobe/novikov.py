@@ -26,7 +26,9 @@ On top of the cells sit the desk-scale homology probes: `ray_cycle`
 builds the 1-cycle formed by a connecting path and two truncated rays
 along a positive-direction element, `build_zs_cycle` compares the two
 standard paths from c^n to s c^n, `windowed_boundary_solve` decides
-∂y ≡ z below the window by exact integer elimination, and
+∂y ≡ z below the window by collapsing faces through free edges, or by
+exact integer elimination where a core is left or a certificate is
+needed, and
 `keep_negative_and_extract_path` turns a filling into a connecting path
 through non-negative levels.  Every answer to ∂y ≡ z, the solver's in
 `run` or a recorded one in `verify`, is replayed and wrapped by the one
@@ -38,8 +40,10 @@ ball is listed length-first; the floor of the admissible values does
 not depend on the radius; and a face's trimmed column depends only on
 the face and the window.  So a filling over ball(k), padded with zeros,
 is a filling over ball(R), and the recorded filling is the first one
-found on the radii 0, 1, 2, 4, 8, ... below R and then R.  Only the
-whole system at R can be unsat.
+found on the radii 0, 1, 2, 4, 8, ... below R and then R.  A radius is
+decided by the collapse when the collapse empties its system, and by
+the elimination otherwise.  Only the whole system at R can be unsat,
+and every recorded certificate comes from the elimination over it.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .intsolve import (
     UnsatCertificate,
     check_solution,
     check_unsat_certificate,
+    collapse_solve,
     solve_integer_system,
 )
 from .paths import Path, path_from_letters, phi_extrema
@@ -500,13 +505,38 @@ def windowed_boundary_solve(
       ball(k) solves the R system, and `settle` replays it there.
     Only the whole system at R can be unsat, and its certificate is
     the one a single solve at R would give: the same solve on the same
-    columns."""
+    columns.
+
+    Each radius is first put to `intsolve.collapse_solve`, which removes
+    faces through free edges, edges in exactly one remaining face with
+    coefficient +-1.  When that empties the system, every coefficient
+    is forced in collapse order: the edge that freed a face lies in no
+    face removed after it, so its equation holds that face's coefficient
+    and those of faces already forced.  The columns are then independent
+    (triangular with unit diagonal on the freeing edges), so the forced
+    filling is the only one, the one the elimination would return, and
+    a non-zero residual proves that no filling exists.  So:
+    - a collapse that proves a radius below R unsat moves on, with no
+      certificate, since none is recorded there;
+    - a collapse that finds a filling ends the schedule with it;
+    - a core, or an unsat at R, goes to `solve_integer_system` on the
+      whole system at that radius, so a certificate, and a filling of a
+      system with a core, is the elimination's as before;
+    - an elimination that finds a filling where the collapse proved
+      none raises RuntimeError."""
     floor, faces = boundary_faces(cx, z, window, radius, slack, cell_cap)
     columns: list[dict[Cell, int]] = []
     for k in _solve_radii(radius):
         end = bisect_right(faces, k, key=lambda f: cx.element(f).length())
         columns += _trimmed_columns(cx, faces[len(columns):end], window)
-        solution = solve_integer_system(columns, z)
+        solution = collapse_solve(columns, z)
+        if solution == "unsat" and k < radius:
+            continue
+        if not isinstance(solution, list):
+            collapsed = solution == "unsat"
+            solution = solve_integer_system(columns, z)
+            if collapsed and not isinstance(solution, UnsatCertificate):
+                raise RuntimeError("the elimination solved a system the collapse proved unsolvable")
         if not isinstance(solution, UnsatCertificate):
             solution.extend([0] * (len(faces) - end))
             break

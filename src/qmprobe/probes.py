@@ -68,7 +68,7 @@ from .quasimorphisms import (
     check_dstar,
     defect_lower_bound,
     defect_witness,
-    scaled_bound,
+    surd_base,
 )
 from .report import cell_payload, chain_payload, encode, face_payloads, parse_cell
 from .rips import DEFAULT_VERTEX_CAP, connectivity_profile
@@ -269,14 +269,17 @@ def _search_bound(exp: Experiment, probe: Section, radius: int, runs: int) -> No
     )
 
 
-def _level(qm: Quasimorphism, probe: Section, key: str, default=_REQUIRED) -> ExactReal:
-    """An exact key that the run holds phi-bar's values against: one in
-    a surd base other than phi-bar's is refused, as the run's
-    comparisons would refuse it."""
+def _level(
+    qm: Quasimorphism, probe: Section, key: str, default=_REQUIRED, combined: tuple = ()
+) -> ExactReal:
+    """An exact key that the run holds phi-bar's values against and adds
+    to the `combined` levels read before it: one in a surd base other
+    than phi-bar's or theirs is refused, as the run's arithmetic would
+    refuse it."""
 
     def parse(text: str) -> ExactReal:
         value = ExactReal.parse(text)
-        scaled_bound(qm, value)
+        surd_base(qm, *combined, value)
         return value
 
     return probe.get(key, parse, default)
@@ -609,14 +612,14 @@ def _validate_novikov_solve(exp: Experiment, probe: Section) -> None:
         exp, probe, radius, lambda n: n,
         "enumerates {} ball elements", "MAX_SOLVE_BALL", MAX_SOLVE_BALL,
     )
-    slack = _level(qm, probe, "slack", ZERO)
+    slack = _level(qm, probe, "slack", ZERO, combined=(defect,))
     if slack < ZERO:
         raise ValueError("slack must be non-negative")
     probe.settings.update(
         start=probe.get("start", model.parse_element),
         end=probe.get("end", model.parse_element),
         scaling=scaling,
-        window=_level(qm, probe, "window"),
+        window=_level(qm, probe, "window", combined=(defect, slack)),
         radius=radius,
         slack=slack,
         defect=defect,
@@ -729,7 +732,7 @@ def _validate_zs_cycle(exp: Experiment, probe: Section) -> None:
         s=letters[0],
         scaling=scaling,
         depth=depth,
-        k=_level(qm, probe, "k"),
+        k=_level(qm, probe, "k", combined=(defect,)),
         radius=radius,
         defect=defect,
     )
@@ -914,25 +917,31 @@ the integer system boundary(y) = z over faces with values in
 [min z - slack, W) based in ball(R).  It solves on the faces based in
 ball(k) for k = 0, 1, 2, 4, ... below R, then on all of them, and
 records the first solution found, padded with zeros: a filling over
-ball(k) is one over ball(R).  A solution is replayed as an
-exact filling below W; infeasibility is certified by a functional that
-annihilates every face boundary but not z (modulo m, or over Z when
-m = 0).  Keeping only the filling's faces at negative values and taking
-the boundary leaves a residual supported at phi-bar >= 0 whose support
-connects the rays; the extracted composite path from start to end is
-checked against min phi-bar >= -D.  An unsat at R certifies only that
-no integer filling by the faces admitted in ball(R) exists, not that
-Novikov homology is non-zero: a filling may need faces outside the
-ball.  When phi vanishes on Z^m and z projects to a non-zero chain on
-the tree of F_n, no radius fills z (the pullback of a tree edge z
-crosses annihilates every face column), as Bieri, Neumann and Strebel
-(1987) predict for a character through F_n.  A radius whose ball holds
-more than MAX_SOLVE_BALL elements is refused when the config is
-validated, as are a c that is not one generator letter with positive
-phi-bar and a negative defect D.  A window that does not hold the
-connecting path is refused only when the probe runs, with status
-`failed`, and `verify` re-runs it and reports "failed again on
-re-run".""",
+ball(k) is one over ball(R).  Each radius is first collapsed: a face
+with a free edge (an edge in no other remaining face, coefficient +-1)
+is removed, and when no face is left every coefficient is forced in
+collapse order and is the unique solution, or no solution exists.  A
+core left by the collapse, and an unsat at R, go to the elimination
+over the whole system, which writes every recorded certificate.  A
+solution is replayed as an exact filling below W; infeasibility is
+certified by a functional that annihilates every face boundary but not
+z (modulo m, or over Z when m = 0).  Keeping only the filling's faces
+at negative values and taking the boundary leaves a residual supported
+at phi-bar >= 0 whose support connects the rays; the extracted
+composite path from start to end is checked against min phi-bar >= -D.
+An unsat at R certifies only that no integer filling by the faces
+admitted in ball(R) exists, not that Novikov homology is non-zero: a
+filling may need faces outside the ball.  When phi vanishes on Z^m
+and z projects to a non-zero chain on the tree of F_n, no radius fills
+z (the pullback of a tree edge z crosses annihilates every face
+column), as Bieri, Neumann and Strebel (1987) predict for a character
+through F_n.  A radius whose ball holds more than MAX_SOLVE_BALL
+elements is refused when the config is validated (an unsat at R still
+eliminates the whole system), as are a c that is not one generator
+letter with positive phi-bar and a negative defect D.  A window that
+does not hold the connecting path is refused only when the probe runs,
+with status `failed`, and `verify` re-runs it and reports "failed
+again on re-run".""",
     ),
     "zs-cycle": ProbeKind(
         _validate_zs_cycle,

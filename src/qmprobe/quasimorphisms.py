@@ -466,12 +466,21 @@ def scaled_bound(qm: Quasimorphism, bound: ExactReal) -> tuple[int, int, int, in
     _sign(P - s p, Q - s q, d), the two quotients cross-multiplied.  A
     rational qm takes the bound's surd base; a bound in a base other
     than qm's is refused."""
-    d = qm.d
-    if bound._q:
-        if qm.surds and bound.d != d:
-            raise ValueError(f"cannot mix sqrt({d}) and sqrt({bound.d})")
-        d = bound.d
-    return bound._p * qm.den, bound._q * qm.den, bound._den, d
+    return bound._p * qm.den, bound._q * qm.den, bound._den, surd_base(qm, bound)
+
+
+def surd_base(qm: Quasimorphism, *bounds: ExactReal) -> int:
+    """The one surd base of qm and the bounds compared with it and with
+    each other: qm's when it has surds, else that of the first bound
+    with one, else qm's default.  A bound in another base is refused,
+    naming the base so far first."""
+    d = qm.d if qm.surds else 0
+    for bound in bounds:
+        if bound._q:
+            if d and bound.d != d:
+                raise ValueError(f"cannot mix sqrt({d}) and sqrt({bound.d})")
+            d = bound.d
+    return d or qm.d
 
 
 def _below(qm: Quasimorphism, bound: ExactReal) -> Callable[[int, int], bool]:

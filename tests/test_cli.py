@@ -20,8 +20,14 @@ from qmprobe import novikov
 from qmprobe.cli import _build_parser, main
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError, ReplayError
+from qmprobe.exact import ExactReal
 from qmprobe.groups import MAX_BALL_CAP, GroupModel
-from qmprobe.intsolve import UnsatCertificate, check_unsat_certificate, solve_integer_system
+from qmprobe.intsolve import (
+    UnsatCertificate,
+    check_unsat_certificate,
+    collapse_solve,
+    solve_integer_system,
+)
 from qmprobe.probes import KINDS, attempt
 from qmprobe.quasimorphisms import BrooksQM, HomomorphismQM
 from qmprobe.report import parse_path
@@ -721,20 +727,27 @@ def test_a_solver_answer_that_does_not_replay_fails_the_probe(tmp_path, monkeypa
 
 
 def _solve_sizes(monkeypatch, tmp_path, text):
-    """Run a one-probe novikov-solve config and return its result and
-    the column count of every `solve_integer_system` call, in order."""
-    sizes = []
+    """Run a config with one novikov-solve probe and return its result,
+    the column count of every per-radius `collapse_solve` call, in
+    order, and that of every `solve_integer_system` call."""
+    sizes, eliminated = [], []
 
     def counted(columns, rhs):
         sizes.append(len(columns))
+        return collapse_solve(columns, rhs)
+
+    def counted_elimination(columns, rhs):
+        eliminated.append(len(columns))
         return solve_integer_system(columns, rhs)
 
-    monkeypatch.setattr("qmprobe.novikov.solve_integer_system", counted)
+    monkeypatch.setattr("qmprobe.novikov.collapse_solve", counted)
+    monkeypatch.setattr("qmprobe.novikov.solve_integer_system", counted_elimination)
     cfg, out = tmp_path / "solve.cfg", tmp_path / "report.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", str(cfg), "--out", str(out)]) == 0
-    (probe,) = _read(out)["body"]["probes"]
-    return probe["result"], sizes
+    probes = _read(out)["body"]["probes"]
+    (probe,) = [p for p in probes if p["kind"] == "novikov-solve"]
+    return probe["result"], sizes, eliminated
 
 
 def _faces_within(result, k):
@@ -750,10 +763,21 @@ def test_the_fill_solve_stops_at_the_first_sat_radius(monkeypatch, tmp_path, see
     # ball(2) already holds a filling, with end = b^-1 or a^-1 (seeds
     # 2, 3) ball(4) does
     ((_, text),) = _bench_workloads().configs("fill", seed, ROOT)
-    result, sizes = _solve_sizes(monkeypatch, tmp_path, text)
+    result, sizes, eliminated = _solve_sizes(monkeypatch, tmp_path, text)
     assert result["status"] == "sat"
     assert sizes == [_faces_within(result, k) for k in radii]
     assert sizes[-1] < len(result["faces"])
+    # every radius collapses to nothing, so no elimination runs
+    assert eliminated == []
+
+
+def test_z2_lattice_fills_without_the_elimination(monkeypatch, tmp_path):
+    # R = 8 is solved at k = 0, 1, 2, 4 and 8, and the squares of Z^2
+    # below the window collapse at each of them
+    text = (CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8")
+    result, sizes, eliminated = _solve_sizes(monkeypatch, tmp_path, text)
+    assert result["status"] == "sat" and len(sizes) == 5
+    assert eliminated == []
 
 
 def _unsat_f2z_text():
@@ -771,11 +795,13 @@ def _unsat_f2z_text():
     ids=["free_unsat.cfg", "f2z-unsat-radius3"],
 )
 def test_an_unsat_verdict_comes_from_the_solve_over_every_face(monkeypatch, tmp_path, text):
-    result, sizes = _solve_sizes(monkeypatch, tmp_path, text)
+    result, sizes, eliminated = _solve_sizes(monkeypatch, tmp_path, text)
     assert result["status"] == "unsat"
     assert sizes[-1] == len(result["faces"])
     if result["faces"]:
         assert sizes == [_faces_within(result, k) for k in (0, 1, 2, 3)]
+    # the certificate comes from one elimination over every face, at R
+    assert eliminated == [len(result["faces"])]
 
 
 def test_an_unsat_run_builds_each_trimmed_column_once(monkeypatch, tmp_path, capsys):
@@ -1348,6 +1374,31 @@ def test_round_trip_and_tamper_check_under_python_dash_O(tmp_path):
     assert proc.returncode == 4 and "FAIL defect-small" in proc.stdout
 
 
+def test_a_collapse_solved_fill_round_trips_under_python_dash_O(tmp_path):
+    """The seed-2 bench fill config is answered by the collapse at
+    k = 4; under `python -O` its run and verify exit codes and its body
+    digest are the pinned ones."""
+    ((name, text),) = _bench_workloads().configs("fill", 2, ROOT)
+    pin = _read(BENCH_PINS)["fill"][_bench_workloads().pin_key("fill", 2)][name]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    cfg, out = tmp_path / name, tmp_path / "report.json"
+    cfg.write_text(text, encoding="utf-8")
+
+    def qmprobe(*args):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "qmprobe", *args],
+            env=env, capture_output=True, text=True,
+        )
+
+    proc = qmprobe("run", str(cfg), "--out", str(out))
+    assert proc.returncode == pin["run_exit"], proc.stderr
+    body = json.dumps(_read(out)["body"], sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == pin["body_sha256"]
+    proc = qmprobe("verify", str(out))
+    assert proc.returncode == pin["verify_exit"], proc.stdout + proc.stderr
+
+
 def _within_a_second(*args):
     """`qmprobe *args` in a fresh process, which must end within a
     second."""
@@ -1626,6 +1677,80 @@ def test_a_level_bound_in_another_surd_base_is_a_config_error(tmp_path, capsys, 
     assert err == f"qmprobe: [probe p]: {key}: cannot mix sqrt(2) and sqrt(3)\n"
 
 
+# Z^2 with the rational phi(a) = phi(c) = 1, under which no level key
+# is refused on its own
+RATIONAL_PHI = """\
+[group]
+abelian_rank = 2
+names = a c
+ball_cap = 8
+
+[quasimorphism phi]
+kind = homomorphism
+a = 1
+c = 1
+
+[probe p]
+qm = phi
+"""
+RATIONAL_PROBES = {
+    "novikov-solve": {
+        "start": "1", "end": "a", "scaling": "c", "window": "4", "radius": "2",
+        "slack": "0", "defect": "0",
+    },
+    "zs-cycle": {"s": "a", "scaling": "c", "depth": "3", "radius": "8", "k": "1", "defect": "0"},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, levels, message",
+    [
+        ("novikov-solve", {"window": "4 + sqrt(3)", "defect": "sqrt(2)"},
+         "window: cannot mix sqrt(2) and sqrt(3)"),
+        ("novikov-solve", {"slack": "sqrt(3)", "defect": "sqrt(2)"},
+         "slack: cannot mix sqrt(2) and sqrt(3)"),
+        ("novikov-solve", {"window": "4 + sqrt(3)", "slack": "sqrt(2)"},
+         "window: cannot mix sqrt(2) and sqrt(3)"),
+        ("zs-cycle", {"k": "1 + sqrt(3)", "defect": "sqrt(2)"},
+         "k: cannot mix sqrt(2) and sqrt(3)"),
+    ],
+)
+def test_levels_a_probe_combines_share_one_surd_base(tmp_path, capsys, kind, levels, message):
+    """With a rational phi-bar each level key may take any surd base,
+    but the keys a kind adds to each other must share one: a mix is one
+    line naming the probe and the later key read, exit 2 and no report.
+    Each key alone in its base runs and verifies."""
+    cfg, out = tmp_path / "p.cfg", tmp_path / "report.json"
+
+    def run(**changed) -> tuple[int, str]:
+        keys = dict(RATIONAL_PROBES[kind], kind=kind, **changed)
+        cfg.write_text(RATIONAL_PHI + "".join(f"{k} = {v}\n" for k, v in keys.items()),
+                       encoding="utf-8")
+        return main(["run", str(cfg), "--out", str(out)]), capsys.readouterr().err
+
+    code, err = run(**levels)
+    assert code == 2 and not out.exists()
+    assert err == f"qmprobe: [probe p]: {message}\n"
+    for key, value in levels.items():
+        code, err = run(**{key: value})
+        assert code == 0, err
+        assert main(["verify", str(out)]) == 0
+        out.unlink()
+
+
+def test_a_path_search_takes_k_and_k_max_in_different_surd_bases(tmp_path, capsys):
+    """path-search compares k and k_max with phi-bar but never adds them,
+    so under a rational phi-bar they may lie in different bases."""
+    cfg, out = tmp_path / "p.cfg", tmp_path / "report.json"
+    keys = {"kind": "path-search", "start": "a", "target": "c", "radius": "3",
+            "k": "-1 + sqrt(3)", "k_max": "4 + sqrt(2)"}
+    cfg.write_text(RATIONAL_PHI + "".join(f"{k} = {v}\n" for k, v in keys.items()),
+                   encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert _probe(_read(out), "p")["status"] == "ok"
+    assert main(["verify", str(out)]) == 0
+
+
 def test_a_mixed_surd_window_is_refused_before_the_path_is_tested():
     """With end = u^-1 the connecting edge (u^-1, u) has the value
     -sqrt(2); the window 4 + sqrt(3) is refused when the config is
@@ -1792,6 +1917,70 @@ def test_the_gen_unsat_keeps_its_pinned_body(tmp_path, capsys):
         "be70ce89e650241a27f79719427f0ce371a54257c70e10dd8b5b4b25a20a8112"
     )
     assert main(["verify", str(out)]) == 0
+
+
+# the novikov-solve payload keys that are levels of phi-bar, and so
+# scale with it
+_LEVEL_KEYS = (
+    ("window",), ("slack",), ("defect",), ("floor",), ("cycle", "window"),
+    ("extraction", "min_phi"), ("extraction", "bound"),
+)
+
+
+def _scaled_fill(text, lam):
+    """The payload of the config's novikov-solve probe with phi, the
+    window, the slack and the defect multiplied by lam."""
+    exp = parse_experiment(text)
+    (probe,) = [p for p in exp.probes if p.kind == "novikov-solve"]
+    q = probe.settings["qm"]
+    exp.quasimorphisms[q] = HomomorphismQM(
+        exp.model, [v * lam for v in exp.quasimorphisms[q].values]
+    )
+    for key in ("window", "slack", "defect"):
+        probe.settings[key] = probe.settings[key] * lam
+    return KINDS["novikov-solve"].run(exp, probe)
+
+
+def _fill_homogeneity_cases():
+    fill = {seed: _bench_workloads().configs("fill", seed, ROOT)[0][1] for seed in (0, 2)}
+    return [
+        pytest.param((CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8"), id="z2_lattice"),
+        pytest.param(fill[0], id="fill-seed0"),
+        pytest.param(fill[2], id="fill-seed2"),
+        pytest.param(GEN, id="gen-R5"),
+    ]
+
+
+@pytest.mark.parametrize("text", _fill_homogeneity_cases())
+def test_scaling_phi_and_every_level_scales_only_the_levels(text):
+    """phi -> lam phi with the window, slack and defect times lam, for
+    lam = 2 and 1/2, keeps the verdict, the faces, the coefficients or
+    functional and the extracted path, and multiplies the window, the
+    floor and the extraction's minimum and bound by lam."""
+    base = _scaled_fill(text, ExactReal(1))
+    for lam in (ExactReal(2), ExactReal(1) / 2):
+        scaled = _scaled_fill(text, lam)
+        for path in _LEVEL_KEYS:
+            *outer, key = path
+            was, now = base, scaled
+            for k in outer:
+                was, now = was[k], now[k]
+            if was is None:
+                assert now is None
+                continue
+            assert ExactReal.parse(now[key]) == lam * ExactReal.parse(was[key]), path
+        assert _without_levels(scaled) == _without_levels(base)
+
+
+def _without_levels(payload):
+    out = json.loads(json.dumps(payload))
+    for *outer, key in _LEVEL_KEYS:
+        node = out
+        for k in outer:
+            node = node[k]
+        if node is not None:
+            node[key] = None
+    return out
 
 
 def _tree_projection(cx, z):

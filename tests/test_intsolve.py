@@ -2,6 +2,7 @@
 refusals come with a replayable functional certificate."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from qmprobe.intsolve import (
     UnsatCertificate,
     check_solution,
     check_unsat_certificate,
+    collapse_solve,
     solve_integer_system,
 )
 
@@ -291,3 +293,106 @@ def test_heap_pivots_match_on_both_verdicts():
         assert got == _full_scan_solve(columns, rhs)
         verdicts.add(isinstance(got, list))
     assert verdicts == {True, False}
+
+
+# -- the collapse solve -------------------------------------------------
+
+
+def _empties(columns):
+    """Whether removing, one at a time, a column that holds a row no
+    other remaining column holds, with entry +-1, removes every column:
+    the collapse's rule, rescanned from scratch after each removal."""
+    live = set(range(len(columns)))
+    while live:
+        for j in sorted(live):
+            others = [columns[c] for c in live if c != j]
+            if any(v in (1, -1) and all(not col.get(k) for col in others)
+                   for k, v in columns[j].items()):
+                live.remove(j)
+                break
+        else:
+            return False
+    return True
+
+
+def _sparse_system(rng, nrows, ncols, planted):
+    """Columns of one to four entries from +-1 and +-2 over `nrows` rows,
+    and a right-hand side that is planted (a random combination of the
+    columns) or random."""
+    columns = [
+        {rng.randrange(nrows): rng.choice((-2, -1, -1, -1, 1, 1, 1, 2))
+         for _ in range(rng.randint(1, 4))}
+        for _ in range(ncols)
+    ]
+    if planted:
+        rhs = {}
+        for col in columns:
+            y = rng.randint(-3, 3)
+            for k, v in col.items():
+                rhs[k] = rhs.get(k, 0) + y * v
+    else:
+        rhs = {rng.randrange(nrows): rng.randint(-3, 3) for _ in range(2)}
+    return columns, {k: v for k, v in rhs.items() if v}
+
+
+def _agrees_with_the_elimination(columns, rhs):
+    """The collapse answers exactly when it empties the system, and
+    then as the elimination does; the collapse's verdict."""
+    got = collapse_solve(columns, rhs)
+    assert (got != "core") == _empties(columns)
+    if got == "core":
+        return "core"
+    want = solve_integer_system(columns, rhs)
+    if isinstance(want, UnsatCertificate):
+        assert got == "unsat"
+        return "unsat"
+    assert got == want
+    return "sat"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    nrows=st.integers(1, 30),
+    ncols=st.integers(0, 12),
+    planted=st.booleans(),
+)
+def test_the_collapse_answers_exactly_when_it_empties_the_system(seed, nrows, ncols, planted):
+    columns, rhs = _sparse_system(random.Random(seed), nrows, ncols, planted)
+    verdict = _agrees_with_the_elimination(columns, rhs)
+    if planted:
+        assert verdict != "unsat"
+
+
+def test_the_collapse_meets_every_verdict():
+    rng = random.Random(11)
+    verdicts = Counter(
+        _agrees_with_the_elimination(
+            *_sparse_system(rng, rng.randint(1, 30), rng.randint(0, 12), rng.random() < 0.5)
+        )
+        for _ in range(300)
+    )
+    assert set(verdicts) == {"sat", "unsat", "core"}, verdicts
+
+
+def test_coefficients_are_forced_in_collapse_order():
+    # row x frees the first column; that leaves y free in the second,
+    # whose coefficient is what remains at y after the first: 3 - 1
+    columns = [{"x": 1, "y": 1}, {"y": 1, "z": 1}]
+    assert collapse_solve(columns, {"x": 1, "y": 3, "z": 2}) == [1, 2]
+    assert collapse_solve(columns, {"x": 1, "y": 3, "z": 3}) == "unsat"
+    assert collapse_solve([{"x": -1}], {"x": 4}) == [-4]
+
+
+def test_a_row_with_entry_two_is_not_free():
+    # 2 y = 2 is solvable and 2 y = 1 is not; neither is a collapse
+    assert collapse_solve([{"x": 2}], {"x": 2}) == "core"
+    assert collapse_solve([{"x": 2}], {"x": 1}) == "core"
+    assert collapse_solve([{"x": 2, "y": 1}], {"x": 2, "y": 1}) == [1]
+
+
+def test_an_empty_system_needs_a_zero_right_hand_side():
+    assert collapse_solve([], {}) == []
+    assert collapse_solve([], {"x": 1}) == "unsat"
+    # a row no column reaches must be 0 in the right-hand side
+    assert collapse_solve([{"x": 1}], {"x": 1, "w": 1}) == "unsat"

@@ -4,6 +4,7 @@ exact corner-minimum oracle, ray and z_s cycles, the windowed boundary
 solver, and keep-negative path extraction."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from qmprobe.errors import CapExceededError, ExtractionError, ReplayError
 from qmprobe.exact import ExactReal, ONE, ZERO, _make
 from qmprobe.groups import Generator, GroupModel, _ball, reduce_word
-from qmprobe.intsolve import UnsatCertificate, solve_integer_system
+from qmprobe.intsolve import UnsatCertificate, collapse_solve, solve_integer_system
 from qmprobe.novikov import (
     CayleyComplex,
     RayCycle,
@@ -348,6 +349,49 @@ def test_solver_unsat_in_free_group(f2, cxf):
     assert got.status == "unsat"
     assert got.faces == ()  # no 2-cells exist in a free group
     assert got.certificate is not None and got.certificate.modulus == 0
+
+
+def test_a_closed_cube_leaves_a_core_for_the_elimination(monkeypatch):
+    """Each of the twelve edges of a unit cube in Z^3 lies in two of its
+    six squares, so no edge is free and the collapse stops at once.  A ray
+    system over Z^3 whose faces hold such cubes is decided by the
+    elimination, with the answer the full-radius solve gives."""
+    model = GroupModel(free_rank=0, abelian_rank=3, generator_names=("a", "b", "c"))
+    cx = CayleyComplex(HomomorphismQM(model, (ZERO, ZERO, ONE)), ZERO)
+    a, b, c = (model.generator_element(s) for s in cx.positive)
+    g = model.identity()
+    cube = [cx.face_cell(g, t) for t in range(3)]
+    cube += [cx.face_cell(c, 0), cx.face_cell(b, 1), cx.face_cell(a, 2)]
+    columns = [cx.boundary_of_cell(f) for f in cube]
+    edges = Counter(e for col in columns for e in col)
+    assert len(edges) == 12 and set(edges.values()) == {2}
+    assert collapse_solve(columns, columns[0]) == "core"
+    assert solve_integer_system(columns, columns[0]) == [1, 0, 0, 0, 0, 0]
+
+    eliminated = []
+
+    def counted(columns, rhs):
+        eliminated.append(len(columns))
+        return solve_integer_system(columns, rhs)
+
+    monkeypatch.setattr("qmprobe.novikov.solve_integer_system", counted)
+    end, window = a * b, ExactReal(1)
+    z = ray_cycle(cx, g, end, straight_path(g, end), c, window).chain
+    got = windowed_boundary_solve(cx, z, window, 1)
+    assert (got.status, len(got.faces), eliminated) == ("sat", 15, [15])
+    assert got.coefficients == _full_radius_solve(cx, z, window, 1, ZERO).coefficients
+
+
+def test_an_elimination_that_overturns_the_collapse_is_an_error(monkeypatch, z2, cx2):
+    """A system the collapse calls unsolvable goes to the elimination at
+    R for its certificate; a solution there raises RuntimeError, which
+    python -O keeps, where an assert would vanish."""
+    c = z2.parse_element("c")
+    high = path_from_letters(z2.parse_element("c c"), [Generator(0, False)])
+    zs = build_zs_cycle(cx2, Generator(0, False), c, 2, high, k_bound=ZERO)
+    monkeypatch.setattr("qmprobe.novikov.collapse_solve", lambda columns, rhs: "unsat")
+    with pytest.raises(RuntimeError, match="the collapse proved unsolvable"):
+        windowed_boundary_solve(cx2, zs.chain, ExactReal(10), 6)
 
 
 def test_solver_validates_rhs(z2, cx2):

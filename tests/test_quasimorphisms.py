@@ -19,6 +19,7 @@ from qmprobe.quasimorphisms import (
     defect_lower_bound,
     defect_witness,
     signed_count,
+    surd_base,
 )
 
 from conftest import exact
@@ -697,6 +698,19 @@ def test_denominators_and_surd_bases_are_fixed_at_construction(f2z, f2z_phi):
         HomomorphismQM(f2z, (sqrt3, ZERO, ExactReal(0, 1)))
     with pytest.raises(ValueError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\)$"):
         certify_aker_approximate_subgroup(f2z_phi, sqrt3, f2z.parse_element("u"), 1)
+
+
+def test_bounds_combined_with_a_rational_qm_share_one_surd_base(f2z_phi, psibar_ab):
+    sqrt2, sqrt3 = ExactReal(0, 1, 2), ExactReal(0, 1, 3)
+    # a rational phi-bar takes the first surd bound's base
+    assert surd_base(psibar_ab) == surd_base(psibar_ab, ONE) == psibar_ab.d
+    assert surd_base(psibar_ab, ONE, sqrt3 + 4, sqrt3) == 3
+    with pytest.raises(ValueError, match=r"^cannot mix sqrt\(3\) and sqrt\(2\)$"):
+        surd_base(psibar_ab, sqrt3 + 4, ONE, sqrt2)
+    # a surd phi-bar's base comes first
+    assert surd_base(f2z_phi, sqrt2, ONE) == 2
+    with pytest.raises(ValueError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\)$"):
+        surd_base(f2z_phi, ONE, sqrt3)
 
 
 @given(data=st.data())
