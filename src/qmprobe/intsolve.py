@@ -30,8 +30,10 @@ the collapse removes that column through it, as an elementary collapse
 removes a face through a free edge.  When the collapse empties the
 system, each coefficient is forced in collapse order and the answer is
 the unique one: the same list `solve_integer_system` returns, or no
-solution at all, where that returns a certificate.  When a core is
-left, the collapse says so and the elimination decides.
+solution at all, and then the collapse writes the certificate itself,
+a modulus-0 functional lifted back through the collapses in reverse
+order.  When a core is left, the collapse says so, and only then is
+the elimination needed.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ def check_unsat_certificate(
 def collapse_solve(
     columns: Sequence[Mapping[Hashable, int]],
     rhs: Mapping[Hashable, int],
-) -> list[int] | Literal["unsat", "core"]:
+) -> list[int] | UnsatCertificate | Literal["core"]:
     """Solve sum_j y_j col_j = rhs by collapses alone: the coefficient
-    list, "unsat" when there is no solution, or "core" when the collapse
-    cannot empty the system.
+    list, a modulus-0 certificate when there is no solution, or "core"
+    when the collapse cannot empty the system.
 
     A row is free when it lies in exactly one remaining column and its
     entry there is +-1.  Rows are visited from a stack, seeded with the
@@ -121,9 +123,26 @@ def collapse_solve(
     - uniqueness: so at most one rational solution exists, and it is
       the forced one; if the residual is not 0 the system has no
       rational solution, let alone an integer one.  Either way the
-      answer is the one any exact solver gives, `solve_integer_system`
-      among them: the same list, or a certificate where this says
-      "unsat"."""
+      verdict is the one any exact solver gives, `solve_integer_system`
+      among them, and a solution is the same list.
+
+    The certificate, when the residual is non-zero at some row r:
+    - lift: start from f = e_r and, for t = n, ..., 1, set f(r_t) so
+      that f . c_t = 0, that is f(r_t) = -a(r_t, c_t) (f . c_t) taken
+      before the step, where f(r_t) is still 0.  Row r_t lies in no
+      later column c_s, s > t, so the step leaves f . c_s = 0 for
+      every column already annihilated, and at the end f annihilates
+      every column.  Lifting in forward order would set f(r_s), s > t,
+      after c_t is annihilated, and r_s may lie in c_t.
+    - value: f . rhs = f . residual, since rhs less the residual is a
+      combination of the columns.  The residual is 0 at every r_t, and
+      f is supported on r and the r_t, so f . rhs is the residual at r,
+      not 0, and (f, 0) is a certificate.
+    - which r: the first row of rhs, in its order, that lies in no
+      column and is not 0 there, if there is one; then f = e_r, a
+      single cell.  Otherwise the first row, in rhs's order and then in
+      the order the collapse touched them, where the residual is not
+      0."""
     # row -> the remaining columns it lies in with a non-zero entry
     where: dict[Hashable, set[int]] = {}
     for j, col in enumerate(columns):
@@ -162,9 +181,18 @@ def collapse_solve(
             y[j] = x
             for r, v in col.items():
                 residual[r] = residual.get(r, 0) - x * v
-    if any(residual.values()):
-        return "unsat"
-    return y
+    unsolved = [k for k, v in residual.items() if v]
+    if not unsolved:
+        return y
+    # a row no column touches keeps rhs's entry, so it is one of rhs's
+    r = next((k for k in unsolved if k not in where), unsolved[0])
+    f = {r: 1}
+    for k, j in reversed(collapses):
+        col = columns[j]
+        x = _dot(f, col)
+        if x:
+            f[k] = -x * col[k]
+    return UnsatCertificate(f, 0)
 
 
 def solve_integer_system(

@@ -27,10 +27,10 @@ builds the 1-cycle formed by a connecting path and two truncated rays
 along a positive-direction element, `build_zs_cycle` compares the two
 standard paths from c^n to s c^n, `windowed_boundary_solve` decides
 ∂y ≡ z below the window by collapsing faces through free edges, or by
-exact integer elimination where a core is left or a certificate is
-needed, and
+exact integer elimination where a core is left, and
 `keep_negative_and_extract_path` turns a filling into a connecting path
-through non-negative levels.  Every answer to ∂y ≡ z, the solver's in
+through non-negative levels, held against min(0, phi-bar(start),
+phi-bar(end)) - D.  Every answer to ∂y ≡ z, the solver's in
 `run` or a recorded one in `verify`, is replayed and wrapped by the one
 function `settle`.
 
@@ -41,9 +41,11 @@ not depend on the radius; and a face's trimmed column depends only on
 the face and the window.  So a filling over ball(k), padded with zeros,
 is a filling over ball(R), and the recorded filling is the first one
 found on the radii 0, 1, 2, 4, 8, ... below R and then R.  A radius is
-decided by the collapse when the collapse empties its system, and by
-the elimination otherwise.  Only the whole system at R can be unsat,
-and every recorded certificate comes from the elimination over it.
+decided by the collapse when the collapse empties its system, and then
+an unsat comes with the collapse's own certificate; only a core, a
+system the collapse cannot empty, goes to the elimination.  Only the
+whole system at R can be unsat, and its certificate is replayed over
+every face's column.
 """
 
 from __future__ import annotations
@@ -504,40 +506,37 @@ def windowed_boundary_solve(
     - so the filling padded with zeros for the faces based outside
       ball(k) solves the R system, and `settle` replays it there.
     Only the whole system at R can be unsat, and its certificate is
-    the one a single solve at R would give: the same solve on the same
-    columns.
+    the one its own solve at R gives, over every face's column.
 
-    Each radius is first put to `intsolve.collapse_solve`, which removes
-    faces through free edges, edges in exactly one remaining face with
-    coefficient +-1.  When that empties the system, every coefficient
-    is forced in collapse order: the edge that freed a face lies in no
-    face removed after it, so its equation holds that face's coefficient
-    and those of faces already forced.  The columns are then independent
-    (triangular with unit diagonal on the freeing edges), so the forced
-    filling is the only one, the one the elimination would return, and
-    a non-zero residual proves that no filling exists.  So:
-    - a collapse that proves a radius below R unsat moves on, with no
-      certificate, since none is recorded there;
-    - a collapse that finds a filling ends the schedule with it;
-    - a core, or an unsat at R, goes to `solve_integer_system` on the
-      whole system at that radius, so a certificate, and a filling of a
-      system with a core, is the elimination's as before;
-    - an elimination that finds a filling where the collapse proved
-      none raises RuntimeError."""
+    One solver decides each radius.  It is first put to
+    `intsolve.collapse_solve`, which removes faces through free edges,
+    edges in exactly one remaining face with coefficient +-1:
+    - when that empties the system, every coefficient is forced in
+      collapse order: the edge that freed a face lies in no face removed
+      after it, so its equation holds that face's coefficient and those
+      of faces already forced.  The columns are then independent
+      (triangular with unit diagonal on the freeing edges), so the
+      forced filling is the only one, and a non-zero residual at an
+      edge r proves that no filling exists.  The collapse then writes
+      the certificate itself: e_r lifted back through the collapses in
+      reverse order, each freeing edge given the coefficient that
+      annihilates its face, which disturbs no face removed after it, so
+      the functional annihilates every column and takes the residual at
+      r on z.  The edge r is the first edge of z in no column, a
+      one-cell certificate, when there is one;
+    - only a core, a system the collapse cannot empty, goes to
+      `solve_integer_system`, which decides it.
+    An unsat below R moves on to the next radius; a filling ends the
+    schedule."""
     floor, faces = boundary_faces(cx, z, window, radius, slack, cell_cap)
     columns: list[dict[Cell, int]] = []
     for k in _solve_radii(radius):
         end = bisect_right(faces, k, key=lambda f: cx.element(f).length())
         columns += _trimmed_columns(cx, faces[len(columns):end], window)
         solution = collapse_solve(columns, z)
-        if solution == "unsat" and k < radius:
-            continue
-        if not isinstance(solution, list):
-            collapsed = solution == "unsat"
+        if solution == "core":
             solution = solve_integer_system(columns, z)
-            if collapsed and not isinstance(solution, UnsatCertificate):
-                raise RuntimeError("the elimination solved a system the collapse proved unsolvable")
-        if not isinstance(solution, UnsatCertificate):
+        if isinstance(solution, list):
             solution.extend([0] * (len(faces) - end))
             break
     return settle(cx, z, window, floor, faces, solution, columns)
@@ -602,13 +601,19 @@ def keep_negative_and_extract_path(
     rest differs from the ray cycle by a 1-chain supported at values
     >= 0, and that support contains a connecting path between the two
     rays.  The composite start -> start c^m -> ... -> end c^n -> end is
-    returned with its exact minimum, to compare against -D.
+    returned with its exact minimum, to compare against the bound
+    min(0, phi-bar(start), phi-bar(end)) - D: the support sits at
+    levels >= 0, and the rays climb from the endpoints, so no path
+    through the support can be asked to stay above the lower endpoint.
 
     The support graph keeps, with each neighbour, the letter of the
     edge to it: s_i along the edge (g, i) from g, s_i^-1 back from
     g s_i.  The path is built from its letters: c^m up the start ray,
     the letters of the canonical shortest path from start c^m to
-    end c^n inside the support, and c^-n down the end ray."""
+    end c^n inside the support, and c^-n down the end ray.  An empty
+    support joins the rays only when end = start c^k lies on the start's
+    own ray; the path is then that ray segment, k letters c or -k
+    letters c^-1, and none when start = end."""
     if any(cell[0] != "f" for cell in filling):
         raise ValueError("extraction needs a 2-chain filling")
     negative = cx.below(ZERO)
@@ -641,11 +646,7 @@ def keep_negative_and_extract_path(
         raise ExtractionError("ray never meets the residual support")
 
     if not support:
-        if cycle.start == cycle.end:
-            trivial = path_from_letters(cycle.start, ())
-            mn = cx.qm.homogeneous_value(cycle.start)
-            return ExtractionResult(trivial, mn, -cx.defect, mn >= -cx.defect)
-        raise ExtractionError("empty residual support cannot connect the rays")
+        return _extracted(cx, cycle, _ray_segment(cycle))
 
     m_start, entry_start = ray_entry(cycle.start)
     m_end, entry_end = ray_entry(cycle.end)
@@ -674,10 +675,29 @@ def keep_negative_and_extract_path(
     middle.reverse()
 
     c_letter = c.letters()[0]
-    letters = [c_letter] * m_start + middle + [c_letter.inverted()] * m_end
+    return _extracted(cx, cycle, [c_letter] * m_start + middle + [c_letter.inverted()] * m_end)
+
+
+def _ray_segment(cycle: RayCycle) -> list[Generator]:
+    """The letters of c^k from start to end = start c^k, or
+    ExtractionError when end is not on the start's ray: k = +-d(start,
+    end), since c is one letter."""
+    c, start, end = cycle.scaling, cycle.start, cycle.end
+    d = start.distance(end)
+    for k in (d, -d):
+        if start * c ** k == end:
+            letter = c.letters()[0]
+            return [letter if k > 0 else letter.inverted()] * d
+    raise ExtractionError("empty residual support cannot connect the rays")
+
+
+def _extracted(cx: CayleyComplex, cycle: RayCycle, letters: list[Generator]) -> ExtractionResult:
+    """The path from start spelt by the letters, with its exact minimum
+    and the bound min(0, phi-bar(start), phi-bar(end)) - D."""
     path = path_from_letters(cycle.start, letters)
     if path.terminus != cycle.end:
         raise RuntimeError("extracted path does not join the cycle's endpoints")
     mn, _ = phi_extrema(cx.qm, path)
-    bound = -cx.defect
+    level = cx.qm.homogeneous_value
+    bound = min(ZERO, level(cycle.start), level(cycle.end)) - cx.defect
     return ExtractionResult(path, mn, bound, mn >= bound)

@@ -920,28 +920,32 @@ records the first solution found, padded with zeros: a filling over
 ball(k) is one over ball(R).  Each radius is first collapsed: a face
 with a free edge (an edge in no other remaining face, coefficient +-1)
 is removed, and when no face is left every coefficient is forced in
-collapse order and is the unique solution, or no solution exists.  A
-core left by the collapse, and an unsat at R, go to the elimination
-over the whole system, which writes every recorded certificate.  A
+collapse order and is the unique solution, or no solution exists.  The
+collapse then writes the certificate of every system it empties: one
+edge where the residual is not 0, the first edge of z in no face when
+there is one, lifted back through the collapses in reverse order.
+Only a core, a system the collapse cannot empty, is eliminated.  A
 solution is replayed as an exact filling below W; infeasibility is
 certified by a functional that annihilates every face boundary but not
 z (modulo m, or over Z when m = 0).  Keeping only the filling's faces
 at negative values and taking the boundary leaves a residual supported
-at phi-bar >= 0 whose support connects the rays; the extracted
-composite path from start to end is checked against min phi-bar >= -D.
-An unsat at R certifies only that no integer filling by the faces
-admitted in ball(R) exists, not that Novikov homology is non-zero: a
-filling may need faces outside the ball.  When phi vanishes on Z^m
+at phi-bar >= 0 whose support connects the rays; an empty residual
+connects them only when end = start c^k, and the path is then the ray
+segment c^k.  The extracted composite path from start to end is
+checked against min phi-bar >= min(0, phi-bar(start), phi-bar(end))
+- D: the support sits at levels >= 0 and the rays climb from the
+endpoints.  An unsat at R certifies only that no integer filling by
+the faces admitted in ball(R) exists, not that Novikov homology is
+non-zero: a filling may need faces outside the ball.  When phi vanishes on Z^m
 and z projects to a non-zero chain on the tree of F_n, no radius fills
 z (the pullback of a tree edge z crosses annihilates every face
 column), as Bieri, Neumann and Strebel (1987) predict for a character
 through F_n.  A radius whose ball holds more than MAX_SOLVE_BALL
-elements is refused when the config is validated (an unsat at R still
-eliminates the whole system), as are a c that is not one generator
-letter with positive phi-bar and a negative defect D.  A window that
-does not hold the connecting path is refused only when the probe runs,
-with status `failed`, and `verify` re-runs it and reports "failed
-again on re-run".""",
+elements is refused when the config is validated, as are a c that is
+not one generator letter with positive phi-bar and a negative defect
+D.  A window that does not hold the connecting path is refused only
+when the probe runs, with status `failed`, and `verify` re-runs it and
+reports "failed again on re-run".""",
     ),
     "zs-cycle": ProbeKind(
         _validate_zs_cycle,

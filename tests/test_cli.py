@@ -30,7 +30,7 @@ from qmprobe.intsolve import (
 )
 from qmprobe.probes import KINDS, attempt
 from qmprobe.quasimorphisms import BrooksQM, HomomorphismQM
-from qmprobe.report import parse_path
+from qmprobe.report import parse_cell, parse_path
 
 ROOT = pathlib.Path(__file__).parent.parent
 CONFIG_DIR = ROOT / "tests" / "configs"
@@ -780,6 +780,30 @@ def test_z2_lattice_fills_without_the_elimination(monkeypatch, tmp_path):
     assert eliminated == []
 
 
+# F_2 x Z with phi(a) = 1 and phi(b) = phi(u) = 0: phi vanishes on the
+# centre, so no filling of its z exists at any radius
+GEN = """\
+[group]
+free_rank = 2
+abelian_rank = 1
+names = a b u
+ball_cap = 8
+
+[quasimorphism phi]
+kind = homomorphism
+a = 1
+
+[probe fill]
+kind = novikov-solve
+qm = phi
+start = 1
+end = b
+scaling = a
+window = 4
+radius = 5
+"""
+
+
 def _unsat_f2z_text():
     # end = a b a b^-1 a^-2 has no filling at radius 3 (108 faces);
     # R = 3 is not a power of two, so the schedule is 0, 1, 2, 3
@@ -790,18 +814,28 @@ def _unsat_f2z_text():
 
 
 @pytest.mark.parametrize(
-    "text",
-    [(CONFIG_DIR / "free_unsat.cfg").read_text(encoding="utf-8"), _unsat_f2z_text()],
-    ids=["free_unsat.cfg", "f2z-unsat-radius3"],
+    "text, radii",
+    [
+        ((CONFIG_DIR / "free_unsat.cfg").read_text(encoding="utf-8"), None),
+        (_unsat_f2z_text(), (0, 1, 2, 3)),
+        (GEN, (0, 1, 2, 4, 5)),
+    ],
+    ids=["free_unsat.cfg", "f2z-unsat-radius3", "gen-R5"],
 )
-def test_an_unsat_verdict_comes_from_the_solve_over_every_face(monkeypatch, tmp_path, text):
+def test_an_unsat_verdict_comes_from_the_solve_over_every_face(monkeypatch, tmp_path, text, radii):
     result, sizes, eliminated = _solve_sizes(monkeypatch, tmp_path, text)
     assert result["status"] == "unsat"
     assert sizes[-1] == len(result["faces"])
-    if result["faces"]:
-        assert sizes == [_faces_within(result, k) for k in (0, 1, 2, 3)]
-    # the certificate comes from one elimination over every face, at R
-    assert eliminated == [len(result["faces"])]
+    if radii:
+        assert sizes == [_faces_within(result, k) for k in radii]
+    # the collapse empties every radius, so no elimination runs, and
+    # its certificate annihilates every face's column at R
+    assert eliminated == []
+    cx, z, faces, columns = _solve_system(text)
+    assert len(faces) == len(result["faces"])
+    cert = result["certificate"]
+    functional = {parse_cell(cx, cell): k for cell, k in cert["functional"]}
+    assert check_unsat_certificate(columns, z, UnsatCertificate(functional, cert["modulus"]))
 
 
 def test_an_unsat_run_builds_each_trimmed_column_once(monkeypatch, tmp_path, capsys):
@@ -893,6 +927,104 @@ def test_the_extraction_cuts_the_residual_to_the_window_before_checking_levels()
     status, error, result = attempt(exp, probe)
     assert (status, error, result["status"]) == ("ok", None, "sat")
     assert result["extraction"] == {"error": "empty residual support cannot connect the rays"}
+
+
+# F_2 x Z with phi(a) = 1 and phi(u) = sqrt(2), scaling u: the ends
+# u^2 and u^-1 lie on the start's own ray, and a^-1 sits below level 0
+RAY_ENDS = """\
+[group]
+free_rank = 2
+abelian_rank = 1
+names = a b u
+
+[quasimorphism phi]
+kind = homomorphism
+a = 1
+u = sqrt(2)
+
+[probe fill]
+kind = novikov-solve
+qm = phi
+start = 1
+end = {}
+scaling = u
+window = 4
+radius = 4
+"""
+
+
+def _run_and_verify(tmp_path, capsys, text):
+    """The result of the config's one probe, after `run` and `verify`
+    both pass."""
+    cfg, out = tmp_path / "fill.cfg", tmp_path / "report.json"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert main(["verify", str(out)]) == 0, capsys.readouterr().out
+    return _read(out)["body"]["probes"][0]["result"]
+
+
+@pytest.mark.parametrize(
+    "end, letters, bound", [("u^2", ["u", "u"], "0/1"), ("u^-1", ["u^-1"], "0/1-1/1*sqrt(2)")]
+)
+def test_an_end_on_the_start_ray_extracts_the_ray_segment(tmp_path, capsys, end, letters, bound):
+    """end = start c^k leaves an empty residual, which used to record
+    `empty residual support cannot connect the rays`; the ray segment,
+    k letters c or -k letters c^-1, joins the endpoints."""
+    result = _run_and_verify(tmp_path, capsys, RAY_ENDS.format(end))
+    assert result["status"] == "sat"
+    assert result["extraction"] == {
+        "bound": bound,
+        "meets_bound": True,
+        "min_phi": bound,
+        "path": {"letters": letters, "origin": ""},
+    }
+
+
+def test_the_extraction_bound_reaches_down_to_the_lower_endpoint(tmp_path, capsys):
+    """Every path to end = a^-1 reaches level -1, so the bound is
+    min(0, phi-bar(start), phi-bar(end)) - D = -1, which the path
+    u a^-1 u^-1 meets; against -D = 0 it read meets_bound = false."""
+    result = _run_and_verify(tmp_path, capsys, RAY_ENDS.format("a^-1"))
+    assert result["extraction"] == {
+        "bound": "-1/1",
+        "meets_bound": True,
+        "min_phi": "-1/1",
+        "path": {"letters": ["u", "a^-1", "u^-1"], "origin": ""},
+    }
+
+
+def _cross_probe_cases():
+    fill = [
+        pytest.param(_bench_workloads().configs("fill", seed, ROOT)[0][1], id=f"fill-seed{seed}")
+        for seed in range(4)
+    ]
+    ends = [pytest.param(RAY_ENDS.format(end), id=f"end={end}") for end in ("u^2", "u^-1", "a^-1")]
+    z2 = (CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8")
+    return fill + [pytest.param(z2, id="z2_lattice")] + ends
+
+
+@pytest.mark.parametrize("text", _cross_probe_cases())
+def test_a_path_search_finds_a_path_at_the_extraction_bound(text):
+    """An extracted path that meets its bound stays at or above it, so
+    a path-search with k = -bound between the same endpoints, in a ball
+    that holds the path, finds a path."""
+    exp = parse_experiment(text)
+    (probe,) = [p for p in exp.probes if p.kind == "novikov-solve"]
+    status, error, result = attempt(exp, probe)
+    extraction = result["extraction"]
+    assert (status, result["status"], extraction["meets_bound"]) == ("ok", "sat", True), error
+    path = parse_path(exp.model, extraction["path"])
+    s = probe.settings
+    start, end = (x.word_str() or "1" for x in (s["start"], s["end"]))
+    search = (
+        f"\n[probe cross]\nkind = path-search\nqm = {s['qm']}\nstart = {start}\n"
+        f"target = {end}\nk = {-ExactReal.parse(extraction['bound'])}\n"
+        f"radius = {max(v.length() for v in path.vertices)}\n"
+    )
+    exp = parse_experiment(text + search)
+    (cross,) = [p for p in exp.probes if p.name == "cross"]
+    status, error, found = attempt(exp, cross)
+    assert (status, found["found"]) == ("ok", True), error
 
 
 def test_verify_rederives_a_failed_peak_reduce_claimed_ok(tmp_path, capsys):
@@ -1874,34 +2006,12 @@ def test_the_corner_faces_evaluate_each_corner_once(monkeypatch, tmp_path):
         assert {form for form, k in Counter(calls).items() if k > 1} <= read, command[0]
 
 
-# F_2 x Z with phi(a) = 1 and phi(b) = phi(u) = 0: phi vanishes on the
-# centre, so no filling of its z exists at any radius
-GEN = """\
-[group]
-free_rank = 2
-abelian_rank = 1
-names = a b u
-ball_cap = 8
-
-[quasimorphism phi]
-kind = homomorphism
-a = 1
-
-[probe fill]
-kind = novikov-solve
-qm = phi
-start = 1
-end = b
-scaling = a
-window = 4
-radius = 5
-"""
-
-
 def test_the_gen_unsat_keeps_its_pinned_body(tmp_path, capsys):
-    """Gen is unsat over 1,128 faces at radius 5, over Z (modulus 0),
-    and its functional is the six edges (a^3 u^j, a), j = -2, ..., 3;
-    its body, serialized as the bench pins are, keeps its digest."""
+    """Gen is unsat over 1,128 faces at radius 5, over Z (modulus 0).
+    The collapse empties the system, and its functional, lifted back
+    from one edge through the collapses, has 24 cells; the elimination's
+    was the six edges (a^3 u^j, a), j = -2, ..., 3, the tree pullback.
+    Its body, serialized as the bench pins are, keeps its digest."""
     cfg, out = tmp_path / "gen.cfg", tmp_path / "report.json"
     cfg.write_text(GEN, encoding="utf-8")
     assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
@@ -1909,12 +2019,10 @@ def test_the_gen_unsat_keeps_its_pinned_body(tmp_path, capsys):
     result = body["probes"][0]["result"]
     assert (result["status"], len(result["faces"])) == ("unsat", 1_128)
     cert = result["certificate"]
-    assert cert["modulus"] == 0
-    words = ["a^3", "a^3 u", "a^3 u^-1", "a^3 u^2", "a^3 u^-2", "a^3 u^3"]
-    assert cert["functional"] == [[["e", w, "a"], 1] for w in words]
+    assert (cert["modulus"], len(cert["functional"])) == (0, 24)
     text = json.dumps(body, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "be70ce89e650241a27f79719427f0ce371a54257c70e10dd8b5b4b25a20a8112"
+        "4ec7b30b45f460df47299f49062d036159cf97fabd208899ed14014b8bf91652"
     )
     assert main(["verify", str(out)]) == 0
 
@@ -1999,22 +2107,28 @@ def _tree_projection(cx, z):
     return {e: out[e] for e in edges}
 
 
+def _solve_system(text):
+    """The complex, z, faces and trimmed columns of the system a config's
+    one novikov-solve probe solves at its radius."""
+    from qmprobe.novikov import _trimmed_columns, boundary_faces
+    from qmprobe.probes import _novikov_cycle
+
+    exp = parse_experiment(text)
+    (probe,) = [p for p in exp.probes if p.kind == "novikov-solve"]
+    s = probe.settings
+    cx, cycle = _novikov_cycle(exp, probe)
+    z = cycle.chain
+    _, faces = boundary_faces(cx, z, s["window"], s["radius"], s["slack"], s["cell_cap"])
+    return cx, z, faces, _trimmed_columns(cx, faces, s["window"])
+
+
 def _pulled_back_system(text, tree_edge=None):
     """The trimmed columns and z of a config's novikov-solve probe, and
     the pullback under F_n x Z^m -> F_n of a tree edge (free word, letter
     index), by default the first one on which z projects to a non-zero
     coefficient: every edge (g t, i) with g's free word and t in Z^m,
     cut to the edges of the columns and of z."""
-    from qmprobe.novikov import _trimmed_columns, boundary_faces
-    from qmprobe.probes import _novikov_cycle
-
-    exp = parse_experiment(text)
-    (probe,) = exp.probes
-    s = probe.settings
-    cx, cycle = _novikov_cycle(exp, probe)
-    z = cycle.chain
-    _, faces = boundary_faces(cx, z, s["window"], s["radius"], s["slack"], s["cell_cap"])
-    columns = _trimmed_columns(cx, faces, s["window"])
+    cx, z, _, columns = _solve_system(text)
     free, index = tree_edge or next(iter(_tree_projection(cx, z)))
     edges = set(z).union(*columns)
     functional = {e: 1 for e in edges if (e[1], e[3]) == (free, index)}

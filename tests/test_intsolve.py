@@ -335,16 +335,28 @@ def _sparse_system(rng, nrows, ncols, planted):
     return columns, {k: v for k, v in rhs.items() if v}
 
 
+def _certifies(columns, rhs, got):
+    """Whether the collapse's answer is a modulus-0 certificate that
+    replays on every column."""
+    return (
+        isinstance(got, UnsatCertificate)
+        and got.modulus == 0
+        and check_unsat_certificate(columns, rhs, got)
+    )
+
+
 def _agrees_with_the_elimination(columns, rhs):
     """The collapse answers exactly when it empties the system, and
-    then as the elimination does; the collapse's verdict."""
+    then with the elimination's verdict: the same list, or its own
+    certificate, which replays on every column; the collapse's
+    verdict."""
     got = collapse_solve(columns, rhs)
     assert (got != "core") == _empties(columns)
     if got == "core":
         return "core"
     want = solve_integer_system(columns, rhs)
     if isinstance(want, UnsatCertificate):
-        assert got == "unsat"
+        assert _certifies(columns, rhs, got)
         return "unsat"
     assert got == want
     return "sat"
@@ -380,8 +392,24 @@ def test_coefficients_are_forced_in_collapse_order():
     # whose coefficient is what remains at y after the first: 3 - 1
     columns = [{"x": 1, "y": 1}, {"y": 1, "z": 1}]
     assert collapse_solve(columns, {"x": 1, "y": 3, "z": 2}) == [1, 2]
-    assert collapse_solve(columns, {"x": 1, "y": 3, "z": 3}) == "unsat"
+    # the residual ends at 1 on z; e_z is lifted back through y, which
+    # freed the second column, and then through x, which freed the
+    # first: lifted in forward order, x would be read before y is set
+    rhs = {"x": 1, "y": 3, "z": 3}
+    got = collapse_solve(columns, rhs)
+    assert got == UnsatCertificate({"z": 1, "y": -1, "x": 1}, 0)
+    assert _certifies(columns, rhs, got)
     assert collapse_solve([{"x": -1}], {"x": 4}) == [-4]
+
+
+def test_a_row_in_no_column_is_the_whole_certificate():
+    # x frees the column with coefficient 0, and the residual is 1 at y
+    # and at w; w lies in no column, so e_w alone certifies, where the
+    # lift of e_y would take x as well
+    columns, rhs = [{"x": 1, "y": 1}], {"y": 1, "w": 1}
+    assert collapse_solve(columns, rhs) == UnsatCertificate({"w": 1}, 0)
+    # with no such row, the first one of rhs where the residual is not 0
+    assert collapse_solve(columns, {"y": 1}) == UnsatCertificate({"y": 1, "x": -1}, 0)
 
 
 def test_a_row_with_entry_two_is_not_free():
@@ -393,6 +421,8 @@ def test_a_row_with_entry_two_is_not_free():
 
 def test_an_empty_system_needs_a_zero_right_hand_side():
     assert collapse_solve([], {}) == []
-    assert collapse_solve([], {"x": 1}) == "unsat"
+    assert collapse_solve([], {"x": 1}) == UnsatCertificate({"x": 1}, 0)
     # a row no column reaches must be 0 in the right-hand side
-    assert collapse_solve([{"x": 1}], {"x": 1, "w": 1}) == "unsat"
+    got = collapse_solve([{"x": 1}], {"x": 1, "w": 1})
+    assert got == UnsatCertificate({"w": 1}, 0)
+    assert _certifies([{"x": 1}], {"x": 1, "w": 1}, got)

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from qmprobe.errors import CapExceededError, ExtractionError, ReplayError
 from qmprobe.exact import ExactReal, ONE, ZERO, _make
 from qmprobe.groups import Generator, GroupModel, _ball, reduce_word
-from qmprobe.intsolve import UnsatCertificate, collapse_solve, solve_integer_system
+from qmprobe.intsolve import (
+    UnsatCertificate,
+    check_unsat_certificate,
+    collapse_solve,
+    solve_integer_system,
+)
 from qmprobe.novikov import (
     CayleyComplex,
     RayCycle,
@@ -355,7 +360,9 @@ def test_a_closed_cube_leaves_a_core_for_the_elimination(monkeypatch):
     """Each of the twelve edges of a unit cube in Z^3 lies in two of its
     six squares, so no edge is free and the collapse stops at once.  A ray
     system over Z^3 whose faces hold such cubes is decided by the
-    elimination, with the answer the full-radius solve gives."""
+    elimination, with the answer the full-radius solve gives: a filling
+    for end = a b, and for end = a^2 b, whose cycle leaves ball(1), the
+    elimination's certificate."""
     model = GroupModel(free_rank=0, abelian_rank=3, generator_names=("a", "b", "c"))
     cx = CayleyComplex(HomomorphismQM(model, (ZERO, ZERO, ONE)), ZERO)
     a, b, c = (model.generator_element(s) for s in cx.positive)
@@ -380,18 +387,12 @@ def test_a_closed_cube_leaves_a_core_for_the_elimination(monkeypatch):
     got = windowed_boundary_solve(cx, z, window, 1)
     assert (got.status, len(got.faces), eliminated) == ("sat", 15, [15])
     assert got.coefficients == _full_radius_solve(cx, z, window, 1, ZERO).coefficients
-
-
-def test_an_elimination_that_overturns_the_collapse_is_an_error(monkeypatch, z2, cx2):
-    """A system the collapse calls unsolvable goes to the elimination at
-    R for its certificate; a solution there raises RuntimeError, which
-    python -O keeps, where an assert would vanish."""
-    c = z2.parse_element("c")
-    high = path_from_letters(z2.parse_element("c c"), [Generator(0, False)])
-    zs = build_zs_cycle(cx2, Generator(0, False), c, 2, high, k_bound=ZERO)
-    monkeypatch.setattr("qmprobe.novikov.collapse_solve", lambda columns, rhs: "unsat")
-    with pytest.raises(RuntimeError, match="the collapse proved unsolvable"):
-        windowed_boundary_solve(cx2, zs.chain, ExactReal(10), 6)
+    eliminated.clear()
+    end = a * a * b
+    z = ray_cycle(cx, g, end, straight_path(g, end), c, window).chain
+    got = windowed_boundary_solve(cx, z, window, 1)
+    assert (got.status, len(got.faces), eliminated) == ("unsat", 15, [15])
+    assert got.certificate == _full_radius_solve(cx, z, window, 1, ZERO).certificate
 
 
 def test_solver_validates_rhs(z2, cx2):
@@ -686,7 +687,12 @@ def test_solving_small_first_agrees_with_the_full_radius_solve():
             if bases and max(bases) < radius:
                 verdicts["sat below the radius"] += 1
         else:
-            assert got.certificate == want.certificate
+            # the certificate is the collapse's when the collapse empties
+            # the system at R, and the elimination's on a core
+            columns = _trimmed_columns(cx, list(got.faces), window)
+            assert check_unsat_certificate(columns, z, got.certificate)
+            if collapse_solve(columns, z) == "core":
+                assert got.certificate == want.certificate
     assert all(verdicts.values()), verdicts
 
 
@@ -732,7 +738,7 @@ def test_extraction_rejects_negative_residual(z2, cx2):
         keep_negative_and_extract_path(cx2, {}, cyc)
 
 
-def test_extraction_rejects_empty_residual(z2, cx2):
+def test_extraction_follows_the_ray_when_the_residual_is_empty(z2, cx2):
     start = z2.parse_element("a^-1")
     end = z2.parse_element("a^-1 c")
     cyc = ray_cycle(
@@ -740,12 +746,23 @@ def test_extraction_rejects_empty_residual(z2, cx2):
         ExactReal(4),
     )
     # the connecting edge is the first edge of the start ray, so the
-    # cycle cancels to zero
+    # cycle cancels to zero, and the ray segment c joins the endpoints
     assert cyc.chain == {}
+    got = keep_negative_and_extract_path(cx2, {}, cyc)
+    assert got.path.edge_letters() == (Generator(1, False),)
+    # phi-bar(a^-1) = -1: the bound is min(0, -1, 0) - D
+    assert (got.min_phi, got.bound, got.meets_bound) == (ExactReal(-1), ExactReal(-1), True)
+
+
+def test_extraction_rejects_empty_residual(z2, cx2):
+    a, c = z2.parse_element("a"), z2.parse_element("c")
+    connecting = straight_path(z2.identity(), a)
+    # an empty cycle whose end is off the start's ray: nothing joins them
+    tampered = RayCycle({}, z2.identity(), a, c, connecting, ExactReal(4))
     with pytest.raises(
         ExtractionError, match="empty residual support cannot connect the rays"
     ):
-        keep_negative_and_extract_path(cx2, {}, cyc)
+        keep_negative_and_extract_path(cx2, {}, tampered)
 
 
 def test_extraction_rejects_disconnected_residual(z2, cx2):
