@@ -24,16 +24,12 @@ the first live key on top is exactly the rule's minimum.  The heap is
 rebuilt from the live entries whenever stale keys outnumber them,
 which bounds its size by twice the active nonzeros.
 
-`collapse_solve` answers many systems without the elimination.  A row
-that lies in exactly one remaining column, with entry +-1, is free, and
-the collapse removes that column through it, as an elementary collapse
-removes a face through a free edge.  When the collapse empties the
-system, each coefficient is forced in collapse order and the answer is
-the unique one: the same list `solve_integer_system` returns, or no
-solution at all, and then the collapse writes the certificate itself,
-a modulus-0 functional lifted back through the collapses in reverse
-order.  When a core is left, the collapse says so, and only then is
-the elimination needed.
+`collapse_solve` answers many systems without the elimination: it
+removes columns through free rows, as an elementary collapse removes a
+face through a free edge, and decides every system it empties, with a
+modulus-0 certificate when there is no solution; its docstring holds
+the proof.  Only a core, a system the collapse cannot empty, needs the
+elimination.
 """
 
 from __future__ import annotations

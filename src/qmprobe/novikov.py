@@ -34,18 +34,11 @@ phi-bar(end)) - D.  Every answer to ∂y ≡ z, the solver's in
 `run` or a recorded one in `verify`, is replayed and wrapped by the one
 function `settle`.
 
-A filling is local, so the solver tries small balls first.  The faces
-based in ball(k) are a prefix of those based in ball(R), because the
-ball is listed length-first; the floor of the admissible values does
-not depend on the radius; and a face's trimmed column depends only on
-the face and the window.  So a filling over ball(k), padded with zeros,
-is a filling over ball(R), and the recorded filling is the first one
-found on the radii 0, 1, 2, 4, 8, ... below R and then R.  A radius is
-decided by the collapse when the collapse empties its system, and then
-an unsat comes with the collapse's own certificate; only a core, a
-system the collapse cannot empty, goes to the elimination.  Only the
-whole system at R can be unsat, and its certificate is replayed over
-every face's column.
+A filling is local, so the solver tries small balls first and
+collapses each one before it eliminates; `windowed_boundary_solve`
+says why a filling over a smaller ball is one over ball(R), and
+`intsolve.collapse_solve` why a collapse that empties a system decides
+it and certifies an unsat.
 """
 
 from __future__ import annotations
@@ -128,14 +121,8 @@ class CayleyComplex:
     def element(self, cell: Cell) -> GroupElement:
         return _element(self.model, cell[1], cell[2])
 
-    def vertex_cell(self, g: GroupElement) -> Cell:
-        return ("v", g.free, g.ab)
-
     def edge_cell(self, g: GroupElement, index: int) -> Cell:
         return ("e", g.free, g.ab, index)
-
-    def face_cell(self, g: GroupElement, type_index: int) -> Cell:
-        return ("f", g.free, g.ab, type_index)
 
     def _forms(self, cell: Cell) -> tuple:
         """The normal forms of a cell's corners: g; g and g s_i for an
@@ -508,26 +495,13 @@ def windowed_boundary_solve(
     Only the whole system at R can be unsat, and its certificate is
     the one its own solve at R gives, over every face's column.
 
-    One solver decides each radius.  It is first put to
-    `intsolve.collapse_solve`, which removes faces through free edges,
-    edges in exactly one remaining face with coefficient +-1:
-    - when that empties the system, every coefficient is forced in
-      collapse order: the edge that freed a face lies in no face removed
-      after it, so its equation holds that face's coefficient and those
-      of faces already forced.  The columns are then independent
-      (triangular with unit diagonal on the freeing edges), so the
-      forced filling is the only one, and a non-zero residual at an
-      edge r proves that no filling exists.  The collapse then writes
-      the certificate itself: e_r lifted back through the collapses in
-      reverse order, each freeing edge given the coefficient that
-      annihilates its face, which disturbs no face removed after it, so
-      the functional annihilates every column and takes the residual at
-      r on z.  The edge r is the first edge of z in no column, a
-      one-cell certificate, when there is one;
-    - only a core, a system the collapse cannot empty, goes to
-      `solve_integer_system`, which decides it.
-    An unsat below R moves on to the next radius; a filling ends the
-    schedule."""
+    One solver decides each radius: `intsolve.collapse_solve`, which
+    removes faces through free edges (edges in exactly one remaining
+    face, with coefficient +-1) and decides every system it empties,
+    certificate included (its docstring holds the proof), and
+    `solve_integer_system` only for a core, a system the collapse cannot
+    empty.  An unsat below R moves on to the next radius; a filling ends
+    the schedule."""
     floor, faces = boundary_faces(cx, z, window, radius, slack, cell_cap)
     columns: list[dict[Cell, int]] = []
     for k in _solve_radii(radius):
@@ -564,9 +538,11 @@ def settle(
     if isinstance(solution, UnsatCertificate):
         if not (
             type(solution.modulus) is int
-            and all(type(c) is int for c in solution.functional.values())
+            and all(type(c) is int and c for c in solution.functional.values())
         ):
-            raise ReplayError("certificate modulus and coefficients must be integers")
+            raise ReplayError(
+                "certificate modulus and coefficients must be integers, the coefficients non-zero"
+            )
         columns = columns + _trimmed_columns(cx, faces[len(columns):], window)
         if not check_unsat_certificate(columns, z, solution):
             raise ReplayError("infeasibility certificate does not annihilate the system")

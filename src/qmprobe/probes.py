@@ -35,16 +35,9 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .errors import (
-    CapExceededError,
-    ConfigError,
-    ExtractionError,
-    QmprobeError,
-    ReplayError,
-)
+from .errors import CapExceededError, ConfigError, ExtractionError, QmprobeError
 from .exact import ZERO, ExactReal
-from .groups import GroupElement, GroupModel, ball_size
-from .intsolve import UnsatCertificate
+from .groups import GroupModel, ball_size
 from .novikov import (
     DEFAULT_CELL_CAP,
     MAX_SOLVE_BALL,
@@ -70,7 +63,14 @@ from .quasimorphisms import (
     defect_witness,
     surd_base,
 )
-from .report import cell_payload, chain_payload, encode, face_payloads, parse_cell
+from .report import (
+    certificate_payload,
+    chain_payload,
+    encode,
+    face_payloads,
+    parse_certificate,
+    parse_element,
+)
 from .rips import DEFAULT_VERTEX_CAP, connectivity_profile
 from .search import (
     MAX_OBSTRUCTION_LETTERS,
@@ -301,15 +301,6 @@ def _qm(exp: Experiment, probe: Section) -> Quasimorphism:
     return exp.quasimorphisms[probe.settings["qm"]]
 
 
-def _element(model: GroupModel, payload: str) -> GroupElement:
-    if not isinstance(payload, str):
-        raise ReplayError(f"bad element payload {payload!r}")
-    try:
-        return model.parse_element(payload)
-    except ValueError as exc:
-        raise ReplayError(f"bad element payload {payload!r}: {exc}") from exc
-
-
 def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
     """One problem per key, outside `unchecked`, where the recorded
     object differs from the one rebuilt from the echoed config.  A key
@@ -390,7 +381,7 @@ def _check_defect(exp: Experiment, probe: Section, res: dict) -> list:
     re-evaluated, and any pair realizing the recorded lower bound will
     do."""
     s = probe.settings
-    g, h = (_element(exp.model, word) for word in res["witness"])
+    g, h = (parse_element(exp.model, word) for word in res["witness"])
     est = defect_witness(_qm(exp, probe), s["radius"], s["claimed_upper"], g, h)
     return _compare(_defect_payload(exp, probe, est), res)
 
@@ -659,12 +650,7 @@ def _novikov_payload(
             except ExtractionError as exc:
                 out["extraction"] = {"error": str(exc)}
     else:
-        cert = outcome.certificate
-        cells = sorted(cert.functional, key=cx.cell_sort_key)
-        out["certificate"] = {
-            "modulus": cert.modulus,
-            "functional": [[cell_payload(cx, c), cert.functional[c]] for c in cells],
-        }
+        out["certificate"] = certificate_payload(cx, outcome.certificate)
     payload = encode(out, cx.model)
     # written after encoding: the face list is plain JSON already, and
     # encode would only walk its thousands of entries
@@ -695,11 +681,7 @@ def _check_novikov_solve(exp: Experiment, probe: Section, res: dict) -> list:
     if status == "sat":
         solution = res["coefficients"]
     elif status == "unsat":
-        cert = res["certificate"]
-        solution = UnsatCertificate(
-            {parse_cell(cx, cell): coeff for cell, coeff in cert["functional"]},
-            cert["modulus"],
-        )
+        solution = parse_certificate(cx, res["certificate"])
     else:
         return [f"unknown solve status {status!r}"]
     outcome = settle(cx, cycle.chain, s["window"], floor, faces, solution, [])
@@ -889,7 +871,7 @@ where v is the current vertex value.  The corrected path stays inside
         _validate_free_obstruction,
         _run_free_obstruction,
         _rederive,
-        """\
+        f"""\
 free-obstruction: conjugation sends a geodesic for x to one for
 c^-n x c^n.  Each geodesic vertex v forces any path staying near the
 level set to spend at least
@@ -899,8 +881,8 @@ single scale connects all the conjugates.  Depths up to max_depth N walk
 up to the sum over n <= N of 2 |x| + 2 n |c| + 1 geodesic vertices,
 and read up to the sum of those vertices times |x| + 2 n |c| letters,
 since a vertex is evaluated in time linear in its length; more than
-MAX_OBSTRUCTION_VERTICES = 40000 vertices or MAX_OBSTRUCTION_LETTERS =
-25000000 letters is refused when the config is validated, as are a
+MAX_OBSTRUCTION_VERTICES = {MAX_OBSTRUCTION_VERTICES} vertices or MAX_OBSTRUCTION_LETTERS =
+{MAX_OBSTRUCTION_LETTERS} letters is refused when the config is validated, as are a
 model that is not free, x and c that commute, phi-bar(c) <= 0, D* < 0
 and a denominator max_s |phi-bar(s)| + D* of 0.""",
     ),

@@ -13,11 +13,14 @@ records, so it alone decides how a value is written.  A record is
 written as the object of its fields, so a record that reaches a body
 names its fields as the body does.  Paths serialize as an origin word
 plus edge letters.  Cells and chains are bare tuples
-and dicts, so `cell_payload` writes a cell, `chain_payload` a 1-chain
-as sorted (cell, coefficient) lists under its window, and
-`face_payloads` a solver's face list, spelling each base once.
-Verification parses back only what stands in for a search: elements of
-a defect witness and the cells of an infeasibility certificate.
+and dicts.  A chain is a 1-chain and a certificate a 1-cochain, so the
+one cell spelt and parsed is an edge: `cell_payload` writes it,
+`chain_payload` a 1-chain as sorted (edge, coefficient) lists under its
+window, `certificate_payload` an infeasibility certificate the same
+way, and `face_payloads` lists a solver's faces, spelling each base
+once.  Verification parses back only what stands in for a search: the
+elements of a defect witness (`parse_element`) and an infeasibility
+certificate (`parse_certificate`, through `parse_cell`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import json
 from .errors import ReplayError
 from .exact import ExactReal
 from .groups import Generator, GroupElement, GroupModel, _abelian_word, _free_word, _join_words
+from .intsolve import UnsatCertificate
 from .novikov import CayleyComplex, Cell, Chain
 from .paths import Path, path_from_letters
 
@@ -65,6 +69,17 @@ def encode(value, model: GroupModel):
     raise TypeError(f"no report encoding for {kind.__name__}")
 
 
+def parse_element(model: GroupModel, payload: str) -> GroupElement:
+    """The element `encode` spells as its word; anything but a string is
+    refused."""
+    if not isinstance(payload, str):
+        raise ReplayError(f"bad element payload {payload!r}")
+    try:
+        return model.parse_element(payload)
+    except ValueError as exc:
+        raise ReplayError(f"bad element payload {payload!r}: {exc}") from exc
+
+
 def parse_letter(model: GroupModel, payload: str) -> Generator:
     """The letter `encode` spells as `name` or `name^-1`; any other
     token is refused without being expanded."""
@@ -85,40 +100,58 @@ def parse_path(model: GroupModel, payload: dict) -> Path:
     return path_from_letters(origin, letters)
 
 
-# -- cells ---------------------------------------------------------------
+# -- edges, chains and certificates -------------------------------------
 
 
 def cell_payload(cx: CayleyComplex, cell: Cell) -> list:
-    base = cx.element(cell).word_str()
-    if cell[0] == "v":
-        return ["v", base]
-    if cell[0] == "e":
-        return ["e", base, cx.model.generator_name(cx.positive[cell[3]])]
-    i, j = cx.square_types[cell[3]]
-    return [
-        "f",
-        base,
-        cx.model.generator_name(cx.positive[i]),
-        cx.model.generator_name(cx.positive[j]),
-    ]
+    """The edge ("e", free, ab, i) from g to g s_i as ["e", g, s_i]."""
+    return ["e", cx.element(cell).word_str(), cx.model.generator_name(cx.positive[cell[3]])]
+
+
+def parse_cell(cx: CayleyComplex, payload: list) -> Cell:
+    """The edge `cell_payload` spells; any other cell is refused."""
+    if not (isinstance(payload, list) and len(payload) == 3 and payload[0] == "e"):
+        raise ReplayError(f"not an edge: {payload!r}")
+    try:
+        g = cx.model.parse_element(payload[1])
+        names = [cx.model.generator_name(p) for p in cx.positive]
+        return cx.edge_cell(g, names.index(payload[2]))
+    except (AttributeError, ValueError) as exc:
+        raise ReplayError(f"malformed cell payload {payload!r}: {exc}") from exc
+
+
+def _terms(cx: CayleyComplex, terms: dict) -> list:
+    """(edge, coefficient) pairs in canonical cell order."""
+    return [[cell_payload(cx, c), terms[c]] for c in sorted(terms, key=cx.cell_sort_key)]
 
 
 def chain_payload(cx: CayleyComplex, terms: Chain, window: ExactReal | None) -> dict:
-    """A 1-chain known below `window` (None: everywhere), its terms in
-    canonical cell order."""
+    """A 1-chain known below `window` (None: everywhere)."""
     return {
         "dimension": 1,
         "window": encode(window, cx.model),
-        "terms": [[cell_payload(cx, c), terms[c]] for c in sorted(terms, key=cx.cell_sort_key)],
+        "terms": _terms(cx, terms),
     }
 
 
+def certificate_payload(cx: CayleyComplex, cert: UnsatCertificate) -> dict:
+    """An infeasibility certificate: its modulus and its functional."""
+    return {"modulus": cert.modulus, "functional": _terms(cx, cert.functional)}
+
+
+def parse_certificate(cx: CayleyComplex, payload: dict) -> UnsatCertificate:
+    """The certificate `certificate_payload` writes, its edges parsed
+    back; `novikov.settle` checks its modulus and coefficients."""
+    functional = {parse_cell(cx, cell): coeff for cell, coeff in payload["functional"]}
+    return UnsatCertificate(functional, payload["modulus"])
+
+
 def face_payloads(cx: CayleyComplex, faces) -> list:
-    """`cell_payload` of each 2-cell of `faces`.  Faces come base then
-    type, so each base is spelt once per run of faces on it, from the
-    spellings of its free and abelian parts; many bases share these, so
-    each distinct part is spelt once per call.  Each type's generator
-    names are looked up once."""
+    """Each 2-cell of `faces` as ["f", g, x, y], the square on the steps
+    x and y at g.  Faces come base then type, so each base is spelt once
+    per run of faces on it, from the spellings of its free and abelian
+    parts; many bases share these, so each distinct part is spelt once
+    per call.  Each type's generator names are looked up once."""
     model = cx.model
     names, free_rank = model.generator_names, model.free_rank
     pairs = [
@@ -141,23 +174,6 @@ def face_payloads(cx: CayleyComplex, faces) -> list:
             base = _join_words(u, v)
         out.append(["f", base, *pairs[t]])
     return out
-
-
-def parse_cell(cx: CayleyComplex, payload: list) -> Cell:
-    try:
-        tag = payload[0]
-        g = cx.model.parse_element(payload[1])
-        if tag == "v":
-            return cx.vertex_cell(g)
-        names = [cx.model.generator_name(p) for p in cx.positive]
-        if tag == "e":
-            return cx.edge_cell(g, names.index(payload[2]))
-        if tag == "f":
-            pair = (names.index(payload[2]), names.index(payload[3]))
-            return cx.face_cell(g, cx.square_types.index(pair))
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
-        raise ReplayError(f"malformed cell payload {payload!r}: {exc}") from exc
-    raise ReplayError(f"unknown cell tag in {payload!r}")
 
 
 # -- whole-report helpers ------------------------------------------------

@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qmprobe import novikov
+from qmprobe import novikov, probes
 from qmprobe.cli import _build_parser, main
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError, ReplayError
@@ -505,6 +505,20 @@ def test_dropped_probe_fails_verification(tmp_path, capsys):
     assert "FAIL" in captured.out and "(report)" in captured.out
 
 
+def test_an_entry_named_after_no_configured_probe_fails_the_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / "f2z_kernel.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    report["body"]["probes"][0]["name"] = "stranger"
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "stranger" not in printed
+    assert (
+        "FAIL (report) (-): probe entries are not the configured probes in config order"
+        in printed
+    )
+
+
 RIPS_TRIANGLE = """\
 [group]
 free_rank = 2
@@ -652,6 +666,15 @@ def _relabel_the_witness_kind(res):
     res["witness_kind"] = "three-term"
 
 
+def _make_the_solve_status_unknown(res):
+    assert res["status"] == "unsat"
+    res["status"] = "maybe"
+
+
+def _empty_the_witness(res):
+    res["witness"] = []
+
+
 def _make_a_forest_index_false(res):
     assert res["forest_at_threshold"] == [[0, 1]]
     res["forest_at_threshold"] = [[False, 1]]
@@ -701,6 +724,10 @@ def _make_a_forest_index_true(res):
          "forest_at_threshold does not replay"),
         ("free_brooks.cfg", "pair-profile", _make_a_forest_index_true,
          "forest_at_threshold does not replay"),
+        ("free_unsat.cfg", "no-fill", _make_the_solve_status_unknown,
+         "unknown solve status 'maybe'"),
+        ("free_brooks.cfg", "defect-small", _empty_the_witness,
+         "malformed or inconsistent payload: not enough values to unpack"),
     ],
 )
 def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragment):
@@ -991,6 +1018,56 @@ def test_the_extraction_bound_reaches_down_to_the_lower_endpoint(tmp_path, capsy
         "min_phi": "-1/1",
         "path": {"letters": ["u", "a^-1", "u^-1"], "origin": ""},
     }
+
+
+def test_a_fill_without_extraction_records_null_and_verifies(tmp_path, capsys):
+    """`extract = no` keeps the filling and records `extraction: null`,
+    and `verify` holds the recorded value to that."""
+    result = _run_and_verify(tmp_path, capsys, RAY_ENDS.format("a^-1") + "extract = no\n")
+    assert (result["status"], result["extraction"]) == ("sat", None)
+    assert result["coefficients"]
+    out = tmp_path / "report.json"
+    report = _read(out)
+    _probe(report, "fill")["result"]["extraction"] = {"error": "x"}
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL fill" in printed and "extraction does not replay" in printed
+
+
+def test_a_zs_cycle_whose_high_path_is_not_found_verifies(tmp_path, capsys):
+    """On Z^2 with phi = a + c, s = a, scaling c and depth 3, k = -5 asks
+    the high path to stay at phi-bar >= 3 phi-bar(c) - k = 8, and its
+    own start c^3 sits at 3: the search records why it found nothing,
+    and the zs-cycle records no chain."""
+    text = (
+        "[group]\nabelian_rank = 2\nnames = a c\n\n"
+        "[quasimorphism diag]\nkind = homomorphism\na = 1\nc = 1\n\n"
+        "[probe zs]\nkind = zs-cycle\nqm = diag\ns = a\nscaling = c\n"
+        "depth = 3\nk = -5\nradius = 4\n"
+    )
+    result = _run_and_verify(tmp_path, capsys, text)
+    assert (result["status"], result["chain"], result["high_path"]) == ("not-found", None, None)
+    assert (result["reason"], result["explored"]) == ("an endpoint violates the level constraint", 0)
+
+
+def test_a_library_records_each_pair_it_cannot_connect(tmp_path, capsys):
+    """F_2 with phi(a) = 1 and phi(b) = 10, scaling a at depth 4: within
+    ball(6) eight of the sixteen pairs have no connecting path below
+    their ceiling, and each is recorded with it."""
+    text = (
+        "[group]\nfree_rank = 2\nnames = a b\n\n"
+        "[quasimorphism phi]\nkind = homomorphism\na = 1\nb = 10\n\n"
+        "[probe library]\nkind = q-library\nqm = phi\ndstar = 1\nkprime = 3\n"
+        "scaling = a\nradius = 6\ndepth = 4\n"
+    )
+    result = _run_and_verify(tmp_path, capsys, text)
+    failures = [e["failure"] for e in result["entries"] if e["failure"]]
+    unconnected = Counter(f for f in failures if f.startswith("no connecting path"))
+    assert unconnected == {
+        f"no connecting path below {ceiling}/1 within ball(6)": n
+        for ceiling, n in (("-1", 4), ("8", 2), ("10", 1), ("19", 1))
+    }
+    assert result["complete"] is False
 
 
 def _cross_probe_cases():
@@ -1365,6 +1442,15 @@ def test_bad_flags_are_usage_errors(tmp_path, capsys):
     assert err.value.code == 1
 
 
+def test_run_into_a_missing_directory_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run", str(CONFIG_DIR / "f2z_kernel.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("qmprobe: cannot write report: ")
+    assert not out.parent.exists()
+
+
 def test_missing_config_is_a_validation_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "ghost.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -1439,6 +1525,22 @@ def test_explain_defect_matches_the_stored_bounds(capsys):
     out = capsys.readouterr().out
     assert "2 (|w| - 1)" not in out
     assert "no stored bound" in out
+
+
+def test_every_constant_an_explain_text_names_is_the_module_value():
+    """A constant an `explain` text names is one `probes` checks with,
+    and a value the text gives it is that constant's."""
+    named = set()
+    for kind, entry in KINDS.items():
+        for name in re.findall(r"\b[A-Z]+(?:_[A-Z]+)+\b", entry.explain):
+            assert isinstance(getattr(probes, name, None), int), (kind, name)
+            named.add(name)
+        for name, value in re.findall(r"\b([A-Z]+(?:_[A-Z]+)+) = (\d+)", entry.explain):
+            assert int(value) == getattr(probes, name), (kind, name)
+    assert named == {
+        "MAX_SCAN_PAIRS", "MAX_SEARCH_BALL", "MAX_SOLVE_BALL",
+        "MAX_OBSTRUCTION_VERTICES", "MAX_OBSTRUCTION_LETTERS",
+    }
 
 
 def test_readme_cli_synopsis_names_the_argparse_options():
@@ -1976,7 +2078,9 @@ def test_the_corner_faces_evaluate_each_corner_once(monkeypatch, tmp_path):
     s = probe.settings
     cx, cycle = _novikov_cycle(exp, probe)
     floor = min(map(cx.value, cycle.chain))
-    every = [cx.face_cell(g, t) for g in exp.model.ball(5) for t in range(len(cx.square_types))]
+    every = [
+        ("f", g.free, g.ab, t) for g in exp.model.ball(5) for t in range(len(cx.square_types))
+    ]
     counts.update(elements=0, values=0)
     calls.clear()
     faces = qmprobe.novikov.enumerate_faces(cx, floor, s["window"], s["radius"])
@@ -2025,6 +2129,43 @@ def test_the_gen_unsat_keeps_its_pinned_body(tmp_path, capsys):
         "4ec7b30b45f460df47299f49062d036159cf97fabd208899ed14014b8bf91652"
     )
     assert main(["verify", str(out)]) == 0
+
+
+def _pad_with_a_vertex(functional):
+    functional.insert(0, [["v", "a"], 1])
+
+
+def _pad_with_a_face(functional):
+    functional.append([["f", "a", "a", "u"], 1])
+
+
+def _pad_with_a_zero_edge(functional):
+    functional.insert(0, [["e", "", "a"], 0])
+
+
+@pytest.mark.parametrize(
+    "tamper, fragment",
+    [
+        (_pad_with_a_vertex, "not an edge: ['v', 'a']"),
+        (_pad_with_a_face, "not an edge: ['f', 'a', 'a', 'u']"),
+        (_pad_with_a_zero_edge, "the coefficients non-zero"),
+    ],
+)
+def test_verify_refuses_a_certificate_padded_with_what_no_cochain_holds(
+    tmp_path, capsys, tamper, fragment
+):
+    """A certificate is a functional on edges.  Gen's, padded with a
+    vertex at its head, a face at its end or an edge with coefficient 0
+    at its head, still annihilates every column and is written back as
+    recorded, so only the parse and `settle` refuse it."""
+    cfg, out = tmp_path / "gen.cfg", tmp_path / "report.json"
+    cfg.write_text(GEN, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+    report = _read(out)
+    tamper(_probe(report, "fill")["result"]["certificate"]["functional"])
+    code, printed = _verify_rewritten(out, report, capsys)
+    assert code == 4
+    assert "FAIL fill" in printed and fragment in printed
 
 
 # the novikov-solve payload keys that are levels of phi-bar, and so

@@ -345,6 +345,30 @@ def test_novikov_needs_a_defect_bound():
     assert "the scaling element must have positive phi-bar" in str(err.value)
 
 
+FILL_Z2 = Z2_GROUP + (
+    "[quasimorphism phi]\nkind = homomorphism\nc = 1\n"
+    "[probe fill]\nkind = novikov-solve\nqm = phi\nstart = 1\nend = a\n"
+    "scaling = c\nwindow = 4\nradius = 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "spelling, value",
+    [(None, True), ("yes", True), ("TRUE", True), ("on", True), ("1", True),
+     ("no", False), ("False", False), ("off", False), ("0", False)],
+)
+def test_extract_takes_each_boolean_spelling(spelling, value):
+    text = FILL_Z2 + (f"extract = {spelling}\n" if spelling else "")
+    (probe,) = parse_experiment(text).probes
+    assert probe.settings["extract"] is value
+
+
+@pytest.mark.parametrize("spelling", ["maybe", "2", "y", ""])
+def test_extract_refuses_any_other_spelling(spelling):
+    with pytest.raises(ConfigError, match=r"^\[probe fill\]: extract: must be a boolean$"):
+        parse_experiment(FILL_Z2 + f"extract = {spelling}\n")
+
+
 def test_novikov_defect_bound_missing_message():
     text = FREE_GROUP
     text += "[quasimorphism lead]\nkind = brooks\nword = a\n"

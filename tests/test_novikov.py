@@ -38,6 +38,16 @@ from qmprobe.quasimorphisms import BrooksQM, CombinationQM, HomogenizedQM, Homom
 from conftest import exact
 
 
+def _vertex(g):
+    """The 0-cell at g."""
+    return ("v", g.free, g.ab)
+
+
+def _face(g, t):
+    """The square of the t-th commuting pair based at g."""
+    return ("f", g.free, g.ab, t)
+
+
 def _corner_values(cx, cell):
     """phi-bar at a cell's corners as exact numbers, the corners built by
     multiplying the base by the generators."""
@@ -93,7 +103,7 @@ def test_square_types_by_model(cx2, cxf, cxm):
 
 def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi):
     g = z2.parse_element("a^-1")
-    face = cx2.face_cell(g, 0)
+    face = _face(g, 0)
     assert cx2.corners(face) == (
         g,
         z2.parse_element("a^-1 a"),
@@ -103,7 +113,7 @@ def test_cell_value_is_min_over_corners(z2, cx2, f2z, f2z_phi):
     assert cx2.value(face) == ExactReal(-1)
     edge = cx2.edge_cell(g, 0)
     assert cx2.value(edge) == ExactReal(-1)
-    assert cx2.value(cx2.vertex_cell(g)) == ExactReal(-1)
+    assert cx2.value(_vertex(g)) == ExactReal(-1)
     # the corner numerators the solver compares against its bounds are
     # phi-bar's at the corners: for a homomorphism, from the numerators
     # the ball walk carries for the base; for psi-bar, evaluated
@@ -131,10 +141,10 @@ def _cell(cx, kind, g, index):
     """The vertex, edge or face of cx at g; `index` picks the edge's
     generator or the face's type."""
     if kind == "v":
-        return cx.vertex_cell(g)
+        return _vertex(g)
     if kind == "e":
         return cx.edge_cell(g, index % len(cx.positive))
-    return cx.face_cell(g, index % len(cx.square_types))
+    return _face(g, index % len(cx.square_types))
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,19 +180,19 @@ def test_edge_boundary_is_difference_of_endpoints(z2, cx2):
     g = z2.parse_element("c")
     got = cx2.boundary_of_cell(cx2.edge_cell(g, 0))
     assert got == {
-        cx2.vertex_cell(z2.parse_element("c a")): 1,
-        cx2.vertex_cell(g): -1,
+        _vertex(z2.parse_element("c a")): 1,
+        _vertex(g): -1,
     }
     with pytest.raises(ValueError):
-        cx2.boundary_of_cell(cx2.vertex_cell(g))
+        cx2.boundary_of_cell(_vertex(g))
 
 
 def test_path_chain_boundary_telescopes(z2, cx2):
     p = path_from_letters(z2.identity(), z2.parse_word("a c c^-1 a a^-1"))
     b = cx2.boundary(cx2.path_chain(p))
     assert b == {
-        cx2.vertex_cell(p.terminus): 1,
-        cx2.vertex_cell(p.origin): -1,
+        _vertex(p.terminus): 1,
+        _vertex(p.origin): -1,
     }
 
 
@@ -200,7 +210,7 @@ def test_boundary_of_boundary_vanishes(z2, cx2, seed):
     terms = {}
     for _ in range(rng.randint(1, 6)):
         g = rng.choice(ball)
-        terms[cx2.face_cell(g, 0)] = rng.randint(-3, 3)
+        terms[_face(g, 0)] = rng.randint(-3, 3)
     assert cx2.boundary(cx2.boundary(terms)) == {}
 
 
@@ -212,7 +222,7 @@ def test_boundary_of_boundary_vanishes_mixed_model(f2z, cxm, seed):
     terms = {}
     for _ in range(rng.randint(1, 5)):
         g = rng.choice(ball)
-        terms[cxm.face_cell(g, rng.randint(0, 1))] = rng.randint(-2, 2)
+        terms[_face(g, rng.randint(0, 1))] = rng.randint(-2, 2)
     assert cxm.boundary(cxm.boundary(terms)) == {}
 
 
@@ -225,8 +235,8 @@ def test_edge_drop(cx2, cxf, cxm):
 
 def test_equal_below_ignores_cells_at_or_above_level(z2, cx2):
     c2 = z2.parse_element("c c")
-    u = {cx2.vertex_cell(z2.identity()): 1}
-    v = {cx2.vertex_cell(z2.identity()): 1, cx2.vertex_cell(c2): 7}
+    u = {_vertex(z2.identity()): 1}
+    v = {_vertex(z2.identity()): 1, _vertex(c2): 7}
     assert _equal_below(cx2, u, v, ExactReal(2))
     assert not _equal_below(cx2, u, v, ExactReal(3))
 
@@ -263,8 +273,8 @@ def test_ray_cycle_is_a_cycle(z2, cx2):
     # its boundary is the two ray tips, at the window, where the cycle
     # is no longer exact
     assert cx2.boundary(cyc.chain) == {
-        cx2.vertex_cell(z2.parse_element("a c^5")): 1,
-        cx2.vertex_cell(z2.parse_element("c^6")): -1,
+        _vertex(z2.parse_element("a c^5")): 1,
+        _vertex(z2.parse_element("c^6")): -1,
     }
 
 
@@ -338,8 +348,8 @@ def test_solver_fills_zs_cycle(z2, cx2):
     assert len(got.coefficients) == len(got.faces)
     # the unique filling is the two squares between the paths
     assert got.filling == {
-        cx2.face_cell(z2.identity(), 0): 1,
-        cx2.face_cell(c, 0): 1,
+        _face(z2.identity(), 0): 1,
+        _face(c, 0): 1,
     }
     assert _equal_below(cx2, cx2.boundary(got.filling), zs.chain, ExactReal(10))
 
@@ -367,8 +377,8 @@ def test_a_closed_cube_leaves_a_core_for_the_elimination(monkeypatch):
     cx = CayleyComplex(HomomorphismQM(model, (ZERO, ZERO, ONE)), ZERO)
     a, b, c = (model.generator_element(s) for s in cx.positive)
     g = model.identity()
-    cube = [cx.face_cell(g, t) for t in range(3)]
-    cube += [cx.face_cell(c, 0), cx.face_cell(b, 1), cx.face_cell(a, 2)]
+    cube = [_face(g, t) for t in range(3)]
+    cube += [_face(c, 0), _face(b, 1), _face(a, 2)]
     columns = [cx.boundary_of_cell(f) for f in cube]
     edges = Counter(e for col in columns for e in col)
     assert len(edges) == 12 and set(edges.values()) == {2}
@@ -431,17 +441,17 @@ def _corner_faces(cx, floor, ceiling, radius):
     """The admissible faces as they were first enumerated: one cached
     corner-minimum value per (base, type)."""
     return [
-        cx.face_cell(g, t)
+        _face(g, t)
         for g in cx.model.ball(radius)
         for t in range(len(cx.square_types))
-        if _corner_min(cx, cx.face_cell(g, t)) < ceiling
-        and (floor is None or floor <= _corner_min(cx, cx.face_cell(g, t)))
+        if _corner_min(cx, _face(g, t)) < ceiling
+        and (floor is None or floor <= _corner_min(cx, _face(g, t)))
     ]
 
 
 def _face_values(cx, radius):
     return [
-        _corner_min(cx, cx.face_cell(g, t))
+        _corner_min(cx, _face(g, t))
         for g in cx.model.ball(radius)
         for t in range(len(cx.square_types))
     ]
@@ -545,7 +555,7 @@ def test_trimmed_columns_match_the_boundary_of_each_face(seed):
     for qm in potentials:
         cx = CayleyComplex(qm, ZERO)
         faces = [
-            cx.face_cell(g, t) for g in model.ball(3) for t in range(len(cx.square_types))
+            _face(g, t) for g in model.ball(3) for t in range(len(cx.square_types))
         ]
         edge_values = [
             _corner_min(cx, cx.edge_cell(g, i)) for g in model.ball(1) for i in range(3)
@@ -559,7 +569,7 @@ def test_trimmed_columns_match_the_boundary_of_each_face(seed):
     # identity, and its edge is spelt in normal form
     cx = CayleyComplex(potentials[0], ZERO)
     g = model.parse_element("a^-1")
-    (column,) = _trimmed_columns(cx, [cx.face_cell(g, 0)], ExactReal(20))
+    (column,) = _trimmed_columns(cx, [_face(g, 0)], ExactReal(20))
     assert list(column) == [
         cx.edge_cell(g, 0),
         cx.edge_cell(model.identity(), cx.square_types[0][1]),
@@ -645,11 +655,18 @@ def _full_radius_solve(cx, z, window, radius, slack):
     return settle(cx, z, window, floor, faces, solve_integer_system(columns, z), [])
 
 
-def _random_ray_system(seed):
-    """(complex, ray cycle, window, radius, slack) over F_2 x Z or Z^2
-    with a random homomorphism, endpoints, window and radius <= 4."""
+def _random_ray_system(seed, z3=False):
+    """(complex, ray cycle, window, radius, slack) over F_2 x Z or Z^2,
+    or over Z^3 when `z3`, with a random homomorphism, endpoints, window
+    and radius <= 4."""
     rng = random.Random(seed)
-    if rng.random() < 0.5:
+    if z3:
+        # the cubes of Z^3 are closed surfaces, which no collapse empties
+        model = GroupModel(free_rank=0, abelian_rank=3, generator_names=("a", "b", "c"))
+        values = tuple(ExactReal(rng.choice((-1, 0, 1))) for _ in range(2))
+        qm = HomomorphismQM(model, values + (ONE,))
+        scaling = model.parse_element("c")
+    elif rng.random() < 0.5:
         model = GroupModel(free_rank=2, abelian_rank=1, generator_names=("a", "b", "u"))
         values = (ExactReal(rng.choice((-1, 0, 1))), ExactReal(rng.choice((0, 1))))
         qm = HomomorphismQM(model, values + (ExactReal(0, 1, 2),))
@@ -673,9 +690,12 @@ def _random_ray_system(seed):
 
 
 def test_solving_small_first_agrees_with_the_full_radius_solve():
-    verdicts = {"sat": 0, "unsat": 0, "sat below the radius": 0}
-    for seed in range(100):
-        cx, z, window, radius, slack = _random_ray_system(seed)
+    """100 draws over F_2 x Z and Z^2, whose unsat systems the collapse
+    empties, and 40 over Z^3, where two unsat systems leave a core."""
+    verdicts = {"sat": 0, "unsat": 0, "sat below the radius": 0, "unsat on a core": 0}
+    draws = [(seed, False) for seed in range(100)] + [(seed, True) for seed in range(40)]
+    for seed, z3 in draws:
+        cx, z, window, radius, slack = _random_ray_system(seed, z3)
         got = windowed_boundary_solve(cx, z, window, radius, slack)
         want = _full_radius_solve(cx, z, window, radius, slack)
         assert (got.status, got.floor, got.faces) == (want.status, want.floor, want.faces)
@@ -693,6 +713,7 @@ def test_solving_small_first_agrees_with_the_full_radius_solve():
             assert check_unsat_certificate(columns, z, got.certificate)
             if collapse_solve(columns, z) == "core":
                 assert got.certificate == want.certificate
+                verdicts["unsat on a core"] += 1
     assert all(verdicts.values()), verdicts
 
 

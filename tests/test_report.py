@@ -13,7 +13,16 @@ from qmprobe.groups import Generator
 from qmprobe.novikov import CayleyComplex
 from qmprobe.probes import _same
 from qmprobe.paths import path_from_letters
-from qmprobe.report import chain_payload, encode, load_report
+from qmprobe.intsolve import UnsatCertificate
+from qmprobe.report import (
+    cell_payload,
+    certificate_payload,
+    chain_payload,
+    encode,
+    load_report,
+    parse_cell,
+    parse_certificate,
+)
 from qmprobe.runner import run_experiment
 from qmprobe.search import PeakReductionTrace, PeakStep
 
@@ -94,6 +103,39 @@ def test_chain_payload_lists_terms_in_cell_order(z2, z2_hom11):
         "terms": [[["e", "", "a"], 3], [["e", "", "c"], 1], [["e", "a", "c"], -2]],
     }
     assert chain_payload(cx, {}, None) == {"dimension": 1, "window": None, "terms": []}
+
+
+def test_a_certificate_round_trips_through_its_payload(f2z, f2z_phi):
+    cx = CayleyComplex(f2z_phi, ZERO)
+    edges = [cx.edge_cell(g, i) for g in f2z.ball(2) for i in range(len(cx.positive))]
+    cert = UnsatCertificate({e: k for k, e in enumerate(reversed(edges), 1)}, 3)
+    payload = certificate_payload(cx, cert)
+    assert payload["modulus"] == 3
+    n = len(edges)
+    assert payload["functional"][:2] == [[["e", "", "a"], n], [["e", "", "b"], n - 1]]
+    assert [cell for cell, _ in payload["functional"]] == [cell_payload(cx, e) for e in edges]
+    assert parse_certificate(cx, json.loads(json.dumps(payload))) == cert
+
+
+@pytest.mark.parametrize(
+    "payload, fragment",
+    [
+        (["v", "a"], "not an edge: ['v', 'a']"),
+        (["f", "a", "a", "u"], "not an edge: ['f', 'a', 'a', 'u']"),
+        (["x", "a", "a"], "not an edge"),
+        (["e", "a", "a", "u"], "not an edge"),
+        ("e a a", "not an edge"),
+        (["e", "a", "c"], "malformed cell payload"),
+        (["e", ["a"], "a"], "malformed cell payload"),
+    ],
+)
+def test_parse_cell_reads_edges_only(f2z, f2z_phi, payload, fragment):
+    """Chains are 1-chains and certificates 1-cochains, so a recorded
+    cell is an edge, spelt as `cell_payload` spells it, or refused."""
+    cx = CayleyComplex(f2z_phi, ZERO)
+    with pytest.raises(ReplayError) as err:
+        parse_cell(cx, payload)
+    assert fragment in str(err.value)
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
