@@ -6,11 +6,20 @@ writes a JSON report, `verify` replays every certificate in a report,
 
 Exit codes: 0 success, 1 usage, 2 validation or replay-input error,
 3 a probe hit a cap, 4 a certificate failed verification.
+
+Importing this module loads the pipeline and the layers every command
+uses (`exact`, `groups`, `quasimorphisms`, `report`).  The layers that
+only some probe kinds call (`novikov`, `intsolve`, `paths`, `search`
+and `rips`) are registered as placeholders that load on first use, and
+each command loads only the kind modules it names (`probes.KINDS`), so
+a config compiles only the code its probes run, and does so before
+`load_experiment` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 
 from .config import load_experiment
@@ -19,6 +28,34 @@ from .probes import KINDS
 from .report import dump_report, load_report
 from .runner import run_experiment
 from .verify import verify_report
+
+
+def _register_lazily(*layers: str) -> None:
+    """Put each layer in `sys.modules` and on the package as a
+    placeholder module, compiled and run on its first attribute access.
+
+    The contract it keeps: the benchmark's tracer (`bench/spans.py`)
+    finds every layer it wraps in `sys.modules` right after
+    `import qmprobe.cli`, and its lookup of their functions loads them,
+    so a traced command loads every layer as before, while an untraced
+    one loads a layer only when a kind it names from-imports it.  The
+    per-probe counters of ROADMAP item 10, which the bench is to read
+    instead of wrapping functions by name, retire this contract and
+    these placeholders with it."""
+    package = sys.modules[__package__]
+    for layer in layers:
+        name = f"{__package__}.{layer}"
+        if name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        setattr(package, layer, module)
+
+
+_register_lazily("novikov", "intsolve", "paths", "search", "rips")
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -32,10 +32,11 @@ preserved.  Example:
 Every section is read through a `probes.Section`, which names the
 section in each error and refuses any key that nothing read, so a
 misspelt key is a ConfigError rather than an absent one.  Every
-probe's parameters are checked by its kind's entry in `probes.KINDS`
+probe's parameters are checked by its kind's module in `probes.KINDS`
 against the preconditions of the operation it will invoke; a
 violation raises ConfigError naming the section and key, and nothing
-is executed.
+is executed.  Checking a probe imports its kind's module, so every
+kind the config names is loaded by the time validation returns.
 """
 
 from __future__ import annotations

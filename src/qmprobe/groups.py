@@ -374,6 +374,14 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     return g * h * g.inverse() * h.inverse()
 
 
+def _scaling_letter(model: GroupModel, scaling: GroupElement) -> Generator:
+    if scaling.model != model:
+        raise ModelMismatchError("scaling element from a different model")
+    if scaling.length() != 1:
+        raise ValueError("the scaling element must be a single generator letter")
+    return scaling.letters()[0]
+
+
 def _step_form(
     free_rank: int, free: tuple[int, ...], ab: tuple[int, ...], letter: Generator
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:

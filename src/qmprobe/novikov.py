@@ -49,7 +49,15 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
 from .exact import ExactReal, ZERO, _make
-from .groups import Generator, GroupElement, GroupModel, _ball, _element, _step_form
+from .groups import (
+    Generator,
+    GroupElement,
+    GroupModel,
+    _ball,
+    _element,
+    _scaling_letter,
+    _step_form,
+)
 from .intsolve import (
     UnsatCertificate,
     check_solution,
@@ -58,8 +66,7 @@ from .intsolve import (
     solve_integer_system,
 )
 from .paths import Path, path_from_letters, phi_extrema
-from .quasimorphisms import Quasimorphism, _below
-from .search import _scaling_letter, check_positive_direction
+from .quasimorphisms import Quasimorphism, _below, check_defect, check_positive_direction
 
 RAY_STEP_CAP = 100_000
 DEFAULT_CELL_CAP = 50_000
@@ -71,12 +78,6 @@ MAX_SOLVE_BALL = 50_000
 Cell = tuple
 # a chain: each cell of one dimension -> its non-zero coefficient
 Chain = dict[Cell, int]
-
-
-def check_defect(defect: ExactReal) -> None:
-    """Refuse a negative defect bound D."""
-    if defect < ZERO:
-        raise ValueError("defect must be non-negative")
 
 
 class CayleyComplex:

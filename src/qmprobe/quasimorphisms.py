@@ -540,6 +540,23 @@ def check_dstar(dstar: ExactReal) -> None:
         raise ValueError("dstar must be non-negative")
 
 
+def check_scaling_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal) -> None:
+    value = qm.homogeneous_value(scaling)
+    if not (dstar * 4 / ExactReal(5) < value and value <= dstar):
+        raise ValueError(f"scaling element value {value} must lie in (4 D*/5, D*]")
+
+
+def check_positive_direction(qm: Quasimorphism, scaling: GroupElement) -> None:
+    if not qm.homogeneous_value(scaling) > ZERO:
+        raise ValueError("the scaling element must have positive phi-bar")
+
+
+def check_defect(defect: ExactReal) -> None:
+    """Refuse a negative defect bound D."""
+    if defect < ZERO:
+        raise ValueError("defect must be non-negative")
+
+
 def certify_aker_approximate_subgroup(
     qm: Quasimorphism,
     dstar: ExactReal,

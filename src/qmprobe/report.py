@@ -21,18 +21,27 @@ way, and `face_payloads` lists a solver's faces, spelling each base
 once.  Verification parses back only what stands in for a search: the
 elements of a defect witness (`parse_element`) and an infeasibility
 certificate (`parse_certificate`, through `parse_cell`).
+
+Every command loads this module, so it imports no layer that only some
+probe kinds use: `paths` and `intsolve` are looked up inside the
+functions that build or parse a path or a certificate, and `encode`
+checks for a path only after every other type, so a report with no
+path never loads `paths`.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .errors import ReplayError
 from .exact import ExactReal
 from .groups import Generator, GroupElement, GroupModel, _abelian_word, _free_word, _join_words
-from .intsolve import UnsatCertificate
-from .novikov import CayleyComplex, Cell, Chain
-from .paths import Path, path_from_letters
+
+if TYPE_CHECKING:
+    from .intsolve import UnsatCertificate
+    from .novikov import CayleyComplex, Cell, Chain
+    from .paths import Path
 
 SCHEMA = "qmprobe-report-1"
 _PLAIN = frozenset((int, bool, str, type(None)))
@@ -59,13 +68,15 @@ def encode(value, model: GroupModel):
         return [v if type(v) in _PLAIN else encode(v, model) for v in value]
     if kind is dict:
         return {k: encode(v, model) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(kind, "_fields"):
+        return {k: encode(v, model) for k, v in zip(kind._fields, value)}
+    from .paths import Path  # the last type with an encoding: `paths` loads here
+
     if kind is Path:
         return {
             "origin": value.origin.word_str(),
             "letters": [model.generator_name(g) for g in value.edge_letters()],
         }
-    if isinstance(value, tuple) and hasattr(kind, "_fields"):
-        return {k: encode(v, model) for k, v in zip(kind._fields, value)}
     raise TypeError(f"no report encoding for {kind.__name__}")
 
 
@@ -92,6 +103,8 @@ def parse_letter(model: GroupModel, payload: str) -> Generator:
 
 
 def parse_path(model: GroupModel, payload: dict) -> Path:
+    from .paths import path_from_letters
+
     try:
         origin = model.parse_element(payload["origin"])
         letters = [parse_letter(model, token) for token in payload["letters"]]
@@ -142,6 +155,8 @@ def certificate_payload(cx: CayleyComplex, cert: UnsatCertificate) -> dict:
 def parse_certificate(cx: CayleyComplex, payload: dict) -> UnsatCertificate:
     """The certificate `certificate_payload` writes, its edges parsed
     back; `novikov.settle` checks its modulus and coefficients."""
+    from .intsolve import UnsatCertificate
+
     functional = {parse_cell(cx, cell): coeff for cell, coeff in payload["functional"]}
     return UnsatCertificate(functional, payload["modulus"])
 

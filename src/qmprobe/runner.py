@@ -1,6 +1,6 @@
 """Probe execution.
 
-Probes run sequentially in config order, each through its kind's entry
+Probes run sequentially in config order, each through its kind's module
 in `probes.KINDS`; the result is a JSON-compatible payload carrying the
 full witness so that verification can replay it without re-searching.
 Cap overruns and failures mark the probe and leave the rest of the
@@ -8,13 +8,14 @@ report intact.
 
 `probe_entry` and `report_body` build the report body around the
 probe results; `verify` rebuilds the body from the echoed config
-through the same two functions.
+through the same two functions.  The header's `generated_at` is the
+UTC time of the run to the second, as `2026-01-31T12:00:00+00:00`,
+stamped through `time` so that a run does not load `datetime`.
 """
 
 from __future__ import annotations
 
 import time
-from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
@@ -57,7 +58,7 @@ def run_experiment(exp: Experiment) -> dict:
     started = time.monotonic()
     entries = [probe_entry(probe, *attempt(exp, probe)) for probe in exp.probes]
     header = {
-        "generated_at": datetime.now(timezone.utc).isoformat(),
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }
     return {"header": header, "body": report_body(exp, entries)}

@@ -7,8 +7,8 @@ path witness; a negative answer records how many admissible vertices
 it exhausted and is evidence only at that (K, R) -- nothing outside
 the ball was examined.  The probes validate the searches' size against
 MAX_SEARCH_BALL before any runs.  Each precondition is raised by one
-function here, a `check_*`, `_scaling_letter` or
-`obstruction_denominator`, that they call too.
+function that they call too: a `check_*` here or in `quasimorphisms`,
+`groups._scaling_letter`, or `obstruction_denominator`.
 
 The level-set machinery below works on normal forms (free, ab) and on
 numerator pairs (p, q) over qm.den, the way the pair scans do: the
@@ -45,10 +45,17 @@ from typing import NamedTuple, Optional
 
 from .errors import CapExceededError, LibraryIncompleteError, ModelMismatchError
 from .exact import ExactReal, ZERO, _floor
-from .groups import Generator, GroupElement, GroupModel, _step_form
+from .groups import Generator, GroupElement, GroupModel, _scaling_letter, _step_form
 from .paths import Path, _path, _walk, path_from_letters, phi_extrema, straight_path
 from .quasimorphisms import (
-    HomomorphismQM, HomogenizedQM, Quasimorphism, _above, _below, check_dstar,
+    HomomorphismQM,
+    HomogenizedQM,
+    Quasimorphism,
+    _above,
+    _below,
+    check_dstar,
+    check_positive_direction,
+    check_scaling_window,
 )
 
 
@@ -198,12 +205,6 @@ class ConstantsBundle(NamedTuple):
     max_generator_value: ExactReal
 
 
-def check_scaling_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal) -> None:
-    value = qm.homogeneous_value(scaling)
-    if not (dstar * 4 / ExactReal(5) < value and value <= dstar):
-        raise ValueError(f"scaling element value {value} must lie in (4 D*/5, D*]")
-
-
 def compute_constants(
     qm: Quasimorphism,
     dstar: ExactReal,
@@ -234,19 +235,6 @@ def compute_constants(
 
 
 # -- q-library -----------------------------------------------------------
-
-
-def _scaling_letter(model: GroupModel, scaling: GroupElement) -> Generator:
-    if scaling.model != model:
-        raise ModelMismatchError("scaling element from a different model")
-    if scaling.length() != 1:
-        raise ValueError("the scaling element must be a single generator letter")
-    return scaling.letters()[0]
-
-
-def check_positive_direction(qm: Quasimorphism, scaling: GroupElement) -> None:
-    if not qm.homogeneous_value(scaling) > ZERO:
-        raise ValueError("the scaling element must have positive phi-bar")
 
 
 def _scaling_letters(model: GroupModel, scaling: GroupElement) -> tuple[Generator, ...]:

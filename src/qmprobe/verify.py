@@ -3,7 +3,7 @@
 Verification trusts nothing but the echoed configuration, and checks a
 report by one rule: rebuild the body from the validated config with the
 builders `run` uses (`runner.probe_entry`, `runner.report_body` and
-each kind's entry in `probes.KINDS`) and compare it key by key with the
+each kind's module in `probes.KINDS`) and compare it key by key with the
 recorded one.
 
 * An `ok` entry is compared in every key but `result`, which goes to

@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qmprobe import novikov, probes
+from qmprobe import novikov
 from qmprobe.cli import _build_parser, main
 from qmprobe.config import parse_experiment
 from qmprobe.errors import ConfigError, ReplayError
@@ -291,7 +291,7 @@ def test_the_bench_fill_faces_evaluate_only_the_generators(monkeypatch):
     fill config, ball(6) of F_2 x Z: one per positive generator, 3.
     Evaluated once per base, the faces made 2,901, one per element."""
     import qmprobe.novikov
-    from qmprobe.probes import _novikov_cycle
+    from qmprobe.kinds.novikov_solve import _novikov_cycle
     from qmprobe.quasimorphisms import HomomorphismQM
 
     ((_, text),) = _bench_workloads().configs("fill", 0, ROOT)
@@ -1528,15 +1528,15 @@ def test_explain_defect_matches_the_stored_bounds(capsys):
 
 
 def test_every_constant_an_explain_text_names_is_the_module_value():
-    """A constant an `explain` text names is one `probes` checks with,
-    and a value the text gives it is that constant's."""
+    """A constant an `explain` text names is one its kind's module checks
+    with, and a value the text gives it is that constant's."""
     named = set()
-    for kind, entry in KINDS.items():
-        for name in re.findall(r"\b[A-Z]+(?:_[A-Z]+)+\b", entry.explain):
-            assert isinstance(getattr(probes, name, None), int), (kind, name)
+    for kind, module in KINDS.items():
+        for name in re.findall(r"\b[A-Z]+(?:_[A-Z]+)+\b", module.explain):
+            assert isinstance(getattr(module, name, None), int), (kind, name)
             named.add(name)
-        for name, value in re.findall(r"\b([A-Z]+(?:_[A-Z]+)+) = (\d+)", entry.explain):
-            assert int(value) == getattr(probes, name), (kind, name)
+        for name, value in re.findall(r"\b([A-Z]+(?:_[A-Z]+)+) = (\d+)", module.explain):
+            assert int(value) == getattr(module, name), (kind, name)
     assert named == {
         "MAX_SCAN_PAIRS", "MAX_SEARCH_BALL", "MAX_SOLVE_BALL",
         "MAX_OBSTRUCTION_VERTICES", "MAX_OBSTRUCTION_LETTERS",
@@ -2061,7 +2061,7 @@ def test_the_corner_faces_evaluate_each_corner_once(monkeypatch, tmp_path):
     5,158 calls over 2,905 forms and a whole `verify` 4,585; with one
     per complex they make 2,970 each."""
     import qmprobe.novikov
-    from qmprobe.probes import _novikov_cycle
+    from qmprobe.kinds.novikov_solve import _novikov_cycle
 
     counts = _count_constructors(monkeypatch)
     calls = []
@@ -2252,7 +2252,7 @@ def _solve_system(text):
     """The complex, z, faces and trimmed columns of the system a config's
     one novikov-solve probe solves at its radius."""
     from qmprobe.novikov import _trimmed_columns, boundary_faces
-    from qmprobe.probes import _novikov_cycle
+    from qmprobe.kinds.novikov_solve import _novikov_cycle
 
     exp = parse_experiment(text)
     (probe,) = [p for p in exp.probes if p.kind == "novikov-solve"]
@@ -2321,7 +2321,7 @@ def test_a_potential_that_vanishes_on_the_centre_has_no_filling(text):
     non-zero chain on the tree of F_n has no filling at any radius: the
     solve is unsat, and the pullback of the first tree edge z crosses
     certifies it."""
-    from qmprobe.probes import _novikov_cycle
+    from qmprobe.kinds.novikov_solve import _novikov_cycle
 
     try:
         exp = parse_experiment(text)

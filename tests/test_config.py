@@ -21,11 +21,11 @@ from qmprobe.quasimorphisms import (
     HomogenizedQM,
     HomomorphismQM,
     certify_aker_approximate_subgroup,
+    check_scaling_window,
 )
 from qmprobe.search import (
     bounded_path_search,
     build_q_library,
-    check_scaling_window,
     compute_constants,
     f2z_kernel_path_normalize,
     free_group_obstruction_probe,

@@ -88,8 +88,7 @@ def test_frozen_records_refuse_writes(f2):
     records = _tuple_records()
     names = {cls.__name__ for cls in records}
     assert {
-        "Generator", "GroupModel", "ConstantsBundle", "ProbeKind", "ProbeCheck",
-        "ComponentCertificate",
+        "Generator", "GroupModel", "ConstantsBundle", "ProbeCheck", "ComponentCertificate",
     } <= names
     for cls in records:
         record = cls._make([None] * len(cls._fields))

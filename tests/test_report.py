@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmprobe.cli import main
 from qmprobe.config import load_experiment
 from qmprobe.errors import ReplayError
 from qmprobe.exact import ExactReal, ZERO
@@ -18,6 +20,7 @@ from qmprobe.report import (
     cell_payload,
     certificate_payload,
     chain_payload,
+    dump_report,
     encode,
     load_report,
     parse_cell,
@@ -175,3 +178,100 @@ def test_load_report_returns_a_report_or_raises_replay_error(text):
         return
     assert isinstance(report, dict)
 
+
+@functools.lru_cache(maxsize=None)
+def _recorded(name: str) -> tuple[str, dict]:
+    """The report `run` writes for a test config, and the paths to each
+    node below its root, by shape: the path with list indices as "*"."""
+    text = dump_report(run_experiment(load_experiment(str(CONFIG_DIR / name))))
+    shapes: dict[tuple, list] = {}
+
+    def walk(value, path):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            at = path + (key,)
+            shape = tuple("*" if isinstance(k, int) else k for k in at)
+            shapes.setdefault(shape, []).append(at)
+            if isinstance(child, (dict, list)):
+                walk(child, at)
+
+    walk(json.loads(text), ())
+    return text, shapes
+
+
+# the recorded witnesses `verify` replays instead of re-deriving them, by
+# kind: a mutated one may pass, if it replays
+_WITNESSES = {"defect": {"witness"}, "novikov-solve": {"coefficients", "certificate"}}
+_OTHER_TYPES = [None, True, 0, "x", [], {}]
+
+
+def _strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from _strings(child)
+
+
+def _mutate(data, report: dict, path: tuple) -> None:
+    """Drop, retype, change or truncate the node of `report` at `path`."""
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    node = parent[key]
+    ops = ["retype"]
+    if isinstance(parent, dict):
+        ops.append("drop")
+    if isinstance(node, list) and node:
+        ops.append("truncate")
+    if isinstance(node, (bool, int, str)):
+        ops.append("change")
+    op = data.draw(st.sampled_from(ops))
+    if op == "drop":
+        del parent[key]
+    elif op == "retype":
+        parent[key] = data.draw(
+            st.sampled_from([v for v in _OTHER_TYPES if type(v) is not type(node)])
+        )
+    elif op == "truncate":
+        parent[key] = node[: data.draw(st.integers(0, len(node) - 1))]
+    elif isinstance(node, bool):
+        parent[key] = not node
+    elif isinstance(node, int):
+        parent[key] = node + data.draw(st.sampled_from([-1, 1, -2, 2, 10**6]))
+    else:
+        words = sorted(set(_strings(report)) - {node})
+        parent[key] = data.draw(
+            st.one_of(st.sampled_from(words), st.text(max_size=6).filter(lambda w: w != node))
+        )
+
+
+def _in_replayed_witness(report: dict, path: tuple) -> bool:
+    if path[:2] != ("body", "probes") or len(path) < 5 or path[3] != "result":
+        return False
+    kind = report["body"]["probes"][path[2]]["kind"]
+    return path[4] in _WITNESSES.get(kind, ())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_mutated_report_ends_in_an_exit_code_and_passes_only_if_it_replays(
+    data, tmp_path_factory
+):
+    """One node of a recorded report is dropped, retyped, changed or
+    truncated, at a place drawn by shape so that every key of the format
+    is as likely as a face in a long list.  `verify` ends in an exit
+    code, never a traceback, and passes only a header change or a
+    witness it replays."""
+    name = data.draw(st.sampled_from(sorted(p.name for p in CONFIG_DIR.glob("*.cfg"))))
+    text, shapes = _recorded(name)
+    path = data.draw(st.sampled_from(shapes[data.draw(st.sampled_from(sorted(shapes, key=repr)))]))
+    report = json.loads(text)
+    in_witness = _in_replayed_witness(report, path)
+    _mutate(data, report, path)
+    target = tmp_path_factory.getbasetemp() / "mutated_report.json"
+    target.write_text(json.dumps(report), encoding="utf-8")
+    code = main(["verify", str(target)])
+    assert code in range(5)
+    if code == 0:
+        assert path[0] == "header" or in_witness, path

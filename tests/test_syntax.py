@@ -9,7 +9,9 @@ import re
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
-MODULES = sorted((ROOT / "src" / "qmprobe").glob("*.py"))
+PACKAGE = ROOT / "src" / "qmprobe"
+# subpackages included: the probe kinds live in qmprobe/kinds
+MODULES = sorted(PACKAGE.rglob("*.py"))
 
 
 def _version_floor() -> tuple[int, int]:
@@ -19,6 +21,6 @@ def _version_floor() -> tuple[int, int]:
     return int(major), int(minor)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(PACKAGE).as_posix() for p in MODULES])
 def test_each_module_parses_at_the_version_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_version_floor())
