@@ -11,9 +11,10 @@ Importing this module loads the pipeline and the layers every command
 uses (`exact`, `groups`, `quasimorphisms`, `report`).  The layers that
 only some probe kinds call (`novikov`, `intsolve`, `paths`, `search`
 and `rips`) are registered as placeholders that load on first use, and
-each command loads only the kind modules it names (`probes.KINDS`), so
-a config compiles only the code its probes run, and does so before
-`load_experiment` returns.
+each command loads only the kind modules it names, through
+`probes.kind_module`, so a config compiles only the code its probes
+run, and does so before `load_experiment` returns.  `explain` prints
+the named kind module's `explain` text and loads no other kind.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 
 from .config import load_experiment
 from .errors import ConfigError, ReplayError
-from .probes import KINDS
+from .probes import KINDS, kind_module
 from .report import dump_report, load_report
 from .runner import run_experiment
 from .verify import verify_report
@@ -142,7 +143,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    print(KINDS[args.kind].explain)
+    print(kind_module(args.kind).explain)
     return EXIT_OK
 
 

@@ -32,11 +32,12 @@ preserved.  Example:
 Every section is read through a `probes.Section`, which names the
 section in each error and refuses any key that nothing read, so a
 misspelt key is a ConfigError rather than an absent one.  Every
-probe's parameters are checked by its kind's module in `probes.KINDS`
-against the preconditions of the operation it will invoke; a
-violation raises ConfigError naming the section and key, and nothing
-is executed.  Checking a probe imports its kind's module, so every
-kind the config names is loaded by the time validation returns.
+probe's parameters are checked by its kind's module (imported through
+`probes.kind_module`) against the preconditions of the operation it
+will invoke; a violation raises ConfigError naming the section and
+key, and nothing is executed.  Checking a probe imports its kind's
+module, so every kind the config names is loaded by the time
+validation returns.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import configparser
 from .errors import ConfigError
 from .exact import ExactReal, ZERO
 from .groups import DEFAULT_BALL_CAP, MAX_BALL_CAP, GroupModel
-from .probes import KINDS, Experiment, Section, integer
+from .probes import KINDS, Experiment, Section, integer, kind_module
 from .quasimorphisms import (
     BrooksQM,
     CombinationQM,
@@ -182,4 +183,4 @@ def _validate_probe(exp: Experiment, probe: Section) -> None:
     if kind not in KINDS:
         raise ConfigError(f"{probe.title}: unknown probe kind {kind!r}")
     probe.kind = kind
-    probe.apply(KINDS[kind].validate, exp)
+    probe.apply(kind_module(kind).validate, exp)

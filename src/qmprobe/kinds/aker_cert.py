@@ -4,7 +4,7 @@ Aker(phi, D*)."""
 from __future__ import annotations
 
 from ..exact import ZERO, ExactReal
-from ..probes import Experiment, Section, _need_qm, _qm, _radius, _rederive, _work_bound
+from ..probes import Experiment, Section, _need_qm, _qm, _radius, _work_bound
 from ..quasimorphisms import (
     MAX_SCAN_PAIRS,
     certify_aker_approximate_subgroup,
@@ -24,8 +24,6 @@ is made once per orbit (g, h), (h, g), (g^-1, h^-1), (h^-1, g^-1), but
 the size is counted over the whole square: a ball of N elements with
 N^2 above MAX_SCAN_PAIRS is refused when the config is validated, and
 so are D* < 0 and, for D* > 0, a c outside that window."""
-
-check = _rederive
 
 
 def validate(exp: Experiment, probe: Section) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..exact import ExactReal
-from ..probes import Experiment, Section, _compare, _need_qm, _qm, _radius, _work_bound
+from ..probes import Experiment, Section, _need_qm, _qm, _radius, _work_bound
 from ..quasimorphisms import MAX_SCAN_PAIRS, DefectEstimate, defect_lower_bound, defect_witness
 from ..report import encode, parse_element
 
@@ -48,11 +48,11 @@ def run(exp: Experiment, probe: Section) -> dict:
     return _payload(exp, probe, est)
 
 
-def check(exp: Experiment, probe: Section, res: dict) -> list:
-    """The recorded pair stands in for the scan of ball(radius)^2: it is
-    re-evaluated, and any pair realizing the recorded lower bound will
-    do."""
+def replay(exp: Experiment, probe: Section, res: dict) -> dict:
+    """The payload with the recorded pair standing in for the scan of
+    ball(radius)^2: the pair is re-evaluated, and any pair realizing the
+    recorded lower bound will do."""
     s = probe.settings
     g, h = (parse_element(exp.model, word) for word in res["witness"])
     est = defect_witness(_qm(exp, probe), s["radius"], s["claimed_upper"], g, h)
-    return _compare(_payload(exp, probe, est), res)
+    return _payload(exp, probe, est)

@@ -4,7 +4,7 @@ levels."""
 from __future__ import annotations
 
 from ..paths import straight_path
-from ..probes import Experiment, Section, _need_qm, _qm, _rederive
+from ..probes import Experiment, Section, _need_qm, _qm
 from ..report import encode
 from ..search import check_kernel_endpoints, f2z_kernel_path_normalize
 
@@ -15,8 +15,6 @@ A straight path between kernel elements is corrected prefix by prefix:
 after each letter, insert the central power m = -floor(v / sqrt(2) + 1/2)
 where v is the current vertex value.  The corrected path stays inside
 -3 <= phi-bar <= 3, exactly."""
-
-check = _rederive
 
 
 def validate(exp: Experiment, probe: Section) -> None:

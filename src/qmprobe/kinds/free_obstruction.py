@@ -4,7 +4,7 @@ conjugates in a free group."""
 from __future__ import annotations
 
 from ..exact import ExactReal
-from ..probes import Experiment, Section, _need_qm, _qm, _radius, _rederive, _work_bound
+from ..probes import Experiment, Section, _need_qm, _qm, _radius, _work_bound
 from ..report import encode
 from ..search import (
     MAX_OBSTRUCTION_LETTERS,
@@ -27,8 +27,6 @@ MAX_OBSTRUCTION_VERTICES = {MAX_OBSTRUCTION_VERTICES} vertices or MAX_OBSTRUCTIO
 {MAX_OBSTRUCTION_LETTERS} letters is refused when the config is validated, as are a
 model that is not free, x and c that commute, phi-bar(c) <= 0, D* < 0
 and a denominator max_s |phi-bar(s)| + D* of 0."""
-
-check = _rederive
 
 
 def validate(exp: Experiment, probe: Section) -> None:

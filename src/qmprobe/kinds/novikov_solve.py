@@ -3,7 +3,7 @@ and the path a filling extracts."""
 
 from __future__ import annotations
 
-from ..errors import ExtractionError
+from ..errors import ExtractionError, ReplayError
 from ..exact import ZERO
 from ..groups import _scaling_letter
 from ..novikov import (
@@ -22,7 +22,6 @@ from ..paths import straight_path
 from ..probes import (
     Experiment,
     Section,
-    _compare,
     _defect_bound,
     _level,
     _need_qm,
@@ -151,11 +150,12 @@ def run(exp: Experiment, probe: Section) -> dict:
     return _payload(probe, cx, cycle, outcome)
 
 
-def check(exp: Experiment, probe: Section, res: dict) -> list:
-    """The recorded filling or infeasibility certificate stands in for
-    the solve: `novikov.settle`, the replay `run` puts the solver's own
-    answer through, checks it against the re-enumerated faces, so any
-    filling or certificate that replays will do."""
+def replay(exp: Experiment, probe: Section, res: dict) -> dict:
+    """The payload with the recorded filling or infeasibility
+    certificate standing in for the solve: `novikov.settle`, the replay
+    `run` puts the solver's own answer through, checks it against the
+    re-enumerated faces, so any filling or certificate that replays
+    will do."""
     s = probe.settings
     cx, cycle = _novikov_cycle(exp, probe)
     floor, faces = boundary_faces(
@@ -167,6 +167,6 @@ def check(exp: Experiment, probe: Section, res: dict) -> list:
     elif status == "unsat":
         solution = parse_certificate(cx, res["certificate"])
     else:
-        return [f"unknown solve status {status!r}"]
+        raise ReplayError(f"unknown solve status {status!r}")
     outcome = settle(cx, cycle.chain, s["window"], floor, faces, solution, [])
-    return _compare(_payload(probe, cx, cycle, outcome), res)
+    return _payload(probe, cx, cycle, outcome)

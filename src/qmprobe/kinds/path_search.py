@@ -2,16 +2,7 @@
 
 from __future__ import annotations
 
-from ..probes import (
-    Experiment,
-    Section,
-    _level,
-    _need_qm,
-    _qm,
-    _radius,
-    _rederive,
-    _search_bound,
-)
+from ..probes import Experiment, Section, _level, _need_qm, _qm, _radius, _search_bound
 from ..report import encode
 from ..search import MAX_SEARCH_BALL, NotFoundWithinBall, bounded_path_search, check_search_ball
 
@@ -23,8 +14,6 @@ records how many admissible vertices were exhausted.  The search runs
 on normal forms and compares integer numerators with the bounds; a
 ball(R) of more than MAX_SEARCH_BALL elements is refused when the
 config is validated."""
-
-check = _rederive
 
 
 def validate(exp: Experiment, probe: Section) -> None:

@@ -4,7 +4,7 @@ q-library."""
 from __future__ import annotations
 
 from ..paths import path_from_letters
-from ..probes import Experiment, Section, _qm, _rederive
+from ..probes import Experiment, Section, _qm
 from ..report import encode
 from ..search import check_aker_endpoints, peak_reduction
 from . import q_library
@@ -21,8 +21,6 @@ The edges s, t, the essential vertices and the backtracks are read off
 the path's recorded edge letters.  Validation makes q-library's
 checks, bounds its searches the same way, and refuses a path with an
 endpoint outside Aker(phi, D*) = { g : |phi-bar(g)| <= 2 D* }."""
-
-check = _rederive
 
 
 def validate(exp: Experiment, probe: Section) -> None:

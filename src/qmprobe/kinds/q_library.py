@@ -4,16 +4,7 @@ from __future__ import annotations
 
 from ..exact import ExactReal
 from ..groups import _scaling_letter
-from ..probes import (
-    Experiment,
-    Section,
-    _need_qm,
-    _qm,
-    _radius,
-    _rederive,
-    _search_bound,
-    integer,
-)
+from ..probes import Experiment, Section, _need_qm, _qm, _radius, _search_bound, integer
 from ..report import encode
 from ..search import MAX_SEARCH_BALL, build_q_library, compute_constants
 
@@ -31,8 +22,6 @@ pair, (2 rank)^2 in all; searches spanning more than MAX_SEARCH_BALL
 ball elements in all are refused when the config is validated, and so
 are D* <= 0, K' <= 2 D*, and a c that is not one generator letter with
 4 D*/5 < phi-bar(c) <= D*."""
-
-check = _rederive
 
 
 def validate(exp: Experiment, probe: Section) -> None:

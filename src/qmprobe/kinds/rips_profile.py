@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..errors import CapExceededError
 from ..groups import ball_size
-from ..probes import Experiment, Section, _radius, _rederive
+from ..probes import Experiment, Section, _radius
 from ..report import encode
 from ..rips import DEFAULT_VERTEX_CAP, connectivity_profile
 
@@ -14,8 +14,6 @@ with an edge between distinct g, h whenever 0 < d(g, h) < n.  The
 profile lists the component count for n = 1, ..., n_max and the first
 scale with a single component; at that scale a spanning forest of
 explicit edges certifies connectivity."""
-
-check = _rederive
 
 
 def validate(exp: Experiment, probe: Section) -> None:

@@ -13,7 +13,6 @@ from ..probes import (
     _need_qm,
     _qm,
     _radius,
-    _rederive,
     _search_bound,
     integer,
 )
@@ -32,8 +31,6 @@ The high path is a path-search inside ball(R).  Validation refuses a
 ball(R) of more than MAX_SEARCH_BALL elements, a c^n or s c^n outside
 ball(R) for s != c, an s that is not one generator letter, and a c that
 is not one with positive phi-bar."""
-
-check = _rederive
 
 
 def validate(exp: Experiment, probe: Section) -> None:
@@ -81,20 +78,16 @@ def run(exp: Experiment, probe: Section) -> dict:
             "satisfied": bool(phi_c * depth > required),
         },
     }
-    if s["s"] == scaling.letters()[0]:
-        zs = build_zs_cycle(cx, s["s"], scaling, depth, None)
-        chain = chain_payload(cx, zs.chain, None)
-        out.update(status="zero-by-convention", high_path=None, high_min=None, chain=chain)
-        return encode(out, exp.model)
-    top = scaling ** depth
-    target = exp.model.generator_element(s["s"]) * top
-    got = bounded_path_search(
-        qm, top, target, s["k"] - phi_c * depth, s["radius"]
-    )
-    if isinstance(got, NotFoundWithinBall):
-        out.update(status="not-found", high_path=None, high_min=None, chain=None, **got._asdict())
-        return encode(out, exp.model)
-    zs = build_zs_cycle(cx, s["s"], scaling, depth, got.path, k_bound=s["k"])
+    high_path, status = None, "zero-by-convention"
+    if s["s"] != scaling.letters()[0]:
+        top = scaling ** depth
+        target = exp.model.generator_element(s["s"]) * top
+        got = bounded_path_search(qm, top, target, s["k"] - phi_c * depth, s["radius"])
+        if isinstance(got, NotFoundWithinBall):
+            out.update(status="not-found", high_path=None, high_min=None, chain=None)
+            return encode({**out, **got._asdict()}, exp.model)
+        high_path, status = got.path, "ok"
+    zs = build_zs_cycle(cx, s["s"], scaling, depth, high_path, k_bound=s["k"])
     chain = chain_payload(cx, zs.chain, None)
-    out.update(status="ok", high_path=zs.high_path, high_min=zs.high_min, chain=chain)
+    out.update(status=status, high_path=zs.high_path, high_min=zs.high_min, chain=chain)
     return encode(out, exp.model)

@@ -8,23 +8,23 @@ a config error rather than an absent one, and `apply(build, ...)` runs
 a section's reader, naming the section in any `ValueError` it raises,
 and then `check_used()`.
 
-`KINDS` maps each probe kind's name to its module under
-`qmprobe.kinds`, which holds the kind's validate, run, check and
-`explain` text (see that package).  A kind's module is imported the
-first time `KINDS` is asked for it: config validation does that for
-every probe before anything runs, so a kind and the layers it uses
-are loaded by the time `load_experiment` returns, and a command loads
-no kind it does not name.  `config`, `runner`, `verify` and `cli`
-dispatch through `KINDS` and hold no per-kind code.  The helpers
-below are the ones several kinds share: the key parsers, the
-validation checks, and the replay rule `_rederive`.
+`KINDS` maps each probe kind's name to the path of its module under
+`qmprobe.kinds`, which holds the kind's validate, run and `explain`
+text, and `replay` where a recorded witness stands in for the search
+(see that package).  `kind_module(kind)` imports the module the first
+time it is asked for: config validation does that for every probe
+before anything runs, so a kind and the layers it uses are loaded by
+the time `load_experiment` returns, and a command loads no kind it
+does not name.  `config`, `runner`, `verify` and `cli` dispatch
+through `kind_module` and hold no per-kind code.  The helpers below
+are the ones several kinds share: the key parsers and the validation
+checks.  Comparing payloads is `verify`'s alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from importlib import import_module
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import CapExceededError, ConfigError, QmprobeError
 from .exact import ExactReal
@@ -105,22 +105,12 @@ def boolean(text: str) -> bool:
     raise ValueError("must be a boolean")
 
 
-class Experiment:
-    __slots__ = ("raw_text", "model", "quasimorphisms", "probes", "output_path")
-
-    def __init__(
-        self,
-        raw_text: str,
-        model: GroupModel,
-        quasimorphisms: dict[str, Quasimorphism],
-        probes: list[Section],
-        output_path: Optional[str],
-    ):
-        self.raw_text = raw_text
-        self.model = model
-        self.quasimorphisms = quasimorphisms
-        self.probes = probes
-        self.output_path = output_path
+class Experiment(NamedTuple):
+    raw_text: str
+    model: GroupModel
+    quasimorphisms: dict[str, Quasimorphism]
+    probes: list[Section]
+    output_path: Optional[str]
 
 
 def attempt(exp: Experiment, probe: Section) -> tuple[str, Optional[str], Optional[dict]]:
@@ -129,7 +119,7 @@ def attempt(exp: Experiment, probe: Section) -> tuple[str, Optional[str], Option
     message and no result; `run` and `verify` both go through here, so a
     recorded status can be reproduced."""
     try:
-        return "ok", None, KINDS[probe.kind].run(exp, probe)
+        return "ok", None, kind_module(probe.kind).run(exp, probe)
     except CapExceededError as exc:
         return "cap-exceeded", str(exc), None
     except (QmprobeError, ValueError) as exc:
@@ -225,92 +215,33 @@ def _defect_bound(qm: Quasimorphism, probe: Section) -> ExactReal:
     return defect
 
 
-# -- replay helpers shared by several kinds ------------------------------
+# -- the validated quasimorphism, as run and replay read it --------------
 
 
 def _qm(exp: Experiment, probe: Section) -> Quasimorphism:
     return exp.quasimorphisms[probe.settings["qm"]]
 
 
-def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
-    """One problem per key, outside `unchecked`, where the recorded
-    object differs from the one rebuilt from the echoed config.  A key
-    missing on one side differs, and values are compared type for type.
-
-    `encode` writes only dicts, lists, strings, ints, bools and None,
-    so the fresh payload equals its own JSON round trip and is compared
-    as it is: dumping it would build one string per array element,
-    which for an aker certificate's exponent table raises the peak
-    memory of `verify` by more than the table itself."""
-    if not isinstance(res, dict):
-        raise TypeError("result is not an object")
-    return [
-        f"{key} does not replay"
-        for key in sorted(fresh.keys() | res.keys())
-        if key not in unchecked
-        and not (key in fresh and key in res and _same(fresh[key], res[key]))
-    ]
-
-
-def _same(a, b) -> bool:
-    """JSON equality type for type: unlike `==`, it tells 1, 1.0 and
-    true apart."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_same, a, b))
-    return a == b
-
-
-def _rederive(exp: Experiment, probe: Section, res: dict) -> list:
-    """The one rule of `verify`: rebuild the payload from the echoed
-    config and compare it key by key with the recorded one.  Here the
-    probe is re-run through `attempt`; a re-run that is not `ok` is the
-    one problem.  Every kind is re-derived this way except `defect` and
-    `novikov-solve`, whose checks rebuild the payload the same way but
-    put the recorded witness where the search would be.  A re-derived
-    kind accepts only the canonical payload `run` emits, which is well
-    defined because the searches break ties canonically; for
-    rips-profile that includes the spanning forest."""
-    status, error, fresh = attempt(exp, probe)
-    if fresh is None:
-        return [f"re-run gives {status}: {error}"]
-    return _compare(fresh, res)
-
-
 # -- the registry --------------------------------------------------------
 
 
-class _Kinds(Mapping):
-    """Kind name -> its module, imported on the first lookup."""
-
-    def __init__(self, names):
-        self._modules = {name: f".kinds.{name.replace('-', '_')}" for name in names}
-
-    def __getitem__(self, kind: str):
-        return import_module(self._modules[kind], __package__)
-
-    def __contains__(self, kind) -> bool:
-        return kind in self._modules
-
-    def __iter__(self):
-        return iter(self._modules)
-
-    def __len__(self) -> int:
-        return len(self._modules)
+KINDS = {
+    name: f".kinds.{name.replace('-', '_')}"
+    for name in (
+        "defect",
+        "aker-cert",
+        "rips-profile",
+        "path-search",
+        "q-library",
+        "peak-reduce",
+        "f2z-example",
+        "free-obstruction",
+        "novikov-solve",
+        "zs-cycle",
+    )
+}
 
 
-KINDS = _Kinds((
-    "defect",
-    "aker-cert",
-    "rips-profile",
-    "path-search",
-    "q-library",
-    "peak-reduce",
-    "f2z-example",
-    "free-obstruction",
-    "novikov-solve",
-    "zs-cycle",
-))
+def kind_module(kind: str):
+    """The module of `kind`, imported the first time it is asked for."""
+    return import_module(KINDS[kind], __package__)

@@ -1,10 +1,10 @@
 """Probe execution.
 
-Probes run sequentially in config order, each through its kind's module
-in `probes.KINDS`; the result is a JSON-compatible payload carrying the
-full witness so that verification can replay it without re-searching.
-Cap overruns and failures mark the probe and leave the rest of the
-report intact.
+Probes run sequentially in config order, each through its kind's
+module's `run` (`probes.attempt`); the result is a JSON-compatible
+payload carrying the full witness so that verification can replay it
+without re-searching.  Cap overruns and failures mark the probe and
+leave the rest of the report intact.
 
 `probe_entry` and `report_body` build the report body around the
 probe results; `verify` rebuilds the body from the echoed config

@@ -3,18 +3,21 @@
 Verification trusts nothing but the echoed configuration, and checks a
 report by one rule: rebuild the body from the validated config with the
 builders `run` uses (`runner.probe_entry`, `runner.report_body` and
-each kind's module in `probes.KINDS`) and compare it key by key with the
-recorded one.
+each kind's module, `probes.kind_module`) and compare it key by key
+with the recorded one.  The rule is `_check_entry`'s alone; a kind
+module only rebuilds.
 
-* An `ok` entry is compared in every key but `result`, which goes to
-  its kind's `check`.  Every kind rebuilds its payload by re-running it
-  through the library, except where a recorded witness is cheaper to
-  check than to find, and there the witness stands in for the search:
-  `defect` re-evaluates its witness pair instead of scanning
-  ball(R)^2, and `novikov-solve` puts its filling or infeasibility
-  certificate through `novikov.settle`, the replay `run` applies to the
-  solver's answer, against the re-enumerated faces instead of solving,
-  and re-extracts the path from that filling.
+* An `ok` entry is compared in every key but `result`, whose payload
+  is rebuilt one of two ways and compared once.  A kind with a
+  `replay` has a recorded witness that is cheaper to check than to
+  find, and the witness stands in for the search: `defect`
+  re-evaluates its witness pair instead of scanning ball(R)^2, and
+  `novikov-solve` puts its filling or infeasibility certificate
+  through `novikov.settle`, the replay `run` applies to the solver's
+  answer, against the re-enumerated faces instead of solving, and
+  re-extracts the path from that filling.  Any witness that replays
+  will do.  Every other kind is re-run through `probes.attempt`, and a
+  re-run that is not `ok` is the one problem.
 * An entry recorded as `failed` or `cap-exceeded` is run again, and its
   whole rebuilt entry, `result: null` included, is compared.
 * The entry names must be the configured probe names in config order,
@@ -22,8 +25,9 @@ recorded one.
   config echo, group block and `caps_hit`) must be the rebuilt one.
 
 Values are compared type for type (JSON 1, 1.0 and true differ).  A
-re-derived field accepts only the canonical value `run` emits; the
-searches break ties canonically, so it is well defined.
+re-run kind accepts only the canonical payload `run` emits; the
+searches break ties canonically, so it is well defined, and for
+rips-profile it includes the spanning forest.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import NamedTuple
 
 from .config import parse_experiment
 from .errors import CapExceededError, ReplayError
-from .probes import KINDS, Experiment, Section, _compare, attempt
+from .probes import Experiment, Section, attempt, kind_module
 from .runner import probe_entry, report_body
 
 
@@ -51,13 +55,55 @@ class VerificationOutcome(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
+def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
+    """One problem per key, outside `unchecked`, where the recorded
+    object differs from the one rebuilt from the echoed config.  A key
+    missing on one side differs, and values are compared type for type.
+
+    `encode` writes only dicts, lists, strings, ints, bools and None,
+    so the fresh payload equals its own JSON round trip and is compared
+    as it is: dumping it would build one string per array element,
+    which for an aker certificate's exponent table raises the peak
+    memory of `verify` by more than the table itself."""
+    if not isinstance(res, dict):
+        raise TypeError("result is not an object")
+    return [
+        f"{key} does not replay"
+        for key in sorted(fresh.keys() | res.keys())
+        if key not in unchecked
+        and not (key in fresh and key in res and _same(fresh[key], res[key]))
+    ]
+
+
+def _same(a, b) -> bool:
+    """JSON equality type for type: unlike `==`, it tells 1, 1.0 and
+    true apart."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 def _check_entry(exp: Experiment, spec: Section, entry: dict) -> list:
-    """One problem per key where the entry differs from the rebuilt one."""
+    """The one replay rule: one problem per key where the entry differs
+    from the one rebuilt from the echoed config, whose payload comes from
+    the kind's `replay` where it has one and from a re-run otherwise."""
     if entry["status"] != "ok":
         return _compare(probe_entry(spec, *attempt(exp, spec)), entry)
     problems = _compare(probe_entry(spec, "ok", None, None), entry, unchecked=("result",))
+    res = entry.get("result")
+    replay = getattr(kind_module(spec.kind), "replay", None)
     try:
-        return problems + KINDS[spec.kind].check(exp, spec, entry.get("result"))
+        if replay is not None:
+            fresh = replay(exp, spec, res)
+        else:
+            status, error, fresh = attempt(exp, spec)
+            if fresh is None:
+                return problems + [f"re-run gives {status}: {error}"]
+        return problems + _compare(fresh, res)
     except ReplayError as exc:
         return problems + [str(exc)]
     except CapExceededError as exc:

@@ -28,6 +28,37 @@ def product_letters(path) -> tuple:
     return tuple(out)
 
 
+def paths_by_shape(value) -> dict[tuple, list]:
+    """The path to each node below `value`, parsed JSON, keyed by its
+    shape: the path with list indices as "*"."""
+    shapes: dict[tuple, list] = {}
+
+    def walk(node, at):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            path = at + (key,)
+            shape = tuple("*" if isinstance(k, int) else k for k in path)
+            shapes.setdefault(shape, []).append(path)
+            if isinstance(child, (dict, list)):
+                walk(child, path)
+
+    walk(value, ())
+    return shapes
+
+
+# the recorded witnesses `verify` replays instead of re-running the
+# probe, by kind: a mutated one may pass, if it replays
+_REPLAYED_WITNESSES = {"defect": {"witness"}, "novikov-solve": {"coefficients", "certificate"}}
+
+
+def in_replayed_witness(report: dict, path: tuple) -> bool:
+    """Whether the node of `report` at `path` lies in a recorded witness
+    that `verify` replays."""
+    if path[:2] != ("body", "probes") or len(path) < 5 or path[3] != "result":
+        return False
+    kind = report["body"]["probes"][path[2]]["kind"]
+    return path[4] in _REPLAYED_WITNESSES.get(kind, ())
+
+
 @pytest.fixture(scope="session")
 def f2() -> GroupModel:
     return GroupModel(free_rank=2, generator_names=("a", "b"), ball_cap=8)

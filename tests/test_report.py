@@ -13,7 +13,6 @@ from qmprobe.errors import ReplayError
 from qmprobe.exact import ExactReal, ZERO
 from qmprobe.groups import Generator
 from qmprobe.novikov import CayleyComplex
-from qmprobe.probes import _same
 from qmprobe.paths import path_from_letters
 from qmprobe.intsolve import UnsatCertificate
 from qmprobe.report import (
@@ -28,6 +27,9 @@ from qmprobe.report import (
 )
 from qmprobe.runner import run_experiment
 from qmprobe.search import PeakReductionTrace, PeakStep
+from qmprobe.verify import _same
+
+from conftest import in_replayed_witness, paths_by_shape
 
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 
@@ -143,7 +145,7 @@ def test_parse_cell_reads_edges_only(f2z, f2z_phi, payload, fragment):
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
 def test_every_ok_payload_equals_its_json_round_trip(path):
-    """`probes._compare` holds a fresh payload, as built, against one read
+    """`verify._compare` holds a fresh payload, as built, against one read
     back from JSON; that is sound only if the two cannot differ."""
     body = run_experiment(load_experiment(str(path)))["body"]
     results = [p["result"] for p in body["probes"] if p["status"] == "ok"]
@@ -182,25 +184,11 @@ def test_load_report_returns_a_report_or_raises_replay_error(text):
 @functools.lru_cache(maxsize=None)
 def _recorded(name: str) -> tuple[str, dict]:
     """The report `run` writes for a test config, and the paths to each
-    node below its root, by shape: the path with list indices as "*"."""
+    node below its root, by shape."""
     text = dump_report(run_experiment(load_experiment(str(CONFIG_DIR / name))))
-    shapes: dict[tuple, list] = {}
-
-    def walk(value, path):
-        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
-            at = path + (key,)
-            shape = tuple("*" if isinstance(k, int) else k for k in at)
-            shapes.setdefault(shape, []).append(at)
-            if isinstance(child, (dict, list)):
-                walk(child, at)
-
-    walk(json.loads(text), ())
-    return text, shapes
+    return text, paths_by_shape(json.loads(text))
 
 
-# the recorded witnesses `verify` replays instead of re-deriving them, by
-# kind: a mutated one may pass, if it replays
-_WITNESSES = {"defect": {"witness"}, "novikov-solve": {"coefficients", "certificate"}}
 _OTHER_TYPES = [None, True, 0, "x", [], {}]
 
 
@@ -246,13 +234,6 @@ def _mutate(data, report: dict, path: tuple) -> None:
         )
 
 
-def _in_replayed_witness(report: dict, path: tuple) -> bool:
-    if path[:2] != ("body", "probes") or len(path) < 5 or path[3] != "result":
-        return False
-    kind = report["body"]["probes"][path[2]]["kind"]
-    return path[4] in _WITNESSES.get(kind, ())
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_a_mutated_report_ends_in_an_exit_code_and_passes_only_if_it_replays(
@@ -267,7 +248,7 @@ def test_a_mutated_report_ends_in_an_exit_code_and_passes_only_if_it_replays(
     text, shapes = _recorded(name)
     path = data.draw(st.sampled_from(shapes[data.draw(st.sampled_from(sorted(shapes, key=repr)))]))
     report = json.loads(text)
-    in_witness = _in_replayed_witness(report, path)
+    in_witness = in_replayed_witness(report, path)
     _mutate(data, report, path)
     target = tmp_path_factory.getbasetemp() / "mutated_report.json"
     target.write_text(json.dumps(report), encoding="utf-8")
