@@ -129,17 +129,17 @@ def _cmd_verify(args) -> int:
         print(f"qmprobe: cannot read report: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        outcome = verify_report(load_report(text))
+        checks = verify_report(load_report(text))
     except ReplayError as exc:
         print(f"qmprobe: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConfigError as exc:
         print(f"qmprobe: echoed config no longer validates: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    for check in outcome.checks:
+    for check in checks:
         verdict = "PASS" if check.ok else "FAIL"
         print(f"{verdict} {check.name} ({check.kind}): {check.message}")
-    return EXIT_OK if outcome.ok else EXIT_VERIFY
+    return EXIT_OK if all(check.ok for check in checks) else EXIT_VERIFY
 
 
 def _cmd_explain(args) -> int:

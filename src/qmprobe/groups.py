@@ -129,16 +129,7 @@ class GroupModel(_ModelFields):
         return _element(self, (), (0,) * self.abelian_rank)
 
     def generator_element(self, gen: Generator) -> "GroupElement":
-        index, inverse = gen
-        free_rank, rank = self.free_rank, self.rank
-        if not 0 <= index < rank:
-            raise ValueError(f"generator index {index} out of range for rank {rank}")
-        if index < free_rank:
-            letter = -index - 1 if inverse else index + 1
-            return _element(self, (letter,), (0,) * self.abelian_rank)
-        vec = [0] * self.abelian_rank
-        vec[index - free_rank] = -1 if inverse else 1
-        return _element(self, (), tuple(vec))
+        return reduce_word(self, (gen,))
 
     def generator_name(self, gen: Generator) -> str:
         base = self.generator_names[gen.index]

@@ -8,7 +8,7 @@ from ..probes import Experiment, Section, _need_qm, _qm, _radius, _work_bound
 from ..quasimorphisms import (
     MAX_SCAN_PAIRS,
     certify_aker_approximate_subgroup,
-    check_dstar,
+    check_non_negative,
     check_scaling_window,
 )
 from ..report import encode
@@ -29,7 +29,7 @@ so are D* < 0 and, for D* > 0, a c outside that window."""
 def validate(exp: Experiment, probe: Section) -> None:
     qm = _need_qm(exp, probe)
     dstar = probe.get("dstar", ExactReal.parse)
-    check_dstar(dstar)
+    check_non_negative("dstar", dstar)
     radius = _radius(exp, probe)
     _work_bound(
         exp, probe, radius, lambda n: n * n, "scans {} pairs", "MAX_SCAN_PAIRS", MAX_SCAN_PAIRS

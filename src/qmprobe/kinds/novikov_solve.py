@@ -31,7 +31,7 @@ from ..probes import (
     boolean,
     integer,
 )
-from ..quasimorphisms import check_positive_direction
+from ..quasimorphisms import check_non_negative, check_positive_direction
 from ..report import certificate_payload, chain_payload, encode, face_payloads, parse_certificate
 
 explain = """\
@@ -87,8 +87,7 @@ def validate(exp: Experiment, probe: Section) -> None:
         "enumerates {} ball elements", "MAX_SOLVE_BALL", MAX_SOLVE_BALL,
     )
     slack = _level(qm, probe, "slack", ZERO, combined=(defect,))
-    if slack < ZERO:
-        raise ValueError("slack must be non-negative")
+    check_non_negative("slack", slack)
     probe.settings.update(
         start=probe.get("start", model.parse_element),
         end=probe.get("end", model.parse_element),
@@ -106,7 +105,7 @@ def _novikov_cycle(exp: Experiment, probe: Section) -> tuple[CayleyComplex, RayC
     s = probe.settings
     cx = CayleyComplex(_qm(exp, probe), s["defect"])
     connecting = straight_path(s["start"], s["end"])
-    return cx, ray_cycle(cx, s["start"], s["end"], connecting, s["scaling"], s["window"])
+    return cx, ray_cycle(cx, connecting, s["scaling"], s["window"])
 
 
 def _payload(

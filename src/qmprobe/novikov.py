@@ -23,11 +23,12 @@ carries theirs from the generators'.  Any other potential evaluates
 each distinct face corner normal form once per complex.
 
 On top of the cells sit the desk-scale homology probes: `ray_cycle`
-builds the 1-cycle formed by a connecting path and two truncated rays
-along a positive-direction element, `build_zs_cycle` compares the two
-standard paths from c^n to s c^n, `windowed_boundary_solve` decides
-∂y ≡ z below the window by collapsing faces through free edges, or by
-exact integer elimination where a core is left, and
+builds the 1-cycle formed by a connecting path and the two truncated
+rays out of its origin and terminus along a positive-direction element,
+`build_zs_cycle` compares the two standard paths from c^n to s c^n,
+`windowed_boundary_solve` decides ∂y ≡ z below the window by
+collapsing faces through free edges, or by exact integer elimination
+where a core is left, and
 `keep_negative_and_extract_path` turns a filling into a connecting path
 through non-negative levels, held against min(0, phi-bar(start),
 phi-bar(end)) - D.  Every answer to ∂y ≡ z, the solver's in
@@ -66,7 +67,7 @@ from .intsolve import (
     solve_integer_system,
 )
 from .paths import Path, path_from_letters, phi_extrema
-from .quasimorphisms import Quasimorphism, _below, check_defect, check_positive_direction
+from .quasimorphisms import Quasimorphism, _below, check_non_negative, check_positive_direction
 
 RAY_STEP_CAP = 100_000
 DEFAULT_CELL_CAP = 50_000
@@ -97,7 +98,7 @@ class CayleyComplex:
     path against the window and for the solver's floor."""
 
     def __init__(self, qm: Quasimorphism, defect_bound: ExactReal):
-        check_defect(defect_bound)
+        check_non_negative("defect", defect_bound)
         self.qm = qm
         self.model: GroupModel = qm.model
         self.defect = defect_bound
@@ -212,20 +213,15 @@ class RayCycle(NamedTuple):
 
 
 def ray_cycle(
-    cx: CayleyComplex,
-    start: GroupElement,
-    end: GroupElement,
-    connecting: Path,
-    scaling: GroupElement,
-    window: ExactReal,
+    cx: CayleyComplex, connecting: Path, scaling: GroupElement, window: ExactReal
 ) -> RayCycle:
-    """The 1-cycle below the window: connecting path from start to end,
-    plus the truncated c-ray out of end, minus the one out of start.
-    Its boundary must vanish below the window less the edge drop."""
+    """The 1-cycle below the window: the connecting path, from its
+    origin `start` to its terminus `end`, plus the truncated c-ray out of
+    end, minus the one out of start.  Its boundary must vanish below the
+    window less the edge drop."""
     _scaling_letter(cx.model, scaling)
     check_positive_direction(cx.qm, scaling)
-    if connecting.origin != start or connecting.terminus != end:
-        raise ValueError("connecting path endpoints do not match")
+    start, end = connecting.origin, connecting.terminus
     z = cx.path_chain(connecting)
     below = cx.below(window)
     if not all(map(below, z)):
@@ -325,7 +321,7 @@ def _corner_numerators(cx: CayleyComplex):
     and one of four q.  For a homomorphism they are `nums`, phi-bar's at
     g, plus the steps' `cx._step_nums`, and nothing is evaluated.  For
     any other potential `nums` is not read, and each distinct corner
-    normal form, stepped with `_step_form`, is evaluated once, in a dict
+    normal form, stepped by `cx._forms`, is evaluated once, in a dict
     that lives as long as `corners`: as long as the complex, which builds
     it once as `cx.face_corners`."""
     types, step_nums = cx.square_types, cx._step_nums
@@ -337,12 +333,10 @@ def _corner_numerators(cx: CayleyComplex):
             return (p, p + xp, p + yp, p + xp + yp), (q, q + xq, q + yq, q + xq + yq)
 
         return corners
-    r, hnum, steps, values = cx.model.free_rank, cx.qm._hnum, cx.positive, {}
+    hnum, face_forms, values = cx.qm._hnum, cx._forms, {}
 
     def corners(free, ab, nums, t):
-        i, j = types[t]
-        gx = _step_form(r, free, ab, steps[i])
-        forms = ((free, ab), gx, _step_form(r, free, ab, steps[j]), _step_form(r, *gx, steps[j]))
+        forms = face_forms(("f", free, ab, t))
         for form in forms:
             if form not in values:
                 values[form] = hnum(*form)
@@ -449,6 +443,7 @@ def boundary_faces(
     [min level of z - slack, window).  No admissible face can produce
     an edge below that floor, because a face's value is the minimum
     over its corners."""
+    check_non_negative("slack", slack)
     if not all(map(cx.below(window), z)):
         raise ValueError("right-hand side has support at or above the window")
     floor = min((cx.value(cell) for cell in z), default=None)

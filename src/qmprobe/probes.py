@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 from .errors import CapExceededError, ConfigError, QmprobeError
 from .exact import ExactReal
 from .groups import GroupModel, ball_size
-from .quasimorphisms import Quasimorphism, check_defect, surd_base
+from .quasimorphisms import Quasimorphism, check_non_negative, surd_base
 
 
 _REQUIRED = object()
@@ -211,7 +211,7 @@ def _defect_bound(qm: Quasimorphism, probe: Section) -> ExactReal:
     defect = _level(qm, probe, "defect", qm.defect_upper())
     if defect is None:
         raise ValueError("no defect bound available; set 'defect' explicitly")
-    check_defect(defect)
+    check_non_negative("defect", defect)
     return defect
 
 

@@ -533,11 +533,11 @@ class AkerCertificate(NamedTuple):
     counterexample: Optional[tuple[GroupElement, GroupElement]]
 
 
-def check_dstar(dstar: ExactReal) -> None:
-    """Refuse a negative D*, for Aker(phi, D*) and the obstruction
-    bounds alike."""
-    if dstar < ZERO:
-        raise ValueError("dstar must be non-negative")
+def check_non_negative(name: str, level: ExactReal) -> None:
+    """Refuse a negative level: D* for Aker(phi, D*) and the obstruction
+    bounds, a defect bound D, or a solve's slack."""
+    if level < ZERO:
+        raise ValueError(f"{name} must be non-negative")
 
 
 def check_scaling_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactReal) -> None:
@@ -549,12 +549,6 @@ def check_scaling_window(qm: Quasimorphism, scaling: GroupElement, dstar: ExactR
 def check_positive_direction(qm: Quasimorphism, scaling: GroupElement) -> None:
     if not qm.homogeneous_value(scaling) > ZERO:
         raise ValueError("the scaling element must have positive phi-bar")
-
-
-def check_defect(defect: ExactReal) -> None:
-    """Refuse a negative defect bound D."""
-    if defect < ZERO:
-        raise ValueError("defect must be non-negative")
 
 
 def certify_aker_approximate_subgroup(
@@ -590,7 +584,7 @@ def certify_aker_approximate_subgroup(
     Values are numerator pairs over qm.den, tested against 2 D* scaled
     to the same den, and the products g h c^m are evaluated on normal
     forms without caching."""
-    check_dstar(dstar)
+    check_non_negative("dstar", dstar)
     model = qm.model
     top_p, top_q, scale, d = scaled_bound(qm, dstar + dstar)
     hnum = qm._hnum

@@ -17,6 +17,9 @@ later vertices of the buckets its prefixes select.  The pairs below
 n_max are grouped by distance; one union-find sweep over the groups
 counts every scale, and `components_from_edges`, which sorts its edges,
 gives the forest from the same pairs.
+
+Both builders refuse more than `DEFAULT_VERTEX_CAP` vertices, read when
+they are called.
 """
 
 from __future__ import annotations
@@ -62,16 +65,12 @@ def _prepare_vertices(vertices: Iterable[GroupElement]) -> tuple[GroupElement, .
     return tuple(sorted(out, key=GroupElement.sort_key))
 
 
-def build_rips(
-    vertices: Iterable[GroupElement],
-    scale: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> RipsGraph:
+def build_rips(vertices: Iterable[GroupElement], scale: int) -> RipsGraph:
     if scale < 1:
         raise ValueError("scale must be a positive integer")
     verts = _prepare_vertices(vertices)
-    if len(verts) > vertex_cap:
-        raise CapExceededError("Rips vertex count", len(verts), vertex_cap)
+    if len(verts) > DEFAULT_VERTEX_CAP:
+        raise CapExceededError("Rips vertex count", len(verts), DEFAULT_VERTEX_CAP)
     edges = []
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -124,17 +123,13 @@ class ConnectivityProfile(NamedTuple):
     forest_at_threshold: tuple[tuple[int, int], ...] | None
 
 
-def connectivity_profile(
-    vertices: Iterable[GroupElement],
-    n_max: int,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> ConnectivityProfile:
+def connectivity_profile(vertices: Iterable[GroupElement], n_max: int) -> ConnectivityProfile:
     if n_max < 1:
         raise ValueError("n_max must be positive")
     verts = _prepare_vertices(vertices)
     nv = len(verts)
-    if nv > vertex_cap:
-        raise CapExceededError("Rips vertex count", nv, vertex_cap)
+    if nv > DEFAULT_VERTEX_CAP:
+        raise CapExceededError("Rips vertex count", nv, DEFAULT_VERTEX_CAP)
     # by_prefix[(b, w)]: ascending indices of the vertices whose free
     # part has length b and starts with w
     by_prefix: dict[tuple[int, tuple[int, ...]], list[int]] = {}

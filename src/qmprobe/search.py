@@ -29,7 +29,8 @@ On top of that sit the pieces used to push paths out of high levels:
   vertices sit strictly below -D*.
 * `peak_reduction` repeatedly replaces the first highest essential
   vertex with a library path; the pair (height, number of peaks)
-  decreases lexicographically at every step.
+  decreases lexicographically at every step, for at most
+  `MAX_PEAK_STEPS` steps.
 * `f2z_kernel_path_normalize` rewrites a kernel-to-kernel path in
   F_2 x Z by inserting central corrections c^m after each edge, keeping
   every value inside [-sqrt(2)/2, sqrt(2)/2] up to one edge step.
@@ -53,7 +54,7 @@ from .quasimorphisms import (
     Quasimorphism,
     _above,
     _below,
-    check_dstar,
+    check_non_negative,
     check_positive_direction,
     check_scaling_window,
 )
@@ -65,6 +66,9 @@ from .quasimorphisms import (
 # over 120,000-200,000 elements of F_2, F_3 or Z^2 took 0.2-1.3 s on a
 # 2-vCPU VM with Python 3.11.7
 MAX_SEARCH_BALL = 200_000
+# most library substitutions one `peak_reduction` makes before it stops
+# with a cap overrun
+MAX_PEAK_STEPS = 10_000
 
 
 class PathWitness(NamedTuple):
@@ -428,19 +432,15 @@ def check_aker_endpoints(qm: Quasimorphism, path: Path, dstar: ExactReal) -> Non
             raise ValueError(f"path {label} is outside Aker(phi, D*)")
 
 
-def peak_reduction(
-    qm: Quasimorphism,
-    path: Path,
-    library: QLibrary,
-    max_iterations: int = 10_000,
-) -> PeakReductionTrace:
+def peak_reduction(qm: Quasimorphism, path: Path, library: QLibrary) -> PeakReductionTrace:
     """Replace the first highest essential vertex with a library path
     until the height drops to the bundle's height bound M.
 
     Preconditions: both endpoints lie in Aker(phi, D*).  Each step
     strictly decreases (height, peak count) lexicographically and keeps
     every vertex above -N; violations raise, since they would falsify
-    the library's guarantees.
+    the library's guarantees.  A reduction that needs more than
+    MAX_PEAK_STEPS steps exceeds a cap.
     """
     bundle = library.bundle
     scaling = library.scaling
@@ -449,8 +449,8 @@ def peak_reduction(
     current = path
     height, peaks, first = height_and_peaks(qm, current, scaling)
     while ExactReal(height) > bundle.height_bound:
-        if len(steps) >= max_iterations:
-            raise CapExceededError("peak reduction iterations", len(steps) + 1, max_iterations)
+        if len(steps) >= MAX_PEAK_STEPS:
+            raise CapExceededError("peak reduction iterations", len(steps) + 1, MAX_PEAK_STEPS)
         if first <= 0 or first >= len(current.vertices) - 1:
             raise RuntimeError("a path endpoint turned out to be a peak")
         vertices, letters = current.vertices, current.edge_letters()
@@ -591,7 +591,7 @@ def obstruction_denominator(
         raise ValueError("the obstruction probe works in free groups only")
     if x.model != model or scaling.model != model:
         raise ModelMismatchError("probe arguments use a different model")
-    check_dstar(dstar)
+    check_non_negative("dstar", dstar)
     check_positive_direction(qm, scaling)
     if x * scaling == scaling * x:
         raise ValueError("x and the scaling element must not commute")

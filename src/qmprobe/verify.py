@@ -24,6 +24,13 @@ module only rebuilds.
   and the envelope (every body key but `probes`: schema, tool, version,
   config echo, group block and `caps_hit`) must be the rebuilt one.
 
+`verify_report` takes a report `report.load_report` has read, so its
+body is an object of the known schema, and returns its checks: one
+`ProbeCheck` per configured entry, then a `(report)` check when the
+names or the envelope differ; `qmprobe verify` passes the report when
+every check is ok.  A result key a replay reads and finds missing is
+named (`missing key 'status'`).
+
 Values are compared type for type (JSON 1, 1.0 and true differ).  A
 re-run kind accepts only the canonical payload `run` emits; the
 searches break ties canonically, so it is well defined, and for
@@ -45,14 +52,6 @@ class ProbeCheck(NamedTuple):
     kind: str
     ok: bool
     message: str
-
-
-class VerificationOutcome(NamedTuple):
-    checks: tuple[ProbeCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
@@ -108,14 +107,14 @@ def _check_entry(exp: Experiment, spec: Section, entry: dict) -> list:
         return problems + [str(exc)]
     except CapExceededError as exc:
         return problems + [f"replay exceeds a cap: {exc}"]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        return problems + [f"malformed or inconsistent payload: missing key {exc}"]
+    except (IndexError, TypeError, ValueError) as exc:
         return problems + [f"malformed or inconsistent payload: {exc}"]
 
 
-def verify_report(report: dict) -> VerificationOutcome:
-    body = report.get("body")
-    if not isinstance(body, dict):
-        raise ReplayError("report has no body object")
+def verify_report(report: dict) -> tuple[ProbeCheck, ...]:
+    body = report["body"]
     echo = body.get("config_echo")
     if not isinstance(echo, str):
         raise ReplayError("report body has no config echo")
@@ -150,4 +149,4 @@ def verify_report(report: dict) -> VerificationOutcome:
     report_problems += _compare(report_body(exp, entries), body, unchecked=("probes",))
     if report_problems:
         checks.append(ProbeCheck("(report)", "-", False, "; ".join(report_problems)))
-    return VerificationOutcome(tuple(checks))
+    return tuple(checks)

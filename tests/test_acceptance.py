@@ -228,7 +228,7 @@ def test_criterion_7_windowed_solver(f2, z2, z2_hom11):
                 # endpoints on one a-line give the zero cycle; skip them
                 if not all(abs(x) == 1 for x in diff.free):
                     break
-            cycle = ray_cycle(cxf, g, h, straight_path(g, h), a_el, window)
+            cycle = ray_cycle(cxf, straight_path(g, h), a_el, window)
             assert cycle.chain
             got = windowed_boundary_solve(cxf, cycle.chain, window, 6)
             assert got.status == "unsat"
@@ -247,7 +247,7 @@ def test_criterion_7_windowed_solver(f2, z2, z2_hom11):
                 g, h = rng.sample(positive, 2)
                 if (g.inverse() * h).ab[0] != 0:
                     break
-            cycle = ray_cycle(cx2, g, h, straight_path(g, h), c_el, window)
+            cycle = ray_cycle(cx2, straight_path(g, h), c_el, window)
             got = windowed_boundary_solve(cx2, cycle.chain, window, 14)
             assert got.status == "sat"
             assert _equal_below(cx2, cx2.boundary(got.filling), cycle.chain, window)

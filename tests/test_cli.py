@@ -138,9 +138,42 @@ def test_a_wrapped_quasimorphism_answers_as_itself(tmp_path, capsys, name, ident
         assert after["result"] == before["result"]
 
 
+# the config keys whose values are words
+WORD_KEYS = ("word", "start", "target", "x", "scaling")
+
+
+def _transported(text: str, a: str, b: str) -> str:
+    """An F_2 config with the word of each word key sent through the
+    automorphism that maps a and b to the letters spelt `a` and `b`."""
+    model = GroupModel(2, generator_names=("a", "b"))
+    images = [model.parse_element(a), model.parse_element(b)]
+
+    def image(word):
+        g = model.identity()
+        for index, inverse in model.parse_word(word):
+            g = g * (images[index].inverse() if inverse else images[index])
+        return g.word_str() or "1"
+
+    lines = []
+    for line in text.splitlines():
+        key, sep, value = line.partition(" = ")
+        lines.append(key + sep + (image(value) if key in WORD_KEYS else value))
+    return "\n".join(lines) + "\n"
+
+
+# the images of F_2's generators a, b under its 8 signed permutations,
+# the identity first
+SIGNED_PERMUTATIONS = [
+    (x + ex, y + ey)
+    for x, y in (("a", "b"), ("b", "a"))
+    for ex in ("", "^-1")
+    for ey in ("", "^-1")
+]
+
+
 # the bench scan config with its Rips ball cut to radius 3, its scans
-# at radius {radius}, F_2's generators a, b spelt as {a} and {b} and
-# their inverses as {A} and {B}
+# at radius {radius}, and its Brooks word and scaling element spelt as
+# {word} and {c}
 SCAN = """\
 [group]
 free_rank = 2
@@ -149,7 +182,7 @@ ball_cap = 8
 
 [quasimorphism psi]
 kind = brooks
-word = {a} {b}
+word = {word}
 
 [quasimorphism psibar]
 kind = homogenized
@@ -165,7 +198,7 @@ kind = aker-cert
 qm = psibar
 dstar = 1
 radius = {radius}
-scaling = {a} {b} {A} {B}
+scaling = {c}
 
 [probe profile]
 kind = rips-profile
@@ -173,13 +206,27 @@ n_max = 4
 ball_radius = 3
 """
 
+# (Brooks word, scaling element, radius): the bench scan's word at two
+# radii, where the largest commutator and three-term values tie, and a
+# word whose largest values differ at radius 2 (0 and 1)
+SCAN_CASES = [
+    pytest.param(("a b", "a b a^-1 b^-1", 3), id="3"),
+    pytest.param(("a b", "a b a^-1 b^-1", 4), id="4"),
+    pytest.param(("a a a b", "a a a b", 2), id="aaab-2"),
+]
 
-def _scan_verdicts(a: str, b: str, radius: int) -> dict:
+
+def _scan_experiment(case: tuple, a: str = "a", b: str = "b"):
+    """The scan of `case` transported by the automorphism of F_2 that
+    sends a and b to the letters spelt `a` and `b`."""
+    word, c, radius = case
+    return parse_experiment(_transported(SCAN.format(word=word, c=c, radius=radius), a, b))
+
+
+def _scan_verdicts(case: tuple, a: str, b: str) -> dict:
     """The numbers of each scan probe that an automorphism of F_2 must
-    keep, asked of the scan transported by the one that sends a and b
-    to the letters spelt `a` and `b`."""
-    inverse = {x: x[0] if x.endswith("^-1") else x + "^-1" for x in (a, b)}
-    exp = parse_experiment(SCAN.format(a=a, b=b, A=inverse[a], B=inverse[b], radius=radius))
+    keep, asked of the scan it transports."""
+    exp = _scan_experiment(case, a, b)
     results = {}
     for probe in exp.probes:
         status, error, results[probe.name] = attempt(exp, probe)
@@ -194,13 +241,13 @@ def _scan_verdicts(a: str, b: str, radius: int) -> dict:
     }
 
 
-def _scan_maxima(radius: int) -> tuple:
+def _scan_maxima(case: tuple) -> tuple:
     """The largest commutator value phi-bar([g, h]) and the largest
     three-term value |phi-bar(g) + phi-bar(h) - phi-bar(g h)| of the
     scan's quasimorphism over ball(radius)^2, pair by pair."""
-    exp = parse_experiment(SCAN.format(a="a", b="b", A="a^-1", B="b^-1", radius=radius))
+    exp = _scan_experiment(case)
     qm = exp.quasimorphisms["psibar"]
-    ball = exp.model.ball(radius)
+    ball = exp.model.ball(case[2])
     values = [qm.value(g) for g in ball]
     commutators = max(qm.value(commutator(g, h)) for g in ball for h in ball)
     three_terms = max(
@@ -211,37 +258,71 @@ def _scan_maxima(radius: int) -> tuple:
     return commutators, three_terms
 
 
-@pytest.mark.parametrize("radius", [3, 4])
-def test_the_scan_kinds_answer_alike_under_every_signed_permutation(radius):
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_the_scan_kinds_answer_alike_under_every_signed_permutation(case):
     """Each of the 8 signed permutations of F_2's generators keeps the
     Cayley graph and every ball, so transporting the Brooks word and
     the scaling element through it keeps the defect bound, Aker's
     verdict, member count and nonzero exponents, and the Rips counts
-    and threshold.  It keeps the defect's witness kind too where the
-    largest commutator and three-term values differ.  Where they tie,
-    the kind reported is whichever comes first in the ball's canonical
-    order, which a renaming moves: at radius 3 it differs between
-    images.  At radius 4 both values are 2 as well, though every image
-    happens to report three-term."""
-    images = [
-        (x + ex, y + ey)
-        for x, y in (("a", "b"), ("b", "a"))
-        for ex in ("", "^-1")
-        for ey in ("", "^-1")
-    ]
-    commutators, three_terms = _scan_maxima(radius)
+    and threshold.  Where the largest commutator and three-term values
+    differ it keeps the defect's witness kind too, the kind of the
+    larger.  Where they tie, the kind reported is whichever comes first
+    in the ball's canonical order, which a renaming moves: for a b at
+    radius 3 it differs between images.  At radius 4 both values are 2
+    as well, though every image happens to report three-term."""
+    commutators, three_terms = _scan_maxima(case)
     tie = commutators == three_terms
 
     def verdicts(a, b):
-        got = _scan_verdicts(a, b, radius)
+        got = _scan_verdicts(case, a, b)
         assert got["defect"][0] == str(max(commutators, three_terms))
         if tie:
             got["defect"] = got["defect"][0]
+        else:
+            larger = "commutator" if commutators > three_terms else "three-term"
+            assert got["defect"][1] == larger, (a, b)
         return got
 
     expected = verdicts("a", "b")
     assert expected["aker"][0] and expected["profile"][1] is not None
-    for a, b in images[1:]:
+    for a, b in SIGNED_PERMUTATIONS[1:]:
+        assert verdicts(a, b) == expected, (a, b)
+
+
+@pytest.mark.parametrize("target", ["a b a b", "a^-1 b^-1 a b"])
+def test_free_brooks_searches_answer_alike_under_every_signed_permutation(target):
+    """free_brooks's path search and free-group obstruction, transported
+    through each signed permutation of F_2's generators, keep what a
+    renaming keeps.  The search keeps whether the target is found, the
+    found path's length, and on a failure how many admissible vertices
+    it exhausted; the path itself moves, since ties between shortest
+    paths break by letter order.  The obstruction keeps every run's
+    bounds, its maxima and whether they strictly increase, since a
+    renaming maps each geodesic vertex to the image's in order.  Target
+    a b a b is found at k = 0; a^-1 b^-1 a b is not."""
+    text = (CONFIG_DIR / "free_brooks.cfg").read_text(encoding="utf-8")
+    text = text.replace("target = a b a b", f"target = {target}")
+
+    def verdicts(a, b):
+        exp = parse_experiment(_transported(text, a, b))
+        got = {}
+        for probe in exp.probes:
+            if probe.kind in ("path-search", "free-obstruction"):
+                status, error, got[probe.kind] = attempt(exp, probe)
+                assert status == "ok", error
+        search, obstruction = got["path-search"], got["free-obstruction"]
+        runs = obstruction["runs"]
+        return (
+            search["found"],
+            len(search["path"]["letters"]) if search["found"] else search["explored"],
+            [run["bounds"] for run in runs],
+            [run["max_bound"] for run in runs],
+            obstruction["maxima_strictly_increasing"],
+        )
+
+    expected = verdicts("a", "b")
+    assert expected[:2] == ((True, 4) if target == "a b a b" else (False, 3))
+    for a, b in SIGNED_PERMUTATIONS[1:]:
         assert verdicts(a, b) == expected, (a, b)
 
 
@@ -710,6 +791,16 @@ def _empty_the_witness(res):
     res["witness"] = []
 
 
+def _drop_the_solve_status(res):
+    del res["status"]
+
+
+def _claim_unsat_without_a_certificate(res):
+    assert res["status"] == "sat"
+    res["status"] = "unsat"
+    del res["certificate"]
+
+
 def _make_a_forest_index_false(res):
     assert res["forest_at_threshold"] == [[0, 1]]
     res["forest_at_threshold"] = [[False, 1]]
@@ -763,6 +854,11 @@ def _make_a_forest_index_true(res):
          "unknown solve status 'maybe'"),
         ("free_brooks.cfg", "defect-small", _empty_the_witness,
          "malformed or inconsistent payload: not enough values to unpack"),
+        # a result key the replay reads is named when it is missing
+        ("z2_lattice.cfg", "fill", _drop_the_solve_status,
+         "malformed or inconsistent payload: missing key 'status'"),
+        ("z2_lattice.cfg", "fill", _claim_unsat_without_a_certificate,
+         "malformed or inconsistent payload: missing key 'certificate'"),
     ],
 )
 def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragment):
@@ -1067,6 +1163,17 @@ def test_a_fill_without_extraction_records_null_and_verifies(tmp_path, capsys):
     code, printed = _verify_rewritten(out, report, capsys)
     assert code == 4
     assert "FAIL fill" in printed and "extraction does not replay" in printed
+
+
+def test_extract_false_changes_only_the_extraction(tmp_path, capsys):
+    """`extract = false` records `extraction: null` and every other
+    result key as `extract = true` records it, and both verify."""
+    kept, skipped = (
+        _run_and_verify(tmp_path, capsys, RAY_ENDS.format("a^-1") + f"extract = {flag}\n")
+        for flag in ("true", "false")
+    )
+    assert kept.pop("extraction") is not None and skipped.pop("extraction") is None
+    assert skipped == kept
 
 
 def test_a_zs_cycle_whose_high_path_is_not_found_verifies(tmp_path, capsys):

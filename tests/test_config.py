@@ -433,7 +433,7 @@ def _q_library(qm, e, dstar, kprime, scaling, radius=4):
 
 def _ray(qm, e, scaling):
     connecting = straight_path(e("1"), e("b"))
-    return ray_cycle(CayleyComplex(qm, ZERO), e("1"), e("b"), connecting, e(scaling), X("4"))
+    return ray_cycle(CayleyComplex(qm, ZERO), connecting, e(scaling), X("4"))
 
 
 def _zs(qm, e, scaling):

@@ -66,9 +66,10 @@ def test_mixed_models_rejected(f2, z2):
         build_rips([f2.identity(), z2.identity()], 2)
 
 
-def test_vertex_cap(f2):
+def test_vertex_cap(f2, monkeypatch):
+    monkeypatch.setattr("qmprobe.rips.DEFAULT_VERTEX_CAP", 10)
     with pytest.raises(CapExceededError):
-        build_rips(f2.ball(2), 2, vertex_cap=10)
+        build_rips(f2.ball(2), 2)
 
 
 # -- components ---------------------------------------------------------
@@ -155,11 +156,12 @@ def test_profile_matches_fresh_builds(z2):
         assert _count(components(build_rips(vs, scale))) == count
 
 
-def test_profile_validates_inputs(f2):
+def test_profile_validates_inputs(f2, monkeypatch):
     with pytest.raises(ValueError):
         connectivity_profile([f2.identity()], 0)
+    monkeypatch.setattr("qmprobe.rips.DEFAULT_VERTEX_CAP", 5)
     with pytest.raises(CapExceededError):
-        connectivity_profile(f2.ball(2), 3, vertex_cap=5)
+        connectivity_profile(f2.ball(2), 3)
 
 
 # -- the one-pass profile against per-scale rebuilds ---------------------

@@ -441,9 +441,10 @@ def test_peak_reduction_requires_kernel_endpoints(z2, z2_hom01, z2_library):
         peak_reduction(z2_hom01, p, z2_library)
 
 
-def test_peak_reduction_iteration_cap(z2, z2_hom01, z2_library):
+def test_peak_reduction_iteration_cap(z2, z2_hom01, z2_library, monkeypatch):
+    monkeypatch.setattr("qmprobe.search.MAX_PEAK_STEPS", 0)
     with pytest.raises(CapExceededError):
-        peak_reduction(z2_hom01, _spike_path(z2), z2_library, max_iterations=0)
+        peak_reduction(z2_hom01, _spike_path(z2), z2_library)
 
 
 # -- F_2 x Z kernel normalization ---------------------------------------
