@@ -7,10 +7,6 @@ class QmprobeError(Exception):
     """Base class for package-specific failures."""
 
 
-class ModelMismatchError(QmprobeError, ValueError):
-    """Elements or quasimorphisms from different group models were mixed."""
-
-
 class CapExceededError(QmprobeError, RuntimeError):
     """A configured resource cap (ball radius, vertex count, cell count,
     iteration budget) would be exceeded."""

@@ -20,9 +20,10 @@ instance and then retypes it; the public `GroupElement(model, free, ab)`
 goes through the same constructor, and `__setattr__` refuses every
 write.  Two elements are equal when their free words, abelian vectors
 and models are; the hash is `hash((free, ab))`, which equal elements
-share, so the model is never hashed.  Products, inverses and distances
-skip the model comparison when both operands hold the same model
-object, and skip the abelian arithmetic in a free group (ab == ()).
+share, so the model is never hashed.  A run builds one model and
+every element from it, so products and distances do not compare
+models, and they skip the abelian arithmetic in a free group
+(ab == ()).
 
 Walks in the Cayley graph step a normal form by one letter with
 `_step_form`: paths, searches and the ball listing all go from a
@@ -36,7 +37,7 @@ import re
 from math import comb
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import CapExceededError, ModelMismatchError
+from .errors import CapExceededError
 
 DEFAULT_BALL_CAP = 10
 # largest ball_cap a config may set; it bounds every radius-like key,
@@ -221,18 +222,11 @@ class GroupElement(_ElementFields):
         # the default slot-by-slot restore would trip the write guard
         return (GroupElement, (self.model, self.free, self.ab))
 
-    def _check(self, other: "GroupElement") -> None:
-        if self.model is not other.model and self.model != other.model:
-            raise ModelMismatchError("elements belong to different group models")
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        model = self.model
-        if other.model is not model:
-            self._check(other)
         ab = self.ab
         if ab:
             ab = tuple([x + y for x, y in zip(ab, other.ab)])
-        return _element(model, _concat_reduce(self.free, other.free), ab)
+        return _element(self.model, _concat_reduce(self.free, other.free), ab)
 
     def inverse(self) -> "GroupElement":
         ab = self.ab
@@ -253,8 +247,6 @@ class GroupElement(_ElementFields):
     def distance(self, other: "GroupElement") -> int:
         """|g^-1 h|: the free words cancel down to their common prefix,
         so it is |u| + |v| - 2 (common prefix) + sum |delta ab|."""
-        if other.model is not self.model:
-            self._check(other)
         u, v = self.free, other.free
         common = 0
         for x, y in zip(u, v):
@@ -365,9 +357,7 @@ def commutator(g: GroupElement, h: GroupElement) -> GroupElement:
     return g * h * g.inverse() * h.inverse()
 
 
-def _scaling_letter(model: GroupModel, scaling: GroupElement) -> Generator:
-    if scaling.model != model:
-        raise ModelMismatchError("scaling element from a different model")
+def _scaling_letter(scaling: GroupElement) -> Generator:
     if scaling.length() != 1:
         raise ValueError("the scaling element must be a single generator letter")
     return scaling.letters()[0]

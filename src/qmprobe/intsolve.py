@@ -1,12 +1,18 @@
 """Exact linear algebra over the integers for sparse column systems.
 
-`solve_integer_system` decides solvability of sum_j y_j col_j = rhs
-with integer y.  Solvable instances return the coefficient vector;
-unsolvable ones return a row functional u and a modulus m such that
-u . col_j == 0 (mod m) for every column while u . rhs != 0 (mod m),
-which any reader can replay with integer dot products.  Modulus 0
-stands for exact equality, covering rational inconsistency; a positive
-modulus witnesses a divisibility failure.
+`solve_integer_system`, the one solver, decides solvability of
+sum_j y_j col_j = rhs with integer y.  Solvable instances return the
+coefficient vector; unsolvable ones return a row functional u and a
+modulus m such that u . col_j == 0 (mod m) for every column while
+u . rhs != 0 (mod m), which any reader can replay with integer dot
+products.  Modulus 0 stands for exact equality, covering rational
+inconsistency; a positive modulus witnesses a divisibility failure.
+
+It first runs `_collapse`, which removes columns through free rows, as
+an elementary collapse removes a face through a free edge, and decides
+every system it empties, with a modulus-0 certificate when there is no
+solution; its docstring holds the proof.  A system the collapse cannot
+empty, one with a core, goes whole to `_eliminate`, over every column.
 
 The elimination is a diagonalization by unimodular row and column
 operations, reducing with floored division until the pivot's row and
@@ -23,19 +29,12 @@ reach the top.  Every live entry was pushed by its latest write, so
 the first live key on top is exactly the rule's minimum.  The heap is
 rebuilt from the live entries whenever stale keys outnumber them,
 which bounds its size by twice the active nonzeros.
-
-`collapse_solve` answers many systems without the elimination: it
-removes columns through free rows, as an elementary collapse removes a
-face through a free edge, and decides every system it empties, with a
-modulus-0 certificate when there is no solution; its docstring holds
-the proof.  Only a core, a system the collapse cannot empty, needs the
-elimination.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Hashable, Literal, Mapping, NamedTuple, Sequence
+from typing import Hashable, Mapping, NamedTuple, Optional, Sequence
 
 
 class UnsatCertificate(NamedTuple):
@@ -88,12 +87,23 @@ def check_unsat_certificate(
     return not _congruent_zero(_dot(u, rhs), m)
 
 
-def collapse_solve(
+def solve_integer_system(
     columns: Sequence[Mapping[Hashable, int]],
     rhs: Mapping[Hashable, int],
-) -> list[int] | UnsatCertificate | Literal["core"]:
+) -> list[int] | UnsatCertificate:
+    """Solve sum_j y_j col_j = rhs over the integers: by `_collapse`
+    when it empties the system, by `_eliminate` over every column
+    otherwise."""
+    solution = _collapse(columns, rhs)
+    return _eliminate(columns, rhs) if solution is None else solution
+
+
+def _collapse(
+    columns: Sequence[Mapping[Hashable, int]],
+    rhs: Mapping[Hashable, int],
+) -> Optional[list[int] | UnsatCertificate]:
     """Solve sum_j y_j col_j = rhs by collapses alone: the coefficient
-    list, a modulus-0 certificate when there is no solution, or "core"
+    list, a modulus-0 certificate when there is no solution, or None
     when the collapse cannot empty the system.
 
     A row is free when it lies in exactly one remaining column and its
@@ -119,8 +129,8 @@ def collapse_solve(
     - uniqueness: so at most one rational solution exists, and it is
       the forced one; if the residual is not 0 the system has no
       rational solution, let alone an integer one.  Either way the
-      verdict is the one any exact solver gives, `solve_integer_system`
-      among them, and a solution is the same list.
+      verdict is the one any exact solver gives, `_eliminate` among
+      them, and a solution is the same list.
 
     The certificate, when the residual is non-zero at some row r:
     - lift: start from f = e_r and, for t = n, ..., 1, set f(r_t) so
@@ -167,7 +177,7 @@ def collapse_solve(
                 if len(js) == 1:
                     stack.append(r)
     if len(collapses) < len(columns):
-        return "core"
+        return None
     residual = dict(rhs)
     y = [0] * len(columns)
     for k, j in collapses:
@@ -191,11 +201,11 @@ def collapse_solve(
     return UnsatCertificate(f, 0)
 
 
-def solve_integer_system(
+def _eliminate(
     columns: Sequence[Mapping[Hashable, int]],
     rhs: Mapping[Hashable, int],
 ) -> list[int] | UnsatCertificate:
-    """Solve sum_j y_j col_j = rhs over the integers.
+    """Solve sum_j y_j col_j = rhs over the integers by elimination.
 
     Row keys may be any hashable values; the row order is fixed by
     first appearance in rhs, then in the columns, so identical input

@@ -50,7 +50,7 @@ collapse order and is the unique solution, or no solution exists.  The
 collapse then writes the certificate of every system it empties: one
 edge where the residual is not 0, the first edge of z in no face when
 there is one, lifted back through the collapses in reverse order.
-Only a core, a system the collapse cannot empty, is eliminated.  A
+A system the collapse cannot empty is eliminated over every face.  A
 solution is replayed as an exact filling below W; infeasibility is
 certified by a functional that annihilates every face boundary but not
 z (modulo m, or over Z when m = 0).  Keeping only the filling's faces
@@ -78,7 +78,7 @@ def validate(exp: Experiment, probe: Section) -> None:
     model = exp.model
     qm = _need_qm(exp, probe)
     scaling = probe.get("scaling", model.parse_element)
-    _scaling_letter(model, scaling)
+    _scaling_letter(scaling)
     check_positive_direction(qm, scaling)
     defect = _defect_bound(qm, probe)
     radius = _radius(exp, probe)

@@ -30,7 +30,7 @@ def validate(exp: Experiment, probe: Section) -> None:
     kprime = probe.get("kprime", ExactReal.parse)
     scaling = probe.get("scaling", exp.model.parse_element)
     compute_constants(qm, dstar, kprime, scaling)
-    _scaling_letter(exp.model, scaling)
+    _scaling_letter(scaling)
     radius = _radius(exp, probe, minimum=1)
     # one search per ordered pair of the 2 * rank generator letters
     _search_bound(exp, probe, radius, (2 * exp.model.rank) ** 2, MAX_SEARCH_BALL)

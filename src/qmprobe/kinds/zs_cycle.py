@@ -37,7 +37,7 @@ def validate(exp: Experiment, probe: Section) -> None:
     model = exp.model
     qm = _need_qm(exp, probe)
     scaling = probe.get("scaling", model.parse_element)
-    c = _scaling_letter(model, scaling)
+    c = _scaling_letter(scaling)
     check_positive_direction(qm, scaling)
     letters = probe.get("s", model.parse_word)
     if len(letters) != 1:

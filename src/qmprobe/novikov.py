@@ -28,18 +28,18 @@ rays out of its origin and terminus along a positive-direction element,
 `build_zs_cycle` compares the two standard paths from c^n to s c^n,
 `windowed_boundary_solve` decides ∂y ≡ z below the window by
 collapsing faces through free edges, or by exact integer elimination
-where a core is left, and
+over every face where a core is left, and
 `keep_negative_and_extract_path` turns a filling into a connecting path
 through non-negative levels, held against min(0, phi-bar(start),
 phi-bar(end)) - D.  Every answer to ∂y ≡ z, the solver's in
 `run` or a recorded one in `verify`, is replayed and wrapped by the one
 function `settle`.
 
-A filling is local, so the solver tries small balls first and
-collapses each one before it eliminates; `windowed_boundary_solve`
+A filling is local, so the solver tries small balls first, one
+`intsolve.solve_integer_system` call each; `windowed_boundary_solve`
 says why a filling over a smaller ball is one over ball(R), and
-`intsolve.collapse_solve` why a collapse that empties a system decides
-it and certifies an unsat.
+`intsolve._collapse` why a collapse that empties a system decides it
+and certifies an unsat.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from bisect import bisect_right
 from collections import deque
 from typing import Callable, NamedTuple, Optional
 
-from .errors import CapExceededError, ExtractionError, ModelMismatchError, ReplayError
+from .errors import CapExceededError, ExtractionError, ReplayError
 from .exact import ExactReal, ZERO, _make
 from .groups import (
     Generator,
@@ -63,7 +63,6 @@ from .intsolve import (
     UnsatCertificate,
     check_solution,
     check_unsat_certificate,
-    collapse_solve,
     solve_integer_system,
 )
 from .paths import Path, path_from_letters, phi_extrema
@@ -183,8 +182,6 @@ class CayleyComplex:
     def path_chain(self, path: Path) -> Chain:
         """The 1-chain of a path's edges: +1 along the edge (g, i) from g,
         -1 back along it from g s_i."""
-        if path.model != self.model:
-            raise ModelMismatchError("path uses a different model")
         terms: Chain = {}
         vertices = path.vertices
         for v, w, (index, inverse) in zip(vertices, vertices[1:], path.edge_letters()):
@@ -205,8 +202,6 @@ def _accumulate(terms: Chain, cell: Cell, coeff: int) -> None:
 
 class RayCycle(NamedTuple):
     chain: Chain
-    start: GroupElement
-    end: GroupElement
     scaling: GroupElement
     connecting: Path
     window: ExactReal
@@ -219,7 +214,7 @@ def ray_cycle(
     origin `start` to its terminus `end`, plus the truncated c-ray out of
     end, minus the one out of start.  Its boundary must vanish below the
     window less the edge drop."""
-    _scaling_letter(cx.model, scaling)
+    _scaling_letter(scaling)
     check_positive_direction(cx.qm, scaling)
     start, end = connecting.origin, connecting.terminus
     z = cx.path_chain(connecting)
@@ -244,7 +239,7 @@ def ray_cycle(
                 _accumulate(z, cell, sign * coeff)
     if any(map(cx.below(boundary_level), cx.boundary(z))):
         raise RuntimeError("ray cycle failed its boundary check")
-    return RayCycle(z, start, end, scaling, connecting, window)
+    return RayCycle(z, scaling, connecting, window)
 
 
 # -- the z_s cycles ------------------------------------------------------
@@ -271,7 +266,7 @@ def build_zs_cycle(
     path through the identity and a path staying above
     n phi-bar(c) - K.  For s equal to the scaling letter the two
     constructions coincide and the cycle is zero by convention."""
-    c_letter = _scaling_letter(cx.model, scaling)
+    c_letter = _scaling_letter(scaling)
     check_positive_direction(cx.qm, scaling)
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -306,7 +301,6 @@ def build_zs_cycle(
 
 class BoundarySolveResult(NamedTuple):
     status: str  # "sat" | "unsat"
-    window: ExactReal
     floor: Optional[ExactReal]
     faces: tuple[Cell, ...]
     coefficients: Optional[tuple[int, ...]]
@@ -491,21 +485,18 @@ def windowed_boundary_solve(
     Only the whole system at R can be unsat, and its certificate is
     the one its own solve at R gives, over every face's column.
 
-    One solver decides each radius: `intsolve.collapse_solve`, which
+    One `intsolve.solve_integer_system` call decides each radius: it
     removes faces through free edges (edges in exactly one remaining
-    face, with coefficient +-1) and decides every system it empties,
-    certificate included (its docstring holds the proof), and
-    `solve_integer_system` only for a core, a system the collapse cannot
-    empty.  An unsat below R moves on to the next radius; a filling ends
-    the schedule."""
+    face, with coefficient +-1) and decides every system that empties,
+    certificate included; a system the collapse cannot empty, one with
+    a core, it eliminates over every face.  An unsat below R moves on to
+    the next radius; a filling ends the schedule."""
     floor, faces = boundary_faces(cx, z, window, radius, slack, cell_cap)
     columns: list[dict[Cell, int]] = []
     for k in _solve_radii(radius):
         end = bisect_right(faces, k, key=lambda f: cx.element(f).length())
         columns += _trimmed_columns(cx, faces[len(columns):end], window)
-        solution = collapse_solve(columns, z)
-        if solution == "core":
-            solution = solve_integer_system(columns, z)
+        solution = solve_integer_system(columns, z)
         if isinstance(solution, list):
             solution.extend([0] * (len(faces) - end))
             break
@@ -542,7 +533,7 @@ def settle(
         columns = columns + _trimmed_columns(cx, faces[len(columns):], window)
         if not check_unsat_certificate(columns, z, solution):
             raise ReplayError("infeasibility certificate does not annihilate the system")
-        return BoundarySolveResult("unsat", window, floor, faces, None, None, solution)
+        return BoundarySolveResult("unsat", floor, faces, None, None, solution)
     if not (
         isinstance(solution, list)
         and len(solution) == len(faces)
@@ -553,7 +544,7 @@ def settle(
     columns = _trimmed_columns(cx, list(support), window)
     if not check_solution(columns, z, list(support.values())):
         raise ReplayError("boundary of the filling does not match the cycle below the window")
-    return BoundarySolveResult("sat", window, floor, faces, tuple(solution), support, None)
+    return BoundarySolveResult("sat", floor, faces, tuple(solution), support, None)
 
 
 # -- keep-negative extraction --------------------------------------------
@@ -620,8 +611,8 @@ def keep_negative_and_extract_path(
     if not support:
         return _extracted(cx, cycle, _ray_segment(cycle))
 
-    m_start, entry_start = ray_entry(cycle.start)
-    m_end, entry_end = ray_entry(cycle.end)
+    m_start, entry_start = ray_entry(cycle.connecting.origin)
+    m_end, entry_end = ray_entry(cycle.connecting.terminus)
 
     # canonical shortest path inside the support graph: neighbours in
     # canonical order, each reached by the letter of its edge
@@ -654,7 +645,7 @@ def _ray_segment(cycle: RayCycle) -> list[Generator]:
     """The letters of c^k from start to end = start c^k, or
     ExtractionError when end is not on the start's ray: k = +-d(start,
     end), since c is one letter."""
-    c, start, end = cycle.scaling, cycle.start, cycle.end
+    c, start, end = cycle.scaling, cycle.connecting.origin, cycle.connecting.terminus
     d = start.distance(end)
     for k in (d, -d):
         if start * c ** k == end:
@@ -666,10 +657,11 @@ def _ray_segment(cycle: RayCycle) -> list[Generator]:
 def _extracted(cx: CayleyComplex, cycle: RayCycle, letters: list[Generator]) -> ExtractionResult:
     """The path from start spelt by the letters, with its exact minimum
     and the bound min(0, phi-bar(start), phi-bar(end)) - D."""
-    path = path_from_letters(cycle.start, letters)
-    if path.terminus != cycle.end:
+    start, end = cycle.connecting.origin, cycle.connecting.terminus
+    path = path_from_letters(start, letters)
+    if path.terminus != end:
         raise RuntimeError("extracted path does not join the cycle's endpoints")
     mn, _ = phi_extrema(cx.qm, path)
     level = cx.qm.homogeneous_value
-    bound = min(ZERO, level(cycle.start), level(cycle.end)) - cx.defect
+    bound = min(ZERO, level(start), level(end)) - cx.defect
     return ExtractionResult(path, mn, bound, mn >= bound)

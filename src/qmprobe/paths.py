@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import ModelMismatchError
 from .exact import ExactReal, _make, _sign
 from .groups import Generator, GroupElement, _element, _step_form
 from .quasimorphisms import Quasimorphism
@@ -66,10 +65,6 @@ class Path:
         return f"Path({self.vertices!r})"
 
     @property
-    def model(self):
-        return self.vertices[0].model
-
-    @property
     def origin(self) -> GroupElement:
         return self.vertices[0]
 
@@ -85,8 +80,6 @@ class Path:
         return self._letters
 
     def concat(self, other: "Path") -> "Path":
-        if other.model != self.model:
-            raise ModelMismatchError("cannot concatenate paths from different models")
         walked = _walk(self.terminus, other._letters)
         return _path(self.vertices + walked[1:], self._letters + other._letters)
 
@@ -134,8 +127,6 @@ def phi_extrema(qm: Quasimorphism, path: Path) -> tuple[ExactReal, ExactReal]:
     """The least and the greatest homogeneous value along the path, as
     `min` and `max` of the values give them: two values over one den
     are equal exactly when their numerators are."""
-    if path.model is not qm.model:
-        qm._check(path.origin)
     hnum, d = qm._hnum, qm.d
     nums = [hnum(v.free, v.ab) for v in path.vertices]
     lo = hi = nums[0]

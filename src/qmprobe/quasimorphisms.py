@@ -49,7 +49,6 @@ from math import lcm
 from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import ModelMismatchError
 from .exact import DEFAULT_SQUAREFREE, ExactReal, ZERO, _make, _sign
 from .groups import Generator, GroupElement, GroupModel, _concat_reduce, commutator
 
@@ -94,18 +93,10 @@ class Quasimorphism:
 
     # shared API ----------------------------------------------------
 
-    def _check(self, g: GroupElement) -> None:
-        if g.model is not self.model and g.model != self.model:
-            raise ModelMismatchError("element and quasimorphism use different models")
-
     def value(self, g: GroupElement) -> ExactReal:
-        if g.model is not self.model:
-            self._check(g)
         return _make(*self._num(g.free, g.ab), self.den, self.d)
 
     def homogeneous_value(self, g: GroupElement) -> ExactReal:
-        if g.model is not self.model:
-            self._check(g)
         return _make(*self._hnum(g.free, g.ab), self.den, self.d)
 
 
@@ -227,14 +218,10 @@ class CombinationQM(Quasimorphism):
             raise ValueError("combination needs at least one part")
         if len(coefficients) != len(parts):
             raise ValueError("one coefficient per part required")
-        model = parts[0].model
-        for p in parts[1:]:
-            if p.model != model:
-                raise ModelMismatchError("combination parts use different models")
         coefficients, parts = tuple(coefficients), tuple(parts)
         surds = frozenset(c.d for c in coefficients if c._q).union(*(p.surds for p in parts))
         den = lcm(*(c._den * p.den for c, p in zip(coefficients, parts)))
-        super().__init__(model, den, surds)
+        super().__init__(parts[0].model, den, surds)
         self.coefficients = coefficients
         self.parts = parts
         # each coefficient's numerators, scaled to the common den
@@ -442,8 +429,6 @@ def defect_witness(
     recorded witness without the scan."""
     if not qm.is_homogeneous:
         raise ValueError("defect_witness expects a homogeneous quasimorphism")
-    qm._check(g)
-    qm._check(h)
     if g.length() > radius or h.length() > radius:
         raise ValueError("witness pair lies outside the scanned ball")
     hnum, d = qm._hnum, qm.d
@@ -603,8 +588,6 @@ def certify_aker_approximate_subgroup(
     else:
         if scaling is None:
             raise ValueError("D* > 0 certification needs a scaling element c")
-        if scaling.model != model:
-            raise ModelMismatchError("scaling element from a different model")
         witness = tuple(scaling ** m for m in range(5, -6, -1))
         order = _M_ORDER
         powers = {m: scaling ** m for m in order}

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
-from .errors import CapExceededError, ModelMismatchError
+from .errors import CapExceededError
 from .groups import GroupElement
 
 DEFAULT_VERTEX_CAP = 4096
@@ -58,10 +58,6 @@ def _prepare_vertices(vertices: Iterable[GroupElement]) -> tuple[GroupElement, .
             out.append(v)
     if not out:
         raise ValueError("empty vertex set")
-    model = out[0].model
-    for v in out[1:]:
-        if v.model != model:
-            raise ModelMismatchError("Rips vertices use different models")
     return tuple(sorted(out, key=GroupElement.sort_key))
 
 

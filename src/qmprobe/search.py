@@ -44,9 +44,9 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Optional
 
-from .errors import CapExceededError, LibraryIncompleteError, ModelMismatchError
+from .errors import CapExceededError, LibraryIncompleteError
 from .exact import ExactReal, ZERO, _floor
-from .groups import Generator, GroupElement, GroupModel, _scaling_letter, _step_form
+from .groups import Generator, GroupElement, _scaling_letter, _step_form
 from .paths import Path, _path, _walk, path_from_letters, phi_extrema, straight_path
 from .quasimorphisms import (
     HomomorphismQM,
@@ -115,8 +115,6 @@ def _constrained_bfs(
     per call.  Elements are built only for the vertices of the returned
     path."""
     model = qm.model
-    if start.model != model or target.model != model:
-        raise ModelMismatchError("search endpoints use a different model")
     if radius > model.ball_cap:
         raise CapExceededError("search radius", radius, model.ball_cap)
     check_search_ball(radius, start, target)
@@ -241,11 +239,11 @@ def compute_constants(
 # -- q-library -----------------------------------------------------------
 
 
-def _scaling_letters(model: GroupModel, scaling: GroupElement) -> tuple[Generator, ...]:
+def _scaling_letters(scaling: GroupElement) -> tuple[Generator, ...]:
     """The letters of the steps by scaling^1 and scaling^-1: none unless
-    scaling is a one-letter element of `model`, since no edge steps by
-    anything else."""
-    if scaling.length() != 1 or scaling.model != model:
+    scaling is a one-letter element, since no edge steps by anything
+    else."""
+    if scaling.length() != 1:
         return ()
     c = scaling.letters()[0]
     return (c, c.inverted())
@@ -258,7 +256,7 @@ def essential_flags(path: Path, scaling: GroupElement) -> tuple[bool, ...]:
     letters = path.edge_letters()
     if not letters:
         return (True,)
-    cs = _scaling_letters(path.model, scaling)
+    cs = _scaling_letters(scaling)
     inner = [not (x in cs and y in cs) for x, y in zip(letters, letters[1:])]
     return (True, *inner, True)
 
@@ -303,7 +301,7 @@ def build_q_library(
     -N < min phi-bar(q) over every successful entry.
     """
     model = qm.model
-    c_letter = _scaling_letter(model, scaling)
+    c_letter = _scaling_letter(scaling)
     n = bundle.descent_depth if depth is None else depth
     if n < 1:
         raise ValueError("descent depth must be positive")
@@ -372,7 +370,7 @@ def remove_inessential_backtracks(path: Path, scaling: GroupElement) -> Path:
     On edge letters: a step x followed by x^-1 returns to its vertex, so
     with x a scaling letter both steps are dropped.  What is kept was
     left unreduced when it was kept, so one test per step suffices."""
-    cs = _scaling_letters(path.model, scaling)
+    cs = _scaling_letters(scaling)
     vertices = [path.vertices[0]]
     letters: list[Generator] = []
     for v, x in zip(path.vertices[1:], path.edge_letters()):
@@ -413,8 +411,6 @@ def height_and_peaks(
 ) -> tuple[int, int, int]:
     """(height, number of peaks, index of the first peak) over the
     essential vertices, with floors taken on numerators over qm.den."""
-    if path.model is not qm.model:
-        qm._check(path.origin)
     hnum, den, d = qm._hnum, qm.den, qm.d
     floors = [
         _floor(*hnum(v.free, v.ab), den, d) if flag else None
@@ -523,8 +519,6 @@ def f2z_kernel_path_normalize(qm: Quasimorphism, path: Path) -> PathWitness:
     -3 <= phi <= 3; the endpoints are untouched.
     """
     model = qm.model
-    if path.model != model:
-        raise ModelMismatchError("path uses a different model")
     check_kernel_endpoints(qm, path.origin, path.terminus)
     c_letter = Generator(2, False)
     c = model.generator_element(c_letter)
@@ -589,8 +583,6 @@ def obstruction_denominator(
     model = qm.model
     if model.abelian_rank != 0:
         raise ValueError("the obstruction probe works in free groups only")
-    if x.model != model or scaling.model != model:
-        raise ModelMismatchError("probe arguments use a different model")
     check_non_negative("dstar", dstar)
     check_positive_direction(qm, scaling)
     if x * scaling == scaling * x:

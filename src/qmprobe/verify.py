@@ -28,8 +28,10 @@ module only rebuilds.
 body is an object of the known schema, and returns its checks: one
 `ProbeCheck` per configured entry, then a `(report)` check when the
 names or the envelope differ; `qmprobe verify` passes the report when
-every check is ok.  A result key a replay reads and finds missing is
-named (`missing key 'status'`).
+every check is ok.  An `ok` entry's result that is not an object is
+refused before a replay or re-run reads it (`result is not an object`),
+and a result key a replay reads and finds missing is named
+(`missing key 'status'`).
 
 Values are compared type for type (JSON 1, 1.0 and true differ).  A
 re-run kind accepts only the canonical payload `run` emits; the
@@ -64,8 +66,6 @@ def _compare(fresh: dict, res: dict, unchecked: tuple = ()) -> list:
     as it is: dumping it would build one string per array element,
     which for an aker certificate's exponent table raises the peak
     memory of `verify` by more than the table itself."""
-    if not isinstance(res, dict):
-        raise TypeError("result is not an object")
     return [
         f"{key} does not replay"
         for key in sorted(fresh.keys() | res.keys())
@@ -94,6 +94,8 @@ def _check_entry(exp: Experiment, spec: Section, entry: dict) -> list:
         return _compare(probe_entry(spec, *attempt(exp, spec)), entry)
     problems = _compare(probe_entry(spec, "ok", None, None), entry, unchecked=("result",))
     res = entry.get("result")
+    if not isinstance(res, dict):
+        return problems + ["malformed or inconsistent payload: result is not an object"]
     replay = getattr(kind_module(spec.kind), "replay", None)
     try:
         if replay is not None:

@@ -18,18 +18,13 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qmprobe import novikov
+from qmprobe import intsolve, novikov
 from qmprobe.cli import _build_parser, main
 from qmprobe.config import load_experiment, parse_experiment
 from qmprobe.errors import ConfigError, ReplayError
 from qmprobe.exact import ExactReal
 from qmprobe.groups import MAX_BALL_CAP, GroupModel, commutator
-from qmprobe.intsolve import (
-    UnsatCertificate,
-    check_unsat_certificate,
-    collapse_solve,
-    solve_integer_system,
-)
+from qmprobe.intsolve import UnsatCertificate, check_unsat_certificate
 from qmprobe.probes import KINDS, attempt, kind_module
 from qmprobe.quasimorphisms import BrooksQM, HomomorphismQM
 from qmprobe.report import dump_report, parse_cell, parse_path
@@ -874,6 +869,30 @@ def test_verify_rederives_payloads(tmp_path, capsys, config, name, tamper, fragm
     assert f"FAIL {name}" in printed and fragment in printed
 
 
+@pytest.mark.parametrize(
+    "config, name, kind",
+    [
+        ("free_unsat.cfg", "no-fill", "novikov-solve"),
+        ("free_brooks.cfg", "defect-small", "defect"),
+        # a re-run kind, refused by the same check
+        ("free_brooks.cfg", "aker", "aker-cert"),
+    ],
+)
+def test_verify_refuses_a_result_that_is_not_an_object(tmp_path, capsys, config, name, kind):
+    # one message on every interpreter, before a replay reads the result
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / config), "--out", str(out)]) == 0
+    report = _read(out)
+    for result in ("1", None, []):
+        _probe(report, name)["result"] = result
+        code, printed = _verify_rewritten(out, report, capsys)
+        assert code == 4
+        assert (
+            f"FAIL {name} ({kind}): malformed or inconsistent payload: result is not an object"
+            in printed.splitlines()
+        )
+
+
 def test_a_solver_answer_that_does_not_replay_fails_the_probe(tmp_path, monkeypatch):
     # run puts the solver's filling through the same replay as verify
     monkeypatch.setattr("qmprobe.novikov.check_solution", lambda *args: False)
@@ -886,20 +905,21 @@ def test_a_solver_answer_that_does_not_replay_fails_the_probe(tmp_path, monkeypa
 
 def _solve_sizes(monkeypatch, tmp_path, text):
     """Run a config with one novikov-solve probe and return its result,
-    the column count of every per-radius `collapse_solve` call, in
-    order, and that of every `solve_integer_system` call."""
+    the column count of every per-radius `solve_integer_system` call, in
+    order, and that of every elimination."""
     sizes, eliminated = [], []
+    solve, eliminate = intsolve.solve_integer_system, intsolve._eliminate
 
     def counted(columns, rhs):
         sizes.append(len(columns))
-        return collapse_solve(columns, rhs)
+        return solve(columns, rhs)
 
     def counted_elimination(columns, rhs):
         eliminated.append(len(columns))
-        return solve_integer_system(columns, rhs)
+        return eliminate(columns, rhs)
 
-    monkeypatch.setattr("qmprobe.novikov.collapse_solve", counted)
-    monkeypatch.setattr("qmprobe.novikov.solve_integer_system", counted_elimination)
+    monkeypatch.setattr("qmprobe.novikov.solve_integer_system", counted)
+    monkeypatch.setattr("qmprobe.intsolve._eliminate", counted_elimination)
     cfg, out = tmp_path / "solve.cfg", tmp_path / "report.json"
     cfg.write_text(text, encoding="utf-8")
     assert main(["run", str(cfg), "--out", str(out)]) == 0

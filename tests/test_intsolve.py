@@ -5,15 +5,16 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmprobe import intsolve
 from qmprobe.intsolve import (
     UnsatCertificate,
+    _collapse,
+    _eliminate,
     check_solution,
     check_unsat_certificate,
-    collapse_solve,
     solve_integer_system,
 )
 
@@ -151,7 +152,7 @@ def test_failed_solution_replay_raises(monkeypatch):
     # the final replay is an explicit check, not an assert that -O strips
     monkeypatch.setattr(intsolve, "check_solution", lambda *args: False)
     with pytest.raises(RuntimeError):
-        solve_integer_system([{"x": 1}], {"x": 2})
+        _eliminate([{"x": 1}], {"x": 2})
 
 
 # -- the heap-served pivot against the full-scan rule --------------------
@@ -272,7 +273,7 @@ def test_heap_pivots_match_the_full_scan(seed, nrows, ncols, planted):
         rhs = {k: v for k, v in rhs.items() if v}
     else:
         rhs = {rng.randrange(nrows): rng.randint(-7, 7) for _ in range(3)}
-    got = solve_integer_system(columns, rhs)
+    got = _eliminate(columns, rhs)
     assert got == _full_scan_solve(columns, rhs)
     if planted:
         assert isinstance(got, list)
@@ -289,7 +290,7 @@ def test_heap_pivots_match_on_both_verdicts():
             for _ in range(rng.randint(1, 40))
         ]
         rhs = {rng.randrange(nrows): rng.randint(-5, 5) for _ in range(2)}
-        got = solve_integer_system(columns, rhs)
+        got = _eliminate(columns, rhs)
         assert got == _full_scan_solve(columns, rhs)
         verdicts.add(isinstance(got, list))
     assert verdicts == {True, False}
@@ -348,13 +349,14 @@ def _certifies(columns, rhs, got):
 def _agrees_with_the_elimination(columns, rhs):
     """The collapse answers exactly when it empties the system, and
     then with the elimination's verdict: the same list, or its own
-    certificate, which replays on every column; the collapse's
-    verdict."""
-    got = collapse_solve(columns, rhs)
-    assert (got != "core") == _empties(columns)
-    if got == "core":
+    certificate, which replays on every column; the solver gives the
+    collapse's answer then and the elimination's otherwise.  Returns
+    the collapse's verdict."""
+    got, want = _collapse(columns, rhs), _eliminate(columns, rhs)
+    assert (got is not None) == _empties(columns)
+    assert solve_integer_system(columns, rhs) == (want if got is None else got)
+    if got is None:
         return "core"
-    want = solve_integer_system(columns, rhs)
     if isinstance(want, UnsatCertificate):
         assert _certifies(columns, rhs, got)
         return "unsat"
@@ -369,6 +371,9 @@ def _agrees_with_the_elimination(columns, rhs):
     ncols=st.integers(0, 12),
     planted=st.booleans(),
 )
+# an unsat system the collapse empties and certifies by {0: 1}, where
+# the elimination's certificate is {2: 1, 1: -2}
+@example(seed=5, nrows=3, ncols=1, planted=False)
 def test_the_collapse_answers_exactly_when_it_empties_the_system(seed, nrows, ncols, planted):
     columns, rhs = _sparse_system(random.Random(seed), nrows, ncols, planted)
     verdict = _agrees_with_the_elimination(columns, rhs)
@@ -391,15 +396,15 @@ def test_coefficients_are_forced_in_collapse_order():
     # row x frees the first column; that leaves y free in the second,
     # whose coefficient is what remains at y after the first: 3 - 1
     columns = [{"x": 1, "y": 1}, {"y": 1, "z": 1}]
-    assert collapse_solve(columns, {"x": 1, "y": 3, "z": 2}) == [1, 2]
+    assert _collapse(columns, {"x": 1, "y": 3, "z": 2}) == [1, 2]
     # the residual ends at 1 on z; e_z is lifted back through y, which
     # freed the second column, and then through x, which freed the
     # first: lifted in forward order, x would be read before y is set
     rhs = {"x": 1, "y": 3, "z": 3}
-    got = collapse_solve(columns, rhs)
+    got = _collapse(columns, rhs)
     assert got == UnsatCertificate({"z": 1, "y": -1, "x": 1}, 0)
     assert _certifies(columns, rhs, got)
-    assert collapse_solve([{"x": -1}], {"x": 4}) == [-4]
+    assert _collapse([{"x": -1}], {"x": 4}) == [-4]
 
 
 def test_a_row_in_no_column_is_the_whole_certificate():
@@ -407,22 +412,22 @@ def test_a_row_in_no_column_is_the_whole_certificate():
     # and at w; w lies in no column, so e_w alone certifies, where the
     # lift of e_y would take x as well
     columns, rhs = [{"x": 1, "y": 1}], {"y": 1, "w": 1}
-    assert collapse_solve(columns, rhs) == UnsatCertificate({"w": 1}, 0)
+    assert _collapse(columns, rhs) == UnsatCertificate({"w": 1}, 0)
     # with no such row, the first one of rhs where the residual is not 0
-    assert collapse_solve(columns, {"y": 1}) == UnsatCertificate({"y": 1, "x": -1}, 0)
+    assert _collapse(columns, {"y": 1}) == UnsatCertificate({"y": 1, "x": -1}, 0)
 
 
 def test_a_row_with_entry_two_is_not_free():
     # 2 y = 2 is solvable and 2 y = 1 is not; neither is a collapse
-    assert collapse_solve([{"x": 2}], {"x": 2}) == "core"
-    assert collapse_solve([{"x": 2}], {"x": 1}) == "core"
-    assert collapse_solve([{"x": 2, "y": 1}], {"x": 2, "y": 1}) == [1]
+    assert _collapse([{"x": 2}], {"x": 2}) is None
+    assert _collapse([{"x": 2}], {"x": 1}) is None
+    assert _collapse([{"x": 2, "y": 1}], {"x": 2, "y": 1}) == [1]
 
 
 def test_an_empty_system_needs_a_zero_right_hand_side():
-    assert collapse_solve([], {}) == []
-    assert collapse_solve([], {"x": 1}) == UnsatCertificate({"x": 1}, 0)
+    assert _collapse([], {}) == []
+    assert _collapse([], {"x": 1}) == UnsatCertificate({"x": 1}, 0)
     # a row no column reaches must be 0 in the right-hand side
-    got = collapse_solve([{"x": 1}], {"x": 1, "w": 1})
+    got = _collapse([{"x": 1}], {"x": 1, "w": 1})
     assert got == UnsatCertificate({"w": 1}, 0)
     assert _certifies([{"x": 1}], {"x": 1, "w": 1}, got)

@@ -16,8 +16,9 @@ from qmprobe.exact import ExactReal, ONE, ZERO, _make
 from qmprobe.groups import Generator, GroupModel, _ball, reduce_word
 from qmprobe.intsolve import (
     UnsatCertificate,
+    _collapse,
+    _eliminate,
     check_unsat_certificate,
-    collapse_solve,
     solve_integer_system,
 )
 from qmprobe.novikov import (
@@ -373,16 +374,16 @@ def test_a_closed_cube_leaves_a_core_for_the_elimination(monkeypatch):
     columns = [cx.boundary_of_cell(f) for f in cube]
     edges = Counter(e for col in columns for e in col)
     assert len(edges) == 12 and set(edges.values()) == {2}
-    assert collapse_solve(columns, columns[0]) == "core"
+    assert _collapse(columns, columns[0]) is None
     assert solve_integer_system(columns, columns[0]) == [1, 0, 0, 0, 0, 0]
 
     eliminated = []
 
     def counted(columns, rhs):
         eliminated.append(len(columns))
-        return solve_integer_system(columns, rhs)
+        return _eliminate(columns, rhs)
 
-    monkeypatch.setattr("qmprobe.novikov.solve_integer_system", counted)
+    monkeypatch.setattr("qmprobe.intsolve._eliminate", counted)
     end, window = a * b, ExactReal(1)
     z = ray_cycle(cx, straight_path(g, end), c, window).chain
     got = windowed_boundary_solve(cx, z, window, 1)
@@ -576,7 +577,8 @@ def _zs_filling_problem(z2, cx2):
 
 
 def _settle_again(cx, z, got, solution):
-    return settle(cx, z, got.window, got.floor, list(got.faces), solution, [])
+    # every solve it replays is below the window 10
+    return settle(cx, z, ExactReal(10), got.floor, list(got.faces), solution, [])
 
 
 def test_settle_agrees_with_the_solver_on_a_filling(z2, cx2):
@@ -702,7 +704,7 @@ def test_solving_small_first_agrees_with_the_full_radius_solve():
             # the system at R, and the elimination's on a core
             columns = _trimmed_columns(cx, list(got.faces), window)
             assert check_unsat_certificate(columns, z, got.certificate)
-            if collapse_solve(columns, z) == "core":
+            if _collapse(columns, z) is None:
                 assert got.certificate == want.certificate
                 verdicts["unsat on a core"] += 1
     assert all(verdicts.values()), verdicts
@@ -762,7 +764,7 @@ def test_extraction_rejects_empty_residual(z2, cx2):
     a, c = z2.parse_element("a"), z2.parse_element("c")
     connecting = straight_path(z2.identity(), a)
     # an empty cycle whose end is off the start's ray: nothing joins them
-    tampered = RayCycle({}, z2.identity(), a, c, connecting, ExactReal(4))
+    tampered = RayCycle({}, c, connecting, ExactReal(4))
     with pytest.raises(
         ExtractionError, match="empty residual support cannot connect the rays"
     ):
@@ -777,9 +779,7 @@ def test_extraction_rejects_disconnected_residual(z2, cx2):
     # and nothing in the residual joins them
     rays_only = dict(cyc.chain)
     del rays_only[cx2.edge_cell(z2.identity(), 0)]
-    tampered = RayCycle(
-        rays_only, z2.identity(), a, z2.parse_element("c"), connecting, ExactReal(4)
-    )
+    tampered = RayCycle(rays_only, z2.parse_element("c"), connecting, ExactReal(4))
     with pytest.raises(
         ExtractionError, match="residual support does not connect the two rays"
     ):

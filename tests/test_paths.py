@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmprobe.errors import ModelMismatchError
 from qmprobe.exact import ExactReal
 from qmprobe.groups import Generator
 from qmprobe.paths import Path, path_from_letters, phi_extrema, straight_path
@@ -89,13 +88,6 @@ def test_concat_ignores_second_basepoint(f2):
     p = path_from_letters(f2.identity(), f2.parse_word("a"))
     q = path_from_letters(f2.parse_element("b b b"), f2.parse_word("a"))
     assert p.concat(q).terminus == f2.parse_element("a a")
-
-
-def test_concat_model_mismatch(f2, z2):
-    p = path_from_letters(f2.identity(), ())
-    q = path_from_letters(z2.identity(), ())
-    with pytest.raises(ModelMismatchError):
-        p.concat(q)
 
 
 # -- straight paths -----------------------------------------------------

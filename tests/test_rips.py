@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmprobe.errors import CapExceededError, ModelMismatchError
+from qmprobe.errors import CapExceededError
 from qmprobe.groups import GroupElement, reduce_word
 from qmprobe.rips import (
     build_rips,
@@ -59,11 +59,6 @@ def test_scale_must_be_positive(f2):
 def test_empty_vertex_set_rejected():
     with pytest.raises(ValueError):
         build_rips([], 2)
-
-
-def test_mixed_models_rejected(f2, z2):
-    with pytest.raises(ModelMismatchError):
-        build_rips([f2.identity(), z2.identity()], 2)
 
 
 def test_vertex_cap(f2, monkeypatch):

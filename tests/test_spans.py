@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps qmprobe functions by name, and its
 microbenchmarks call qmprobe methods by name; each must still exist,
 and the tracer must find every module it wraps loaded, or
-`bench/run.py --trace 1` breaks."""
+`bench/run.py --trace 1` breaks.  A wrapped function must also be the
+one the probes call, or the tracer counts nothing."""
 
 import importlib
 import importlib.util
@@ -14,13 +15,18 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
-SPANS = ROOT / "bench" / "spans.py"
+
+
+def _bench_module(name):
+    """bench/<name>.py, loaded without putting bench on the import path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _targets():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _bench_module("spans")
     return [(layer, name) for layer, names in module.TARGETS.items() for name in names]
 
 
@@ -59,3 +65,19 @@ def test_the_microbenchmarks_report_every_per_operation_metric():
 def test_every_traced_function_exists(layer, name):
     module = importlib.import_module(f"qmprobe.{layer}")
     assert callable(getattr(module, name, None)), f"qmprobe.{layer}.{name}"
+
+
+@pytest.mark.parametrize("seed, columns, radii", [(0, 46, 3), (2, 376, 4)])
+def test_the_tracer_sees_every_solve_of_a_fill(tmp_path, seed, columns, radii):
+    # one solve per radius of the schedule, each counted by its columns
+    ((name, text),) = _bench_module("workloads").configs("fill", seed, ROOT)
+    config, spans = tmp_path / name, tmp_path / "spans.json"
+    config.write_text(text, encoding="utf-8")
+    _python(
+        str(ROOT / "bench" / "child.py"), str(tmp_path / "times.json"), str(spans),
+        "--", "run", str(config), "--out", str(tmp_path / "report.json"),
+    )
+    traced = json.loads(spans.read_text(encoding="utf-8"))
+    assert traced["counts"].get("intsolve.columns", 0) == columns
+    solves = [span for span in traced["spans"] if span[0] == "intsolve.solve_integer_system"]
+    assert len(solves) == radii
