@@ -47,7 +47,7 @@ import configparser
 from .errors import ConfigError
 from .exact import ExactReal, ZERO
 from .groups import DEFAULT_BALL_CAP, MAX_BALL_CAP, GroupModel
-from .probes import KINDS, Experiment, Section, integer, kind_module
+from .probes import KINDS, Experiment, Section, _known_qm, integer, kind_module
 from .quasimorphisms import (
     BrooksQM,
     CombinationQM,
@@ -151,7 +151,7 @@ def _build_qm(
     if kind == "brooks":
         return BrooksQM(model, section.get("word", model.parse_word))
     if kind == "homogenized":
-        return HomogenizedQM(_known(known, section.get("base", str)))
+        return HomogenizedQM(_known_qm(known, section.get("base", str)))
     if kind == "combination":
         coefficients = []
         parts = []
@@ -160,16 +160,10 @@ def _build_qm(
             if "*" not in term:
                 raise ValueError(f"term {term!r} is not coeff*name")
             coeff_text, part_name = term.split("*", 1)
-            parts.append(_known(known, part_name.strip()))
+            parts.append(_known_qm(known, part_name.strip()))
             coefficients.append(ExactReal.parse(coeff_text.strip()))
         return CombinationQM(tuple(coefficients), tuple(parts))
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def _known(known: dict[str, Quasimorphism], name: str) -> Quasimorphism:
-    if name not in known:
-        raise ValueError(f"unknown quasimorphism {name!r}")
-    return known[name]
 
 
 # -- probe validation ----------------------------------------------------

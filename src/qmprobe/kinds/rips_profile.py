@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from ..errors import CapExceededError
 from ..groups import ball_size
 from ..probes import Experiment, Section, _radius
 from ..report import encode
-from ..rips import DEFAULT_VERTEX_CAP, connectivity_profile
+from ..rips import check_vertex_count, connectivity_profile
 
 explain = """\
 rips-profile: connectivity of the Rips graph on a finite vertex set,
@@ -36,9 +35,7 @@ def run(exp: Experiment, probe: Section) -> dict:
     vertices = s["vertices"]
     if vertices is None:
         # the ball is counted before it is built
-        size = ball_size(exp.model, s["ball_radius"])
-        if size > DEFAULT_VERTEX_CAP:
-            raise CapExceededError("Rips vertex count", size, DEFAULT_VERTEX_CAP)
+        check_vertex_count(ball_size(exp.model, s["ball_radius"]))
         vertices = exp.model.ball(s["ball_radius"])
     profile = connectivity_profile(vertices, s["n_max"])
     return encode({"n_max": s["n_max"], **profile._asdict()}, exp.model)

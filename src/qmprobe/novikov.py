@@ -93,8 +93,9 @@ class CayleyComplex:
     phi-bar over its corners, against b on the corners' numerators and
     keeps nothing; `face_corners`, built once per complex, gives the
     solver the numerators at a face's four corners.  `value`, the corner
-    minimum as an exact number, is built only to hold the connecting
-    path against the window and for the solver's floor."""
+    minimum as an exact number, is built only for the solver's floor;
+    `ray_cycle` holds the connecting path against the window with
+    `below`."""
 
     def __init__(self, qm: Quasimorphism, defect_bound: ExactReal):
         check_non_negative("defect", defect_bound)
@@ -113,7 +114,7 @@ class CayleyComplex:
         # phi-bar's numerators at the positive generators when it is a
         # homomorphism, so that a corner's are its base's plus its steps'
         self._step_nums: Optional[list[tuple[int, int]]] = None
-        if qm.is_homogeneous and qm.defect_upper() == ZERO:
+        if qm.is_homogeneous and qm.defect_upper == ZERO:
             self._step_nums = [qm._hnum(s.free, s.ab) for s in self._steps]
         self.face_corners = _corner_numerators(self)
 

@@ -18,7 +18,9 @@ the time `load_experiment` returns, and a command loads no kind it
 does not name.  `config`, `runner`, `verify` and `cli` dispatch
 through `kind_module` and hold no per-kind code.  The helpers below
 are the ones several kinds share: the key parsers and the validation
-checks.  Comparing payloads is `verify`'s alone.
+checks, among them `_known_qm`, the one lookup of a quasimorphism by
+name, which `config` uses for a `base` and a `terms` entry too.
+Comparing payloads is `verify`'s alone.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple, Optional
 from .errors import CapExceededError, ConfigError, QmprobeError
 from .exact import ExactReal
 from .groups import GroupModel, ball_size
-from .quasimorphisms import Quasimorphism, check_non_negative, surd_base
+from .quasimorphisms import Quasimorphism, check_homogeneous, check_non_negative, surd_base
 
 
 _REQUIRED = object()
@@ -129,16 +131,18 @@ def attempt(exp: Experiment, probe: Section) -> tuple[str, Optional[str], Option
 # -- validation checks shared by several kinds ---------------------------
 
 
+def _known_qm(qms: dict[str, Quasimorphism], name: str) -> Quasimorphism:
+    """The quasimorphism configured as `name`: a probe's `qm`, a
+    homogenization's `base` or a combination's term."""
+    if name not in qms:
+        raise ValueError(f"unknown quasimorphism {name!r}")
+    return qms[name]
+
+
 def _need_qm(exp: Experiment, probe: Section) -> Quasimorphism:
     name = probe.get("qm", str)
-    qm = exp.quasimorphisms.get(name)
-    if qm is None:
-        raise ValueError(f"unknown quasimorphism {name!r}")
-    if not qm.is_homogeneous:
-        raise ValueError(
-            "this probe needs a homogeneous quasimorphism; "
-            "wrap the base in a homogenized block"
-        )
+    qm = _known_qm(exp.quasimorphisms, name)
+    check_homogeneous(qm)
     probe.settings["qm"] = name
     return qm
 
@@ -208,7 +212,7 @@ def _level(
 
 def _defect_bound(qm: Quasimorphism, probe: Section) -> ExactReal:
     """The probe's `defect`, or the quasimorphism's structural bound."""
-    defect = _level(qm, probe, "defect", qm.defect_upper())
+    defect = _level(qm, probe, "defect", qm.defect_upper)
     if defect is None:
         raise ValueError("no defect bound available; set 'defect' explicitly")
     check_non_negative("defect", defect)

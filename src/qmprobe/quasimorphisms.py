@@ -19,7 +19,11 @@ combinations the homogenization is taken term by term (homogenization
 is a linear operator, so this is exact).
 
 Numerators.  Each quasimorphism fixes at construction a denominator
-`den` and a surd base `d`, and every value it takes is
+`den`, a surd base `d`, whether it is homogeneous (`is_homogeneous`)
+and its structural defect bound (`defect_upper`: 0 for a homomorphism,
+sum |c_i| D_i for a combination, 2 D for a homogenization (Calegari,
+*scl*, MSJ Memoirs 20 (2009), 2.2), None for a Brooks count or anything
+built on one).  Every value it takes is
 (p + q sqrt(d)) / den with ints p, q:
 
 * a Brooks count has den 1 and q 0;
@@ -41,6 +45,8 @@ instead of several per pair.
 Defects are never guessed.  `defect_lower_bound` scans a ball for
 certified lower bounds; every operation that needs an upper defect
 bound takes it as an explicit argument (written D* throughout).
+`check_homogeneous` refuses a quasimorphism that is not homogeneous,
+for the probes that need one and for both defect scans.
 """
 
 from __future__ import annotations
@@ -61,11 +67,20 @@ MAX_SCAN_PAIRS = 250_000
 
 
 class Quasimorphism:
-    """Base class; concrete variants implement the hooks `_num` and
-    `_hnum`, which return the numerators (p, q) of the value and of the
-    homogeneous value at a normal form, over the fixed `den` and `d`."""
+    """Base class; concrete variants set the hooks `_num` and `_hnum`,
+    which return the numerators (p, q) of the value and of the
+    homogeneous value at a normal form, over the fixed `den` and `d`,
+    and pass their homogeneity and structural defect bound (None when
+    none is known) to the constructor."""
 
-    def __init__(self, model: GroupModel, den: int = 1, surds: frozenset = frozenset()):
+    def __init__(
+        self,
+        model: GroupModel,
+        den: int = 1,
+        surds: frozenset = frozenset(),
+        is_homogeneous: bool = False,
+        defect_upper: Optional[ExactReal] = None,
+    ):
         if len(surds) > 1:
             a, b = sorted(surds)[:2]
             raise ValueError(f"cannot mix sqrt({a}) and sqrt({b})")
@@ -74,30 +89,24 @@ class Quasimorphism:
         # the surd bases among the values and coefficients: none or one
         self.surds = surds
         self.d = next(iter(surds), DEFAULT_SQUAREFREE)
-
-    # subclass hooks ------------------------------------------------
-
-    def _num(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
-        raise NotImplementedError
-
-    @property
-    def is_homogeneous(self) -> bool:
-        raise NotImplementedError
-
-    def defect_upper(self) -> Optional[ExactReal]:
-        """A certified upper bound on the defect, or None if unknown."""
-        raise NotImplementedError
-
-    # shared API ----------------------------------------------------
+        self.is_homogeneous = is_homogeneous
+        # a certified upper bound on the defect, or None if unknown
+        self.defect_upper = defect_upper
 
     def value(self, g: GroupElement) -> ExactReal:
         return _make(*self._num(g.free, g.ab), self.den, self.d)
 
     def homogeneous_value(self, g: GroupElement) -> ExactReal:
         return _make(*self._hnum(g.free, g.ab), self.den, self.d)
+
+
+def check_homogeneous(qm: Quasimorphism) -> None:
+    """Refuse a quasimorphism that is not homogeneous."""
+    if not qm.is_homogeneous:
+        raise ValueError(
+            "this probe needs a homogeneous quasimorphism; "
+            "wrap the base in a homogenized block"
+        )
 
 
 class HomomorphismQM(Quasimorphism):
@@ -108,7 +117,7 @@ class HomomorphismQM(Quasimorphism):
                 f"expected {model.rank} generator values, got {len(values)}"
             )
         den = lcm(*(v._den for v in values))
-        super().__init__(model, den, frozenset(v.d for v in values if v._q))
+        super().__init__(model, den, frozenset(v.d for v in values if v._q), True, ZERO)
         self.values = values
         ps = [v._p * (den // v._den) for v in values]
         qs = [v._q * (den // v._den) for v in values]
@@ -132,13 +141,6 @@ class HomomorphismQM(Quasimorphism):
         return p, sum(map(self._free_q, free)) + sum(map(mul, ab, self._ab_q))
 
     _num = _hnum
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return True
-
-    def defect_upper(self) -> Optional[ExactReal]:
-        return ZERO
 
 
 def cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -204,13 +206,6 @@ class BrooksQM(Quasimorphism):
             return 0, 0
         return signed_count(cyc, self.word, self.word_inverse, range(len(cyc))), 0
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return False
-
-    def defect_upper(self) -> Optional[ExactReal]:
-        return None
-
 
 class CombinationQM(Quasimorphism):
     def __init__(self, coefficients: Sequence[ExactReal], parts: Sequence[Quasimorphism]):
@@ -221,7 +216,12 @@ class CombinationQM(Quasimorphism):
         coefficients, parts = tuple(coefficients), tuple(parts)
         surds = frozenset(c.d for c in coefficients if c._q).union(*(p.surds for p in parts))
         den = lcm(*(c._den * p.den for c, p in zip(coefficients, parts)))
-        super().__init__(parts[0].model, den, surds)
+        uppers = [p.defect_upper for p in parts]
+        upper = None
+        if all(u is not None for u in uppers):
+            upper = sum((abs(c) * u for c, u in zip(coefficients, uppers)), ZERO)
+        homogeneous = all(p.is_homogeneous for p in parts)
+        super().__init__(parts[0].model, den, surds, homogeneous, upper)
         self.coefficients = coefficients
         self.parts = parts
         # each coefficient's numerators, scaled to the common den
@@ -244,19 +244,6 @@ class CombinationQM(Quasimorphism):
     def _hnum(self, free: tuple[int, ...], ab: tuple[int, ...]) -> tuple[int, int]:
         return self._combine(part._hnum(free, ab) for part in self.parts)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return all(p.is_homogeneous for p in self.parts)
-
-    def defect_upper(self) -> Optional[ExactReal]:
-        total = ZERO
-        for c, p in zip(self.coefficients, self.parts):
-            ub = p.defect_upper()
-            if ub is None:
-                return None
-            total = total + abs(c) * ub
-        return total
-
 
 class HomogenizedQM(Quasimorphism):
     """phi-bar for a Brooks quasimorphism or a homomorphism.
@@ -276,19 +263,11 @@ class HomogenizedQM(Quasimorphism):
                 "homogenization is implemented for Brooks and homomorphism "
                 "variants; build combinations out of homogenized parts instead"
             )
-        super().__init__(base.model, base.den, base.surds)
+        ub = base.defect_upper
+        # D(phi-bar) <= 2 D(phi)
+        super().__init__(base.model, base.den, base.surds, True, None if ub is None else ub + ub)
         self.base = base
         self._hnum = self._num = base._hnum
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return True
-
-    def defect_upper(self) -> Optional[ExactReal]:
-        ub = self.base.defect_upper()
-        if ub is None:
-            return None
-        return ub + ub  # D(phi-bar) <= 2 D(phi)
 
 
 class DefectEstimate(NamedTuple):
@@ -367,8 +346,7 @@ def defect_lower_bound(
     [g, h] = (g h) g^-1 h^-1 reuses g h, a commutator's abelian part is
     0, and the values of the products g h, which recur across pairs,
     are kept only for this call."""
-    if not qm.is_homogeneous:
-        raise ValueError("defect_lower_bound expects a homogeneous quasimorphism")
+    check_homogeneous(qm)
     model = qm.model
     hnum, d = qm._hnum, qm.d
     abelian = model.abelian_rank > 0
@@ -427,8 +405,7 @@ def defect_witness(
     the three-term value only where it is strictly larger.  Any pair of
     ball(radius) certifies its value as a lower bound, so this checks a
     recorded witness without the scan."""
-    if not qm.is_homogeneous:
-        raise ValueError("defect_witness expects a homogeneous quasimorphism")
+    check_homogeneous(qm)
     if g.length() > radius or h.length() > radius:
         raise ValueError("witness pair lies outside the scanned ball")
     hnum, d = qm._hnum, qm.d
@@ -488,7 +465,7 @@ def _upper_bound(
     """The claimed upper bound, else the structural one, checked against
     the certified lower bound."""
     if upper is None:
-        upper = qm.defect_upper()
+        upper = qm.defect_upper
     if upper is not None and upper < lower:
         raise ValueError(
             f"claimed upper bound {upper} is below the certified lower bound {lower}"

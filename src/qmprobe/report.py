@@ -157,6 +157,8 @@ def parse_certificate(cx: CayleyComplex, payload: dict) -> UnsatCertificate:
     back; `novikov.settle` checks its modulus and coefficients."""
     from .intsolve import UnsatCertificate
 
+    if not isinstance(payload, dict):
+        raise ValueError("certificate is not an object")
     functional = {parse_cell(cx, cell): coeff for cell, coeff in payload["functional"]}
     return UnsatCertificate(functional, payload["modulus"])
 

@@ -18,8 +18,10 @@ n_max are grouped by distance; one union-find sweep over the groups
 counts every scale, and `components_from_edges`, which sorts its edges,
 gives the forest from the same pairs.
 
-Both builders refuse more than `DEFAULT_VERTEX_CAP` vertices, read when
-they are called.
+Both builders refuse more than `DEFAULT_VERTEX_CAP` vertices, counted
+after duplicates are dropped; `check_vertex_count` holds that rule, and
+the rips-profile probe calls it on a ball's size before building the
+ball.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ class ComponentCertificate(NamedTuple):
     forest: tuple[tuple[int, int], ...]
 
 
+def check_vertex_count(n: int) -> None:
+    """Refuse n vertices when they are more than `DEFAULT_VERTEX_CAP`,
+    read at call time."""
+    if n > DEFAULT_VERTEX_CAP:
+        raise CapExceededError("Rips vertex count", n, DEFAULT_VERTEX_CAP)
+
+
 def _prepare_vertices(vertices: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
     seen = set()
     out = []
@@ -58,6 +67,7 @@ def _prepare_vertices(vertices: Iterable[GroupElement]) -> tuple[GroupElement, .
             out.append(v)
     if not out:
         raise ValueError("empty vertex set")
+    check_vertex_count(len(out))
     return tuple(sorted(out, key=GroupElement.sort_key))
 
 
@@ -65,8 +75,6 @@ def build_rips(vertices: Iterable[GroupElement], scale: int) -> RipsGraph:
     if scale < 1:
         raise ValueError("scale must be a positive integer")
     verts = _prepare_vertices(vertices)
-    if len(verts) > DEFAULT_VERTEX_CAP:
-        raise CapExceededError("Rips vertex count", len(verts), DEFAULT_VERTEX_CAP)
     edges = []
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -124,8 +132,6 @@ def connectivity_profile(vertices: Iterable[GroupElement], n_max: int) -> Connec
         raise ValueError("n_max must be positive")
     verts = _prepare_vertices(vertices)
     nv = len(verts)
-    if nv > DEFAULT_VERTEX_CAP:
-        raise CapExceededError("Rips vertex count", nv, DEFAULT_VERTEX_CAP)
     # by_prefix[(b, w)]: ascending indices of the vertices whose free
     # part has length b and starts with w
     by_prefix: dict[tuple[int, tuple[int, ...]], list[int]] = {}

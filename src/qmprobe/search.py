@@ -8,7 +8,11 @@ it exhausted and is evidence only at that (K, R) -- nothing outside
 the ball was examined.  The probes validate the searches' size against
 MAX_SEARCH_BALL before any runs.  Each precondition is raised by one
 function that they call too: a `check_*` here or in `quasimorphisms`,
-`groups._scaling_letter`, or `obstruction_denominator`.
+`groups._scaling_letter`, or `obstruction_denominator`.  The scaling
+element is one generator letter wherever its letters are read (the
+essential vertices, the backtracks, the q-library's descent), and each
+of those reads goes through `groups._scaling_letter`, which refuses any
+other element.
 
 The level-set machinery below works on normal forms (free, ab) and on
 numerator pairs (p, q) over qm.den, the way the pair scans do: the
@@ -240,12 +244,9 @@ def compute_constants(
 
 
 def _scaling_letters(scaling: GroupElement) -> tuple[Generator, ...]:
-    """The letters of the steps by scaling^1 and scaling^-1: none unless
-    scaling is a one-letter element, since no edge steps by anything
-    else."""
-    if scaling.length() != 1:
-        return ()
-    c = scaling.letters()[0]
+    """The letters of the steps by scaling^1 and scaling^-1; scaling must
+    be one letter, as `groups._scaling_letter` requires."""
+    c = _scaling_letter(scaling)
     return (c, c.inverted())
 
 

@@ -321,6 +321,96 @@ def test_free_brooks_searches_answer_alike_under_every_signed_permutation(target
         assert verdicts(a, b) == expected, (a, b)
 
 
+# the z2_lattice keys whose values are words
+Z2_WORD_KEYS = ("scaling", "letters", "s", "start", "target", "end")
+
+
+def _z2_transported(text: str, a: str, c: str) -> str:
+    """z2_lattice sent through the signed permutation sigma of Z^2 that
+    maps a and c to the letters spelt `a` and `c`.  Each letter's image
+    is a letter, so a word key is mapped letter by letter and keeps its
+    length; each homomorphism phi becomes phi o sigma^-1, which takes at
+    sigma(g) the value phi took at g: the key x = v becomes y = e v for
+    sigma(x) = y^e, and a key left out stays 0 under its image."""
+    model = GroupModel(0, 2, generator_names=("a", "c"))
+    images = [model.parse_word(a)[0], model.parse_word(c)[0]]
+
+    def image(letter):
+        return images[letter.index].inverted() if letter.inverse else images[letter.index]
+
+    lines = []
+    for line in text.splitlines():
+        key, sep, value = line.partition(" = ")
+        if key in model.generator_names:
+            y = image(model.parse_word(key)[0])
+            v = ExactReal.parse(value)
+            line = f"{model.generator_names[y.index]} = {-v if y.inverse else v}"
+        elif key in Z2_WORD_KEYS:
+            letters = [image(x) for x in model.parse_word(value)]
+            line = key + sep + (" ".join(map(model.generator_name, letters)) or "1")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _path_length(payload) -> int | None:
+    return None if payload is None else len(payload["letters"])
+
+
+def test_z2_lattice_answers_alike_under_every_signed_permutation():
+    """The 8 signed permutations of Z^2's generators a, c keep the
+    Cayley graph and every ball, so z2_lattice transported through them
+    keeps every probe's `ok` status and what a renaming keeps of each
+    result: the q-library's completeness and depth and the multiset of
+    (succeeded, path length, min phi-bar) over its entries; the peak
+    reduction's step count, final height and peaks and largest reduced
+    value; the zs-cycle's status, high minimum and threshold; the path
+    search's verdict, path length and extreme values; and the Rips
+    counts and threshold.  The paths themselves move, since ties
+    between shortest paths break by letter order, and so does the
+    reduced path's length (11 at the identity, 9 under a <-> c); the
+    fill waits for a renaming rule of its own."""
+    text = (CONFIG_DIR / "z2_lattice.cfg").read_text(encoding="utf-8")
+
+    def verdicts(a, c):
+        exp = parse_experiment(_z2_transported(text, a, c))
+        got = {}
+        for probe in exp.probes:
+            status, error, got[probe.name] = attempt(exp, probe)
+            assert status == "ok", (a, c, probe.name, error)
+        library, flatten, zs = got["library"], got["flatten"], got["zs"]
+        corridor, profile = got["corridor"], got["lattice-ball"]
+        return {
+            "q-library": (
+                library["complete"],
+                library["depth"],
+                Counter(
+                    (e["failure"] is None, _path_length(e["path"]), e["min_phi"])
+                    for e in library["entries"]
+                ),
+            ),
+            "peak-reduce": (
+                len(flatten["steps"]),
+                flatten["final_height"],
+                flatten["final_peaks"],
+                flatten["max_reduced_phi"],
+            ),
+            "zs-cycle": (zs["status"], zs["high_min"], zs["threshold"]),
+            "path-search": (
+                corridor["found"],
+                _path_length(corridor["path"]),
+                corridor["min_phi"],
+                corridor["max_phi"],
+            ),
+            "rips-profile": (profile["counts"], profile["threshold"]),
+        }
+
+    expected = verdicts("a", "c")
+    assert expected["q-library"][0] and expected["path-search"][0]
+    for a, b in SIGNED_PERMUTATIONS[1:]:
+        a, c = a.replace("b", "c"), b.replace("b", "c")
+        assert verdicts(a, c) == expected, (a, c)
+
+
 def _bench_workloads():
     """The benchmark's own `bench/workloads.py`, loaded without putting
     `bench/` on the import path."""
@@ -889,6 +979,26 @@ def test_verify_refuses_a_result_that_is_not_an_object(tmp_path, capsys, config,
         assert code == 4
         assert (
             f"FAIL {name} ({kind}): malformed or inconsistent payload: result is not an object"
+            in printed.splitlines()
+        )
+
+
+def test_verify_refuses_a_certificate_that_is_not_an_object(tmp_path, capsys):
+    # one message on every interpreter, before the certificate is read
+    out = tmp_path / "report.json"
+    assert main(["run", str(CONFIG_DIR / "free_unsat.cfg"), "--out", str(out)]) == 0
+    report = _read(out)
+    for certificate, problem in (
+        ("1", "certificate is not an object"),
+        (None, "certificate is not an object"),
+        ([], "certificate is not an object"),
+        ({}, "missing key 'functional'"),
+    ):
+        _probe(report, "no-fill")["result"]["certificate"] = certificate
+        code, printed = _verify_rewritten(out, report, capsys)
+        assert code == 4
+        assert (
+            f"FAIL no-fill (novikov-solve): malformed or inconsistent payload: {problem}"
             in printed.splitlines()
         )
 
@@ -1810,16 +1920,21 @@ def test_a_collapse_solved_fill_round_trips_under_python_dash_O(tmp_path):
     assert proc.returncode == pin["verify_exit"], proc.stdout + proc.stderr
 
 
+def _in_a_fresh_process(*args, cwd=None):
+    """`qmprobe *args` in a fresh process, which must end within 10 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "qmprobe", *args],
+        env=env, capture_output=True, text=True, timeout=10, cwd=cwd,
+    )
+
+
 def _within_a_second(*args):
     """`qmprobe *args` in a fresh process, which must end within a
     second."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "qmprobe", *args],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    proc = _in_a_fresh_process(*args)
     assert time.monotonic() - start < 1.0
     return proc
 
@@ -2065,6 +2180,50 @@ def test_a_mutated_report_ends_at_once_in_an_exit_code(tmp_path, seed, under):
     if proc.returncode == 0:
         recorded = json.loads(_z2_lattice_report())
         assert path[0] == "header" or in_replayed_witness(recorded, path), path
+
+
+# what the value of a mutated config line becomes: negative, zero and
+# huge numbers, a division by zero, a surd base past MAX_SURD_BASE, a
+# huge power, nothing and a letter no config names; then values that
+# some key of some config takes, so that some mutated configs run
+HOSTILE_VALUES = (
+    "-1", "0", "1/0", "sqrt(1000003)", "a^100000", "99999999999999999999", "", "z",
+    "1", "2", "3", "1/2", "sqrt(2)", "1 + sqrt(3)", "a", "b^-1", "a b a^-1", "c", "yes",
+)
+COMMITTED_CONFIGS = sorted(CONFIG_DIR.glob("*.cfg"))
+
+
+def _mutated_config(seed: int) -> tuple[str, str]:
+    """A committed test config, drawn from `seed` with one of its
+    `key = value` lines, whose value is replaced by the seed-th of
+    HOSTILE_VALUES (cyclically, so every value is tried); the config and
+    the new line."""
+    rng = random.Random(seed)
+    lines = rng.choice(COMMITTED_CONFIGS).read_text(encoding="utf-8").splitlines()
+    # a line other than a section's kind, whose change is refused at once
+    keys = [i for i, line in enumerate(lines) if " = " in line and not line.startswith("kind")]
+    at = rng.choice(keys)
+    value = HOSTILE_VALUES[seed % len(HOSTILE_VALUES)]
+    lines[at] = lines[at].partition(" = ")[0] + " = " + value
+    return "\n".join(lines) + "\n", lines[at]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_a_mutated_config_ends_in_an_exit_code(tmp_path, seed):
+    """`python -m qmprobe run` of a committed config with one line
+    mutated ends within 10 s in exit 0, 2 or 3 with no traceback and
+    every stderr line a `qmprobe: ` message, and `verify` of any report
+    it writes passes."""
+    text, line = _mutated_config(seed)
+    cfg, out = tmp_path / "mutated.cfg", tmp_path / "report.json"
+    cfg.write_text(text, encoding="utf-8")
+    proc = _in_a_fresh_process("run", str(cfg), "--out", str(out), cwd=tmp_path)
+    assert proc.returncode in (0, 2, 3), (line, proc.stderr)
+    assert "Traceback" not in proc.stderr, line
+    assert all(err.startswith("qmprobe: ") for err in proc.stderr.splitlines()), line
+    if out.exists():
+        proc = _in_a_fresh_process("verify", str(out), cwd=tmp_path)
+        assert proc.returncode == 0, (line, proc.stdout, proc.stderr)
 
 
 # sha256 of the body of the seed-0 bench fill config with each window,

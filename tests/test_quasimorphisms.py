@@ -95,7 +95,7 @@ def test_homomorphism_is_linear(f2z, f2z_phi):
     h = f2z.parse_element("b^-1 u^2")
     assert f2z_phi.value(g * h) == f2z_phi.value(g) + f2z_phi.value(h)
     assert f2z_phi.value(f2z.parse_element("u")) == ExactReal(0, 1, 2)
-    assert f2z_phi.defect_upper() == ZERO
+    assert f2z_phi.defect_upper == ZERO
 
 
 # -- exact homogenization ------------------------------------------------
@@ -612,7 +612,7 @@ def _exact_defect_scan(qm, radius, upper=None):
             if tval > best:
                 best, best_kind, best_pair = tval, "three-term", (g, h)
     if upper is None:
-        upper = qm.defect_upper()
+        upper = qm.defect_upper
     return DefectEstimate(best, upper, radius, best_kind, best_pair, best)
 
 
@@ -736,7 +736,7 @@ def _exact_witness(qm, g, h):
     tval = abs(value(g) + value(h) - value(g * h))
     if tval > best:
         best, kind = tval, "three-term"
-    return DefectEstimate(best, qm.defect_upper(), 2, kind, (g, h), best)
+    return DefectEstimate(best, qm.defect_upper, 2, kind, (g, h), best)
 
 
 def test_aker_matches_the_exact_loop_with_an_abelian_scaling(f2z, f2z_phi):

@@ -260,7 +260,8 @@ def _oracle_backtracks(path, scaling):
 @given(data=st.data())
 def test_essential_flags_and_backtracks_match_the_oracles(z2, f2z, data):
     # paths rich in steps by the letter of index 1; scaling is that
-    # letter, its inverse, a longer element or another letter
+    # letter, its inverse or another letter, and a longer element is
+    # refused
     model = data.draw(st.sampled_from([z2, f2z]))
     weights = [g for g in model.generators() for _ in range(3 if g.index == 1 else 1)]
     letters = data.draw(st.lists(st.sampled_from(weights), max_size=12))
@@ -270,7 +271,6 @@ def test_essential_flags_and_backtracks_match_the_oracles(z2, f2z, data):
             [
                 model.generator_element(Generator(1, False)),
                 model.generator_element(Generator(1, True)),
-                model.generator_element(Generator(1, False)) ** 2,
                 model.generator_element(Generator(0, False)),
             ]
         )
@@ -279,6 +279,8 @@ def test_essential_flags_and_backtracks_match_the_oracles(z2, f2z, data):
     reduced = remove_inessential_backtracks(p, scaling)
     expected = _oracle_backtracks(p, scaling)
     assert reduced == expected and reduced.edge_letters() == expected.edge_letters()
+    with pytest.raises(ValueError, match="single generator letter"):
+        remove_inessential_backtracks(p, model.generator_element(Generator(1, False)) ** 2)
 
 
 def test_backtrack_removal_simple(z2):

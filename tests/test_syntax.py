@@ -1,7 +1,9 @@
 """Every module parses at the oldest Python the package declares, so a
 newer construct cannot slip in while the tests run on a newer
-interpreter; and no module keeps a dead name: an import it never reads,
-or a top-level function or class nothing else names."""
+interpreter; no module keeps a dead name: an import it never reads,
+or a top-level function or class nothing else names; and no module
+holds an `assert`, which `python -O` strips, so every check a result
+depends on raises."""
 
 import ast
 import pathlib
@@ -26,6 +28,13 @@ def _version_floor() -> tuple[int, int]:
 @pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(PACKAGE).as_posix() for p in MODULES])
 def test_each_module_parses_at_the_version_floor(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=_version_floor())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.relative_to(PACKAGE).as_posix() for p in MODULES])
+def test_no_module_holds_an_assert(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
 
 
 def _names(tree) -> set:
